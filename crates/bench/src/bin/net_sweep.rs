@@ -17,10 +17,8 @@
 //! i.e. if scaling ever goes linear or worse.
 //!
 //! * `net_sweep`           — full sweep, prints the table
-//! * `net_sweep --json`    — full sweep, writes `BENCH_PR8.json`
 //! * `net_sweep --quick`   — fewer pulls per client (CI scale)
 
-use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -132,39 +130,8 @@ fn run_level(addr: &str, clients: usize, pulls_per_client: u64) -> LevelResult {
     }
 }
 
-fn write_json(path: &Path, results: &[LevelResult], latency_ratio: f64) {
-    let mut s = String::from("{\n");
-    s.push_str("  \"generated_by\": \"net_sweep --json\",\n");
-    s.push_str(&format!("  \"model_params\": {DIM},\n"));
-    s.push_str(&format!(
-        "  \"pull_payload_bytes\": {},\n",
-        DIM * std::mem::size_of::<f32>()
-    ));
-    s.push_str(&format!("  \"think_ms\": {},\n", THINK.as_millis()));
-    s.push_str(&format!(
-        "  \"latency_ratio_widest_over_single\": {latency_ratio:.2},\n"
-    ));
-    s.push_str("  \"levels\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"clients\": {}, \"pulls\": {}, \"pulls_per_sec\": {:.1}, \
-             \"mean_latency_us\": {:.2}, \"max_latency_us\": {}}}{}\n",
-            r.clients,
-            r.pulls,
-            r.pulls_per_sec,
-            r.mean_latency_us,
-            r.max_latency_us,
-            if i + 1 < results.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(path, s).expect("write BENCH_PR8.json");
-    eprintln!("wrote {}", path.display());
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let json = args.iter().any(|a| a == "--json");
     let quick = args.iter().any(|a| a == "--quick");
     let pulls_per_client: u64 = if quick { 15 } else { 50 };
 
@@ -210,9 +177,6 @@ fn main() {
         latency_ratio,
         widest.clients / single.clients,
     );
-    if json {
-        write_json(Path::new("BENCH_PR8.json"), &results, latency_ratio);
-    }
     assert!(
         latency_ratio < (widest.clients / single.clients) as f64,
         "mean pull latency scaled linearly or worse ({latency_ratio:.2}x at {}x clients)",

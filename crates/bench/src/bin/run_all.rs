@@ -1,14 +1,8 @@
 //! Runs every experiment binary — the one-command regeneration of all
 //! tables and figures. Output is suitable for diffing against
-//! `EXPERIMENTS.md`: each child's stdout is captured and printed in a
-//! fixed order regardless of completion order.
-//!
-//! By default the binaries fan out across cores with
-//! [`specsync_bench::parallel_map`]. With `--json`, they instead run one
-//! at a time (so per-experiment wall-clock numbers are not distorted by
-//! contention) and a `BENCH_PR1.json` report is written to the current
-//! directory with per-experiment timings, a serial-vs-parallel Fig. 8
-//! comparison, and parameter-store micro-benchmark numbers.
+//! `EXPERIMENTS.md`: the binaries fan out across cores with
+//! [`specsync_bench::parallel_map`], and each child's stdout is captured
+//! and printed in a fixed order regardless of completion order.
 
 use std::io::Write as _;
 use std::path::Path;
@@ -16,10 +10,6 @@ use std::process::{Command, Output};
 use std::time::Instant;
 
 use specsync_bench::parallel_map;
-use specsync_ml::Workload;
-use specsync_ps::ParameterStore;
-use specsync_simnet::WorkerId;
-use specsync_tensor::SparseGrad;
 
 const BINARIES: [&str; 12] = [
     "table1_workloads",
@@ -36,13 +26,9 @@ const BINARIES: [&str; 12] = [
     "ablation_estimator",
 ];
 
-fn launch(dir: &Path, bin: &str, serial: bool) -> (Output, f64) {
-    let mut cmd = Command::new(dir.join(bin));
-    if serial {
-        cmd.env("SPECSYNC_SERIAL", "1");
-    }
+fn launch(dir: &Path, bin: &str) -> (Output, f64) {
     let start = Instant::now();
-    let output = cmd
+    let output = Command::new(dir.join(bin))
         .output()
         .unwrap_or_else(|e| panic!("failed to launch {bin}: {e}"));
     (output, start.elapsed().as_secs_f64())
@@ -59,187 +45,14 @@ fn relay(bin: &str, output: &Output, secs: f64) {
     );
 }
 
-/// Mean nanoseconds per call of `f`, timed over enough iterations to be
-/// stable (~50 ms of work).
-fn nanos_per_call<F: FnMut()>(mut f: F) -> f64 {
-    f(); // warm-up: page-fault fresh allocations in, settle lazy state
-    let mut iters: u64 = 1;
-    loop {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        let dt = start.elapsed().as_secs_f64();
-        if dt > 0.05 || iters >= 1 << 22 {
-            return dt * 1e9 / iters as f64;
-        }
-        iters *= 4;
-    }
-}
-
-struct MicroReport {
-    params: usize,
-    nnz: usize,
-    pull_clone_ns: f64,
-    pull_snapshot_ns: f64,
-    push_dense_ns: f64,
-    push_sparse_ns: f64,
-}
-
-/// Times the parameter-store hot path at the paper's MF parameter scale
-/// (4.2M, Table I): a zero-copy snapshot pull vs the pre-snapshot
-/// full-copy pull, and a sparse push vs a dense push of the same gradient.
-fn micro_bench() -> MicroReport {
-    let n = Workload::matrix_factorization().paper.num_parameters as usize;
-    let worker = WorkerId::new(0);
-    let lr = 0.05;
-    // An MF minibatch of 128 ratings at rank 8 touches at most 2*128*8
-    // factor entries; spread them over the model.
-    let nnz = 2048.min(n);
-    let stride = n / nnz;
-
-    let mut dense = vec![0.0f32; n];
-    let mut sparse = SparseGrad::new();
-    sparse.reset(n);
-    for k in 0..nnz {
-        let j = k * stride;
-        dense[j] = 0.01;
-        sparse.add(j, 0.01);
-    }
-    sparse.finish();
-
-    let mut store = ParameterStore::new(vec![0.0; n], 8).with_momentum(0.9);
-    let pull_clone_ns = nanos_per_call(|| {
-        std::hint::black_box(store.params().to_vec());
-    });
-    let pull_snapshot_ns = nanos_per_call(|| {
-        std::hint::black_box(store.pull(worker));
-    });
-    let mut store = ParameterStore::new(vec![0.0; n], 8).with_momentum(0.9);
-    let push_dense_ns = nanos_per_call(|| {
-        store.apply_push(worker, std::hint::black_box(&dense), lr);
-    });
-    let mut store = ParameterStore::new(vec![0.0; n], 8).with_momentum(0.9);
-    let push_sparse_ns = nanos_per_call(|| {
-        store.apply_push_sparse(worker, std::hint::black_box(&sparse), lr);
-    });
-
-    MicroReport {
-        params: n,
-        nnz,
-        pull_clone_ns,
-        pull_snapshot_ns,
-        push_dense_ns,
-        push_sparse_ns,
-    }
-}
-
-fn write_json(
-    path: &Path,
-    timings: &[(&str, f64)],
-    fig8_serial: f64,
-    fig8_parallel: f64,
-    micro: &MicroReport,
-) {
-    let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"generated_by\": \"run_all --json\",\n");
-    s.push_str(&format!("  \"host_threads\": {threads},\n"));
-    s.push_str("  \"micro_mf_scale\": {\n");
-    s.push_str(&format!("    \"params\": {},\n", micro.params));
-    s.push_str(&format!("    \"sparse_nnz\": {},\n", micro.nnz));
-    s.push_str(&format!(
-        "    \"pull_clone_ns\": {:.1},\n",
-        micro.pull_clone_ns
-    ));
-    s.push_str(&format!(
-        "    \"pull_snapshot_ns\": {:.1},\n",
-        micro.pull_snapshot_ns
-    ));
-    s.push_str(&format!(
-        "    \"pull_speedup\": {:.2},\n",
-        micro.pull_clone_ns / micro.pull_snapshot_ns
-    ));
-    s.push_str(&format!(
-        "    \"push_dense_ns\": {:.1},\n",
-        micro.push_dense_ns
-    ));
-    s.push_str(&format!(
-        "    \"push_sparse_ns\": {:.1},\n",
-        micro.push_sparse_ns
-    ));
-    s.push_str(&format!(
-        "    \"push_speedup\": {:.2},\n",
-        micro.push_dense_ns / micro.push_sparse_ns
-    ));
-    s.push_str(&format!(
-        "    \"push_pull_speedup\": {:.2}\n",
-        (micro.pull_clone_ns + micro.push_dense_ns)
-            / (micro.pull_snapshot_ns + micro.push_sparse_ns)
-    ));
-    s.push_str("  },\n");
-    s.push_str("  \"fig8_wall_clock\": {\n");
-    s.push_str(&format!("    \"serial_secs\": {fig8_serial:.2},\n"));
-    s.push_str(&format!("    \"parallel_secs\": {fig8_parallel:.2},\n"));
-    s.push_str(&format!(
-        "    \"speedup\": {:.2}\n",
-        fig8_serial / fig8_parallel
-    ));
-    s.push_str("  },\n");
-    s.push_str("  \"experiments\": [\n");
-    for (i, (name, secs)) in timings.iter().enumerate() {
-        let comma = if i + 1 < timings.len() { "," } else { "" };
-        s.push_str(&format!(
-            "    {{ \"name\": \"{name}\", \"wall_secs\": {secs:.2} }}{comma}\n"
-        ));
-    }
-    s.push_str("  ]\n");
-    s.push_str("}\n");
-    std::fs::write(path, s).expect("write json report");
-    eprintln!(">>> wrote {}", path.display());
-}
-
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
     let me = std::env::current_exe().expect("current exe path");
     let dir = me.parent().expect("exe directory").to_path_buf();
 
-    if json {
-        // Sequential, so each experiment's wall-clock is contention-free;
-        // the binaries still parallelize their own run matrices internally.
-        let mut timings = Vec::new();
-        let mut fig8_parallel = 0.0;
-        for bin in BINARIES {
-            let (output, secs) = launch(&dir, bin, false);
-            relay(bin, &output, secs);
-            if bin == "fig8_effectiveness" {
-                fig8_parallel = secs;
-            }
-            timings.push((bin, secs));
-        }
-        eprintln!(">>> fig8_effectiveness again with SPECSYNC_SERIAL=1 (baseline)");
-        let (output, fig8_serial) = launch(&dir, "fig8_effectiveness", true);
-        assert!(
-            output.status.success(),
-            "serial fig8 exited with {}",
-            output.status
-        );
-        eprintln!(">>> micro-benchmarking the parameter-store hot path");
-        let micro = micro_bench();
-        write_json(
-            Path::new("BENCH_PR1.json"),
-            &timings,
-            fig8_serial,
-            fig8_parallel,
-            &micro,
-        );
-    } else {
-        // Children are independent: fan the whole batch out and print the
-        // captured outputs in the fixed BINARIES order.
-        let results = parallel_map(BINARIES.to_vec(), |bin| launch(&dir, bin, false));
-        for (bin, (output, secs)) in BINARIES.iter().zip(&results) {
-            relay(bin, output, *secs);
-        }
+    // Children are independent: fan the whole batch out and print the
+    // captured outputs in the fixed BINARIES order.
+    let results = parallel_map(BINARIES.to_vec(), |bin| launch(&dir, bin));
+    for (bin, (output, secs)) in BINARIES.iter().zip(&results) {
+        relay(bin, output, *secs);
     }
 }

@@ -1,7 +1,7 @@
 //! Supervised child processes: crash detection, jittered-backoff
 //! restarts, and a hard restart budget.
 //!
-//! The `net_rejoin` soak runs the multi-process wire topology under a
+//! `net_soak` runs its `kill-rejoin` scenario under a
 //! [`Supervisor`]: when a shard process dies (or is killed), the
 //! supervisor waits out a deterministic jittered backoff (reusing
 //! [`specsync_core::Backoff`], the same schedule the wire retries use),
@@ -97,7 +97,10 @@ impl Supervisor {
     /// the replacement with, or `None` when the budget is exhausted (the
     /// supervisor never sleeps on a refusal).
     pub fn authorize_restart(&mut self, shard: u64) -> Option<u32> {
-        let delay = self.policy.backoff.jittered(self.restarts, self.policy.seed)?;
+        let delay = self
+            .policy
+            .backoff
+            .jittered(self.restarts, self.policy.seed)?;
         std::thread::sleep(delay);
         self.restarts += 1;
         self.sink.record(

@@ -134,7 +134,7 @@ impl NetChaos {
             || self.half_open_after.is_some()
     }
 
-    /// Serializes to the compact `key=value,...` spec the `net_chaos`
+    /// Serializes to the compact `key=value,...` spec the `net_soak`
     /// harness passes to its role processes. [`from_spec`](Self::from_spec)
     /// round-trips it.
     pub fn to_spec(&self) -> String {

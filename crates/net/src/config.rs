@@ -374,7 +374,10 @@ mod tests {
             .join_chunk_bytes(crate::frame::PAYLOAD_LIMIT)
             .try_build()
             .is_ok());
-        let err = NetConfig::builder().restart_budget(0).try_build().unwrap_err();
+        let err = NetConfig::builder()
+            .restart_budget(0)
+            .try_build()
+            .unwrap_err();
         assert!(
             matches!(err, SpecSyncError::InvalidRetryPolicy { .. }),
             "got {err:?}"

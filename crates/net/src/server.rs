@@ -327,7 +327,9 @@ impl ShardServer {
                 |_| {},
             )?;
             let (version, replayed) = join_cluster(&mut conn, shard_id, &local_addr, &host)?;
-            counters.pushes_applied.fetch_add(replayed, Ordering::Relaxed);
+            counters
+                .pushes_applied
+                .fetch_add(replayed, Ordering::Relaxed);
             counters.absorbed.fetch_add(replayed, Ordering::Relaxed);
             joined = Some((version, replayed));
             // The same connection now carries the primary's write-ahead
@@ -669,11 +671,11 @@ fn join_cluster(
         what: "streamed checkpoint failed to restore",
     })?;
     {
+        // The journal capacity is this process's configuration, not part
+        // of the streamed state: it survives the store swap.
         let mut locked = host.lock();
-        locked.install_store(ReplicatedStore::from_store(
-            store,
-            ReplicatedStore::DEFAULT_JOURNAL_CAPACITY,
-        ));
+        let capacity = locked.replica().journal_capacity();
+        locked.install_store(ReplicatedStore::from_store(store, capacity));
     }
     let (frame, _) = conn.recv()?;
     let WireMessage::Failover(FailoverControl::CatchUp { entries, through }) = frame else {
@@ -909,11 +911,57 @@ struct Central<'a> {
     /// the silence timeout only applies after first contact.
     last_worker_beat: Vec<Option<VirtualTime>>,
     worker_dead: Vec<bool>,
+    /// How many times each worker has come back from being marked dead.
+    rejoin_epochs: Vec<u64>,
     last_shard_beat: BTreeMap<u64, VirtualTime>,
     stats: SchedulerRunStats,
 }
 
-impl Central<'_> {
+impl<'a> Central<'a> {
+    fn new(
+        cfg: &'a SchedulerConfig,
+        clock: &'a WallElapsed,
+        sink: &'a Arc<dyn EventSink<Duration>>,
+    ) -> Self {
+        let tuning = match cfg.scheme {
+            SchemeKind::SpecSync { tuning, .. } => tuning,
+            // Any non-SpecSync scheme keeps the scheduler as a pure
+            // history recorder: speculation disabled.
+            _ => TuningMode::Fixed {
+                abort_time: SimDuration::ZERO,
+                abort_rate: f64::MAX,
+            },
+        };
+        let m = cfg.workers;
+        Central {
+            cfg,
+            clock,
+            sink,
+            core: Scheduler::new(m, tuning),
+            writers: BTreeMap::new(),
+            peers: BTreeMap::new(),
+            worker_conn: BTreeMap::new(),
+            shards: BTreeMap::new(),
+            primary: None,
+            epoch: 0,
+            promotion_pending: None,
+            timers: Vec::new(),
+            per_worker: vec![0; m],
+            epochs: 0,
+            last_worker_beat: vec![None; m],
+            worker_dead: vec![false; m],
+            rejoin_epochs: vec![0; m],
+            last_shard_beat: BTreeMap::new(),
+            stats: SchedulerRunStats {
+                aborts_issued: 0,
+                promotions: 0,
+                total_pushes: 0,
+                workers_marked_dead: 0,
+                completed: false,
+            },
+        }
+    }
+
     fn now_vt(&self) -> VirtualTime {
         VirtualTime::from_micros(self.clock.elapsed().as_micros().min(u64::MAX as u128) as u64)
     }
@@ -952,9 +1000,13 @@ impl Central<'_> {
         self.last_worker_beat[w] = Some(now);
         if self.worker_dead[w] && matches!(self.core.try_mark_alive(worker, now), Ok(true)) {
             self.worker_dead[w] = false;
+            self.rejoin_epochs[w] += 1;
             self.sink.record(
                 self.clock.elapsed(),
-                &Event::WorkerRecovered { worker, epoch: 0 },
+                &Event::WorkerRecovered {
+                    worker,
+                    epoch: self.rejoin_epochs[w],
+                },
             );
         }
     }
@@ -1189,8 +1241,7 @@ impl Central<'_> {
         }
     }
 
-    fn sweep_liveness(&mut self) {
-        let now = self.now_vt();
+    fn sweep_liveness(&mut self, now: VirtualTime) {
         let timeout = SimDuration::from_micros(
             self.cfg
                 .net
@@ -1231,7 +1282,6 @@ impl Central<'_> {
             if self.timers[i].0 <= now {
                 let (deadline, worker) = self.timers.swap_remove(i);
                 // Timer deadlines re-enter through the frame vocabulary.
-                let _ = deadline;
                 self.handle_frame_local(WireMessage::Check { worker }, deadline);
             } else {
                 i += 1;
@@ -1265,46 +1315,10 @@ fn central_loop(
     sink: &Arc<dyn EventSink<Duration>>,
     events_rx: &Receiver<ConnEvent>,
 ) -> SchedulerRunStats {
-    let tuning = match cfg.scheme {
-        SchemeKind::SpecSync { tuning, .. } => tuning,
-        // Any non-SpecSync scheme keeps the scheduler as a pure history
-        // recorder: speculation disabled.
-        _ => TuningMode::Fixed {
-            abort_time: SimDuration::ZERO,
-            abort_rate: f64::MAX,
-        },
-    };
-    let m = cfg.workers;
-    let mut central = Central {
-        cfg,
-        clock,
-        sink,
-        core: Scheduler::new(m, tuning),
-        writers: BTreeMap::new(),
-        peers: BTreeMap::new(),
-        worker_conn: BTreeMap::new(),
-        shards: BTreeMap::new(),
-        primary: None,
-        epoch: 0,
-        promotion_pending: None,
-        timers: Vec::new(),
-        per_worker: vec![0; m],
-        epochs: 0,
-        last_worker_beat: vec![None; m],
-        worker_dead: vec![false; m],
-        last_shard_beat: BTreeMap::new(),
-        stats: SchedulerRunStats {
-            aborts_issued: 0,
-            promotions: 0,
-            total_pushes: 0,
-            workers_marked_dead: 0,
-            completed: false,
-        },
-    };
-
+    let mut central = Central::new(cfg, clock, sink);
     loop {
         central.fire_timers();
-        central.sweep_liveness();
+        central.sweep_liveness(central.now_vt());
         if clock.elapsed() >= cfg.max_duration {
             break;
         }
@@ -1348,6 +1362,64 @@ mod tests {
         let seq = ConnSeq::new();
         FrameConn::connect_with_retries(addr, cfg, &ConnTarget::new("test", &seq, 0), |_| {})
             .unwrap()
+    }
+
+    /// Wire knobs for scheduler tests whose fake shards never heartbeat:
+    /// only a closed connection may trigger a promotion, never silence,
+    /// however slowly a loaded host runs the test.
+    fn closes_only() -> NetConfig {
+        NetConfig::builder()
+            .heartbeat_timeout(Duration::from_secs(3600))
+            .try_build()
+            .unwrap()
+    }
+
+    /// Polls `QueryPrimary` until the scheduler names `addr` primary at
+    /// `epoch`. Each connection has its own reader thread, so frames
+    /// written on different connections reach the central loop in no
+    /// particular order; this is the barrier that proves the frame which
+    /// made `addr` primary has been processed. It polls on a connection
+    /// of its own, so answers that arrive late die with it.
+    fn await_primary(sched_addr: &str, addr: &str, epoch: u64) {
+        let want = WireMessage::Failover(FailoverControl::Primary {
+            addr: addr.into(),
+            epoch,
+        });
+        let mut probe = connect(sched_addr, &NetConfig::default());
+        // A query with no primary to name gets no reply at all.
+        probe
+            .set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(15);
+        loop {
+            probe
+                .write(&WireMessage::Failover(FailoverControl::QueryPrimary))
+                .unwrap();
+            if matches!(probe.recv(), Ok((answer, _)) if answer == want) {
+                return;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the scheduler never named {addr} primary at epoch {epoch}"
+            );
+        }
+    }
+
+    /// One `QueryPrimary` round trip on `conn` itself: frames of one
+    /// connection are handled in order, so the answer proves everything
+    /// written on `conn` before it has been processed. Needs a known
+    /// primary (see [`await_primary`]) or no answer ever comes.
+    fn flush(conn: &mut FrameConn) {
+        let (answer, _, _) = conn
+            .exchange(&WireMessage::Failover(FailoverControl::QueryPrimary))
+            .unwrap();
+        assert!(
+            matches!(
+                answer,
+                WireMessage::Failover(FailoverControl::Primary { .. })
+            ),
+            "want Primary, got {answer:?}"
+        );
     }
 
     #[test]
@@ -1446,11 +1518,7 @@ mod tests {
                 workers: 1,
                 stop_after_pushes: Some(1),
                 max_duration: Duration::from_secs(20),
-                net: NetConfig::builder()
-                    .heartbeat_interval(Duration::from_millis(10))
-                    .heartbeat_timeout(Duration::from_millis(100))
-                    .try_build()
-                    .unwrap(),
+                net: closes_only(),
                 ..SchedulerConfig::default()
             },
         )
@@ -1477,19 +1545,10 @@ mod tests {
             }))
             .unwrap();
 
-        // A worker asks where the primary is.
-        let mut worker = connect(&sched_addr, &cfg);
-        worker
-            .write(&WireMessage::Failover(FailoverControl::QueryPrimary))
-            .unwrap();
-        let (answer, _) = worker.recv().unwrap();
-        assert_eq!(
-            answer,
-            WireMessage::Failover(FailoverControl::Primary {
-                addr: "127.0.0.1:7000".into(),
-                epoch: 0
-            })
-        );
+        // A worker asks where the primary is; the backup's registration
+        // has landed too before the crash below.
+        await_primary(&sched_addr, "127.0.0.1:7000", 0);
+        flush(&mut backup);
 
         // The primary dies: its connection closes, the scheduler sends
         // Promote to the backup, the backup answers Promoted.
@@ -1508,31 +1567,11 @@ mod tests {
             .unwrap();
 
         // The worker re-queries and sees the new primary at epoch 1.
-        // (Poll until the Promoted frame has been processed.)
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        loop {
-            worker
-                .write(&WireMessage::Failover(FailoverControl::QueryPrimary))
-                .unwrap();
-            let (answer, _) = worker.recv().unwrap();
-            if answer
-                == WireMessage::Failover(FailoverControl::Primary {
-                    addr: "127.0.0.1:7001".into(),
-                    epoch: 1,
-                })
-            {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "promotion never landed"
-            );
-        }
+        await_primary(&sched_addr, "127.0.0.1:7001", 1);
 
         // Tear down: one notified push reaches the stop target, and the
         // central loop broadcasts Shutdown and returns.
         drop(backup);
-        drop(worker);
         let mut closer = connect(&sched_addr, &cfg);
         closer
             .write(&WireMessage::Notify {
@@ -1554,7 +1593,10 @@ mod tests {
             store,
             ReplicatedStore::DEFAULT_JOURNAL_CAPACITY,
         ));
-        let pcfg = NetConfig::builder().join_chunk_bytes(16).try_build().unwrap();
+        let pcfg = NetConfig::builder()
+            .join_chunk_bytes(16)
+            .try_build()
+            .unwrap();
         let primary = ShardServer::bind(0, "127.0.0.1:0", host, pcfg).unwrap();
         let primary_addr = primary.local_addr().to_string();
         let primary_stop = primary.stop_handle();
@@ -1572,16 +1614,16 @@ mod tests {
             .unwrap();
         }
 
-        // A fresh process provisions itself from the live primary.
+        // A fresh process provisions itself from the live primary. Its
+        // non-default journal capacity is its own configuration and must
+        // survive the store the join installs.
         let store = ParameterStore::new(vec![0.0; 16], 2);
-        let host = ShardHost::new(ReplicatedStore::from_store(
-            store,
-            ReplicatedStore::DEFAULT_JOURNAL_CAPACITY,
-        ));
+        let host = ShardHost::new(ReplicatedStore::from_store(store, 4));
         let joiner = ShardServer::bind(2, "127.0.0.1:0", host, NetConfig::default())
             .unwrap()
             .as_backup()
             .join_via(&primary_addr);
+        let joiner_host = Arc::clone(&joiner.host);
         let joiner_stop = joiner.stop_handle();
         let joiner_handle = std::thread::spawn(move || joiner.run().unwrap());
 
@@ -1596,6 +1638,11 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(2));
         }
+        assert_eq!(
+            joiner_host.lock().replica().journal_capacity(),
+            4,
+            "the join must not reset the joiner's journal capacity"
+        );
 
         // Post-join pushes travel as live write-ahead relays down the
         // join connection before they are applied or acked, so each ack
@@ -1629,11 +1676,7 @@ mod tests {
                 workers: 1,
                 stop_after_pushes: Some(1),
                 max_duration: Duration::from_secs(20),
-                net: NetConfig::builder()
-                    .heartbeat_interval(Duration::from_millis(10))
-                    .heartbeat_timeout(Duration::from_millis(100))
-                    .try_build()
-                    .unwrap(),
+                net: closes_only(),
                 ..SchedulerConfig::default()
             },
         )
@@ -1666,8 +1709,10 @@ mod tests {
                 addr: "127.0.0.1:7002".into(),
             }))
             .unwrap();
-        // Let all three registrations land before the crash.
-        std::thread::sleep(Duration::from_millis(50));
+        // All three registrations land before the crash.
+        await_primary(&sched_addr, "127.0.0.1:7000", 0);
+        flush(&mut first);
+        flush(&mut second);
 
         // The primary dies; the scheduler targets the first backup.
         drop(primary);
@@ -1692,6 +1737,8 @@ mod tests {
                 replayed: 0,
             }))
             .unwrap();
+        // The promotion is counted before the run is told to stop.
+        await_primary(&sched_addr, "127.0.0.1:7002", 1);
         drop(second);
 
         let mut closer = connect(&sched_addr, &cfg);
@@ -1714,11 +1761,7 @@ mod tests {
                 workers: 1,
                 stop_after_pushes: Some(1),
                 max_duration: Duration::from_secs(20),
-                net: NetConfig::builder()
-                    .heartbeat_interval(Duration::from_millis(10))
-                    .heartbeat_timeout(Duration::from_millis(100))
-                    .try_build()
-                    .unwrap(),
+                net: closes_only(),
                 ..SchedulerConfig::default()
             },
         )
@@ -1743,7 +1786,8 @@ mod tests {
                 addr: "127.0.0.1:7001".into(),
             }))
             .unwrap();
-        std::thread::sleep(Duration::from_millis(50));
+        await_primary(&sched_addr, "127.0.0.1:7000", 0);
+        flush(&mut first);
 
         // First crash: the original backup takes over.
         drop(primary);
@@ -1777,7 +1821,8 @@ mod tests {
                 replayed: 0,
             }))
             .unwrap();
-        std::thread::sleep(Duration::from_millis(50));
+        await_primary(&sched_addr, "127.0.0.1:7001", 1);
+        flush(&mut rejoiner);
 
         // Second crash: the *rejoined* backup is promoted.
         drop(first);
@@ -1793,6 +1838,7 @@ mod tests {
                 replayed: 4,
             }))
             .unwrap();
+        await_primary(&sched_addr, "127.0.0.1:7002", 2);
         drop(rejoiner);
 
         let mut closer = connect(&sched_addr, &cfg);
@@ -1805,6 +1851,40 @@ mod tests {
         let stats = handle.join().unwrap();
         assert_eq!(stats.promotions, 2);
         assert!(stats.completed);
+    }
+
+    #[test]
+    fn each_silence_then_beat_cycle_is_the_workers_next_recovery_epoch() {
+        let cfg = SchedulerConfig {
+            workers: 2,
+            ..SchedulerConfig::default()
+        };
+        let clock = WallElapsed::start();
+        let memory = Arc::new(specsync_telemetry::InMemorySink::new());
+        let sink: Arc<dyn EventSink<Duration>> = memory.clone();
+        let mut central = Central::new(&cfg, &clock, &sink);
+
+        // Time is passed in, so the cycles need no sleeping: worker 1
+        // speaks, falls silent past the timeout, speaks again — twice.
+        let silence = SimDuration::from_micros(cfg.net.heartbeat_timeout.as_micros() as u64 + 1);
+        let w = WorkerId::new(1);
+        let mut now = VirtualTime::ZERO;
+        central.worker_beat(w, now);
+        for _ in 0..2 {
+            now += silence;
+            central.sweep_liveness(now);
+            central.worker_beat(w, now);
+        }
+        assert_eq!(central.stats.workers_marked_dead, 2);
+        let epochs: Vec<u64> = memory
+            .events()
+            .iter()
+            .filter_map(|(_, e)| match e {
+                Event::WorkerRecovered { worker, epoch } if *worker == w => Some(*epoch),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(epochs, vec![1, 2]);
     }
 
     #[test]

@@ -194,6 +194,11 @@ impl ReplicatedStore {
         self.journal.len()
     }
 
+    /// The configured bound on [`journal_lag`](Self::journal_lag).
+    pub fn journal_capacity(&self) -> usize {
+        self.journal.capacity()
+    }
+
     fn check_server(&self, server: usize) -> Result<(), ReplicaError> {
         if server >= self.replicas.len() {
             return Err(ReplicaError::UnknownServer(server));
@@ -576,9 +581,7 @@ mod tests {
         for entry in &tail {
             let version = match &entry.payload {
                 PushPayload::Dense(grad) => joiner.apply_push(entry.worker, grad, entry.lr),
-                PushPayload::Sparse(grad) => {
-                    joiner.apply_push_sparse(entry.worker, grad, entry.lr)
-                }
+                PushPayload::Sparse(grad) => joiner.apply_push_sparse(entry.worker, grad, entry.lr),
             };
             assert_eq!(version, entry.seq);
         }

@@ -214,17 +214,6 @@ impl RuntimeConfig {
         }
         Ok(())
     }
-
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`try_validate`](Self::try_validate) failure.
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
-        }
-    }
 }
 
 /// Validating builder for [`RuntimeConfig`], created by
@@ -357,16 +346,6 @@ mod tests {
         .try_validate()
         .unwrap_err();
         assert!(err.to_string().contains("at least one worker"));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn validate_panics_on_invalid() {
-        RuntimeConfig {
-            workers: 0,
-            ..Default::default()
-        }
-        .validate();
     }
 
     #[test]
