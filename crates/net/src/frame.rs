@@ -143,11 +143,14 @@ fn put_f32(out: &mut Vec<u8>, v: f32) {
     out.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
+/// Grows `out` once, then fills fixed-width chunks: no per-element
+/// capacity check, so the loop runs at copy speed.
 fn put_f32_slice(out: &mut Vec<u8>, vs: &[f32]) {
     put_u64(out, vs.len() as u64);
-    out.reserve(vs.len() * 4);
-    for &v in vs {
-        put_f32(out, v);
+    let start = out.len();
+    out.resize(start + vs.len() * 4, 0);
+    for (dst, v) in out[start..].chunks_exact_mut(4).zip(vs) {
+        dst.copy_from_slice(&v.to_bits().to_le_bytes());
     }
 }
 
@@ -326,20 +329,40 @@ fn encode_payload(msg: &WireMessage, out: &mut Vec<u8>) {
 /// `u32::MAX` would silently truncate the length field and corrupt the
 /// stream, so the sender refuses to put it on the wire at all.
 pub fn encode_frame(msg: &WireMessage) -> Result<Vec<u8>, FrameError> {
-    let mut payload = Vec::with_capacity(64);
-    encode_payload(msg, &mut payload);
-    if payload.len() > PAYLOAD_LIMIT {
-        return Err(FrameError::TooLarge {
-            len: payload.len() as u64,
-        });
-    }
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+    // One buffer, sized up front: header, the fixed fields (well under
+    // 64 bytes for every dense-carrying variant), and the bulk field.
+    let mut out = Vec::with_capacity(HEADER_LEN + 64 + bulk_len(msg));
     out.extend_from_slice(&MAGIC);
     put_u32(&mut out, FORMAT);
-    put_u32(&mut out, payload.len() as u32);
-    put_u64(&mut out, fnv1a(&payload));
-    out.extend_from_slice(&payload);
+    // Length and checksum are only known once the payload is written.
+    out.resize(HEADER_LEN, 0);
+    encode_payload(msg, &mut out);
+    let payload_len = out.len() - HEADER_LEN;
+    if payload_len > PAYLOAD_LIMIT {
+        return Err(FrameError::TooLarge {
+            len: payload_len as u64,
+        });
+    }
+    let checksum = fnv1a(&out[HEADER_LEN..]);
+    out[8..12].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    out[12..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
     Ok(out)
+}
+
+/// Encoded size of the one variable-length field a message can carry. A
+/// capacity hint only: a wrong answer costs a reallocation, never a byte
+/// of the frame.
+fn bulk_len(msg: &WireMessage) -> usize {
+    match msg {
+        WireMessage::PullReply { params, .. } => params.len() * 4,
+        WireMessage::Push { payload, .. } | WireMessage::RelayPush { payload, .. } => match payload
+        {
+            PushPayload::Dense(grad) => grad.len() * 4,
+            PushPayload::Sparse(grad) => grad.nnz() * 12,
+        },
+        WireMessage::Failover(FailoverControl::SnapshotChunk { data, .. }) => data.len(),
+        _ => 0,
+    }
 }
 
 /// Bounds-checked sequential reader over a payload.
@@ -393,13 +416,19 @@ impl<'a> Reader<'a> {
         Ok(n as usize)
     }
 
-    fn f32_slice(&mut self) -> Result<Vec<f32>, FrameError> {
+    /// One bounds check for the whole slice, then an exact-size iterator
+    /// the target collects in a single allocation — a `Vec<f32>` for a
+    /// push, the `Arc<[f32]>` itself for a pull reply.
+    fn f32_slice<C: FromIterator<f32>>(&mut self) -> Result<C, FrameError> {
         let n = self.len_prefix(4)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.f32()?);
-        }
-        Ok(out)
+        let len = n
+            .checked_mul(4)
+            .ok_or(FrameError::Malformed("length prefix exceeds payload"))?;
+        Ok(self
+            .take(len)?
+            .chunks_exact(4)
+            .map(|b| f32::from_bits(u32::from_le_bytes([b[0], b[1], b[2], b[3]])))
+            .collect())
     }
 
     fn string(&mut self) -> Result<String, FrameError> {
@@ -475,7 +504,7 @@ fn decode_payload(payload: &[u8]) -> Result<WireMessage, FrameError> {
         },
         TAG_PULL_REPLY => {
             let version = r.u64()?;
-            let params: Arc<[f32]> = Arc::from(r.f32_slice()?);
+            let params: Arc<[f32]> = r.f32_slice()?;
             WireMessage::PullReply { version, params }
         }
         TAG_PUSH => {
@@ -573,41 +602,48 @@ fn decode_payload(payload: &[u8]) -> Result<WireMessage, FrameError> {
 /// missing bytes report [`FrameError::Truncated`], extra bytes
 /// [`FrameError::Malformed`].
 pub fn decode_frame(buf: &[u8]) -> Result<WireMessage, FrameError> {
-    if buf.len() < HEADER_LEN {
+    let Some((header, payload)) = buf.split_first_chunk::<HEADER_LEN>() else {
         // A short buffer that cannot even disprove the magic is truncated;
         // one that can is reported as whatever the header says first.
         if buf.len() >= 4 && buf[..4] != MAGIC {
             return Err(FrameError::BadMagic);
         }
         return Err(FrameError::Truncated);
+    };
+    let (payload_len, checksum) = parse_header(header)?;
+    if payload.len() < payload_len {
+        return Err(FrameError::Truncated);
     }
-    if buf[..4] != MAGIC {
+    if payload.len() > payload_len {
+        return Err(FrameError::Malformed("trailing bytes after frame"));
+    }
+    decode_checked(payload, checksum)
+}
+
+/// Validates a complete header — magic, then format, then the advertised
+/// length against [`PAYLOAD_LIMIT`] — and returns the payload length and
+/// checksum it carries.
+fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(usize, u64), FrameError> {
+    let [m0, m1, m2, m3, f0, f1, f2, f3, l0, l1, l2, l3, checksum @ ..] = *header;
+    if [m0, m1, m2, m3] != MAGIC {
         return Err(FrameError::BadMagic);
     }
-    let mut w = [0u8; 4];
-    w.copy_from_slice(&buf[4..8]);
-    let format = u32::from_le_bytes(w);
+    let format = u32::from_le_bytes([f0, f1, f2, f3]);
     if format != FORMAT {
         return Err(FrameError::UnsupportedFormat { found: format });
     }
-    w.copy_from_slice(&buf[8..12]);
-    let payload_len = u32::from_le_bytes(w) as usize;
+    let payload_len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
     if payload_len > PAYLOAD_LIMIT {
         return Err(FrameError::TooLarge {
             len: payload_len as u64,
         });
     }
-    let mut c = [0u8; 8];
-    c.copy_from_slice(&buf[12..20]);
-    let checksum = u64::from_le_bytes(c);
-    let end = HEADER_LEN + payload_len;
-    if buf.len() < end {
-        return Err(FrameError::Truncated);
-    }
-    if buf.len() > end {
-        return Err(FrameError::Malformed("trailing bytes after frame"));
-    }
-    let payload = &buf[HEADER_LEN..end];
+    Ok((payload_len, u64::from_le_bytes(checksum)))
+}
+
+/// Decodes a payload of exactly the advertised length once it hashes to
+/// the header checksum.
+fn decode_checked(payload: &[u8], checksum: u64) -> Result<WireMessage, FrameError> {
     if fnv1a(payload) != checksum {
         return Err(FrameError::ChecksumMismatch);
     }
@@ -643,34 +679,16 @@ pub fn read_frame(r: &mut dyn Read) -> Result<ReadOutcome, FrameReadError> {
             Err(e) => return Err(FrameReadError::Io(e)),
         }
     }
-    if header[..4] != MAGIC {
-        return Err(FrameReadError::Frame(FrameError::BadMagic));
-    }
-    let mut w4 = [0u8; 4];
-    w4.copy_from_slice(&header[4..8]);
-    let format = u32::from_le_bytes(w4);
-    if format != FORMAT {
-        return Err(FrameReadError::Frame(FrameError::UnsupportedFormat {
-            found: format,
-        }));
-    }
-    w4.copy_from_slice(&header[8..12]);
-    let payload_len = u32::from_le_bytes(w4) as usize;
-    if payload_len > PAYLOAD_LIMIT {
-        return Err(FrameReadError::Frame(FrameError::TooLarge {
-            len: payload_len as u64,
-        }));
-    }
-    let mut frame = vec![0u8; HEADER_LEN + payload_len];
-    frame[..HEADER_LEN].copy_from_slice(&header);
-    if let Err(e) = r.read_exact(&mut frame[HEADER_LEN..]) {
+    let (payload_len, checksum) = parse_header(&header).map_err(FrameReadError::Frame)?;
+    let mut payload = vec![0u8; payload_len];
+    if let Err(e) = r.read_exact(&mut payload) {
         if e.kind() == io::ErrorKind::UnexpectedEof {
             return Err(FrameReadError::Frame(FrameError::Truncated));
         }
         return Err(FrameReadError::Io(e));
     }
-    match decode_frame(&frame) {
-        Ok(msg) => Ok(ReadOutcome::Frame(msg, frame.len())),
+    match decode_checked(&payload, checksum) {
+        Ok(msg) => Ok(ReadOutcome::Frame(msg, HEADER_LEN + payload_len)),
         Err(e) => Err(FrameReadError::Frame(e)),
     }
 }
@@ -798,6 +816,160 @@ mod tests {
             },
             WireMessage::Shutdown,
         ]
+    }
+
+    fn reference_f32_slice(out: &mut Vec<u8>, vs: &[f32]) {
+        put_u64(out, vs.len() as u64);
+        for &v in vs {
+            put_f32(out, v);
+        }
+    }
+
+    /// The two-buffer encoder FORMAT 1 shipped with: floats appended one
+    /// at a time to a payload `Vec`, the frame assembled in a second one.
+    /// Kept as the reference `encode_frame` must stay byte-identical to.
+    fn reference_encode(msg: &WireMessage) -> Vec<u8> {
+        let mut payload = Vec::with_capacity(64);
+        match msg {
+            WireMessage::PullReply { version, params } => {
+                payload.push(TAG_PULL_REPLY);
+                put_u64(&mut payload, *version);
+                reference_f32_slice(&mut payload, params);
+            }
+            WireMessage::Push {
+                worker,
+                payload: PushPayload::Dense(grad),
+            } => {
+                payload.push(TAG_PUSH);
+                put_worker(&mut payload, *worker);
+                payload.push(PAYLOAD_DENSE);
+                reference_f32_slice(&mut payload, grad);
+            }
+            WireMessage::RelayPush {
+                seq,
+                worker,
+                lr,
+                payload: PushPayload::Dense(grad),
+            } => {
+                payload.push(TAG_RELAY_PUSH);
+                put_u64(&mut payload, *seq);
+                put_worker(&mut payload, *worker);
+                put_f32(&mut payload, *lr);
+                payload.push(PAYLOAD_DENSE);
+                reference_f32_slice(&mut payload, grad);
+            }
+            // No float slice: the variant's payload bytes are shared.
+            other => encode_payload(other, &mut payload),
+        }
+        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+        out.extend_from_slice(&MAGIC);
+        put_u32(&mut out, FORMAT);
+        put_u32(&mut out, payload.len() as u32);
+        put_u64(&mut out, fnv1a(&payload));
+        out.extend_from_slice(&payload);
+        out
+    }
+
+    /// `len` floats cycling through the bit patterns a value-level copy
+    /// could mangle: quiet and signalling NaNs with payloads, `-0.0`,
+    /// subnormals, the extremes.
+    fn awkward_floats(len: usize) -> Vec<f32> {
+        const BITS: [u32; 8] = [
+            0x7fc0_0001, // quiet NaN with a payload
+            0xffa5_5aa5, // negative signalling NaN
+            0x8000_0000, // -0.0
+            0x0000_0001, // smallest subnormal
+            0x807f_ffff, // largest negative subnormal
+            0x7f7f_ffff, // f32::MAX
+            0xff80_0000, // -inf
+            0x3f80_0000, // 1.0
+        ];
+        (0..len).map(|i| f32::from_bits(BITS[i % 8])).collect()
+    }
+
+    fn dense_carriers(values: &[f32]) -> [WireMessage; 3] {
+        let w = WorkerId::new(5);
+        [
+            WireMessage::PullReply {
+                version: 9,
+                params: Arc::from(values),
+            },
+            WireMessage::Push {
+                worker: w,
+                payload: PushPayload::Dense(values.to_vec()),
+            },
+            WireMessage::RelayPush {
+                seq: 10,
+                worker: w,
+                lr: 0.05,
+                payload: PushPayload::Dense(values.to_vec()),
+            },
+        ]
+    }
+
+    #[test]
+    fn encoder_is_byte_identical_to_the_two_buffer_reference() {
+        for msg in sample_frames() {
+            assert_eq!(
+                encode_frame(&msg).unwrap(),
+                reference_encode(&msg),
+                "{msg:?}"
+            );
+        }
+        for len in [0, 1, 3, 4, 5, 31, 32, 33, 1025] {
+            let values = awkward_floats(len);
+            let bits: Vec<u32> = values.iter().map(|v| v.to_bits()).collect();
+            for msg in dense_carriers(&values) {
+                let bytes = encode_frame(&msg).unwrap();
+                assert_eq!(bytes, reference_encode(&msg), "len {len}");
+                // NaN != NaN, so compare the decoded floats by bits.
+                let decoded: Vec<u32> = match decode_frame(&bytes).unwrap() {
+                    WireMessage::PullReply { params, .. } => {
+                        params.iter().map(|v| v.to_bits()).collect()
+                    }
+                    WireMessage::Push {
+                        payload: PushPayload::Dense(grad),
+                        ..
+                    }
+                    | WireMessage::RelayPush {
+                        payload: PushPayload::Dense(grad),
+                        ..
+                    } => grad.iter().map(|v| v.to_bits()).collect(),
+                    other => panic!("decoded the wrong variant: {other:?}"),
+                };
+                assert_eq!(decoded, bits, "len {len}");
+            }
+        }
+    }
+
+    /// Two frames as the build before the single-buffer encoder wrote
+    /// them: FORMAT 1 cannot drift without these literals changing.
+    #[test]
+    fn golden_frames_pin_format_1() {
+        let pull = WireMessage::Pull {
+            worker: WorkerId::new(3),
+        };
+        let reply = WireMessage::PullReply {
+            version: 42,
+            params: Arc::from(vec![1.0f32, -0.5, 3.25].as_slice()),
+        };
+        let golden = [
+            (
+                pull,
+                "53534e4601000000090000005c4bc2031f2d1489000300000000000000",
+            ),
+            (
+                reply,
+                "53534e46010000001d000000f511b99bcf1642e5012a00000000000000\
+                 03000000000000000000803f000000bf00005040",
+            ),
+        ];
+        for (msg, hex) in golden {
+            let bytes = encode_frame(&msg).unwrap();
+            let encoded: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(encoded, hex, "{msg:?}");
+            assert_eq!(decode_frame(&bytes).unwrap(), msg);
+        }
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //!   same verbs.
 //!
 //! Pull serving is read-mostly: the host serializes each store version's
-//! `PullReply` frame **once** and shares the encoded bytes (`Arc<[u8]>`)
-//! across every concurrent client until the next push bumps the version —
-//! the wire-side twin of [`ParameterStore`]'s `Arc<[f32]>` snapshot cache.
+//! `PullReply` frame **once** and shares the encoder's own buffer
+//! (`Arc<Vec<u8>>`, no second copy) across every concurrent client until
+//! the next push bumps the version — the wire-side twin of
+//! [`ParameterStore`]'s `Arc<[f32]>` snapshot cache.
 //!
 //! [`ParameterStore`]: specsync_ps::ParameterStore
 
@@ -67,7 +68,7 @@ pub struct ShardHost {
     epochs: u64,
     /// Encoded `PullReply` frame for `(version, bytes)` — rebuilt once
     /// per store version, shared across clients.
-    encoded: Option<(u64, Arc<[u8]>)>,
+    encoded: Option<(u64, Arc<Vec<u8>>)>,
 }
 
 impl fmt::Debug for ShardHost {
@@ -174,6 +175,30 @@ impl ShardHost {
         Ok(self.receipt(worker, version))
     }
 
+    /// The frame path's push: the decoded payload is already owned, so it
+    /// moves into the store's journal instead of being copied there.
+    fn push_owned(
+        &mut self,
+        worker: WorkerId,
+        payload: PushPayload,
+        lr: f32,
+    ) -> Result<WireMessage, ReplicaError> {
+        let version = self.store.try_apply_payload(worker, payload, lr)?;
+        let receipt = self.receipt(worker, version);
+        Ok(WireMessage::PushAck {
+            version: receipt.version,
+            pushes_by_worker: receipt.pushes_by_worker,
+        })
+    }
+
+    /// The rate the frame path applies to the next push.
+    fn frame_lr(&self) -> f32 {
+        match &self.lr_fn {
+            Some(f) => f(self.epochs),
+            None => DEFAULT_FRAME_LR,
+        }
+    }
+
     fn receipt(&mut self, worker: WorkerId, version: u64) -> PushReceipt {
         let pushes_by_worker = self.store.pushes_by(worker);
         let idx = worker.index();
@@ -247,14 +272,10 @@ impl ShardHost {
         let WireMessage::Push { worker, payload } = frame else {
             return None;
         };
-        let lr = match &self.lr_fn {
-            Some(f) => f(self.epochs),
-            None => DEFAULT_FRAME_LR,
-        };
         Some(WireMessage::RelayPush {
             seq: self.store.version() + 1,
             worker: *worker,
-            lr,
+            lr: self.frame_lr(),
             payload: payload.clone(),
         })
     }
@@ -285,18 +306,8 @@ impl ShardHost {
                 }))
             }
             WireMessage::Push { worker, payload } => {
-                let lr = match &self.lr_fn {
-                    Some(f) => f(self.epochs),
-                    None => DEFAULT_FRAME_LR,
-                };
-                let receipt = match &payload {
-                    PushPayload::Dense(grad) => self.push_dense(worker, grad, lr)?,
-                    PushPayload::Sparse(grad) => self.push_sparse(worker, grad, lr)?,
-                };
-                Ok(Some(WireMessage::PushAck {
-                    version: receipt.version,
-                    pushes_by_worker: receipt.pushes_by_worker,
-                }))
+                let lr = self.frame_lr();
+                Ok(Some(self.push_owned(worker, payload, lr)?))
             }
             WireMessage::RelayPush {
                 seq,
@@ -320,14 +331,7 @@ impl ShardHost {
                         what: "relay push sequence gap",
                     });
                 }
-                let receipt = match &payload {
-                    PushPayload::Dense(grad) => self.push_dense(worker, grad, lr)?,
-                    PushPayload::Sparse(grad) => self.push_sparse(worker, grad, lr)?,
-                };
-                Ok(Some(WireMessage::PushAck {
-                    version: receipt.version,
-                    pushes_by_worker: receipt.pushes_by_worker,
-                }))
+                Ok(Some(self.push_owned(worker, payload, lr)?))
             }
             WireMessage::Failover(control) => {
                 Ok(Some(WireMessage::Failover(self.failover(&control)?)))
@@ -348,9 +352,9 @@ impl ShardHost {
     }
 
     /// Serves a pull as pre-encoded frame bytes: the `PullReply` frame for
-    /// the current version is serialized once and shared (`Arc`) across
-    /// every concurrent client until a push bumps the version. Returns the
-    /// bytes and the observed staleness.
+    /// the current version is serialized once and the encoder's buffer is
+    /// shared (`Arc`) across every concurrent client until a push bumps
+    /// the version. Returns the bytes and the observed staleness.
     ///
     /// # Errors
     ///
@@ -358,7 +362,10 @@ impl ShardHost {
     /// the shard is failing over; [`NetError::Frame`] when the model
     /// dimension exceeds the frame payload limit (deterministic on the
     /// first pull, at store-construction dimension — never mid-run).
-    pub fn encoded_pull_reply(&mut self, worker: WorkerId) -> Result<(Arc<[u8]>, u64), NetError> {
+    pub fn encoded_pull_reply(
+        &mut self,
+        worker: WorkerId,
+    ) -> Result<(Arc<Vec<u8>>, u64), NetError> {
         let grant = self.pull(worker)?;
         let version = grant.snapshot.version();
         if let Some((cached_version, bytes)) = &self.encoded {
@@ -366,11 +373,10 @@ impl ShardHost {
                 return Ok((Arc::clone(bytes), grant.staleness));
             }
         }
-        let frame = encode_frame(&WireMessage::PullReply {
+        let bytes = Arc::new(encode_frame(&WireMessage::PullReply {
             version,
             params: grant.snapshot.into_shared(),
-        })?;
-        let bytes: Arc<[u8]> = Arc::from(frame);
+        })?);
         self.encoded = Some((version, Arc::clone(&bytes)));
         Ok((bytes, grant.staleness))
     }

@@ -1119,7 +1119,7 @@ mod tests {
         let server = std::thread::spawn(move || {
             let (stream, peer) = listener.accept().unwrap();
             let mut conn = FrameConn::from_stream(stream, peer.to_string());
-            let bytes: Arc<[u8]> = Arc::from(encode_frame(&msg).unwrap());
+            let bytes = Arc::new(encode_frame(&msg).unwrap());
             conn.write_encoded(&bytes).unwrap();
         });
         let cfg = NetConfig::default();

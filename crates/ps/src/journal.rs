@@ -12,6 +12,8 @@ use specsync_simnet::WorkerId;
 use specsync_tensor::SparseGrad;
 use std::collections::VecDeque;
 
+use crate::store::ParameterStore;
+
 /// The gradient payload of one journaled push.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PushPayload {
@@ -33,6 +35,18 @@ pub struct JournalEntry {
     pub payload: PushPayload,
     /// The learning rate the push was applied with.
     pub lr: f32,
+}
+
+impl JournalEntry {
+    /// Applies this push to `store` through the path — dense or sparse —
+    /// it was journaled with, so every replica that replays the entry runs
+    /// the same arithmetic. Returns the store's new version.
+    pub fn apply_to(&self, store: &mut ParameterStore) -> u64 {
+        match &self.payload {
+            PushPayload::Dense(grad) => store.apply_push(self.worker, grad, self.lr),
+            PushPayload::Sparse(grad) => store.apply_push_sparse(self.worker, grad, self.lr),
+        }
+    }
 }
 
 /// The journal is at capacity; the backup must catch up before another
@@ -97,7 +111,9 @@ impl PushJournal {
         self.entries.len() >= self.capacity
     }
 
-    /// Appends an entry.
+    /// Appends an entry, returning it as stored: the journal owns the
+    /// payload from here on, and the caller applies the push from this
+    /// reference instead of keeping a copy.
     ///
     /// # Errors
     ///
@@ -109,7 +125,7 @@ impl PushJournal {
     ///
     /// Panics (debug only) if `entry.seq` does not extend the journal
     /// monotonically.
-    pub fn try_append(&mut self, entry: JournalEntry) -> Result<(), JournalFull> {
+    pub fn try_append(&mut self, entry: JournalEntry) -> Result<&JournalEntry, JournalFull> {
         if self.is_full() {
             return Err(JournalFull {
                 capacity: self.capacity,
@@ -120,7 +136,7 @@ impl PushJournal {
             "journal sequence numbers must be strictly increasing"
         );
         self.entries.push_back(entry);
-        Ok(())
+        Ok(&self.entries[self.entries.len() - 1])
     }
 
     /// Drops every entry with `seq <= through` (they are durable on the
@@ -161,7 +177,10 @@ mod tests {
         let mut j = PushJournal::new(2);
         j.try_append(entry(1)).unwrap();
         j.try_append(entry(2)).unwrap();
-        assert_eq!(j.try_append(entry(3)), Err(JournalFull { capacity: 2 }));
+        assert_eq!(
+            j.try_append(entry(3)).err(),
+            Some(JournalFull { capacity: 2 })
+        );
         assert!(j.is_full());
         let seqs: Vec<u64> = j.entries_after(0).map(|e| e.seq).collect();
         assert_eq!(seqs, vec![1, 2]);

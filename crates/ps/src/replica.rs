@@ -220,20 +220,10 @@ impl ReplicatedStore {
     /// replayed, and the watermark advances before anything else can run.
     pub fn sync_backup(&mut self) -> u64 {
         let mut applied = 0;
-        // Collect seqs first: replay mutates the backup while the journal
-        // is borrowed otherwise.
-        let pending: Vec<JournalEntry> = self
-            .journal
-            .entries_after(self.backup_applied)
-            .cloned()
-            .collect();
-        for entry in pending {
-            let version = match &entry.payload {
-                PushPayload::Dense(grad) => self.backup.apply_push(entry.worker, grad, entry.lr),
-                PushPayload::Sparse(grad) => {
-                    self.backup.apply_push_sparse(entry.worker, grad, entry.lr)
-                }
-            };
+        // The journal is read while the backup store and the watermark are
+        // written: three disjoint fields, so entries replay in place.
+        for entry in self.journal.entries_after(self.backup_applied) {
+            let version = entry.apply_to(&mut self.backup);
             debug_assert_eq!(
                 version, entry.seq,
                 "backup replay must reproduce the journaled version"
@@ -245,25 +235,40 @@ impl ReplicatedStore {
         applied
     }
 
-    fn journal_push(&mut self, worker: WorkerId, payload: PushPayload, lr: f32) {
-        let entry = JournalEntry {
-            seq: self.primary.version() + 1,
-            worker,
-            payload,
-            lr,
-        };
-        if self.journal.try_append(entry.clone()).is_err() {
+    /// Journals a push, taking ownership of its payload, then applies it
+    /// to the primary from the journal's own copy — the one entry point
+    /// every push goes through. Returns the new global version.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ReplicaError::ServerDown`] while a shard is failing over;
+    /// the caller retries after promotion.
+    pub fn try_apply_payload(
+        &mut self,
+        worker: WorkerId,
+        payload: PushPayload,
+        lr: f32,
+    ) -> Result<u64, ReplicaError> {
+        self.refuse_if_down()?;
+        if self.journal.is_full() {
             // Bounded lag: a full journal forces the backup to catch up
             // synchronously before the push is accepted.
             self.sync_backup();
-            self.journal
-                .try_append(entry)
-                .unwrap_or_else(|e| unreachable!("journal drained but still full: {e}"));
         }
+        let entry = self
+            .journal
+            .try_append(JournalEntry {
+                seq: self.primary.version() + 1,
+                worker,
+                payload,
+                lr,
+            })
+            .unwrap_or_else(|e| unreachable!("journal drained but still full: {e}"));
+        Ok(entry.apply_to(&mut self.primary))
     }
 
-    /// Journals and applies a dense gradient push. Returns the new global
-    /// version.
+    /// [`try_apply_payload`](Self::try_apply_payload) for a borrowed dense
+    /// gradient: the journal's copy is the only one made.
     ///
     /// # Errors
     ///
@@ -275,13 +280,11 @@ impl ReplicatedStore {
         grad: &[f32],
         lr: f32,
     ) -> Result<u64, ReplicaError> {
-        self.refuse_if_down()?;
-        self.journal_push(worker, PushPayload::Dense(grad.to_vec()), lr);
-        Ok(self.primary.apply_push(worker, grad, lr))
+        self.try_apply_payload(worker, PushPayload::Dense(grad.to_vec()), lr)
     }
 
-    /// Journals and applies a sparse gradient push. Returns the new global
-    /// version.
+    /// [`try_apply_payload`](Self::try_apply_payload) for a borrowed sparse
+    /// gradient: the journal's copy is the only one made.
     ///
     /// # Errors
     ///
@@ -293,9 +296,7 @@ impl ReplicatedStore {
         grad: &SparseGrad,
         lr: f32,
     ) -> Result<u64, ReplicaError> {
-        self.refuse_if_down()?;
-        self.journal_push(worker, PushPayload::Sparse(grad.clone()), lr);
-        Ok(self.primary.apply_push_sparse(worker, grad, lr))
+        self.try_apply_payload(worker, PushPayload::Sparse(grad.clone()), lr)
     }
 
     /// Serves a pull from the serving replica.
@@ -545,6 +546,79 @@ mod tests {
     }
 
     #[test]
+    fn sync_backup_on_an_empty_journal_is_a_no_op() {
+        let base = ParameterStore::new(vec![0.0; 4], 2).with_momentum(0.5);
+        let mut shadow = base.clone();
+        let mut rep = ReplicatedStore::from_store(base, 8);
+        assert_eq!(rep.sync_backup(), 0, "nothing journaled yet");
+        assert_eq!(rep.backup_applied, 0);
+        mixed_workload(&mut rep, &mut shadow, 5);
+        assert_eq!(rep.sync_backup(), 5);
+        let backup = rep.backup.snapshot_for_checkpoint().encode();
+        assert_eq!(rep.journal_lag(), 0);
+        assert_eq!(rep.sync_backup(), 0);
+        assert_eq!(rep.backup_applied, 5, "the watermark stays put");
+        assert_eq!(rep.backup.snapshot_for_checkpoint().encode(), backup);
+    }
+
+    /// Checkpoint bytes of the serving replica and of the warm backup,
+    /// plus the journal tail between them.
+    fn replica_bytes(rep: &mut ReplicatedStore) -> (Vec<u8>, Vec<u8>, Vec<(u64, PushPayload)>) {
+        let serving = rep.serving_store_mut().snapshot_for_checkpoint().encode();
+        let (backup, tail) = rep.rejoin_snapshot();
+        let tail = tail.into_iter().map(|e| (e.seq, e.payload)).collect();
+        (serving, backup.encode(), tail)
+    }
+
+    #[test]
+    fn owned_and_borrowed_push_paths_leave_identical_replicas() {
+        let base = ParameterStore::new(vec![0.0; 4], 2).with_momentum(0.9);
+        let mut owned = ReplicatedStore::from_store(base.clone(), 4);
+        let mut borrowed = ReplicatedStore::from_store(base, 4);
+        let mut pushes = 0..;
+        let mut drive = |owned: &mut ReplicatedStore, borrowed: &mut ReplicatedStore, n: usize| {
+            for i in pushes.by_ref().take(n) {
+                let (worker, lr) = (w(i % 3), 0.1 + 0.01 * (i % 2) as f32);
+                let (a, b) = if i % 3 == 0 {
+                    let g = sparse(4, &[(i % 4, 0.5 + i as f32 * 0.1), ((i + 2) % 4, -0.25)]);
+                    (
+                        owned.try_apply_payload(worker, PushPayload::Sparse(g.clone()), lr),
+                        borrowed.try_apply_push_sparse(worker, &g, lr),
+                    )
+                } else {
+                    let g = vec![0.1 * (i as f32 + 1.0); 4];
+                    (
+                        owned.try_apply_payload(worker, PushPayload::Dense(g.clone()), lr),
+                        borrowed.try_apply_push(worker, &g, lr),
+                    )
+                };
+                assert_eq!(a, b);
+                assert_eq!(a, Ok(i as u64 + 1));
+            }
+        };
+
+        // Capacity 4: pushes 5 and 9 each find the journal full and drain.
+        drive(&mut owned, &mut borrowed, 10);
+        assert_eq!(owned.backup_applied, 8, "two journal-full drains");
+        assert_eq!(replica_bytes(&mut owned), replica_bytes(&mut borrowed));
+
+        for rep in [&mut owned, &mut borrowed] {
+            rep.crash_server(1).unwrap();
+            assert_eq!(rep.promote(1), Ok(2), "the undrained suffix replays");
+        }
+        assert_eq!(replica_bytes(&mut owned), replica_bytes(&mut borrowed));
+
+        // The promoted pair keeps journaling, and a joiner provisioned
+        // from either store sees the same checkpoint and tail.
+        drive(&mut owned, &mut borrowed, 7);
+        let state = replica_bytes(&mut owned);
+        assert_eq!(replica_bytes(&mut borrowed), state);
+        let (serving, backup, tail) = state;
+        assert_ne!(serving, backup, "the tail is what separates them");
+        assert_eq!(tail.len(), 3);
+    }
+
+    #[test]
     fn failover_then_recovery_supports_a_second_failover() {
         let base = ParameterStore::new(vec![0.0; 4], 2);
         let mut shadow = base.clone();
@@ -579,11 +653,7 @@ mod tests {
         // result must be bit-identical to the serving primary.
         let mut joiner = ParameterStore::restore(ckpt).unwrap();
         for entry in &tail {
-            let version = match &entry.payload {
-                PushPayload::Dense(grad) => joiner.apply_push(entry.worker, grad, entry.lr),
-                PushPayload::Sparse(grad) => joiner.apply_push_sparse(entry.worker, grad, entry.lr),
-            };
-            assert_eq!(version, entry.seq);
+            assert_eq!(entry.apply_to(&mut joiner), entry.seq);
         }
         assert_eq!(joiner.version(), rep.version());
         assert_eq!(joiner.params(), rep.params());

@@ -31,6 +31,21 @@ fn arb_params() -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(arb_f32(), 0..48)
 }
 
+/// Dense payload lengths on both sides of every chunk width a bulk slice
+/// codec could be built around, plus one past a kilobyte boundary.
+const BOUNDARY_LENS: [usize; 9] = [0, 1, 3, 4, 5, 31, 32, 33, 1025];
+
+fn arb_boundary_params() -> impl Strategy<Value = Vec<f32>> {
+    (
+        0..BOUNDARY_LENS.len(),
+        proptest::collection::vec(arb_f32(), 1025),
+    )
+        .prop_map(|(i, mut values)| {
+            values.truncate(BOUNDARY_LENS[i]);
+            values
+        })
+}
+
 /// A valid sparse gradient: raw (index, value) pairs folded mod `dim`
 /// into sorted unique entries, which is the shape `SparseGrad` encodes.
 fn arb_sparse() -> impl Strategy<Value = SparseGrad> {
@@ -123,6 +138,35 @@ proptest! {
         let bytes = encode_frame(&msg).expect("sample messages fit a frame");
         let decoded = decode_frame(&bytes).expect("own encoding must decode");
         prop_assert_eq!(encode_frame(&decoded).expect("decoded re-encodes"), bytes);
+    }
+
+    /// The three dense carriers at the boundary lengths: the decoded
+    /// floats hold the sender's exact bits, and re-encode to the same frame.
+    #[test]
+    fn dense_payloads_round_trip_at_boundary_lengths(
+        worker in arb_worker(),
+        seq in any::<u64>(),
+        lr in arb_f32(),
+        values in arb_boundary_params(),
+    ) {
+        let bits = |vs: &[f32]| vs.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        let msgs = [
+            WireMessage::PullReply { version: seq, params: Arc::from(values.as_slice()) },
+            WireMessage::Push { worker, payload: PushPayload::Dense(values.clone()) },
+            WireMessage::RelayPush { seq, worker, lr, payload: PushPayload::Dense(values.clone()) },
+        ];
+        for msg in msgs {
+            let bytes = encode_frame(&msg).expect("sample messages fit a frame");
+            let decoded = decode_frame(&bytes).expect("own encoding must decode");
+            let got = match &decoded {
+                WireMessage::PullReply { params, .. } => bits(params),
+                WireMessage::Push { payload: PushPayload::Dense(grad), .. }
+                | WireMessage::RelayPush { payload: PushPayload::Dense(grad), .. } => bits(grad),
+                other => return Err(TestCaseError::fail(format!("wrong variant {other:?}"))),
+            };
+            prop_assert_eq!(got, bits(&values));
+            prop_assert_eq!(encode_frame(&decoded).expect("decoded re-encodes"), bytes);
+        }
     }
 
     /// Flipping any single byte of a frame makes it undecodable: the
