@@ -225,8 +225,14 @@ fn run_shard(args: &[String]) {
     emit(&format!("LISTENING {}", server.local_addr()));
     let stats = server.run().expect("shard run");
     emit(&format!(
-        "STATS shard={} pulls={} pushes={} relayed={} serving={} version={}",
-        id, stats.pulls_served, stats.pushes_applied, stats.relayed, stats.serving, stats.version,
+        "STATS shard={} pulls={} pushes={} relayed={} relay_drops={} serving={} version={}",
+        id,
+        stats.pulls_served,
+        stats.pushes_applied,
+        stats.relayed,
+        stats.relay_drops,
+        stats.serving,
+        stats.version,
     ));
 }
 

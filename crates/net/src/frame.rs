@@ -56,6 +56,13 @@ const TAG_HEARTBEAT: u8 = 7;
 const TAG_FAILOVER: u8 = 8;
 const TAG_SHUTDOWN: u8 = 9;
 const TAG_RELAY_PUSH: u8 = 10;
+const TAG_RELAY_TAG: u8 = 11;
+
+/// Encoded size of a [`WireMessage::RelayTag`] frame: header, tag byte,
+/// `seq`, `lr`. The shard server reserves this much room in front of every
+/// frame it receives, so a relayed `Push` leaves behind its tag in one
+/// write.
+pub const RELAY_TAG_FRAME_LEN: usize = HEADER_LEN + 1 + 8 + 4;
 
 const FC_CRASH: u8 = 0;
 const FC_PROMOTE: u8 = 1;
@@ -213,6 +220,11 @@ fn encode_payload(msg: &WireMessage, out: &mut Vec<u8>) {
             put_worker(out, *worker);
             put_f32(out, *lr);
             put_push_payload(out, payload);
+        }
+        WireMessage::RelayTag { seq, lr } => {
+            out.push(TAG_RELAY_TAG);
+            put_u64(out, *seq);
+            put_f32(out, *lr);
         }
         WireMessage::PushAck {
             version,
@@ -524,6 +536,10 @@ fn decode_payload(payload: &[u8]) -> Result<WireMessage, FrameError> {
                 payload,
             }
         }
+        TAG_RELAY_TAG => WireMessage::RelayTag {
+            seq: r.u64()?,
+            lr: r.f32()?,
+        },
         TAG_PUSH_ACK => WireMessage::PushAck {
             version: r.u64()?,
             pushes_by_worker: r.u64()?,
@@ -663,6 +679,22 @@ pub fn write_frame(w: &mut dyn Write, msg: &WireMessage) -> io::Result<usize> {
 /// consumed. An EOF before the first header byte reports
 /// [`ReadOutcome::Closed`]; any later truncation is an error.
 pub fn read_frame(r: &mut dyn Read) -> Result<ReadOutcome, FrameReadError> {
+    Ok(match read_frame_bytes(r, 0)? {
+        Some((msg, bytes)) => ReadOutcome::Frame(msg, bytes.len()),
+        None => ReadOutcome::Closed,
+    })
+}
+
+/// [`read_frame`], keeping what it read: the message comes with a buffer
+/// of `headroom` zero bytes followed by the frame exactly as it arrived,
+/// header and payload, already checked against the header's checksum. A
+/// receiver that forwards the frame writes that buffer instead of
+/// re-encoding the message, with whatever it sends first (the relay tag)
+/// in the headroom. `None` is the clean close.
+pub fn read_frame_bytes(
+    r: &mut dyn Read,
+    headroom: usize,
+) -> Result<Option<(WireMessage, Vec<u8>)>, FrameReadError> {
     let mut header = [0u8; HEADER_LEN];
     // Distinguish a clean close (no bytes at all) from a mid-frame cut.
     let mut got = 0usize;
@@ -670,7 +702,7 @@ pub fn read_frame(r: &mut dyn Read) -> Result<ReadOutcome, FrameReadError> {
         match r.read(&mut header[got..]) {
             Ok(0) => {
                 if got == 0 {
-                    return Ok(ReadOutcome::Closed);
+                    return Ok(None);
                 }
                 return Err(FrameReadError::Frame(FrameError::Truncated));
             }
@@ -680,15 +712,17 @@ pub fn read_frame(r: &mut dyn Read) -> Result<ReadOutcome, FrameReadError> {
         }
     }
     let (payload_len, checksum) = parse_header(&header).map_err(FrameReadError::Frame)?;
-    let mut payload = vec![0u8; payload_len];
-    if let Err(e) = r.read_exact(&mut payload) {
+    let payload_at = headroom + HEADER_LEN;
+    let mut buf = vec![0u8; payload_at + payload_len];
+    buf[headroom..payload_at].copy_from_slice(&header);
+    if let Err(e) = r.read_exact(&mut buf[payload_at..]) {
         if e.kind() == io::ErrorKind::UnexpectedEof {
             return Err(FrameReadError::Frame(FrameError::Truncated));
         }
         return Err(FrameReadError::Io(e));
     }
-    match decode_checked(&payload, checksum) {
-        Ok(msg) => Ok(ReadOutcome::Frame(msg, HEADER_LEN + payload_len)),
+    match decode_checked(&buf[payload_at..], checksum) {
+        Ok(msg) => Ok(Some((msg, buf))),
         Err(e) => Err(FrameReadError::Frame(e)),
     }
 }
@@ -814,6 +848,7 @@ mod tests {
                 lr: 0.05,
                 payload: PushPayload::Dense(vec![0.5, -0.25, 0.125]),
             },
+            WireMessage::RelayTag { seq: 46, lr: 0.05 },
             WireMessage::Shutdown,
         ]
     }
@@ -943,7 +978,8 @@ mod tests {
     }
 
     /// Two frames as the build before the single-buffer encoder wrote
-    /// them: FORMAT 1 cannot drift without these literals changing.
+    /// them, and the relay tag as an independent FNV-1a computed it:
+    /// FORMAT 1 cannot drift without these literals changing.
     #[test]
     fn golden_frames_pin_format_1() {
         let pull = WireMessage::Pull {
@@ -962,6 +998,10 @@ mod tests {
                 reply,
                 "53534e46010000001d000000f511b99bcf1642e5012a00000000000000\
                  03000000000000000000803f000000bf00005040",
+            ),
+            (
+                WireMessage::RelayTag { seq: 46, lr: 0.05 },
+                "53534e46010000000d000000223dbc54366da4a20b2e00000000000000cdcc4c3d",
             ),
         ];
         for (msg, hex) in golden {
@@ -1058,6 +1098,26 @@ mod tests {
             read_frame(&mut cursor).unwrap(),
             ReadOutcome::Closed
         ));
+    }
+
+    #[test]
+    fn kept_bytes_are_the_frame_as_written_behind_zeroed_headroom() {
+        let tag = encode_frame(&WireMessage::RelayTag { seq: 7, lr: 0.5 }).unwrap();
+        assert_eq!(tag.len(), RELAY_TAG_FRAME_LEN);
+        for msg in sample_frames() {
+            let written = encode_frame(&msg).unwrap();
+            for headroom in [0, RELAY_TAG_FRAME_LEN] {
+                let mut cursor = io::Cursor::new(written.clone());
+                let (got, kept) = read_frame_bytes(&mut cursor, headroom).unwrap().unwrap();
+                assert_eq!(got, msg);
+                assert!(kept[..headroom].iter().all(|&b| b == 0));
+                assert_eq!(kept[headroom..], written[..], "{msg:?}");
+            }
+        }
+        let mut empty = io::Cursor::new(Vec::new());
+        assert!(read_frame_bytes(&mut empty, RELAY_TAG_FRAME_LEN)
+            .unwrap()
+            .is_none());
     }
 
     #[test]

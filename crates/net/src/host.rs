@@ -263,19 +263,29 @@ impl ShardHost {
         }
     }
 
-    /// Tags an incoming `Push` frame as the [`WireMessage::RelayPush`] the
-    /// write-ahead relay forwards: the sequence number is the version this
-    /// push will produce, and the learning rate is the one this host will
-    /// apply — so the backup replays bit-identical arithmetic and can drop
-    /// re-deliveries by sequence. Returns `None` for any other frame.
+    /// What the write-ahead relay tags the next push with: the sequence
+    /// number is the version that push will produce, and the learning rate
+    /// is the one this host will apply — so the backup replays
+    /// bit-identical arithmetic and can drop re-deliveries by sequence.
+    pub fn relay_tag(&self) -> (u64, f32) {
+        (self.store.version() + 1, self.frame_lr())
+    }
+
+    /// Tags an incoming `Push` frame as the [`WireMessage::RelayPush`] a
+    /// backup handles, with [`relay_tag`](Self::relay_tag)'s sequence and
+    /// rate. The live relay forwards the received frame bytes behind a
+    /// [`WireMessage::RelayTag`] instead; this owned form is for callers
+    /// that hold a decoded push and no bytes. Returns `None` for any other
+    /// frame.
     pub fn tag_relay(&self, frame: &WireMessage) -> Option<WireMessage> {
         let WireMessage::Push { worker, payload } = frame else {
             return None;
         };
+        let (seq, lr) = self.relay_tag();
         Some(WireMessage::RelayPush {
-            seq: self.store.version() + 1,
+            seq,
             worker: *worker,
-            lr: self.frame_lr(),
+            lr,
             payload: payload.clone(),
         })
     }
@@ -337,6 +347,11 @@ impl ShardHost {
                 Ok(Some(WireMessage::Failover(self.failover(&control)?)))
             }
             WireMessage::Shutdown => Ok(None),
+            // Half of a forwarded relay: the connection layer pairs it
+            // with the `Push` frame behind it and hands over a `RelayPush`.
+            WireMessage::RelayTag { .. } => Err(NetError::Unhandled {
+                what: "relay tag routed past the server connection layer",
+            }),
             WireMessage::PullReply { .. } | WireMessage::PushAck { .. } => {
                 Err(NetError::Unhandled {
                     what: "reply frame sent to a shard host",
@@ -624,6 +639,11 @@ mod tests {
         assert_eq!(worker, w);
         assert_eq!(lr, 0.25);
         assert_eq!(payload, PushPayload::Dense(vec![0.5; 8]));
+        assert_eq!(
+            h.relay_tag(),
+            (seq, lr),
+            "the forwarded relay's tag is the owned form's"
+        );
         assert_eq!(
             h.tag_relay(&WireMessage::Shutdown),
             None,

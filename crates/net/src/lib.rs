@@ -54,8 +54,8 @@ pub use chaos::{ChaosListener, ChaosScope, ChaosStream, ConnSeq, FaultScript, Ne
 pub use config::{NetConfig, NetConfigBuilder};
 pub use error::NetError;
 pub use frame::{
-    decode_frame, encode_frame, read_frame, write_frame, FrameError, FrameReadError, ReadOutcome,
-    MAX_SPARSE_DIM, PAYLOAD_LIMIT,
+    decode_frame, encode_frame, read_frame, read_frame_bytes, write_frame, FrameError,
+    FrameReadError, ReadOutcome, MAX_SPARSE_DIM, PAYLOAD_LIMIT, RELAY_TAG_FRAME_LEN,
 };
 pub use host::{PullGrant, PushReceipt, ShardHost};
 pub use policy::{Admit, CircuitBreaker, ConnPolicy};

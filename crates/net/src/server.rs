@@ -11,11 +11,16 @@
 //! pushes funnel through a **single apply thread**, which write-ahead
 //! relays each push to the warm-backup process *before* applying it
 //! locally — one thread doing both means relay order equals apply
-//! order, so the backup replays the primary's exact sequence. The relay
-//! carries [`WireMessage::RelayPush`] frames tagged with the store
-//! version each push produces, so delivery can stay at-least-once while
+//! order, so the backup replays the primary's exact sequence. A relay is
+//! cut-through: a 33-byte [`WireMessage::RelayTag`] carrying the store
+//! version the push produces and the rate it is applied with, then the
+//! worker's own `Push` frame as the primary received it — nothing is
+//! re-encoded, and the backup verifies the checksum the worker computed.
+//! The backup's connection thread pairs the two into a
+//! [`WireMessage::RelayPush`], so delivery can stay at-least-once while
 //! the backup applies exactly once (redeliveries are acked without
-//! re-applying).
+//! re-applying). A relay whose write or ack fails is dropped for the rest
+//! of the run and counted in [`ShardStats::relay_drops`].
 //!
 //! The apply thread also owns **backup (re)provisioning**: a fresh
 //! process connects, sends `JoinAsBackup`, and the apply thread streams
@@ -56,7 +61,7 @@ use specsync_telemetry::{Event, EventSink, NullSink};
 use crate::chaos::{ChaosListener, ChaosStream, ConnSeq};
 use crate::config::NetConfig;
 use crate::error::NetError;
-use crate::frame::{read_frame, write_frame, ReadOutcome};
+use crate::frame::{encode_frame, read_frame, write_frame, ReadOutcome, RELAY_TAG_FRAME_LEN};
 use crate::host::ShardHost;
 use crate::transport::WallElapsed;
 use crate::transport::{ConnTarget, FrameConn};
@@ -71,6 +76,7 @@ pub(crate) struct ShardCounters {
     pulls_served: AtomicU64,
     pushes_applied: AtomicU64,
     relayed: AtomicU64,
+    relay_drops: AtomicU64,
     /// Pushes absorbed via the write-ahead relay while still a backup —
     /// reported as `replayed` in the `Promoted` frame.
     absorbed: AtomicU64,
@@ -85,6 +91,9 @@ pub struct ShardStats {
     pub pushes_applied: u64,
     /// Pushes write-ahead relayed to the warm backup.
     pub relayed: u64,
+    /// Relay links lost to a failed write or ack. After a drop the shard
+    /// serves unreplicated until a backup joins.
+    pub relay_drops: u64,
     /// Whether this process ended the run as the serving primary.
     pub serving: bool,
     /// Final store version.
@@ -113,8 +122,10 @@ pub struct ShardServer {
 /// order, interleaved with join requests from re-provisioning backups.
 enum ApplyCmd {
     /// A push to relay-then-apply, with the accepting connection thread's
-    /// reply channel.
-    Frame(WireMessage, Sender<WireMessage>),
+    /// reply channel. A worker's `Push` comes with the bytes it arrived as
+    /// (relay-tag headroom in front), which is what the relay forwards; a
+    /// `RelayPush` a backup absorbs has none and is never relayed on.
+    Frame(WireMessage, Option<Vec<u8>>, Sender<WireMessage>),
     /// A joining backup's connection: stream it a snapshot plus the
     /// journal tail, then adopt it as the write-ahead relay target.
     Join(FrameConn),
@@ -263,25 +274,24 @@ impl ShardServer {
             std::thread::spawn(move || {
                 while let Ok(cmd) = apply_rx.recv() {
                     match cmd {
-                        ApplyCmd::Frame(frame, reply_tx) => {
-                            if let Some(conn) = relay.as_mut() {
+                        ApplyCmd::Frame(frame, received, reply_tx) => {
+                            if let (Some(conn), Some(mut received)) = (relay.as_mut(), received) {
                                 // Tag the relayed push with the version it
                                 // will produce so the backup can ack a
                                 // redelivery without re-applying it.
-                                let tagged = {
+                                let (seq, lr) = {
                                     let locked = host.lock();
-                                    locked.tag_relay(&frame)
+                                    locked.relay_tag()
                                 };
-                                if let Some(relay_frame) = tagged {
-                                    // Write-ahead: the backup holds the push
-                                    // before the primary applies it. A dead
-                                    // relay degrades to unreplicated serving
-                                    // rather than stalling the run.
-                                    if conn.exchange(&relay_frame).is_err() {
-                                        relay = None;
-                                    } else {
-                                        counters.relayed.fetch_add(1, Ordering::Relaxed);
-                                    }
+                                // Write-ahead: the backup holds the push
+                                // before the primary applies it. A dead
+                                // relay degrades to unreplicated serving
+                                // rather than stalling the run.
+                                if forward_relay(conn, seq, lr, &mut received).is_ok() {
+                                    counters.relayed.fetch_add(1, Ordering::Relaxed);
+                                } else {
+                                    relay = None;
+                                    counters.relay_drops.fetch_add(1, Ordering::Relaxed);
                                 }
                             }
                             let applied = {
@@ -499,6 +509,7 @@ impl ShardServer {
             pulls_served: counters.pulls_served.load(Ordering::Relaxed),
             pushes_applied: counters.pushes_applied.load(Ordering::Relaxed),
             relayed: counters.relayed.load(Ordering::Relaxed),
+            relay_drops: counters.relay_drops.load(Ordering::Relaxed),
             serving: serving.load(Ordering::SeqCst),
             version: host.replica_mut().version(),
         })
@@ -516,8 +527,8 @@ fn serve_shard_conn(
     apply_tx: &Sender<ApplyCmd>,
 ) {
     loop {
-        let frame = match conn.recv() {
-            Ok((frame, _)) => frame,
+        let (frame, received) = match conn.recv_bytes(RELAY_TAG_FRAME_LEN) {
+            Ok(got) => got,
             Err(_) => return,
         };
         match frame {
@@ -541,15 +552,31 @@ fn serve_shard_conn(
                 }
                 counters.pulls_served.fetch_add(1, Ordering::Relaxed);
             }
-            frame @ (WireMessage::Push { .. } | WireMessage::RelayPush { .. }) => {
-                let (reply_tx, reply_rx) = bounded(1);
-                if apply_tx.send(ApplyCmd::Frame(frame, reply_tx)).is_err() {
+            frame @ WireMessage::Push { .. } => {
+                if !apply_and_ack(&mut conn, apply_tx, frame, Some(received)) {
                     return;
                 }
-                let Ok(ack) = reply_rx.recv() else {
+            }
+            frame @ WireMessage::RelayPush { .. } => {
+                if !apply_and_ack(&mut conn, apply_tx, frame, None) {
+                    return;
+                }
+            }
+            WireMessage::RelayTag { seq, lr } => {
+                // A forwarded relay: the very next frame is the worker's
+                // own `Push`, checksum-verified like any other. The pair
+                // is the `RelayPush` the host already knows — sequence
+                // idempotence and the gap check included.
+                let Ok((WireMessage::Push { worker, payload }, _)) = conn.recv() else {
                     return;
                 };
-                if conn.write(&ack).is_err() {
+                let relayed = WireMessage::RelayPush {
+                    seq,
+                    worker,
+                    lr,
+                    payload,
+                };
+                if !apply_and_ack(&mut conn, apply_tx, relayed, None) {
                     return;
                 }
             }
@@ -579,6 +606,45 @@ fn serve_shard_conn(
             | WireMessage::Abort { .. } => return,
         }
     }
+}
+
+/// Queues one push-class frame for the apply thread and writes the ack it
+/// produces back down `conn`. `false` means the connection is done.
+fn apply_and_ack(
+    conn: &mut FrameConn,
+    apply_tx: &Sender<ApplyCmd>,
+    frame: WireMessage,
+    received: Option<Vec<u8>>,
+) -> bool {
+    let (reply_tx, reply_rx) = bounded(1);
+    if apply_tx
+        .send(ApplyCmd::Frame(frame, received, reply_tx))
+        .is_err()
+    {
+        return false;
+    }
+    let Ok(ack) = reply_rx.recv() else {
+        return false;
+    };
+    conn.write(&ack).is_ok()
+}
+
+/// One write-ahead relay round trip. The tag frame is written into the
+/// headroom `received` carries in front of the worker's frame, so tag and
+/// frame leave in a single write — chaos fault scripts are indexed by
+/// write op, and a relay must stay one op — and the backup's ack is
+/// awaited.
+fn forward_relay(
+    conn: &mut FrameConn,
+    seq: u64,
+    lr: f32,
+    received: &mut [u8],
+) -> Result<(), NetError> {
+    let tag = encode_frame(&WireMessage::RelayTag { seq, lr })?;
+    received[..RELAY_TAG_FRAME_LEN].copy_from_slice(&tag);
+    conn.write_encoded(received)?;
+    conn.recv()?;
+    Ok(())
 }
 
 /// Primary side of the rejoin protocol: stream the checkpoint in bounded
@@ -1186,6 +1252,7 @@ impl<'a> Central<'a> {
             // tolerate them rather than dropping the connection.
             WireMessage::Push { .. }
             | WireMessage::RelayPush { .. }
+            | WireMessage::RelayTag { .. }
             | WireMessage::PullReply { .. }
             | WireMessage::PushAck { .. }
             | WireMessage::Abort { .. }
@@ -1503,11 +1570,66 @@ mod tests {
         let pstats = primary_handle.join().unwrap();
         let bstats = backup_handle.join().unwrap();
         assert_eq!(pstats.relayed, 3);
+        assert_eq!(pstats.relay_drops, 0);
         assert_eq!(pstats.version, 3);
         // The backup absorbed the same three pushes, in order.
         assert_eq!(bstats.pushes_applied, 3);
         assert_eq!(bstats.version, 3);
         assert!(!bstats.serving);
+    }
+
+    #[test]
+    fn a_lost_relay_is_counted_and_later_pushes_are_still_acked_once() {
+        // A backup that absorbs two relays and then goes away mid-run.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let backup_addr = listener.local_addr().unwrap().to_string();
+        let backup = std::thread::spawn(move || {
+            let (stream, peer) = listener.accept().unwrap();
+            let mut conn = FrameConn::from_stream(stream, peer.to_string());
+            for seq in 1..=2u64 {
+                let (tag, _) = conn.recv().unwrap();
+                assert!(matches!(tag, WireMessage::RelayTag { seq: s, .. } if s == seq));
+                let (push, _) = conn.recv().unwrap();
+                assert!(matches!(push, WireMessage::Push { .. }));
+                conn.write(&WireMessage::PushAck {
+                    version: seq,
+                    pushes_by_worker: seq,
+                })
+                .unwrap();
+            }
+        });
+
+        let primary = shard(0, 4).with_backup_relay(&backup_addr);
+        let primary_addr = primary.local_addr().to_string();
+        let primary_stop = primary.stop_handle();
+        let primary_handle = std::thread::spawn(move || primary.run().unwrap());
+
+        let mut conn = connect(&primary_addr, &NetConfig::default());
+        for i in 1..=5u64 {
+            let (reply, _, _) = conn
+                .exchange(&WireMessage::Push {
+                    worker: WorkerId::new(0),
+                    payload: PushPayload::Dense(vec![1.0; 4]),
+                })
+                .unwrap();
+            assert_eq!(
+                reply,
+                WireMessage::PushAck {
+                    version: i,
+                    pushes_by_worker: i
+                },
+                "push {i} is acked exactly once, relay or no relay"
+            );
+        }
+        backup.join().unwrap();
+        drop(conn);
+
+        primary_stop.store(true, Ordering::SeqCst);
+        let stats = primary_handle.join().unwrap();
+        assert_eq!(stats.relayed, 2);
+        assert_eq!(stats.relay_drops, 1, "the loss leaves a trace");
+        assert_eq!(stats.pushes_applied, 5);
+        assert_eq!(stats.version, 5);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use specsync_telemetry::{Event, EventSink};
 use crate::chaos::{chaos_connect, ChaosStream, ConnSeq};
 use crate::config::NetConfig;
 use crate::error::NetError;
-use crate::frame::{read_frame, write_frame, ReadOutcome};
+use crate::frame::{read_frame, read_frame_bytes, write_frame, ReadOutcome};
 use crate::policy::{Admit, CircuitBreaker, ConnPolicy};
 use crate::wire::{FailoverControl, WireMessage};
 
@@ -151,9 +151,11 @@ impl Transport for InProcTransport {
             }),
             // Replica-plane traffic: only a primary's relay thread sends
             // these, never a worker transport.
-            (WireMessage::RelayPush { .. }, _) => Err(NetError::Unhandled {
-                what: "relay frame sent from a worker transport",
-            }),
+            (WireMessage::RelayPush { .. } | WireMessage::RelayTag { .. }, _) => {
+                Err(NetError::Unhandled {
+                    what: "relay frame sent from a worker transport",
+                })
+            }
             // Frames a worker receives but never sends.
             (WireMessage::PullReply { .. } | WireMessage::PushAck { .. }, _) => {
                 Err(NetError::Unhandled {
@@ -344,6 +346,16 @@ impl FrameConn {
             ReadOutcome::Frame(msg, bytes) => Ok((msg, bytes)),
             ReadOutcome::Closed => Err(NetError::Disconnected),
         }
+    }
+
+    /// [`recv`](Self::recv), keeping the received bytes: `headroom` zero
+    /// bytes, then the frame as it arrived (see [`read_frame_bytes`]).
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Disconnected`] on clean EOF between frames.
+    pub fn recv_bytes(&mut self, headroom: usize) -> Result<(WireMessage, Vec<u8>), NetError> {
+        read_frame_bytes(&mut self.stream, headroom)?.ok_or(NetError::Disconnected)
     }
 
     /// One request/response round trip.
@@ -893,6 +905,7 @@ impl Transport for TcpTransport {
                     WireMessage::Pull { .. }
                     | WireMessage::Push { .. }
                     | WireMessage::RelayPush { .. }
+                    | WireMessage::RelayTag { .. }
                     | WireMessage::Notify { .. }
                     | WireMessage::Check { .. }
                     | WireMessage::Abort { .. }
@@ -931,9 +944,11 @@ impl Transport for TcpTransport {
             (WireMessage::Failover(_), _) => Err(NetError::Unhandled {
                 what: "workers only send QueryPrimary on the failover plane",
             }),
-            (WireMessage::RelayPush { .. }, _) => Err(NetError::Unhandled {
-                what: "relay frame sent from a worker transport",
-            }),
+            (WireMessage::RelayPush { .. } | WireMessage::RelayTag { .. }, _) => {
+                Err(NetError::Unhandled {
+                    what: "relay frame sent from a worker transport",
+                })
+            }
             (WireMessage::PullReply { .. } | WireMessage::PushAck { .. }, _) => {
                 Err(NetError::Unhandled {
                     what: "reply frame sent from a worker transport",

@@ -104,7 +104,10 @@ pub enum WireMessage {
     /// apply it with. The tag makes the at-least-once relay idempotent — a
     /// backup that already holds `seq` (it survived a primary crash, or
     /// caught up through a rejoin tail) acks without re-applying, so no
-    /// push can land twice.
+    /// push can land twice. On the wire this frame carries the rejoin
+    /// journal tail (decoded entries, no received bytes to forward); a
+    /// live relay travels as [`RelayTag`](Self::RelayTag) + the worker's
+    /// `Push` frame and becomes this variant in the backup's memory.
     RelayPush {
         /// Store version this push produces (`version + 1` at the
         /// primary when the push was journalled).
@@ -116,6 +119,19 @@ pub enum WireMessage {
         lr: f32,
         /// The gradient.
         payload: PushPayload,
+    },
+    /// Primary → backup: the tag of a *forwarded* write-ahead relay. The
+    /// next frame on the connection is the worker's own `Push` frame, byte
+    /// for byte as the primary received it; the backup pairs the two into
+    /// a [`RelayPush`](Self::RelayPush) and handles that. A live relay
+    /// therefore costs the primary no re-encode, and the backup verifies
+    /// the checksum the worker computed. Anything but a `Push` after a
+    /// `RelayTag` is a protocol error that drops the connection.
+    RelayTag {
+        /// Store version the following push produces.
+        seq: u64,
+        /// Learning rate the primary applies it with.
+        lr: f32,
     },
 }
 
@@ -131,9 +147,12 @@ impl WireMessage {
             | WireMessage::RelayPush { .. } => MessageClass::PushGrad,
             WireMessage::Notify { .. } => MessageClass::Notify,
             WireMessage::Abort { .. } => MessageClass::Resync,
+            // A relay tag is 33 bytes; the gradient travels in the `Push`
+            // frame behind it.
             WireMessage::Check { .. }
             | WireMessage::Heartbeat { .. }
             | WireMessage::Failover(_)
+            | WireMessage::RelayTag { .. }
             | WireMessage::Shutdown => MessageClass::Control,
         }
     }
@@ -154,6 +173,7 @@ impl WireMessage {
             | WireMessage::PushAck { .. }
             | WireMessage::Failover(_)
             | WireMessage::RelayPush { .. }
+            | WireMessage::RelayTag { .. }
             | WireMessage::Shutdown => None,
         }
     }
@@ -420,6 +440,10 @@ mod tests {
                     payload: PushPayload::Dense(vec![1.0]),
                 },
                 MessageClass::PushGrad,
+            ),
+            (
+                WireMessage::RelayTag { seq: 5, lr: 0.1 },
+                MessageClass::Control,
             ),
             (WireMessage::Shutdown, MessageClass::Control),
         ];

@@ -11,7 +11,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use specsync_net::{decode_frame, encode_frame, ShardHost, WireMessage};
+use specsync_net::{
+    decode_frame, encode_frame, ConnSeq, ConnTarget, FrameConn, NetConfig, ShardHost, ShardServer,
+    WireMessage,
+};
 use specsync_ps::{ParameterStore, PushPayload, ReplicatedStore};
 use specsync_simnet::WorkerId;
 
@@ -108,4 +111,50 @@ fn dense_byte_path_stays_within_its_large_allocation_budget() {
         assert_eq!(n, 0, "handle(Push) number {i}");
     }
     assert_eq!(host.replica().journal_lag(), 1, "the last push drained");
+
+    // A relayed push over real sockets: each server allocates the buffer
+    // it receives the frame into and the gradient it decodes out of it —
+    // the primary forwards the bytes it received, so no clone and no
+    // relay frame. The client's frame is encoded before the count starts;
+    // the first push warms both servers up.
+    let serve = |id: u64, relay: Option<&str>| {
+        let store = ParameterStore::new(vec![0.25; DIM], 8).with_momentum(0.9);
+        let host = ShardHost::new(ReplicatedStore::from_store(store, JOURNAL_CAPACITY));
+        let mut server = ShardServer::bind(id, "127.0.0.1:0", host, NetConfig::default()).unwrap();
+        server = match relay {
+            Some(addr) => server.with_backup_relay(addr),
+            None => server.as_backup(),
+        };
+        let addr = server.local_addr().to_string();
+        let stop = server.stop_handle();
+        (
+            addr,
+            stop,
+            std::thread::spawn(move || server.run().unwrap()),
+        )
+    };
+    let (backup_addr, backup_stop, backup) = serve(1, None);
+    let (primary_addr, primary_stop, primary) = serve(0, Some(&backup_addr));
+    let seq = ConnSeq::new();
+    let target = ConnTarget::new("test", &seq, 0);
+    let mut conn =
+        FrameConn::connect_with_retries(&primary_addr, &NetConfig::default(), &target, |_| {})
+            .unwrap();
+    let frame = encode_frame(&push()).unwrap();
+    let mut relayed_push = || {
+        conn.write_encoded(&frame).unwrap();
+        let (ack, _) = conn.recv().unwrap();
+        assert!(matches!(ack, WireMessage::PushAck { .. }));
+    };
+    relayed_push();
+    let ((), n) = large_allocs(&mut relayed_push);
+    assert_eq!(
+        n, 4,
+        "relayed push: receive buffer + gradient on each of two servers"
+    );
+    drop(conn);
+    primary_stop.store(true, Ordering::SeqCst);
+    backup_stop.store(true, Ordering::SeqCst);
+    assert_eq!(primary.join().unwrap().relayed, 2);
+    assert_eq!(backup.join().unwrap().pushes_applied, 2);
 }

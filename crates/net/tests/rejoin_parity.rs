@@ -1,5 +1,6 @@
 //! Property: the wire-level rejoin protocol — snapshot transfer in
-//! bounded chunks, journal-tail catch-up, then live write-ahead relays —
+//! bounded chunks, journal-tail catch-up as `RelayPush` frames, then live
+//! write-ahead relays as `RelayTag` + the worker's own frame bytes —
 //! leaves the joining backup bit-identical to the primary, for any push
 //! workload racing the join and any chunk size. This is the wire-path
 //! extension of `promoted_backup_is_bit_identical_to_primary` in
@@ -121,12 +122,24 @@ proptest! {
 
         // --- Live pushes racing the join: write-ahead relay (backup holds
         // the push before the primary applies it), with optional
-        // at-least-once re-delivery that must not double-apply.
+        // at-least-once re-delivery that must not double-apply. Once
+        // adopted, the joiner is sent a tag frame and then the bytes the
+        // worker sent, not a re-encoding: it decodes those very bytes.
         for (i, op) in post.iter().enumerate() {
-            let push = op_frame(op, dim, pre.len() + i);
-            let relay = over_the_wire(
-                &primary.tag_relay(&push).expect("pushes are relayable"),
-            );
+            let sent = encode_frame(&op_frame(op, dim, pre.len() + i))
+                .expect("pushes fit the payload limit");
+            let push = decode_frame(&sent).expect("the primary receives the push");
+            let (seq, lr) = primary.relay_tag();
+            let tag = over_the_wire(&WireMessage::RelayTag { seq, lr });
+            let forwarded = decode_frame(&sent).expect("the joiner receives the same bytes");
+            let (
+                WireMessage::RelayTag { seq, lr },
+                WireMessage::Push { worker, payload },
+            ) = (tag, forwarded)
+            else {
+                panic!("a relay is a tag and a push");
+            };
+            let relay = WireMessage::RelayPush { seq, worker, lr, payload };
             joiner.handle(relay.clone()).expect("joiner applies the relay");
             if redeliver {
                 let before = joiner.replica().version();

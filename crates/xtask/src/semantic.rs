@@ -57,8 +57,14 @@ const DISPATCH_CONTRACTS: &[DispatchContract] = &[
     },
 ];
 /// Enums that must have no dead (never-referenced) variants, with their
-/// crate-path hints.
-const NO_DEAD_VARIANTS: &[(&str, &str)] = &[("SpecSyncError", "core"), ("FailoverControl", "net")];
+/// crate-path hints. `WireMessage` is here for its replica-plane frames
+/// (`RelayPush`, `RelayTag`): no worker transport sends them, so the
+/// dispatch contract alone would accept a relay form nothing produces.
+const NO_DEAD_VARIANTS: &[(&str, &str)] = &[
+    ("SpecSyncError", "core"),
+    ("FailoverControl", "net"),
+    ("WireMessage", "net"),
+];
 
 /// Locates an enum by name, preferring a defining file whose label
 /// contains `hint` (fixtures have no crate paths, so any match is the

@@ -125,6 +125,7 @@ fn arb_message() -> impl Strategy<Value = WireMessage> {
         arb_worker().prop_map(|worker| WireMessage::Abort { worker }),
         arb_worker().prop_map(|worker| WireMessage::Heartbeat { worker }),
         arb_failover().prop_map(WireMessage::Failover),
+        (any::<u64>(), arb_f32()).prop_map(|(seq, lr)| WireMessage::RelayTag { seq, lr }),
         Just(WireMessage::Shutdown),
     ]
 }
