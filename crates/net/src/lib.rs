@@ -25,6 +25,11 @@
 //! * [`host`] — [`ShardHost`], the transport-agnostic shard brain: a
 //!   replicated store plus the per-version encoded-frame cache that lets
 //!   one serialization serve every concurrent puller of a version.
+//! * [`sched_host`] — [`SchedulerHost`], the transport-agnostic scheduler
+//!   brain: the core scheduler plus timers, liveness, reconciliation,
+//!   epoch accounting and promotion arming, as a sans-IO state machine
+//!   (inputs in, [`SchedOutput`]s out) that both this crate's TCP server
+//!   and the threaded runtime drive.
 //! * [`server`] — the process-level hosts: [`ShardServer`] and
 //!   [`SchedulerServer`], including warm-backup promotion over TCP when
 //!   a primary shard process dies.
@@ -46,6 +51,7 @@ pub mod error;
 pub mod frame;
 pub mod host;
 pub mod policy;
+pub mod sched_host;
 pub mod server;
 pub mod transport;
 pub mod wire;
@@ -59,6 +65,7 @@ pub use frame::{
 };
 pub use host::{PullGrant, PushReceipt, ShardHost};
 pub use policy::{Admit, CircuitBreaker, ConnPolicy};
+pub use sched_host::{SchedOutput, SchedulerHost};
 pub use server::{SchedulerConfig, SchedulerRunStats, SchedulerServer, ShardServer, ShardStats};
 pub use transport::{
     ConnTarget, Endpoint, FrameConn, InProcTransport, ServerFrame, TcpTransport, Transport,

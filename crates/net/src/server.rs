@@ -1,5 +1,5 @@
 //! The process-level hosts: a TCP shard server fronting a [`ShardHost`]
-//! and a TCP scheduler server fronting the core SpecSync [`Scheduler`] —
+//! and a TCP scheduler server fronting a [`SchedulerHost`] —
 //! together they let the roles of the paper's Fig. 7 run as separate OS
 //! processes on one host.
 //!
@@ -32,16 +32,18 @@
 //!
 //! # Scheduler server
 //!
-//! One central loop owns every connection's writer and all protocol
-//! state, exactly like the threaded runtime's scheduler thread — frames
-//! arrive over a channel from per-connection reader threads, and timer
-//! deadlines re-enter through [`WireMessage::Check`] so a speculation
-//! window fires through the same handler whether a socket or a clock woke
-//! it. The loop detects a dead primary shard two ways (its connection
-//! closing, or heartbeat silence past the timeout) and promotes the warm
-//! backup by sending `Failover(Promote)` down the backup's registered
-//! connection; the backup's `Promoted` reply flips the advertised primary
-//! address and bumps the promotion epoch that reconnecting workers see.
+//! One central loop owns every connection's writer and drives the sans-IO
+//! [`SchedulerHost`], which holds all protocol state — the same machine
+//! the threaded runtime's scheduler thread drives. Frames arrive over a
+//! channel from per-connection reader threads; each goes into the host
+//! stamped with the elapsed time, and the loop carries out what the host
+//! asks for (frames to write, events to record). Every `tick` the loop
+//! also lets the host fire due speculation windows and sweep liveness.
+//! The host detects a dead primary shard two ways (its connection closing,
+//! or heartbeat silence past the timeout) and promotes the warm backup by
+//! sending `Failover(Promote)` down the backup's registered connection;
+//! the backup's `Promoted` reply flips the advertised primary address and
+//! bumps the promotion epoch that reconnecting workers see.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -52,10 +54,9 @@ use std::time::Duration;
 
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
-use specsync_core::Scheduler;
 use specsync_ps::{JournalEntry, ParameterStore, ReplicatedStore, StoreCheckpoint};
-use specsync_simnet::{SimDuration, VirtualTime, WorkerId};
-use specsync_sync::{SchemeKind, TuningMode};
+use specsync_simnet::WorkerId;
+use specsync_sync::SchemeKind;
 use specsync_telemetry::{Event, EventSink, NullSink};
 
 use crate::chaos::{ChaosListener, ChaosStream, ConnSeq};
@@ -63,6 +64,7 @@ use crate::config::NetConfig;
 use crate::error::NetError;
 use crate::frame::{encode_frame, read_frame, write_frame, ReadOutcome, RELAY_TAG_FRAME_LEN};
 use crate::host::ShardHost;
+use crate::sched_host::{SchedOutput, SchedulerHost};
 use crate::transport::WallElapsed;
 use crate::transport::{ConnTarget, FrameConn};
 use crate::wire::{FailoverControl, WireMessage};
@@ -817,25 +819,14 @@ pub struct SchedulerRunStats {
     pub completed: bool,
 }
 
-/// Which kind of peer a scheduler connection turned out to be.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Peer {
-    Worker(WorkerId),
-    Shard {
-        server: u64,
-        backup: bool,
-        addr: String,
-    },
-}
-
 enum ConnEvent {
     Opened { id: usize, writer: ChaosStream },
     Frame { id: usize, frame: WireMessage },
     Closed { id: usize },
 }
 
-/// The SpecSync scheduler as an OS process: the core [`Scheduler`] behind
-/// a TCP listener. See the module docs for the event flow.
+/// The SpecSync scheduler as an OS process: a [`SchedulerHost`] behind a
+/// TCP listener. See the module docs for the event flow.
 pub struct SchedulerServer {
     listener: TcpListener,
     local_addr: String,
@@ -952,462 +943,87 @@ impl SchedulerServer {
     }
 }
 
-/// All scheduler state, owned by the one central loop — including every
-/// connection's writer, so no socket write ever happens under a lock.
-struct Central<'a> {
-    cfg: &'a SchedulerConfig,
-    clock: &'a WallElapsed,
-    sink: &'a Arc<dyn EventSink<Duration>>,
-    core: Scheduler,
-    writers: BTreeMap<usize, ChaosStream>,
-    peers: BTreeMap<usize, Peer>,
-    worker_conn: BTreeMap<usize, usize>,
-    /// Registered shards by id.
-    shards: BTreeMap<u64, (usize, bool, String)>,
-    primary: Option<u64>,
-    epoch: u64,
-    /// The shard a `Promote` is in flight to, until its `Promoted` reply
-    /// lands (or its connection dies — either clears the latch).
-    promotion_pending: Option<u64>,
-    timers: Vec<(VirtualTime, WorkerId)>,
-    per_worker: Vec<u64>,
-    epochs: u64,
-    /// `None` until the worker's first frame: a worker that has never
-    /// spoken is still starting up (multi-process spawns are slow), and
-    /// the silence timeout only applies after first contact.
-    last_worker_beat: Vec<Option<VirtualTime>>,
-    worker_dead: Vec<bool>,
-    /// How many times each worker has come back from being marked dead.
-    rejoin_epochs: Vec<u64>,
-    last_shard_beat: BTreeMap<u64, VirtualTime>,
-    stats: SchedulerRunStats,
-}
-
-impl<'a> Central<'a> {
-    fn new(
-        cfg: &'a SchedulerConfig,
-        clock: &'a WallElapsed,
-        sink: &'a Arc<dyn EventSink<Duration>>,
-    ) -> Self {
-        let tuning = match cfg.scheme {
-            SchemeKind::SpecSync { tuning, .. } => tuning,
-            // Any non-SpecSync scheme keeps the scheduler as a pure
-            // history recorder: speculation disabled.
-            _ => TuningMode::Fixed {
-                abort_time: SimDuration::ZERO,
-                abort_rate: f64::MAX,
-            },
-        };
-        let m = cfg.workers;
-        Central {
-            cfg,
-            clock,
-            sink,
-            core: Scheduler::new(m, tuning),
-            writers: BTreeMap::new(),
-            peers: BTreeMap::new(),
-            worker_conn: BTreeMap::new(),
-            shards: BTreeMap::new(),
-            primary: None,
-            epoch: 0,
-            promotion_pending: None,
-            timers: Vec::new(),
-            per_worker: vec![0; m],
-            epochs: 0,
-            last_worker_beat: vec![None; m],
-            worker_dead: vec![false; m],
-            rejoin_epochs: vec![0; m],
-            last_shard_beat: BTreeMap::new(),
-            stats: SchedulerRunStats {
-                aborts_issued: 0,
-                promotions: 0,
-                total_pushes: 0,
-                workers_marked_dead: 0,
-                completed: false,
-            },
-        }
-    }
-
-    fn now_vt(&self) -> VirtualTime {
-        VirtualTime::from_micros(self.clock.elapsed().as_micros().min(u64::MAX as u128) as u64)
-    }
-
-    fn write_to(&mut self, conn: usize, frame: &WireMessage) {
-        if let Some(stream) = self.writers.get_mut(&conn) {
-            if write_frame(stream, frame).is_err() {
-                self.writers.remove(&conn);
-            }
-        }
-    }
-
-    fn write_to_worker(&mut self, worker: WorkerId, frame: &WireMessage) {
-        if let Some(&conn) = self.worker_conn.get(&worker.index()) {
-            self.write_to(conn, frame);
-        }
-    }
-
-    /// The shared decision path for a speculation-window check, entered
-    /// by timer firings (routed through `WireMessage::Check`) and by any
-    /// future wire-delivered `Check`.
-    fn on_check_frame(&mut self, worker: WorkerId, deadline: VirtualTime) {
-        if self.core.on_check(worker, deadline) {
-            self.stats.aborts_issued += 1;
-            self.sink
-                .record(self.clock.elapsed(), &Event::AbortIssued { worker });
-            self.write_to_worker(worker, &WireMessage::Abort { worker });
-        }
-    }
-
-    fn worker_beat(&mut self, worker: WorkerId, now: VirtualTime) {
-        let w = worker.index();
-        if w >= self.last_worker_beat.len() {
-            return;
-        }
-        self.last_worker_beat[w] = Some(now);
-        if self.worker_dead[w] && matches!(self.core.try_mark_alive(worker, now), Ok(true)) {
-            self.worker_dead[w] = false;
-            self.rejoin_epochs[w] += 1;
-            self.sink.record(
-                self.clock.elapsed(),
-                &Event::WorkerRecovered {
-                    worker,
-                    epoch: self.rejoin_epochs[w],
-                },
-            );
-        }
-    }
-
-    /// Starts warm-backup promotion (at most one in flight): tell the
-    /// registered backup to take over.
-    fn initiate_promotion(&mut self) {
-        if self.promotion_pending.is_some() {
-            return;
-        }
-        let backup = self
-            .shards
-            .iter()
-            .find(|(id, (_, is_backup, _))| *is_backup && Some(**id) != self.primary)
-            .map(|(id, (conn, _, _))| (*id, *conn));
-        if let Some((server, conn)) = backup {
-            self.promotion_pending = Some(server);
-            self.write_to(
-                conn,
-                &WireMessage::Failover(FailoverControl::Promote { server }),
-            );
-        }
-    }
-
-    fn handle_frame(&mut self, conn: usize, frame: WireMessage) {
-        let now = self.now_vt();
-        // Bind an unidentified connection to the worker its first frame
-        // names (shard connections identify themselves via Register).
-        if let std::collections::btree_map::Entry::Vacant(entry) = self.peers.entry(conn) {
-            if let Some(worker) = frame.worker() {
-                entry.insert(Peer::Worker(worker));
-                self.worker_conn.insert(worker.index(), conn);
-            }
-        }
-        let from_shard = matches!(self.peers.get(&conn), Some(Peer::Shard { .. }));
-        match frame {
-            WireMessage::Failover(fc) => match fc {
-                FailoverControl::Register {
-                    server,
-                    backup,
-                    addr,
-                } => {
-                    self.peers.insert(
-                        conn,
-                        Peer::Shard {
-                            server,
-                            backup,
-                            addr: addr.clone(),
-                        },
-                    );
-                    self.shards.insert(server, (conn, backup, addr));
-                    self.last_shard_beat.insert(server, now);
-                    if backup {
-                        // A (re)joined warm backup is armed: the next
-                        // promotion can target it.
-                        self.sink.record(
-                            self.clock.elapsed(),
-                            &Event::BackupJoined {
-                                shard: server,
-                                epoch: self.epoch,
-                            },
-                        );
-                    } else {
-                        self.primary = Some(server);
-                    }
-                }
-                FailoverControl::Promoted {
-                    server,
-                    version,
-                    replayed,
-                } => {
-                    if let Some((_, backup_flag, _)) = self.shards.get_mut(&server) {
-                        *backup_flag = false;
-                    }
-                    self.primary = Some(server);
-                    self.epoch += 1;
-                    self.promotion_pending = None;
-                    self.stats.promotions += 1;
-                    self.sink.record(
-                        self.clock.elapsed(),
-                        &Event::ShardFailover {
-                            shard: server,
-                            version,
-                            replayed,
-                        },
-                    );
-                }
-                FailoverControl::QueryPrimary => {
-                    let answer = self
-                        .primary
-                        .and_then(|id| self.shards.get(&id))
-                        .map(|(_, _, addr)| addr.clone());
-                    if let Some(addr) = answer {
-                        let epoch = self.epoch;
-                        self.write_to(
-                            conn,
-                            &WireMessage::Failover(FailoverControl::Primary { addr, epoch }),
-                        );
-                    }
-                }
-                FailoverControl::BackupReady {
-                    server,
-                    version,
-                    replayed,
-                } => {
-                    // The rejoin handshake itself ran shard-to-shard; this
-                    // is the joiner reporting where the catch-up landed.
-                    self.sink.record(
-                        self.clock.elapsed(),
-                        &Event::CatchUpComplete {
-                            shard: server,
-                            version,
-                            replayed,
-                        },
-                    );
-                }
-                // Acks, verbs the scheduler sends rather than receives,
-                // and the data-plane rejoin frames.
-                FailoverControl::Ack { .. }
-                | FailoverControl::Crash { .. }
-                | FailoverControl::Promote { .. }
-                | FailoverControl::Recover { .. }
-                | FailoverControl::Primary { .. }
-                | FailoverControl::JoinAsBackup { .. }
-                | FailoverControl::SnapshotChunk { .. }
-                | FailoverControl::CatchUp { .. } => {}
-            },
-            WireMessage::Heartbeat { worker } => {
-                if from_shard {
-                    if let Some(Peer::Shard { server, .. }) = self.peers.get(&conn) {
-                        self.last_shard_beat.insert(*server, now);
-                    }
-                } else {
-                    self.worker_beat(worker, now);
-                }
-            }
-            WireMessage::Pull { worker } => {
-                self.worker_beat(worker, now);
-                self.core.on_pull(worker, now);
-            }
-            WireMessage::Notify { worker, pushes } => {
-                self.worker_beat(worker, now);
-                self.sink
-                    .record(self.clock.elapsed(), &Event::Notify { worker });
-                let w = worker.index();
-                if w < self.per_worker.len() {
-                    let missing = pushes.saturating_sub(self.per_worker[w] + 1);
-                    if missing > 0 {
-                        self.sink
-                            .record(self.clock.elapsed(), &Event::NotifyLoss { worker, missing });
-                    }
-                    if let Ok(Some(deadline)) =
-                        self.core.try_on_notify_reconciled(worker, pushes, now)
-                    {
-                        self.timers.push((deadline, worker));
-                    }
-                    self.per_worker[w] = self.per_worker[w].max(pushes);
-                    let min = self.per_worker.iter().min().copied().unwrap_or(0);
-                    while min > self.epochs {
-                        self.epochs += 1;
-                        let tuned = self.core.on_epoch_complete(now);
-                        let hyper = self.core.hyperparams();
-                        self.sink.record(
-                            self.clock.elapsed(),
-                            &Event::EpochTuned {
-                                epoch: self.epochs,
-                                abort_time: hyper.abort_time(),
-                                abort_rate: hyper.abort_rate(),
-                                estimated_gain: tuned.as_ref().map(|o| o.estimated_improvement),
-                            },
-                        );
-                    }
-                }
-            }
-            WireMessage::Check { worker } => self.on_check_frame(worker, now),
-            // Data-plane and reply frames have no scheduler-side meaning;
-            // tolerate them rather than dropping the connection.
-            WireMessage::Push { .. }
-            | WireMessage::RelayPush { .. }
-            | WireMessage::RelayTag { .. }
-            | WireMessage::PullReply { .. }
-            | WireMessage::PushAck { .. }
-            | WireMessage::Abort { .. }
-            | WireMessage::Shutdown => {}
-        }
-    }
-
-    fn handle_closed(&mut self, conn: usize) {
-        self.writers.remove(&conn);
-        match self.peers.remove(&conn) {
-            Some(Peer::Worker(worker)) => {
-                self.worker_conn.remove(&worker.index());
-                let now = self.now_vt();
-                let w = worker.index();
-                if w < self.worker_dead.len()
-                    && !self.worker_dead[w]
-                    && matches!(self.core.try_mark_dead(worker, now), Ok(true))
-                {
-                    self.worker_dead[w] = true;
-                    self.stats.workers_marked_dead += 1;
-                    self.sink
-                        .record(self.clock.elapsed(), &Event::WorkerCrashed { worker });
-                }
-            }
-            Some(Peer::Shard { server, .. }) => {
-                self.last_shard_beat.remove(&server);
-                let was_backup = self
-                    .shards
-                    .get(&server)
-                    .map(|(_, backup, _)| *backup)
-                    .unwrap_or(false);
-                if self.primary == Some(server) {
-                    // A dying primary's socket closing is the fast
-                    // detection path (kill -9 sends RST on the open
-                    // connection). Its registration is kept so workers can
-                    // still resolve *some* address until the successor's
-                    // `Promoted` flips the advertised primary.
-                    self.initiate_promotion();
-                } else if self.promotion_pending == Some(server) {
-                    // The promotion target died between `Promote` and
-                    // `Promoted`: release the latch and retarget, or a
-                    // healthy backup could never be promoted again.
-                    self.shards.remove(&server);
-                    self.promotion_pending = None;
-                    self.initiate_promotion();
-                } else if was_backup {
-                    // A dead warm backup must not be a future promotion
-                    // target.
-                    self.shards.remove(&server);
-                }
-            }
-            None => {}
-        }
-    }
-
-    fn sweep_liveness(&mut self, now: VirtualTime) {
-        let timeout = SimDuration::from_micros(
-            self.cfg
-                .net
-                .heartbeat_timeout
-                .as_micros()
-                .min(u64::MAX as u128) as u64,
-        );
-        for w in 0..self.cfg.workers {
-            let Some(beat) = self.last_worker_beat[w] else {
-                continue;
-            };
-            if !self.worker_dead[w] && now.saturating_since(beat) > timeout {
-                let worker = WorkerId::new(w);
-                if matches!(self.core.try_mark_dead(worker, now), Ok(true)) {
-                    self.worker_dead[w] = true;
-                    self.stats.workers_marked_dead += 1;
-                    self.sink
-                        .record(self.clock.elapsed(), &Event::WorkerCrashed { worker });
-                }
-            }
-        }
-        // Heartbeat-silence fallback for a primary whose socket did not
-        // close visibly.
-        if let Some(primary) = self.primary {
-            if let Some(&beat) = self.last_shard_beat.get(&primary) {
-                if now.saturating_since(beat) > timeout {
-                    self.last_shard_beat.remove(&primary);
-                    self.initiate_promotion();
-                }
-            }
-        }
-    }
-
-    fn fire_timers(&mut self) {
-        let now = self.now_vt();
-        let mut i = 0;
-        while i < self.timers.len() {
-            if self.timers[i].0 <= now {
-                let (deadline, worker) = self.timers.swap_remove(i);
-                // Timer deadlines re-enter through the frame vocabulary.
-                self.handle_frame_local(WireMessage::Check { worker }, deadline);
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Frame dispatch for locally-generated frames (timer firings): same
-    /// handler, no connection.
-    fn handle_frame_local(&mut self, frame: WireMessage, deadline: VirtualTime) {
-        if let WireMessage::Check { worker } = frame {
-            self.on_check_frame(worker, deadline);
-        }
-    }
-
-    fn total_pushes(&self) -> u64 {
-        self.per_worker.iter().sum()
-    }
-
-    fn broadcast_shutdown(&mut self) {
-        let conns: Vec<usize> = self.writers.keys().copied().collect();
-        for conn in conns {
-            self.write_to(conn, &WireMessage::Shutdown);
+fn write_to(writers: &mut BTreeMap<usize, ChaosStream>, conn: usize, frame: &WireMessage) {
+    if let Some(stream) = writers.get_mut(&conn) {
+        if write_frame(stream, frame).is_err() {
+            writers.remove(&conn);
         }
     }
 }
 
+/// The socket side of the scheduler: the one loop that owns every
+/// connection's writer (so no socket write ever happens under a lock),
+/// feeds the [`SchedulerHost`] and carries out what it asks for.
 fn central_loop(
     cfg: &SchedulerConfig,
     clock: &WallElapsed,
     sink: &Arc<dyn EventSink<Duration>>,
     events_rx: &Receiver<ConnEvent>,
 ) -> SchedulerRunStats {
-    let mut central = Central::new(cfg, clock, sink);
+    let mut host = SchedulerHost::new(cfg.scheme, cfg.workers, cfg.net.heartbeat_timeout);
+    let mut writers: BTreeMap<usize, ChaosStream> = BTreeMap::new();
+    // The host's output buffer, reused across inputs.
+    let mut out: Vec<SchedOutput> = Vec::new();
+    let mut completed = false;
+    let mut event = None;
     loop {
-        central.fire_timers();
-        central.sweep_liveness(central.now_vt());
-        if clock.elapsed() >= cfg.max_duration {
+        let now = clock.elapsed();
+        match event {
+            Some(ConnEvent::Opened { id, writer }) => {
+                writers.insert(id, writer);
+            }
+            Some(ConnEvent::Frame { id, frame }) => host.frame(id, frame, now, &mut out),
+            Some(ConnEvent::Closed { id }) => {
+                writers.remove(&id);
+                host.closed(id, now, &mut out);
+            }
+            None => {}
+        }
+        host.poll(now, &mut out);
+        for output in out.drain(..) {
+            match output {
+                SchedOutput::ToWorker(worker, frame) => {
+                    if let Some(conn) = host.conn_of(worker) {
+                        write_to(&mut writers, conn, &frame);
+                    }
+                }
+                SchedOutput::ToConn(conn, frame) => write_to(&mut writers, conn, &frame),
+                SchedOutput::Record(event) => sink.record(now, &event),
+                SchedOutput::SampleCost => {
+                    let done = clock.elapsed();
+                    let nanos = done.saturating_sub(now).as_nanos().min(u64::MAX as u128) as u64;
+                    sink.record(done, &Event::SchedCost { nanos });
+                }
+            }
+        }
+        if now >= cfg.max_duration {
             break;
         }
-        if let Some(target) = cfg.stop_after_pushes {
-            if central.total_pushes() >= target {
-                central.stats.completed = true;
-                break;
-            }
+        if cfg
+            .stop_after_pushes
+            .is_some_and(|target| host.total_pushes() >= target)
+        {
+            completed = true;
+            break;
         }
-        match events_rx.recv_timeout(cfg.net.tick) {
-            Ok(ConnEvent::Opened { id, writer }) => {
-                central.writers.insert(id, writer);
-            }
-            Ok(ConnEvent::Frame { id, frame }) => central.handle_frame(id, frame),
-            Ok(ConnEvent::Closed { id }) => central.handle_closed(id),
-            Err(RecvTimeoutError::Timeout) => {}
+        // A fixed `tick` wake-up, not `next_deadline`: abort-delivery
+        // latency is part of what `train_specsync` measures.
+        event = match events_rx.recv_timeout(cfg.net.tick) {
+            Ok(event) => Some(event),
+            Err(RecvTimeoutError::Timeout) => None,
             Err(RecvTimeoutError::Disconnected) => break,
-        }
+        };
     }
-    central.stats.total_pushes = central.total_pushes();
-    central.broadcast_shutdown();
-    central.stats
+    for stream in writers.values_mut() {
+        let _ = write_frame(stream, &WireMessage::Shutdown);
+    }
+    SchedulerRunStats {
+        aborts_issued: host.aborts_issued(),
+        promotions: host.promotions(),
+        total_pushes: host.total_pushes(),
+        workers_marked_dead: host.workers_marked_dead(),
+        completed,
+    }
 }
 
 #[cfg(test)]
@@ -1791,222 +1407,98 @@ mod tests {
     }
 
     #[test]
-    fn promotion_retargets_when_the_chosen_backup_dies_mid_promotion() {
+    fn a_hostile_worker_id_does_not_stop_the_scheduler() {
         let sched = SchedulerServer::bind(
             "127.0.0.1:0",
             SchedulerConfig {
                 workers: 1,
                 stop_after_pushes: Some(1),
                 max_duration: Duration::from_secs(20),
-                net: closes_only(),
                 ..SchedulerConfig::default()
             },
         )
         .unwrap();
         let sched_addr = sched.local_addr().to_string();
-        let handle = std::thread::spawn(move || sched.run().unwrap());
-        let cfg = NetConfig::default();
+        let handle = std::thread::spawn(move || sched.run());
 
-        let mut primary = connect(&sched_addr, &cfg);
-        primary
-            .write(&WireMessage::Failover(FailoverControl::Register {
-                server: 0,
-                backup: false,
-                addr: "127.0.0.1:7000".into(),
-            }))
-            .unwrap();
-        let mut first = connect(&sched_addr, &cfg);
-        first
-            .write(&WireMessage::Failover(FailoverControl::Register {
-                server: 1,
-                backup: true,
-                addr: "127.0.0.1:7001".into(),
-            }))
-            .unwrap();
-        let mut second = connect(&sched_addr, &cfg);
-        second
-            .write(&WireMessage::Failover(FailoverControl::Register {
-                server: 2,
-                backup: true,
-                addr: "127.0.0.1:7002".into(),
-            }))
-            .unwrap();
-        // All three registrations land before the crash.
-        await_primary(&sched_addr, "127.0.0.1:7000", 0);
-        flush(&mut first);
-        flush(&mut second);
-
-        // The primary dies; the scheduler targets the first backup.
-        drop(primary);
-        let (promote, _) = first.recv().unwrap();
-        assert_eq!(
-            promote,
-            WireMessage::Failover(FailoverControl::Promote { server: 1 })
-        );
-
-        // The chosen backup dies *without* replying Promoted — exactly
-        // the window that used to leave the pending latch stuck forever.
-        drop(first);
-        let (promote, _) = second.recv().unwrap();
-        assert_eq!(
-            promote,
-            WireMessage::Failover(FailoverControl::Promote { server: 2 })
-        );
-        second
-            .write(&WireMessage::Failover(FailoverControl::Promoted {
-                server: 2,
-                version: 7,
-                replayed: 0,
-            }))
-            .unwrap();
-        // The promotion is counted before the run is told to stop.
-        await_primary(&sched_addr, "127.0.0.1:7002", 1);
-        drop(second);
-
-        let mut closer = connect(&sched_addr, &cfg);
-        closer
-            .write(&WireMessage::Notify {
-                worker: WorkerId::new(0),
-                pushes: 1,
-            })
-            .unwrap();
-        let stats = handle.join().unwrap();
-        assert_eq!(stats.promotions, 1);
-        assert!(stats.completed);
-    }
-
-    #[test]
-    fn rejoined_backup_is_armed_for_the_next_promotion() {
-        let sched = SchedulerServer::bind(
-            "127.0.0.1:0",
-            SchedulerConfig {
-                workers: 1,
-                stop_after_pushes: Some(1),
-                max_duration: Duration::from_secs(20),
-                net: closes_only(),
-                ..SchedulerConfig::default()
-            },
-        )
-        .unwrap();
-        let sched_addr = sched.local_addr().to_string();
-        let handle = std::thread::spawn(move || sched.run().unwrap());
-        let cfg = NetConfig::default();
-
-        let mut primary = connect(&sched_addr, &cfg);
-        primary
-            .write(&WireMessage::Failover(FailoverControl::Register {
-                server: 0,
-                backup: false,
-                addr: "127.0.0.1:7000".into(),
-            }))
-            .unwrap();
-        let mut first = connect(&sched_addr, &cfg);
-        first
-            .write(&WireMessage::Failover(FailoverControl::Register {
-                server: 1,
-                backup: true,
-                addr: "127.0.0.1:7001".into(),
-            }))
-            .unwrap();
-        await_primary(&sched_addr, "127.0.0.1:7000", 0);
-        flush(&mut first);
-
-        // First crash: the original backup takes over.
-        drop(primary);
-        let (promote, _) = first.recv().unwrap();
-        assert_eq!(
-            promote,
-            WireMessage::Failover(FailoverControl::Promote { server: 1 })
-        );
-        first
-            .write(&WireMessage::Failover(FailoverControl::Promoted {
-                server: 1,
-                version: 5,
-                replayed: 5,
-            }))
-            .unwrap();
-
-        // A re-provisioned shard registers as the new warm backup and
-        // reports its catch-up, re-arming the scheduler.
-        let mut rejoiner = connect(&sched_addr, &cfg);
-        rejoiner
-            .write(&WireMessage::Failover(FailoverControl::Register {
-                server: 2,
-                backup: true,
-                addr: "127.0.0.1:7002".into(),
-            }))
-            .unwrap();
-        rejoiner
-            .write(&WireMessage::Failover(FailoverControl::BackupReady {
-                server: 2,
-                version: 5,
-                replayed: 0,
-            }))
-            .unwrap();
-        await_primary(&sched_addr, "127.0.0.1:7001", 1);
-        flush(&mut rejoiner);
-
-        // Second crash: the *rejoined* backup is promoted.
-        drop(first);
-        let (promote, _) = rejoiner.recv().unwrap();
-        assert_eq!(
-            promote,
-            WireMessage::Failover(FailoverControl::Promote { server: 2 })
-        );
-        rejoiner
-            .write(&WireMessage::Failover(FailoverControl::Promoted {
-                server: 2,
-                version: 9,
-                replayed: 4,
-            }))
-            .unwrap();
-        await_primary(&sched_addr, "127.0.0.1:7002", 2);
-        drop(rejoiner);
-
-        let mut closer = connect(&sched_addr, &cfg);
-        closer
-            .write(&WireMessage::Notify {
-                worker: WorkerId::new(0),
-                pushes: 1,
-            })
-            .unwrap();
-        let stats = handle.join().unwrap();
-        assert_eq!(stats.promotions, 2);
-        assert!(stats.completed);
-    }
-
-    #[test]
-    fn each_silence_then_beat_cycle_is_the_workers_next_recovery_epoch() {
-        let cfg = SchedulerConfig {
-            workers: 2,
-            ..SchedulerConfig::default()
-        };
-        let clock = WallElapsed::start();
-        let memory = Arc::new(specsync_telemetry::InMemorySink::new());
-        let sink: Arc<dyn EventSink<Duration>> = memory.clone();
-        let mut central = Central::new(&cfg, &clock, &sink);
-
-        // Time is passed in, so the cycles need no sleeping: worker 1
-        // speaks, falls silent past the timeout, speaks again — twice.
-        let silence = SimDuration::from_micros(cfg.net.heartbeat_timeout.as_micros() as u64 + 1);
-        let w = WorkerId::new(1);
-        let mut now = VirtualTime::ZERO;
-        central.worker_beat(w, now);
-        for _ in 0..2 {
-            now += silence;
-            central.sweep_liveness(now);
-            central.worker_beat(w, now);
+        // Well-formed frames naming workers the cluster does not have:
+        // dropped at the host's door, on the same connection that then
+        // speaks for a real worker.
+        let mut conn = connect(&sched_addr, &NetConfig::default());
+        for worker in [99, u32::MAX as usize] {
+            let worker = WorkerId::new(worker);
+            conn.write(&WireMessage::Check { worker }).unwrap();
+            conn.write(&WireMessage::Pull { worker }).unwrap();
         }
-        assert_eq!(central.stats.workers_marked_dead, 2);
-        let epochs: Vec<u64> = memory
-            .events()
+        conn.write(&WireMessage::Notify {
+            worker: WorkerId::new(0),
+            pushes: 1,
+        })
+        .unwrap();
+        let stats = handle
+            .join()
+            .expect("the central loop must survive a hostile frame")
+            .unwrap();
+        assert!(stats.completed);
+        assert_eq!(stats.total_pushes, 1);
+    }
+
+    #[test]
+    fn a_long_adaptive_run_traces_eviction_and_scheduler_cost() {
+        const EPOCHS: u64 = 14;
+        let memory = Arc::new(specsync_telemetry::InMemorySink::new());
+        let sched = SchedulerServer::bind(
+            "127.0.0.1:0",
+            SchedulerConfig {
+                workers: 2,
+                stop_after_pushes: Some(2 * EPOCHS),
+                max_duration: Duration::from_secs(20),
+                ..SchedulerConfig::default()
+            },
+        )
+        .unwrap()
+        .with_sink(memory.clone());
+        let sched_addr = sched.local_addr().to_string();
+        let handle = std::thread::spawn(move || sched.run().unwrap());
+
+        // One connection, so the frames are handled in the order written.
+        let mut conn = connect(&sched_addr, &NetConfig::default());
+        for pushes in 1..=EPOCHS {
+            for w in 0..2 {
+                let worker = WorkerId::new(w);
+                conn.write(&WireMessage::Pull { worker }).unwrap();
+                conn.write(&WireMessage::Notify { worker, pushes }).unwrap();
+            }
+        }
+        let stats = handle.join().unwrap();
+        assert!(stats.completed);
+
+        let events = memory.events();
+        let tuned = events
+            .iter()
+            .filter(|(_, e)| matches!(e, Event::EpochTuned { .. }))
+            .count() as u64;
+        assert_eq!(tuned, EPOCHS);
+        // The history keeps the tuner's lookback and sheds the rest, an
+        // epoch's worth at a time.
+        let evictions: Vec<(u64, u64)> = events
             .iter()
             .filter_map(|(_, e)| match e {
-                Event::WorkerRecovered { worker, epoch } if *worker == w => Some(*epoch),
+                Event::HistoryEvicted {
+                    pushes, retained, ..
+                } => Some((*pushes, *retained)),
                 _ => None,
             })
             .collect();
-        assert_eq!(epochs, vec![1, 2]);
+        assert!(evictions.len() >= 8, "evicted only {evictions:?}");
+        assert!(evictions.iter().all(|&(_, retained)| retained <= 2 * 5));
+        assert!(evictions.iter().map(|&(pushes, _)| pushes).sum::<u64>() >= 2 * 8);
+        // 28 notifies: the 16th is sampled.
+        let costs = events
+            .iter()
+            .filter(|(_, e)| matches!(e, Event::SchedCost { .. }))
+            .count();
+        assert_eq!(costs, 1);
     }
 
     #[test]

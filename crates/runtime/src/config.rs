@@ -88,10 +88,6 @@ pub struct RuntimeConfig {
     /// never leaves a torn checkpoint. `None` (the default) persists
     /// nothing.
     pub checkpoint_path: Option<PathBuf>,
-    /// Bound the scheduler's push history to the last `r` closed epochs
-    /// (clamped up to the tuner's window so decisions never change).
-    /// `None` keeps the full history.
-    pub history_retention: Option<usize>,
 }
 
 impl Default for RuntimeConfig {
@@ -111,7 +107,6 @@ impl Default for RuntimeConfig {
             retry_backoff: Duration::from_millis(1),
             chaos: RuntimeChaos::default(),
             checkpoint_path: None,
-            history_retention: None,
         }
     }
 }
@@ -312,13 +307,6 @@ impl RuntimeConfigBuilder {
         self
     }
 
-    /// Bound the scheduler's push history to the last `epochs` closed
-    /// epochs.
-    pub fn history_retention(mut self, epochs: usize) -> Self {
-        self.config.history_retention = Some(epochs);
-        self
-    }
-
     /// Validates and returns the configuration, or the first problem as a
     /// typed [`SpecSyncError`].
     pub fn try_build(self) -> Result<RuntimeConfig, SpecSyncError> {
@@ -509,7 +497,6 @@ mod tests {
             .heartbeat_timeout(Duration::from_millis(80))
             .send_retries(3)
             .retry_backoff(Duration::from_micros(250))
-            .history_retention(4)
             .try_build()
             .expect("valid builder chain");
         assert_eq!(config.workers, 8);
@@ -517,7 +504,6 @@ mod tests {
         assert_eq!(config.target_loss, Some(0.4));
         assert_eq!(config.eval_stride, 8);
         assert_eq!(config.seed, 17);
-        assert_eq!(config.history_retention, Some(4));
         // Untouched fields keep their defaults.
         assert_eq!(config.checkpoint_path, None);
         assert!(!config.chaos.is_active());

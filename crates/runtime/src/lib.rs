@@ -5,8 +5,9 @@
 //! paper's architecture (Fig. 7) wired with channels:
 //!
 //! - a **server** thread owning the [`specsync_ps::ParameterStore`],
-//! - a **scheduler** thread running the [`specsync_core::Scheduler`] with
-//!   real wall-clock timers,
+//! - a **scheduler** thread driving the sans-IO
+//!   [`specsync_net::SchedulerHost`] (the same machine the TCP scheduler
+//!   server drives) with real wall-clock timers,
 //! - `m` **worker** threads pulling, computing real gradients (padded to a
 //!   configurable iteration length), pushing, and honouring `re-sync`
 //!   instructions mid-computation.

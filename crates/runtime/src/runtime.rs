@@ -20,19 +20,23 @@
 //! The runtime degrades gracefully rather than hanging or crashing:
 //!
 //! - **Liveness**: every worker heartbeats the scheduler on
-//!   [`RuntimeConfig::heartbeat_interval`]; silence past
-//!   [`RuntimeConfig::heartbeat_timeout`] marks the worker dead
-//!   ([`Scheduler::try_mark_dead`], shrinking the effective `m`), and any
-//!   later heartbeat or notify re-admits it.
+//!   [`RuntimeConfig::heartbeat_interval`]; once a worker has been heard
+//!   from, silence past [`RuntimeConfig::heartbeat_timeout`] marks it dead
+//!   (shrinking the effective `m`), and any later heartbeat or notify
+//!   re-admits it.
 //! - **Notify reconciliation**: each notify piggybacks the worker's
 //!   cumulative push count, so the scheduler backfills notifies lost in
-//!   flight ([`Scheduler::try_on_notify_reconciled`]).
+//!   flight.
 //! - **Bounded send retries**: a full re-sync channel is retried with the
 //!   deterministic [`Backoff`] schedule instead of looping or giving up
 //!   immediately.
 //! - **Poisoned-store recovery**: the server applies pushes under
 //!   `catch_unwind`; a panicking apply restores the store from the last
 //!   eval-stride checkpoint and the run continues.
+//!
+//! The first two are the shared [`SchedulerHost`]'s rules — the scheduler
+//! thread here only moves its inputs and outputs; the TCP scheduler server
+//! drives the same machine.
 //!
 //! The [`RuntimeChaos`](crate::RuntimeChaos) knobs inject each of these
 //! faults on purpose; telemetry reports every degradation decision
@@ -54,12 +58,11 @@ use std::time::Duration;
 
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use parking_lot::Mutex;
-use specsync_core::{Scheduler, SpecSyncError};
+use specsync_core::SpecSyncError;
 use specsync_ml::{ConvergenceDetector, Workload};
-use specsync_net::{InProcTransport, ServerFrame, WireMessage};
+use specsync_net::{InProcTransport, SchedOutput, SchedulerHost, ServerFrame, WireMessage};
 use specsync_ps::{ParameterStore, PushPayload};
-use specsync_simnet::{MessageClass, SimDuration, VirtualTime, WorkerId};
-use specsync_sync::{SchemeKind, TuningMode};
+use specsync_simnet::{MessageClass, WorkerId};
 use specsync_telemetry::{Event, EventSink, LossCurve, NullSink};
 
 use crate::clock::{ClockSource, WallClock};
@@ -314,270 +317,113 @@ pub fn try_run_with_sink(
                     // No other frame reaches the in-process shard; the
                     // transport refuses them with a typed error before
                     // they can be sent.
-                    _ => {}
+                    WireMessage::PullReply { .. }
+                    | WireMessage::PushAck { .. }
+                    | WireMessage::Notify { .. }
+                    | WireMessage::Check { .. }
+                    | WireMessage::Abort { .. }
+                    | WireMessage::Heartbeat { .. }
+                    | WireMessage::Failover(_)
+                    | WireMessage::RelayPush { .. }
+                    | WireMessage::RelayTag { .. } => {}
                 }
             }
         })
     };
 
-    // ---- Scheduler thread: Algorithm 2 with real timers + liveness. ----
+    // ---- Scheduler thread: drives the shared `SchedulerHost`. ----
     let scheduler = {
-        let tuning = match config.scheme {
-            SchemeKind::SpecSync { tuning, .. } => tuning,
-            // ASP (the only other scheme try_validate admits) keeps the
-            // scheduler as a pure history recorder: speculation disabled.
-            _ => TuningMode::Fixed {
-                abort_time: SimDuration::ZERO,
-                abort_rate: f64::MAX,
-            },
-        };
-        // The core scheduler keeps its NullSink: its sink is typed on
-        // VirtualTime, while this host's trace runs on wall Duration. The
-        // thread re-emits the scheduler's decisions with wall timestamps.
-        let mut core = Scheduler::new(m, tuning);
-        if let Some(epochs) = config.history_retention {
-            core = core.with_history_retention(epochs);
-        }
+        let mut host = SchedulerHost::new(config.scheme, m, config.heartbeat_timeout);
         let resync_txs = resync_txs.clone();
         let counters = Arc::clone(&counters);
         let hb_interval = config.heartbeat_interval;
-        let hb_timeout = SimDuration::from_micros(
-            config.heartbeat_timeout.as_micros().min(u64::MAX as u128) as u64,
-        );
         let backoff = Backoff::new(config.retry_backoff, config.send_retries);
         let clock = Arc::clone(&clock);
         let sink = Arc::clone(&sink);
         let run_start = start;
         thread::spawn(move || {
-            let origin = clock.now();
-            let now_vt =
-                || VirtualTime::from_micros(clock.now().saturating_sub(origin).as_micros() as u64);
-            let mut timers: Vec<(VirtualTime, WorkerId)> = Vec::new();
-            // Pending re-sync retransmissions: (due, worker, retries used).
-            let mut resync_retries: Vec<(VirtualTime, WorkerId, u32)> = Vec::new();
-            let mut per_worker = vec![0u64; m];
-            let mut epochs = 0u64;
-            // Scheduler-cost sampling (every 16th notify) and eviction
-            // re-emission state; the core keeps a NullSink here, so this
-            // thread republishes its data-plane telemetry on wall time.
-            let mut notify_count = 0u64;
-            let mut seen_evicted = (0u64, 0u64);
-            let mut last_beat = vec![VirtualTime::ZERO; m];
-            let mut dead = vec![false; m];
-            let mut rejoin_epochs = vec![0u64; m];
-            // Delivers a re-sync, falling back to the bounded backoff
-            // schedule when the worker's channel is full. An exhausted
-            // budget is safe: a full channel already holds an undelivered
-            // re-sync for this worker.
-            let send_resync =
-                |worker: WorkerId,
-                 attempt: u32,
-                 now: VirtualTime,
-                 retries: &mut Vec<(VirtualTime, WorkerId, u32)>| {
-                    match resync_txs[worker.index()].try_send(WireMessage::Abort { worker }) {
-                        Ok(()) => {}
-                        Err(TrySendError::Full(_)) => {
+            let mut out: Vec<SchedOutput> = Vec::new();
+            // What is transport-specific stays here. A worker's control
+            // channel is `bounded(1)`, so a delivery can find it full:
+            // frames wait in the outbox as (due, worker, frame, retries
+            // used) and are re-sent on the bounded backoff schedule.
+            let mut outbox: Vec<(Duration, WorkerId, WireMessage, u32)> = Vec::new();
+            let mut inbox: Option<WireMessage> = None;
+            loop {
+                let now = elapsed_since(clock.as_ref(), run_start);
+                if let Some(frame) = inbox {
+                    // In-process, a worker's channel is its connection.
+                    let conn = frame.worker().map_or(0, |worker| worker.index());
+                    host.frame(conn, frame, now, &mut out);
+                }
+                host.poll(now, &mut out);
+                for output in out.drain(..) {
+                    match output {
+                        SchedOutput::ToWorker(worker, frame) => {
+                            outbox.push((now, worker, frame, 0))
+                        }
+                        // The shard plane (primary queries, promotion)
+                        // runs only between processes.
+                        SchedOutput::ToConn(..) => {}
+                        SchedOutput::Record(event) => sink.record(now, &event),
+                        SchedOutput::SampleCost => {
+                            let done = elapsed_since(clock.as_ref(), run_start);
+                            let nanos =
+                                done.saturating_sub(now).as_nanos().min(u64::MAX as u128) as u64;
+                            sink.record(done, &Event::SchedCost { nanos });
+                        }
+                    }
+                }
+                // Deliver what is due.
+                let mut i = 0;
+                while i < outbox.len() {
+                    if outbox[i].0 > now {
+                        i += 1;
+                        continue;
+                    }
+                    let (_, worker, frame, attempt) = outbox.swap_remove(i);
+                    match resync_txs[worker.index()].try_send(frame) {
+                        // Delivered, or the worker exited.
+                        Ok(()) | Err(TrySendError::Disconnected(_)) => {}
+                        // An exhausted budget is safe: a full channel
+                        // already holds an undelivered re-sync for this
+                        // worker.
+                        Err(TrySendError::Full(frame)) => {
                             if let Some(delay) = backoff.delay(attempt) {
                                 counters.send_retries.fetch_add(1, Ordering::Relaxed);
                                 sink.record(
-                                    elapsed_since(clock.as_ref(), run_start),
+                                    now,
                                     &Event::RetryScheduled {
                                         worker,
                                         class: MessageClass::Resync,
                                         attempt: attempt + 1,
                                     },
                                 );
-                                let due = now
-                                    + SimDuration::from_micros(
-                                        delay.as_micros().min(u64::MAX as u128) as u64,
-                                    );
-                                retries.push((due, worker, attempt + 1));
+                                outbox.push((now + delay, worker, frame, attempt + 1));
                             }
                         }
-                        // The worker exited; nothing to deliver to.
-                        Err(TrySendError::Disconnected(_)) => {}
-                    }
-                };
-            // Re-admission shared by every message a live worker sends.
-            let beat = |worker: WorkerId,
-                        now: VirtualTime,
-                        core: &mut Scheduler,
-                        last_beat: &mut Vec<VirtualTime>,
-                        dead: &mut Vec<bool>,
-                        rejoin_epochs: &mut Vec<u64>| {
-                last_beat[worker.index()] = now;
-                if dead[worker.index()] && core.try_mark_alive(worker, now) == Ok(true) {
-                    dead[worker.index()] = false;
-                    rejoin_epochs[worker.index()] += 1;
-                    counters.rejoins.fetch_add(1, Ordering::Relaxed);
-                    sink.record(
-                        elapsed_since(clock.as_ref(), run_start),
-                        &Event::WorkerRecovered {
-                            worker,
-                            epoch: rejoin_epochs[worker.index()],
-                        },
-                    );
-                }
-            };
-            loop {
-                let now = now_vt();
-                // Fire due abort timers.
-                let mut i = 0;
-                while i < timers.len() {
-                    if timers[i].0 <= now {
-                        let (deadline, worker) = timers.swap_remove(i);
-                        if core.on_check(worker, deadline) {
-                            sink.record(
-                                elapsed_since(clock.as_ref(), run_start),
-                                &Event::AbortIssued { worker },
-                            );
-                            send_resync(worker, 0, now, &mut resync_retries);
-                        }
-                    } else {
-                        i += 1;
                     }
                 }
-                // Flush due re-sync retransmissions.
-                let mut i = 0;
-                while i < resync_retries.len() {
-                    if resync_retries[i].0 <= now {
-                        let (_, worker, attempt) = resync_retries.swap_remove(i);
-                        send_resync(worker, attempt, now, &mut resync_retries);
-                    } else {
-                        i += 1;
-                    }
-                }
-                // Liveness: declare workers dead after heartbeat silence.
-                for w in 0..m {
-                    if !dead[w] && now.saturating_since(last_beat[w]) > hb_timeout {
-                        let worker = WorkerId::new(w);
-                        if core.try_mark_dead(worker, now) == Ok(true) {
-                            dead[w] = true;
-                            counters.detected_failures.fetch_add(1, Ordering::Relaxed);
-                            sink.record(
-                                elapsed_since(clock.as_ref(), run_start),
-                                &Event::WorkerCrashed { worker },
-                            );
-                        }
-                    }
-                }
-                // Wait for the next message, timer or retry — but never
-                // longer than a heartbeat interval, so liveness checks
-                // keep running while the cluster idles.
-                let next = timers
-                    .iter()
-                    .map(|&(t, _)| t)
-                    .chain(resync_retries.iter().map(|&(t, _, _)| t))
-                    .min();
-                let timeout = match next {
-                    Some(t) => {
-                        Duration::from_micros(t.as_micros().saturating_sub(now_vt().as_micros()))
-                    }
-                    None => hb_interval,
-                }
-                .min(hb_interval);
-                match sched_rx.recv_timeout(timeout.max(Duration::from_micros(100))) {
-                    Ok(WireMessage::Pull { worker }) => {
-                        let now = now_vt();
-                        beat(
-                            worker,
-                            now,
-                            &mut core,
-                            &mut last_beat,
-                            &mut dead,
-                            &mut rejoin_epochs,
-                        );
-                        core.on_pull(worker, now);
-                    }
-                    Ok(WireMessage::Heartbeat { worker }) => {
-                        beat(
-                            worker,
-                            now_vt(),
-                            &mut core,
-                            &mut last_beat,
-                            &mut dead,
-                            &mut rejoin_epochs,
-                        );
-                    }
-                    Ok(WireMessage::Notify { worker, pushes }) => {
-                        let now = now_vt();
-                        let cost_start = clock.now();
-                        beat(
-                            worker,
-                            now,
-                            &mut core,
-                            &mut last_beat,
-                            &mut dead,
-                            &mut rejoin_epochs,
-                        );
-                        sink.record(
-                            elapsed_since(clock.as_ref(), run_start),
-                            &Event::Notify { worker },
-                        );
-                        // Re-emit the core's reconciliation verdict on the
-                        // wall-clock trace before arming the window.
-                        let missing = pushes.saturating_sub(per_worker[worker.index()] + 1);
-                        if missing > 0 {
-                            sink.record(
-                                elapsed_since(clock.as_ref(), run_start),
-                                &Event::NotifyLoss { worker, missing },
-                            );
-                        }
-                        if let Ok(Some(deadline)) =
-                            core.try_on_notify_reconciled(worker, pushes, now)
-                        {
-                            timers.push((deadline, worker));
-                        }
-                        per_worker[worker.index()] = per_worker[worker.index()].max(pushes);
-                        let min = per_worker.iter().min().copied().unwrap_or(0);
-                        while min > epochs {
-                            epochs += 1;
-                            let tuned = core.on_epoch_complete(now);
-                            let hyper = core.hyperparams();
-                            sink.record(
-                                elapsed_since(clock.as_ref(), run_start),
-                                &Event::EpochTuned {
-                                    epoch: epochs,
-                                    abort_time: hyper.abort_time(),
-                                    abort_rate: hyper.abort_rate(),
-                                    estimated_gain: tuned.as_ref().map(|o| o.estimated_improvement),
-                                },
-                            );
-                            let evicted = (
-                                core.history().evicted_pushes(),
-                                core.history().evicted_pulls(),
-                            );
-                            if evicted != seen_evicted {
-                                sink.record(
-                                    elapsed_since(clock.as_ref(), run_start),
-                                    &Event::HistoryEvicted {
-                                        pushes: evicted.0 - seen_evicted.0,
-                                        pulls: evicted.1 - seen_evicted.1,
-                                        retained: core.history().retained_pushes() as u64,
-                                    },
-                                );
-                                seen_evicted = evicted;
-                            }
-                        }
-                        notify_count += 1;
-                        if notify_count.is_multiple_of(16) {
-                            let cost = clock.now().saturating_sub(cost_start);
-                            sink.record(
-                                elapsed_since(clock.as_ref(), run_start),
-                                &Event::SchedCost {
-                                    nanos: cost.as_nanos().min(u64::MAX as u128) as u64,
-                                },
-                            );
-                        }
-                    }
+                // Sleep until the host or the outbox has work — but never
+                // longer than a heartbeat interval, the cadence at which
+                // the host's liveness sweep must run.
+                let timeout = host
+                    .next_deadline()
+                    .into_iter()
+                    .chain(outbox.iter().map(|pending| pending.0))
+                    .min()
+                    .map_or(hb_interval, |due| due.saturating_sub(now).min(hb_interval));
+                inbox = match sched_rx.recv_timeout(timeout.max(Duration::from_micros(100))) {
                     Ok(WireMessage::Shutdown) => break,
-                    // No other frame reaches the in-process scheduler;
-                    // the transport refuses them before sending.
-                    Ok(_) => {}
-                    Err(RecvTimeoutError::Timeout) => {}
+                    Ok(frame) => Some(frame),
+                    Err(RecvTimeoutError::Timeout) => None,
                     Err(RecvTimeoutError::Disconnected) => break,
-                }
+                };
             }
+            counters
+                .detected_failures
+                .store(host.workers_marked_dead(), Ordering::Relaxed);
+            counters.rejoins.store(host.rejoins(), Ordering::Relaxed);
         })
     };
 

@@ -302,3 +302,27 @@ fn checkpoints_are_persisted_atomically_and_restorable() {
     );
     let _ = std::fs::remove_file(&path);
 }
+
+#[test]
+fn a_worker_never_heard_from_is_not_declared_dead() {
+    // The liveness rule the TCP scheduler already had: the silence clock
+    // starts at a worker's first frame, not at the run's start. Worker 1's
+    // scheduler link is silent from the outset, far past the timeout.
+    let config = RuntimeConfig {
+        workers: 3,
+        max_duration: Duration::from_millis(500),
+        heartbeat_interval: Duration::from_millis(10),
+        heartbeat_timeout: Duration::from_millis(60),
+        chaos: RuntimeChaos {
+            mute_worker_after: Some((1, Duration::ZERO)),
+            ..RuntimeChaos::default()
+        },
+        ..base_config()
+    };
+    let report = run(&Workload::tiny_test(), &config);
+    assert_eq!(
+        report.detected_failures, 0,
+        "a worker that never made first contact was declared dead"
+    );
+    assert!(report.total_iterations > 20);
+}
