@@ -154,6 +154,12 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
+    /// The most lost notifies one reconciled notify may backfill. The
+    /// cumulative count arrives off the wire and the backfill is a loop, so
+    /// a hostile `u64::MAX` is clamped to this; an honest gap wider than it
+    /// (none has been seen) is closed by the worker's following notifies.
+    pub const MAX_NOTIFY_GAP: u64 = 1024;
+
     /// Creates a scheduler for an `m`-worker cluster.
     ///
     /// With [`TuningMode::Fixed`] the given hyperparameters apply from the
@@ -396,7 +402,9 @@ impl Scheduler {
     /// notify count against that counter: any gap means notifies were lost
     /// in flight, so the missing pushes are backfilled into the history at
     /// `now` (keeping the Eq. 6/7 tuner's push record complete) and an
-    /// [`Event::NotifyLoss`] is emitted.
+    /// [`Event::NotifyLoss`] is emitted. At most
+    /// [`MAX_NOTIFY_GAP`](Self::MAX_NOTIFY_GAP) pushes are backfilled per
+    /// call, and the count advances by what was backfilled.
     ///
     /// # Errors
     ///
@@ -413,7 +421,9 @@ impl Scheduler {
             return Ok(None);
         }
         let seen = self.notify_counts[worker.index()] + 1;
-        let missing = applied_pushes.saturating_sub(seen);
+        let missing = applied_pushes
+            .saturating_sub(seen)
+            .min(Self::MAX_NOTIFY_GAP);
         if missing > 0 {
             for _ in 0..missing {
                 self.history.record_push(now, worker);
@@ -422,7 +432,7 @@ impl Scheduler {
             self.sink
                 .record(now, &Event::NotifyLoss { worker, missing });
         }
-        self.notify_counts[worker.index()] = applied_pushes.max(seen);
+        self.notify_counts[worker.index()] = seen + missing;
         Ok(self.accept_notify(worker, now))
     }
 
@@ -847,6 +857,21 @@ mod tests {
         // The backfilled pushes land in the history at t=11, inside
         // worker 0's window, so the abort fires off reconciled evidence.
         assert!(s.on_check(w(0), deadline));
+    }
+
+    #[test]
+    fn a_hostile_cumulative_count_backfills_a_bounded_gap() {
+        let mut s = Scheduler::new(2, fixed(2.0, 0.5));
+        s.try_on_notify_reconciled(w(0), 1, t(1.0)).unwrap();
+        // One valid frame claiming u64::MAX pushes must not spin the loop.
+        s.try_on_notify_reconciled(w(0), u64::MAX, t(2.0)).unwrap();
+        assert_eq!(s.stats().lost_notifies, Scheduler::MAX_NOTIFY_GAP);
+        assert_eq!(s.history().len() as u64, 2 + Scheduler::MAX_NOTIFY_GAP);
+        // Later honest notifies are still accepted, and report no loss.
+        s.try_on_notify_reconciled(w(0), 3, t(3.0)).unwrap();
+        s.try_on_notify_reconciled(w(1), 1, t(3.5)).unwrap();
+        assert_eq!(s.stats().lost_notifies, Scheduler::MAX_NOTIFY_GAP);
+        assert_eq!(s.stats().notifies, 4);
     }
 
     #[test]

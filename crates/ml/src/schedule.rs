@@ -51,6 +51,12 @@ impl LrSchedule {
             }
         }
     }
+
+    /// The schedule as the owned `epochs → rate` function a shard host
+    /// installs, narrowed to the store's `f32`.
+    pub fn into_rate_fn(self) -> impl Fn(u64) -> f32 + Send + 'static {
+        move |epoch| self.lr_at(epoch) as f32
+    }
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! [`ReplicatedStore`] and answers every [`WireMessage`] a shard can
 //! receive.
 //!
-//! Both deployments route through it:
+//! All three hosts route through it:
 //!
 //! - the virtual-time **simulator driver** calls the typed verbs
 //!   ([`pull`](ShardHost::pull), [`push_dense`](ShardHost::push_dense),
@@ -10,9 +10,9 @@
 //!   [`failover`](ShardHost::failover)) directly — borrowed gradients, no
 //!   frame encode on the hot path, store-call order identical to the
 //!   pre-wire seed so golden traces stay byte-identical;
-//! - the **TCP shard server** (and any in-process frame loop) routes
-//!   decoded frames through [`handle`](ShardHost::handle), which calls the
-//!   same verbs.
+//! - the **TCP shard server** and the **threaded runtime's server thread**
+//!   route frames through [`handle`](ShardHost::handle), which calls the
+//!   same verbs at the rate of the installed schedule.
 //!
 //! Pull serving is read-mostly: the host serializes each store version's
 //! `PullReply` frame **once** and shares the encoder's own buffer
@@ -63,7 +63,7 @@ pub struct ShardHost {
     lr_fn: Option<LrFn>,
     /// Applied pushes per worker index, for the frame path's epoch
     /// estimate (an epoch completes when every tracked worker has one
-    /// more push — same rule as the threaded runtime's server thread).
+    /// more push).
     per_worker: Vec<u64>,
     epochs: u64,
     /// Encoded `PullReply` frame for `(version, bytes)` — rebuilt once
@@ -290,9 +290,12 @@ impl ShardHost {
         })
     }
 
-    /// Replaces the wrapped store with one rebuilt from a rejoin snapshot
-    /// (checkpoint restore + tail replay happen at the caller); the
-    /// encoded-reply cache is dropped so no pre-join bytes can be served.
+    /// Replaces the wrapped store with one rebuilt at the caller — from a
+    /// rejoin snapshot (checkpoint restore + tail replay), or rolled back
+    /// after a torn apply; the encoded-reply cache is dropped so no bytes
+    /// of the old store can be served. The epoch estimate never rewinds,
+    /// and advances again once the store's per-worker push counts pass
+    /// the ones already seen — a rebuilt store should carry them on.
     pub fn install_store(&mut self, store: ReplicatedStore) {
         self.store = store;
         self.encoded = None;
@@ -649,6 +652,46 @@ mod tests {
             None,
             "only pushes relay"
         );
+    }
+
+    /// The epoch estimate folds the store's per-worker counts in with
+    /// `max`, so it cannot rewind — but a store rebuilt with its counts back
+    /// at zero would freeze it until they caught up. A recovery therefore
+    /// rolls parameters back and lets the counts carry on.
+    #[test]
+    fn epochs_keep_advancing_one_per_round_across_install_store() {
+        let mut h = host().with_lr_fn(|epochs| 1.0 / (1 + epochs) as f32);
+        let push = |h: &mut ShardHost, worker| {
+            h.handle(WireMessage::Push {
+                worker: WorkerId::new(worker),
+                payload: PushPayload::Dense(vec![1.0; 8]),
+            })
+            .unwrap();
+        };
+        for worker in [0, 1, 0, 1] {
+            push(&mut h, worker);
+        }
+        assert_eq!(h.epochs(), 2);
+
+        let store = h.replica_mut().serving_store_mut();
+        store.roll_back_params(&[0.0; 8]);
+        let rebuilt = ReplicatedStore::from_store(store.clone(), 4);
+        h.install_store(rebuilt);
+        assert_eq!(h.epochs(), 2, "a recovery must not rewind the epochs");
+        push(&mut h, 0);
+        assert_eq!(h.replica_mut().params(), &[-1.0 / 3.0; 8], "lr_fn(2)");
+        assert_eq!(h.epochs(), 2, "half a round");
+        for (worker, epochs) in [(1, 3), (0, 3), (1, 4)] {
+            push(&mut h, worker);
+            assert_eq!(h.epochs(), epochs);
+        }
+
+        // The pitfall itself: counts restarted at zero stall the estimate.
+        let zeroed = ParameterStore::new(vec![0.0; 8], 2);
+        h.install_store(ReplicatedStore::from_store(zeroed, 4));
+        push(&mut h, 0);
+        push(&mut h, 1);
+        assert_eq!(h.epochs(), 4, "never rewound, but not advancing either");
     }
 
     #[test]

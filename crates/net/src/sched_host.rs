@@ -378,6 +378,10 @@ impl SchedulerHost {
             return;
         };
         out.push(SchedOutput::Record(Event::Notify { worker }));
+        // The wire's count is trusted only as far as the core backfills
+        // it, so `slot.pushes` and the core's count stay in step and the
+        // epoch loop below is bounded per frame.
+        let pushes = pushes.min(slot.pushes + 1 + Scheduler::MAX_NOTIFY_GAP);
         let missing = pushes.saturating_sub(slot.pushes + 1);
         if missing > 0 {
             out.push(SchedOutput::Record(Event::NotifyLoss { worker, missing }));
@@ -827,6 +831,40 @@ mod tests {
         host.frame(4, WireMessage::Pull { worker: w(1) }, ms(6), &mut out);
         assert_eq!(host.conn_of(w(1)), Some(4));
         assert_eq!(host.history().num_pulls(), 1);
+    }
+
+    #[test]
+    fn a_hostile_cumulative_count_is_clamped_to_the_cores_gap() {
+        const GAP: u64 = Scheduler::MAX_NOTIFY_GAP;
+        let mut host = host(SchemeKind::Asp, 2);
+        let notify = |worker, pushes| WireMessage::Notify {
+            worker: w(worker),
+            pushes,
+        };
+        let seen = |worker| Record(Event::Notify { worker: w(worker) });
+        let lost = Record(Event::NotifyLoss {
+            worker: w(0),
+            missing: GAP,
+        });
+        script(
+            &mut host,
+            vec![
+                (Frame(0, notify(0, 1)), 0, vec![seen(0)]),
+                // One valid frame claiming u64::MAX pushes is clamped, not
+                // looped over.
+                (Frame(0, notify(0, u64::MAX)), 1, vec![seen(0), lost]),
+                // An honest cumulative count is still accepted afterwards.
+                (Frame(0, notify(0, 3)), 2, vec![seen(0)]),
+            ],
+        );
+        assert_eq!(host.total_pushes(), 2 + GAP);
+        assert_eq!(host.history().len() as u64, 3 + GAP);
+        // One such frame per worker closes a bounded run of epochs.
+        let mut out = Vec::new();
+        host.frame(1, notify(1, u64::MAX), ms(3), &mut out);
+        let tuned = |o: &&SchedOutput| matches!(o, Record(Event::EpochTuned { .. }));
+        assert_eq!(out.iter().filter(tuned).count() as u64, 1 + GAP);
+        assert_eq!(host.history().len() as u64, 4 + 2 * GAP);
     }
 
     #[test]

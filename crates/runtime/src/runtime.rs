@@ -3,10 +3,14 @@
 //! Fig. 7, inside one process.
 //!
 //! Every message between roles is a [`WireMessage`], the same vocabulary
-//! the TCP deployment in `specsync-net` puts on real sockets; the worker
-//! threads run the shared [`WorkerHarness`](crate::WorkerHarness) loop
-//! over an [`InProcTransport`]. Switching a worker to another process is
-//! a transport swap, not a rewrite.
+//! the TCP deployment in `specsync-net` puts on real sockets, and every
+//! role is a thin driver of a machine the TCP deployment also drives: the
+//! server thread answers pulls and pushes through [`ShardHost`] (epoch
+//! estimate, learning rate, apply and reply frames are the host's), the
+//! scheduler thread drives [`SchedulerHost`], and the worker threads run
+//! the shared [`WorkerHarness`](crate::WorkerHarness) loop over an
+//! [`InProcTransport`]. Switching a worker to another process is a
+//! transport swap, not a rewrite.
 //!
 //! Unlike the virtual-time simulator in `specsync-cluster` (deterministic,
 //! used for all paper experiments), this runtime exercises the SpecSync
@@ -30,9 +34,12 @@
 //! - **Bounded send retries**: a full re-sync channel is retried with the
 //!   deterministic [`Backoff`] schedule instead of looping or giving up
 //!   immediately.
-//! - **Poisoned-store recovery**: the server applies pushes under
-//!   `catch_unwind`; a panicking apply restores the store from the last
-//!   eval-stride checkpoint and the run continues.
+//! - **Poisoned-store recovery**: the server thread hands pushes to the
+//!   host under `catch_unwind`; a panicking apply rolls the parameters
+//!   back to the last eval-stride checkpoint (the store's version and
+//!   per-worker counts carry on, so the host's epochs never rewind or
+//!   stall), the rebuilt store is installed in the host and the run
+//!   continues.
 //!
 //! The first two are the shared [`SchedulerHost`]'s rules — the scheduler
 //! thread here only moves its inputs and outputs; the TCP scheduler server
@@ -60,8 +67,10 @@ use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender,
 use parking_lot::Mutex;
 use specsync_core::SpecSyncError;
 use specsync_ml::{ConvergenceDetector, Workload};
-use specsync_net::{InProcTransport, SchedOutput, SchedulerHost, ServerFrame, WireMessage};
-use specsync_ps::{ParameterStore, PushPayload};
+use specsync_net::{
+    InProcTransport, SchedOutput, SchedulerHost, ServerFrame, ShardHost, WireMessage,
+};
+use specsync_ps::{ParameterStore, ReplicatedStore};
 use specsync_simnet::{MessageClass, WorkerId};
 use specsync_telemetry::{Event, EventSink, LossCurve, NullSink};
 
@@ -151,20 +160,23 @@ pub fn try_run_with_sink(
     let resync_txs: Vec<Sender<WireMessage>> =
         resync_channels.iter().map(|(tx, _)| tx.clone()).collect();
 
-    // ---- Server thread: owns the store, applies pushes, evaluates. ----
+    // ---- Server thread: drives the shared `ShardHost`, evaluates. ----
     let loss_curve = Arc::new(Mutex::new(Vec::<WallLossPoint>::new()));
     let converged_at = Arc::new(Mutex::new(None::<Duration>));
     let total_pushes = Arc::new(AtomicU64::new(0));
     let server = {
-        let momentum = workload.momentum;
-        let grad_clip = workload.grad_clip;
-        let mut store = ParameterStore::new(initial.clone(), 8).with_momentum(momentum);
-        if let Some(clip) = grad_clip {
+        let mut store = ParameterStore::new(initial, 8).with_momentum(workload.momentum);
+        if let Some(clip) = workload.grad_clip {
             store = store.with_grad_clip(clip);
         }
+        let mut host = ShardHost::new(ReplicatedStore::from_store(
+            store,
+            ReplicatedStore::DEFAULT_JOURNAL_CAPACITY,
+        ))
+        .with_workers(m)
+        .with_lr_fn(workload.lr.clone().into_rate_fn());
         let mut eval = bundle.eval;
         let mut detector = config.target_loss.map(ConvergenceDetector::paper_default);
-        let lr_schedule = workload.lr.clone();
         let stop = Arc::clone(&stop);
         let loss_curve = Arc::clone(&loss_curve);
         let converged_at = Arc::clone(&converged_at);
@@ -176,95 +188,61 @@ pub fn try_run_with_sink(
         let clock = Arc::clone(&clock);
         let sink = Arc::clone(&sink);
         let run_start = start;
-        let workers = m;
         thread::spawn(move || {
-            let mut per_worker = vec![0u64; workers];
-            let mut epochs = 0u64;
             // Recovery checkpoint: the last eval-stride parameter snapshot,
             // shared with the store's pull cache instead of cloned — the
             // stride costs one `Arc` bump, not an O(n) copy. A poisoned
-            // apply restores from here (momentum state is sacrificed — a
+            // apply rolls back to here (momentum state is sacrificed — a
             // degradation, not a correctness loss).
-            let mut checkpoint: Arc<[f32]> = Arc::from(initial);
+            let mut checkpoint = host.replica_mut().shared_params();
             let mut checkpoint_version = 0u64;
             let mut push_attempts = 0u64;
-            let mut poison_armed = poison_at_push;
+            let now = || elapsed_since(clock.as_ref(), run_start);
             while let Ok((frame, reply)) = server_rx.recv() {
-                match frame {
+                let answer = match frame {
+                    WireMessage::Shutdown => break,
                     WireMessage::Pull { worker } => {
-                        let staleness = store.staleness_of(worker);
-                        sink.record(
-                            elapsed_since(clock.as_ref(), run_start),
-                            &Event::Pull { worker, staleness },
-                        );
-                        let snapshot = store.pull(worker);
-                        let answer = WireMessage::PullReply {
-                            version: snapshot.version(),
-                            params: snapshot.into_shared(),
-                        };
-                        // A send fails only if the worker already exited.
-                        if let Some(reply) = reply {
-                            let _ = reply.send(answer);
-                        }
+                        let staleness = host.replica().staleness_of(worker);
+                        sink.record(now(), &Event::Pull { worker, staleness });
+                        host.handle(frame).ok().flatten()
                     }
-                    WireMessage::Push { worker, payload } => {
-                        let lr = lr_schedule.lr_at(epochs) as f32;
+                    WireMessage::Push { worker, .. } => {
                         push_attempts += 1;
-                        let poison = poison_armed == Some(push_attempts);
-                        if poison {
-                            poison_armed = None;
-                        }
-                        let applied_ok = catch_unwind(AssertUnwindSafe(|| {
+                        let poison = poison_at_push == Some(push_attempts);
+                        let Ok(ack) = catch_unwind(AssertUnwindSafe(|| {
                             assert!(!poison, "injected store poison");
-                            match &payload {
-                                PushPayload::Dense(grad) => {
-                                    store.apply_push(worker, grad, lr);
-                                }
-                                PushPayload::Sparse(grad) => {
-                                    store.apply_push_sparse(worker, grad, lr);
-                                }
-                            }
-                        }))
-                        .is_ok();
-                        if !applied_ok {
+                            host.handle(frame).ok().flatten()
+                        })) else {
                             // The apply panicked mid-update; the store may
-                            // hold a torn write. Restore the checkpoint and
-                            // drop this push.
-                            let mut fresh =
-                                ParameterStore::new(checkpoint.to_vec(), 8).with_momentum(momentum);
-                            if let Some(clip) = grad_clip {
-                                fresh = fresh.with_grad_clip(clip);
-                            }
-                            store = fresh;
-                            counters.store_recoveries.fetch_add(1, Ordering::Relaxed);
-                            sink.record(
-                                elapsed_since(clock.as_ref(), run_start),
-                                &Event::StoreRecovered {
-                                    version: checkpoint_version,
-                                },
+                            // hold a torn write. Roll its parameters back to
+                            // the checkpoint (version and per-worker counts
+                            // carry on, so the host's epochs keep advancing),
+                            // rebuild the replica pair and drop this push.
+                            let store = host.replica_mut().serving_store_mut();
+                            store.roll_back_params(&checkpoint);
+                            let rebuilt = ReplicatedStore::from_store(
+                                store.clone(),
+                                ReplicatedStore::DEFAULT_JOURNAL_CAPACITY,
                             );
+                            host.install_store(rebuilt);
+                            counters.store_recoveries.fetch_add(1, Ordering::Relaxed);
+                            let version = checkpoint_version;
+                            sink.record(now(), &Event::StoreRecovered { version });
                             continue;
-                        }
-                        per_worker[worker.index()] += 1;
-                        let applied = total_pushes.fetch_add(1, Ordering::Relaxed) + 1;
-                        sink.record(
-                            elapsed_since(clock.as_ref(), run_start),
-                            &Event::Push {
-                                worker,
-                                iteration: applied,
-                            },
-                        );
-                        let min = per_worker.iter().min().copied().unwrap_or(0);
-                        if min > epochs {
-                            epochs = min;
-                        }
-                        if applied.is_multiple_of(eval_stride) {
-                            checkpoint = store.shared_params();
-                            checkpoint_version = applied;
+                        };
+                        // Refused, so not applied: an in-process replica
+                        // pair is never failing over.
+                        let Some(ack) = ack else { continue };
+                        let iteration = total_pushes.fetch_add(1, Ordering::Relaxed) + 1;
+                        sink.record(now(), &Event::Push { worker, iteration });
+                        if iteration.is_multiple_of(eval_stride) {
+                            checkpoint = host.replica_mut().shared_params();
+                            checkpoint_version = iteration;
                             if let Some(path) = &checkpoint_path {
                                 // Crash-consistent persistence: encode the
                                 // full store state (optimizer included),
                                 // write to a temp file, atomically rename.
+                                let store = host.replica_mut().serving_store_mut();
                                 let blob = store.snapshot_for_checkpoint().encode();
                                 let bytes = blob.len() as u64;
                                 let tmp = path.with_extension("tmp");
@@ -273,27 +251,19 @@ pub fn try_run_with_sink(
                                     .is_ok();
                                 if written {
                                     counters.checkpoints_written.fetch_add(1, Ordering::Relaxed);
+                                    let version = iteration;
                                     sink.record(
-                                        elapsed_since(clock.as_ref(), run_start),
-                                        &Event::CheckpointWritten {
-                                            version: applied,
-                                            bytes,
-                                        },
+                                        now(),
+                                        &Event::CheckpointWritten { version, bytes },
                                     );
                                 }
                             }
                             let loss = eval.loss_of(&checkpoint);
-                            let elapsed = elapsed_since(clock.as_ref(), run_start);
-                            sink.record(
-                                elapsed,
-                                &Event::Eval {
-                                    iterations: applied,
-                                    loss,
-                                },
-                            );
+                            let (elapsed, iterations) = (now(), iteration);
+                            sink.record(elapsed, &Event::Eval { iterations, loss });
                             loss_curve.lock().push(WallLossPoint {
                                 time: elapsed,
-                                iterations: applied,
+                                iterations,
                                 loss,
                             });
                             if let Some(det) = detector.as_mut() {
@@ -303,29 +273,18 @@ pub fn try_run_with_sink(
                                 }
                             }
                         }
-                        // In-process pushes are fire-and-forget (`reply`
-                        // is `None`); a rendezvous push still gets the
-                        // same ack frame the TCP shard would send.
-                        if let Some(reply) = reply {
-                            let _ = reply.send(WireMessage::PushAck {
-                                version: store.version(),
-                                pushes_by_worker: per_worker[worker.index()],
-                            });
-                        }
+                        Some(ack)
                     }
-                    WireMessage::Shutdown => break,
                     // No other frame reaches the in-process shard; the
                     // transport refuses them with a typed error before
                     // they can be sent.
-                    WireMessage::PullReply { .. }
-                    | WireMessage::PushAck { .. }
-                    | WireMessage::Notify { .. }
-                    | WireMessage::Check { .. }
-                    | WireMessage::Abort { .. }
-                    | WireMessage::Heartbeat { .. }
-                    | WireMessage::Failover(_)
-                    | WireMessage::RelayPush { .. }
-                    | WireMessage::RelayTag { .. } => {}
+                    _ => continue,
+                };
+                // In-process pushes are fire-and-forget (`reply` is `None`);
+                // a rendezvous push gets the ack frame the TCP shard would
+                // send. A send fails only if the worker already exited.
+                if let (Some(reply), Some(answer)) = (reply, answer) {
+                    let _ = reply.send(answer);
                 }
             }
         })

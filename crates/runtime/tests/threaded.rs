@@ -304,6 +304,41 @@ fn checkpoints_are_persisted_atomically_and_restorable() {
 }
 
 #[test]
+fn the_store_keeps_counting_across_a_recovery() {
+    // The recovery rolls parameters back, not counters: the store's
+    // version stays the run's applied-push count (what `ShardHost` derives
+    // epochs, the learning rate and `PushAck`s from), so the checkpoint
+    // persisted after the poison is stamped with the version it holds.
+    let path = std::env::temp_dir().join(format!("specsync-recov-{}.bin", std::process::id()));
+    let config = RuntimeConfig {
+        checkpoint_path: Some(path.clone()),
+        chaos: RuntimeChaos {
+            poison_at_push: Some(10),
+            ..RuntimeChaos::default()
+        },
+        ..base_config()
+    };
+    let sink = Arc::new(InMemorySink::<Duration>::new());
+    let report = try_run_with_sink(
+        &Workload::tiny_test(),
+        &config,
+        Arc::new(WallClock::new()),
+        Arc::clone(&sink) as Arc<dyn EventSink<Duration>>,
+    )
+    .expect("a poisoned apply must not kill the server thread");
+    assert_eq!(report.store_recoveries, 1);
+    let stamped = sink.take().into_iter().rev().find_map(|(_, e)| match e {
+        Event::CheckpointWritten { version, .. } => Some(version),
+        _ => None,
+    });
+    let blob = std::fs::read(&path).expect("checkpoint file must exist");
+    let _ = std::fs::remove_file(&path);
+    let held = specsync_ps::StoreCheckpoint::decode(&blob).expect("clean blob");
+    assert!(held.version() > 10, "no checkpoint after the recovery");
+    assert_eq!(Some(held.version()), stamped);
+}
+
+#[test]
 fn a_worker_never_heard_from_is_not_declared_dead() {
     // The liveness rule the TCP scheduler already had: the silence clock
     // starts at a worker's first frame, not at the run's start. Worker 1's
