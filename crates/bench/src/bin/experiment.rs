@@ -102,7 +102,9 @@ fn main() {
         .run();
 
     if show_curve {
-        print_curve("loss curve", &report, 16);
+        let mut curve = String::new();
+        print_curve(&mut curve, "loss curve", &report, 16).expect("writing to a String");
+        print!("{curve}");
     }
     println!(
         "runtime to target : {}s{}",

@@ -1,14 +1,15 @@
 //! Shared helpers for the experiment binaries that regenerate the paper's
 //! tables and figures.
 //!
-//! Each binary in `src/bin/` reproduces one table or figure (see
-//! `DESIGN.md` for the index); this library holds the common machinery:
-//! convergence-time extraction, speedup tables, and pretty-printing.
+//! Each row of `run_all` reproduces one table or figure (see `DESIGN.md`
+//! for the index); this library holds the common machinery: the parallel
+//! run harness, convergence-time extraction, and pretty-printing.
 
 #![warn(missing_docs)]
 
 pub mod supervise;
 
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -20,10 +21,10 @@ use specsync_simnet::VirtualTime;
 ///
 /// Work is claimed by an atomic cursor, so thread scheduling never affects
 /// *which* items run — only when — and the output order is the input order
-/// regardless of completion order. With `SPECSYNC_SERIAL=1` in the
-/// environment (or a single-core host, or a single item) everything runs
-/// on the calling thread; `SPECSYNC_THREADS=<n>` forces a thread count.
-/// Results are identical either way provided `f` is deterministic.
+/// regardless of completion order. `SPECSYNC_THREADS=<n>` in the
+/// environment forces a thread count; with `SPECSYNC_THREADS=1` (or a
+/// single-core host, or a single item) everything runs on the calling
+/// thread. Results are identical either way provided `f` is deterministic.
 ///
 /// # Panics
 ///
@@ -39,18 +40,10 @@ where
 }
 
 fn default_threads() -> usize {
-    if std::env::var_os("SPECSYNC_SERIAL").is_some_and(|v| v == "1") {
-        return 1;
+    match std::env::var("SPECSYNC_THREADS").map(|v| v.parse()) {
+        Ok(Ok(n)) if n >= 1 => n,
+        _ => std::thread::available_parallelism().map_or(1, |p| p.get()),
     }
-    if let Some(n) = std::env::var("SPECSYNC_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        if n >= 1 {
-            return n;
-        }
-    }
-    std::thread::available_parallelism().map_or(1, |p| p.get())
 }
 
 /// [`parallel_map`] with an explicit worker-thread count (clamped to the
@@ -238,18 +231,23 @@ pub fn fmt_bytes(bytes: u64) -> String {
     format!("{v:.2} {}", UNITS[unit])
 }
 
-/// Prints a section header in the experiment output.
-pub fn section(title: &str) {
-    println!("\n=== {title} ===");
+/// Writes a section header of the experiment output to `out`.
+pub fn section(out: &mut String, title: &str) -> fmt::Result {
+    writeln!(out, "\n=== {title} ===")
 }
 
-/// Prints a downsampled `(time, loss)` curve with a label.
-pub fn print_curve(label: &str, report: &RunReport, points: usize) {
-    print!("{label:24}");
+/// Writes a downsampled `(time, loss)` curve with a label to `out`.
+pub fn print_curve(
+    out: &mut String,
+    label: &str,
+    report: &RunReport,
+    points: usize,
+) -> fmt::Result {
+    write!(out, "{label:24}")?;
     for p in report.sampled_curve(points) {
-        print!(" {:.0}s:{:.3}", p.time.as_secs_f64(), p.loss);
+        write!(out, " {:.0}s:{:.3}", p.time.as_secs_f64(), p.loss)?;
     }
-    println!();
+    writeln!(out)
 }
 
 #[cfg(test)]

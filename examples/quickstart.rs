@@ -38,7 +38,7 @@ fn main() {
     if let Some(speedup) = results[2].speedup_over(&results[0]) {
         println!("\nSpecSync-Adaptive speedup over ASP: {speedup:.2}x");
         println!("(staleness barely hurts at this toy scale; the paper-scale benches in");
-        println!(" crates/bench reproduce the 40-node speedups — see fig8_effectiveness)");
+        println!(" crates/bench reproduce the 40-node speedups — see `run_all --only fig8`)");
     }
     println!("\nEvery run is deterministic: re-running with the same seed reproduces it exactly.");
 }
