@@ -781,7 +781,7 @@ fn chaos_plan(seed: u64) -> FaultPlan {
 /// The server-failure profile: the lossy network plus one parameter-server
 /// shard crash early in the run, with the crashed node rejoining as a warm
 /// backup a few seconds later. Exercises the full failover protocol —
-/// parked traffic, backup promotion, journal replay, scheduler recovery.
+/// parked traffic, backup promotion, journal replay.
 fn server_failure_plan(seed: u64) -> FaultPlan {
     lossy_plan(seed).with_server_crash(ServerCrashEvent {
         server: 0,

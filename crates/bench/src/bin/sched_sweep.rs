@@ -3,28 +3,21 @@
 //! pull / check / epoch traffic at 40 → 1,000 → 10,000 workers and
 //! reports nanoseconds per scheduler event and peak history footprint.
 //!
+//! The history is bounded exactly as the wall-clock hosts bound it
+//! ([`Scheduler::with_history_retention`]: the tuner's lookback window).
 //! The streaming data plane must keep per-event cost flat as history
-//! accumulates and memory bounded by the retention knob; the sweep proves
-//! both, and doubles as the regression gate for `BENCH_PR6.json`:
+//! accumulates and memory bounded; the sweep gates the first:
 //!
-//! * `sched_sweep`             — full sweep, prints the table
-//! * `sched_sweep --json`      — full sweep, writes `BENCH_PR6.json`
-//! * `sched_sweep --quick`     — reduced sizes/rounds (CI scale)
-//! * `sched_sweep --check BENCH_PR6.json [--threshold R]`
-//!   — reduced sweep, then fails (exit 1) if any matching size's
-//!   ns/event exceeds the checked-in number by more than `R`× (default
-//!   4.0, generous because CI hosts differ), or if per-event cost is not
-//!   flat (second half > 2.5× first half — machine-independent).
+//! * `sched_sweep`         — full sweep (40 / 1k / 10k workers)
+//! * `sched_sweep --quick` — reduced sizes/rounds (CI scale)
+//!
+//! Either way it exits 1 if per-event cost is not flat (see [`flat`]).
 
-use std::path::Path;
-
-use specsync_core::Scheduler;
+use specsync_core::{AdaptiveTuner, Scheduler};
 use specsync_simnet::{VirtualTime, WorkerId};
 use specsync_sync::TuningMode;
 use specsync_telemetry::{Event, EventSink, MetricsSink};
 
-/// Retention bound (closed epochs) for the bounded run.
-const RETENTION: usize = 8;
 /// Iterations (notify+pull+check triples) per worker per epoch.
 const ROUNDS_PER_EPOCH: u64 = 4;
 /// Every `K`-th event's wall cost feeds the `SchedCost` histogram.
@@ -38,7 +31,6 @@ struct SweepResult {
     late_ns: f64,
     peak_history_bytes: usize,
     evicted_records: u64,
-    resyncs: u64,
     cost_mean_ns: f64,
     cost_max_ns: u64,
 }
@@ -69,22 +61,14 @@ type Ev = (u64, usize, u8);
 /// every event to the scheduler in global time order — the history's
 /// chronological invariant. An epoch closes when the slowest worker
 /// finishes another [`ROUNDS_PER_EPOCH`] iterations, which drives the
-/// adaptive tuner and — on the bounded run — eviction.
-fn run_sweep(
-    m: usize,
-    epochs: u64,
-    retention: Option<usize>,
-    costs: Option<&MetricsSink>,
-) -> SweepResult {
+/// adaptive tuner and eviction.
+fn run_sweep(m: usize, epochs: u64, costs: &MetricsSink) -> SweepResult {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
     // specsync-allow(virtual-time): harness-side wall timing of the sweep
     use std::time::Instant;
 
-    let mut sched = Scheduler::new(m, TuningMode::Adaptive);
-    if let Some(r) = retention {
-        sched = sched.with_history_retention(r);
-    }
+    let mut sched = Scheduler::new(m, TuningMode::Adaptive).with_history_retention();
     let mut rng = Lcg(0x5eed_5eed ^ m as u64);
     let spans: Vec<u64> = (0..m).map(|_| 75_000 + rng.next() % 50_000).collect();
 
@@ -106,9 +90,7 @@ fn run_sweep(
     while let Some(Reverse((at, i, kind))) = heap.pop() {
         let now = VirtualTime::from_micros(at);
         let w = WorkerId::new(i);
-        let sample = costs
-            .filter(|_| events.is_multiple_of(COST_SAMPLE_STRIDE))
-            .map(|s| (s, Instant::now()));
+        let sample = events.is_multiple_of(COST_SAMPLE_STRIDE).then(Instant::now);
         match kind {
             0 => {
                 sched.on_pull(w, now);
@@ -141,9 +123,9 @@ fn run_sweep(
             }
         }
         events += 1;
-        if let Some((sink, start)) = sample {
+        if let Some(start) = sample {
             let nanos = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            sink.record(now, &Event::SchedCost { nanos });
+            costs.record(now, &Event::SchedCost { nanos });
         }
     }
     let total = run_start.elapsed().as_nanos();
@@ -151,10 +133,9 @@ fn run_sweep(
 
     let (half_ns, half_events) = half_mark.unwrap_or((total / 2, events / 2));
     let late_events = events.saturating_sub(half_events).max(1);
-    let stats = sched.stats();
     let history = sched.history();
     let evicted = history.evicted_pushes() + history.evicted_pulls();
-    let snapshot = costs.map(|s| s.snapshot());
+    let snapshot = costs.snapshot();
     SweepResult {
         workers: m,
         events,
@@ -163,107 +144,40 @@ fn run_sweep(
         late_ns: (total - half_ns) as f64 / late_events as f64,
         peak_history_bytes: peak_bytes,
         evicted_records: evicted,
-        resyncs: stats.resyncs,
-        cost_mean_ns: snapshot
-            .as_ref()
-            .and_then(|s| s.sched_cost.mean())
-            .unwrap_or(0.0),
-        cost_max_ns: snapshot.as_ref().map_or(0, |s| s.sched_cost.max()),
+        cost_mean_ns: snapshot.sched_cost.mean().unwrap_or(0.0),
+        cost_max_ns: snapshot.sched_cost.max(),
     }
 }
 
-/// Bounded and unbounded schedulers must reach identical decisions on the
-/// same traffic — retention is a memory knob, never a behavior knob.
-fn assert_decision_identity(m: usize, epochs: u64) {
-    let bounded = run_sweep(m, epochs, Some(RETENTION), None);
-    let unbounded = run_sweep(m, epochs, None, None);
-    assert_eq!(
-        bounded.resyncs, unbounded.resyncs,
-        "bounded history changed scheduling decisions"
-    );
-    assert_eq!(bounded.events, unbounded.events);
-    assert!(
-        bounded.evicted_records > 0,
-        "retention never evicted — the identity check is vacuous"
-    );
-    println!(
-        "  decision identity @ {m} workers: {} resyncs either way, {} records evicted",
-        bounded.resyncs, bounded.evicted_records
-    );
-}
+/// Runs shorter than this are never failed: timing noise and the
+/// speculation phase-in (the tuner enables aborts after the first tuned
+/// epoch) dominate them.
+const MIN_GATED_EVENTS: u64 = 100_000;
+/// The most the second half's per-event cost may exceed the first half's.
+const MAX_FLATNESS: f64 = 2.5;
 
-fn write_json(path: &Path, retention: usize, results: &[SweepResult]) {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"generated_by\": \"sched_sweep --json\",\n");
-    s.push_str(&format!("  \"retention_epochs\": {retention},\n"));
-    s.push_str("  \"sizes\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        s.push_str(&format!(
-            "    {{ \"workers\": {}, \"events\": {}, \"ns_per_event\": {:.1}, \
-             \"early_ns\": {:.1}, \"late_ns\": {:.1}, \"peak_history_bytes\": {}, \
-             \"evicted_records\": {} }}{comma}\n",
-            r.workers,
-            r.events,
-            r.ns_per_event,
-            r.early_ns,
-            r.late_ns,
-            r.peak_history_bytes,
-            r.evicted_records
-        ));
+/// The sweep's machine-independent gate: per-event cost must stay flat as
+/// history accumulates. Returns `late / early` as the error when it did
+/// not.
+fn flat(events: u64, early_ns: f64, late_ns: f64) -> Result<(), f64> {
+    let flatness = late_ns / early_ns.max(f64::MIN_POSITIVE);
+    if events >= MIN_GATED_EVENTS && flatness > MAX_FLATNESS {
+        return Err(flatness);
     }
-    s.push_str("  ]\n");
-    s.push_str("}\n");
-    std::fs::write(path, s).expect("write BENCH_PR6.json");
-    eprintln!(">>> wrote {}", path.display());
-}
-
-/// Pulls `"ns_per_event": X` out of each `"workers": N` block of a
-/// checked-in report. Hand-rolled on purpose: the workspace has no JSON
-/// dependency, and the format is our own fixed emitter above.
-fn parse_baseline(text: &str) -> Vec<(usize, f64)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let Some(w) = field(line, "\"workers\":") else {
-            continue;
-        };
-        let Some(ns) = field(line, "\"ns_per_event\":") else {
-            continue;
-        };
-        if let (Ok(w), Ok(ns)) = (w.parse::<usize>(), ns.parse::<f64>()) {
-            out.push((w, ns));
-        }
-    }
-    out
-}
-
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let start = line.find(key)? + key.len();
-    let rest = line[start..].trim_start();
-    let end = rest
-        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    Some(&rest[..end])
+    Ok(())
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let json = args.iter().any(|a| a == "--json");
-    let quick = args.iter().any(|a| a == "--quick");
-    let check = args
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|i| args.get(i + 1).cloned());
-    let threshold = args
-        .iter()
-        .position(|a| a == "--threshold")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(4.0);
-
-    let reduced = quick || check.is_some();
-    let sizes: &[(usize, u64)] = if reduced {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let quick = match args.as_slice() {
+        [] => false,
+        [flag] if flag == "--quick" => true,
+        _ => {
+            eprintln!("usage: sched_sweep [--quick]");
+            std::process::exit(2);
+        }
+    };
+    let sizes: &[(usize, u64)] = if quick {
         // (workers, epochs) — small enough for CI, large enough that the
         // bounded run evicts and the flatness halves are meaningful.
         &[(40, 60), (1_000, 30)]
@@ -271,8 +185,10 @@ fn main() {
         &[(40, 120), (1_000, 60), (10_000, 30)]
     };
 
-    println!("scheduler data-plane sweep (retention {RETENTION} epochs)");
-    assert_decision_identity(40, 40);
+    println!(
+        "scheduler data-plane sweep (retention {} epochs)",
+        AdaptiveTuner::default().window_epochs()
+    );
     println!(
         "{:>8} {:>12} {:>12} {:>10} {:>10} {:>9} {:>14} {:>10} | {:>10} {:>9}",
         "workers",
@@ -287,10 +203,9 @@ fn main() {
         "cost max"
     );
 
-    let mut results = Vec::new();
+    let mut failed = false;
     for &(m, epochs) in sizes {
-        let costs = MetricsSink::new();
-        let r = run_sweep(m, epochs, Some(RETENTION), Some(&costs));
+        let r = run_sweep(m, epochs, &MetricsSink::new());
         println!(
             "{:>8} {:>12} {:>12.1} {:>10.1} {:>10.1} {:>8.2}x {:>13}B {:>10} | {:>8.1}ns {:>7}ns",
             r.workers,
@@ -304,57 +219,33 @@ fn main() {
             r.cost_mean_ns,
             r.cost_max_ns
         );
-        results.push(r);
+        if let Err(flatness) = flat(r.events, r.early_ns, r.late_ns) {
+            eprintln!(
+                "FAIL {} workers: per-event cost grew {flatness:.2}x from first to second half",
+                r.workers
+            );
+            failed = true;
+        }
     }
     println!("(flat late/early and bounded peak history = streaming data plane holding up)");
-
-    if json {
-        write_json(Path::new("BENCH_PR6.json"), RETENTION, &results);
+    if failed {
+        std::process::exit(1);
     }
+    println!("flatness gate passed (late/early <= {MAX_FLATNESS}x from {MIN_GATED_EVENTS} events)");
+}
 
-    if let Some(baseline_path) = check {
-        let text = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("read {baseline_path}: {e}"));
-        let baseline = parse_baseline(&text);
-        assert!(
-            !baseline.is_empty(),
-            "no ns_per_event entries found in {baseline_path}"
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_gate_fails_only_long_runs_that_slow_down() {
+        assert_eq!(flat(500_000, 100.0, 110.0), Ok(()), "a flat run");
+        assert_eq!(flat(MIN_GATED_EVENTS, 100.0, 300.0), Err(3.0), "3x slower");
+        assert_eq!(
+            flat(MIN_GATED_EVENTS - 1, 100.0, 1_000.0),
+            Ok(()),
+            "too short"
         );
-        let mut failed = false;
-        for r in &results {
-            // Machine-independent gate first: per-event cost must stay
-            // flat as history accumulates. Only meaningful once the run is
-            // long enough that timing noise and the speculation phase-in
-            // (the tuner enables aborts after the first tuned epoch) stop
-            // dominating.
-            let flatness = r.late_ns / r.early_ns.max(f64::MIN_POSITIVE);
-            if r.events >= 100_000 && flatness > 2.5 {
-                eprintln!(
-                    "FAIL {} workers: per-event cost grew {:.2}x from first to second half",
-                    r.workers, flatness
-                );
-                failed = true;
-            }
-            // Absolute gate vs the checked-in number, for matching sizes.
-            if let Some(&(_, base_ns)) = baseline.iter().find(|&&(w, _)| w == r.workers) {
-                let ratio = r.ns_per_event / base_ns;
-                if ratio > threshold {
-                    eprintln!(
-                        "FAIL {} workers: {:.1} ns/event vs baseline {:.1} ({:.2}x > {:.2}x)",
-                        r.workers, r.ns_per_event, base_ns, ratio, threshold
-                    );
-                    failed = true;
-                } else {
-                    println!(
-                        "  check @ {} workers: {:.1} ns/event vs baseline {:.1} ({:.2}x <= {:.2}x)",
-                        r.workers, r.ns_per_event, base_ns, ratio, threshold
-                    );
-                }
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!("regression gate passed (threshold {threshold:.2}x)");
     }
 }

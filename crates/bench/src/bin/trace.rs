@@ -271,7 +271,6 @@ struct Summary {
     failovers: u64,
     journal_replayed: u64,
     checkpoints: u64,
-    sched_recoveries: u64,
     store_recoveries: u64,
     /// Scheduler data-plane events (worker-less, counted globally).
     eviction_passes: u64,
@@ -291,7 +290,6 @@ fn reconstruct(records: &[TraceRecord]) -> Summary {
     let mut failovers = 0u64;
     let mut journal_replayed = 0u64;
     let mut checkpoints = 0u64;
-    let mut sched_recoveries = 0u64;
     let mut store_recoveries = 0u64;
     let mut eviction_passes = 0u64;
     let mut evicted_records = 0u64;
@@ -333,10 +331,6 @@ fn reconstruct(records: &[TraceRecord]) -> Summary {
             }
             Event::CheckpointWritten { .. } => {
                 checkpoints += 1;
-                continue;
-            }
-            Event::SchedulerRecovered { .. } => {
-                sched_recoveries += 1;
                 continue;
             }
             Event::StoreRecovered { .. } => {
@@ -420,7 +414,6 @@ fn reconstruct(records: &[TraceRecord]) -> Summary {
                 | Event::StoreRecovered { .. }
                 | Event::ShardFailover { .. }
                 | Event::CheckpointWritten { .. }
-                | Event::SchedulerRecovered { .. }
                 | Event::HistoryEvicted { .. }
                 | Event::SchedCost { .. }
                 | Event::BackupJoined { .. }
@@ -479,7 +472,6 @@ fn reconstruct(records: &[TraceRecord]) -> Summary {
         failovers,
         journal_replayed,
         checkpoints,
-        sched_recoveries,
         store_recoveries,
         eviction_passes,
         evicted_records,
@@ -517,16 +509,13 @@ fn summarize(path: &str) -> ExitCode {
         }
     );
 
-    if summary.failovers + summary.checkpoints + summary.sched_recoveries + summary.store_recoveries
-        > 0
-    {
+    if summary.failovers + summary.checkpoints + summary.store_recoveries > 0 {
         println!(
             "server fault tolerance: {} shard failover(s) ({} journaled push(es) replayed), \
-             {} checkpoint(s) written, {} scheduler recovery(ies), {} store recovery(ies)",
+             {} checkpoint(s) written, {} store recovery(ies)",
             summary.failovers,
             summary.journal_replayed,
             summary.checkpoints,
-            summary.sched_recoveries,
             summary.store_recoveries
         );
     }

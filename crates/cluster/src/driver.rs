@@ -27,7 +27,7 @@
 //! The degradation machinery is:
 //!
 //! - **Retries**: dropped pulls and pushes are re-sent after a fixed
-//!   timeout, up to [`DriverConfig::max_send_retries`] times; the final
+//!   timeout, up to `MAX_SEND_RETRIES` times; the final
 //!   attempt is delivered cleanly so a hostile plan cannot livelock the
 //!   run. Dropped notifies are *not* retried — the scheduler reconciles
 //!   its notify count against the store's applied-push counter
@@ -41,7 +41,7 @@
 //!   BSP/SSP gates, releasing anyone waiting on the dead worker so no
 //!   scheme deadlocks; recovery reverses all of it in a fresh epoch.
 //! - **Abort acks**: a `re-sync` delivery acknowledges the abort; if the
-//!   ack does not arrive before [`DriverConfig::abort_ack_timeout`], the
+//!   ack does not arrive before `ABORT_ACK_TIMEOUT`, the
 //!   abort is re-issued at most once.
 //!
 //! A driver without a fault plan draws zero randomness from the fault
@@ -68,6 +68,21 @@ use specsync_telemetry::{
 use crate::report::{ChaosStats, LossPoint, RunReport};
 use crate::spec::ClusterSpec;
 
+/// Number of server shards the parameter store is split into.
+const NUM_SHARDS: usize = 8;
+/// How long to wait before re-sending a dropped pull/push.
+const RETRY_TIMEOUT: SimDuration = SimDuration::from_millis(50);
+/// Retry budget per message; the attempt after the last retry is delivered
+/// cleanly (a fault plan must degrade the run, not wedge it).
+const MAX_SEND_RETRIES: u32 = 10;
+/// How long the scheduler waits for a `re-sync` delivery ack before
+/// re-issuing the abort (at most once per armed window).
+const ABORT_ACK_TIMEOUT: SimDuration = SimDuration::from_millis(200);
+/// How long after a server-shard crash the warm backup is promoted to
+/// serving. Pulls and pushes arriving inside this window park on
+/// [`RETRY_TIMEOUT`] and succeed after promotion.
+const PROMOTE_DELAY: SimDuration = SimDuration::from_millis(75);
+
 /// Driver tunables beyond workload/scheme/cluster.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriverConfig {
@@ -75,29 +90,10 @@ pub struct DriverConfig {
     pub max_virtual_time: VirtualTime,
     /// Safety cap on total pushes.
     pub max_iterations: u64,
-    /// Number of server shards for the parameter store.
-    pub num_shards: usize,
     /// Evaluate the global loss every `eval_stride`-th push (1 = every push).
     pub eval_stride: u64,
     /// Stop as soon as the convergence criterion is met.
     pub stop_on_convergence: bool,
-    /// How long to wait before re-sending a dropped pull/push.
-    pub retry_timeout: SimDuration,
-    /// Retry budget per message; the attempt after the last retry is
-    /// delivered cleanly (a fault plan must degrade the run, not wedge it).
-    pub max_send_retries: u32,
-    /// How long the scheduler waits for a `re-sync` delivery ack before
-    /// re-issuing the abort (at most once per armed window).
-    pub abort_ack_timeout: SimDuration,
-    /// How long after a server-shard crash the warm backup is promoted to
-    /// serving. Pulls and pushes arriving inside this window park on
-    /// [`retry_timeout`](Self::retry_timeout) and succeed after promotion.
-    pub failover_delay: SimDuration,
-    /// Bound the scheduler's push history to the last `r` closed epochs
-    /// (clamped up to the tuner's window so decisions never change).
-    /// `None` keeps the full history — byte-identical to the unbounded
-    /// seed behavior.
-    pub history_retention: Option<usize>,
 }
 
 impl Default for DriverConfig {
@@ -105,14 +101,8 @@ impl Default for DriverConfig {
         DriverConfig {
             max_virtual_time: VirtualTime::from_secs(200_000),
             max_iterations: 2_000_000,
-            num_shards: 8,
             eval_stride: 1,
             stop_on_convergence: true,
-            retry_timeout: SimDuration::from_millis(50),
-            max_send_retries: 10,
-            abort_ack_timeout: SimDuration::from_millis(200),
-            failover_delay: SimDuration::from_millis(75),
-            history_retention: None,
         }
     }
 }
@@ -372,8 +362,7 @@ impl Simulation {
         let bundle = workload.build(m, seed);
 
         let initial = bundle.workers[0].params().to_vec();
-        let mut store =
-            ParameterStore::new(initial, config.num_shards).with_momentum(workload.momentum);
+        let mut store = ParameterStore::new(initial, NUM_SHARDS).with_momentum(workload.momentum);
         if let Some(clip) = workload.grad_clip {
             store = store.with_grad_clip(clip);
         }
@@ -395,10 +384,7 @@ impl Simulation {
         // The scheduler emits its own decisions (notify, abort-issued,
         // epoch-tuned) through the same sink as the driver's data-plane
         // events, so a trace interleaves both sides of the protocol.
-        let mut scheduler = Scheduler::new(m, tuning).with_sink(Arc::clone(&sink));
-        if let Some(epochs) = config.history_retention {
-            scheduler = scheduler.with_history_retention(epochs);
-        }
+        let scheduler = Scheduler::new(m, tuning).with_sink(Arc::clone(&sink));
 
         let workers = bundle
             .workers
@@ -570,10 +556,8 @@ impl Simulation {
             self.chaos.blocked_on_failover += 1;
             let epoch = self.workers[worker.index()].epoch;
             self.set_worker_state(worker, WorkerState::Pulling, now);
-            self.queue.schedule(
-                now + self.config.retry_timeout,
-                Event::PullBlocked(worker, epoch),
-            );
+            self.queue
+                .schedule(now + RETRY_TIMEOUT, Event::PullBlocked(worker, epoch));
             return Ok(());
         }
         // The host observes staleness before registering the pull — the
@@ -600,7 +584,7 @@ impl Simulation {
         now: VirtualTime,
     ) -> Result<(), SpecSyncError> {
         let epoch = self.workers[worker.index()].epoch;
-        let fate = if attempt >= self.config.max_send_retries {
+        let fate = if attempt >= MAX_SEND_RETRIES {
             MessageFate::clean() // retry budget exhausted: deliver, don't livelock
         } else {
             self.fate_for(worker, MessageClass::PullParams, now)?
@@ -616,7 +600,7 @@ impl Simulation {
                 },
             );
             self.queue.schedule(
-                now + self.config.retry_timeout,
+                now + RETRY_TIMEOUT,
                 Event::PullRetry(worker, epoch, attempt + 1),
             );
             return Ok(());
@@ -640,7 +624,7 @@ impl Simulation {
         now: VirtualTime,
     ) -> Result<(), SpecSyncError> {
         let epoch = self.workers[worker.index()].epoch;
-        let fate = if attempt >= self.config.max_send_retries {
+        let fate = if attempt >= MAX_SEND_RETRIES {
             MessageFate::clean()
         } else {
             self.fate_for(worker, MessageClass::PushGrad, now)?
@@ -656,7 +640,7 @@ impl Simulation {
                 },
             );
             self.queue.schedule(
-                now + self.config.retry_timeout,
+                now + RETRY_TIMEOUT,
                 Event::PushSend(worker, epoch, seq, attempt + 1),
             );
             return Ok(());
@@ -982,10 +966,8 @@ impl Simulation {
                     // the fixed retry timer. Not message loss — no
                     // attempt budget is spent; promotion bounds the wait.
                     self.chaos.blocked_on_failover += 1;
-                    self.queue.schedule(
-                        now + self.config.retry_timeout,
-                        Event::PushArrive(worker, epoch, seq),
-                    );
+                    self.queue
+                        .schedule(now + RETRY_TIMEOUT, Event::PushArrive(worker, epoch, seq));
                     return Ok(());
                 }
                 self.record_transfer(now, MessageClass::PushGrad);
@@ -1031,10 +1013,8 @@ impl Simulation {
                     // Only chaos runs arm the ack timeout: a lossless
                     // network always delivers, so the timer would be noise.
                     if self.faults.is_some() {
-                        self.queue.schedule(
-                            now + self.config.abort_ack_timeout,
-                            Event::AbortAckTimeout(worker, now),
-                        );
+                        self.queue
+                            .schedule(now + ABORT_ACK_TIMEOUT, Event::AbortAckTimeout(worker, now));
                     }
                 }
             }
@@ -1074,10 +1054,8 @@ impl Simulation {
                 };
                 if self.host.failover(&crash).is_ok() {
                     self.chaos.server_crashes += 1;
-                    self.queue.schedule(
-                        now + self.config.failover_delay,
-                        Event::ServerPromote(server),
-                    );
+                    self.queue
+                        .schedule(now + PROMOTE_DELAY, Event::ServerPromote(server));
                 }
             }
             Event::ServerPromote(server) => {
@@ -1098,13 +1076,6 @@ impl Simulation {
                             replayed,
                         },
                     );
-                    // The scheduler co-resides with the server process in
-                    // the paper's deployment: restart it from its state
-                    // snapshot so Eq. 5–7 tuning resumes without a cold
-                    // epoch (armed windows and pending aborts included).
-                    let ckpt = self.scheduler.checkpoint();
-                    self.scheduler = Scheduler::restore(ckpt, Arc::clone(&self.sink), now);
-                    self.chaos.scheduler_recoveries += 1;
                 }
             }
             Event::ServerRecover(server) => {
@@ -1716,7 +1687,6 @@ mod tests {
         assert_eq!(report.chaos.server_crashes, 1);
         assert_eq!(report.chaos.failovers, 1);
         assert_eq!(report.chaos.server_recoveries, 1);
-        assert_eq!(report.chaos.scheduler_recoveries, 1);
         assert!(
             report.chaos.blocked_on_failover > 0,
             "a mid-epoch crash must park at least one pull/push"

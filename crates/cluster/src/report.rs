@@ -42,9 +42,6 @@ pub struct ChaosStats {
     /// Pulls/pushes parked on a fixed timer because the serving shard was
     /// down awaiting promotion (not message loss; no retry budget spent).
     pub blocked_on_failover: u64,
-    /// Scheduler restarts recovered from a state snapshot (one per shard
-    /// failover; tuning resumes without a cold epoch).
-    pub scheduler_recoveries: u64,
 }
 
 /// The full outcome of one training run.

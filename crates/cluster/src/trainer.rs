@@ -109,14 +109,6 @@ impl Trainer {
         self
     }
 
-    /// Bounds the scheduler's push history to the last `epochs` closed
-    /// epochs (clamped up to the tuner's window, so scheduling decisions
-    /// are unchanged). The default keeps the full history.
-    pub fn history_retention(mut self, epochs: usize) -> Self {
-        self.config.history_retention = Some(epochs);
-        self
-    }
-
     /// Runs the experiment and returns its report.
     ///
     /// # Panics

@@ -54,5 +54,5 @@ pub use freshness::{exact_freshness, mean_missed_updates, oracle_best_window, Fr
 pub use history::{EvictionCounts, PullRecord, PushHistory, PushRecord};
 pub use hyper::Hyperparams;
 pub use pap::{pap_distribution, uniform_trace, BoxStats, PapDistribution};
-pub use scheduler::{Scheduler, SchedulerCheckpoint, SchedulerStats};
+pub use scheduler::{Scheduler, SchedulerStats};
 pub use tuner::{AdaptiveTuner, CherrypickGrid, TuneOutcome};

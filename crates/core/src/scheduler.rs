@@ -66,45 +66,6 @@ struct PendingAbort {
     reissued: bool,
 }
 
-/// A crash-consistent snapshot of the scheduler's full protocol state:
-/// push/pull history, installed hyperparameters, tuner configuration,
-/// per-worker speculation windows, membership, notify reconciliation
-/// counters, and pending aborts.
-///
-/// Captured with [`Scheduler::checkpoint`] and turned back into a live
-/// scheduler with [`Scheduler::restore`]. The event sink is deliberately
-/// *not* part of the snapshot — sinks hold host resources (files,
-/// channels) that do not survive a crash — so the restoring host attaches
-/// a fresh one.
-#[derive(Debug, Clone)]
-pub struct SchedulerCheckpoint {
-    m: usize,
-    hyper: Hyperparams,
-    tuning: TuningMode,
-    tuner: AdaptiveTuner,
-    history: PushHistory,
-    spec: Vec<SpecState>,
-    stats: SchedulerStats,
-    epoch: u64,
-    alive: Vec<bool>,
-    active: usize,
-    notify_counts: Vec<u64>,
-    pending_abort: Vec<Option<PendingAbort>>,
-}
-
-impl SchedulerCheckpoint {
-    /// The epoch the snapshot was taken in.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Push/pull records carried by the snapshot (the evidence Eq. 5–7
-    /// tune on).
-    pub fn history_len(&self) -> usize {
-        self.history.len()
-    }
-}
-
 /// The centralized scheduler of Algorithm 2.
 ///
 /// # Examples
@@ -198,17 +159,15 @@ impl Scheduler {
         }
     }
 
-    /// Bounds the push/pull history to the last `epochs` closed epochs:
-    /// older records are evicted at each epoch boundary, keeping scheduler
-    /// memory flat over arbitrarily long runs.
+    /// Bounds the push/pull history to the adaptive tuner's lookback
+    /// window: older records are evicted at each epoch boundary, keeping
+    /// scheduler memory flat over arbitrarily long runs.
     ///
-    /// The bound is clamped up to the adaptive tuner's lookback window, so
-    /// every live query (abort windows, Eq. 5–7 tuning) still sees exactly
+    /// Every live query (abort windows, Eq. 5–7 tuning) still sees exactly
     /// the records the unbounded history would give it — decisions are
     /// byte-identical; only memory changes.
-    pub fn with_history_retention(mut self, epochs: usize) -> Self {
-        self.history
-            .set_retention(Some(epochs.max(self.tuner.window_epochs())));
+    pub fn with_history_retention(mut self) -> Self {
+        self.history.set_retention(Some(self.tuner.window_epochs()));
         self
     }
 
@@ -559,79 +518,6 @@ impl Scheduler {
         }
     }
 
-    /// Captures a crash-consistent snapshot of the full scheduler state.
-    ///
-    /// The snapshot is pure data: cloning it, shipping it across a crash
-    /// boundary, and [`restore`](Self::restore)-ing it yields a scheduler
-    /// that continues *exactly* where this one was — same armed windows,
-    /// same pending aborts, same Eq. 5–7 tuning history — with no cold
-    /// epoch.
-    pub fn checkpoint(&self) -> SchedulerCheckpoint {
-        SchedulerCheckpoint {
-            m: self.m,
-            hyper: self.hyper,
-            tuning: self.tuning,
-            tuner: self.tuner,
-            history: self.history.clone(),
-            spec: self.spec.clone(),
-            stats: self.stats,
-            epoch: self.epoch,
-            alive: self.alive.clone(),
-            active: self.active,
-            notify_counts: self.notify_counts.clone(),
-            pending_abort: self.pending_abort.clone(),
-        }
-    }
-
-    /// Rebuilds a scheduler from a [`checkpoint`](Self::checkpoint),
-    /// attaching `sink` (sinks are host resources and are not part of the
-    /// snapshot) and emitting [`Event::SchedulerRecovered`] at `now` so the
-    /// trace records that tuning resumed warm.
-    pub fn restore(
-        checkpoint: SchedulerCheckpoint,
-        sink: Arc<dyn EventSink<VirtualTime>>,
-        now: VirtualTime,
-    ) -> Self {
-        let SchedulerCheckpoint {
-            m,
-            hyper,
-            tuning,
-            tuner,
-            history,
-            spec,
-            stats,
-            epoch,
-            alive,
-            active,
-            notify_counts,
-            pending_abort,
-        } = checkpoint;
-        let restored = Scheduler {
-            m,
-            hyper,
-            tuning,
-            tuner,
-            history,
-            spec,
-            stats,
-            epoch,
-            alive,
-            active,
-            notify_counts,
-            pending_abort,
-            threshold: hyper.threshold(active.max(1)),
-            sink,
-        };
-        restored.sink.record(
-            now,
-            &Event::SchedulerRecovered {
-                epoch: restored.epoch,
-                history_len: restored.history.len() as u64,
-            },
-        );
-        restored
-    }
-
     /// Marks an epoch boundary; in adaptive mode, re-runs Algorithm 1 on
     /// the closed epoch and installs the new hyperparameters.
     ///
@@ -919,92 +805,6 @@ mod tests {
     }
 
     #[test]
-    fn restored_scheduler_resumes_mid_window_without_a_cold_epoch() {
-        // Checkpoint while worker 0's speculation window is armed and an
-        // abort is pending for worker 1; the restored scheduler must make
-        // the same decisions the original would have.
-        let mut s = Scheduler::new(4, fixed(2.0, 0.5)); // threshold 2
-        let d1 = s.on_notify(w(1), t(8.0)).unwrap();
-        s.on_notify(w(2), t(8.5));
-        s.on_notify(w(3), t(9.0));
-        assert!(s.on_check(w(1), d1)); // abort pending for worker 1
-        let deadline = s.on_notify(w(0), t(10.0)).unwrap();
-        s.on_notify(w(2), t(10.5));
-
-        let ckpt = s.checkpoint();
-        assert_eq!(ckpt.epoch(), 0);
-        assert!(ckpt.history_len() > 0);
-        let mut r = Scheduler::restore(ckpt, Arc::new(NullSink), t(10.6));
-
-        // One more push lands post-restore; both trajectories must agree.
-        s.on_notify(w(3), t(11.0));
-        r.on_notify(w(3), t(11.0));
-        assert_eq!(s.on_check(w(0), deadline), r.on_check(w(0), deadline));
-        assert!(r.stats().resyncs >= 2, "armed window survived the restore");
-        // The pending abort for worker 1 survived too: its ack timeout
-        // still re-issues exactly once.
-        assert!(r.try_on_ack_timeout(w(1), d1, t(12.0)).unwrap());
-        assert!(!r.try_on_ack_timeout(w(1), d1, t(13.0)).unwrap());
-        assert_eq!(s.stats().notifies, r.stats().notifies);
-        assert_eq!(s.num_workers(), r.num_workers());
-        assert_eq!(s.active_workers(), r.active_workers());
-    }
-
-    #[test]
-    fn restored_adaptive_scheduler_keeps_its_tuning_history() {
-        // Build a full epoch of history, tune, checkpoint, restore: the
-        // restored scheduler's next tuning pass must see the same history
-        // and produce the same hyperparameters as the original — resuming
-        // Eq. 5–7 warm instead of re-entering the disabled cold start.
-        let mut s = Scheduler::new(4, TuningMode::Adaptive);
-        for round in 0..3 {
-            for i in 0..4 {
-                let base = round as f64 * 4.0 + i as f64;
-                s.on_pull(w(i), t(20.0 + base));
-                s.on_notify(w(i), t(20.0 + base + 3.9));
-            }
-        }
-        s.on_epoch_complete(t(40.0));
-        assert!(!s.hyperparams().is_disabled());
-
-        let mut r = Scheduler::restore(s.checkpoint(), Arc::new(NullSink), t(40.5));
-        assert_eq!(r.epoch(), s.epoch());
-        assert_eq!(r.hyperparams(), s.hyperparams());
-        assert!(
-            !r.hyperparams().is_disabled(),
-            "restore must not reset to the disabled cold start"
-        );
-        // Continue both identically through another epoch; tuning output
-        // must match exactly.
-        for i in 0..4 {
-            s.on_pull(w(i), t(41.0 + i as f64));
-            r.on_pull(w(i), t(41.0 + i as f64));
-            s.on_notify(w(i), t(44.0 + i as f64));
-            r.on_notify(w(i), t(44.0 + i as f64));
-        }
-        let a = s.on_epoch_complete(t(50.0));
-        let b = r.on_epoch_complete(t(50.0));
-        assert_eq!(a.is_some(), b.is_some());
-        assert_eq!(s.hyperparams(), r.hyperparams());
-        assert_eq!(s.stats(), r.stats());
-    }
-
-    #[test]
-    fn restore_preserves_membership_and_reconciliation_counters() {
-        let mut s = Scheduler::new(3, fixed(2.0, 0.5));
-        s.try_mark_dead(w(2), t(1.0)).unwrap();
-        s.try_on_notify_reconciled(w(0), 3, t(2.0)).unwrap(); // 2 lost
-        let mut r = Scheduler::restore(s.checkpoint(), Arc::new(NullSink), t(2.5));
-        assert_eq!(r.active_workers(), 2);
-        assert!(!r.is_alive(w(2)));
-        assert_eq!(r.stats().lost_notifies, 2);
-        // The reconciliation watermark carried over: the next in-order
-        // notify reports no loss.
-        r.try_on_notify_reconciled(w(0), 4, t(3.0)).unwrap();
-        assert_eq!(r.stats().lost_notifies, 2);
-    }
-
-    #[test]
     fn stale_ack_timeout_for_an_older_abort_is_ignored() {
         let mut s = Scheduler::new(2, fixed(1.0, 0.5)); // threshold 1
         let d1 = s.on_notify(w(0), t(0.0)).unwrap();
@@ -1027,7 +827,7 @@ mod tests {
         // unbounded adaptive scheduler through the same many-epoch
         // schedule and require every decision and tuned hyperparameter to
         // match exactly.
-        let mut bounded = Scheduler::new(4, TuningMode::Adaptive).with_history_retention(1);
+        let mut bounded = Scheduler::new(4, TuningMode::Adaptive).with_history_retention();
         let mut unbounded = Scheduler::new(4, TuningMode::Adaptive);
         for round in 0..24u64 {
             for i in 0..4usize {
@@ -1067,9 +867,11 @@ mod tests {
     #[test]
     fn retention_is_clamped_to_the_tuner_window() {
         // A retention bound below the tuner's lookback would starve the
-        // candidate enumeration; the builder clamps it up.
-        let s = Scheduler::new(4, TuningMode::Adaptive).with_history_retention(0);
-        let r = s.history().retention().unwrap();
-        assert!(r >= 1);
+        // candidate enumeration; the bound is the lookback itself.
+        let s = Scheduler::new(4, TuningMode::Adaptive).with_history_retention();
+        assert_eq!(
+            s.history().retention(),
+            Some(AdaptiveTuner::default().window_epochs())
+        );
     }
 }

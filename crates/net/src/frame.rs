@@ -44,6 +44,10 @@ pub const PAYLOAD_LIMIT: usize = 256 << 20;
 /// bytes to the payload, so the usual remaining-bytes bound on length
 /// prefixes cannot cover it.
 pub const MAX_SPARSE_DIM: u64 = (PAYLOAD_LIMIT / 4) as u64;
+/// Upper bound (exclusive) on a worker id a frame may name. Stores and
+/// hosts size per-worker tables by the largest id they have seen, so an
+/// unbounded id would let one frame force a huge allocation.
+pub const MAX_WORKERS: u64 = 1 << 16;
 
 const TAG_PULL: u8 = 0;
 const TAG_PULL_REPLY: u8 = 1;
@@ -464,7 +468,7 @@ impl<'a> Reader<'a> {
 
     fn worker(&mut self) -> Result<WorkerId, FrameError> {
         let idx = self.u64()?;
-        if idx > u32::MAX as u64 {
+        if idx >= MAX_WORKERS {
             return Err(FrameError::Malformed("worker index out of range"));
         }
         Ok(WorkerId::new(idx as usize))
@@ -1195,6 +1199,24 @@ mod tests {
             decode_frame(&bytes),
             Err(FrameError::Malformed("sparse dim exceeds limit"))
         );
+    }
+
+    #[test]
+    fn worker_ids_past_the_bound_are_malformed() {
+        // The encoder does not police ids, so it forges the 29-byte
+        // hostile frame a peer could send.
+        let pull = |worker: u64| WireMessage::Pull {
+            worker: WorkerId::new(worker as usize),
+        };
+        for hostile in [MAX_WORKERS, u32::MAX as u64] {
+            let bytes = encode_frame(&pull(hostile)).unwrap();
+            assert_eq!(
+                decode_frame(&bytes),
+                Err(FrameError::Malformed("worker index out of range"))
+            );
+        }
+        let bytes = encode_frame(&pull(MAX_WORKERS - 1)).unwrap();
+        assert_eq!(decode_frame(&bytes), Ok(pull(MAX_WORKERS - 1)));
     }
 
     #[test]

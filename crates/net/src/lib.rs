@@ -61,7 +61,7 @@ pub use config::{NetConfig, NetConfigBuilder};
 pub use error::NetError;
 pub use frame::{
     decode_frame, encode_frame, read_frame, read_frame_bytes, write_frame, FrameError,
-    FrameReadError, ReadOutcome, MAX_SPARSE_DIM, PAYLOAD_LIMIT, RELAY_TAG_FRAME_LEN,
+    FrameReadError, ReadOutcome, MAX_SPARSE_DIM, MAX_WORKERS, PAYLOAD_LIMIT, RELAY_TAG_FRAME_LEN,
 };
 pub use host::{PullGrant, PushReceipt, ShardHost};
 pub use policy::{Admit, CircuitBreaker, ConnPolicy};

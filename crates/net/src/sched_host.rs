@@ -124,8 +124,7 @@ impl SchedulerHost {
                 abort_rate: f64::MAX,
             },
         };
-        // A retention of 0 is clamped up to the tuner's window.
-        let core = Scheduler::new(workers, tuning).with_history_retention(0);
+        let core = Scheduler::new(workers, tuning).with_history_retention();
         Self::around(core, heartbeat_timeout)
     }
 

@@ -54,6 +54,7 @@ use std::time::Duration;
 
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
+use specsync_core::SpecSyncError;
 use specsync_ps::{JournalEntry, ParameterStore, ReplicatedStore, StoreCheckpoint};
 use specsync_simnet::WorkerId;
 use specsync_sync::SchemeKind;
@@ -848,9 +849,13 @@ impl SchedulerServer {
     ///
     /// # Errors
     ///
-    /// I/O errors from binding, or an invalid configuration.
+    /// I/O errors from binding, or an invalid configuration (including a
+    /// zero-worker cluster).
     pub fn bind(addr: &str, cfg: SchedulerConfig) -> Result<Self, NetError> {
         cfg.net.try_validate().map_err(NetError::Config)?;
+        if cfg.workers == 0 {
+            return Err(NetError::Config(SpecSyncError::EmptyCluster));
+        }
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?.to_string();
         Ok(SchedulerServer {
@@ -1029,6 +1034,7 @@ fn central_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::MAX_WORKERS;
     use crate::wire::MessageSizes;
     use specsync_ps::{ParameterStore, PushPayload, ReplicatedStore};
 
@@ -1142,6 +1148,52 @@ mod tests {
         assert_eq!(stats.pushes_applied, 1);
         assert_eq!(stats.version, 1);
         assert!(stats.serving);
+    }
+
+    #[test]
+    fn a_hostile_worker_id_drops_its_connection_not_the_shard() {
+        let server = shard(0, 8);
+        let addr = server.local_addr().to_string();
+        let stop = server.stop_handle();
+        let handle = std::thread::spawn(move || server.run().unwrap());
+
+        // Decoded as-is, this 29-byte frame would have the store size its
+        // per-worker tables to 2^32 entries and abort the process.
+        let mut hostile = connect(&addr, &NetConfig::default());
+        let worker = WorkerId::new(u32::MAX as usize);
+        hostile.write(&WireMessage::Pull { worker }).unwrap();
+        assert!(hostile.recv().is_err(), "the connection must be dropped");
+
+        // An honest client still gets served by the same server.
+        let mut conn = connect(&addr, &NetConfig::default());
+        let w = WorkerId::new(0);
+        let (reply, _, _) = conn.exchange(&WireMessage::Pull { worker: w }).unwrap();
+        assert!(matches!(reply, WireMessage::PullReply { version: 0, .. }));
+        let (reply, _, _) = conn
+            .exchange(&WireMessage::Push {
+                worker: w,
+                payload: PushPayload::Dense(vec![1.0; 8]),
+            })
+            .unwrap();
+        assert!(matches!(reply, WireMessage::PushAck { version: 1, .. }));
+        drop(conn);
+
+        stop.store(true, Ordering::SeqCst);
+        let stats = handle.join().unwrap();
+        assert_eq!(stats.pulls_served, 1);
+        assert_eq!(stats.pushes_applied, 1);
+    }
+
+    #[test]
+    fn a_zero_worker_scheduler_is_refused_at_bind() {
+        let cfg = SchedulerConfig {
+            workers: 0,
+            ..SchedulerConfig::default()
+        };
+        assert!(matches!(
+            SchedulerServer::bind("127.0.0.1:0", cfg),
+            Err(NetError::Config(SpecSyncError::EmptyCluster))
+        ));
     }
 
     #[test]
@@ -1425,7 +1477,7 @@ mod tests {
         // dropped at the host's door, on the same connection that then
         // speaks for a real worker.
         let mut conn = connect(&sched_addr, &NetConfig::default());
-        for worker in [99, u32::MAX as usize] {
+        for worker in [99, MAX_WORKERS as usize - 1] {
             let worker = WorkerId::new(worker);
             conn.write(&WireMessage::Check { worker }).unwrap();
             conn.write(&WireMessage::Pull { worker }).unwrap();

@@ -47,6 +47,21 @@ impl RuntimeChaos {
 /// threaded runtime implements only the asynchronous schemes — plain ASP
 /// and SpecSync over ASP; [`try_validate`](Self::try_validate) rejects the
 /// rest with [`SpecSyncError::UnsupportedScheme`].
+///
+/// Override the fields you need over the defaults; [`run`](crate::run)
+/// validates before it starts a thread:
+///
+/// ```
+/// use specsync_runtime::RuntimeConfig;
+/// use std::time::Duration;
+///
+/// let config = RuntimeConfig {
+///     workers: 8,
+///     compute_pad: Duration::from_millis(5),
+///     ..RuntimeConfig::default()
+/// };
+/// assert_eq!(config.try_validate(), Ok(()));
+/// ```
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
     /// Number of worker threads.
@@ -74,11 +89,6 @@ pub struct RuntimeConfig {
     /// Silence after which the scheduler declares a worker dead. Must
     /// exceed [`heartbeat_interval`](Self::heartbeat_interval).
     pub heartbeat_timeout: Duration,
-    /// Retry budget for transient channel-send failures.
-    pub send_retries: u32,
-    /// Base delay of the deterministic exponential send backoff (doubles
-    /// per attempt, capped — see [`Backoff`](crate::Backoff)).
-    pub retry_backoff: Duration,
     /// Fault-injection knobs; default injects nothing.
     pub chaos: RuntimeChaos,
     /// Where to persist a crash-consistent store checkpoint at every eval
@@ -103,8 +113,6 @@ impl Default for RuntimeConfig {
             seed: 0,
             heartbeat_interval: Duration::from_millis(20),
             heartbeat_timeout: Duration::from_millis(200),
-            send_retries: 5,
-            retry_backoff: Duration::from_millis(1),
             chaos: RuntimeChaos::default(),
             checkpoint_path: None,
         }
@@ -112,30 +120,6 @@ impl Default for RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    /// Starts a validating builder seeded with the defaults — the
-    /// preferred construction path. Field-struct literals still work for
-    /// backward compatibility, but they skip validation until the run
-    /// starts; [`RuntimeConfigBuilder::try_build`] rejects an invalid
-    /// combination at construction time, matching `specsync-net`'s
-    /// `NetConfig::builder()`.
-    ///
-    /// ```
-    /// use specsync_runtime::RuntimeConfig;
-    /// use std::time::Duration;
-    ///
-    /// let config = RuntimeConfig::builder()
-    ///     .workers(8)
-    ///     .compute_pad(Duration::from_millis(5))
-    ///     .try_build()
-    ///     .expect("valid configuration");
-    /// assert_eq!(config.workers, 8);
-    /// ```
-    pub fn builder() -> RuntimeConfigBuilder {
-        RuntimeConfigBuilder {
-            config: RuntimeConfig::default(),
-        }
-    }
-
     /// Whether the threaded runtime implements `scheme`. The synchronous
     /// schemes (BSP, SSP, naïve waiting) exist only in the virtual-time
     /// simulator; speculation over an SSP base likewise.
@@ -152,8 +136,8 @@ impl RuntimeConfig {
 
     /// Validates the configuration, reporting the first problem as a typed
     /// error: zero workers, zero eval stride, a zero poll interval,
-    /// degenerate heartbeat or retry parameters, or a scheme this runtime
-    /// does not implement.
+    /// degenerate heartbeat parameters, or a scheme this runtime does not
+    /// implement.
     pub fn try_validate(&self) -> Result<(), SpecSyncError> {
         if self.workers == 0 {
             return Err(SpecSyncError::InvalidConfig(
@@ -185,16 +169,6 @@ impl RuntimeConfig {
                 reason: "heartbeat timeout must exceed the interval",
             });
         }
-        if self.send_retries == 0 {
-            return Err(SpecSyncError::InvalidRetryPolicy {
-                reason: "send retry budget must be positive",
-            });
-        }
-        if self.retry_backoff.is_zero() {
-            return Err(SpecSyncError::InvalidRetryPolicy {
-                reason: "retry backoff base must be positive",
-            });
-        }
         if let Some(n) = self.chaos.drop_notify_every {
             if n == 0 {
                 return Err(SpecSyncError::InvalidConfig(
@@ -208,110 +182,6 @@ impl RuntimeConfig {
             });
         }
         Ok(())
-    }
-}
-
-/// Validating builder for [`RuntimeConfig`], created by
-/// [`RuntimeConfig::builder`]. Every setter overrides one default;
-/// [`try_build`](Self::try_build) runs the full
-/// [`try_validate`](RuntimeConfig::try_validate) pass so an invalid
-/// combination is a typed error at construction time instead of a panic
-/// when the run starts.
-#[derive(Debug, Clone)]
-pub struct RuntimeConfigBuilder {
-    config: RuntimeConfig,
-}
-
-impl RuntimeConfigBuilder {
-    /// Number of worker threads.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.config.workers = workers;
-        self
-    }
-
-    /// Synchronization scheme.
-    pub fn scheme(mut self, scheme: SchemeKind) -> Self {
-        self.config.scheme = scheme;
-        self
-    }
-
-    /// Artificial per-iteration compute padding.
-    pub fn compute_pad(mut self, pad: Duration) -> Self {
-        self.config.compute_pad = pad;
-        self
-    }
-
-    /// How often a padded computation polls for a re-sync instruction.
-    pub fn abort_poll(mut self, poll: Duration) -> Self {
-        self.config.abort_poll = poll;
-        self
-    }
-
-    /// Wall-clock budget for the run.
-    pub fn max_duration(mut self, budget: Duration) -> Self {
-        self.config.max_duration = budget;
-        self
-    }
-
-    /// Early-stop loss target (the paper's 5-consecutive-evals rule).
-    pub fn target_loss(mut self, target: f64) -> Self {
-        self.config.target_loss = Some(target);
-        self
-    }
-
-    /// Evaluate the global loss every `stride` pushes.
-    pub fn eval_stride(mut self, stride: u64) -> Self {
-        self.config.eval_stride = stride;
-        self
-    }
-
-    /// Master seed for dataset generation and batch sampling.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// How often each worker heartbeats the scheduler.
-    pub fn heartbeat_interval(mut self, interval: Duration) -> Self {
-        self.config.heartbeat_interval = interval;
-        self
-    }
-
-    /// Silence after which the scheduler declares a worker dead.
-    pub fn heartbeat_timeout(mut self, timeout: Duration) -> Self {
-        self.config.heartbeat_timeout = timeout;
-        self
-    }
-
-    /// Retry budget for transient channel-send failures.
-    pub fn send_retries(mut self, retries: u32) -> Self {
-        self.config.send_retries = retries;
-        self
-    }
-
-    /// Base delay of the deterministic exponential send backoff.
-    pub fn retry_backoff(mut self, backoff: Duration) -> Self {
-        self.config.retry_backoff = backoff;
-        self
-    }
-
-    /// Fault-injection knobs.
-    pub fn chaos(mut self, chaos: RuntimeChaos) -> Self {
-        self.config.chaos = chaos;
-        self
-    }
-
-    /// Where to persist a crash-consistent store checkpoint.
-    pub fn checkpoint_path(mut self, path: PathBuf) -> Self {
-        self.config.checkpoint_path = Some(path);
-        self
-    }
-
-    /// Validates and returns the configuration, or the first problem as a
-    /// typed [`SpecSyncError`].
-    pub fn try_build(self) -> Result<RuntimeConfig, SpecSyncError> {
-        self.config.try_validate()?;
-        Ok(self.config)
     }
 }
 
@@ -421,37 +291,21 @@ mod tests {
     }
 
     #[test]
-    fn zero_send_retries_rejected() {
+    fn interval_overridden_past_default_timeout_rejected() {
+        // A positive interval is valid on its own; it is the combination
+        // with the untouched default timeout that must be refused.
+        let default = RuntimeConfig::default();
         let err = RuntimeConfig {
-            send_retries: 0,
-            ..Default::default()
+            heartbeat_interval: default.heartbeat_timeout + Duration::from_millis(1),
+            ..default
         }
         .try_validate()
         .unwrap_err();
         assert!(
             matches!(
                 err,
-                SpecSyncError::InvalidRetryPolicy {
-                    reason: "send retry budget must be positive"
-                }
-            ),
-            "got {err:?}"
-        );
-    }
-
-    #[test]
-    fn zero_retry_backoff_rejected() {
-        let err = RuntimeConfig {
-            retry_backoff: Duration::ZERO,
-            ..Default::default()
-        }
-        .try_validate()
-        .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                SpecSyncError::InvalidRetryPolicy {
-                    reason: "retry backoff base must be positive"
+                SpecSyncError::InvalidHeartbeat {
+                    reason: "heartbeat timeout must exceed the interval"
                 }
             ),
             "got {err:?}"
@@ -480,62 +334,6 @@ mod tests {
             ..RuntimeChaos::default()
         }
         .is_active());
-    }
-
-    #[test]
-    fn builder_overrides_and_validates() {
-        let config = RuntimeConfig::builder()
-            .workers(8)
-            .scheme(SchemeKind::specsync_adaptive())
-            .compute_pad(Duration::from_millis(3))
-            .abort_poll(Duration::from_micros(500))
-            .max_duration(Duration::from_secs(2))
-            .target_loss(0.4)
-            .eval_stride(8)
-            .seed(17)
-            .heartbeat_interval(Duration::from_millis(10))
-            .heartbeat_timeout(Duration::from_millis(80))
-            .send_retries(3)
-            .retry_backoff(Duration::from_micros(250))
-            .try_build()
-            .expect("valid builder chain");
-        assert_eq!(config.workers, 8);
-        assert_eq!(config.scheme, SchemeKind::specsync_adaptive());
-        assert_eq!(config.target_loss, Some(0.4));
-        assert_eq!(config.eval_stride, 8);
-        assert_eq!(config.seed, 17);
-        // Untouched fields keep their defaults.
-        assert_eq!(config.checkpoint_path, None);
-        assert!(!config.chaos.is_active());
-    }
-
-    #[test]
-    fn builder_rejects_invalid_combination() {
-        let err = RuntimeConfig::builder()
-            .heartbeat_interval(Duration::from_millis(50))
-            .heartbeat_timeout(Duration::from_millis(50))
-            .try_build()
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                SpecSyncError::InvalidHeartbeat {
-                    reason: "heartbeat timeout must exceed the interval"
-                }
-            ),
-            "got {err:?}"
-        );
-    }
-
-    #[test]
-    fn builder_with_no_overrides_matches_default() {
-        let built = RuntimeConfig::builder()
-            .try_build()
-            .expect("defaults valid");
-        let default = RuntimeConfig::default();
-        assert_eq!(built.workers, default.workers);
-        assert_eq!(built.scheme, default.scheme);
-        assert_eq!(built.heartbeat_timeout, default.heartbeat_timeout);
     }
 
     #[test]

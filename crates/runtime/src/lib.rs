@@ -51,7 +51,7 @@ mod runtime;
 mod worker;
 
 pub use clock::{ClockSource, ManualClock, WallClock};
-pub use config::{RuntimeChaos, RuntimeConfig, RuntimeConfigBuilder};
+pub use config::{RuntimeChaos, RuntimeConfig};
 pub use report::{RuntimeReport, WallLossPoint};
 pub use runtime::{run, try_run, try_run_with_clock, try_run_with_sink};
 /// Re-exported from `specsync-core`: the backoff policy was lifted there

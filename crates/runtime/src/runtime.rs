@@ -80,6 +80,12 @@ use crate::report::{RuntimeReport, WallLossPoint};
 use crate::worker::WorkerHarness;
 use specsync_core::Backoff;
 
+/// Retry budget for a re-sync send to a full worker channel.
+const SEND_RETRIES: u32 = 5;
+/// Base delay of the deterministic exponential send backoff (doubles per
+/// attempt, capped — see [`Backoff`]).
+const RETRY_BACKOFF: Duration = Duration::from_millis(1);
+
 /// Elapsed run time on the injected clock — the runtime's trace timestamp.
 fn elapsed_since(clock: &dyn ClockSource, start: Duration) -> Duration {
     clock.now().saturating_sub(start)
@@ -100,7 +106,7 @@ struct ResilienceCounters {
 ///
 /// # Panics
 ///
-/// Panics if the configuration is invalid (see [`RuntimeConfig::validate`])
+/// Panics if the configuration is invalid (see [`RuntimeConfig::try_validate`])
 /// or a thread panics; [`try_run`] reports those as typed errors instead.
 pub fn run(workload: &Workload, config: &RuntimeConfig) -> RuntimeReport {
     match try_run(workload, config) {
@@ -296,7 +302,7 @@ pub fn try_run_with_sink(
         let resync_txs = resync_txs.clone();
         let counters = Arc::clone(&counters);
         let hb_interval = config.heartbeat_interval;
-        let backoff = Backoff::new(config.retry_backoff, config.send_retries);
+        let backoff = Backoff::new(RETRY_BACKOFF, SEND_RETRIES);
         let clock = Arc::clone(&clock);
         let sink = Arc::clone(&sink);
         let run_start = start;

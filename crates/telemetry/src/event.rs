@@ -264,14 +264,6 @@ pub enum Event {
         /// Size of the encoded checkpoint blob.
         bytes: u64,
     },
-    /// The scheduler was restored from a state snapshot and resumed tuning
-    /// without a cold epoch.
-    SchedulerRecovered {
-        /// The epoch the restored scheduler resumed in.
-        epoch: u64,
-        /// Push-history records carried across the restore.
-        history_len: u64,
-    },
     /// The scheduler's retention-bounded history evicted records past the
     /// horizon at an epoch boundary (only emitted when a retention bound is
     /// configured — unbounded runs never see this event).
@@ -423,7 +415,6 @@ impl Event {
             | Event::StoreRecovered { .. }
             | Event::ShardFailover { .. }
             | Event::CheckpointWritten { .. }
-            | Event::SchedulerRecovered { .. }
             | Event::HistoryEvicted { .. }
             | Event::SchedCost { .. }
             | Event::BackupJoined { .. }
@@ -455,7 +446,6 @@ impl Event {
             Event::StoreRecovered { .. } => "store_recovered",
             Event::ShardFailover { .. } => "shard_failover",
             Event::CheckpointWritten { .. } => "checkpoint",
-            Event::SchedulerRecovered { .. } => "sched_recovered",
             Event::HistoryEvicted { .. } => "history_evicted",
             Event::SchedCost { .. } => "sched_cost",
             Event::FrameSent { .. } => "frame_sent",

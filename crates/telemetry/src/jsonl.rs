@@ -204,9 +204,6 @@ pub fn encode_line(micros: u64, event: &Event) -> String {
         Event::CheckpointWritten { version, bytes } => {
             let _ = write!(s, ",\"version\":{version},\"bytes\":{bytes}");
         }
-        Event::SchedulerRecovered { epoch, history_len } => {
-            let _ = write!(s, ",\"epoch\":{epoch},\"history_len\":{history_len}");
-        }
         Event::HistoryEvicted {
             pushes,
             pulls,
@@ -468,10 +465,6 @@ pub fn parse_trace_line(line: &str) -> Result<TraceRecord, String> {
         "checkpoint" => Event::CheckpointWritten {
             version: parse_u64(&pairs, "version")?,
             bytes: parse_u64(&pairs, "bytes")?,
-        },
-        "sched_recovered" => Event::SchedulerRecovered {
-            epoch: parse_u64(&pairs, "epoch")?,
-            history_len: parse_u64(&pairs, "history_len")?,
         },
         "history_evicted" => Event::HistoryEvicted {
             pushes: parse_u64(&pairs, "pushes")?,
@@ -800,10 +793,6 @@ mod tests {
         round_trip(Event::CheckpointWritten {
             version: 512,
             bytes: 4096,
-        });
-        round_trip(Event::SchedulerRecovered {
-            epoch: 5,
-            history_len: 812,
         });
         round_trip(Event::HistoryEvicted {
             pushes: 640,

@@ -327,8 +327,7 @@ impl<T: Timestamp> EventSink<T> for MetricsSink {
             | Event::PushFenced { .. }
             | Event::RetryScheduled { .. }
             | Event::StoreRecovered { .. }
-            | Event::ShardFailover { .. }
-            | Event::SchedulerRecovered { .. } => state.snapshot.degradations += 1,
+            | Event::ShardFailover { .. } => state.snapshot.degradations += 1,
             // Checkpoints and completed rejoins are routine (redundancy
             // restored), not degradations.
             Event::CheckpointWritten { .. }

@@ -14,7 +14,6 @@
 //! workspace.
 
 pub mod graph;
-pub mod json;
 pub mod lexer;
 pub mod lints;
 pub mod parser;
@@ -27,28 +26,19 @@ use std::path::Path;
 use lints::{Diagnostic, Options};
 use workspace::CrateClass;
 
-/// Which analysis stages to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Which analysis stages to run. The CLI always runs [`Passes::All`]; the
+/// fixture tests pick one stage to isolate it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Passes {
     /// Scanner lints + semantic passes.
-    #[default]
     All,
-    /// Per-file scanner lints only (PR 2 behaviour).
+    /// Per-file scanner lints only.
     Scanner,
     /// Call-graph passes only.
     Semantic,
 }
 
 impl Passes {
-    pub fn from_name(name: &str) -> Option<Passes> {
-        Some(match name {
-            "all" => Passes::All,
-            "scanner" => Passes::Scanner,
-            "semantic" => Passes::Semantic,
-            _ => return None,
-        })
-    }
-
     fn scanner(self) -> bool {
         matches!(self, Passes::All | Passes::Scanner)
     }

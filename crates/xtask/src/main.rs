@@ -1,10 +1,8 @@
-//! CLI entry point:
-//! `cargo xtask analyze [--index-audit] [--format text|json] [--baseline <file>] [--passes all|scanner|semantic]`.
+//! CLI entry point: `cargo xtask analyze [--index-audit]`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use xtask::json::{to_json_line, Baseline};
 use xtask::lints::Options;
 use xtask::Passes;
 
@@ -18,49 +16,13 @@ fn workspace_root() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("."))
 }
 
-#[derive(PartialEq)]
-enum Format {
-    Text,
-    Json,
-}
-
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut opts = Options::default();
     let mut command = None;
-    let mut format = Format::Text;
-    let mut passes = Passes::All;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "analyze" => command = Some("analyze"),
             "--index-audit" => opts.index_audit = true,
-            "--format" => match it.next().map(String::as_str) {
-                Some("text") => format = Format::Text,
-                Some("json") => format = Format::Json,
-                other => {
-                    eprintln!(
-                        "--format expects `text` or `json`, got {}",
-                        other.unwrap_or("nothing")
-                    );
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--passes" => match it.next().and_then(|v| Passes::from_name(v)) {
-                Some(p) => passes = p,
-                None => {
-                    eprintln!("--passes expects `all`, `scanner` or `semantic`");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--baseline" => match it.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--baseline expects a file path");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--help" | "-h" => {
                 print_help();
                 return ExitCode::SUCCESS;
@@ -77,28 +39,8 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let baseline = match &baseline_path {
-        None => Baseline::default(),
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: cannot read baseline {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            };
-            match Baseline::parse(&text) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-    };
-
     let root = workspace_root();
-    let analysis = match xtask::analyze_workspace(&root, opts, passes) {
+    let analysis = match xtask::analyze_workspace(&root, opts, Passes::All) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: failed to scan workspace: {e}");
@@ -108,33 +50,18 @@ fn main() -> ExitCode {
 
     let mut errors = 0usize;
     let mut warnings = 0usize;
-    let mut baselined = 0usize;
     for d in &analysis.diagnostics {
-        if baseline.contains(d) {
-            baselined += 1;
-            continue;
-        }
-        match format {
-            Format::Text => println!("{d}\n"),
-            Format::Json => println!("{}", to_json_line(d)),
-        }
+        println!("{d}\n");
         if d.lint.is_deny() {
             errors += 1;
         } else {
             warnings += 1;
         }
     }
-    // The summary goes to stderr so `--format json > diags.jsonl`
-    // captures diagnostics and nothing else.
-    let summary = format!(
-        "specsync-analyze: {} files scanned, {errors} error(s), {warnings} warning(s), \
-         {baselined} baselined",
+    println!(
+        "specsync-analyze: {} files scanned, {errors} error(s), {warnings} warning(s)",
         analysis.files_scanned
     );
-    match format {
-        Format::Text => println!("{summary}"),
-        Format::Json => eprintln!("{summary}"),
-    }
     if errors > 0 {
         eprintln!(
             "\nIntentional violations need an annotation with a reason:\n  \
@@ -148,7 +75,7 @@ fn main() -> ExitCode {
 
 fn print_help() {
     println!(
-        "cargo xtask analyze [--index-audit] [--format text|json] [--baseline <file>] [--passes all|scanner|semantic]\n\n\
+        "cargo xtask analyze [--index-audit]\n\n\
          Enforces the SpecSync determinism & safety invariants (DESIGN.md §10, §15).\n\n\
          Scanner lints (per file):\n  \
          virtual-time        no Instant/SystemTime/thread_rng/env reads in deterministic crates\n  \
@@ -160,9 +87,7 @@ fn print_help() {
          blocking-under-lock   joins, channel ops, sleeps, I/O reached while a guard is live\n  \
          event-exhaustiveness  every telemetry::Event variant handled in every sink and the\n                        \
          trace summarizer; no dead SpecSyncError variants\n\n\
-         --index-audit       also print the advisory unchecked-indexing audit\n  \
-         --format json       one JSON object per diagnostic on stdout (summary on stderr)\n  \
-         --baseline <file>   suppress known diagnostics listed in a JSONL baseline\n  \
-         --passes <set>      run `scanner`, `semantic`, or `all` (default)"
+         Suppress one finding with an inline `// specsync-allow(<lint>): <reason>`.\n\n\
+         --index-audit       also print the advisory unchecked-indexing audit"
     );
 }

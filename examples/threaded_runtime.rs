@@ -18,16 +18,16 @@ fn main() {
     ];
     println!("6 worker threads, 8 ms padded iterations, 2 s wall budget\n");
     for scheme in schemes {
-        let config = RuntimeConfig::builder()
-            .workers(6)
-            .scheme(scheme)
-            .compute_pad(Duration::from_millis(8))
-            .abort_poll(Duration::from_millis(1))
-            .max_duration(Duration::from_secs(2))
-            .eval_stride(8)
-            .seed(5)
-            .try_build()
-            .expect("valid runtime configuration");
+        let config = RuntimeConfig {
+            workers: 6,
+            scheme,
+            compute_pad: Duration::from_millis(8),
+            abort_poll: Duration::from_millis(1),
+            max_duration: Duration::from_secs(2),
+            eval_stride: 8,
+            seed: 5,
+            ..RuntimeConfig::default()
+        };
         let report = run(&Workload::tiny_test(), &config);
         println!(
             "{:20} iterations {:>5}  aborts {:>4}  best loss {:.4}  ({:?})",

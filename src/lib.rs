@@ -69,7 +69,7 @@ pub use specsync_cluster::{
 };
 pub use specsync_core::{
     AdaptiveTuner, CherrypickGrid, Hyperparams, PapDistribution, PushHistory, Scheduler,
-    SchedulerCheckpoint, SchedulerStats,
+    SchedulerStats,
 };
 pub use specsync_ml::{LrSchedule, Model, Workload, WorkloadKind};
 pub use specsync_net::{
@@ -80,7 +80,7 @@ pub use specsync_ps::{
     CheckpointError, ParamSnapshot, ParameterStore, PushJournal, ReplicaError, ReplicaRole,
     ReplicatedStore, StoreCheckpoint,
 };
-pub use specsync_runtime::{Backoff, RuntimeChaos, RuntimeConfig, RuntimeConfigBuilder};
+pub use specsync_runtime::{Backoff, RuntimeChaos, RuntimeConfig};
 pub use specsync_simnet::{
     CrashEvent, FaultPlan, LinkFaultProfile, MessageFate, ServerCrashEvent, SimDuration,
     StragglerWindow, VirtualTime, WorkerId,
