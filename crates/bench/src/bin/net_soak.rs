@@ -3,7 +3,7 @@
 //! loopback sockets, driven through a table of failure scenarios
 //! (DESIGN.md §16–§18). Every row must still reach its push target with
 //! all four workers terminating and reporting — the structural witness
-//! that every retry ladder is bounded.
+//! that every retry loop is bounded.
 //!
 //! * `kill-rejoin`         — the serving primary is SIGKILLed three
 //!   successive times under a [`specsync_bench::supervise::Supervisor`].
@@ -16,8 +16,9 @@
 //!   push the scheduler was notified of.
 //! * `partition-primary`   — the primary's links all go half-open at
 //!   T=400ms (writes vanish, reads hang): exactly one promotion, on
-//!   heartbeat silence, and the workers ride it out through the breaker
-//!   + QueryPrimary ladder.
+//!   heartbeat silence, and the workers ride it out through the
+//!   transport's retry rule (back off, ask the scheduler for the primary,
+//!   move only to a newer one).
 //! * `partition-scheduler` — every worker's control-plane link resets
 //!   mid-stream and the next two reconnects are refused: workers enter
 //!   degraded mode, keep training, and resync their cumulative counters
@@ -81,8 +82,8 @@ const STEP_BUDGET: Duration = Duration::from_secs(20);
 const DRAIN_GRACE: Duration = Duration::from_secs(15);
 
 /// Wire knobs: fast failure detection, a short I/O timeout so half-open
-/// silence is noticed quickly, a tight connection policy so the
-/// degradation ladder exercises every rung within the budget, a join
+/// silence is noticed quickly, a retry budget that outlasts a promotion
+/// (18 failed exchanges on a 20 ms backoff), a join
 /// chunk size small enough that every snapshot transfer crosses several
 /// frames, and the restart budget the supervisor draws down.
 fn net_config(chaos: NetChaos) -> NetConfig {
@@ -90,11 +91,8 @@ fn net_config(chaos: NetChaos) -> NetConfig {
         .heartbeat_interval(Duration::from_millis(25))
         .heartbeat_timeout(Duration::from_millis(400))
         .io_timeout(Duration::from_secs(1))
-        .connect_retries(10)
+        .connect_retries(18)
         .retry_backoff(Duration::from_millis(20))
-        .op_retry_budget(8)
-        .breaker_threshold(4)
-        .breaker_cooldown(Duration::from_millis(100))
         .join_chunk_bytes(4096)
         .restart_budget(KILLS + 2)
         .chaos(chaos)
@@ -270,14 +268,13 @@ fn run_worker(args: &[String]) {
     let outcome = harness.run(&mut transport);
     let stats = transport.stats();
     emit(&format!(
-        "STATS worker={} pushes={} aborts={} conn_retries={} conn_resets={} circuit_opens={} \
+        "STATS worker={} pushes={} aborts={} conn_retries={} conn_resets={} \
          retries_exhausted={} degraded_entries={} degraded_exits={}",
         id,
         outcome.pushes,
         outcome.aborts,
         stats.conn_retries,
         stats.conn_resets,
-        stats.circuit_opens,
         stats.retries_exhausted,
         stats.degraded_entries,
         stats.degraded_exits,
@@ -439,7 +436,6 @@ struct Outcome {
     primary: ShardEnd,
     backup: ShardEnd,
     conn_resets: u64,
-    circuit_opens: u64,
     retries_exhausted: u64,
     degraded_entries: u64,
     degraded_exits: u64,
@@ -464,7 +460,7 @@ fn violations(row: &Scenario, o: &Outcome, push_target: u64) -> Vec<String> {
     let checks = [
         (o.completed, "the run must reach its push target despite the faults".to_string()),
         (pushes >= push_target, format!("scheduler saw {pushes} pushes, want >= {push_target}")),
-        // Bounded retries: an unbounded ladder never exits the drain window.
+        // Bounded retries: an unbounded retry loop never exits the drain window.
         (reporting == WORKERS,
          format!("every worker must terminate and report, only {reporting}/{WORKERS} did")),
         (promo == want,
@@ -721,7 +717,6 @@ fn run_scenario(row: &Scenario, push_target: u64) -> Outcome {
         let lines = role.finish(drain);
         o.workers_reporting += usize::from(stat(&lines, "worker").is_some());
         o.conn_resets += stat_u64(&lines, "conn_resets");
-        o.circuit_opens += stat_u64(&lines, "circuit_opens");
         o.retries_exhausted += stat_u64(&lines, "retries_exhausted");
         o.degraded_entries += stat_u64(&lines, "degraded_entries");
         o.degraded_exits += stat_u64(&lines, "degraded_exits");
@@ -736,11 +731,11 @@ fn run_scenario(row: &Scenario, push_target: u64) -> Outcome {
 
 /// Column titles of the report; [`report_row`] fills the same widths.
 const REPORT_HEADER: &str = "scenario             kills promo restart catchup  pushes prim_ver \
-                             back_ver resets opens  exh  degraded   elapsed  pass";
+                             back_ver resets  exh  degraded   elapsed  pass";
 
 fn report_row(row: &Scenario, o: &Outcome, passed: bool) -> String {
     format!(
-        "{:<20} {:>5} {:>5} {:>7} {:>7} {:>7} {:>8} {:>8} {:>6} {:>5} {:>4} {:>4}+{:<4} {:>7}ms {:>5}",
+        "{:<20} {:>5} {:>5} {:>7} {:>7} {:>7} {:>8} {:>8} {:>6} {:>4} {:>4}+{:<4} {:>7}ms {:>5}",
         row.name,
         row.kills,
         o.promotions,
@@ -750,7 +745,6 @@ fn report_row(row: &Scenario, o: &Outcome, passed: bool) -> String {
         o.primary.version,
         o.backup.version,
         o.conn_resets,
-        o.circuit_opens,
         o.retries_exhausted,
         o.degraded_entries,
         o.degraded_exits,

@@ -164,8 +164,8 @@ struct WorkerTimeline {
     bytes_received: u64,
     /// Transport reconnect attempts.
     conn_retries: u64,
-    /// Connection-policy escalations: resets observed, circuit-breaker
-    /// trips, exhausted retry budgets, degraded-mode entries/exits.
+    /// Link failures: resets observed, exhausted retry budgets,
+    /// degraded-mode entries/exits.
     net_faults: u64,
 }
 
@@ -406,7 +406,6 @@ fn reconstruct(records: &[TraceRecord]) -> Summary {
                 }
                 Event::ConnRetry { .. } => tl.conn_retries += 1,
                 Event::ConnReset { .. }
-                | Event::CircuitOpen { .. }
                 | Event::RetryExhausted { .. }
                 | Event::DegradedMode { .. } => tl.net_faults += 1,
                 Event::EpochTuned { .. }

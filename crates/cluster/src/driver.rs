@@ -27,7 +27,7 @@
 //! The degradation machinery is:
 //!
 //! - **Retries**: dropped pulls and pushes are re-sent after a fixed
-//!   timeout, up to `MAX_SEND_RETRIES` times; the final
+//!   timeout, up to `MAX_RESENDS` times; the final
 //!   attempt is delivered cleanly so a hostile plan cannot livelock the
 //!   run. Dropped notifies are *not* retried — the scheduler reconciles
 //!   its notify count against the store's applied-push counter
@@ -74,7 +74,7 @@ const NUM_SHARDS: usize = 8;
 const RETRY_TIMEOUT: SimDuration = SimDuration::from_millis(50);
 /// Retry budget per message; the attempt after the last retry is delivered
 /// cleanly (a fault plan must degrade the run, not wedge it).
-const MAX_SEND_RETRIES: u32 = 10;
+const MAX_RESENDS: u32 = 10;
 /// How long the scheduler waits for a `re-sync` delivery ack before
 /// re-issuing the abort (at most once per armed window).
 const ABORT_ACK_TIMEOUT: SimDuration = SimDuration::from_millis(200);
@@ -584,7 +584,7 @@ impl Simulation {
         now: VirtualTime,
     ) -> Result<(), SpecSyncError> {
         let epoch = self.workers[worker.index()].epoch;
-        let fate = if attempt >= MAX_SEND_RETRIES {
+        let fate = if attempt >= MAX_RESENDS {
             MessageFate::clean() // retry budget exhausted: deliver, don't livelock
         } else {
             self.fate_for(worker, MessageClass::PullParams, now)?
@@ -624,7 +624,7 @@ impl Simulation {
         now: VirtualTime,
     ) -> Result<(), SpecSyncError> {
         let epoch = self.workers[worker.index()].epoch;
-        let fate = if attempt >= MAX_SEND_RETRIES {
+        let fate = if attempt >= MAX_RESENDS {
             MessageFate::clean()
         } else {
             self.fate_for(worker, MessageClass::PushGrad, now)?

@@ -1,11 +1,9 @@
 //! Deterministic bounded retry backoff, shared by every retrying layer.
 //!
-//! Grown out of the threaded runtime's channel-send retry policy, now
-//! lifted here so the TCP transport, the servers, and the runtime all
-//! walk the same schedule: an exponential backoff that is a pure
-//! function of the attempt index — `base << attempt`, capped at
-//! [`Backoff::MAX_DELAY`] and limited to a configured number of
-//! attempts. No hidden randomness — two runs configured identically walk
+//! The TCP transport, the servers and the supervisor all walk the same
+//! schedule: an exponential backoff that is a pure function of the
+//! attempt index — `base << attempt`, capped at [`Backoff::MAX_DELAY`]
+//! and limited to a configured number of attempts. No hidden randomness — two runs configured identically walk
 //! the same delay sequence, which keeps retry behaviour reproducible in
 //! tests even though the surrounding thread interleaving is not.
 //!

@@ -1,7 +1,4 @@
-//! Wire-layer configuration, with the same builder idiom as
-//! [`RuntimeConfig::builder`] so both deployment configs read alike.
-//!
-//! [`RuntimeConfig::builder`]: https://docs.rs/specsync-runtime
+//! Wire-layer configuration.
 
 use std::time::Duration;
 
@@ -16,11 +13,11 @@ use crate::chaos::NetChaos;
 /// returns a typed error, so an impossible wiring never reaches a socket.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetConfig {
-    /// Attempts a client spends connecting (or reconnecting after a shard
-    /// death) before giving up.
+    /// Attempts a client spends connecting before giving up — and the
+    /// failures one worker shard exchange may spend before it does.
     pub connect_retries: u32,
     /// Base delay of the exponential reconnect backoff (doubles per
-    /// attempt, capped at one second).
+    /// attempt, capped at [`Backoff::MAX_DELAY`]).
     pub retry_backoff: Duration,
     /// How often clients and shard processes heartbeat the scheduler.
     pub heartbeat_interval: Duration,
@@ -29,19 +26,12 @@ pub struct NetConfig {
     /// least twice [`heartbeat_interval`](Self::heartbeat_interval), so a
     /// single delayed beat cannot trip the liveness sweep.
     pub heartbeat_timeout: Duration,
-    /// Read timeout for request/response exchanges (doubles as the
-    /// per-op send/recv deadline of the connection policy).
+    /// Read and write timeout of every outbound connection, and how long
+    /// a worker waits for the scheduler's `Primary` answer.
     pub io_timeout: Duration,
     /// Granularity of the scheduler server's timer loop (abort deadlines,
     /// liveness sweeps).
     pub tick: Duration,
-    /// Retries one logical transport operation (a pull, a push) may spend
-    /// before the policy escalates to degraded mode.
-    pub op_retry_budget: u32,
-    /// Consecutive per-peer failures that trip the circuit breaker open.
-    pub breaker_threshold: u32,
-    /// How long a tripped breaker fast-fails before half-opening a probe.
-    pub breaker_cooldown: Duration,
     /// Bytes per [`SnapshotChunk`] frame when a rejoining backup streams
     /// the checkpoint from the primary. Must be positive and at most
     /// [`PAYLOAD_LIMIT`](crate::frame::PAYLOAD_LIMIT) so every chunk frame
@@ -68,9 +58,6 @@ impl Default for NetConfig {
             heartbeat_timeout: Duration::from_millis(500),
             io_timeout: Duration::from_secs(10),
             tick: Duration::from_millis(5),
-            op_retry_budget: 8,
-            breaker_threshold: 4,
-            breaker_cooldown: Duration::from_millis(200),
             join_chunk_bytes: 1 << 20,
             restart_budget: 5,
             chaos: NetChaos::disabled(),
@@ -128,21 +115,6 @@ impl NetConfig {
                 "scheduler tick must be positive".to_string(),
             ));
         }
-        if self.op_retry_budget == 0 {
-            return Err(SpecSyncError::InvalidRetryPolicy {
-                reason: "per-op retry budget must be positive",
-            });
-        }
-        if self.breaker_threshold == 0 {
-            return Err(SpecSyncError::InvalidRetryPolicy {
-                reason: "circuit breaker threshold must be positive",
-            });
-        }
-        if self.breaker_cooldown.is_zero() {
-            return Err(SpecSyncError::InvalidRetryPolicy {
-                reason: "circuit breaker cooldown must be positive",
-            });
-        }
         if self.join_chunk_bytes == 0 {
             return Err(SpecSyncError::InvalidConfig(
                 "rejoin snapshot chunk size must be positive".to_string(),
@@ -167,26 +139,15 @@ impl NetConfig {
         Ok(())
     }
 
-    /// The reconnect backoff delay for 0-based `attempt`: doubles per
-    /// attempt from [`retry_backoff`](Self::retry_backoff), capped at one
-    /// second.
-    pub fn backoff_delay(&self, attempt: u32) -> Duration {
-        let factor = 1u32 << attempt.min(16);
-        (self.retry_backoff * factor).min(Duration::from_secs(1))
-    }
-
     /// The jittered reconnect delay for 0-based `attempt`: the shared
     /// [`Backoff`] schedule scaled into `[0.5, 1.0]×` by a deterministic
     /// hash of `(seed, attempt)`, so reconnect storms after a promotion
     /// do not synchronize across workers while each worker's schedule
-    /// stays reproducible.
+    /// stays reproducible. Past the budget it stays at the last step.
     pub fn jittered_backoff_delay(&self, attempt: u32, seed: u64) -> Duration {
         let backoff = Backoff::new(self.retry_backoff, self.connect_retries);
         let capped = attempt.min(self.connect_retries.saturating_sub(1));
-        backoff
-            .jittered(capped, seed)
-            .unwrap_or(self.retry_backoff)
-            .min(Duration::from_secs(1))
+        backoff.jittered(capped, seed).unwrap_or(self.retry_backoff)
     }
 }
 
@@ -230,24 +191,6 @@ impl NetConfigBuilder {
     /// Sets the scheduler timer granularity.
     pub fn tick(mut self, tick: Duration) -> Self {
         self.config.tick = tick;
-        self
-    }
-
-    /// Sets the per-op retry budget of the connection policy.
-    pub fn op_retry_budget(mut self, budget: u32) -> Self {
-        self.config.op_retry_budget = budget;
-        self
-    }
-
-    /// Sets the circuit breaker's consecutive-failure threshold.
-    pub fn breaker_threshold(mut self, threshold: u32) -> Self {
-        self.config.breaker_threshold = threshold;
-        self
-    }
-
-    /// Sets the circuit breaker's fast-fail cooldown.
-    pub fn breaker_cooldown(mut self, cooldown: Duration) -> Self {
-        self.config.breaker_cooldown = cooldown;
         self
     }
 
@@ -337,17 +280,14 @@ mod tests {
 
     #[test]
     fn degenerate_policy_knobs_rejected() {
-        for build in [
-            NetConfig::builder().op_retry_budget(0),
-            NetConfig::builder().breaker_threshold(0),
-            NetConfig::builder().breaker_cooldown(Duration::ZERO),
-        ] {
-            let err = build.try_build().unwrap_err();
-            assert!(
-                matches!(err, SpecSyncError::InvalidRetryPolicy { .. }),
-                "got {err:?}"
-            );
-        }
+        let err = NetConfig::builder()
+            .retry_backoff(Duration::ZERO)
+            .try_build()
+            .unwrap_err();
+        assert!(
+            matches!(err, SpecSyncError::InvalidRetryPolicy { .. }),
+            "got {err:?}"
+        );
     }
 
     #[test]
@@ -403,12 +343,16 @@ mod tests {
     #[test]
     fn jittered_backoff_bounded_by_unjittered_and_stable() {
         let cfg = NetConfig::default();
+        let backoff = Backoff::new(cfg.retry_backoff, cfg.connect_retries);
         for attempt in 0..cfg.connect_retries {
             let j = cfg.jittered_backoff_delay(attempt, 3);
-            assert!(j <= cfg.backoff_delay(attempt).max(Backoff::MAX_DELAY));
-            assert!(!j.is_zero());
+            let full = backoff.delay(attempt).unwrap();
+            assert!(j <= full && j >= full / 2, "attempt {attempt}: {j:?}");
             assert_eq!(j, cfg.jittered_backoff_delay(attempt, 3));
         }
+        // Past the budget the delay stays at the last step's.
+        let last = cfg.jittered_backoff_delay(cfg.connect_retries - 1, 3);
+        assert_eq!(cfg.jittered_backoff_delay(cfg.connect_retries + 5, 3), last);
         // Distinct seeds walk distinct schedules (storm decorrelation).
         let a: Vec<_> = (0..8).map(|i| cfg.jittered_backoff_delay(i, 1)).collect();
         let b: Vec<_> = (0..8).map(|i| cfg.jittered_backoff_delay(i, 2)).collect();
@@ -429,9 +373,13 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
+        // The schedule every reconnect walks: 25 ms doubling, capped at
+        // `Backoff::MAX_DELAY` (250 ms).
         let cfg = NetConfig::default();
-        assert_eq!(cfg.backoff_delay(0), Duration::from_millis(25));
-        assert_eq!(cfg.backoff_delay(1), Duration::from_millis(50));
-        assert_eq!(cfg.backoff_delay(30), Duration::from_secs(1));
+        let backoff = Backoff::new(cfg.retry_backoff, cfg.connect_retries);
+        assert_eq!(backoff.delay(0), Some(Duration::from_millis(25)));
+        assert_eq!(backoff.delay(1), Some(Duration::from_millis(50)));
+        assert_eq!(backoff.delay(4), Some(Backoff::MAX_DELAY));
+        assert!(cfg.jittered_backoff_delay(30, 7) <= Backoff::MAX_DELAY);
     }
 }

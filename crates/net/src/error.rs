@@ -36,12 +36,6 @@ pub enum NetError {
         /// Attempts spent.
         attempts: u32,
     },
-    /// The per-peer circuit breaker is open: the operation fast-failed
-    /// without touching the socket.
-    CircuitOpen {
-        /// The peer address the breaker guards.
-        addr: String,
-    },
     /// One logical operation spent its whole retry budget.
     RetryExhausted {
         /// Attempts spent before giving up.
@@ -66,9 +60,6 @@ impl fmt::Display for NetError {
             }
             NetError::ConnectFailed { addr, attempts } => {
                 write!(f, "could not connect to {addr} after {attempts} attempts")
-            }
-            NetError::CircuitOpen { addr } => {
-                write!(f, "circuit breaker open for {addr}: fast-failing")
             }
             NetError::RetryExhausted { attempts } => {
                 write!(f, "operation abandoned after {attempts} attempts")

@@ -14,10 +14,9 @@
 //! * [`transport`] — the [`Transport`] trait a worker drives its run
 //!   through, with two interchangeable implementations:
 //!   [`InProcTransport`] (channels; byte-identical to the pre-wire
-//!   runtime) and [`TcpTransport`] (sockets, reconnect-on-failover).
-//! * [`policy`] — [`ConnPolicy`]: per-op deadlines, jittered backoff
-//!   with a retry budget, and the per-peer [`CircuitBreaker`] that lets
-//!   a worker park against a broken peer instead of erroring out.
+//!   runtime) and [`TcpTransport`] (sockets; one retry rule — jittered
+//!   backoff, ask the scheduler for the primary, move only forward —
+//!   bounded by [`NetConfig::connect_retries`]).
 //! * [`chaos`] — deterministic fault injection: [`ChaosStream`] /
 //!   [`ChaosListener`] execute a seeded per-connection [`FaultScript`]
 //!   (refusals, resets, stalls, trickling, corruption, half-open
@@ -50,7 +49,6 @@ pub mod config;
 pub mod error;
 pub mod frame;
 pub mod host;
-pub mod policy;
 pub mod sched_host;
 pub mod server;
 pub mod transport;
@@ -64,7 +62,6 @@ pub use frame::{
     FrameReadError, ReadOutcome, MAX_SPARSE_DIM, MAX_WORKERS, PAYLOAD_LIMIT, RELAY_TAG_FRAME_LEN,
 };
 pub use host::{PullGrant, PushReceipt, ShardHost};
-pub use policy::{Admit, CircuitBreaker, ConnPolicy};
 pub use sched_host::{SchedOutput, SchedulerHost};
 pub use server::{SchedulerConfig, SchedulerRunStats, SchedulerServer, ShardServer, ShardStats};
 pub use transport::{

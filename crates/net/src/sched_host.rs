@@ -389,8 +389,12 @@ impl SchedulerHost {
         if let Ok(Some(deadline)) = self.core.try_on_notify_reconciled(worker, pushes, now) {
             self.timers.push((deadline, worker));
         }
-        // An epoch completes when every worker has one more push.
-        let min = self.workers.iter().map(|slot| slot.pushes).min();
+        // An epoch completes when every live worker has one more push: a
+        // dead one must not freeze tuning (and history eviction) for the
+        // survivors. A rejoiner can drag the minimum back down; the `>`
+        // guard keeps the epoch counter monotone through that.
+        let live = self.workers.iter().filter(|slot| !slot.dead);
+        let min = live.map(|slot| slot.pushes).min();
         while min.is_some_and(|min| min > self.epochs) {
             self.epochs += 1;
             let tuned = self.core.on_epoch_complete(now);
@@ -864,6 +868,66 @@ mod tests {
         let tuned = |o: &&SchedOutput| matches!(o, Record(Event::EpochTuned { .. }));
         assert_eq!(out.iter().filter(tuned).count() as u64, 1 + GAP);
         assert_eq!(host.history().len() as u64, 4 + 2 * GAP);
+    }
+
+    #[test]
+    fn epochs_close_over_live_workers_only() {
+        let mut host = host(SchemeKind::Asp, 2);
+        let notify = |worker, pushes| {
+            let frame = WireMessage::Notify {
+                worker: w(worker),
+                pushes,
+            };
+            Frame(worker, frame)
+        };
+        let seen = |worker| Record(Event::Notify { worker: w(worker) });
+        let tuned = |epoch| {
+            Record(Event::EpochTuned {
+                epoch,
+                abort_time: SimDuration::ZERO,
+                abort_rate: f64::MAX,
+                estimated_gain: None,
+            })
+        };
+        let beat = Frame(1, WireMessage::Heartbeat { worker: w(1) });
+        script(
+            &mut host,
+            vec![
+                (beat, 0, vec![]),
+                (notify(0, 1), 10, vec![seen(0)]),
+                (
+                    Poll,
+                    2_001,
+                    vec![Record(Event::WorkerCrashed { worker: w(1) })],
+                ),
+                // Worker 1 is dead: worker 0 alone closes epochs.
+                (notify(0, 2), 2_002, vec![seen(0), tuned(1), tuned(2)]),
+            ],
+        );
+        // ... so the bounded history stays flat while worker 1 is gone.
+        let mut out = Vec::new();
+        for pushes in 3..200 {
+            let frame = WireMessage::Notify {
+                worker: w(0),
+                pushes,
+            };
+            host.frame(0, frame, ms(2_002 + pushes), &mut out);
+        }
+        assert!(host.history().retained_pushes() <= 8);
+        // A rejoiner with fewer pushes holds epochs until it catches up;
+        // the counter never rewinds.
+        let recovered = Record(Event::WorkerRecovered {
+            worker: w(1),
+            epoch: 1,
+        });
+        script(
+            &mut host,
+            vec![
+                (notify(1, 1), 3_000, vec![recovered, seen(1)]),
+                (notify(0, 200), 3_001, vec![seen(0)]),
+            ],
+        );
+        assert_eq!(host.epochs, 199);
     }
 
     #[test]

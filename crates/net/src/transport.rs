@@ -31,7 +31,6 @@ use crate::chaos::{chaos_connect, ChaosStream, ConnSeq};
 use crate::config::NetConfig;
 use crate::error::NetError;
 use crate::frame::{read_frame, read_frame_bytes, write_frame, ReadOutcome};
-use crate::policy::{Admit, CircuitBreaker, ConnPolicy};
 use crate::wire::{FailoverControl, WireMessage};
 
 /// Which peer a [`Transport::send`] addresses.
@@ -249,16 +248,8 @@ impl FrameConn {
     ) -> Result<Self, NetError> {
         let mut attempt = 0u32;
         loop {
-            match chaos_connect(addr, &config.chaos, target.label, target.seq) {
-                Ok(stream) => {
-                    stream.set_nodelay(true).ok();
-                    stream.set_read_timeout(Some(config.io_timeout)).ok();
-                    stream.set_write_timeout(Some(config.io_timeout)).ok();
-                    return Ok(FrameConn {
-                        stream,
-                        addr: addr.to_string(),
-                    });
-                }
+            match FrameConn::connect_once(addr, config, target) {
+                Ok(conn) => return Ok(conn),
                 Err(_) if attempt + 1 < config.connect_retries => {
                     retry(attempt + 1);
                     std::thread::sleep(config.jittered_backoff_delay(attempt, target.jitter_seed));
@@ -274,9 +265,8 @@ impl FrameConn {
         }
     }
 
-    /// One connect attempt, no retries, no sleeps — the cheap "is the
-    /// peer still there?" path the transport tries before escalating to
-    /// the failover dance.
+    /// One connect attempt, no retries, no sleeps — the reconnect step
+    /// of [`TcpTransport`]'s retry rule, paced by its caller.
     pub fn connect_once(
         addr: &str,
         config: &NetConfig,
@@ -457,7 +447,9 @@ pub struct TransportStats {
     pub conn_retries: u64,
     /// Established connections lost mid-operation (`ConnReset` events).
     pub conn_resets: u64,
-    /// Circuit-breaker trips (`CircuitOpen` events).
+    /// Always 0: the transport has no circuit breaker. The field stays
+    /// only because the `perf` benchmark still reads it, and goes once
+    /// that read does.
     pub circuit_opens: u64,
     /// Operations that spent a whole retry budget (`RetryExhausted`).
     pub retries_exhausted: u64,
@@ -479,31 +471,35 @@ struct SchedDegraded {
 
 /// The TCP transport: the same protocol over real sockets. Holds one
 /// request/response connection to the serving shard and one persistent
-/// demultiplexed link to the scheduler, both operated under a
-/// [`ConnPolicy`]: per-op deadlines, jittered bounded retries, and a
-/// per-peer circuit breaker. A shard failure runs the degradation
-/// ladder — direct reconnect, then the `QueryPrimary` → reconnect dance
-/// with [`Event::ConnRetry`] breadcrumbs, then *parking* (breaker open,
-/// `DegradedMode`) — which is how a worker rides out anything from a
-/// flaky link to a `kill -9`'d primary. A scheduler-link failure never
-/// stops training: control frames are absorbed while reconnects are
-/// paced in the background, and the cumulative counters in `Notify`
-/// frames resynchronize the scheduler on recovery.
+/// demultiplexed link to the scheduler, and has one operation in flight
+/// at a time.
+///
+/// A failed shard exchange follows one rule, which is how a worker rides
+/// out anything from a flaky link to a `kill -9`'d primary:
+///
+/// 1. sleep the jittered backoff;
+/// 2. ask the scheduler where the primary is;
+/// 3. move to the answer if it is newer than the primary held — a higher
+///    promotion epoch, or the same epoch at another address — and
+///    otherwise reconnect to the same address;
+/// 4. give up after [`NetConfig::connect_retries`] failed exchanges.
+///
+/// A scheduler-link failure never stops training: control frames are
+/// absorbed while reconnects are paced in the background, and the
+/// cumulative counters in `Notify` frames resynchronize the scheduler on
+/// recovery.
 pub struct TcpTransport {
     worker: WorkerId,
     shard: FrameConn,
     sched: SchedLink,
     sched_addr: String,
     config: NetConfig,
-    policy: ConnPolicy,
     seq: ConnSeq,
     sink: Arc<dyn EventSink<Duration>>,
     clock: WallElapsed,
-    /// Promotion epoch of the primary we are connected to; a `Primary`
-    /// answer with a lower epoch is stale and retried.
+    /// Promotion epoch of the primary we are connected to; it never
+    /// rewinds.
     epoch: u64,
-    /// Breaker for the current shard peer; replaced on failover.
-    shard_breaker: CircuitBreaker,
     /// `Some` while the scheduler link is down.
     sched_degraded: Option<SchedDegraded>,
     /// Planes currently degraded (0, 1, or 2); `DegradedMode` events
@@ -539,7 +535,6 @@ impl TcpTransport {
         config.try_validate().map_err(NetError::Config)?;
         let clock = WallElapsed::start();
         let jitter_seed = worker.index() as u64;
-        let policy = ConnPolicy::from_config(&config, jitter_seed);
         let seq = ConnSeq::new();
         let retry = |sink: &Arc<dyn EventSink<Duration>>, clock: &WallElapsed, attempt: u32| {
             sink.record(clock.elapsed(), &Event::ConnRetry { worker, attempt });
@@ -556,19 +551,16 @@ impl TcpTransport {
             &ConnTarget::new("shard", &seq, jitter_seed),
             |a| retry(&sink, &clock, a),
         )?;
-        let shard_breaker = policy.new_breaker();
         Ok(TcpTransport {
             worker,
             shard,
             sched,
             sched_addr: sched_addr.to_string(),
             config,
-            policy,
             seq,
             sink,
             clock,
             epoch: 0,
-            shard_breaker,
             sched_degraded: None,
             degraded_planes: 0,
             stats: TransportStats::default(),
@@ -583,6 +575,19 @@ impl TcpTransport {
     /// Running fault-handling totals.
     pub fn stats(&self) -> TransportStats {
         self.stats
+    }
+
+    /// The jittered backoff before retry `attempt` (0-based), seeded by
+    /// the worker so reconnect storms decorrelate.
+    fn backoff(&self, attempt: u32) -> Duration {
+        self.config
+            .jittered_backoff_delay(attempt, self.worker.index() as u64)
+    }
+
+    /// A connect target on the `label` link, seeded like
+    /// [`backoff`](Self::backoff).
+    fn target(&self, label: &'static str) -> ConnTarget<'_> {
+        ConnTarget::new(label, &self.seq, self.worker.index() as u64)
     }
 
     fn note_sent(&self, msg_class: specsync_simnet::MessageClass, bytes: usize) {
@@ -629,6 +634,18 @@ impl TcpTransport {
         );
     }
 
+    fn note_exhausted(&mut self, class: specsync_simnet::MessageClass, attempts: u32) {
+        self.stats.retries_exhausted += 1;
+        self.sink.record(
+            self.clock.elapsed(),
+            &Event::RetryExhausted {
+                worker: self.worker,
+                class,
+                attempts,
+            },
+        );
+    }
+
     /// Marks one plane degraded; emits `DegradedMode { entered: true }`
     /// on the first degraded plane.
     fn enter_degraded_plane(&mut self) {
@@ -664,134 +681,68 @@ impl TcpTransport {
         }
     }
 
-    /// One step of shard-peer reacquisition, the middle rungs of the
-    /// degradation ladder:
-    ///
-    /// 1. while the breaker is closed, try a *direct* reconnect to the
-    ///    address we just lost — a flaky link usually comes back to a
-    ///    perfectly healthy primary, and the failover dance would spin
-    ///    (the scheduler keeps naming the same primary, which the stale
-    ///    check rejects);
-    /// 2. with the breaker open (the peer itself looks broken), ask the
-    ///    scheduler where the primary lives and move to a *fresh* peer:
-    ///    a `Primary` answer below our epoch, or at our epoch naming the
-    ///    address we just lost, is stale — promotion epochs only move
-    ///    forward — so it is an error here and the caller paces a retry.
-    fn reacquire_shard(&mut self, attempt: u32) -> Result<(), NetError> {
-        self.note_conn_retry(attempt);
-        if !self.shard_breaker.is_open() {
-            let target = ConnTarget::new("shard", &self.seq, self.policy.jitter_seed);
-            if let Ok(conn) = FrameConn::connect_once(self.shard.addr(), &self.config, &target) {
-                self.shard = conn;
-                return Ok(());
-            }
-        }
-        let answer = self.sched_query_primary()?;
-        let FailoverControl::Primary { addr, epoch } = answer else {
-            return Err(NetError::UnexpectedReply { want: "Primary" });
-        };
-        if epoch < self.epoch || (epoch == self.epoch && addr == self.shard.addr()) {
-            return Err(NetError::Disconnected);
-        }
-        let target = ConnTarget::new("shard", &self.seq, self.policy.jitter_seed);
-        let conn = FrameConn::connect_once(&addr, &self.config, &target)?;
-        self.shard = conn;
-        self.epoch = epoch;
-        // A fresh peer gets a fresh breaker: its failure history is not
-        // the old primary's.
-        self.shard_breaker = self.policy.new_breaker();
-        Ok(())
-    }
-
-    /// One shard round trip under the connection policy. The full
-    /// degradation ladder, in order: retry with jittered backoff on the
-    /// same peer (budgeted), reacquire the peer (direct, then via the
-    /// scheduler), trip the breaker and *park* — pulls wait and pushes
-    /// are rescheduled onto the next probe rather than erroring the
-    /// worker out (the PR 5 parking semantics, now at the socket layer).
-    /// The park itself is bounded: once the total attempt budget is
-    /// spent the error surfaces, so a permanently dead cluster cannot
-    /// hang a worker forever.
+    /// One shard round trip under the retry rule (see the type docs).
+    /// The shard plane is degraded from the first failed exchange until
+    /// the round trip succeeds or gives up.
     fn shard_exchange(&mut self, msg: &WireMessage) -> Result<WireMessage, NetError> {
         let class = msg.class();
         let mut failures = 0u32;
-        let mut parked = false;
-        // Total bound across retries, reacquisitions, and parked probes:
-        // the connect budget on top of the per-op budget.
-        let max_failures = self
-            .policy
-            .op_retry_budget
-            .saturating_add(self.config.connect_retries);
         loop {
-            match self.shard_breaker.admit(self.clock.elapsed()) {
-                Admit::Proceed | Admit::Probe => {}
-                Admit::FastFail { retry_at } => {
-                    // Parked: wait out the cooldown, then loop into the
-                    // half-open probe.
-                    if !parked {
-                        parked = true;
-                        self.enter_degraded_plane();
-                    }
-                    let wait = retry_at
-                        .saturating_sub(self.clock.elapsed())
-                        .min(self.policy.breaker_cooldown)
-                        .max(self.config.tick);
-                    std::thread::sleep(wait);
-                    continue;
+            // Every exchange error — an I/O failure, a vanished peer, a
+            // frame failing its checksum (chaos corruption) — leaves the
+            // connection state unknown, so each one re-establishes it.
+            if let Ok((reply, sent, received)) = self.shard.exchange(msg) {
+                if failures > 0 {
+                    self.exit_degraded_plane();
                 }
+                self.note_sent(class, sent);
+                self.note_received(reply.class(), received);
+                return Ok(reply);
             }
-            match self.shard.exchange(msg) {
-                Ok((reply, sent, received)) => {
-                    self.shard_breaker.on_success();
-                    if parked {
-                        self.exit_degraded_plane();
-                    }
-                    self.note_sent(class, sent);
-                    self.note_received(reply.class(), received);
-                    return Ok(reply);
-                }
-                // An I/O failure, a vanished peer, or a frame that fails
-                // its checksum (chaos corruption): the connection state
-                // is unknown, so all three re-establish it.
-                Err(NetError::Io(_) | NetError::Disconnected | NetError::Frame(_)) => {
-                    failures += 1;
-                    self.note_reset(class);
-                    if self.shard_breaker.on_failure(self.clock.elapsed()) {
-                        self.stats.circuit_opens += 1;
-                        self.sink.record(
-                            self.clock.elapsed(),
-                            &Event::CircuitOpen {
-                                worker: self.worker,
-                                failures: self.shard_breaker.consecutive_failures(),
-                            },
-                        );
-                    }
-                    if failures == self.policy.op_retry_budget {
-                        self.stats.retries_exhausted += 1;
-                        self.sink.record(
-                            self.clock.elapsed(),
-                            &Event::RetryExhausted {
-                                worker: self.worker,
-                                class,
-                                attempts: failures,
-                            },
-                        );
-                    }
-                    if failures >= max_failures {
-                        if parked {
-                            self.exit_degraded_plane();
-                        }
-                        return Err(NetError::RetryExhausted { attempts: failures });
-                    }
-                    std::thread::sleep(self.policy.retry_delay(failures.saturating_sub(1)));
-                    // Reacquisition failures are paced by the same loop:
-                    // the next exchange on a dead conn fails immediately
-                    // and we land back here with `failures` advanced.
-                    let _ = self.reacquire_shard(failures);
-                }
-                Err(e) => return Err(e),
+            failures += 1;
+            self.note_reset(class);
+            if failures == 1 {
+                self.enter_degraded_plane();
             }
+            if failures >= self.config.connect_retries {
+                self.note_exhausted(class, failures);
+                self.exit_degraded_plane();
+                return Err(NetError::RetryExhausted { attempts: failures });
+            }
+            std::thread::sleep(self.backoff(failures - 1));
+            self.reacquire_shard(failures);
         }
+    }
+
+    /// Steps 2 and 3 of the retry rule. A `Primary` answer moves the
+    /// worker only when it is newer than the primary held, so the epoch
+    /// never rewinds; a stale answer, or none, reconnects to the address
+    /// held. A failed connect leaves the dead connection in place: the
+    /// next exchange on it fails at once and counts against the budget.
+    fn reacquire_shard(&mut self, attempt: u32) {
+        self.note_conn_retry(attempt);
+        let (addr, epoch) = match self.sched_query_primary() {
+            Ok(FailoverControl::Primary { addr, epoch })
+                if epoch > self.epoch || (epoch == self.epoch && addr != self.shard.addr()) =>
+            {
+                (addr, epoch)
+            }
+            _ => (self.shard.addr().to_string(), self.epoch),
+        };
+        if let Ok(conn) = FrameConn::connect_once(&addr, &self.config, &self.target("shard")) {
+            self.shard = conn;
+            self.epoch = epoch;
+        }
+    }
+
+    /// Marks the scheduler link down; the next control frame tries a
+    /// reconnect at once.
+    fn sched_link_lost(&mut self) {
+        self.enter_degraded_plane();
+        self.sched_degraded = Some(SchedDegraded {
+            attempt: 0,
+            next_try: self.clock.elapsed(),
+        });
     }
 
     /// Sends a control-plane frame, absorbing scheduler-link failures:
@@ -804,11 +755,7 @@ impl TcpTransport {
                 Ok(bytes) => return Ok(bytes),
                 Err(_) => {
                     self.note_reset(msg.class());
-                    self.enter_degraded_plane();
-                    self.sched_degraded = Some(SchedDegraded {
-                        attempt: 0,
-                        next_try: self.clock.elapsed(),
-                    });
+                    self.sched_link_lost();
                 }
             }
         }
@@ -819,11 +766,7 @@ impl TcpTransport {
                 Ok(bytes) => return Ok(bytes),
                 Err(_) => {
                     self.note_reset(msg.class());
-                    self.enter_degraded_plane();
-                    self.sched_degraded = Some(SchedDegraded {
-                        attempt: 0,
-                        next_try: self.clock.elapsed(),
-                    });
+                    self.sched_link_lost();
                 }
             }
         }
@@ -843,8 +786,7 @@ impl TcpTransport {
         }
         let attempt = state.attempt.saturating_add(1);
         self.note_conn_retry(attempt);
-        let target = ConnTarget::new("sched", &self.seq, self.policy.jitter_seed);
-        match SchedLink::connect_once(&self.sched_addr, &self.config, &target) {
+        match SchedLink::connect_once(&self.sched_addr, &self.config, &self.target("sched")) {
             Ok(link) => {
                 self.sched = link;
                 self.sched_degraded = None;
@@ -852,20 +794,12 @@ impl TcpTransport {
                 true
             }
             Err(_) => {
-                if attempt == self.policy.op_retry_budget {
-                    self.stats.retries_exhausted += 1;
-                    self.sink.record(
-                        self.clock.elapsed(),
-                        &Event::RetryExhausted {
-                            worker: self.worker,
-                            class: specsync_simnet::MessageClass::Control,
-                            attempts: attempt,
-                        },
-                    );
+                if attempt == self.config.connect_retries {
+                    self.note_exhausted(specsync_simnet::MessageClass::Control, attempt);
                 }
                 self.sched_degraded = Some(SchedDegraded {
                     attempt,
-                    next_try: now + self.policy.retry_delay(attempt.saturating_sub(1)),
+                    next_try: now + self.backoff(attempt - 1),
                 });
                 false
             }
@@ -878,17 +812,11 @@ impl TcpTransport {
         if self.sched_degraded.is_some() && !self.try_restore_sched_link() {
             return Err(NetError::Disconnected);
         }
-        match self.sched.query_primary(self.config.io_timeout) {
-            Ok(answer) => Ok(answer),
-            Err(e) => {
-                self.enter_degraded_plane();
-                self.sched_degraded = Some(SchedDegraded {
-                    attempt: 0,
-                    next_try: self.clock.elapsed(),
-                });
-                Err(e)
-            }
+        let answer = self.sched.query_primary(self.config.io_timeout);
+        if answer.is_err() {
+            self.sched_link_lost();
         }
+        answer
     }
 }
 
@@ -1168,5 +1096,121 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, NetError::ConnectFailed { attempts: 2, .. }));
         assert_eq!(attempts_seen, 1);
+    }
+
+    type Peer = (String, std::thread::JoinHandle<()>);
+
+    fn listen() -> (std::net::TcpListener, String) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        (listener, addr)
+    }
+
+    /// A scheduler answering `queries` `QueryPrimary` frames with
+    /// `Primary { addr, epoch }`, then closing.
+    fn scheduler_naming(addr: &str, epoch: u64, queries: usize) -> Peer {
+        let (listener, sched) = listen();
+        let answer = WireMessage::Failover(FailoverControl::Primary {
+            addr: addr.to_string(),
+            epoch,
+        });
+        let thread = std::thread::spawn(move || {
+            let (stream, peer) = listener.accept().unwrap();
+            let mut conn = FrameConn::from_stream(stream, peer.to_string());
+            conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            for _ in 0..queries {
+                let (query, _) = conn.recv().unwrap();
+                assert_eq!(query, WireMessage::Failover(FailoverControl::QueryPrimary));
+                conn.write(&answer).unwrap();
+            }
+        });
+        (sched, thread)
+    }
+
+    /// A shard taking one connection per entry of `script` and reading
+    /// one frame on each: `true` answers it with a `PullReply`, `false`
+    /// drops the connection unanswered. Then nothing listens there.
+    fn shard(script: Vec<bool>) -> Peer {
+        let (listener, addr) = listen();
+        let thread = std::thread::spawn(move || {
+            for answer in script {
+                let (stream, peer) = listener.accept().unwrap();
+                let mut conn = FrameConn::from_stream(stream, peer.to_string());
+                conn.recv().unwrap();
+                if answer {
+                    let params = Arc::from([0.5f32].as_slice());
+                    let reply = WireMessage::PullReply { version: 7, params };
+                    conn.write(&reply).unwrap();
+                }
+            }
+        });
+        (addr, thread)
+    }
+
+    fn worker_on(shard: &str, sched: &str) -> TcpTransport {
+        let cfg = NetConfig::builder()
+            .connect_retries(4)
+            .retry_backoff(Duration::from_millis(1))
+            .try_build()
+            .unwrap();
+        let sink = Arc::new(specsync_telemetry::NullSink);
+        TcpTransport::connect(WorkerId::new(0), shard, sched, cfg, sink).unwrap()
+    }
+
+    const PULL: WireMessage = WireMessage::Pull {
+        worker: WorkerId::new(0),
+    };
+
+    #[test]
+    fn a_dropped_shard_moves_the_worker_to_the_newer_primary() {
+        let (old, new) = (shard(vec![false]), shard(vec![true]));
+        let sched = scheduler_naming(&new.0, 1, 1);
+        let mut t = worker_on(&old.0, &sched.0);
+        let reply = t.send(Endpoint::Shard, PULL).unwrap();
+        assert!(matches!(
+            reply,
+            Some(WireMessage::PullReply { version: 7, .. })
+        ));
+        assert_eq!((t.shard.addr(), t.epoch), (new.0.as_str(), 1));
+        let stats = t.stats();
+        assert_eq!((stats.conn_resets, stats.conn_retries), (1, 1));
+        assert_eq!((stats.degraded_entries, stats.degraded_exits), (1, 1));
+        assert_eq!(stats.retries_exhausted, 0);
+        for (_, thread) in [old, new, sched] {
+            thread.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn an_older_primary_answer_never_moves_the_worker_or_rewinds_its_epoch() {
+        let held = shard(vec![false, true]);
+        let (older, older_addr) = listen();
+        let sched = scheduler_naming(&older_addr, 2, 1);
+        let mut t = worker_on(&held.0, &sched.0);
+        t.epoch = 3;
+        let reply = t.send(Endpoint::Shard, PULL).unwrap();
+        assert!(matches!(reply, Some(WireMessage::PullReply { .. })));
+        assert_eq!((t.shard.addr(), t.epoch), (held.0.as_str(), 3));
+        older.set_nonblocking(true).unwrap();
+        assert!(older.accept().is_err(), "the older primary was dialled");
+        for (_, thread) in [held, sched] {
+            thread.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn with_nothing_listening_the_operation_spends_connect_retries() {
+        let held = shard(vec![false]);
+        let sched = scheduler_naming(&held.0, 0, 3);
+        let mut t = worker_on(&held.0, &sched.0);
+        let err = t.send(Endpoint::Shard, PULL).unwrap_err();
+        assert!(matches!(err, NetError::RetryExhausted { attempts: 4 }));
+        let stats = t.stats();
+        assert_eq!((stats.conn_resets, stats.conn_retries), (4, 3));
+        assert_eq!(stats.retries_exhausted, 1);
+        assert_eq!((stats.degraded_entries, stats.degraded_exits), (1, 1));
+        for (_, thread) in [held, sched] {
+            thread.join().unwrap();
+        }
     }
 }

@@ -54,8 +54,5 @@ pub use clock::{ClockSource, ManualClock, WallClock};
 pub use config::{RuntimeChaos, RuntimeConfig};
 pub use report::{RuntimeReport, WallLossPoint};
 pub use runtime::{run, try_run, try_run_with_clock, try_run_with_sink};
-/// Re-exported from `specsync-core`: the backoff policy was lifted there
-/// so the TCP transport and the runtime share one schedule (PR 9).
-pub use specsync_core::Backoff;
 pub use specsync_sync::SchemeKind;
 pub use worker::{WorkerHarness, WorkerOutcome};

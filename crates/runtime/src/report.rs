@@ -30,8 +30,6 @@ pub struct RuntimeReport {
     pub store_recoveries: u64,
     /// Notifies dropped by the chaos knobs (zero without chaos).
     pub dropped_notifies: u64,
-    /// Channel sends that needed at least one backoff retry.
-    pub send_retries: u64,
     /// Crash-consistent checkpoints atomically persisted to
     /// [`checkpoint_path`](crate::RuntimeConfig::checkpoint_path) (zero
     /// when no path is configured).
@@ -70,7 +68,6 @@ mod tests {
             rejoins: 0,
             store_recoveries: 0,
             dropped_notifies: 0,
-            send_retries: 0,
             checkpoints_written: 0,
             loss_curve: vec![
                 WallLossPoint {

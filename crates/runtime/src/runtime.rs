@@ -31,9 +31,6 @@
 //! - **Notify reconciliation**: each notify piggybacks the worker's
 //!   cumulative push count, so the scheduler backfills notifies lost in
 //!   flight.
-//! - **Bounded send retries**: a full re-sync channel is retried with the
-//!   deterministic [`Backoff`] schedule instead of looping or giving up
-//!   immediately.
 //! - **Poisoned-store recovery**: the server thread hands pushes to the
 //!   host under `catch_unwind`; a panicking apply rolls the parameters
 //!   back to the last eval-stride checkpoint (the store's version and
@@ -48,8 +45,7 @@
 //! The [`RuntimeChaos`](crate::RuntimeChaos) knobs inject each of these
 //! faults on purpose; telemetry reports every degradation decision
 //! ([`Event::WorkerCrashed`], [`Event::WorkerRecovered`],
-//! [`Event::NotifyLoss`], [`Event::RetryScheduled`],
-//! [`Event::StoreRecovered`]).
+//! [`Event::NotifyLoss`], [`Event::StoreRecovered`]).
 //!
 //! Telemetry: every thread stamps its events with the [`Duration`] elapsed
 //! on the injected clock since the run started and reports them through
@@ -63,7 +59,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
+use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use specsync_core::SpecSyncError;
 use specsync_ml::{ConvergenceDetector, Workload};
@@ -71,20 +67,13 @@ use specsync_net::{
     InProcTransport, SchedOutput, SchedulerHost, ServerFrame, ShardHost, WireMessage,
 };
 use specsync_ps::{ParameterStore, ReplicatedStore};
-use specsync_simnet::{MessageClass, WorkerId};
+use specsync_simnet::WorkerId;
 use specsync_telemetry::{Event, EventSink, LossCurve, NullSink};
 
 use crate::clock::{ClockSource, WallClock};
 use crate::config::RuntimeConfig;
 use crate::report::{RuntimeReport, WallLossPoint};
 use crate::worker::WorkerHarness;
-use specsync_core::Backoff;
-
-/// Retry budget for a re-sync send to a full worker channel.
-const SEND_RETRIES: u32 = 5;
-/// Base delay of the deterministic exponential send backoff (doubles per
-/// attempt, capped — see [`Backoff`]).
-const RETRY_BACKOFF: Duration = Duration::from_millis(1);
 
 /// Elapsed run time on the injected clock — the runtime's trace timestamp.
 fn elapsed_since(clock: &dyn ClockSource, start: Duration) -> Duration {
@@ -98,7 +87,6 @@ struct ResilienceCounters {
     rejoins: AtomicU64,
     store_recoveries: AtomicU64,
     dropped_notifies: AtomicU64,
-    send_retries: AtomicU64,
     checkpoints_written: AtomicU64,
 }
 
@@ -302,17 +290,11 @@ pub fn try_run_with_sink(
         let resync_txs = resync_txs.clone();
         let counters = Arc::clone(&counters);
         let hb_interval = config.heartbeat_interval;
-        let backoff = Backoff::new(RETRY_BACKOFF, SEND_RETRIES);
         let clock = Arc::clone(&clock);
         let sink = Arc::clone(&sink);
         let run_start = start;
         thread::spawn(move || {
             let mut out: Vec<SchedOutput> = Vec::new();
-            // What is transport-specific stays here. A worker's control
-            // channel is `bounded(1)`, so a delivery can find it full:
-            // frames wait in the outbox as (due, worker, frame, retries
-            // used) and are re-sent on the bounded backoff schedule.
-            let mut outbox: Vec<(Duration, WorkerId, WireMessage, u32)> = Vec::new();
             let mut inbox: Option<WireMessage> = None;
             loop {
                 let now = elapsed_since(clock.as_ref(), run_start);
@@ -324,8 +306,14 @@ pub fn try_run_with_sink(
                 host.poll(now, &mut out);
                 for output in out.drain(..) {
                     match output {
+                        // `Abort` is the only frame the host sends a
+                        // worker, and its channel is `bounded(1)`: a full
+                        // channel already holds this worker's abort, and a
+                        // copy sent later would land after the pull that
+                        // drains it — too late (Algorithm 2). So a full
+                        // channel, or an exited worker, drops the frame.
                         SchedOutput::ToWorker(worker, frame) => {
-                            outbox.push((now, worker, frame, 0))
+                            let _ = resync_txs[worker.index()].try_send(frame);
                         }
                         // The shard plane (primary queries, promotion)
                         // runs only between processes.
@@ -339,44 +327,11 @@ pub fn try_run_with_sink(
                         }
                     }
                 }
-                // Deliver what is due.
-                let mut i = 0;
-                while i < outbox.len() {
-                    if outbox[i].0 > now {
-                        i += 1;
-                        continue;
-                    }
-                    let (_, worker, frame, attempt) = outbox.swap_remove(i);
-                    match resync_txs[worker.index()].try_send(frame) {
-                        // Delivered, or the worker exited.
-                        Ok(()) | Err(TrySendError::Disconnected(_)) => {}
-                        // An exhausted budget is safe: a full channel
-                        // already holds an undelivered re-sync for this
-                        // worker.
-                        Err(TrySendError::Full(frame)) => {
-                            if let Some(delay) = backoff.delay(attempt) {
-                                counters.send_retries.fetch_add(1, Ordering::Relaxed);
-                                sink.record(
-                                    now,
-                                    &Event::RetryScheduled {
-                                        worker,
-                                        class: MessageClass::Resync,
-                                        attempt: attempt + 1,
-                                    },
-                                );
-                                outbox.push((now + delay, worker, frame, attempt + 1));
-                            }
-                        }
-                    }
-                }
-                // Sleep until the host or the outbox has work — but never
-                // longer than a heartbeat interval, the cadence at which
-                // the host's liveness sweep must run.
+                // Sleep until the host has work — but never longer than a
+                // heartbeat interval, the cadence at which the host's
+                // liveness sweep must run.
                 let timeout = host
                     .next_deadline()
-                    .into_iter()
-                    .chain(outbox.iter().map(|pending| pending.0))
-                    .min()
                     .map_or(hb_interval, |due| due.saturating_sub(now).min(hb_interval));
                 inbox = match sched_rx.recv_timeout(timeout.max(Duration::from_micros(100))) {
                     Ok(WireMessage::Shutdown) => break,
@@ -476,7 +431,6 @@ pub fn try_run_with_sink(
         rejoins: counters.rejoins.load(Ordering::Relaxed),
         store_recoveries: counters.store_recoveries.load(Ordering::Relaxed),
         dropped_notifies: counters.dropped_notifies.load(Ordering::Relaxed),
-        send_retries: counters.send_retries.load(Ordering::Relaxed),
         checkpoints_written: counters.checkpoints_written.load(Ordering::Relaxed),
         loss_curve: LossCurve::from(curve),
         elapsed,

@@ -323,19 +323,10 @@ pub enum Event {
         /// The traffic class in flight when the connection died.
         class: MessageClass,
     },
-    /// A per-peer circuit breaker tripped open after consecutive
-    /// failures: further operations fast-fail without touching the
-    /// socket until the cooldown elapses and a probe half-opens it
-    /// (wall-clock hosts only).
-    CircuitOpen {
-        /// The worker whose breaker tripped.
-        worker: WorkerId,
-        /// Consecutive failures observed when the breaker opened.
-        failures: u32,
-    },
-    /// An operation spent its whole per-op retry budget without
-    /// succeeding (wall-clock hosts only). The transport escalates to
-    /// degraded mode rather than erroring the worker out.
+    /// An operation spent its whole retry budget without succeeding
+    /// (wall-clock hosts only): a shard exchange gives up and errors the
+    /// worker out; the scheduler link keeps absorbing control frames and
+    /// pacing reconnects.
     RetryExhausted {
         /// The worker whose retries ran out.
         worker: WorkerId,
@@ -345,9 +336,10 @@ pub enum Event {
         attempts: u32,
     },
     /// A worker entered (`entered = true`) or left (`false`) degraded
-    /// mode: pulls park and pushes reschedule against a broken peer
-    /// instead of erroring out, mirroring the PR 5 parking semantics
-    /// (wall-clock hosts only).
+    /// mode: at least one of its links is down and being retried — a
+    /// shard exchange from its first failure until it succeeds or gives
+    /// up, the scheduler link until a paced reconnect lands (wall-clock
+    /// hosts only).
     DegradedMode {
         /// The degrading / recovering worker.
         worker: WorkerId,
@@ -407,7 +399,6 @@ impl Event {
             | Event::FrameReceived { worker, .. }
             | Event::ConnRetry { worker, .. }
             | Event::ConnReset { worker, .. }
-            | Event::CircuitOpen { worker, .. }
             | Event::RetryExhausted { worker, .. }
             | Event::DegradedMode { worker, .. } => Some(*worker),
             Event::EpochTuned { .. }
@@ -452,7 +443,6 @@ impl Event {
             Event::FrameReceived { .. } => "frame_recv",
             Event::ConnRetry { .. } => "conn_retry",
             Event::ConnReset { .. } => "conn_reset",
-            Event::CircuitOpen { .. } => "circuit_open",
             Event::RetryExhausted { .. } => "retry_exhausted",
             Event::DegradedMode { .. } => "degraded_mode",
             Event::BackupJoined { .. } => "backup_joined",

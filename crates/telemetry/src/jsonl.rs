@@ -245,9 +245,6 @@ pub fn encode_line(micros: u64, event: &Event) -> String {
                 class.label()
             );
         }
-        Event::CircuitOpen { worker, failures } => {
-            let _ = write!(s, ",\"w\":{},\"failures\":{failures}", worker.index());
-        }
         Event::RetryExhausted {
             worker,
             class,
@@ -492,11 +489,6 @@ pub fn parse_trace_line(line: &str) -> Result<TraceRecord, String> {
         "conn_reset" => Event::ConnReset {
             worker: parse_worker(&pairs)?,
             class: parse_class(&pairs)?,
-        },
-        "circuit_open" => Event::CircuitOpen {
-            worker: parse_worker(&pairs)?,
-            failures: u32::try_from(parse_u64(&pairs, "failures")?)
-                .map_err(|_| "circuit open failures out of range".to_string())?,
         },
         "retry_exhausted" => Event::RetryExhausted {
             worker: parse_worker(&pairs)?,
@@ -817,10 +809,6 @@ mod tests {
         round_trip(Event::ConnReset {
             worker: w,
             class: MessageClass::PullParams,
-        });
-        round_trip(Event::CircuitOpen {
-            worker: w,
-            failures: 5,
         });
         round_trip(Event::RetryExhausted {
             worker: w,

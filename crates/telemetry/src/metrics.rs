@@ -156,13 +156,11 @@ pub struct MetricsSnapshot {
     pub sched_cost: Histogram,
     /// Established connections that died mid-operation (`ConnReset`).
     pub conn_resets: u64,
-    /// Circuit-breaker trips to fast-fail (`CircuitOpen`).
-    pub circuit_opens: u64,
     /// Operations that spent their whole retry budget (`RetryExhausted`).
     pub retries_exhausted: u64,
     /// Degraded-mode entries (`DegradedMode { entered: true }`; exits are
     /// counted as degradations but not here, so `degraded_entries` is the
-    /// number of park/reschedule episodes, not twice it).
+    /// number of degraded episodes, not twice it).
     pub degraded_entries: u64,
 }
 
@@ -184,7 +182,6 @@ impl MetricsSnapshot {
             eviction_passes: 0,
             sched_cost: Histogram::new(),
             conn_resets: 0,
-            circuit_opens: 0,
             retries_exhausted: 0,
             degraded_entries: 0,
         }
@@ -352,10 +349,6 @@ impl<T: Timestamp> EventSink<T> for MetricsSink {
             Event::ConnReset { worker, .. } => {
                 state.worker_mut(worker.index()).conn_retries += 1;
                 state.snapshot.conn_resets += 1;
-            }
-            Event::CircuitOpen { .. } => {
-                state.snapshot.circuit_opens += 1;
-                state.snapshot.degradations += 1;
             }
             Event::RetryExhausted { .. } => {
                 state.snapshot.retries_exhausted += 1;

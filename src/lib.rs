@@ -80,7 +80,7 @@ pub use specsync_ps::{
     CheckpointError, ParamSnapshot, ParameterStore, PushJournal, ReplicaError, ReplicaRole,
     ReplicatedStore, StoreCheckpoint,
 };
-pub use specsync_runtime::{Backoff, RuntimeChaos, RuntimeConfig};
+pub use specsync_runtime::{RuntimeChaos, RuntimeConfig};
 pub use specsync_simnet::{
     CrashEvent, FaultPlan, LinkFaultProfile, MessageFate, ServerCrashEvent, SimDuration,
     StragglerWindow, VirtualTime, WorkerId,
