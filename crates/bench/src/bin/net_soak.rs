@@ -137,13 +137,9 @@ impl EventSink<Duration> for EventLines {
         let line = match event {
             Event::ShardFailover { shard, .. } => format!("EVENT shard_failover shard={shard}"),
             Event::BackupJoined { shard, .. } => format!("EVENT backup_joined shard={shard}"),
-            Event::CatchUpComplete {
-                shard,
-                version,
-                replayed,
-            } => format!(
-                "EVENT catchup_complete shard={shard} version={version} replayed={replayed}"
-            ),
+            Event::CatchUpComplete { shard, version } => {
+                format!("EVENT catchup_complete shard={shard} version={version}")
+            }
             Event::ProcessRestarted { shard, attempt } => {
                 format!("EVENT process_restarted shard={shard} attempt={attempt}")
             }
@@ -474,7 +470,7 @@ fn violations(row: &Scenario, o: &Outcome, push_target: u64) -> Vec<String> {
         (!e.zero_loss || !back.serving, "the last rejoiner must end the run a warm backup".into()),
         // Every push the scheduler was notified of is in the final
         // primary's history — and in the rejoined backup's, via snapshot
-        // + catch-up + write-ahead relay.
+        // + write-ahead relay.
         (!e.zero_loss || prim_ver >= pushes,
          format!("final primary holds {prim_ver}/{pushes} notified pushes — pushes were lost")),
         (!e.zero_loss || back_ver >= pushes,

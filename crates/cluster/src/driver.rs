@@ -54,7 +54,7 @@ use rand::rngs::StdRng;
 
 use specsync_core::{Scheduler, SpecSyncError};
 use specsync_ml::{BatchSampler, LrSchedule, Model, SparseGrad, Workload};
-use specsync_net::{FailoverControl, MessageSizes, ShardHost};
+use specsync_net::{MessageSizes, ShardHost};
 use specsync_ps::{ParameterStore, ReplicaError, ReplicatedStore};
 use specsync_simnet::{
     DurationSampler, EventQueue, FaultPlan, MessageClass, MessageFate, NetworkModel, RngStreams,
@@ -1049,23 +1049,15 @@ impl Simulation {
             Event::ServerCrash(server) => {
                 // A second crash of an already-down shard (or an unknown
                 // index in a hostile plan) is a no-op.
-                let crash = FailoverControl::Crash {
-                    server: server as u64,
-                };
-                if self.host.failover(&crash).is_ok() {
+                if self.host.replica_mut().crash_server(server).is_ok() {
                     self.chaos.server_crashes += 1;
                     self.queue
                         .schedule(now + PROMOTE_DELAY, Event::ServerPromote(server));
                 }
             }
             Event::ServerPromote(server) => {
-                let promote = FailoverControl::Promote {
-                    server: server as u64,
-                };
-                if let Ok(FailoverControl::Promoted {
-                    version, replayed, ..
-                }) = self.host.failover(&promote)
-                {
+                if let Ok(replayed) = self.host.replica_mut().promote(server) {
+                    let version = self.host.replica().version();
                     self.chaos.failovers += 1;
                     self.chaos.journal_replayed += replayed;
                     self.sink.record(
@@ -1081,10 +1073,7 @@ impl Simulation {
             Event::ServerRecover(server) => {
                 // Ignored while the shard is still down (promotion is
                 // already scheduled and will restore service first).
-                let recover = FailoverControl::Recover {
-                    server: server as u64,
-                };
-                if self.host.failover(&recover).is_ok() {
+                if self.host.replica_mut().recover_server(server).is_ok() {
                     self.chaos.server_recoveries += 1;
                 }
             }

@@ -5,9 +5,8 @@
 //! now. This module wraps every socket the transport and the servers
 //! touch in a [`ChaosStream`] driven by a seeded per-connection
 //! [`FaultScript`], so hostile-network behaviour is reproducible: the
-//! same [`NetChaos`] seed produces the same refusals, resets, stalls,
-//! trickles, corruptions, and half-open silences, connection for
-//! connection.
+//! same [`NetChaos`] seed produces the same refusals, resets and
+//! half-open silences, connection for connection.
 //!
 //! # Fault-script grammar
 //!
@@ -22,10 +21,6 @@
 //! |                   | first connection of a label always succeeds)        |
 //! | `reset`           | each write resets the connection with p = N/1000    |
 //! | `reset_after`     | deterministically reset at the N-th write           |
-//! | `stall`           | freeze the N-th write for `stall_ms`                |
-//! | `trickle`         | slow-loris: writes dribble out `chunk` bytes per    |
-//! |                   | `trickle_delay_us`                                  |
-//! | `corrupt`         | flip one byte of every N-th write (checksum test)   |
 //! | `half_open`       | after N writes: writes vanish, reads hang silent    |
 //! | `after_ms`        | arm every fault only N ms after the process first   |
 //! |                   | touches the chaos layer (≈ process start), so a     |
@@ -96,16 +91,6 @@ pub struct NetChaos {
     pub reset_permille: u32,
     /// Deterministically reset the connection at this 0-based write index.
     pub reset_after: Option<u64>,
-    /// Freeze the write at this 0-based index for [`stall_ms`](Self::stall_ms).
-    pub stall_after: Option<u64>,
-    /// Stall duration in milliseconds.
-    pub stall_ms: u64,
-    /// Slow-loris chunk size; writes dribble out this many bytes at a time.
-    pub trickle_chunk: Option<usize>,
-    /// Delay between trickled chunks, in microseconds.
-    pub trickle_delay_us: u64,
-    /// Flip one byte of every N-th write (1-based multiples of N).
-    pub corrupt_every: Option<u64>,
     /// After this many writes the link goes half-open: writes are
     /// swallowed, reads hang and then time out. The peer sees silence,
     /// not an error — the cruellest partition shape.
@@ -128,9 +113,6 @@ impl NetChaos {
         self.connect_refusals > 0
             || self.reset_permille > 0
             || self.reset_after.is_some()
-            || self.stall_after.is_some()
-            || self.trickle_chunk.is_some()
-            || self.corrupt_every.is_some()
             || self.half_open_after.is_some()
     }
 
@@ -148,15 +130,6 @@ impl NetChaos {
         }
         if let Some(n) = self.reset_after {
             let _ = write!(s, ",reset_after={n}");
-        }
-        if let Some(n) = self.stall_after {
-            let _ = write!(s, ",stall={n}:{}", self.stall_ms);
-        }
-        if let Some(c) = self.trickle_chunk {
-            let _ = write!(s, ",trickle={c}:{}", self.trickle_delay_us);
-        }
-        if let Some(n) = self.corrupt_every {
-            let _ = write!(s, ",corrupt={n}");
         }
         if let Some(n) = self.half_open_after {
             let _ = write!(s, ",half_open={n}");
@@ -198,17 +171,6 @@ impl NetChaos {
                         u32::try_from(parse_u64(value)?).map_err(|_| bad(key, value))?
                 }
                 "reset_after" => chaos.reset_after = Some(parse_u64(value)?),
-                "stall" => {
-                    let (at, ms) = value.split_once(':').ok_or_else(|| bad(key, value))?;
-                    chaos.stall_after = Some(at.parse().map_err(|_| bad(key, value))?);
-                    chaos.stall_ms = ms.parse().map_err(|_| bad(key, value))?;
-                }
-                "trickle" => {
-                    let (chunk, us) = value.split_once(':').ok_or_else(|| bad(key, value))?;
-                    chaos.trickle_chunk = Some(chunk.parse().map_err(|_| bad(key, value))?);
-                    chaos.trickle_delay_us = us.parse().map_err(|_| bad(key, value))?;
-                }
-                "corrupt" => chaos.corrupt_every = Some(parse_u64(value)?),
                 "half_open" => chaos.half_open_after = Some(parse_u64(value)?),
                 "after_ms" => chaos.after_ms = parse_u64(value)?,
                 other => return Err(format!("unknown chaos spec key `{other}`")),
@@ -217,16 +179,10 @@ impl NetChaos {
         Ok(chaos)
     }
 
-    /// Validates the knobs (probabilities in range, no zero divisors).
+    /// Validates the knobs (the reset probability is in range).
     pub fn try_validate(&self) -> Result<(), String> {
         if self.reset_permille > 1000 {
             return Err("chaos reset probability exceeds 1000 permille".to_string());
-        }
-        if self.trickle_chunk == Some(0) {
-            return Err("chaos trickle chunk must be positive".to_string());
-        }
-        if self.corrupt_every == Some(0) {
-            return Err("chaos corrupt_every must be positive".to_string());
         }
         Ok(())
     }
@@ -246,11 +202,6 @@ pub struct FaultScript {
     seed: u64,
     reset_permille: u32,
     reset_after: Option<u64>,
-    stall_after: Option<u64>,
-    stall: Duration,
-    trickle_chunk: Option<usize>,
-    trickle_delay: Duration,
-    corrupt_every: Option<u64>,
     half_open_after: Option<u64>,
     arm_after: Duration,
 }
@@ -269,11 +220,6 @@ impl FaultScript {
             seed,
             reset_permille: chaos.reset_permille,
             reset_after: chaos.reset_after,
-            stall_after: chaos.stall_after,
-            stall: Duration::from_millis(chaos.stall_ms),
-            trickle_chunk: chaos.trickle_chunk,
-            trickle_delay: Duration::from_micros(chaos.trickle_delay_us),
-            corrupt_every: chaos.corrupt_every,
             half_open_after: chaos.half_open_after,
             arm_after: Duration::from_millis(chaos.after_ms),
         })
@@ -289,14 +235,6 @@ impl FaultScript {
         }
         splitmix64(self.seed ^ n.wrapping_mul(0x9e37_79b9_7f4a_7c15)) % 1000
             < u64::from(self.reset_permille)
-    }
-
-    /// The byte position to corrupt in a buffer of `len` for write op `n`.
-    fn corrupt_position(&self, n: u64, len: usize) -> usize {
-        if len == 0 {
-            return 0;
-        }
-        (splitmix64(self.seed.rotate_left(31) ^ n) % len as u64) as usize
     }
 }
 
@@ -465,34 +403,7 @@ impl Write for ChaosStream {
                 "chaos: scripted mid-stream reset",
             ));
         }
-        if script.stall_after == Some(n) && !script.stall.is_zero() {
-            std::thread::sleep(script.stall);
-        }
-        let mut corrupted;
-        let payload: &[u8] = if let Some(every) = script.corrupt_every {
-            if every > 0 && (n + 1) % every == 0 && !buf.is_empty() {
-                corrupted = buf.to_vec();
-                let pos = script.corrupt_position(n, corrupted.len());
-                if let Some(byte) = corrupted.get_mut(pos) {
-                    *byte ^= 0x40;
-                }
-                &corrupted
-            } else {
-                buf
-            }
-        } else {
-            buf
-        };
-        if let Some(chunk) = script.trickle_chunk.filter(|&c| c > 0) {
-            for piece in payload.chunks(chunk) {
-                self.inner.write_all(piece)?;
-                if !script.trickle_delay.is_zero() {
-                    std::thread::sleep(script.trickle_delay);
-                }
-            }
-            return Ok(buf.len());
-        }
-        self.inner.write_all(payload)?;
+        self.inner.write_all(buf)?;
         Ok(buf.len())
     }
 
@@ -601,11 +512,6 @@ mod tests {
             connect_refusals: 3,
             reset_permille: 50,
             reset_after: Some(12),
-            stall_after: Some(4),
-            stall_ms: 250,
-            trickle_chunk: Some(3),
-            trickle_delay_us: 500,
-            corrupt_every: Some(9),
             half_open_after: Some(40),
             after_ms: 300,
         };
@@ -620,7 +526,7 @@ mod tests {
         );
         assert!(NetChaos::from_spec("seed=x").is_err());
         assert!(NetChaos::from_spec("warp=1").is_err());
-        assert!(NetChaos::from_spec("stall=nope").is_err());
+        assert!(NetChaos::from_spec("reset_after=nope").is_err());
     }
 
     #[test]
@@ -689,13 +595,7 @@ mod tests {
             ..NetChaos::default()
         };
         assert!(chaos.try_validate().is_err());
-        chaos.reset_permille = 0;
-        chaos.trickle_chunk = Some(0);
-        assert!(chaos.try_validate().is_err());
-        chaos.trickle_chunk = None;
-        chaos.corrupt_every = Some(0);
-        assert!(chaos.try_validate().is_err());
-        chaos.corrupt_every = None;
+        chaos.reset_permille = 1000;
         assert!(chaos.try_validate().is_ok());
     }
 }

@@ -54,7 +54,7 @@ const TAG_PULL_REPLY: u8 = 1;
 const TAG_PUSH: u8 = 2;
 const TAG_PUSH_ACK: u8 = 3;
 const TAG_NOTIFY: u8 = 4;
-const TAG_CHECK: u8 = 5;
+// Tag 5 (`Check`) is retired: it decodes as a bad tag.
 const TAG_ABORT: u8 = 6;
 const TAG_HEARTBEAT: u8 = 7;
 const TAG_FAILOVER: u8 = 8;
@@ -68,17 +68,15 @@ const TAG_RELAY_TAG: u8 = 11;
 /// write.
 pub const RELAY_TAG_FRAME_LEN: usize = HEADER_LEN + 1 + 8 + 4;
 
-const FC_CRASH: u8 = 0;
+// Failover sub-tags 0 (`Crash`), 3 (`Recover`), 4 (`Ack`) and 10
+// (`CatchUp`) are retired: they decode as a bad sub-tag.
 const FC_PROMOTE: u8 = 1;
 const FC_PROMOTED: u8 = 2;
-const FC_RECOVER: u8 = 3;
-const FC_ACK: u8 = 4;
 const FC_REGISTER: u8 = 5;
 const FC_QUERY_PRIMARY: u8 = 6;
 const FC_PRIMARY: u8 = 7;
 const FC_JOIN_AS_BACKUP: u8 = 8;
 const FC_SNAPSHOT_CHUNK: u8 = 9;
-const FC_CATCH_UP: u8 = 10;
 const FC_BACKUP_READY: u8 = 11;
 
 const PAYLOAD_DENSE: u8 = 0;
@@ -243,10 +241,6 @@ fn encode_payload(msg: &WireMessage, out: &mut Vec<u8>) {
             put_worker(out, *worker);
             put_u64(out, *pushes);
         }
-        WireMessage::Check { worker } => {
-            out.push(TAG_CHECK);
-            put_worker(out, *worker);
-        }
         WireMessage::Abort { worker } => {
             out.push(TAG_ABORT);
             put_worker(out, *worker);
@@ -258,10 +252,6 @@ fn encode_payload(msg: &WireMessage, out: &mut Vec<u8>) {
         WireMessage::Failover(control) => {
             out.push(TAG_FAILOVER);
             match control {
-                FailoverControl::Crash { server } => {
-                    out.push(FC_CRASH);
-                    put_u64(out, *server);
-                }
                 FailoverControl::Promote { server } => {
                     out.push(FC_PROMOTE);
                     put_u64(out, *server);
@@ -275,14 +265,6 @@ fn encode_payload(msg: &WireMessage, out: &mut Vec<u8>) {
                     put_u64(out, *server);
                     put_u64(out, *version);
                     put_u64(out, *replayed);
-                }
-                FailoverControl::Recover { server } => {
-                    out.push(FC_RECOVER);
-                    put_u64(out, *server);
-                }
-                FailoverControl::Ack { server } => {
-                    out.push(FC_ACK);
-                    put_u64(out, *server);
                 }
                 FailoverControl::Register {
                     server,
@@ -313,20 +295,10 @@ fn encode_payload(msg: &WireMessage, out: &mut Vec<u8>) {
                     put_u64(out, *total);
                     put_bytes(out, data);
                 }
-                FailoverControl::CatchUp { entries, through } => {
-                    out.push(FC_CATCH_UP);
-                    put_u64(out, *entries);
-                    put_u64(out, *through);
-                }
-                FailoverControl::BackupReady {
-                    server,
-                    version,
-                    replayed,
-                } => {
+                FailoverControl::BackupReady { server, version } => {
                     out.push(FC_BACKUP_READY);
                     put_u64(out, *server);
                     put_u64(out, *version);
-                    put_u64(out, *replayed);
                 }
             }
         }
@@ -552,9 +524,6 @@ fn decode_payload(payload: &[u8]) -> Result<WireMessage, FrameError> {
             worker: r.worker()?,
             pushes: r.u64()?,
         },
-        TAG_CHECK => WireMessage::Check {
-            worker: r.worker()?,
-        },
         TAG_ABORT => WireMessage::Abort {
             worker: r.worker()?,
         },
@@ -563,15 +532,12 @@ fn decode_payload(payload: &[u8]) -> Result<WireMessage, FrameError> {
         },
         TAG_FAILOVER => {
             let control = match r.u8()? {
-                FC_CRASH => FailoverControl::Crash { server: r.u64()? },
                 FC_PROMOTE => FailoverControl::Promote { server: r.u64()? },
                 FC_PROMOTED => FailoverControl::Promoted {
                     server: r.u64()?,
                     version: r.u64()?,
                     replayed: r.u64()?,
                 },
-                FC_RECOVER => FailoverControl::Recover { server: r.u64()? },
-                FC_ACK => FailoverControl::Ack { server: r.u64()? },
                 FC_REGISTER => FailoverControl::Register {
                     server: r.u64()?,
                     backup: r.bool()?,
@@ -598,14 +564,9 @@ fn decode_payload(payload: &[u8]) -> Result<WireMessage, FrameError> {
                         data: r.bytes()?,
                     }
                 }
-                FC_CATCH_UP => FailoverControl::CatchUp {
-                    entries: r.u64()?,
-                    through: r.u64()?,
-                },
                 FC_BACKUP_READY => FailoverControl::BackupReady {
                     server: r.u64()?,
                     version: r.u64()?,
-                    replayed: r.u64()?,
                 },
                 _ => return Err(FrameError::Malformed("bad failover sub-tag")),
             };
@@ -793,18 +754,14 @@ mod tests {
                 worker: w,
                 pushes: 12,
             },
-            WireMessage::Check { worker: w },
             WireMessage::Abort { worker: w },
             WireMessage::Heartbeat { worker: w },
-            WireMessage::Failover(FailoverControl::Crash { server: 0 }),
             WireMessage::Failover(FailoverControl::Promote { server: 0 }),
             WireMessage::Failover(FailoverControl::Promoted {
                 server: 0,
                 version: 99,
                 replayed: 3,
             }),
-            WireMessage::Failover(FailoverControl::Recover { server: 1 }),
-            WireMessage::Failover(FailoverControl::Ack { server: 1 }),
             WireMessage::Failover(FailoverControl::Register {
                 server: 0,
                 backup: true,
@@ -824,14 +781,9 @@ mod tests {
                 total: 3,
                 data: vec![0xde, 0xad, 0xbe, 0xef, 0x00],
             }),
-            WireMessage::Failover(FailoverControl::CatchUp {
-                entries: 5,
-                through: 104,
-            }),
             WireMessage::Failover(FailoverControl::BackupReady {
                 server: 2,
                 version: 104,
-                replayed: 5,
             }),
             {
                 let mut sparse = SparseGrad::new();
@@ -1034,6 +986,51 @@ mod tests {
             decode_frame(&bytes),
             Err(FrameError::Malformed("snapshot chunk index beyond total"))
         );
+    }
+
+    /// Hand-built, checksum-valid frames in the layouts the retired verbs
+    /// were sent in: `Check { worker: 3 }` (tag 5), `Crash`/`Recover`/`Ack
+    /// { server: 1 }` (failover sub-tags 0, 3, 4), `CatchUp { entries: 2,
+    /// through: 9 }` (sub-tag 10), and `BackupReady` with the `replayed`
+    /// field it no longer has. None of them may decode.
+    #[test]
+    fn retired_frames_are_malformed() {
+        let frame = |payload: &[u8]| {
+            let mut out = MAGIC.to_vec();
+            put_u32(&mut out, FORMAT);
+            put_u32(&mut out, payload.len() as u32);
+            put_u64(&mut out, fnv1a(payload));
+            out.extend_from_slice(payload);
+            out
+        };
+        let with_u64s = |head: &[u8], fields: &[u64]| {
+            let mut payload = head.to_vec();
+            for &field in fields {
+                put_u64(&mut payload, field);
+            }
+            payload
+        };
+        let rows = [
+            (with_u64s(&[5], &[3]), "bad frame tag"),
+            (with_u64s(&[TAG_FAILOVER, 0], &[1]), "bad failover sub-tag"),
+            (with_u64s(&[TAG_FAILOVER, 3], &[1]), "bad failover sub-tag"),
+            (with_u64s(&[TAG_FAILOVER, 4], &[1]), "bad failover sub-tag"),
+            (
+                with_u64s(&[TAG_FAILOVER, 10], &[2, 9]),
+                "bad failover sub-tag",
+            ),
+            (
+                with_u64s(&[TAG_FAILOVER, FC_BACKUP_READY], &[2, 9, 4]),
+                "trailing bytes after payload",
+            ),
+        ];
+        for (payload, why) in rows {
+            assert_eq!(
+                decode_frame(&frame(&payload)),
+                Err(FrameError::Malformed(why)),
+                "{payload:?}"
+            );
+        }
     }
 
     #[test]

@@ -6,13 +6,18 @@
 //!
 //! - the virtual-time **simulator driver** calls the typed verbs
 //!   ([`pull`](ShardHost::pull), [`push_dense`](ShardHost::push_dense),
-//!   [`push_sparse`](ShardHost::push_sparse),
-//!   [`failover`](ShardHost::failover)) directly — borrowed gradients, no
-//!   frame encode on the hot path, store-call order identical to the
-//!   pre-wire seed so golden traces stay byte-identical;
+//!   [`push_sparse`](ShardHost::push_sparse)) directly — borrowed
+//!   gradients, no frame encode on the hot path, store-call order
+//!   identical to the pre-wire seed so golden traces stay byte-identical —
+//!   and crashes and promotes its in-process replica pair through
+//!   [`replica_mut`](ShardHost::replica_mut);
 //! - the **TCP shard server** and the **threaded runtime's server thread**
 //!   route frames through [`handle`](ShardHost::handle), which calls the
 //!   same verbs at the rate of the installed schedule.
+//!
+//! No failover verb reaches `handle`: the TCP server obeys `Promote` on
+//! its scheduler link and runs the rejoin handshake on the connection
+//! that asked for it, because both own a socket, not just the store.
 //!
 //! Pull serving is read-mostly: the host serializes each store version's
 //! `PullReply` frame **once** and shares the encoder's own buffer
@@ -31,7 +36,7 @@ use specsync_tensor::SparseGrad;
 
 use crate::error::NetError;
 use crate::frame::encode_frame;
-use crate::wire::{FailoverControl, WireMessage};
+use crate::wire::WireMessage;
 
 /// Learning rate the frame path uses when no schedule is installed (the
 /// driver's verb path always supplies its own per-push rate).
@@ -216,53 +221,6 @@ impl ShardHost {
         }
     }
 
-    /// Executes a failover control verb against the replica pair.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Replica`] when the store refuses (unknown server,
-    /// wrong state); [`NetError::Unhandled`] for reply-only or
-    /// scheduler-plane verbs.
-    pub fn failover(&mut self, control: &FailoverControl) -> Result<FailoverControl, NetError> {
-        match control {
-            FailoverControl::Crash { server } => {
-                self.store.crash_server(*server as usize)?;
-                Ok(FailoverControl::Ack { server: *server })
-            }
-            FailoverControl::Promote { server } => {
-                let replayed = self.store.promote(*server as usize)?;
-                Ok(FailoverControl::Promoted {
-                    server: *server,
-                    version: self.store.version(),
-                    replayed,
-                })
-            }
-            FailoverControl::Recover { server } => {
-                self.store.recover_server(*server as usize)?;
-                Ok(FailoverControl::Ack { server: *server })
-            }
-            FailoverControl::Promoted { .. } | FailoverControl::Ack { .. } => {
-                Err(NetError::Unhandled {
-                    what: "failover reply sent to a shard host",
-                })
-            }
-            FailoverControl::Register { .. }
-            | FailoverControl::QueryPrimary
-            | FailoverControl::Primary { .. } => Err(NetError::Unhandled {
-                what: "scheduler-plane failover verb sent to a shard host",
-            }),
-            // The rejoin handshake is connection-plane: the server's apply
-            // thread drives the snapshot/catch-up stream itself, because
-            // the protocol owns a socket, not just the store.
-            FailoverControl::JoinAsBackup { .. }
-            | FailoverControl::SnapshotChunk { .. }
-            | FailoverControl::CatchUp { .. }
-            | FailoverControl::BackupReady { .. } => Err(NetError::Unhandled {
-                what: "rejoin-protocol verb routed past the server connection layer",
-            }),
-        }
-    }
-
     /// What the write-ahead relay tags the next push with: the sequence
     /// number is the version that push will produce, and the learning rate
     /// is the one this host will apply — so the backup replays
@@ -290,10 +248,10 @@ impl ShardHost {
         })
     }
 
-    /// Replaces the wrapped store with one rebuilt at the caller — from a
-    /// rejoin snapshot (checkpoint restore + tail replay), or rolled back
-    /// after a torn apply; the encoded-reply cache is dropped so no bytes
-    /// of the old store can be served. The epoch estimate never rewinds,
+    /// Replaces the wrapped store with one rebuilt at the caller — restored
+    /// from a rejoin snapshot, or rolled back after a torn apply; the
+    /// encoded-reply cache is dropped so no bytes of the old store can be
+    /// served. The epoch estimate never rewinds,
     /// and advances again once the store's per-worker push counts pass
     /// the ones already seen — a rebuilt store should carry them on.
     pub fn install_store(&mut self, store: ReplicatedStore) {
@@ -330,9 +288,8 @@ impl ShardHost {
             } => {
                 let version = self.store.version();
                 if seq <= version {
-                    // At-least-once re-delivery (or a rejoin tail that
-                    // overlaps live relays): this sequence is already in
-                    // the store, so ack without touching it — applying
+                    // At-least-once re-delivery: this sequence is already
+                    // in the store, so ack without touching it — applying
                     // twice would double the gradient.
                     return Ok(Some(WireMessage::PushAck {
                         version,
@@ -346,10 +303,10 @@ impl ShardHost {
                 }
                 Ok(Some(self.push_owned(worker, payload, lr)?))
             }
-            WireMessage::Failover(control) => {
-                Ok(Some(WireMessage::Failover(self.failover(&control)?)))
-            }
             WireMessage::Shutdown => Ok(None),
+            WireMessage::Failover(_) => Err(NetError::Unhandled {
+                what: "failover verb routed past the server connection layer",
+            }),
             // Half of a forwarded relay: the connection layer pairs it
             // with the `Push` frame behind it and hands over a `RelayPush`.
             WireMessage::RelayTag { .. } => Err(NetError::Unhandled {
@@ -361,7 +318,6 @@ impl ShardHost {
                 })
             }
             WireMessage::Notify { .. }
-            | WireMessage::Check { .. }
             | WireMessage::Abort { .. }
             | WireMessage::Heartbeat { .. } => Err(NetError::Unhandled {
                 what: "scheduler-plane frame sent to a shard host",
@@ -510,12 +466,8 @@ mod tests {
         let pre_crash = h.lock().encoded_pull_reply(w0).unwrap().0;
         {
             let mut locked = h.lock();
-            locked
-                .failover(&FailoverControl::Crash { server: 0 })
-                .unwrap();
-            locked
-                .failover(&FailoverControl::Promote { server: 0 })
-                .unwrap();
+            locked.replica_mut().crash_server(0).unwrap();
+            locked.replica_mut().promote(0).unwrap();
         }
         for _ in 0..10 {
             h.lock().push_dense(w0, &[1.0; 8], 0.1).unwrap();
@@ -554,20 +506,17 @@ mod tests {
         let mut h = host();
         let w = WorkerId::new(0);
         h.push_dense(w, &[1.0; 8], 0.1).unwrap();
-        let ack = h.failover(&FailoverControl::Crash { server: 0 }).unwrap();
-        assert_eq!(ack, FailoverControl::Ack { server: 0 });
+        h.replica_mut().crash_server(0).unwrap();
         assert!(!h.is_available());
         assert!(matches!(h.pull(w), Err(ReplicaError::ServerDown { .. })));
-        let promoted = h.failover(&FailoverControl::Promote { server: 0 }).unwrap();
-        let FailoverControl::Promoted {
-            version, replayed, ..
-        } = promoted
-        else {
-            panic!("want Promoted, got {promoted:?}");
-        };
-        assert_eq!(version, 1);
+        let replayed = h.replica_mut().promote(0).unwrap();
         assert_eq!(replayed, 1, "promotion replays the journaled push");
         assert!(h.is_available());
+        assert_eq!(h.pull(w).unwrap().snapshot.version(), 1);
+        // The verbs act on the store; as frames they are the server's.
+        let promote = crate::wire::FailoverControl::Promote { server: 0 };
+        let err = h.handle(WireMessage::Failover(promote)).unwrap_err();
+        assert!(matches!(err, NetError::Unhandled { .. }));
     }
 
     #[test]

@@ -205,7 +205,7 @@ impl SchedulerHost {
     ) {
         let now = at(now);
         match frame {
-            WireMessage::Failover(control) => self.failover(conn, control, now, out),
+            WireMessage::Failover(control) => self.shard_plane(conn, control, now, out),
             WireMessage::Heartbeat { worker } => {
                 if let Some(Peer::Shard(server)) = self.peers.get(&conn) {
                     // A shard's heartbeat carries its shard id in the
@@ -225,12 +225,9 @@ impl SchedulerHost {
                     self.notify(worker, pushes, now, out);
                 }
             }
-            // Data-plane and reply frames have no scheduler-side meaning,
-            // and `Check` is the scheduler's own timer verb (`poll` fires
-            // windows directly); tolerate them rather than dropping the
-            // connection.
-            WireMessage::Check { .. }
-            | WireMessage::Push { .. }
+            // Data-plane and reply frames have no scheduler-side meaning;
+            // tolerate them rather than dropping the connection.
+            WireMessage::Push { .. }
             | WireMessage::RelayPush { .. }
             | WireMessage::RelayTag { .. }
             | WireMessage::PullReply { .. }
@@ -422,7 +419,9 @@ impl SchedulerHost {
         }
     }
 
-    fn failover(
+    /// The failover vocabulary: shard registration, promotion replies,
+    /// primary queries and rejoin reports.
+    fn shard_plane(
         &mut self,
         conn: usize,
         control: FailoverControl,
@@ -479,29 +478,20 @@ impl SchedulerHost {
                     ));
                 }
             }
-            FailoverControl::BackupReady {
-                server,
-                version,
-                replayed,
-            } => {
+            FailoverControl::BackupReady { server, version } => {
                 // The rejoin handshake itself ran shard-to-shard; this is
-                // the joiner reporting where the catch-up landed.
+                // the joiner reporting the snapshot version it installed.
                 out.push(SchedOutput::Record(Event::CatchUpComplete {
                     shard: server,
                     version,
-                    replayed,
                 }));
             }
-            // Acks, verbs the scheduler sends rather than receives, and
-            // the data-plane rejoin frames.
-            FailoverControl::Ack { .. }
-            | FailoverControl::Crash { .. }
-            | FailoverControl::Promote { .. }
-            | FailoverControl::Recover { .. }
+            // Verbs the scheduler sends rather than receives, and the
+            // data-plane rejoin frames.
+            FailoverControl::Promote { .. }
             | FailoverControl::Primary { .. }
             | FailoverControl::JoinAsBackup { .. }
-            | FailoverControl::SnapshotChunk { .. }
-            | FailoverControl::CatchUp { .. } => {}
+            | FailoverControl::SnapshotChunk { .. } => {}
         }
     }
 
@@ -662,7 +652,8 @@ mod tests {
                     })],
                 ),
                 // A re-provisioned shard registers as the new warm backup
-                // and reports its catch-up, re-arming the scheduler.
+                // and reports the snapshot it installed, re-arming the
+                // scheduler.
                 (Frame(2, register(2, true)), 20, vec![joined(2, 1)]),
                 (
                     Frame(
@@ -670,14 +661,12 @@ mod tests {
                         WireMessage::Failover(FailoverControl::BackupReady {
                             server: 2,
                             version: 5,
-                            replayed: 0,
                         }),
                     ),
                     21,
                     vec![Record(Event::CatchUpComplete {
                         shard: 2,
                         version: 5,
-                        replayed: 0,
                     })],
                 ),
                 (Frame(9, QUERY), 22, vec![primary(9, 1, 1)]),
@@ -811,7 +800,6 @@ mod tests {
         for hostile in [2, 99, u32::MAX as usize] {
             let worker = w(hostile);
             for frame in [
-                WireMessage::Check { worker },
                 WireMessage::Pull { worker },
                 WireMessage::Notify { worker, pushes: 3 },
                 WireMessage::Heartbeat { worker },

@@ -22,13 +22,14 @@
 //! re-applying). A relay whose write or ack fails is dropped for the rest
 //! of the run and counted in [`ShardStats::relay_drops`].
 //!
-//! The apply thread also owns **backup (re)provisioning**: a fresh
-//! process connects, sends `JoinAsBackup`, and the apply thread streams
-//! it a `StoreCheckpoint` in bounded `SnapshotChunk` frames plus the
-//! journal tail as `RelayPush` replays. Because live pushes queue behind
-//! the join command on the same channel, the snapshot is a clean cut of
-//! the push order — everything after parity reaches the new backup as a
-//! live relay down the very same connection.
+//! The apply thread also owns **backup (re)provisioning**, in two
+//! phases: a fresh process connects and sends `JoinAsBackup`; the apply
+//! thread streams it a `StoreCheckpoint` of the serving store in bounded
+//! `SnapshotChunk` frames, and the joiner answers `BackupReady` with the
+//! version it installed. Because live pushes queue behind the join command
+//! on the same channel, the snapshot is a clean cut of the push order —
+//! every later push reaches the new backup as a live relay down the very
+//! same connection, so there is no tail to replay.
 //!
 //! # Scheduler server
 //!
@@ -55,7 +56,7 @@ use std::time::Duration;
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use specsync_core::SpecSyncError;
-use specsync_ps::{JournalEntry, ParameterStore, ReplicatedStore, StoreCheckpoint};
+use specsync_ps::{ParameterStore, ReplicatedStore, StoreCheckpoint};
 use specsync_simnet::WorkerId;
 use specsync_sync::SchemeKind;
 use specsync_telemetry::{Event, EventSink, NullSink};
@@ -129,8 +130,8 @@ enum ApplyCmd {
     /// (relay-tag headroom in front), which is what the relay forwards; a
     /// `RelayPush` a backup absorbs has none and is never relayed on.
     Frame(WireMessage, Option<Vec<u8>>, Sender<WireMessage>),
-    /// A joining backup's connection: stream it a snapshot plus the
-    /// journal tail, then adopt it as the write-ahead relay target.
+    /// A joining backup's connection: stream it a snapshot of the serving
+    /// store, then adopt it as the write-ahead relay target.
     Join(FrameConn),
 }
 
@@ -204,9 +205,9 @@ impl ShardServer {
     }
 
     /// Re-provisions this shard from the live primary at `addr` before
-    /// serving: stream its checkpoint, replay the journal tail to parity,
-    /// and stay on the connection as the primary's new write-ahead relay
-    /// target. Implies backup duty; combine with [`Self::as_backup`].
+    /// serving: install a snapshot of its serving store and stay on the
+    /// connection as the primary's new write-ahead relay target. Implies
+    /// backup duty; combine with [`Self::as_backup`].
     pub fn join_via(mut self, addr: &str) -> Self {
         self.join_addr = Some(addr.to_string());
         self
@@ -217,13 +218,6 @@ impl ShardServer {
     /// `Shutdown`).
     pub fn stop_handle(&self) -> Arc<AtomicBool> {
         Arc::clone(&self.stop)
-    }
-
-    /// The live counters, observable while the server runs (tests use
-    /// this to wait for a rejoin handshake to finish before stopping).
-    #[cfg(test)]
-    pub(crate) fn counters_handle(&self) -> Arc<ShardCounters> {
-        Arc::clone(&self.counters)
     }
 
     /// Serves until shutdown. Blocking; returns the run's counters.
@@ -310,14 +304,14 @@ impl ShardServer {
                             }
                         }
                         ApplyCmd::Join(mut conn) => {
-                            let (checkpoint, tail) = {
+                            let checkpoint = {
                                 let mut locked = host.lock();
-                                locked.replica_mut().rejoin_snapshot()
+                                locked
+                                    .replica_mut()
+                                    .serving_store_mut()
+                                    .snapshot_for_checkpoint()
                             };
-                            if stream_rejoin(&mut conn, &checkpoint, &tail, chunk_bytes).is_ok() {
-                                counters
-                                    .relayed
-                                    .fetch_add(tail.len() as u64, Ordering::Relaxed);
+                            if stream_rejoin(&mut conn, &checkpoint, chunk_bytes).is_ok() {
                                 // The joiner confirmed parity: it replaces
                                 // whatever relay target this process had.
                                 relay = Some(conn);
@@ -331,7 +325,7 @@ impl ShardServer {
         // A rejoining backup provisions itself from the live primary
         // before talking to the scheduler, so it is only ever armed for
         // promotion at parity.
-        let mut joined: Option<(u64, u64)> = None;
+        let mut joined: Option<u64> = None;
         if let Some(addr) = &join_addr {
             let mut conn = FrameConn::connect_with_retries(
                 addr,
@@ -339,12 +333,7 @@ impl ShardServer {
                 &ConnTarget::new("join", &seq, shard_id),
                 |_| {},
             )?;
-            let (version, replayed) = join_cluster(&mut conn, shard_id, &local_addr, &host)?;
-            counters
-                .pushes_applied
-                .fetch_add(replayed, Ordering::Relaxed);
-            counters.absorbed.fetch_add(replayed, Ordering::Relaxed);
-            joined = Some((version, replayed));
+            joined = Some(join_cluster(&mut conn, shard_id, &local_addr, &host)?);
             // The same connection now carries the primary's write-ahead
             // relay: serve it like any accepted data connection. Clear
             // the outbound io timeout first — relays arrive only when
@@ -379,15 +368,14 @@ impl ShardServer {
                     addr: local_addr.clone(),
                 }),
             )?;
-            if let Some((version, replayed)) = joined {
-                // Tell the scheduler the catch-up finished and where it
+            if let Some(version) = joined {
+                // Tell the scheduler the join finished and where it
                 // landed, so the rejoin is visible in the event stream.
                 write_frame(
                     &mut writer,
                     &WireMessage::Failover(FailoverControl::BackupReady {
                         server: shard_id,
                         version,
-                        replayed,
                     }),
                 )?;
             }
@@ -435,27 +423,15 @@ impl ShardServer {
                                         replayed: counters.absorbed.load(Ordering::Relaxed),
                                     }));
                             }
-                            FailoverControl::Crash { server } => {
-                                serving.store(false, Ordering::SeqCst);
-                                let _ = out_tx
-                                    .send(WireMessage::Failover(FailoverControl::Ack { server }));
-                            }
-                            FailoverControl::Recover { server } => {
-                                serving.store(true, Ordering::SeqCst);
-                                let _ = out_tx
-                                    .send(WireMessage::Failover(FailoverControl::Ack { server }));
-                            }
                             // Replies and worker-plane queries carry no
                             // instruction for a shard, and the rejoin
                             // handshake runs on the data plane, not here.
                             FailoverControl::Promoted { .. }
-                            | FailoverControl::Ack { .. }
                             | FailoverControl::Register { .. }
                             | FailoverControl::QueryPrimary
                             | FailoverControl::Primary { .. }
                             | FailoverControl::JoinAsBackup { .. }
                             | FailoverControl::SnapshotChunk { .. }
-                            | FailoverControl::CatchUp { .. }
                             | FailoverControl::BackupReady { .. } => {}
                         },
                         Ok(ReadOutcome::Frame(WireMessage::Shutdown, _))
@@ -560,11 +536,6 @@ fn serve_shard_conn(
                     return;
                 }
             }
-            frame @ WireMessage::RelayPush { .. } => {
-                if !apply_and_ack(&mut conn, apply_tx, frame, None) {
-                    return;
-                }
-            }
             WireMessage::RelayTag { seq, lr } => {
                 // A forwarded relay: the very next frame is the worker's
                 // own `Push`, checksum-verified like any other. The pair
@@ -600,12 +571,13 @@ fn serve_shard_conn(
             WireMessage::Heartbeat { .. } => {}
             // Process-level failover is driven over the scheduler link;
             // a data connection carrying control frames is a protocol
-            // error, as are reply/scheduler-plane frames.
+            // error, as are reply/scheduler-plane frames and a relayed
+            // push that did not arrive as a tag plus the worker's frame.
             WireMessage::Failover(_)
+            | WireMessage::RelayPush { .. }
             | WireMessage::PullReply { .. }
             | WireMessage::PushAck { .. }
             | WireMessage::Notify { .. }
-            | WireMessage::Check { .. }
             | WireMessage::Abort { .. } => return,
         }
     }
@@ -650,14 +622,13 @@ fn forward_relay(
     Ok(())
 }
 
-/// Primary side of the rejoin protocol: stream the checkpoint in bounded
-/// chunks, announce the journal tail, replay it, and wait for the joiner
-/// to confirm parity. `Ok` means the connection sits at the primary's
-/// exact version and is safe to adopt as the write-ahead relay.
+/// Primary side of the rejoin: stream the serving store's checkpoint in
+/// bounded chunks and wait for the joiner to confirm it installed exactly
+/// that version. `Ok` means the connection sits at the primary's version
+/// and is safe to adopt as the write-ahead relay.
 fn stream_rejoin(
     conn: &mut FrameConn,
     checkpoint: &StoreCheckpoint,
-    tail: &[JournalEntry],
     chunk_bytes: usize,
 ) -> Result<(), NetError> {
     let bytes = checkpoint.encode();
@@ -671,26 +642,13 @@ fn stream_rejoin(
             data: data.to_vec(),
         }))?;
     }
-    let through = checkpoint.version() + tail.len() as u64;
-    conn.write(&WireMessage::Failover(FailoverControl::CatchUp {
-        entries: tail.len() as u64,
-        through,
-    }))?;
-    for entry in tail {
-        conn.write(&WireMessage::RelayPush {
-            seq: entry.seq,
-            worker: entry.worker,
-            lr: entry.lr,
-            payload: entry.payload.clone(),
-        })?;
-    }
     let (reply, _) = conn.recv()?;
     let WireMessage::Failover(FailoverControl::BackupReady { version, .. }) = reply else {
         return Err(NetError::UnexpectedReply {
             want: "BackupReady",
         });
     };
-    if version != through {
+    if version != checkpoint.version() {
         return Err(NetError::Unhandled {
             what: "joining backup confirmed the wrong version",
         });
@@ -698,40 +656,44 @@ fn stream_rejoin(
     Ok(())
 }
 
-/// Joiner side of the rejoin protocol, driven before the shard registers
-/// with the scheduler: announce intent, install the streamed checkpoint,
-/// replay the journal tail, and confirm parity. Returns the `(version,
-/// replayed)` pair confirmed to the primary.
+/// Joiner side of the rejoin, driven before the shard registers with the
+/// scheduler: announce intent, install the streamed checkpoint, and
+/// confirm the version it holds. Returns that version.
 fn join_cluster(
     conn: &mut FrameConn,
     shard_id: u64,
     local_addr: &str,
     host: &Arc<Mutex<ShardHost>>,
-) -> Result<(u64, u64), NetError> {
+) -> Result<u64, NetError> {
     conn.write(&WireMessage::Failover(FailoverControl::JoinAsBackup {
         server: shard_id,
         addr: local_addr.to_string(),
     }))?;
     let mut bytes = Vec::new();
+    let mut total = None;
     let mut next = 0u64;
-    loop {
+    while total != Some(next) {
         let (frame, _) = conn.recv()?;
-        let WireMessage::Failover(FailoverControl::SnapshotChunk { index, total, data }) = frame
+        let WireMessage::Failover(FailoverControl::SnapshotChunk {
+            index,
+            total: of,
+            data,
+        }) = frame
         else {
             return Err(NetError::UnexpectedReply {
                 want: "SnapshotChunk",
             });
         };
-        if index != next {
+        // The decoder refuses `index >= total` (so `total == 0` too); a
+        // count that moved mid-stream could keep this loop reading for as
+        // long as the primary cares to send.
+        if index != next || *total.get_or_insert(of) != of {
             return Err(NetError::Unhandled {
-                what: "snapshot chunk out of order",
+                what: "snapshot chunk out of sequence",
             });
         }
         bytes.extend_from_slice(&data);
         next += 1;
-        if next == total {
-            break;
-        }
     }
     let checkpoint = StoreCheckpoint::decode(&bytes).map_err(|_| NetError::Unhandled {
         what: "streamed checkpoint failed to decode",
@@ -739,6 +701,7 @@ fn join_cluster(
     let store = ParameterStore::restore(checkpoint).map_err(|_| NetError::Unhandled {
         what: "streamed checkpoint failed to restore",
     })?;
+    let version = store.version();
     {
         // The journal capacity is this process's configuration, not part
         // of the streamed state: it survives the store swap.
@@ -746,33 +709,11 @@ fn join_cluster(
         let capacity = locked.replica().journal_capacity();
         locked.install_store(ReplicatedStore::from_store(store, capacity));
     }
-    let (frame, _) = conn.recv()?;
-    let WireMessage::Failover(FailoverControl::CatchUp { entries, through }) = frame else {
-        return Err(NetError::UnexpectedReply { want: "CatchUp" });
-    };
-    for _ in 0..entries {
-        let (frame, _) = conn.recv()?;
-        if !matches!(frame, WireMessage::RelayPush { .. }) {
-            return Err(NetError::UnexpectedReply { want: "RelayPush" });
-        }
-        let mut locked = host.lock();
-        locked.handle(frame)?;
-    }
-    let version = {
-        let locked = host.lock();
-        locked.replica().version()
-    };
-    if version != through {
-        return Err(NetError::Unhandled {
-            what: "catch-up left the joiner short of parity",
-        });
-    }
     conn.write(&WireMessage::Failover(FailoverControl::BackupReady {
         server: shard_id,
         version,
-        replayed: entries,
     }))?;
-    Ok((version, entries))
+    Ok(version)
 }
 
 // ------------------------------------------------------------ scheduler
@@ -1390,7 +1331,6 @@ mod tests {
         let primary = ShardServer::bind(0, "127.0.0.1:0", host, pcfg).unwrap();
         let primary_addr = primary.local_addr().to_string();
         let primary_stop = primary.stop_handle();
-        let primary_counters = primary.counters_handle();
         let primary_handle = std::thread::spawn(move || primary.run().unwrap());
 
         let cfg = NetConfig::default();
@@ -1417,14 +1357,15 @@ mod tests {
         let joiner_stop = joiner.stop_handle();
         let joiner_handle = std::thread::spawn(move || joiner.run().unwrap());
 
-        // Wait for the primary to adopt the joiner as its relay: the
-        // journal tail (the 5 pushes above) is counted as relayed the
-        // moment the handshake completes.
+        // Wait for the snapshot of the 5 pushes above to land. The
+        // primary streamed it from its apply thread, so every push sent
+        // after this queues behind the join and reaches the joiner as a
+        // live relay.
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while primary_counters.relayed.load(Ordering::Relaxed) < 5 {
+        while joiner_host.lock().replica().version() < 5 {
             assert!(
                 std::time::Instant::now() < deadline,
-                "rejoin handshake never completed"
+                "the snapshot never arrived"
             );
             std::thread::sleep(Duration::from_millis(2));
         }
@@ -1451,11 +1392,62 @@ mod tests {
         let pstats = primary_handle.join().unwrap();
         let bstats = joiner_handle.join().unwrap();
         assert_eq!(pstats.version, 8);
+        assert_eq!(pstats.relayed, 3, "only the live pushes are relayed");
         assert_eq!(
             bstats.version, 8,
             "the joiner must end at the primary's exact version"
         );
+        assert_eq!(bstats.pushes_applied, 3);
         assert!(!bstats.serving);
+    }
+
+    /// A primary that sends a chunk the joiner cannot place: the joiner's
+    /// `run` fails at once instead of reading until its I/O timeout.
+    #[test]
+    fn a_joiner_refuses_a_snapshot_stream_out_of_sequence_at_once() {
+        let chunk = |index, total| {
+            WireMessage::Failover(FailoverControl::SnapshotChunk {
+                index,
+                total,
+                data: vec![0; 4],
+            })
+        };
+        let rows = [
+            vec![chunk(0, 0)],
+            vec![chunk(3, 2)],
+            vec![chunk(1, 2)],
+            vec![chunk(0, 2), chunk(1, 5)],
+        ];
+        let cfg = NetConfig::default();
+        for chunks in rows {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let fake = listener.local_addr().unwrap().to_string();
+            let store = ParameterStore::new(vec![0.0; 4], 2);
+            let host = ShardHost::new(ReplicatedStore::from_store(store, 4));
+            let joiner = ShardServer::bind(2, "127.0.0.1:0", host, cfg.clone())
+                .unwrap()
+                .as_backup()
+                .join_via(&fake);
+            let begun = std::time::Instant::now();
+            let joiner = std::thread::spawn(move || joiner.run());
+            let (stream, peer) = listener.accept().unwrap();
+            let mut conn = FrameConn::from_stream(stream, peer.to_string());
+            let (join, _) = conn.recv().unwrap();
+            assert!(matches!(
+                join,
+                WireMessage::Failover(FailoverControl::JoinAsBackup { server: 2, .. })
+            ));
+            for chunk in &chunks {
+                conn.write(chunk).unwrap();
+            }
+            let result = joiner.join().unwrap();
+            assert!(result.is_err(), "{chunks:?} must be refused");
+            assert!(
+                begun.elapsed() < cfg.io_timeout / 2,
+                "{chunks:?} was refused only after {:?}",
+                begun.elapsed()
+            );
+        }
     }
 
     #[test]
@@ -1479,7 +1471,7 @@ mod tests {
         let mut conn = connect(&sched_addr, &NetConfig::default());
         for worker in [99, MAX_WORKERS as usize - 1] {
             let worker = WorkerId::new(worker);
-            conn.write(&WireMessage::Check { worker }).unwrap();
+            conn.write(&WireMessage::Heartbeat { worker }).unwrap();
             conn.write(&WireMessage::Pull { worker }).unwrap();
         }
         conn.write(&WireMessage::Notify {

@@ -161,11 +161,9 @@ impl Transport for InProcTransport {
                     what: "reply frame sent from a worker transport",
                 })
             }
-            (WireMessage::Abort { .. } | WireMessage::Check { .. }, _) => {
-                Err(NetError::Unhandled {
-                    what: "scheduler-originated frame sent from a worker transport",
-                })
-            }
+            (WireMessage::Abort { .. }, _) => Err(NetError::Unhandled {
+                what: "scheduler-originated frame sent from a worker transport",
+            }),
             // Remaining cross-plane pairings (e.g. Push to the scheduler).
             (WireMessage::Push { .. } | WireMessage::Notify { .. }, _)
             | (WireMessage::Heartbeat { .. }, Endpoint::Shard) => Err(NetError::Unhandled {
@@ -835,7 +833,6 @@ impl Transport for TcpTransport {
                     | WireMessage::RelayPush { .. }
                     | WireMessage::RelayTag { .. }
                     | WireMessage::Notify { .. }
-                    | WireMessage::Check { .. }
                     | WireMessage::Abort { .. }
                     | WireMessage::Heartbeat { .. }
                     | WireMessage::Shutdown
@@ -882,11 +879,9 @@ impl Transport for TcpTransport {
                     what: "reply frame sent from a worker transport",
                 })
             }
-            (WireMessage::Abort { .. } | WireMessage::Check { .. }, _) => {
-                Err(NetError::Unhandled {
-                    what: "scheduler-originated frame sent from a worker transport",
-                })
-            }
+            (WireMessage::Abort { .. }, _) => Err(NetError::Unhandled {
+                what: "scheduler-originated frame sent from a worker transport",
+            }),
             (WireMessage::Push { .. } | WireMessage::Notify { .. }, _)
             | (WireMessage::Heartbeat { .. }, Endpoint::Shard) => Err(NetError::Unhandled {
                 what: "frame addressed to the wrong endpoint",
@@ -982,7 +977,6 @@ mod tests {
                 Endpoint::Shard,
             ),
             (WireMessage::Abort { worker: w }, Endpoint::Scheduler),
-            (WireMessage::Check { worker: w }, Endpoint::Scheduler),
             (
                 WireMessage::Failover(FailoverControl::QueryPrimary),
                 Endpoint::Scheduler,

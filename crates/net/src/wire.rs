@@ -4,7 +4,8 @@
 //!
 //! One enum, [`WireMessage`], covers the whole protocol — the worker↔shard
 //! data plane (`Pull`/`PullReply`/`Push`/`PushAck`), the worker↔scheduler
-//! control plane (`Notify`/`Check`/`Abort`/`Heartbeat`) and the failover
+//! control plane (`Notify`/`Abort`/`Heartbeat`), the primary→backup relay
+//! (`RelayTag`, paired in memory into `RelayPush`) and the failover
 //! control frames ([`FailoverControl`]). Every transport impl and every
 //! host handler speaks exactly this vocabulary; the `cargo xtask analyze`
 //! event-exhaustiveness pass enforces that no transport silently drops a
@@ -72,14 +73,6 @@ pub enum WireMessage {
         /// Cumulative pushes by this worker.
         pushes: u64,
     },
-    /// Scheduler-internal: evaluate the speculation window for `worker`
-    /// now. Timer machinery routes deadline firings through the same
-    /// frame handler as remote messages, so the decision path is one code
-    /// path regardless of what woke it.
-    Check {
-        /// The worker whose window is due.
-        worker: WorkerId,
-    },
     /// Scheduler → worker: abort the speculative iteration and re-pull
     /// (the paper's `re-sync` instruction).
     Abort {
@@ -93,21 +86,21 @@ pub enum WireMessage {
         /// Sender id (worker index, or shard id on a shard connection).
         worker: WorkerId,
     },
-    /// Failover control plane: crash/promote/recover plus the
+    /// Failover control plane: shard registration, promotion, the
     /// where-is-the-primary exchange workers use to ride out a shard
-    /// death. See [`FailoverControl`].
+    /// death, and the backup rejoin handshake. See [`FailoverControl`].
     Failover(FailoverControl),
     /// Graceful shutdown of the receiving host loop.
     Shutdown,
-    /// Primary → backup: a write-ahead relayed push, tagged with the store
-    /// version it produces (`seq`) and the learning rate the primary will
-    /// apply it with. The tag makes the at-least-once relay idempotent — a
-    /// backup that already holds `seq` (it survived a primary crash, or
-    /// caught up through a rejoin tail) acks without re-applying, so no
-    /// push can land twice. On the wire this frame carries the rejoin
-    /// journal tail (decoded entries, no received bytes to forward); a
-    /// live relay travels as [`RelayTag`](Self::RelayTag) + the worker's
-    /// `Push` frame and becomes this variant in the backup's memory.
+    /// A write-ahead relayed push as a backup handles it, tagged with the
+    /// store version it produces (`seq`) and the learning rate the primary
+    /// will apply it with. The tag makes the at-least-once relay
+    /// idempotent — a backup that already holds `seq` acks without
+    /// re-applying, so no push can land twice. A relay travels as
+    /// [`RelayTag`](Self::RelayTag) + the worker's `Push` frame and
+    /// becomes this variant in the backup's memory; no socket carries it,
+    /// though the codec still encodes it for callers that replay a relay
+    /// in one process.
     RelayPush {
         /// Store version this push produces (`version + 1` at the
         /// primary when the push was journalled).
@@ -149,8 +142,7 @@ impl WireMessage {
             WireMessage::Abort { .. } => MessageClass::Resync,
             // A relay tag is 33 bytes; the gradient travels in the `Push`
             // frame behind it.
-            WireMessage::Check { .. }
-            | WireMessage::Heartbeat { .. }
+            WireMessage::Heartbeat { .. }
             | WireMessage::Failover(_)
             | WireMessage::RelayTag { .. }
             | WireMessage::Shutdown => MessageClass::Control,
@@ -163,7 +155,6 @@ impl WireMessage {
             WireMessage::Pull { worker }
             | WireMessage::Push { worker, .. }
             | WireMessage::Notify { worker, .. }
-            | WireMessage::Check { worker }
             | WireMessage::Abort { worker }
             | WireMessage::Heartbeat { worker } => Some(*worker),
             // `RelayPush` is replica-plane traffic: the worker field is
@@ -180,44 +171,26 @@ impl WireMessage {
 }
 
 /// The failover control vocabulary, nested under
-/// [`WireMessage::Failover`].
-///
-/// In the simulator these verbs drive the in-process
-/// [`ReplicatedStore`](specsync_ps::ReplicatedStore) pair; over TCP the
-/// scheduler uses them to promote a warm-backup *process* and to tell
-/// reconnecting workers where the primary now lives.
+/// [`WireMessage::Failover`]: the scheduler promotes a warm-backup
+/// *process* and tells reconnecting workers where the primary now lives,
+/// and a fresh shard process provisions itself from the serving primary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FailoverControl {
-    /// A shard replica crashed (fault injection, or declared dead by the
-    /// scheduler's heartbeat silence detector).
-    Crash {
-        /// Replica index.
-        server: u64,
-    },
-    /// Promote the warm backup of `server`'s pair to primary.
+    /// Scheduler → warm backup: take over as primary of `server`'s pair.
     Promote {
-        /// Replica index of the crashed node whose backup takes over.
+        /// Shard id of the backup being promoted.
         server: u64,
     },
-    /// Promotion reply: the backup now serves, at `version`, after
-    /// replaying `replayed` journalled pushes.
+    /// Promotion reply: the backup now serves, at `version`, holding
+    /// `replayed` pushes it absorbed over the write-ahead relay while it
+    /// was the backup.
     Promoted {
-        /// Replica index that was promoted.
+        /// Shard id that was promoted.
         server: u64,
         /// Store version after promotion.
         version: u64,
-        /// Journalled pushes replayed to catch up.
+        /// Relayed pushes the backup applied before it took over.
         replayed: u64,
-    },
-    /// Re-admit a recovered node as the new warm backup.
-    Recover {
-        /// Replica index rejoining.
-        server: u64,
-    },
-    /// Generic acknowledgement for `Crash`/`Recover`.
-    Ack {
-        /// Replica index the ack concerns.
-        server: u64,
     },
     /// Shard process → scheduler, on connect: here is my listen address.
     /// `backup` marks the warm standby.
@@ -241,11 +214,10 @@ pub enum FailoverControl {
         epoch: u64,
     },
     /// Fresh shard process → primary: provision me as the warm backup.
-    /// Opens the rejoin protocol: the primary answers with a chunked
-    /// [`SnapshotChunk`](Self::SnapshotChunk) stream, a
-    /// [`CatchUp`](Self::CatchUp) header, the journal tail as
-    /// [`RelayPush`](WireMessage::RelayPush) frames, and then keeps the
-    /// connection as its live write-ahead relay.
+    /// Opens the two-phase rejoin: the primary answers with a chunked
+    /// [`SnapshotChunk`](Self::SnapshotChunk) stream of its serving store,
+    /// the joiner confirms with [`BackupReady`](Self::BackupReady), and the
+    /// primary keeps the connection as its live write-ahead relay.
     JoinAsBackup {
         /// The joining shard's id.
         server: u64,
@@ -265,27 +237,14 @@ pub enum FailoverControl {
         /// The raw checkpoint bytes of this chunk.
         data: Vec<u8>,
     },
-    /// Primary → joiner: snapshot complete; `entries` journal-tail pushes
-    /// follow as `RelayPush` frames, carrying the store through version
-    /// `through`. Parity is defined as the joiner reaching exactly
-    /// `through`.
-    CatchUp {
-        /// Number of tail entries about to be replayed.
-        entries: u64,
-        /// Store version after the full tail is applied.
-        through: u64,
-    },
-    /// Joiner → primary: snapshot restored and tail applied; I serve at
-    /// `version` having replayed `replayed` tail pushes. The primary
-    /// verifies `version` against the promised parity point before wiring
-    /// the connection in as its live relay.
+    /// Joiner → primary (and then → scheduler): the snapshot is installed
+    /// and I hold `version`. The primary adopts the connection as its
+    /// relay only if `version` is the checkpoint's own.
     BackupReady {
         /// The joined shard's id.
         server: u64,
-        /// Store version the joiner reached.
+        /// Store version the joiner installed.
         version: u64,
-        /// Tail pushes the joiner applied.
-        replayed: u64,
     },
 }
 
@@ -395,7 +354,6 @@ mod tests {
                 },
                 MessageClass::Notify,
             ),
-            (WireMessage::Check { worker: w }, MessageClass::Control),
             (WireMessage::Abort { worker: w }, MessageClass::Resync),
             (WireMessage::Heartbeat { worker: w }, MessageClass::Control),
             (
@@ -418,17 +376,9 @@ mod tests {
                 MessageClass::Control,
             ),
             (
-                WireMessage::Failover(FailoverControl::CatchUp {
-                    entries: 4,
-                    through: 21,
-                }),
-                MessageClass::Control,
-            ),
-            (
                 WireMessage::Failover(FailoverControl::BackupReady {
                     server: 2,
                     version: 21,
-                    replayed: 4,
                 }),
                 MessageClass::Control,
             ),

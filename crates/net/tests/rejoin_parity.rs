@@ -1,10 +1,11 @@
-//! Property: the wire-level rejoin protocol — snapshot transfer in
-//! bounded chunks, journal-tail catch-up as `RelayPush` frames, then live
-//! write-ahead relays as `RelayTag` + the worker's own frame bytes —
-//! leaves the joining backup bit-identical to the primary, for any push
-//! workload racing the join and any chunk size. This is the wire-path
-//! extension of `promoted_backup_is_bit_identical_to_primary` in
-//! `specsync-ps`: every frame crosses the codec, not just the store API.
+//! Property: the wire-level rejoin — a checkpoint of the primary's
+//! *serving* store streamed in bounded chunks, the joiner's `BackupReady`
+//! at the checkpoint's version, then live write-ahead relays as a
+//! `RelayTag` plus the worker's own frame bytes — leaves the joining
+//! backup bit-identical to the primary, for any push workload racing the
+//! join and any chunk size. Capturing the serving store must not move the primary
+//! either: an untouched twin stays bit-identical to both. Every frame
+//! crosses the codec, not just the store API.
 
 use proptest::prelude::*;
 use specsync_net::{decode_frame, encode_frame, FailoverControl, ShardHost, WireMessage};
@@ -60,6 +61,11 @@ fn fresh_host(dim: usize) -> ShardHost {
     ShardHost::new(ReplicatedStore::from_store(store, JOURNAL_CAP))
 }
 
+fn bits(host: &mut ShardHost) -> Vec<u32> {
+    let params = host.replica_mut().params();
+    params.iter().map(|p| p.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -71,28 +77,29 @@ proptest! {
         chunk_bytes in 1usize..96,
         redeliver in any::<bool>(),
     ) {
-        let mut primary = fresh_host(dim);
+        let (mut primary, mut twin) = (fresh_host(dim), fresh_host(dim));
         for (i, op) in pre.iter().enumerate() {
             primary.handle(op_frame(op, dim, i)).expect("primary accepts pushes");
+            twin.handle(op_frame(op, dim, i)).expect("twin accepts pushes");
         }
 
-        // --- Snapshot transfer: chunked checkpoint frames, reassembled.
-        let (checkpoint, tail) = primary.replica_mut().rejoin_snapshot();
+        // --- Phase 1: the serving store's checkpoint, in chunks.
+        let checkpoint = primary.replica_mut().serving_store_mut().snapshot_for_checkpoint();
         let encoded = checkpoint.encode();
         let total = encoded.chunks(chunk_bytes).count() as u64;
         let mut streamed = Vec::new();
-        for (index, data) in encoded.chunks(chunk_bytes).enumerate() {
+        for (next, data) in encoded.chunks(chunk_bytes).enumerate() {
             let frame = over_the_wire(&WireMessage::Failover(FailoverControl::SnapshotChunk {
-                index: index as u64,
+                index: next as u64,
                 total,
                 data: data.to_vec(),
             }));
-            let WireMessage::Failover(FailoverControl::SnapshotChunk { index: got, data, .. }) =
+            let WireMessage::Failover(FailoverControl::SnapshotChunk { index, total: of, data }) =
                 frame
             else {
                 panic!("chunk frame changed shape over the wire");
             };
-            prop_assert_eq!(got, streamed.len() as u64 / chunk_bytes as u64);
+            prop_assert_eq!((index, of), (next as u64, total), "the joiner's sequence rule");
             streamed.extend_from_slice(&data);
         }
         let restored = ParameterStore::restore(
@@ -102,29 +109,23 @@ proptest! {
         let mut joiner = fresh_host(dim);
         joiner.install_store(ReplicatedStore::from_store(restored, JOURNAL_CAP));
 
-        // --- Journal-tail catch-up: RelayPush frames replayed in order.
-        for entry in &tail {
-            let frame = over_the_wire(&WireMessage::RelayPush {
-                seq: entry.seq,
-                worker: entry.worker,
-                lr: entry.lr,
-                payload: entry.payload.clone(),
-            });
-            let ack = joiner.handle(frame).expect("tail entries replay cleanly");
-            let acked = matches!(ack, Some(WireMessage::PushAck { .. }));
-            prop_assert!(acked, "a replayed tail entry must be acked");
-        }
-        prop_assert_eq!(
-            joiner.replica().version(),
-            primary.replica().version(),
-            "catch-up must reach parity before live relays start"
-        );
+        // --- Phase 2: the joiner confirms; the primary's adoption rule.
+        let ready = over_the_wire(&WireMessage::Failover(FailoverControl::BackupReady {
+            server: 2,
+            version: joiner.replica().version(),
+        }));
+        let WireMessage::Failover(FailoverControl::BackupReady { version, .. }) = ready else {
+            panic!("BackupReady changed shape over the wire");
+        };
+        prop_assert_eq!(version, checkpoint.version(), "parity before live relays start");
+        prop_assert_eq!(version, primary.replica().version());
 
-        // --- Live pushes racing the join: write-ahead relay (backup holds
-        // the push before the primary applies it), with optional
-        // at-least-once re-delivery that must not double-apply. Once
-        // adopted, the joiner is sent a tag frame and then the bytes the
-        // worker sent, not a re-encoding: it decodes those very bytes.
+        // --- Live pushes that raced the join queued behind it: each is a
+        // write-ahead relay (the backup holds the push before the primary
+        // applies it), sent as a tag frame plus the bytes the worker sent.
+        // With `redeliver`, every relay so far arrives again, and the
+        // backup must ack each one without re-applying it.
+        let mut relays = Vec::new();
         for (i, op) in post.iter().enumerate() {
             let sent = encode_frame(&op_frame(op, dim, pre.len() + i))
                 .expect("pushes fit the payload limit");
@@ -139,33 +140,25 @@ proptest! {
             else {
                 panic!("a relay is a tag and a push");
             };
-            let relay = WireMessage::RelayPush { seq, worker, lr, payload };
-            joiner.handle(relay.clone()).expect("joiner applies the relay");
+            relays.push(WireMessage::RelayPush { seq, worker, lr, payload });
+            joiner.handle(relays[i].clone()).expect("joiner applies the relay");
             if redeliver {
-                let before = joiner.replica().version();
-                joiner.handle(relay).expect("re-delivery is acked");
-                prop_assert_eq!(
-                    joiner.replica().version(),
-                    before,
-                    "a re-delivered relay must not re-apply"
-                );
+                let before = bits(&mut joiner);
+                for relay in &relays {
+                    let ack = joiner.handle(relay.clone()).expect("re-delivery is acked");
+                    let acked = matches!(ack, Some(WireMessage::PushAck { .. }));
+                    prop_assert!(acked, "a re-delivered relay must be acked");
+                }
+                prop_assert_eq!(bits(&mut joiner), before, "a re-delivered relay re-applied");
             }
+            twin.handle(push.clone()).expect("twin applies");
             primary.handle(push).expect("primary applies after the relay");
         }
 
-        prop_assert_eq!(joiner.replica().version(), primary.replica().version());
-        let want: Vec<u32> = primary
-            .replica_mut()
-            .params()
-            .iter()
-            .map(|p| p.to_bits())
-            .collect();
-        let got: Vec<u32> = joiner
-            .replica_mut()
-            .params()
-            .iter()
-            .map(|p| p.to_bits())
-            .collect();
-        prop_assert_eq!(got, want, "the rejoined backup must be bit-identical");
+        let want = bits(&mut twin);
+        prop_assert_eq!(primary.replica().version(), twin.replica().version());
+        prop_assert_eq!(joiner.replica().version(), twin.replica().version());
+        prop_assert_eq!(bits(&mut primary), want.clone(), "the capture moved the primary");
+        prop_assert_eq!(bits(&mut joiner), want, "the rejoined backup must be bit-identical");
     }
 }

@@ -275,28 +275,40 @@ fn a_redelivered_pair_is_acked_without_being_applied_again() {
     assert_eq!(bits, replay_bits([first, second]), "each push applied once");
 }
 
+/// A relay is a tag plus the worker's own frame, and nothing else: a tag
+/// followed by anything but a `Push`, or a `RelayPush` on its own (the
+/// form a backup only ever builds in memory), drops the connection.
 #[test]
 fn a_tag_not_followed_by_a_push_drops_the_connection_and_touches_nothing() {
     let backup = spawn(bind(1).as_backup());
     let tag = encode_frame(&WireMessage::RelayTag { seq: 1, lr: 0.05 }).expect("encode tag");
+    let relay_push = WireMessage::RelayPush {
+        seq: 1,
+        worker: WorkerId::new(0),
+        lr: 0.05,
+        payload: PushPayload::Dense(vec![1.0; DIM]),
+    };
     let not_a_push = [
         WireMessage::Heartbeat {
             worker: WorkerId::new(0),
         },
         WireMessage::RelayTag { seq: 1, lr: 0.05 },
-        WireMessage::RelayPush {
-            seq: 1,
-            worker: WorkerId::new(0),
-            lr: 0.05,
-            payload: PushPayload::Dense(vec![1.0; DIM]),
-        },
+        relay_push.clone(),
     ];
-    for follower in not_a_push {
+    let mut rows: Vec<(String, Vec<u8>)> = not_a_push
+        .iter()
+        .map(|follower| {
+            let mut bytes = tag.clone();
+            bytes.extend(encode_frame(follower).expect("encode follower"));
+            (format!("{follower:?} after a tag"), bytes)
+        })
+        .collect();
+    let bare = encode_frame(&relay_push).expect("encode bare relay push");
+    rows.push(("a bare RelayPush".to_string(), bare));
+    for (row, bytes) in rows {
         let mut conn = connect(&backup.addr);
-        let mut bytes = tag.clone();
-        bytes.extend(encode_frame(&follower).expect("encode follower"));
         conn.write_encoded(&bytes).expect("write");
-        assert!(conn.recv().is_err(), "{follower:?} after a tag");
+        assert!(conn.recv().is_err(), "{row}");
     }
     let stats = backup.stop();
     assert_eq!((stats.pushes_applied, stats.version), (0, 0));

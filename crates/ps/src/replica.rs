@@ -94,11 +94,6 @@ impl ShardReplica {
     pub fn role(&self) -> ReplicaRole {
         self.role
     }
-
-    /// How many times this shard has failed over.
-    pub fn failovers(&self) -> u64 {
-        self.failovers
-    }
 }
 
 /// A primary/backup replicated [`ParameterStore`] with a bounded
@@ -381,31 +376,6 @@ impl ReplicatedStore {
         Ok(())
     }
 
-    /// Captures everything a re-provisioning backup needs to reach parity:
-    /// a checkpoint of the warm backup at its applied watermark plus the
-    /// journal tail of pushes past that watermark, in order.
-    ///
-    /// The pair is consistent by construction — the checkpoint's version
-    /// is exactly the watermark, and replaying the returned entries on the
-    /// restored store reproduces the serving replica bit-for-bit (the same
-    /// exactly-once arithmetic [`sync_backup`](Self::sync_backup) runs).
-    /// Snapshotting the *backup* instead of the serving primary keeps the
-    /// journal intact, so the in-process warm backup loses nothing.
-    pub fn rejoin_snapshot(&mut self) -> (crate::checkpoint::StoreCheckpoint, Vec<JournalEntry>) {
-        let checkpoint = self.backup.snapshot_for_checkpoint();
-        debug_assert_eq!(
-            checkpoint.version(),
-            self.backup_applied,
-            "the backup checkpoint captures exactly the applied watermark"
-        );
-        let tail: Vec<JournalEntry> = self
-            .journal
-            .entries_after(self.backup_applied)
-            .cloned()
-            .collect();
-        (checkpoint, tail)
-    }
-
     // ----- read-side passthroughs to the serving replica -----
 
     /// Global version: total pushes applied.
@@ -446,7 +416,8 @@ impl ReplicatedStore {
         self.primary.staleness_of(worker)
     }
 
-    /// The serving replica, for checkpoint capture.
+    /// The serving replica, for checkpoint capture (a rejoining backup
+    /// process is provisioned from this checkpoint).
     pub fn serving_store_mut(&mut self) -> &mut ParameterStore {
         &mut self.primary
     }
@@ -565,9 +536,10 @@ mod tests {
     /// plus the journal tail between them.
     fn replica_bytes(rep: &mut ReplicatedStore) -> (Vec<u8>, Vec<u8>, Vec<(u64, PushPayload)>) {
         let serving = rep.serving_store_mut().snapshot_for_checkpoint().encode();
-        let (backup, tail) = rep.rejoin_snapshot();
-        let tail = tail.into_iter().map(|e| (e.seq, e.payload)).collect();
-        (serving, backup.encode(), tail)
+        let backup = rep.backup.snapshot_for_checkpoint().encode();
+        let tail = rep.journal.entries_after(rep.backup_applied);
+        let tail = tail.map(|e| (e.seq, e.payload.clone())).collect();
+        (serving, backup, tail)
     }
 
     #[test]
@@ -608,8 +580,8 @@ mod tests {
         }
         assert_eq!(replica_bytes(&mut owned), replica_bytes(&mut borrowed));
 
-        // The promoted pair keeps journaling, and a joiner provisioned
-        // from either store sees the same checkpoint and tail.
+        // The promoted pair keeps journaling, and either store holds the
+        // same checkpoints and tail.
         drive(&mut owned, &mut borrowed, 7);
         let state = replica_bytes(&mut owned);
         assert_eq!(replica_bytes(&mut borrowed), state);
@@ -634,34 +606,6 @@ mod tests {
         assert_eq!(rep.version(), shadow.version());
         assert_eq!(rep.params(), shadow.params());
         assert_eq!(rep.total_failovers(), 2);
-    }
-
-    #[test]
-    fn rejoin_snapshot_plus_tail_reproduces_the_primary() {
-        let base = ParameterStore::new(vec![0.0; 4], 2).with_momentum(0.9);
-        let mut shadow = base.clone();
-        let mut rep = ReplicatedStore::from_store(base, 64);
-        mixed_workload(&mut rep, &mut shadow, 9);
-        rep.sync_backup();
-        mixed_workload(&mut rep, &mut shadow, 8);
-
-        let (ckpt, tail) = rep.rejoin_snapshot();
-        assert_eq!(ckpt.version(), 9, "checkpoint sits at the watermark");
-        assert_eq!(tail.len(), 8, "tail covers exactly the unapplied suffix");
-
-        // A fresh node restores the checkpoint and replays the tail: the
-        // result must be bit-identical to the serving primary.
-        let mut joiner = ParameterStore::restore(ckpt).unwrap();
-        for entry in &tail {
-            assert_eq!(entry.apply_to(&mut joiner), entry.seq);
-        }
-        assert_eq!(joiner.version(), rep.version());
-        assert_eq!(joiner.params(), rep.params());
-
-        // The capture is read-only: the in-process backup still promotes.
-        rep.crash_server(0).unwrap();
-        rep.promote(0).unwrap();
-        assert_eq!(rep.params(), shadow.params());
     }
 
     #[test]

@@ -355,16 +355,14 @@ pub enum Event {
         /// The promotion epoch at join time.
         epoch: u64,
     },
-    /// A rejoining backup finished snapshot transfer plus journal-tail
-    /// replay and confirmed bit-level parity with the primary (wall-clock
+    /// A rejoining backup installed a snapshot of the primary's serving
+    /// store and was adopted as its write-ahead relay target (wall-clock
     /// hosts only).
     CatchUpComplete {
         /// Id of the caught-up shard.
         shard: u64,
-        /// The store version parity was confirmed at.
+        /// The store version of the snapshot it installed.
         version: u64,
-        /// Journal-tail pushes replayed after the snapshot.
-        replayed: u64,
     },
     /// A supervisor restarted a crashed role process (wall-clock hosts
     /// only). The restart budget bounds how often this can fire per role.

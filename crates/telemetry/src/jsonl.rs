@@ -263,15 +263,8 @@ pub fn encode_line(micros: u64, event: &Event) -> String {
         Event::BackupJoined { shard, epoch } => {
             let _ = write!(s, ",\"shard\":{shard},\"epoch\":{epoch}");
         }
-        Event::CatchUpComplete {
-            shard,
-            version,
-            replayed,
-        } => {
-            let _ = write!(
-                s,
-                ",\"shard\":{shard},\"version\":{version},\"replayed\":{replayed}"
-            );
+        Event::CatchUpComplete { shard, version } => {
+            let _ = write!(s, ",\"shard\":{shard},\"version\":{version}");
         }
         Event::ProcessRestarted { shard, attempt } => {
             let _ = write!(s, ",\"shard\":{shard},\"attempt\":{attempt}");
@@ -507,7 +500,6 @@ pub fn parse_trace_line(line: &str) -> Result<TraceRecord, String> {
         "catchup_complete" => Event::CatchUpComplete {
             shard: parse_u64(&pairs, "shard")?,
             version: parse_u64(&pairs, "version")?,
-            replayed: parse_u64(&pairs, "replayed")?,
         },
         "process_restarted" => Event::ProcessRestarted {
             shard: parse_u64(&pairs, "shard")?,
@@ -827,7 +819,6 @@ mod tests {
         round_trip(Event::CatchUpComplete {
             shard: 2,
             version: 512,
-            replayed: 9,
         });
         round_trip(Event::ProcessRestarted {
             shard: 3,

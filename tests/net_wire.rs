@@ -72,7 +72,6 @@ fn arb_addr() -> impl Strategy<Value = String> {
 
 fn arb_failover() -> impl Strategy<Value = FailoverControl> {
     prop_oneof![
-        any::<u64>().prop_map(|server| FailoverControl::Crash { server }),
         any::<u64>().prop_map(|server| FailoverControl::Promote { server }),
         (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(server, version, replayed)| {
             FailoverControl::Promoted {
@@ -81,8 +80,6 @@ fn arb_failover() -> impl Strategy<Value = FailoverControl> {
                 replayed,
             }
         }),
-        any::<u64>().prop_map(|server| FailoverControl::Recover { server }),
-        any::<u64>().prop_map(|server| FailoverControl::Ack { server }),
         (any::<u64>(), any::<bool>(), arb_addr()).prop_map(|(server, backup, addr)| {
             FailoverControl::Register {
                 server,
@@ -93,6 +90,21 @@ fn arb_failover() -> impl Strategy<Value = FailoverControl> {
         Just(FailoverControl::QueryPrimary),
         (arb_addr(), any::<u64>())
             .prop_map(|(addr, epoch)| FailoverControl::Primary { addr, epoch }),
+        (any::<u64>(), arb_addr())
+            .prop_map(|(server, addr)| FailoverControl::JoinAsBackup { server, addr }),
+        // The decoder refuses a chunk index at or past the total.
+        (
+            1..u64::MAX,
+            any::<u64>(),
+            proptest::collection::vec(any::<u8>(), 0..64)
+        )
+            .prop_map(|(total, index, data)| FailoverControl::SnapshotChunk {
+                index: index % total,
+                total,
+                data,
+            }),
+        (any::<u64>(), any::<u64>())
+            .prop_map(|(server, version)| FailoverControl::BackupReady { server, version }),
     ]
 }
 
@@ -121,10 +133,25 @@ fn arb_message() -> impl Strategy<Value = WireMessage> {
         }),
         (arb_worker(), any::<u64>())
             .prop_map(|(worker, pushes)| WireMessage::Notify { worker, pushes }),
-        arb_worker().prop_map(|worker| WireMessage::Check { worker }),
         arb_worker().prop_map(|worker| WireMessage::Abort { worker }),
         arb_worker().prop_map(|worker| WireMessage::Heartbeat { worker }),
         arb_failover().prop_map(WireMessage::Failover),
+        (any::<u64>(), arb_worker(), arb_f32(), arb_params()).prop_map(
+            |(seq, worker, lr, grad)| WireMessage::RelayPush {
+                seq,
+                worker,
+                lr,
+                payload: PushPayload::Dense(grad),
+            }
+        ),
+        (any::<u64>(), arb_worker(), arb_f32(), arb_sparse()).prop_map(
+            |(seq, worker, lr, grad)| WireMessage::RelayPush {
+                seq,
+                worker,
+                lr,
+                payload: PushPayload::Sparse(grad),
+            }
+        ),
         (any::<u64>(), arb_f32()).prop_map(|(seq, lr)| WireMessage::RelayTag { seq, lr }),
         Just(WireMessage::Shutdown),
     ]
