@@ -180,12 +180,13 @@ fn run_scheduler(args: &[String]) {
     emit(&format!("LISTENING {}", server.local_addr()));
     let stats = server.run().expect("scheduler run");
     emit(&format!(
-        "STATS promotions={} completed={} total_pushes={} aborts={} dead_workers={}",
+        "STATS promotions={} completed={} total_pushes={} aborts={} dead_workers={} rejoins={}",
         stats.promotions,
         stats.completed,
         stats.total_pushes,
         stats.aborts_issued,
         stats.workers_marked_dead,
+        stats.rejoins,
     ));
 }
 

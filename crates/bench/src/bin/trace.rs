@@ -271,7 +271,6 @@ struct Summary {
     failovers: u64,
     journal_replayed: u64,
     checkpoints: u64,
-    store_recoveries: u64,
     /// Scheduler data-plane events (worker-less, counted globally).
     eviction_passes: u64,
     evicted_records: u64,
@@ -290,7 +289,6 @@ fn reconstruct(records: &[TraceRecord]) -> Summary {
     let mut failovers = 0u64;
     let mut journal_replayed = 0u64;
     let mut checkpoints = 0u64;
-    let mut store_recoveries = 0u64;
     let mut eviction_passes = 0u64;
     let mut evicted_records = 0u64;
     let mut last_retained = None;
@@ -331,10 +329,6 @@ fn reconstruct(records: &[TraceRecord]) -> Summary {
             }
             Event::CheckpointWritten { .. } => {
                 checkpoints += 1;
-                continue;
-            }
-            Event::StoreRecovered { .. } => {
-                store_recoveries += 1;
                 continue;
             }
             Event::HistoryEvicted {
@@ -410,7 +404,6 @@ fn reconstruct(records: &[TraceRecord]) -> Summary {
                 | Event::DegradedMode { .. } => tl.net_faults += 1,
                 Event::EpochTuned { .. }
                 | Event::Eval { .. }
-                | Event::StoreRecovered { .. }
                 | Event::ShardFailover { .. }
                 | Event::CheckpointWritten { .. }
                 | Event::HistoryEvicted { .. }
@@ -471,7 +464,6 @@ fn reconstruct(records: &[TraceRecord]) -> Summary {
         failovers,
         journal_replayed,
         checkpoints,
-        store_recoveries,
         eviction_passes,
         evicted_records,
         last_retained,
@@ -508,14 +500,11 @@ fn summarize(path: &str) -> ExitCode {
         }
     );
 
-    if summary.failovers + summary.checkpoints + summary.store_recoveries > 0 {
+    if summary.failovers + summary.checkpoints > 0 {
         println!(
             "server fault tolerance: {} shard failover(s) ({} journaled push(es) replayed), \
-             {} checkpoint(s) written, {} store recovery(ies)",
-            summary.failovers,
-            summary.journal_replayed,
-            summary.checkpoints,
-            summary.store_recoveries
+             {} checkpoint(s) written",
+            summary.failovers, summary.journal_replayed, summary.checkpoints
         );
     }
 

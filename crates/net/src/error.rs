@@ -41,7 +41,7 @@ pub enum NetError {
         /// Attempts spent before giving up.
         attempts: u32,
     },
-    /// The peer (or in-process host thread) is gone.
+    /// The peer is gone.
     Disconnected,
     /// The [`NetConfig`](crate::NetConfig) failed validation at the
     /// transport/server entry point.

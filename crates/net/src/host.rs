@@ -2,7 +2,7 @@
 //! [`ReplicatedStore`] and answers every [`WireMessage`] a shard can
 //! receive.
 //!
-//! All three hosts route through it:
+//! Both hosts route through it:
 //!
 //! - the virtual-time **simulator driver** calls the typed verbs
 //!   ([`pull`](ShardHost::pull), [`push_dense`](ShardHost::push_dense),
@@ -11,9 +11,10 @@
 //!   identical to the pre-wire seed so golden traces stay byte-identical —
 //!   and crashes and promotes its in-process replica pair through
 //!   [`replica_mut`](ShardHost::replica_mut);
-//! - the **TCP shard server** and the **threaded runtime's server thread**
-//!   route frames through [`handle`](ShardHost::handle), which calls the
-//!   same verbs at the rate of the installed schedule.
+//! - the **TCP shard server** (in its own process, or on a thread of the
+//!   threaded runtime) routes frames through
+//!   [`handle`](ShardHost::handle), which calls the same verbs at the rate
+//!   of the installed schedule.
 //!
 //! No failover verb reaches `handle`: the TCP server obeys `Promote` on
 //! its scheduler link and runs the rejoin handshake on the connection
@@ -248,12 +249,11 @@ impl ShardHost {
         })
     }
 
-    /// Replaces the wrapped store with one rebuilt at the caller — restored
-    /// from a rejoin snapshot, or rolled back after a torn apply; the
-    /// encoded-reply cache is dropped so no bytes of the old store can be
-    /// served. The epoch estimate never rewinds,
-    /// and advances again once the store's per-worker push counts pass
-    /// the ones already seen — a rebuilt store should carry them on.
+    /// Replaces the wrapped store with one restored from a rejoin
+    /// snapshot; the encoded-reply cache is dropped so no bytes of the old
+    /// store can be served. The epoch estimate never rewinds, and advances
+    /// again once the store's per-worker push counts pass the ones already
+    /// seen — a restored store carries them on.
     pub fn install_store(&mut self, store: ReplicatedStore) {
         self.store = store;
         self.encoded = None;
@@ -605,8 +605,8 @@ mod tests {
 
     /// The epoch estimate folds the store's per-worker counts in with
     /// `max`, so it cannot rewind — but a store rebuilt with its counts back
-    /// at zero would freeze it until they caught up. A recovery therefore
-    /// rolls parameters back and lets the counts carry on.
+    /// at zero would freeze it until they caught up. A rejoin therefore
+    /// installs a checkpoint, which carries the counts on.
     #[test]
     fn epochs_keep_advancing_one_per_round_across_install_store() {
         let mut h = host().with_lr_fn(|epochs| 1.0 / (1 + epochs) as f32);
@@ -622,13 +622,16 @@ mod tests {
         }
         assert_eq!(h.epochs(), 2);
 
-        let store = h.replica_mut().serving_store_mut();
-        store.roll_back_params(&[0.0; 8]);
-        let rebuilt = ReplicatedStore::from_store(store.clone(), 4);
-        h.install_store(rebuilt);
-        assert_eq!(h.epochs(), 2, "a recovery must not rewind the epochs");
+        let checkpoint = h
+            .replica_mut()
+            .serving_store_mut()
+            .snapshot_for_checkpoint();
+        let restored = ParameterStore::restore(checkpoint).unwrap();
+        h.install_store(ReplicatedStore::from_store(restored, 4));
+        assert_eq!(h.epochs(), 2, "a rejoin must not rewind the epochs");
         push(&mut h, 0);
-        assert_eq!(h.replica_mut().params(), &[-1.0 / 3.0; 8], "lr_fn(2)");
+        // Rates 1, 1, ½, ½ before the install, then lr_fn(2).
+        assert_eq!(h.replica_mut().params(), &[-3.0 - 1.0 / 3.0; 8], "lr_fn(2)");
         assert_eq!(h.epochs(), 2, "half a round");
         for (worker, epochs) in [(1, 3), (0, 3), (1, 4)] {
             push(&mut h, worker);

@@ -1,22 +1,21 @@
 //! `specsync-net`: a real wire for SpecSync — the length-prefixed frame
-//! codec, the [`Transport`] abstraction, and the TCP servers that let the
+//! codec, the [`Transport`] abstraction, and the TCP servers that run the
 //! parameter-server shards, the scheduler, and the workers of the paper's
-//! architecture (Fig. 7) run as separate OS processes on one host.
+//! architecture (Fig. 7) as separate OS processes, or as threads of one
+//! process over loopback (the threaded runtime).
 //!
 //! # Layers
 //!
 //! * [`wire`] — the consolidated [`WireMessage`] vocabulary: every frame
-//!   any SpecSync role can send, in one enum, shared by the in-process
-//!   runtime, the virtual-time simulator's accounting, and the TCP path.
+//!   any SpecSync role can send, in one enum, shared by the simulator's
+//!   accounting and the TCP path.
 //! * [`frame`] — the binary codec: `"SSNF"` magic, format version,
 //!   length prefix, FNV-1a checksum, then a tagged payload. Decoding is
 //!   exact-fit: any flipped, missing, or trailing byte rejects.
 //! * [`transport`] — the [`Transport`] trait a worker drives its run
-//!   through, with two interchangeable implementations:
-//!   [`InProcTransport`] (channels; byte-identical to the pre-wire
-//!   runtime) and [`TcpTransport`] (sockets; one retry rule — jittered
-//!   backoff, ask the scheduler for the primary, move only forward —
-//!   bounded by [`NetConfig::connect_retries`]).
+//!   through, and [`TcpTransport`], its implementation over sockets: one
+//!   retry rule — jittered backoff, ask the scheduler for the primary,
+//!   move only forward — bounded by [`NetConfig::connect_retries`].
 //! * [`chaos`] — deterministic fault injection: [`ChaosStream`] /
 //!   [`ChaosListener`] execute a seeded per-connection [`FaultScript`]
 //!   (refusals, resets, stalls, trickling, corruption, half-open
@@ -27,18 +26,17 @@
 //! * [`sched_host`] — [`SchedulerHost`], the transport-agnostic scheduler
 //!   brain: the core scheduler plus timers, liveness, reconciliation,
 //!   epoch accounting and promotion arming, as a sans-IO state machine
-//!   (inputs in, [`SchedOutput`]s out) that both this crate's TCP server
-//!   and the threaded runtime drive.
+//!   (inputs in, [`SchedOutput`]s out) that this crate's TCP server
+//!   drives.
 //! * [`server`] — the process-level hosts: [`ShardServer`] and
 //!   [`SchedulerServer`], including warm-backup promotion over TCP when
-//!   a primary shard process dies.
+//!   a primary shard dies.
 //!
-//! # The same protocol, two wires
+//! # One protocol, one wire
 //!
-//! The point of the redesign is that `WireMessage` + [`Transport`] is
-//! the *only* vocabulary: the threaded runtime's worker loop sends the
-//! exact same frames whether its transport is a channel pair in one
-//! process or a socket to another. Chaos knobs, failover, and telemetry
+//! `WireMessage` + [`Transport`] is the *only* vocabulary: the worker
+//! loop sends the exact same frames whether its peers are other
+//! processes or threads of its own. Chaos knobs, failover, and telemetry
 //! all act on that shared vocabulary.
 
 #![forbid(unsafe_code)]
@@ -64,8 +62,5 @@ pub use frame::{
 pub use host::{PullGrant, PushReceipt, ShardHost};
 pub use sched_host::{SchedOutput, SchedulerHost};
 pub use server::{SchedulerConfig, SchedulerRunStats, SchedulerServer, ShardServer, ShardStats};
-pub use transport::{
-    ConnTarget, Endpoint, FrameConn, InProcTransport, ServerFrame, TcpTransport, Transport,
-    TransportStats,
-};
+pub use transport::{ConnTarget, Endpoint, FrameConn, TcpTransport, Transport, TransportStats};
 pub use wire::{FailoverControl, MessageSizes, WireMessage};

@@ -6,12 +6,12 @@
 //! registrations, advertised primary and promotion latch.
 //!
 //! It is sans-IO, the sibling of [`ShardHost`](crate::ShardHost): it owns
-//! no socket, thread, channel, clock or sink. A driver — the TCP
-//! [`SchedulerServer`](crate::SchedulerServer), or the threaded runtime's
-//! scheduler thread — feeds it [`frame`](SchedulerHost::frame),
-//! [`closed`](SchedulerHost::closed) and [`poll`](SchedulerHost::poll),
-//! each stamped with the time elapsed on the driver's own clock, and
-//! carries out the [`SchedOutput`]s appended to the buffer it passed in.
+//! no socket, thread, channel, clock or sink. Its driver, the TCP
+//! [`SchedulerServer`](crate::SchedulerServer), feeds it
+//! [`frame`](SchedulerHost::frame), [`closed`](SchedulerHost::closed) and
+//! [`poll`](SchedulerHost::poll), each stamped with the time elapsed on
+//! the driver's own clock, and carries out the [`SchedOutput`]s appended
+//! to the buffer it passed in.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -27,9 +27,6 @@ use crate::wire::{FailoverControl, WireMessage};
 /// One thing a [`SchedulerHost`] asks its driver to do.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SchedOutput {
-    /// Deliver a frame to a worker, on whatever the driver uses to reach
-    /// it ([`SchedulerHost::conn_of`] names the bound connection).
-    ToWorker(WorkerId, WireMessage),
     /// Write a frame to one connection.
     ToConn(usize, WireMessage),
     /// Stamp an event with the driver's clock and record it.
@@ -129,7 +126,7 @@ impl SchedulerHost {
     }
 
     // The core keeps its NullSink: its sink is typed on VirtualTime, the
-    // drivers' traces run on wall Duration, so the host re-emits the
+    // driver's traces run on wall Duration, so the host re-emits the
     // scheduler's decisions as `Record` outputs.
     fn around(core: Scheduler, heartbeat_timeout: Duration) -> Self {
         SchedulerHost {
@@ -183,15 +180,6 @@ impl SchedulerHost {
     /// The connection `worker` is currently bound to, if any.
     pub fn conn_of(&self, worker: WorkerId) -> Option<usize> {
         self.workers.get(worker.index())?.conn
-    }
-
-    /// The elapsed time at which the earliest armed window falls due —
-    /// how long a driver may sleep before [`poll`](Self::poll) has an
-    /// abort to decide. (Liveness has no deadline here: a driver sweeps
-    /// it by polling at its heartbeat cadence.)
-    pub fn next_deadline(&self) -> Option<Duration> {
-        let due = self.timers.iter().map(|&(deadline, _)| deadline).min()?;
-        Some(Duration::from_micros(due.as_micros()))
     }
 
     /// Handles one decoded frame that arrived on `conn` at elapsed time
@@ -291,9 +279,13 @@ impl SchedulerHost {
                 let (deadline, worker) = self.timers.swap_remove(i);
                 // Algorithm 2, `CheckResync`, at the instant the window
                 // was armed for.
+                // The abort goes out on the worker's current connection;
+                // with none, there is no one to tell.
                 if matches!(self.core.try_on_check(worker, deadline), Ok(true)) {
                     out.push(SchedOutput::Record(Event::AbortIssued { worker }));
-                    out.push(SchedOutput::ToWorker(worker, WireMessage::Abort { worker }));
+                    if let Some(conn) = self.conn_of(worker) {
+                        out.push(SchedOutput::ToConn(conn, WireMessage::Abort { worker }));
+                    }
                 }
             } else {
                 i += 1;
@@ -518,7 +510,7 @@ impl SchedulerHost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use SchedOutput::{Record, ToConn, ToWorker};
+    use SchedOutput::{Record, ToConn};
 
     const TIMEOUT: Duration = Duration::from_secs(2);
 
@@ -810,7 +802,7 @@ mod tests {
         }
         assert_eq!(out, vec![], "no output for an id the cluster lacks");
         assert_eq!(host.total_pushes(), 0);
-        assert_eq!(host.next_deadline(), None, "no beat, no window");
+        assert!(host.timers.is_empty(), "no beat, no window");
         assert!(host.peers.is_empty(), "the connection stays unbound");
         // Nothing reached the core: no push or pull was recorded, so no
         // per-worker history lane was grown to the hostile id.
@@ -957,12 +949,12 @@ mod tests {
                     100,
                     vec![
                         Record(Event::AbortIssued { worker: w(0) }),
-                        ToWorker(w(0), WireMessage::Abort { worker: w(0) }),
+                        ToConn(1, WireMessage::Abort { worker: w(0) }),
                     ],
                 ),
             ],
         );
-        assert_eq!(host.next_deadline(), Some(ms(150)), "worker 1's window");
+        assert_eq!(host.timers, [(at(ms(150)), w(1))], "worker 1's window");
         assert_eq!(host.conn_of(w(0)), Some(1), "the abort goes out on B");
         assert_eq!(host.workers_marked_dead(), 0);
 
@@ -1019,7 +1011,8 @@ mod tests {
         let tuned = |o: &&SchedOutput| matches!(o, Record(Event::EpochTuned { .. }));
         assert_eq!(a.iter().filter(tuned).count(), 24);
         assert!(
-            a.iter().any(|o| matches!(o, ToWorker(..))),
+            a.iter()
+                .any(|o| matches!(o, ToConn(_, WireMessage::Abort { .. }))),
             "no abort fired"
         );
 

@@ -31,11 +31,21 @@
 //! every later push reaches the new backup as a live relay down the very
 //! same connection, so there is no tail to replay.
 //!
+//! A shard ends two ways. The scheduler's `Shutdown` ends the run
+//! gracefully: the server stops accepting and reports its counters, but
+//! answers its connected clients until they hang up, so a worker
+//! mid-exchange still gets its reply. The [stop handle] halts it, the
+//! in-process twin of killing the process: every connection drops at its
+//! next frame unanswered, the apply thread finishes the push it is on and
+//! refuses the rest, and the scheduler link closes, which is what tells
+//! the scheduler to promote the backup.
+//!
+//! [stop handle]: ShardServer::stop_handle
+//!
 //! # Scheduler server
 //!
 //! One central loop owns every connection's writer and drives the sans-IO
-//! [`SchedulerHost`], which holds all protocol state — the same machine
-//! the threaded runtime's scheduler thread drives. Frames arrive over a
+//! [`SchedulerHost`], which holds all protocol state. Frames arrive over a
 //! channel from per-connection reader threads; each goes into the host
 //! stamped with the elapsed time, and the loop carries out what the host
 //! asks for (frames to write, events to record). Every `tick` the loop
@@ -49,6 +59,7 @@
 use std::collections::BTreeMap;
 use std::io;
 use std::net::TcpListener;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -81,6 +92,7 @@ pub(crate) struct ShardCounters {
     pushes_applied: AtomicU64,
     relayed: AtomicU64,
     relay_drops: AtomicU64,
+    checkpoints_written: AtomicU64,
     /// Pushes absorbed via the write-ahead relay while still a backup —
     /// reported as `replayed` in the `Promoted` frame.
     absorbed: AtomicU64,
@@ -98,6 +110,8 @@ pub struct ShardStats {
     /// Relay links lost to a failed write or ack. After a drop the shard
     /// serves unreplicated until a backup joins.
     pub relay_drops: u64,
+    /// Checkpoints persisted (see [`ShardServer::with_checkpoint`]).
+    pub checkpoints_written: u64,
     /// Whether this process ended the run as the serving primary.
     pub serving: bool,
     /// Final store version.
@@ -110,16 +124,64 @@ pub struct ShardServer {
     shard_id: u64,
     listener: TcpListener,
     local_addr: String,
-    host: Arc<Mutex<ShardHost>>,
     config: NetConfig,
-    /// Whether this process currently serves workers (primaries start
-    /// `true`, warm backups `false` until promoted).
-    serving: Arc<AtomicBool>,
-    stop: Arc<AtomicBool>,
-    counters: Arc<ShardCounters>,
     backup_addr: Option<String>,
     sched_addr: Option<String>,
     join_addr: Option<String>,
+    shared: Shared,
+}
+
+/// What every thread of a running [`ShardServer`] shares.
+struct Shared {
+    host: Arc<Mutex<ShardHost>>,
+    /// Whether this process currently serves workers (primaries start
+    /// `true`, warm backups `false` until promoted).
+    serving: AtomicBool,
+    /// The stop handle's flag: set, the server halts.
+    stop: Arc<AtomicBool>,
+    /// Set when the run is over, however it ended: the accept loop and the
+    /// scheduler heartbeat stop, and connections are still answered.
+    ended: AtomicBool,
+    counters: ShardCounters,
+    sink: Arc<dyn EventSink<Duration>>,
+    clock: WallElapsed,
+    checkpoint: Option<(PathBuf, u64)>,
+}
+
+impl Shared {
+    fn record(&self, event: &Event) {
+        self.sink.record(self.clock.elapsed(), event);
+    }
+
+    /// Persists the serving store if `version` is due: encoded, written
+    /// to `<path>.tmp` and renamed into place, so a crash mid-write never
+    /// leaves a torn checkpoint. Called on the apply thread, so no push
+    /// lands between the apply that made `version` and the snapshot.
+    fn checkpoint(&self, version: u64) {
+        let due = self.checkpoint.as_ref();
+        let Some((path, _)) = due.filter(|(_, every)| version.is_multiple_of(*every)) else {
+            return;
+        };
+        let snapshot = {
+            let mut locked = self.host.lock();
+            locked
+                .replica_mut()
+                .serving_store_mut()
+                .snapshot_for_checkpoint()
+        };
+        let blob = snapshot.encode();
+        let tmp = path.with_extension("tmp");
+        if std::fs::write(&tmp, &blob)
+            .and_then(|()| std::fs::rename(&tmp, path))
+            .is_ok()
+        {
+            self.counters
+                .checkpoints_written
+                .fetch_add(1, Ordering::Relaxed);
+            let bytes = blob.len() as u64;
+            self.record(&Event::CheckpointWritten { version, bytes });
+        }
+    }
 }
 
 /// What the single apply thread consumes: push-class frames in arrival
@@ -133,6 +195,8 @@ enum ApplyCmd {
     /// A joining backup's connection: stream it a snapshot of the serving
     /// store, then adopt it as the write-ahead relay target.
     Join(FrameConn),
+    /// Wakes the apply thread of a halted server so it exits.
+    Halt,
 }
 
 impl std::fmt::Debug for ShardServer {
@@ -140,7 +204,7 @@ impl std::fmt::Debug for ShardServer {
         f.debug_struct("ShardServer")
             .field("shard_id", &self.shard_id)
             .field("addr", &self.local_addr)
-            .field("serving", &self.serving.load(Ordering::SeqCst))
+            .field("serving", &self.shared.serving.load(Ordering::SeqCst))
             .finish_non_exhaustive()
     }
 }
@@ -166,14 +230,20 @@ impl ShardServer {
             shard_id,
             listener,
             local_addr,
-            host: Arc::new(Mutex::new(host)),
             config,
-            serving: Arc::new(AtomicBool::new(true)),
-            stop: Arc::new(AtomicBool::new(false)),
-            counters: Arc::new(ShardCounters::default()),
             backup_addr: None,
             sched_addr: None,
             join_addr: None,
+            shared: Shared {
+                host: Arc::new(Mutex::new(host)),
+                serving: AtomicBool::new(true),
+                stop: Arc::new(AtomicBool::new(false)),
+                ended: AtomicBool::new(false),
+                counters: ShardCounters::default(),
+                sink: Arc::new(NullSink),
+                clock: WallElapsed::start(),
+                checkpoint: None,
+            },
         })
     }
 
@@ -185,7 +255,7 @@ impl ShardServer {
     /// Starts as the warm backup: refuse worker pulls, absorb relayed
     /// pushes, and wait for the scheduler's `Promote`.
     pub fn as_backup(self) -> Self {
-        self.serving.store(false, Ordering::SeqCst);
+        self.shared.serving.store(false, Ordering::SeqCst);
         self
     }
 
@@ -213,14 +283,35 @@ impl ShardServer {
         self
     }
 
-    /// A handle that flips this server's stop flag (for embedding in
-    /// tests; shard processes normally stop on the scheduler's
-    /// `Shutdown`).
-    pub fn stop_handle(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.stop)
+    /// Records `Pull` and `Push` events to `sink` — only while serving,
+    /// so a backup's absorbed relays are not counted twice — and
+    /// `CheckpointWritten`, stamped with the time elapsed since the
+    /// server was bound.
+    pub fn with_sink(mut self, sink: Arc<dyn EventSink<Duration>>) -> Self {
+        self.shared.sink = sink;
+        self
     }
 
-    /// Serves until shutdown. Blocking; returns the run's counters.
+    /// Persists a crash-consistent [`StoreCheckpoint`] of the serving
+    /// store to `path` whenever a push takes the version to a multiple of
+    /// `every`: written to `<path>.tmp`, then atomically renamed into
+    /// place. Only a serving shard that has not been halted writes.
+    pub fn with_checkpoint(mut self, path: impl Into<PathBuf>, every: u64) -> Self {
+        self.shared.checkpoint = Some((path.into(), every));
+        self
+    }
+
+    /// A handle that halts this server when set (see the module docs):
+    /// [`run`](Self::run) then returns counters that include exactly the
+    /// pushes that were acked. Shard processes normally end on the
+    /// scheduler's `Shutdown` instead.
+    pub fn stop_handle(&self) -> Arc<AtomicBool> {
+        Arc::clone(&self.shared.stop)
+    }
+
+    /// Serves until the scheduler's `Shutdown` (or the loss of the
+    /// scheduler link) or the stop handle. Blocking; returns the run's
+    /// counters.
     ///
     /// # Errors
     ///
@@ -232,15 +323,13 @@ impl ShardServer {
             shard_id,
             listener,
             local_addr,
-            host,
             config,
-            serving,
-            stop,
-            counters,
             backup_addr,
             sched_addr,
             join_addr,
+            shared,
         } = self;
+        let shared = Arc::new(shared);
 
         // Per-process outbound connection sequence: chaos scripts advance
         // per label, so reconnects draw fresh fault streams.
@@ -262,65 +351,11 @@ impl ShardServer {
         // through here in channel order, as do join requests — so a
         // snapshot handed to a joiner is a clean cut of the push order.
         let (apply_tx, apply_rx) = unbounded::<ApplyCmd>();
-        {
-            let host = Arc::clone(&host);
-            let counters = Arc::clone(&counters);
-            let serving = Arc::clone(&serving);
+        let applier = {
+            let shared = Arc::clone(&shared);
             let chunk_bytes = config.join_chunk_bytes;
-            let mut relay = relay;
-            std::thread::spawn(move || {
-                while let Ok(cmd) = apply_rx.recv() {
-                    match cmd {
-                        ApplyCmd::Frame(frame, received, reply_tx) => {
-                            if let (Some(conn), Some(mut received)) = (relay.as_mut(), received) {
-                                // Tag the relayed push with the version it
-                                // will produce so the backup can ack a
-                                // redelivery without re-applying it.
-                                let (seq, lr) = {
-                                    let locked = host.lock();
-                                    locked.relay_tag()
-                                };
-                                // Write-ahead: the backup holds the push
-                                // before the primary applies it. A dead
-                                // relay degrades to unreplicated serving
-                                // rather than stalling the run.
-                                if forward_relay(conn, seq, lr, &mut received).is_ok() {
-                                    counters.relayed.fetch_add(1, Ordering::Relaxed);
-                                } else {
-                                    relay = None;
-                                    counters.relay_drops.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                            let applied = {
-                                let mut locked = host.lock();
-                                locked.handle(frame)
-                            };
-                            if let Ok(Some(ack)) = applied {
-                                counters.pushes_applied.fetch_add(1, Ordering::Relaxed);
-                                if !serving.load(Ordering::SeqCst) {
-                                    counters.absorbed.fetch_add(1, Ordering::Relaxed);
-                                }
-                                let _ = reply_tx.send(ack);
-                            }
-                        }
-                        ApplyCmd::Join(mut conn) => {
-                            let checkpoint = {
-                                let mut locked = host.lock();
-                                locked
-                                    .replica_mut()
-                                    .serving_store_mut()
-                                    .snapshot_for_checkpoint()
-                            };
-                            if stream_rejoin(&mut conn, &checkpoint, chunk_bytes).is_ok() {
-                                // The joiner confirmed parity: it replaces
-                                // whatever relay target this process had.
-                                relay = Some(conn);
-                            }
-                        }
-                    }
-                }
-            });
-        }
+            std::thread::spawn(move || apply_loop(&shared, &apply_rx, relay, chunk_bytes))
+        };
 
         // A rejoining backup provisions itself from the live primary
         // before talking to the scheduler, so it is only ever armed for
@@ -333,23 +368,26 @@ impl ShardServer {
                 &ConnTarget::new("join", &seq, shard_id),
                 |_| {},
             )?;
-            joined = Some(join_cluster(&mut conn, shard_id, &local_addr, &host)?);
+            joined = Some(join_cluster(
+                &mut conn,
+                shard_id,
+                &local_addr,
+                &shared.host,
+            )?);
             // The same connection now carries the primary's write-ahead
             // relay: serve it like any accepted data connection. Clear
             // the outbound io timeout first — relays arrive only when
             // workers push, and an idle stretch is not a dead peer.
             conn.set_read_timeout(None).ok();
-            let host = Arc::clone(&host);
-            let serving = Arc::clone(&serving);
-            let stop = Arc::clone(&stop);
-            let counters = Arc::clone(&counters);
+            let shared = Arc::clone(&shared);
             let apply_tx = apply_tx.clone();
-            std::thread::spawn(move || {
-                serve_shard_conn(conn, &host, &serving, &stop, &counters, &apply_tx);
-            });
+            std::thread::spawn(move || serve_shard_conn(conn, &shared, &apply_tx));
         }
 
-        // Scheduler link: register, heartbeat, obey control frames.
+        // Scheduler link: register, heartbeat, obey control frames. A
+        // clone of the socket stays here, to close the link when the run
+        // is over.
+        let mut sched_link = None;
         if let Some(addr) = &sched_addr {
             let conn = FrameConn::connect_with_retries(
                 addr,
@@ -359,12 +397,13 @@ impl ShardServer {
             )?;
             let mut writer = conn.into_stream();
             let mut reader = writer.try_clone()?;
+            sched_link = Some(writer.try_clone()?);
             reader.set_read_timeout(None).ok();
             write_frame(
                 &mut writer,
                 &WireMessage::Failover(FailoverControl::Register {
                     server: shard_id,
-                    backup: !serving.load(Ordering::SeqCst),
+                    backup: !shared.serving.load(Ordering::SeqCst),
                     addr: local_addr.clone(),
                 }),
             )?;
@@ -383,13 +422,13 @@ impl ShardServer {
             // one writer thread, so no lock ever spans a socket write.
             let (out_tx, out_rx) = unbounded::<WireMessage>();
             {
-                let stop = Arc::clone(&stop);
+                let shared = Arc::clone(&shared);
                 let interval = config.heartbeat_interval;
                 let beat = WireMessage::Heartbeat {
                     worker: WorkerId::new(shard_id as usize),
                 };
                 std::thread::spawn(move || loop {
-                    if stop.load(Ordering::SeqCst) {
+                    if shared.ended.load(Ordering::SeqCst) {
                         break;
                     }
                     let frame = match out_rx.recv_timeout(interval) {
@@ -403,24 +442,22 @@ impl ShardServer {
                 });
             }
             {
-                let stop = Arc::clone(&stop);
-                let serving = Arc::clone(&serving);
-                let host = Arc::clone(&host);
-                let counters = Arc::clone(&counters);
+                let shared = Arc::clone(&shared);
                 std::thread::spawn(move || loop {
                     match read_frame(&mut reader) {
                         Ok(ReadOutcome::Frame(WireMessage::Failover(fc), _)) => match fc {
                             FailoverControl::Promote { server } => {
-                                serving.store(true, Ordering::SeqCst);
+                                shared.serving.store(true, Ordering::SeqCst);
                                 let version = {
-                                    let locked = host.lock();
+                                    let locked = shared.host.lock();
                                     locked.replica().version()
                                 };
+                                let replayed = shared.counters.absorbed.load(Ordering::Relaxed);
                                 let _ =
                                     out_tx.send(WireMessage::Failover(FailoverControl::Promoted {
                                         server,
                                         version,
-                                        replayed: counters.absorbed.load(Ordering::Relaxed),
+                                        replayed,
                                     }));
                             }
                             // Replies and worker-plane queries carry no
@@ -439,7 +476,7 @@ impl ShardServer {
                         | Err(_) => {
                             // Scheduler gone or told us to stop: either
                             // way the run is over for this process.
-                            stop.store(true, Ordering::SeqCst);
+                            shared.ended.store(true, Ordering::SeqCst);
                             break;
                         }
                         Ok(ReadOutcome::Frame(_, _)) => {}
@@ -448,31 +485,22 @@ impl ShardServer {
             }
         }
 
-        // Accept loop: non-blocking accept so the stop flag is honored.
-        // Accepted streams run this process's chaos script (pass-through
-        // when chaos is disabled).
+        // Accept loop: non-blocking accept so the end of the run is
+        // noticed. Accepted streams run this process's chaos script
+        // (pass-through when chaos is disabled).
         listener.set_nonblocking(true)?;
         let listener = ChaosListener::new(listener, config.chaos.clone(), "shard-accept");
-        while !stop.load(Ordering::SeqCst) {
+        while !shared.stop.load(Ordering::SeqCst) && !shared.ended.load(Ordering::SeqCst) {
             match listener.accept() {
                 Ok((stream, peer)) => {
                     stream.set_nodelay(true).ok();
                     stream.set_nonblocking(false).ok();
-                    let host = Arc::clone(&host);
-                    let serving = Arc::clone(&serving);
-                    let stop = Arc::clone(&stop);
-                    let counters = Arc::clone(&counters);
+                    let shared = Arc::clone(&shared);
                     let apply_tx = apply_tx.clone();
                     let peer = peer.to_string();
                     std::thread::spawn(move || {
-                        serve_shard_conn(
-                            FrameConn::from_chaos_stream(stream, peer),
-                            &host,
-                            &serving,
-                            &stop,
-                            &counters,
-                            &apply_tx,
-                        );
+                        let conn = FrameConn::from_chaos_stream(stream, peer);
+                        serve_shard_conn(conn, &shared, &apply_tx);
                     });
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -481,47 +509,132 @@ impl ShardServer {
                 Err(_) => break,
             }
         }
-        stop.store(true, Ordering::SeqCst);
+        if shared.stop.load(Ordering::SeqCst) {
+            // Halted: wait out the push the apply thread is on, so the
+            // counters below include exactly the acked pushes.
+            let _ = apply_tx.send(ApplyCmd::Halt);
+            let _ = applier.join();
+        }
+        shared.ended.store(true, Ordering::SeqCst);
+        if let Some(link) = sched_link {
+            let _ = link.shutdown(std::net::Shutdown::Both);
+        }
 
-        let mut host = host.lock();
+        let counters = &shared.counters;
+        let version = shared.host.lock().replica().version();
         Ok(ShardStats {
             pulls_served: counters.pulls_served.load(Ordering::Relaxed),
             pushes_applied: counters.pushes_applied.load(Ordering::Relaxed),
             relayed: counters.relayed.load(Ordering::Relaxed),
             relay_drops: counters.relay_drops.load(Ordering::Relaxed),
-            serving: serving.load(Ordering::SeqCst),
-            version: host.replica_mut().version(),
+            checkpoints_written: counters.checkpoints_written.load(Ordering::Relaxed),
+            serving: shared.serving.load(Ordering::SeqCst),
+            version,
         })
+    }
+}
+
+/// The single apply thread: relay-then-apply every push in channel order,
+/// and provision joining backups between them. Once the server is halted
+/// it takes nothing more: the next command's connection drops unanswered.
+fn apply_loop(
+    shared: &Shared,
+    apply_rx: &Receiver<ApplyCmd>,
+    mut relay: Option<FrameConn>,
+    chunk_bytes: usize,
+) {
+    let counters = &shared.counters;
+    while let Ok(cmd) = apply_rx.recv() {
+        if shared.stop.load(Ordering::SeqCst) {
+            break;
+        }
+        match cmd {
+            ApplyCmd::Frame(frame, received, reply_tx) => {
+                if let (Some(conn), Some(mut received)) = (relay.as_mut(), received) {
+                    // Tag the relayed push with the version it will
+                    // produce so the backup can ack a redelivery without
+                    // re-applying it.
+                    let (seq, lr) = {
+                        let locked = shared.host.lock();
+                        locked.relay_tag()
+                    };
+                    // Write-ahead: the backup holds the push before the
+                    // primary applies it. A dead relay degrades to
+                    // unreplicated serving rather than stalling the run.
+                    if forward_relay(conn, seq, lr, &mut received).is_ok() {
+                        counters.relayed.fetch_add(1, Ordering::Relaxed);
+                    } else {
+                        relay = None;
+                        counters.relay_drops.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+                let worker = frame.worker();
+                let applied = {
+                    let mut locked = shared.host.lock();
+                    locked.handle(frame)
+                };
+                let Ok(Some(ack)) = applied else {
+                    continue;
+                };
+                counters.pushes_applied.fetch_add(1, Ordering::Relaxed);
+                // Traced and checkpointed before the ack, so whoever holds
+                // the ack can read both.
+                if !shared.serving.load(Ordering::SeqCst) {
+                    counters.absorbed.fetch_add(1, Ordering::Relaxed);
+                } else if let (Some(worker), WireMessage::PushAck { version, .. }) = (worker, &ack)
+                {
+                    shared.record(&Event::Push {
+                        worker,
+                        iteration: *version,
+                    });
+                    shared.checkpoint(*version);
+                }
+                let _ = reply_tx.send(ack);
+            }
+            ApplyCmd::Join(mut conn) => {
+                let checkpoint = {
+                    let mut locked = shared.host.lock();
+                    locked
+                        .replica_mut()
+                        .serving_store_mut()
+                        .snapshot_for_checkpoint()
+                };
+                if stream_rejoin(&mut conn, &checkpoint, chunk_bytes).is_ok() {
+                    // The joiner confirmed parity: it replaces whatever
+                    // relay target this process had.
+                    relay = Some(conn);
+                }
+            }
+            ApplyCmd::Halt => break,
+        }
     }
 }
 
 /// One worker (or relay) connection to a shard: blocking frame loop, one
 /// thread. Returning drops the connection; the server survives.
-fn serve_shard_conn(
-    mut conn: FrameConn,
-    host: &Arc<Mutex<ShardHost>>,
-    serving: &AtomicBool,
-    stop: &AtomicBool,
-    counters: &ShardCounters,
-    apply_tx: &Sender<ApplyCmd>,
-) {
+fn serve_shard_conn(mut conn: FrameConn, shared: &Shared, apply_tx: &Sender<ApplyCmd>) {
     loop {
         let (frame, received) = match conn.recv_bytes(RELAY_TAG_FRAME_LEN) {
             Ok(got) => got,
             Err(_) => return,
         };
+        // A halted server answers nothing more: the connection drops, and
+        // a worker goes back to the scheduler for the primary.
+        if shared.stop.load(Ordering::SeqCst) {
+            return;
+        }
         match frame {
             WireMessage::Pull { worker } => {
                 // A backup refuses worker pulls: dropping the connection
                 // sends the worker back to the scheduler's QueryPrimary.
-                if !serving.load(Ordering::SeqCst) {
+                if !shared.serving.load(Ordering::SeqCst) {
                     return;
                 }
                 let encoded = {
-                    let mut locked = host.lock();
+                    let mut locked = shared.host.lock();
                     locked.encoded_pull_reply(worker)
                 };
-                let Ok((bytes, _staleness)) = encoded else {
+                let Ok((bytes, staleness)) = encoded else {
                     return;
                 };
                 // The serialized reply is written outside the host lock;
@@ -529,7 +642,8 @@ fn serve_shard_conn(
                 if conn.write_encoded(&bytes).is_err() {
                     return;
                 }
-                counters.pulls_served.fetch_add(1, Ordering::Relaxed);
+                shared.counters.pulls_served.fetch_add(1, Ordering::Relaxed);
+                shared.record(&Event::Pull { worker, staleness });
             }
             frame @ WireMessage::Push { .. } => {
                 if !apply_and_ack(&mut conn, apply_tx, frame, Some(received)) {
@@ -558,13 +672,13 @@ fn serve_shard_conn(
                 // Only a serving primary can provision a joiner. Hand the
                 // whole connection to the apply thread so the snapshot it
                 // streams is a clean cut of the push order.
-                if serving.load(Ordering::SeqCst) {
+                if shared.serving.load(Ordering::SeqCst) {
                     let _ = apply_tx.send(ApplyCmd::Join(conn));
                 }
                 return;
             }
             WireMessage::Shutdown => {
-                stop.store(true, Ordering::SeqCst);
+                shared.ended.store(true, Ordering::SeqCst);
                 return;
             }
             // Tolerated no-ops on a data connection.
@@ -757,7 +871,10 @@ pub struct SchedulerRunStats {
     pub total_pushes: u64,
     /// Workers declared dead by heartbeat silence.
     pub workers_marked_dead: u64,
-    /// Whether the push target was reached (vs the duration budget).
+    /// Dead workers re-admitted by a later frame.
+    pub rejoins: u64,
+    /// Whether the push target was reached (vs the duration budget or the
+    /// stop handle).
     pub completed: bool,
 }
 
@@ -774,6 +891,7 @@ pub struct SchedulerServer {
     local_addr: String,
     cfg: SchedulerConfig,
     sink: Arc<dyn EventSink<Duration>>,
+    stop: Arc<AtomicBool>,
 }
 
 impl std::fmt::Debug for SchedulerServer {
@@ -804,6 +922,7 @@ impl SchedulerServer {
             local_addr,
             cfg,
             sink: Arc::new(NullSink),
+            stop: Arc::new(AtomicBool::new(false)),
         })
     }
 
@@ -818,8 +937,16 @@ impl SchedulerServer {
         &self.local_addr
     }
 
-    /// Serves until the push target or the duration budget is reached,
-    /// then broadcasts `Shutdown` to every connection. Blocking.
+    /// A handle that ends the run when set, as reaching the push target
+    /// does — the twin of [`ShardServer::stop_handle`], except that the
+    /// scheduler still broadcasts `Shutdown` on its way out.
+    pub fn stop_handle(&self) -> Arc<AtomicBool> {
+        Arc::clone(&self.stop)
+    }
+
+    /// Serves until the push target, the duration budget or the stop
+    /// handle ends the run, then broadcasts `Shutdown` to every
+    /// connection. Blocking.
     ///
     /// # Errors
     ///
@@ -830,10 +957,10 @@ impl SchedulerServer {
             local_addr: _,
             cfg,
             sink,
+            stop,
         } = self;
         let clock = WallElapsed::start();
         let (events_tx, events_rx) = unbounded::<ConnEvent>();
-        let stop = Arc::new(AtomicBool::new(false));
 
         // Accept thread: one reader thread per connection, all frames
         // funneled into the central loop's channel.
@@ -883,7 +1010,7 @@ impl SchedulerServer {
             });
         }
 
-        let stats = central_loop(&cfg, &clock, &sink, &events_rx);
+        let stats = central_loop(&cfg, &clock, &sink, &events_rx, &stop);
         stop.store(true, Ordering::SeqCst);
         Ok(stats)
     }
@@ -905,6 +1032,7 @@ fn central_loop(
     clock: &WallElapsed,
     sink: &Arc<dyn EventSink<Duration>>,
     events_rx: &Receiver<ConnEvent>,
+    stop: &AtomicBool,
 ) -> SchedulerRunStats {
     let mut host = SchedulerHost::new(cfg.scheme, cfg.workers, cfg.net.heartbeat_timeout);
     let mut writers: BTreeMap<usize, ChaosStream> = BTreeMap::new();
@@ -928,11 +1056,6 @@ fn central_loop(
         host.poll(now, &mut out);
         for output in out.drain(..) {
             match output {
-                SchedOutput::ToWorker(worker, frame) => {
-                    if let Some(conn) = host.conn_of(worker) {
-                        write_to(&mut writers, conn, &frame);
-                    }
-                }
                 SchedOutput::ToConn(conn, frame) => write_to(&mut writers, conn, &frame),
                 SchedOutput::Record(event) => sink.record(now, &event),
                 SchedOutput::SampleCost => {
@@ -942,7 +1065,7 @@ fn central_loop(
                 }
             }
         }
-        if now >= cfg.max_duration {
+        if now >= cfg.max_duration || stop.load(Ordering::SeqCst) {
             break;
         }
         if cfg
@@ -968,6 +1091,7 @@ fn central_loop(
         promotions: host.promotions(),
         total_pushes: host.total_pushes(),
         workers_marked_dead: host.workers_marked_dead(),
+        rejoins: host.rejoins(),
         completed,
     }
 }
@@ -1089,6 +1213,30 @@ mod tests {
         assert_eq!(stats.pushes_applied, 1);
         assert_eq!(stats.version, 1);
         assert!(stats.serving);
+    }
+
+    #[test]
+    fn a_halted_shard_answers_no_connected_client() {
+        let server = shard(0, 4);
+        let addr = server.local_addr().to_string();
+        let host = Arc::clone(&server.shared.host);
+        let stop = server.stop_handle();
+        let handle = std::thread::spawn(move || server.run().unwrap());
+
+        let mut conn = connect(&addr, &NetConfig::default());
+        let push = WireMessage::Push {
+            worker: WorkerId::new(0),
+            payload: PushPayload::Dense(vec![1.0; 4]),
+        };
+        for version in 1..=2 {
+            let (ack, _, _) = conn.exchange(&push).unwrap();
+            assert!(matches!(ack, WireMessage::PushAck { version: v, .. } if v == version));
+        }
+        stop.store(true, Ordering::SeqCst);
+        let stats = handle.join().unwrap();
+        assert!(conn.exchange(&push).is_err(), "a halted shard acked a push");
+        assert_eq!((stats.pushes_applied, stats.version), (2, 2));
+        assert_eq!(host.lock().replica().version(), 2, "nor applied it");
     }
 
     #[test]
@@ -1353,7 +1501,7 @@ mod tests {
             .unwrap()
             .as_backup()
             .join_via(&primary_addr);
-        let joiner_host = Arc::clone(&joiner.host);
+        let joiner_host = Arc::clone(&joiner.shared.host);
         let joiner_stop = joiner.stop_handle();
         let joiner_handle = std::thread::spawn(move || joiner.run().unwrap());
 

@@ -1,11 +1,8 @@
-//! The unified [`Transport`] API: one worker-side interface over the
-//! SpecSync protocol, with two implementations.
-//!
-//! - [`InProcTransport`] carries frames over in-process channels — the
-//!   default, byte-identical to the pre-wire runtime's direct calls;
-//! - [`TcpTransport`] carries the same frames over real sockets, so
-//!   workers run as separate OS processes and ride out a shard death via
-//!   the scheduler's where-is-the-primary exchange.
+//! The [`Transport`] API: one worker-side interface over the SpecSync
+//! protocol, implemented by [`TcpTransport`], which carries frames over
+//! real sockets and rides out a shard death via the scheduler's
+//! where-is-the-primary exchange — whether the peers are other processes
+//! or threads of the worker's own (the threaded runtime).
 //!
 //! A worker names the plane it is talking to with [`Endpoint`]: the shard
 //! serves the data plane (`Pull`/`Push`), the scheduler the control plane
@@ -14,16 +11,15 @@
 //! [`Transport::poll_control`], mirroring the simulator's re-sync
 //! delivery.
 //!
-//! Both implementations match every [`WireMessage`] variant explicitly —
-//! the `cargo xtask analyze` exhaustiveness pass holds them to it — so a
-//! new protocol frame cannot be silently dropped by one transport and
-//! handled by the other.
+//! An implementation matches every [`WireMessage`] variant explicitly —
+//! the `cargo xtask analyze` exhaustiveness pass holds it to that — so a
+//! new protocol frame cannot be silently dropped.
 
 use std::io::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{bounded, Receiver, TryRecvError};
 use specsync_simnet::WorkerId;
 use specsync_telemetry::{Event, EventSink};
 
@@ -62,125 +58,10 @@ pub trait Transport: Send {
     fn poll_control(&mut self) -> Option<WireMessage>;
 }
 
-/// A frame paired with an optional rendezvous channel for the reply —
-/// what [`InProcTransport`] puts on the server channel, so request/
-/// response verbs work over plain mpsc.
-pub type ServerFrame = (WireMessage, Option<Sender<WireMessage>>);
-
-/// The in-process transport: frames over crossbeam channels, one hop,
-/// no serialization. The default deployment — its behavior (channel per
-/// role, rendezvous reply for pulls, fire-and-forget pushes) is exactly
-/// the seed runtime's, so existing golden traces stay byte-identical.
-#[derive(Debug)]
-pub struct InProcTransport {
-    worker: WorkerId,
-    server_tx: Sender<ServerFrame>,
-    sched_tx: Sender<WireMessage>,
-    control_rx: Receiver<WireMessage>,
-}
-
-impl InProcTransport {
-    /// Wires a worker to in-process server and scheduler loops. The
-    /// caller owns the receiving ends; `control_rx` delivers the
-    /// scheduler's `Abort` instructions (a bounded(1) channel reproduces
-    /// the seed's at-most-one-pending re-sync semantics).
-    pub fn new(
-        worker: WorkerId,
-        server_tx: Sender<ServerFrame>,
-        sched_tx: Sender<WireMessage>,
-        control_rx: Receiver<WireMessage>,
-    ) -> Self {
-        InProcTransport {
-            worker,
-            server_tx,
-            sched_tx,
-            control_rx,
-        }
-    }
-
-    /// The worker this transport belongs to.
-    pub fn worker(&self) -> WorkerId {
-        self.worker
-    }
-}
-
-impl Transport for InProcTransport {
-    fn send(&mut self, to: Endpoint, msg: WireMessage) -> Result<Option<WireMessage>, NetError> {
-        match (&msg, to) {
-            // Data plane, request/response: rendezvous on a bounded(1)
-            // channel, exactly the seed's pull shape.
-            (WireMessage::Pull { .. }, Endpoint::Shard) => {
-                let (reply_tx, reply_rx) = bounded(1);
-                self.server_tx
-                    .send((msg, Some(reply_tx)))
-                    .map_err(|_| NetError::Disconnected)?;
-                let reply = reply_rx.recv().map_err(|_| NetError::Disconnected)?;
-                Ok(Some(reply))
-            }
-            // Data plane, fire-and-forget: the seed runtime never acked
-            // pushes in-process, and keeping that shape keeps its timing.
-            (WireMessage::Push { .. }, Endpoint::Shard) => {
-                self.server_tx
-                    .send((msg, None))
-                    .map_err(|_| NetError::Disconnected)?;
-                Ok(None)
-            }
-            (WireMessage::Shutdown, Endpoint::Shard) => {
-                self.server_tx
-                    .send((msg, None))
-                    .map_err(|_| NetError::Disconnected)?;
-                Ok(None)
-            }
-            // Control plane: notices and beats, no replies.
-            (
-                WireMessage::Pull { .. }
-                | WireMessage::Notify { .. }
-                | WireMessage::Heartbeat { .. }
-                | WireMessage::Shutdown,
-                Endpoint::Scheduler,
-            ) => {
-                self.sched_tx
-                    .send(msg)
-                    .map_err(|_| NetError::Disconnected)?;
-                Ok(None)
-            }
-            // In-process there is no remote primary to rediscover.
-            (WireMessage::Failover(_), _) => Err(NetError::Unhandled {
-                what: "failover control has no in-process recipient",
-            }),
-            // Replica-plane traffic: only a primary's relay thread sends
-            // these, never a worker transport.
-            (WireMessage::RelayPush { .. } | WireMessage::RelayTag { .. }, _) => {
-                Err(NetError::Unhandled {
-                    what: "relay frame sent from a worker transport",
-                })
-            }
-            // Frames a worker receives but never sends.
-            (WireMessage::PullReply { .. } | WireMessage::PushAck { .. }, _) => {
-                Err(NetError::Unhandled {
-                    what: "reply frame sent from a worker transport",
-                })
-            }
-            (WireMessage::Abort { .. }, _) => Err(NetError::Unhandled {
-                what: "scheduler-originated frame sent from a worker transport",
-            }),
-            // Remaining cross-plane pairings (e.g. Push to the scheduler).
-            (WireMessage::Push { .. } | WireMessage::Notify { .. }, _)
-            | (WireMessage::Heartbeat { .. }, Endpoint::Shard) => Err(NetError::Unhandled {
-                what: "frame addressed to the wrong endpoint",
-            }),
-        }
-    }
-
-    fn poll_control(&mut self) -> Option<WireMessage> {
-        self.control_rx.try_recv().ok()
-    }
-}
-
 /// Elapsed-time origin for wall-clock trace timestamps: wraps the one
 /// `Instant` a TCP process reads, so every frame event is stamped with
-/// the [`Duration`] since transport creation (the same timestamp type the
-/// threaded runtime traces use).
+/// the [`Duration`] since transport creation (the same timestamp type
+/// every wall-clock trace uses).
 #[derive(Debug, Clone, Copy)]
 pub struct WallElapsed {
     origin: Instant,
@@ -365,27 +246,6 @@ struct SchedLink {
 }
 
 impl SchedLink {
-    fn connect(
-        addr: &str,
-        config: &NetConfig,
-        target: &ConnTarget<'_>,
-        mut retry: impl FnMut(u32),
-    ) -> Result<Self, NetError> {
-        let conn = FrameConn::connect_with_retries(addr, config, target, &mut retry)?;
-        SchedLink::from_conn(conn)
-    }
-
-    /// One connect attempt, no retries — the degraded-mode reconnect
-    /// path, paced by the caller.
-    fn connect_once(
-        addr: &str,
-        config: &NetConfig,
-        target: &ConnTarget<'_>,
-    ) -> Result<Self, NetError> {
-        let conn = FrameConn::connect_once(addr, config, target)?;
-        SchedLink::from_conn(conn)
-    }
-
     fn from_conn(conn: FrameConn) -> Result<Self, NetError> {
         let writer = conn.stream.try_clone()?;
         let mut reader = conn.stream;
@@ -537,12 +397,12 @@ impl TcpTransport {
         let retry = |sink: &Arc<dyn EventSink<Duration>>, clock: &WallElapsed, attempt: u32| {
             sink.record(clock.elapsed(), &Event::ConnRetry { worker, attempt });
         };
-        let sched = SchedLink::connect(
+        let sched = SchedLink::from_conn(FrameConn::connect_with_retries(
             sched_addr,
             &config,
             &ConnTarget::new("sched", &seq, jitter_seed),
             |a| retry(&sink, &clock, a),
-        )?;
+        )?)?;
         let shard = FrameConn::connect_with_retries(
             shard_addr,
             &config,
@@ -563,11 +423,6 @@ impl TcpTransport {
             degraded_planes: 0,
             stats: TransportStats::default(),
         })
-    }
-
-    /// The worker this transport belongs to.
-    pub fn worker(&self) -> WorkerId {
-        self.worker
     }
 
     /// Running fault-handling totals.
@@ -784,7 +639,11 @@ impl TcpTransport {
         }
         let attempt = state.attempt.saturating_add(1);
         self.note_conn_retry(attempt);
-        match SchedLink::connect_once(&self.sched_addr, &self.config, &self.target("sched")) {
+        // One attempt, no retries: the caller paces the reconnects.
+        let target = self.target("sched");
+        match FrameConn::connect_once(&self.sched_addr, &self.config, &target)
+            .and_then(SchedLink::from_conn)
+        {
             Ok(link) => {
                 self.sched = link;
                 self.sched_degraded = None;
@@ -904,110 +763,6 @@ impl Transport for TcpTransport {
 mod tests {
     use super::*;
     use crate::frame::encode_frame;
-    use crossbeam::channel::unbounded;
-
-    #[test]
-    fn in_proc_pull_round_trips() {
-        let (server_tx, server_rx) = unbounded::<ServerFrame>();
-        let (sched_tx, sched_rx) = unbounded::<WireMessage>();
-        let (_control_tx, control_rx) = bounded(1);
-        let w = WorkerId::new(0);
-        let mut t = InProcTransport::new(w, server_tx, sched_tx, control_rx);
-
-        let server = std::thread::spawn(move || {
-            let (msg, reply) = server_rx.recv().unwrap();
-            assert!(matches!(msg, WireMessage::Pull { .. }));
-            reply
-                .unwrap()
-                .send(WireMessage::PullReply {
-                    version: 7,
-                    params: Arc::from(vec![1.0f32; 4].as_slice()),
-                })
-                .unwrap();
-        });
-        let reply = t
-            .send(Endpoint::Shard, WireMessage::Pull { worker: w })
-            .unwrap();
-        assert!(matches!(
-            reply,
-            Some(WireMessage::PullReply { version: 7, .. })
-        ));
-        server.join().unwrap();
-
-        t.send(
-            Endpoint::Scheduler,
-            WireMessage::Notify {
-                worker: w,
-                pushes: 3,
-            },
-        )
-        .unwrap();
-        assert!(matches!(
-            sched_rx.recv().unwrap(),
-            WireMessage::Notify { pushes: 3, .. }
-        ));
-    }
-
-    #[test]
-    fn in_proc_control_polls_aborts() {
-        let (server_tx, _server_rx) = unbounded::<ServerFrame>();
-        let (sched_tx, _sched_rx) = unbounded::<WireMessage>();
-        let (control_tx, control_rx) = bounded(1);
-        let w = WorkerId::new(2);
-        let mut t = InProcTransport::new(w, server_tx, sched_tx, control_rx);
-        assert!(t.poll_control().is_none());
-        control_tx.send(WireMessage::Abort { worker: w }).unwrap();
-        assert_eq!(t.poll_control(), Some(WireMessage::Abort { worker: w }));
-        assert!(t.poll_control().is_none());
-    }
-
-    #[test]
-    fn in_proc_refuses_frames_workers_never_send() {
-        let (server_tx, _server_rx) = unbounded::<ServerFrame>();
-        let (sched_tx, _sched_rx) = unbounded::<WireMessage>();
-        let (_control_tx, control_rx) = bounded(1);
-        let w = WorkerId::new(0);
-        let mut t = InProcTransport::new(w, server_tx, sched_tx, control_rx);
-        for (frame, ep) in [
-            (
-                WireMessage::PushAck {
-                    version: 0,
-                    pushes_by_worker: 0,
-                },
-                Endpoint::Shard,
-            ),
-            (WireMessage::Abort { worker: w }, Endpoint::Scheduler),
-            (
-                WireMessage::Failover(FailoverControl::QueryPrimary),
-                Endpoint::Scheduler,
-            ),
-            (
-                WireMessage::Push {
-                    worker: w,
-                    payload: specsync_ps::PushPayload::Dense(vec![0.0]),
-                },
-                Endpoint::Scheduler,
-            ),
-            (WireMessage::Heartbeat { worker: w }, Endpoint::Shard),
-        ] {
-            let err = t.send(ep, frame).unwrap_err();
-            assert!(matches!(err, NetError::Unhandled { .. }));
-        }
-    }
-
-    #[test]
-    fn disconnected_server_surfaces() {
-        let (server_tx, server_rx) = unbounded::<ServerFrame>();
-        let (sched_tx, _sched_rx) = unbounded::<WireMessage>();
-        let (_control_tx, control_rx) = bounded(1);
-        drop(server_rx);
-        let w = WorkerId::new(0);
-        let mut t = InProcTransport::new(w, server_tx, sched_tx, control_rx);
-        assert!(matches!(
-            t.send(Endpoint::Shard, WireMessage::Pull { worker: w }),
-            Err(NetError::Disconnected)
-        ));
-    }
 
     #[test]
     fn frame_conn_round_trips_over_loopback() {
@@ -1206,5 +961,47 @@ mod tests {
         for (_, thread) in [held, sched] {
             thread.join().unwrap();
         }
+    }
+
+    #[test]
+    fn tcp_refuses_frames_workers_never_send() {
+        let (shard, shard_addr) = listen();
+        let (sched, sched_addr) = listen();
+        let mut t = worker_on(&shard_addr, &sched_addr);
+        let w = WorkerId::new(0);
+        for (frame, ep) in [
+            (
+                WireMessage::PushAck {
+                    version: 0,
+                    pushes_by_worker: 0,
+                },
+                Endpoint::Shard,
+            ),
+            (WireMessage::Abort { worker: w }, Endpoint::Scheduler),
+            (
+                WireMessage::Failover(FailoverControl::QueryPrimary),
+                Endpoint::Shard,
+            ),
+            (WireMessage::RelayTag { seq: 1, lr: 0.5 }, Endpoint::Shard),
+            (
+                WireMessage::Push {
+                    worker: w,
+                    payload: specsync_ps::PushPayload::Dense(vec![0.0]),
+                },
+                Endpoint::Scheduler,
+            ),
+            (WireMessage::Heartbeat { worker: w }, Endpoint::Shard),
+        ] {
+            let err = t.send(ep, frame).unwrap_err();
+            assert!(matches!(err, NetError::Unhandled { .. }));
+        }
+        // Refused before a byte reached either peer.
+        for listener in [shard, sched] {
+            let (mut stream, _) = listener.accept().unwrap();
+            stream.set_nonblocking(true).unwrap();
+            let read = std::io::Read::read(&mut stream, &mut [0u8; 1]);
+            assert!(matches!(read, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock));
+        }
+        assert_eq!(t.stats(), TransportStats::default());
     }
 }

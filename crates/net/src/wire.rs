@@ -18,8 +18,7 @@ use serde::{Deserialize, Serialize};
 use specsync_ps::PushPayload;
 use specsync_simnet::{MessageClass, WorkerId};
 
-/// One SpecSync protocol message, as carried by any [`Transport`]
-/// (in-process channels or TCP frames alike).
+/// One SpecSync protocol message, as a [`Transport`] carries it.
 ///
 /// Replies embed shared `Arc` parameter blocks so a snapshot served to
 /// hundreds of concurrent clients is stored once ([`ParamSnapshot`]
@@ -47,7 +46,7 @@ pub enum WireMessage {
     },
     /// Worker → shard: a gradient push (dense or sparse). The learning
     /// rate is the shard's business — it owns the schedule and the epoch
-    /// counter, exactly like the in-process server thread.
+    /// counter.
     Push {
         /// The pushing worker.
         worker: WorkerId,

@@ -22,8 +22,6 @@
 //!    the primary ran, in the same order, so a promoted backup is
 //!    bit-identical to the primary it replaces.
 
-use std::sync::Arc;
-
 use specsync_simnet::WorkerId;
 use specsync_tensor::SparseGrad;
 
@@ -397,12 +395,6 @@ impl ReplicatedStore {
     /// [`ParameterStore::params`]).
     pub fn params(&mut self) -> &[f32] {
         self.primary.params()
-    }
-
-    /// Shared immutable snapshot of the serving replica (see
-    /// [`ParameterStore::shared_params`]).
-    pub fn shared_params(&mut self) -> Arc<[f32]> {
-        self.primary.shared_params()
     }
 
     /// How many pushes `worker` has applied.

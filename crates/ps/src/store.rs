@@ -342,24 +342,6 @@ impl ParameterStore {
         }
     }
 
-    /// The current parameters as a shared immutable block, without any
-    /// per-worker pull bookkeeping. Zero-copy while the store is unchanged:
-    /// the same cached allocation backs every call (and every [`pull`])
-    /// between two pushes.
-    ///
-    /// [`pull`]: Self::pull
-    pub fn shared_params(&mut self) -> Arc<[f32]> {
-        match &self.snapshot {
-            Some(shared) => Arc::clone(shared),
-            None => {
-                self.materialize();
-                let shared: Arc<[f32]> = Arc::from(self.params.as_slice());
-                self.snapshot = Some(Arc::clone(&shared));
-                shared
-            }
-        }
-    }
-
     /// Captures a crash-consistent [`StoreCheckpoint`]: parameters,
     /// optimizer state, version and per-worker bookkeeping. Pending lazy
     /// momentum decay is settled first, so the capture is exact at the
@@ -423,22 +405,6 @@ impl ParameterStore {
             lazy_lr: 0.0,
             lazy_behind: false,
         })
-    }
-
-    /// Rolls the parameters back to `params`, an earlier snapshot of this
-    /// store, after an apply was torn. Momentum velocity restarts at zero;
-    /// the version and the per-worker push and pull counts carry on, so a
-    /// host's epoch estimate and staleness accounting never rewind.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params.len()` differs from the parameter count.
-    pub fn roll_back_params(&mut self, params: &[f32]) {
-        self.params.copy_from_slice(params);
-        self.velocity.fill(0.0);
-        self.last_sync.fill(self.version);
-        self.lazy_behind = false;
-        self.snapshot = None;
     }
 
     /// How many pushes `worker` has applied.
@@ -718,21 +684,6 @@ mod tests {
         s.apply_push_sparse(w(0), &sparse(2, &[(0, 1.0)]), 0.5);
         assert_eq!(snap.params(), &[1.0, 1.0]);
         assert_eq!(s.pull(w(0)).version(), 1);
-    }
-
-    #[test]
-    fn roll_back_restores_params_and_keeps_the_counters() {
-        let mut s = ParameterStore::new(vec![1.0, 1.0], 1).with_momentum(0.9);
-        let snap = s.pull(w(0));
-        s.apply_push(w(0), &[1.0, 2.0], 0.5);
-        s.apply_push_sparse(w(1), &sparse(2, &[(0, 1.0)]), 0.5);
-        s.roll_back_params(snap.params());
-        assert_eq!(s.params(), snap.params());
-        assert_eq!((s.version(), s.pushes_by(w(1))), (2, 1));
-        assert_eq!(s.staleness_of(w(0)), 2);
-        // Velocity restarted: the next push moves exactly `lr * grad`.
-        s.apply_push(w(0), &[1.0, 0.0], 0.5);
-        assert_eq!(s.pull(w(0)).params(), &[0.5, 1.0]);
     }
 
     #[test]

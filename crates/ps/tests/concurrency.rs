@@ -1,6 +1,6 @@
 //! Concurrency checking of the parameter-server hot path.
 //!
-//! The threaded runtime shares a [`ParameterStore`] across threads behind
+//! The shard server shares a [`ParameterStore`] across threads behind
 //! `Arc<Mutex<_>>` — the store itself is `&mut self`, so every cross-thread
 //! schedule serializes into *some* ordering of its API calls. That gives
 //! two complementary checks:

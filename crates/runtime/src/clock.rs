@@ -2,13 +2,10 @@
 //!
 //! The threaded runtime is the one component of the workspace that is
 //! *supposed* to read wall-clock time — its speculation windows are real.
-//! Even so, every read goes through this trait, for two reasons: the
-//! workspace analyzer (`cargo xtask analyze`) denies ambient `Instant`
-//! reads, so the sanctioned sites are concentrated here and individually
-//! annotated; and tests can substitute a [`ManualClock`] to drive timing
-//! deterministically.
+//! Even so, the worker loop reads it through this trait: the workspace
+//! analyzer (`cargo xtask analyze`) denies ambient `Instant` reads, so the
+//! sanctioned sites are concentrated here and individually annotated.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// A monotonic time source. `now` reports the time elapsed since the
@@ -47,36 +44,9 @@ impl ClockSource for WallClock {
     }
 }
 
-/// A clock that only moves when told to — for tests that need timing
-/// behaviour without wall-clock flakiness. Shareable across threads.
-#[derive(Debug, Default)]
-pub struct ManualClock {
-    micros: AtomicU64,
-}
-
-impl ManualClock {
-    /// Creates a clock at its epoch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Advances the clock by `by` (truncated to microseconds).
-    pub fn advance(&self, by: Duration) {
-        self.micros
-            .fetch_add(by.as_micros() as u64, Ordering::SeqCst);
-    }
-}
-
-impl ClockSource for ManualClock {
-    fn now(&self) -> Duration {
-        Duration::from_micros(self.micros.load(Ordering::SeqCst))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn wall_clock_is_monotonic() {
@@ -84,23 +54,5 @@ mod tests {
         let a = clock.now();
         let b = clock.now();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn manual_clock_moves_only_on_advance() {
-        let clock = ManualClock::new();
-        assert_eq!(clock.now(), Duration::ZERO);
-        clock.advance(Duration::from_millis(5));
-        clock.advance(Duration::from_millis(7));
-        assert_eq!(clock.now(), Duration::from_millis(12));
-    }
-
-    #[test]
-    fn manual_clock_is_shareable_across_threads() {
-        let clock = Arc::new(ManualClock::new());
-        let peer = Arc::clone(&clock);
-        let handle = std::thread::spawn(move || peer.advance(Duration::from_micros(42)));
-        assert!(handle.join().is_ok());
-        assert_eq!(clock.now(), Duration::from_micros(42));
     }
 }

@@ -4,6 +4,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use specsync_core::SpecSyncError;
+use specsync_net::NetConfig;
 use specsync_sync::{BaseScheme, SchemeKind};
 
 /// Chaos knobs for the threaded runtime: deliberate, reproducible-ish
@@ -16,28 +17,18 @@ use specsync_sync::{BaseScheme, SchemeKind};
 /// than at a timestamp. All-`None` (the default) injects nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RuntimeChaos {
-    /// Poison the parameter store on the n-th push apply attempt
-    /// (1-based): that apply panics once, exercising the server's
-    /// catch-and-restore path.
-    pub poison_at_push: Option<u64>,
-    /// Drop every n-th notify on the worker→scheduler channel (n ≥ 1),
+    /// Halt the primary shard once the store version reaches n: the
+    /// scheduler promotes the warm backup, and the workers move to it.
+    pub kill_primary_at_push: Option<u64>,
+    /// Drop every n-th notify on the worker→scheduler link (n ≥ 1),
     /// exercising push-count reconciliation.
     pub drop_notify_every: Option<u64>,
     /// Cut worker `index`'s link to the scheduler (heartbeats, pull
     /// notices, notifies) after the given elapsed run time — a one-way
     /// partition that exercises liveness detection and membership shrink.
-    /// The worker keeps computing and pushing to the server; the scheduler
+    /// The worker keeps computing and pushing to the shard; the scheduler
     /// just never hears from it again, so the failure stays detected.
     pub mute_worker_after: Option<(usize, Duration)>,
-}
-
-impl RuntimeChaos {
-    /// Whether any knob is active.
-    pub fn is_active(&self) -> bool {
-        self.poison_at_push.is_some()
-            || self.drop_notify_every.is_some()
-            || self.mute_worker_after.is_some()
-    }
 }
 
 /// Configuration of a threaded training run.
@@ -80,23 +71,27 @@ pub struct RuntimeConfig {
     /// consecutive evaluations (the paper's rule); `None` runs the full
     /// budget.
     pub target_loss: Option<f64>,
-    /// Evaluate the global loss every `eval_stride` pushes.
+    /// Evaluate the global loss whenever the store version crosses a
+    /// multiple of `eval_stride`.
     pub eval_stride: u64,
     /// Master seed for dataset generation and batch sampling.
     pub seed: u64,
-    /// How often each worker heartbeats the scheduler.
+    /// How often each worker and shard heartbeats the scheduler.
     pub heartbeat_interval: Duration,
-    /// Silence after which the scheduler declares a worker dead. Must
-    /// exceed [`heartbeat_interval`](Self::heartbeat_interval).
+    /// Silence after which the scheduler declares a worker dead, or a
+    /// primary shard (promoting its backup). Must be at least twice
+    /// [`heartbeat_interval`](Self::heartbeat_interval).
     pub heartbeat_timeout: Duration,
     /// Fault-injection knobs; default injects nothing.
     pub chaos: RuntimeChaos,
-    /// Where to persist a crash-consistent store checkpoint at every eval
-    /// stride. The blob is the versioned, checksummed
+    /// Where the serving shard persists a crash-consistent store
+    /// checkpoint every `eval_stride` versions (see
+    /// [`ShardServer::with_checkpoint`](specsync_net::ShardServer::with_checkpoint)):
+    /// the versioned, checksummed
     /// [`StoreCheckpoint`](specsync_ps::StoreCheckpoint) codec, written to
-    /// `<path>.tmp` and atomically renamed into place, so a crash mid-write
-    /// never leaves a torn checkpoint. `None` (the default) persists
-    /// nothing.
+    /// `<path>.tmp` and atomically renamed into place. After a promotion
+    /// the new primary writes to the same path. `None` (the default)
+    /// persists nothing.
     pub checkpoint_path: Option<PathBuf>,
 }
 
@@ -136,8 +131,8 @@ impl RuntimeConfig {
 
     /// Validates the configuration, reporting the first problem as a typed
     /// error: zero workers, zero eval stride, a zero poll interval,
-    /// degenerate heartbeat parameters, or a scheme this runtime does not
-    /// implement.
+    /// degenerate heartbeat parameters (including those the wire refuses),
+    /// or a scheme this runtime does not implement.
     pub fn try_validate(&self) -> Result<(), SpecSyncError> {
         if self.workers == 0 {
             return Err(SpecSyncError::InvalidConfig(
@@ -154,19 +149,10 @@ impl RuntimeConfig {
                 "abort poll interval must be positive".to_string(),
             ));
         }
-        if self.heartbeat_interval.is_zero() {
-            return Err(SpecSyncError::InvalidHeartbeat {
-                reason: "heartbeat interval must be positive",
-            });
-        }
+        // The rest of the heartbeat rules are the wire's (`net_config`).
         if self.heartbeat_timeout.is_zero() {
             return Err(SpecSyncError::InvalidHeartbeat {
                 reason: "heartbeat timeout must be positive",
-            });
-        }
-        if self.heartbeat_timeout <= self.heartbeat_interval {
-            return Err(SpecSyncError::InvalidHeartbeat {
-                reason: "heartbeat timeout must exceed the interval",
             });
         }
         if let Some(n) = self.chaos.drop_notify_every {
@@ -181,7 +167,19 @@ impl RuntimeConfig {
                 scheme: self.scheme.label(),
             });
         }
-        Ok(())
+        self.net_config().map(drop)
+    }
+
+    /// The wire settings of the loopback deployment: the heartbeats as
+    /// given, and a retry budget that outlasts a promotion (18 failed
+    /// exchanges on a 20 ms backoff, as `net_soak`'s).
+    pub(crate) fn net_config(&self) -> Result<NetConfig, SpecSyncError> {
+        NetConfig::builder()
+            .heartbeat_interval(self.heartbeat_interval)
+            .heartbeat_timeout(self.heartbeat_timeout)
+            .connect_retries(18)
+            .retry_backoff(Duration::from_millis(20))
+            .try_build()
     }
 }
 
@@ -324,16 +322,6 @@ mod tests {
         .try_validate()
         .unwrap_err();
         assert!(err.to_string().contains("drop_notify_every"), "got {err:?}");
-    }
-
-    #[test]
-    fn default_chaos_is_inert() {
-        assert!(!RuntimeChaos::default().is_active());
-        assert!(RuntimeChaos {
-            poison_at_push: Some(3),
-            ..RuntimeChaos::default()
-        }
-        .is_active());
     }
 
     #[test]

@@ -1,16 +1,18 @@
 //! Real multi-threaded SpecSync deployment.
 //!
 //! `specsync-cluster` replays the protocol under deterministic virtual
-//! time; this crate runs it on actual OS threads — the three roles of the
-//! paper's architecture (Fig. 7) wired with channels:
+//! time; this crate runs it on actual OS threads — the roles of the
+//! paper's architecture (Fig. 7) as the TCP servers of `specsync-net`,
+//! talking over loopback sockets inside one process:
 //!
-//! - a **server** thread owning the [`specsync_ps::ParameterStore`],
-//! - a **scheduler** thread driving the sans-IO
-//!   [`specsync_net::SchedulerHost`] (the same machine the TCP scheduler
-//!   server drives) with real wall-clock timers,
-//! - `m` **worker** threads pulling, computing real gradients (padded to a
-//!   configurable iteration length), pushing, and honouring `re-sync`
-//!   instructions mid-computation.
+//! - a **scheduler** thread running the [`specsync_net::SchedulerServer`]
+//!   with real wall-clock timers,
+//! - a **primary** and a **warm backup** shard thread, each running a
+//!   [`specsync_net::ShardServer`] around the [`specsync_ps::ParameterStore`],
+//! - `m` **worker** threads, each a [`WorkerHarness`] over a
+//!   [`specsync_net::TcpTransport`], pulling, computing real gradients
+//!   (padded to a configurable iteration length), pushing, and honouring
+//!   `re-sync` instructions mid-computation.
 //!
 //! Use it to exercise the protocol under genuine concurrency and races;
 //! use the simulator for reproducible paper-scale experiments.
@@ -50,9 +52,9 @@ mod report;
 mod runtime;
 mod worker;
 
-pub use clock::{ClockSource, ManualClock, WallClock};
+pub use clock::{ClockSource, WallClock};
 pub use config::{RuntimeChaos, RuntimeConfig};
 pub use report::{RuntimeReport, WallLossPoint};
-pub use runtime::{run, try_run, try_run_with_clock, try_run_with_sink};
+pub use runtime::{run, try_run, try_run_with_sink};
 pub use specsync_sync::SchemeKind;
 pub use worker::{WorkerHarness, WorkerOutcome};

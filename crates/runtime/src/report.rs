@@ -17,7 +17,8 @@ pub struct RuntimeReport {
     pub workers: usize,
     /// Wall time at which the convergence rule fired, if it did.
     pub converged_at: Option<Duration>,
-    /// Total gradient pushes applied.
+    /// Total gradient pushes applied: the serving shard's final store
+    /// version.
     pub total_iterations: u64,
     /// Total aborted computations.
     pub total_aborts: u64,
@@ -25,9 +26,8 @@ pub struct RuntimeReport {
     pub detected_failures: u64,
     /// Workers re-admitted after resuming heartbeats or notifies.
     pub rejoins: u64,
-    /// Times the server restored the store from its checkpoint after a
-    /// poisoned (panicking) push apply.
-    pub store_recoveries: u64,
+    /// Warm-backup promotions the scheduler completed.
+    pub promotions: u64,
     /// Notifies dropped by the chaos knobs (zero without chaos).
     pub dropped_notifies: u64,
     /// Crash-consistent checkpoints atomically persisted to
@@ -66,7 +66,7 @@ mod tests {
             total_aborts: 0,
             detected_failures: 0,
             rejoins: 0,
-            store_recoveries: 0,
+            promotions: 0,
             dropped_notifies: 0,
             checkpoints_written: 0,
             loss_curve: vec![

@@ -1,9 +1,6 @@
 //! The worker's training loop, written once against the [`Transport`]
-//! trait — the same pull/compute/push/notify cycle drives an
-//! [`InProcTransport`] inside the threaded runtime and a `TcpTransport`
-//! in a separate worker process.
-//!
-//! [`InProcTransport`]: specsync_net::InProcTransport
+//! trait — the same pull/compute/push/notify cycle drives a worker thread
+//! of the threaded runtime and a worker process.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -82,28 +79,10 @@ impl WorkerHarness {
         let mut last_beat = self.clock.now();
         let worker = self.worker;
 
-        let state = |sink: &Arc<dyn EventSink<Duration>>,
-                     clock: &Arc<dyn ClockSource>,
-                     run_start: Duration,
-                     phase: WorkerPhase| {
-            sink.record(
-                clock.now().saturating_sub(run_start),
-                &Event::WorkerState {
-                    worker,
-                    state: phase,
-                },
-            );
-        };
-
         'training: while !self.stop.load(Ordering::SeqCst) {
             self.beat(transport, &mut last_beat);
             // Pull.
-            state(
-                &self.sink,
-                &self.clock,
-                self.run_start,
-                WorkerPhase::Pulling,
-            );
+            self.enter(WorkerPhase::Pulling);
             let Some(params) = self.pull(transport) else {
                 break;
             };
@@ -111,12 +90,7 @@ impl WorkerHarness {
             while transport.poll_control().is_some() {}
 
             // Compute (abortable during the padded span).
-            state(
-                &self.sink,
-                &self.clock,
-                self.run_start,
-                WorkerPhase::Computing,
-            );
+            self.enter(WorkerPhase::Computing);
             self.model.set_params(&params);
             let batch = self.sampler.next_batch();
             self.model.gradient(&batch, &mut grad);
@@ -136,30 +110,15 @@ impl WorkerHarness {
                         // Abort: re-pull fresh parameters and restart.
                         outcome.aborts += 1;
                         let wasted = self.clock.now().saturating_sub(compute_start);
-                        self.sink.record(
-                            self.clock.now().saturating_sub(self.run_start),
-                            &Event::Resync {
-                                worker,
-                                wasted: SimDuration::from_micros(
-                                    wasted.as_micros().min(u64::MAX as u128) as u64,
-                                ),
-                            },
+                        let wasted = SimDuration::from_micros(
+                            wasted.as_micros().min(u64::MAX as u128) as u64,
                         );
-                        state(
-                            &self.sink,
-                            &self.clock,
-                            self.run_start,
-                            WorkerPhase::Pulling,
-                        );
+                        self.record(&Event::Resync { worker, wasted });
+                        self.enter(WorkerPhase::Pulling);
                         let Some(fresh) = self.pull(transport) else {
                             break 'training;
                         };
-                        state(
-                            &self.sink,
-                            &self.clock,
-                            self.run_start,
-                            WorkerPhase::Computing,
-                        );
+                        self.enter(WorkerPhase::Computing);
                         self.model.set_params(&fresh);
                         let batch = self.sampler.next_batch();
                         self.model.gradient(&batch, &mut grad);
@@ -173,19 +132,13 @@ impl WorkerHarness {
 
             // Push + notify (the notify carries the push counter for
             // loss reconciliation; the chaos knob may eat it).
-            state(
-                &self.sink,
-                &self.clock,
-                self.run_start,
-                WorkerPhase::Pushing,
-            );
+            self.enter(WorkerPhase::Pushing);
             let push = WireMessage::Push {
                 worker,
                 payload: PushPayload::Dense(grad.clone()),
             };
-            // In-process the push is fire-and-forget (`Ok(None)`); over
-            // TCP the shard answers `PushAck`, which doubles as flow
-            // control. Either way a dead shard link ends the worker.
+            // The shard answers `PushAck`, which doubles as flow
+            // control; a dead shard link ends the worker.
             if transport.send(Endpoint::Shard, push).is_err() {
                 break;
             }
@@ -207,6 +160,18 @@ impl WorkerHarness {
             }
         }
         outcome
+    }
+
+    /// Records `event`, stamped with the run's elapsed time.
+    fn record(&self, event: &Event) {
+        let at = self.clock.now().saturating_sub(self.run_start);
+        self.sink.record(at, event);
+    }
+
+    /// Records this worker entering `phase`.
+    fn enter(&self, phase: WorkerPhase) {
+        let (worker, state) = (self.worker, phase);
+        self.record(&Event::WorkerState { worker, state });
     }
 
     /// The chaos partition: past the configured elapsed time this

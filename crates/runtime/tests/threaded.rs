@@ -1,14 +1,14 @@
 //! Integration tests for the threaded runtime: the protocol must behave
-//! under real concurrency.
+//! under real concurrency, over the wire servers on loopback threads.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use specsync_ml::Workload;
-use specsync_runtime::{run, try_run_with_sink, RuntimeChaos, RuntimeConfig, WallClock};
+use specsync_runtime::{run, try_run_with_sink, RuntimeChaos, RuntimeConfig, RuntimeReport};
 use specsync_simnet::SimDuration;
 use specsync_sync::SchemeKind;
-use specsync_telemetry::{Event, EventSink, InMemorySink};
+use specsync_telemetry::{Event, InMemorySink};
 
 fn base_config() -> RuntimeConfig {
     RuntimeConfig {
@@ -20,6 +20,19 @@ fn base_config() -> RuntimeConfig {
         seed: 3,
         ..RuntimeConfig::default()
     }
+}
+
+/// Runs `config` with every event recorded.
+fn traced(config: &RuntimeConfig) -> (RuntimeReport, Vec<(Duration, Event)>) {
+    let sink = Arc::new(InMemorySink::<Duration>::new());
+    let report = try_run_with_sink(&Workload::tiny_test(), config, Arc::clone(&sink) as _)
+        .expect("valid config");
+    (report, sink.take())
+}
+
+/// How many of `events` match.
+fn count(events: &[(Duration, Event)], matching: impl Fn(&Event) -> bool) -> u64 {
+    events.iter().filter(|(_, e)| matching(e)).count() as u64
 }
 
 #[test]
@@ -100,29 +113,20 @@ fn sink_observes_the_run_it_was_handed() {
         scheme: SchemeKind::specsync_fixed(SimDuration::from_millis(3), 0.25),
         ..base_config()
     };
-    let sink = Arc::new(InMemorySink::<Duration>::new());
-    let report = try_run_with_sink(
-        &Workload::tiny_test(),
-        &config,
-        Arc::new(WallClock::new()),
-        Arc::clone(&sink) as Arc<dyn EventSink<Duration>>,
-    )
-    .expect("valid config");
+    let (report, events) = traced(&config);
 
-    let events = sink.take();
-    let count = |f: &dyn Fn(&Event) -> bool| events.iter().filter(|(_, e)| f(e)).count() as u64;
     assert_eq!(
-        count(&|e| matches!(e, Event::Push { .. })),
+        count(&events, |e| matches!(e, Event::Push { .. })),
         report.total_iterations,
         "every applied push must be traced"
     );
     assert_eq!(
-        count(&|e| matches!(e, Event::Resync { .. })),
+        count(&events, |e| matches!(e, Event::Resync { .. })),
         report.total_aborts,
         "every abort must be traced as a re-sync"
     );
     assert_eq!(
-        count(&|e| matches!(e, Event::Eval { .. })) as usize,
+        count(&events, |e| matches!(e, Event::Eval { .. })) as usize,
         report.loss_curve.len(),
         "every loss sample must be traced"
     );
@@ -135,45 +139,51 @@ fn sink_observes_the_run_it_was_handed() {
 #[test]
 fn fault_free_runs_report_zero_degradations() {
     let report = run(&Workload::tiny_test(), &base_config());
-    assert_eq!(report.store_recoveries, 0);
+    assert_eq!(report.promotions, 0);
     assert_eq!(report.dropped_notifies, 0);
     assert_eq!(report.rejoins, 0);
 }
 
+/// The store version at which the scheduler promoted the backup, from
+/// the run's one `ShardFailover` event.
+fn failover_version(events: &[(Duration, Event)]) -> u64 {
+    let failovers: Vec<u64> = events
+        .iter()
+        .filter_map(|(_, e)| match e {
+            Event::ShardFailover { version, .. } => Some(*version),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(failovers.len(), 1, "the promotion must be traced once");
+    failovers[0]
+}
+
 #[test]
-fn poisoned_store_is_restored_and_the_run_continues() {
+fn a_killed_primary_is_promoted_and_the_run_continues() {
     let config = RuntimeConfig {
         chaos: RuntimeChaos {
-            poison_at_push: Some(10),
+            kill_primary_at_push: Some(10),
             ..RuntimeChaos::default()
         },
         ..base_config()
     };
-    let sink = Arc::new(InMemorySink::<Duration>::new());
-    let report = try_run_with_sink(
-        &Workload::tiny_test(),
-        &config,
-        Arc::new(WallClock::new()),
-        Arc::clone(&sink) as Arc<dyn EventSink<Duration>>,
-    )
-    .expect("a poisoned apply must not kill the server thread");
-    assert_eq!(report.store_recoveries, 1);
+    let (report, events) = traced(&config);
+    assert_eq!(report.promotions, 1);
+    let promoted_at = failover_version(&events);
     assert!(
-        report.total_iterations > 20,
-        "run stalled after store recovery: {} iterations",
+        promoted_at >= 10,
+        "promoted at {promoted_at}, before the kill"
+    );
+    assert!(
+        report.total_iterations >= promoted_at + 10,
+        "run stalled after the promotion at {promoted_at}: {} iterations",
         report.total_iterations
     );
-    let events = sink.take();
+    // Each applied push is traced once, by whichever shard was serving.
     assert_eq!(
-        events
-            .iter()
-            .filter(|(_, e)| matches!(e, Event::StoreRecovered { .. }))
-            .count(),
-        1,
-        "the recovery must be traced"
+        count(&events, |e| matches!(e, Event::Push { .. })),
+        report.total_iterations
     );
-    // The loss curve must survive the restore: still finite, still keyed
-    // by monotone iteration counts.
     assert!(report
         .loss_curve
         .windows(2)
@@ -190,14 +200,7 @@ fn dropped_notifies_are_reconciled_from_the_push_counter() {
         },
         ..base_config()
     };
-    let sink = Arc::new(InMemorySink::<Duration>::new());
-    let report = try_run_with_sink(
-        &Workload::tiny_test(),
-        &config,
-        Arc::new(WallClock::new()),
-        Arc::clone(&sink) as Arc<dyn EventSink<Duration>>,
-    )
-    .expect("valid config");
+    let (report, events) = traced(&config);
     assert!(
         report.dropped_notifies > 0,
         "the chaos knob never fired in {} iterations",
@@ -207,7 +210,6 @@ fn dropped_notifies_are_reconciled_from_the_push_counter() {
     // Reconciliation must detect at least some of the losses: each
     // surviving notify carries the worker's cumulative push count, so a
     // gap shows up on the very next delivery.
-    let events = sink.take();
     let reconciled: u64 = events
         .iter()
         .filter_map(|(_, e)| match e {
@@ -235,14 +237,7 @@ fn muted_worker_is_declared_dead_and_survivors_continue() {
         },
         ..base_config()
     };
-    let sink = Arc::new(InMemorySink::<Duration>::new());
-    let report = try_run_with_sink(
-        &Workload::tiny_test(),
-        &config,
-        Arc::new(WallClock::new()),
-        Arc::clone(&sink) as Arc<dyn EventSink<Duration>>,
-    )
-    .expect("valid config");
+    let (report, events) = traced(&config);
     assert!(
         report.detected_failures >= 1,
         "heartbeat silence was never detected"
@@ -252,11 +247,8 @@ fn muted_worker_is_declared_dead_and_survivors_continue() {
         report.total_iterations > 20,
         "survivors stalled after the partition"
     );
-    let events = sink.take();
     assert!(
-        events
-            .iter()
-            .any(|(_, e)| matches!(e, Event::WorkerCrashed { .. })),
+        count(&events, |e| matches!(e, Event::WorkerCrashed { .. })) > 0,
         "the detection must be traced"
     );
 }
@@ -305,36 +297,32 @@ fn checkpoints_are_persisted_atomically_and_restorable() {
 
 #[test]
 fn the_store_keeps_counting_across_a_recovery() {
-    // The recovery rolls parameters back, not counters: the store's
-    // version stays the run's applied-push count (what `ShardHost` derives
-    // epochs, the learning rate and `PushAck`s from), so the checkpoint
-    // persisted after the poison is stamped with the version it holds.
+    // The promoted backup holds every push the primary acked and goes on
+    // from there: its checkpoints, written to the same path, are stamped
+    // with the versions it holds, past the promotion.
     let path = std::env::temp_dir().join(format!("specsync-recov-{}.bin", std::process::id()));
     let config = RuntimeConfig {
         checkpoint_path: Some(path.clone()),
         chaos: RuntimeChaos {
-            poison_at_push: Some(10),
+            kill_primary_at_push: Some(10),
             ..RuntimeChaos::default()
         },
         ..base_config()
     };
-    let sink = Arc::new(InMemorySink::<Duration>::new());
-    let report = try_run_with_sink(
-        &Workload::tiny_test(),
-        &config,
-        Arc::new(WallClock::new()),
-        Arc::clone(&sink) as Arc<dyn EventSink<Duration>>,
-    )
-    .expect("a poisoned apply must not kill the server thread");
-    assert_eq!(report.store_recoveries, 1);
-    let stamped = sink.take().into_iter().rev().find_map(|(_, e)| match e {
+    let (report, events) = traced(&config);
+    assert_eq!(report.promotions, 1);
+    let promoted_at = failover_version(&events);
+    let stamped = events.into_iter().rev().find_map(|(_, e)| match e {
         Event::CheckpointWritten { version, .. } => Some(version),
         _ => None,
     });
     let blob = std::fs::read(&path).expect("checkpoint file must exist");
     let _ = std::fs::remove_file(&path);
     let held = specsync_ps::StoreCheckpoint::decode(&blob).expect("clean blob");
-    assert!(held.version() > 10, "no checkpoint after the recovery");
+    assert!(
+        held.version() > promoted_at,
+        "no checkpoint after the promotion at {promoted_at}"
+    );
     assert_eq!(Some(held.version()), stamped);
 }
 

@@ -9,9 +9,9 @@ use specsync_simnet::{MessageClass, SimDuration, VirtualTime, WorkerId};
 /// count from the start of the run.
 ///
 /// The simulator stamps events with [`VirtualTime`]; the threaded runtime
-/// stamps them with the [`Duration`] elapsed on its injected clock. Both
-/// serialize identically, so one trace format and one set of analysis
-/// tools covers both hosts.
+/// and the wire stamp them with the [`Duration`] elapsed on the wall
+/// clock. Both serialize identically, so one trace format and one set of
+/// analysis tools covers both hosts.
 pub trait Timestamp: Copy + Send + Sync + std::fmt::Debug + 'static {
     /// Microseconds since the start of the run.
     fn as_trace_micros(self) -> u64;
@@ -240,12 +240,6 @@ pub enum Event {
         /// 1-based retry attempt number.
         attempt: u32,
     },
-    /// The parameter store panicked mid-apply and was restored from the
-    /// last checkpoint.
-    StoreRecovered {
-        /// The store version after restoration.
-        version: u64,
-    },
     /// A parameter-server shard's primary died and its warm backup was
     /// promoted after replaying the outstanding push journal.
     ShardFailover {
@@ -401,7 +395,6 @@ impl Event {
             | Event::DegradedMode { worker, .. } => Some(*worker),
             Event::EpochTuned { .. }
             | Event::Eval { .. }
-            | Event::StoreRecovered { .. }
             | Event::ShardFailover { .. }
             | Event::CheckpointWritten { .. }
             | Event::HistoryEvicted { .. }
@@ -432,7 +425,6 @@ impl Event {
             Event::AbortReissued { .. } => "abort_reissue",
             Event::PushFenced { .. } => "push_fenced",
             Event::RetryScheduled { .. } => "retry",
-            Event::StoreRecovered { .. } => "store_recovered",
             Event::ShardFailover { .. } => "shard_failover",
             Event::CheckpointWritten { .. } => "checkpoint",
             Event::HistoryEvicted { .. } => "history_evicted",

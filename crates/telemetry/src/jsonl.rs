@@ -188,9 +188,6 @@ pub fn encode_line(micros: u64, event: &Event) -> String {
                 class.label()
             );
         }
-        Event::StoreRecovered { version } => {
-            let _ = write!(s, ",\"version\":{version}");
-        }
         Event::ShardFailover {
             shard,
             version,
@@ -443,9 +440,6 @@ pub fn parse_trace_line(line: &str) -> Result<TraceRecord, String> {
             class: parse_class(&pairs)?,
             attempt: u32::try_from(parse_u64(&pairs, "attempt")?)
                 .map_err(|_| "retry attempt out of range".to_string())?,
-        },
-        "store_recovered" => Event::StoreRecovered {
-            version: parse_u64(&pairs, "version")?,
         },
         "shard_failover" => Event::ShardFailover {
             shard: parse_u64(&pairs, "shard")?,
@@ -768,7 +762,6 @@ mod tests {
             class: MessageClass::PullParams,
             attempt: 2,
         });
-        round_trip(Event::StoreRecovered { version: 812 });
         round_trip(Event::ShardFailover {
             shard: 2,
             version: 512,

@@ -144,7 +144,7 @@ pub struct MetricsSnapshot {
     pub recoveries: u64,
     /// Graceful-degradation decisions observed (membership changes,
     /// notify-loss reconciliations, abort re-issues, fenced pushes,
-    /// retries, store recoveries).
+    /// retries, shard failovers).
     pub degradations: u64,
     /// History records (pushes + pulls) evicted past the scheduler's
     /// retention horizon.
@@ -323,7 +323,6 @@ impl<T: Timestamp> EventSink<T> for MetricsSink {
             | Event::AbortReissued { .. }
             | Event::PushFenced { .. }
             | Event::RetryScheduled { .. }
-            | Event::StoreRecovered { .. }
             | Event::ShardFailover { .. } => state.snapshot.degradations += 1,
             // Checkpoints and completed rejoins are routine (redundancy
             // restored), not degradations.

@@ -1,5 +1,6 @@
-//! The protocol on real OS threads: server, scheduler and workers wired
-//! with channels, wall-clock speculation windows, genuine races.
+//! The protocol on real OS threads: the scheduler, a primary/backup shard
+//! pair and the workers talking TCP over loopback, wall-clock speculation
+//! windows, genuine races.
 //!
 //! ```sh
 //! cargo run --release --example threaded_runtime

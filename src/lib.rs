@@ -28,7 +28,8 @@
 //!   [`Transport`] API over the consolidated [`WireMessage`] vocabulary,
 //!   and TCP servers that run the shards, scheduler and workers as
 //!   separate OS processes;
-//! - [`runtime`] — a real multi-threaded deployment of the same protocol;
+//! - [`runtime`] — the same TCP servers and workers as the threads of one
+//!   process, over loopback;
 //! - [`sync`] — ASP/BSP/SSP/naïve-waiting schemes;
 //! - [`telemetry`] — typed protocol event traces and metrics sinks shared
 //!   by the simulator and the threaded runtime;
@@ -73,8 +74,8 @@ pub use specsync_core::{
 };
 pub use specsync_ml::{LrSchedule, Model, Workload, WorkloadKind};
 pub use specsync_net::{
-    Endpoint, FailoverControl, InProcTransport, MessageSizes, NetConfig, NetError, SchedulerServer,
-    ShardHost, ShardServer, TcpTransport, Transport, WireMessage,
+    Endpoint, FailoverControl, MessageSizes, NetConfig, NetError, SchedulerServer, ShardHost,
+    ShardServer, TcpTransport, Transport, WireMessage,
 };
 pub use specsync_ps::{
     CheckpointError, ParamSnapshot, ParameterStore, PushJournal, ReplicaError, ReplicaRole,

@@ -45,8 +45,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// The golden traces, pinned to the exact bytes the seed (pre-wire)
 /// driver emitted. The `Transport`/`ShardHost` extraction must not move
-/// a single byte of any virtual-time trace: the in-process paths are the
-/// default, and their behavior is the contract.
+/// a single byte of any virtual-time trace: the simulator's behavior is
+/// the contract.
 #[test]
 fn golden_traces_stay_byte_identical_to_seed() {
     let cases: [(SchemeKind, u64, usize, u64); 3] = [
