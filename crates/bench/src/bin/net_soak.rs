@@ -60,7 +60,7 @@ use specsync_net::{
     ChaosScope, NetChaos, NetConfig, SchedulerConfig, SchedulerServer, ShardHost, ShardServer,
     TcpTransport,
 };
-use specsync_ps::{ParameterStore, ReplicatedStore};
+use specsync_ps::ParameterStore;
 use specsync_runtime::{ClockSource, WallClock, WorkerHarness};
 use specsync_simnet::WorkerId;
 use specsync_sync::SchemeKind;
@@ -199,11 +199,7 @@ fn run_shard(args: &[String]) {
     let workload = Workload::tiny_test();
     let bundle = workload.build(WORKERS, SEED);
     let initial = bundle.workers[0].params().to_vec();
-    let host = ShardHost::new(ReplicatedStore::from_store(
-        ParameterStore::new(initial, 8),
-        ReplicatedStore::DEFAULT_JOURNAL_CAPACITY,
-    ))
-    .with_workers(WORKERS);
+    let host = ShardHost::new(ParameterStore::new(initial, 8)).with_workers(WORKERS);
 
     let mut server = ShardServer::bind(id, "127.0.0.1:0", host, net_config(arg_chaos(args)))
         .expect("bind shard");

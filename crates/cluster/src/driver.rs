@@ -54,7 +54,7 @@ use rand::rngs::StdRng;
 
 use specsync_core::{Scheduler, SpecSyncError};
 use specsync_ml::{BatchSampler, LrSchedule, Model, SparseGrad, Workload};
-use specsync_net::{MessageSizes, ShardHost};
+use specsync_net::MessageSizes;
 use specsync_ps::{ParameterStore, ReplicaError, ReplicatedStore};
 use specsync_simnet::{
     DurationSampler, EventQueue, FaultPlan, MessageClass, MessageFate, NetworkModel, RngStreams,
@@ -320,7 +320,7 @@ struct Simulation {
     sizes: MessageSizes,
     ledger: TransferLedger,
 
-    host: ShardHost,
+    store: ReplicatedStore,
     scheduler: Scheduler,
     workers: Vec<WorkerCtx>,
     eval: specsync_ml::EvalSet,
@@ -437,7 +437,7 @@ impl Simulation {
             sizes,
             ledger: TransferLedger::new(),
             queue: EventQueue::new(),
-            host: ShardHost::new(store),
+            store,
             scheduler,
             workers,
             eval: bundle.eval,
@@ -552,7 +552,7 @@ impl Simulation {
     /// retry timer instead — server unavailability is not message loss,
     /// so no retry budget is spent; promotion bounds the wait.
     fn request_pull(&mut self, worker: WorkerId, now: VirtualTime) -> Result<(), SpecSyncError> {
-        if !self.host.is_available() {
+        if !self.store.is_available() {
             self.chaos.blocked_on_failover += 1;
             let epoch = self.workers[worker.index()].epoch;
             self.set_worker_state(worker, WorkerState::Pulling, now);
@@ -560,16 +560,15 @@ impl Simulation {
                 .schedule(now + RETRY_TIMEOUT, Event::PullBlocked(worker, epoch));
             return Ok(());
         }
-        // The host observes staleness before registering the pull — the
-        // same store-call order this code had before the verb extraction.
-        let grant = self.host.pull(worker).map_err(replica_to_error)?;
-        let staleness = grant.staleness;
+        // Staleness is observed before the pull registers.
+        let staleness = self.store.staleness_of(worker);
+        let snapshot = self.store.try_pull(worker).map_err(replica_to_error)?;
         self.staleness_sum += staleness as f64;
         self.staleness_count += 1;
         self.sink
             .record(now, &TraceEvent::Pull { worker, staleness });
         self.scheduler.on_pull(worker, now);
-        self.workers[worker.index()].pending_params = Some(grant.snapshot.into_shared());
+        self.workers[worker.index()].pending_params = Some(snapshot.into_shared());
         self.set_worker_state(worker, WorkerState::Pulling, now);
         self.send_pull(worker, 0, now)
     }
@@ -760,7 +759,7 @@ impl Simulation {
         if !self.total_pushes.is_multiple_of(self.config.eval_stride) {
             return;
         }
-        let loss = self.eval.loss_of(self.host.replica_mut().params());
+        let loss = self.eval.loss_of(self.store.params());
         self.sink.record(
             now,
             &TraceEvent::Eval {
@@ -782,17 +781,18 @@ impl Simulation {
     fn on_push_arrive(&mut self, worker: WorkerId, now: VirtualTime) -> Result<(), SpecSyncError> {
         let lr = self.lr.lr_at(self.epochs_done) as f32;
         // Move the gradient out to satisfy the borrow checker, then back.
-        let receipt = if self.workers[worker.index()].grad_is_sparse {
+        if self.workers[worker.index()].grad_is_sparse {
             let grad = std::mem::take(&mut self.workers[worker.index()].sparse_grad);
-            let res = self.host.push_sparse(worker, &grad, lr);
+            let res = self.store.try_apply_push_sparse(worker, &grad, lr);
             self.workers[worker.index()].sparse_grad = grad;
-            res.map_err(replica_to_error)?
+            res.map_err(replica_to_error)?;
         } else {
             let grad = std::mem::take(&mut self.workers[worker.index()].grad);
-            let res = self.host.push_dense(worker, &grad, lr);
+            let res = self.store.try_apply_push(worker, &grad, lr);
             self.workers[worker.index()].grad = grad;
-            res.map_err(replica_to_error)?
-        };
+            res.map_err(replica_to_error)?;
+        }
+        let applied = self.store.pushes_by(worker);
         self.workers[worker.index()].iterations += 1;
         self.total_pushes += 1;
         self.sink.record(
@@ -812,7 +812,6 @@ impl Simulation {
         // not see (dropped, or still in flight when the horizon cuts the
         // run short). Dropped notifies are deliberately not retried: the
         // next delivered notify's counter heals the gap.
-        let applied = receipt.pushes_by_worker;
         let fate = self.fate_for(worker, MessageClass::Notify, now)?;
         for _ in 0..fate.copies {
             let notify_delay = self.delay(MessageClass::Notify) + fate.extra_delay;
@@ -960,7 +959,7 @@ impl Simulation {
                 }
             }
             Event::PushArrive(worker, epoch, seq) => {
-                if !self.host.is_available() {
+                if !self.store.is_available() {
                     // The receiving shard is mid-failover: the server
                     // refuses the delivery and the worker retransmits on
                     // the fixed retry timer. Not message loss — no
@@ -1049,15 +1048,15 @@ impl Simulation {
             Event::ServerCrash(server) => {
                 // A second crash of an already-down shard (or an unknown
                 // index in a hostile plan) is a no-op.
-                if self.host.replica_mut().crash_server(server).is_ok() {
+                if self.store.crash_server(server).is_ok() {
                     self.chaos.server_crashes += 1;
                     self.queue
                         .schedule(now + PROMOTE_DELAY, Event::ServerPromote(server));
                 }
             }
             Event::ServerPromote(server) => {
-                if let Ok(replayed) = self.host.replica_mut().promote(server) {
-                    let version = self.host.replica().version();
+                if let Ok(replayed) = self.store.promote(server) {
+                    let version = self.store.version();
                     self.chaos.failovers += 1;
                     self.chaos.journal_replayed += replayed;
                     self.sink.record(
@@ -1073,7 +1072,7 @@ impl Simulation {
             Event::ServerRecover(server) => {
                 // Ignored while the shard is still down (promotion is
                 // already scheduled and will restore service first).
-                if self.host.replica_mut().recover_server(server).is_ok() {
+                if self.store.recover_server(server).is_ok() {
                     self.chaos.server_recoveries += 1;
                 }
             }

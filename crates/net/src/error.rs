@@ -4,7 +4,6 @@ use std::fmt;
 use std::io;
 
 use specsync_core::SpecSyncError;
-use specsync_ps::ReplicaError;
 
 use crate::frame::{FrameError, FrameReadError};
 
@@ -15,8 +14,6 @@ pub enum NetError {
     Io(io::Error),
     /// The bytes on the wire do not form a valid frame.
     Frame(FrameError),
-    /// The replicated store refused the operation.
-    Replica(ReplicaError),
     /// This frame is not one the sender/handler speaks — e.g. a worker
     /// transport asked to *send* a reply-only frame, or a shard host
     /// handed a scheduler-plane frame.
@@ -53,7 +50,6 @@ impl fmt::Display for NetError {
         match self {
             NetError::Io(e) => write!(f, "transport i/o error: {e}"),
             NetError::Frame(e) => write!(f, "{e}"),
-            NetError::Replica(e) => write!(f, "store refused: {e}"),
             NetError::Unhandled { what } => write!(f, "frame not handled here: {what}"),
             NetError::UnexpectedReply { want } => {
                 write!(f, "peer replied with the wrong frame (expected {want})")
@@ -98,11 +94,5 @@ impl From<FrameReadError> for NetError {
             FrameReadError::Io(e) => NetError::Io(e),
             FrameReadError::Frame(e) => NetError::Frame(e),
         }
-    }
-}
-
-impl From<ReplicaError> for NetError {
-    fn from(e: ReplicaError) -> Self {
-        NetError::Replica(e)
     }
 }

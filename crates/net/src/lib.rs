@@ -20,9 +20,10 @@
 //!   [`ChaosListener`] execute a seeded per-connection [`FaultScript`]
 //!   (refusals, resets, stalls, trickling, corruption, half-open
 //!   silence) behind a [`NetChaos`] config that is free when disabled.
-//! * [`host`] — [`ShardHost`], the transport-agnostic shard brain: a
-//!   replicated store plus the per-version encoded-frame cache that lets
-//!   one serialization serve every concurrent puller of a version.
+//! * [`host`] — [`ShardHost`], the transport-agnostic shard brain: the
+//!   shard's one parameter store plus the per-version encoded-frame cache
+//!   that lets one serialization serve every concurrent puller of a
+//!   version.
 //! * [`sched_host`] — [`SchedulerHost`], the transport-agnostic scheduler
 //!   brain: the core scheduler plus timers, liveness, reconciliation,
 //!   epoch accounting and promotion arming, as a sans-IO state machine
@@ -59,7 +60,7 @@ pub use frame::{
     decode_frame, encode_frame, read_frame, read_frame_bytes, write_frame, FrameError,
     FrameReadError, ReadOutcome, MAX_SPARSE_DIM, MAX_WORKERS, PAYLOAD_LIMIT, RELAY_TAG_FRAME_LEN,
 };
-pub use host::{PullGrant, PushReceipt, ShardHost};
+pub use host::ShardHost;
 pub use sched_host::{SchedOutput, SchedulerHost};
 pub use server::{SchedulerConfig, SchedulerRunStats, SchedulerServer, ShardServer, ShardStats};
 pub use transport::{ConnTarget, Endpoint, FrameConn, TcpTransport, Transport, TransportStats};

@@ -59,7 +59,7 @@
 use std::collections::BTreeMap;
 use std::io;
 use std::net::TcpListener;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -67,7 +67,7 @@ use std::time::Duration;
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use specsync_core::SpecSyncError;
-use specsync_ps::{ParameterStore, ReplicatedStore, StoreCheckpoint};
+use specsync_ps::{ParameterStore, StoreCheckpoint};
 use specsync_simnet::WorkerId;
 use specsync_sync::SchemeKind;
 use specsync_telemetry::{Event, EventSink, NullSink};
@@ -164,13 +164,10 @@ impl Shared {
         };
         let snapshot = {
             let mut locked = self.host.lock();
-            locked
-                .replica_mut()
-                .serving_store_mut()
-                .snapshot_for_checkpoint()
+            locked.store_mut().snapshot_for_checkpoint()
         };
         let blob = snapshot.encode();
-        let tmp = path.with_extension("tmp");
+        let tmp = temp_path(path);
         if std::fs::write(&tmp, &blob)
             .and_then(|()| std::fs::rename(&tmp, path))
             .is_ok()
@@ -182,6 +179,16 @@ impl Shared {
             self.record(&Event::CheckpointWritten { version, bytes });
         }
     }
+}
+
+/// Where a checkpoint is written before it is renamed to `path`: `.tmp`
+/// appended to the whole file name, so the temp file is never `path`
+/// itself and two checkpoints that differ only in extension never share
+/// one.
+fn temp_path(path: &Path) -> PathBuf {
+    let mut name = path.as_os_str().to_owned();
+    name.push(".tmp");
+    PathBuf::from(name)
 }
 
 /// What the single apply thread consumes: push-class frames in arrival
@@ -450,7 +457,7 @@ impl ShardServer {
                                 shared.serving.store(true, Ordering::SeqCst);
                                 let version = {
                                     let locked = shared.host.lock();
-                                    locked.replica().version()
+                                    locked.store().version()
                                 };
                                 let replayed = shared.counters.absorbed.load(Ordering::Relaxed);
                                 let _ =
@@ -521,7 +528,7 @@ impl ShardServer {
         }
 
         let counters = &shared.counters;
-        let version = shared.host.lock().replica().version();
+        let version = shared.host.lock().store().version();
         Ok(ShardStats {
             pulls_served: counters.pulls_served.load(Ordering::Relaxed),
             pushes_applied: counters.pushes_applied.load(Ordering::Relaxed),
@@ -594,10 +601,7 @@ fn apply_loop(
             ApplyCmd::Join(mut conn) => {
                 let checkpoint = {
                     let mut locked = shared.host.lock();
-                    locked
-                        .replica_mut()
-                        .serving_store_mut()
-                        .snapshot_for_checkpoint()
+                    locked.store_mut().snapshot_for_checkpoint()
                 };
                 if stream_rejoin(&mut conn, &checkpoint, chunk_bytes).is_ok() {
                     // The joiner confirmed parity: it replaces whatever
@@ -816,13 +820,7 @@ fn join_cluster(
         what: "streamed checkpoint failed to restore",
     })?;
     let version = store.version();
-    {
-        // The journal capacity is this process's configuration, not part
-        // of the streamed state: it survives the store swap.
-        let mut locked = host.lock();
-        let capacity = locked.replica().journal_capacity();
-        locked.install_store(ReplicatedStore::from_store(store, capacity));
-    }
+    host.lock().install_store(store);
     conn.write(&WireMessage::Failover(FailoverControl::BackupReady {
         server: shard_id,
         version,
@@ -1101,15 +1099,22 @@ mod tests {
     use super::*;
     use crate::frame::MAX_WORKERS;
     use crate::wire::MessageSizes;
-    use specsync_ps::{ParameterStore, PushPayload, ReplicatedStore};
+    use specsync_ps::PushPayload;
+
+    fn host(dim: usize) -> ShardHost {
+        ShardHost::new(ParameterStore::new(vec![0.0; dim], 2))
+    }
 
     fn shard(id: u64, dim: usize) -> ShardServer {
-        let store = ParameterStore::new(vec![0.0; dim], 2);
-        let host = ShardHost::new(ReplicatedStore::from_store(
-            store,
-            ReplicatedStore::DEFAULT_JOURNAL_CAPACITY,
-        ));
-        ShardServer::bind(id, "127.0.0.1:0", host, NetConfig::default()).unwrap()
+        ShardServer::bind(id, "127.0.0.1:0", host(dim), NetConfig::default()).unwrap()
+    }
+
+    #[test]
+    fn a_checkpoint_is_written_beside_its_path_never_onto_it() {
+        let tmp = |path: &str| temp_path(Path::new(path));
+        assert_eq!(tmp("dir/x.tmp"), PathBuf::from("dir/x.tmp.tmp"));
+        assert_ne!(tmp("state.bin"), tmp("state.ckpt"));
+        assert_eq!(tmp("state"), PathBuf::from("state.tmp"));
     }
 
     fn connect(addr: &str, cfg: &NetConfig) -> FrameConn {
@@ -1236,7 +1241,7 @@ mod tests {
         let stats = handle.join().unwrap();
         assert!(conn.exchange(&push).is_err(), "a halted shard acked a push");
         assert_eq!((stats.pushes_applied, stats.version), (2, 2));
-        assert_eq!(host.lock().replica().version(), 2, "nor applied it");
+        assert_eq!(host.lock().store().version(), 2, "nor applied it");
     }
 
     #[test]
@@ -1467,16 +1472,11 @@ mod tests {
     fn fresh_shard_rejoins_over_the_wire_and_relays_live_pushes() {
         // A tiny chunk size forces the snapshot across several
         // SnapshotChunk frames.
-        let store = ParameterStore::new(vec![0.0; 16], 2);
-        let host = ShardHost::new(ReplicatedStore::from_store(
-            store,
-            ReplicatedStore::DEFAULT_JOURNAL_CAPACITY,
-        ));
         let pcfg = NetConfig::builder()
             .join_chunk_bytes(16)
             .try_build()
             .unwrap();
-        let primary = ShardServer::bind(0, "127.0.0.1:0", host, pcfg).unwrap();
+        let primary = ShardServer::bind(0, "127.0.0.1:0", host(16), pcfg).unwrap();
         let primary_addr = primary.local_addr().to_string();
         let primary_stop = primary.stop_handle();
         let primary_handle = std::thread::spawn(move || primary.run().unwrap());
@@ -1492,12 +1492,8 @@ mod tests {
             .unwrap();
         }
 
-        // A fresh process provisions itself from the live primary. Its
-        // non-default journal capacity is its own configuration and must
-        // survive the store the join installs.
-        let store = ParameterStore::new(vec![0.0; 16], 2);
-        let host = ShardHost::new(ReplicatedStore::from_store(store, 4));
-        let joiner = ShardServer::bind(2, "127.0.0.1:0", host, NetConfig::default())
+        // A fresh process provisions itself from the live primary.
+        let joiner = ShardServer::bind(2, "127.0.0.1:0", host(16), NetConfig::default())
             .unwrap()
             .as_backup()
             .join_via(&primary_addr);
@@ -1510,18 +1506,13 @@ mod tests {
         // after this queues behind the join and reaches the joiner as a
         // live relay.
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while joiner_host.lock().replica().version() < 5 {
+        while joiner_host.lock().store().version() < 5 {
             assert!(
                 std::time::Instant::now() < deadline,
                 "the snapshot never arrived"
             );
             std::thread::sleep(Duration::from_millis(2));
         }
-        assert_eq!(
-            joiner_host.lock().replica().journal_capacity(),
-            4,
-            "the join must not reset the joiner's journal capacity"
-        );
 
         // Post-join pushes travel as live write-ahead relays down the
         // join connection before they are applied or acked, so each ack
@@ -1570,9 +1561,7 @@ mod tests {
         for chunks in rows {
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             let fake = listener.local_addr().unwrap().to_string();
-            let store = ParameterStore::new(vec![0.0; 4], 2);
-            let host = ShardHost::new(ReplicatedStore::from_store(store, 4));
-            let joiner = ShardServer::bind(2, "127.0.0.1:0", host, cfg.clone())
+            let joiner = ShardServer::bind(2, "127.0.0.1:0", host(4), cfg.clone())
                 .unwrap()
                 .as_backup()
                 .join_via(&fake);

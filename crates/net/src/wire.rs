@@ -102,7 +102,7 @@ pub enum WireMessage {
     /// in one process.
     RelayPush {
         /// Store version this push produces (`version + 1` at the
-        /// primary when the push was journalled).
+        /// primary when the push was relayed).
         seq: u64,
         /// The originating worker (per-worker counters replay exactly).
         worker: WorkerId,

@@ -1,30 +1,35 @@
 //! Allocation budget of the dense byte path: how many buffers of the
-//! payload's own size each step may allocate. Counts, not timings — a
-//! redundant copy of a dense payload shows up here as one more large
-//! allocation whatever the host's speed.
+//! payload's own size each step may allocate, and how many a shard may
+//! keep. Counts, not timings — a redundant copy of a dense payload shows
+//! up here as one more large allocation whatever the host's speed, and a
+//! retained one as live bytes that do not come back.
 //!
 //! Its own test binary because it installs a counting global allocator,
 //! and one `#[test]` because the count is process-wide: the steps run in
 //! sequence, and nothing else in the process allocates a megabyte.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use specsync_net::{
     decode_frame, encode_frame, ConnSeq, ConnTarget, FrameConn, NetConfig, ShardHost, ShardServer,
     WireMessage,
 };
-use specsync_ps::{ParameterStore, PushPayload, ReplicatedStore};
+use specsync_ps::{ParameterStore, PushPayload};
 use specsync_simnet::WorkerId;
 
 /// Allocations at or above this size are the ones a payload copy makes.
 const LARGE: usize = 1 << 20;
 /// A 4 MiB dense payload.
 const DIM: usize = 1 << 20;
-const JOURNAL_CAPACITY: usize = 4;
+/// Frame-path pushes into one host: enough that a shard keeping each
+/// payload, or every few, would show it.
+const PUSHES: usize = 5;
 
 static LARGE_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+/// Bytes held in large allocations right now.
+static LIVE_LARGE_BYTES: AtomicIsize = AtomicIsize::new(0);
 
 struct Counting;
 
@@ -32,6 +37,13 @@ impl Counting {
     fn note(size: usize) {
         if size >= LARGE {
             LARGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
+            LIVE_LARGE_BYTES.fetch_add(size as isize, Ordering::Relaxed);
+        }
+    }
+
+    fn release(size: usize) {
+        if size >= LARGE {
+            LIVE_LARGE_BYTES.fetch_sub(size as isize, Ordering::Relaxed);
         }
     }
 }
@@ -52,12 +64,14 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::release(layout.size());
         Self::note(new_size);
         // SAFETY: as above.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        Self::release(layout.size());
         // SAFETY: as above.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -90,7 +104,7 @@ fn dense_byte_path_stays_within_its_large_allocation_budget() {
     drop((msg, frame, decoded));
 
     let store = ParameterStore::new(vec![0.25; DIM], 8).with_momentum(0.9);
-    let mut host = ShardHost::new(ReplicatedStore::from_store(store, JOURNAL_CAPACITY));
+    let mut host = ShardHost::new(store);
 
     let ((reply, _), n) = large_allocs(|| host.encoded_pull_reply(worker).unwrap());
     assert!(n <= 2, "pull miss: snapshot + frame, got {n}");
@@ -101,16 +115,19 @@ fn dense_byte_path_stays_within_its_large_allocation_budget() {
     assert_eq!(n, 1, "decode_frame(PullReply): the shared block only");
     drop((reply, again, decoded));
 
-    // Pushes into a journal with room move the decoded payload into the
-    // journal and apply from there; the push after them finds it full and
-    // drains it into the backup by reference first.
-    for i in 0..=JOURNAL_CAPACITY {
+    // A push is applied from the decoded payload by reference, and the
+    // payload is freed with the frame: the shard keeps no copy, so once
+    // the first push has settled the store, the live bytes stay put.
+    let mut settled = None;
+    for i in 1..=PUSHES {
         let msg = push();
         let (ack, n) = large_allocs(|| host.handle(msg).unwrap());
         assert!(matches!(ack, Some(WireMessage::PushAck { .. })));
         assert_eq!(n, 0, "handle(Push) number {i}");
+        let live = LIVE_LARGE_BYTES.load(Ordering::Relaxed);
+        let settled = *settled.get_or_insert(live);
+        assert_eq!(live, settled, "live large bytes after push {i}");
     }
-    assert_eq!(host.replica().journal_lag(), 1, "the last push drained");
 
     // A relayed push over real sockets: each server allocates the buffer
     // it receives the frame into and the gradient it decodes out of it —
@@ -119,7 +136,7 @@ fn dense_byte_path_stays_within_its_large_allocation_budget() {
     // the first push warms both servers up.
     let serve = |id: u64, relay: Option<&str>| {
         let store = ParameterStore::new(vec![0.25; DIM], 8).with_momentum(0.9);
-        let host = ShardHost::new(ReplicatedStore::from_store(store, JOURNAL_CAPACITY));
+        let host = ShardHost::new(store);
         let mut server = ShardServer::bind(id, "127.0.0.1:0", host, NetConfig::default()).unwrap();
         server = match relay {
             Some(addr) => server.with_backup_relay(addr),

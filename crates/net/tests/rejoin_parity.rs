@@ -9,12 +9,11 @@
 
 use proptest::prelude::*;
 use specsync_net::{decode_frame, encode_frame, FailoverControl, ShardHost, WireMessage};
-use specsync_ps::{ParameterStore, PushPayload, ReplicatedStore, StoreCheckpoint};
+use specsync_ps::{ParameterStore, PushPayload, StoreCheckpoint};
 use specsync_simnet::WorkerId;
 use specsync_tensor::SparseGrad;
 
 const WORKERS: usize = 3;
-const JOURNAL_CAP: usize = 8;
 
 /// One push in the generated workload: which worker, dense or sparse,
 /// and the gradient magnitude.
@@ -58,11 +57,11 @@ fn over_the_wire(msg: &WireMessage) -> WireMessage {
 
 fn fresh_host(dim: usize) -> ShardHost {
     let store = ParameterStore::new(vec![0.0; dim], WORKERS).with_momentum(0.9);
-    ShardHost::new(ReplicatedStore::from_store(store, JOURNAL_CAP))
+    ShardHost::new(store)
 }
 
 fn bits(host: &mut ShardHost) -> Vec<u32> {
-    let params = host.replica_mut().params();
+    let params = host.store_mut().params();
     params.iter().map(|p| p.to_bits()).collect()
 }
 
@@ -84,7 +83,7 @@ proptest! {
         }
 
         // --- Phase 1: the serving store's checkpoint, in chunks.
-        let checkpoint = primary.replica_mut().serving_store_mut().snapshot_for_checkpoint();
+        let checkpoint = primary.store_mut().snapshot_for_checkpoint();
         let encoded = checkpoint.encode();
         let total = encoded.chunks(chunk_bytes).count() as u64;
         let mut streamed = Vec::new();
@@ -107,18 +106,18 @@ proptest! {
         )
         .expect("streamed checkpoint restores");
         let mut joiner = fresh_host(dim);
-        joiner.install_store(ReplicatedStore::from_store(restored, JOURNAL_CAP));
+        joiner.install_store(restored);
 
         // --- Phase 2: the joiner confirms; the primary's adoption rule.
         let ready = over_the_wire(&WireMessage::Failover(FailoverControl::BackupReady {
             server: 2,
-            version: joiner.replica().version(),
+            version: joiner.store().version(),
         }));
         let WireMessage::Failover(FailoverControl::BackupReady { version, .. }) = ready else {
             panic!("BackupReady changed shape over the wire");
         };
         prop_assert_eq!(version, checkpoint.version(), "parity before live relays start");
-        prop_assert_eq!(version, primary.replica().version());
+        prop_assert_eq!(version, primary.store().version());
 
         // --- Live pushes that raced the join queued behind it: each is a
         // write-ahead relay (the backup holds the push before the primary
@@ -156,8 +155,8 @@ proptest! {
         }
 
         let want = bits(&mut twin);
-        prop_assert_eq!(primary.replica().version(), twin.replica().version());
-        prop_assert_eq!(joiner.replica().version(), twin.replica().version());
+        prop_assert_eq!(primary.store().version(), twin.store().version());
+        prop_assert_eq!(joiner.store().version(), twin.store().version());
         prop_assert_eq!(bits(&mut primary), want.clone(), "the capture moved the primary");
         prop_assert_eq!(bits(&mut joiner), want, "the rejoined backup must be bit-identical");
     }

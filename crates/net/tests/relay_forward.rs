@@ -14,7 +14,7 @@ use specsync_net::{
     decode_frame, encode_frame, ConnSeq, ConnTarget, FailoverControl, FrameConn, NetConfig,
     ShardHost, ShardServer, ShardStats, WireMessage, RELAY_TAG_FRAME_LEN,
 };
-use specsync_ps::{ParameterStore, PushPayload, ReplicatedStore};
+use specsync_ps::{ParameterStore, PushPayload};
 use specsync_simnet::WorkerId;
 use specsync_tensor::SparseGrad;
 
@@ -25,10 +25,7 @@ const WORKERS: usize = 2;
 /// any other order — or a push applied twice — shows in the bits.
 fn host() -> ShardHost {
     let store = ParameterStore::new(vec![0.0; DIM], WORKERS).with_momentum(0.9);
-    ShardHost::new(ReplicatedStore::from_store(
-        store,
-        ReplicatedStore::DEFAULT_JOURNAL_CAPACITY,
-    ))
+    ShardHost::new(store)
 }
 
 struct Running {
@@ -147,7 +144,7 @@ fn replay_bits(pushes: impl IntoIterator<Item = WireMessage>) -> Vec<u32> {
         local.handle(frame).expect("local replay");
     }
     local
-        .replica_mut()
+        .store_mut()
         .params()
         .iter()
         .map(|p| p.to_bits())

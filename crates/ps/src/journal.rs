@@ -24,6 +24,19 @@ pub enum PushPayload {
     Sparse(SparseGrad),
 }
 
+impl PushPayload {
+    /// Applies this gradient to `store` as `worker`'s push at rate `lr`,
+    /// through the path — dense or sparse — it arrived as, so every store
+    /// that applies the same payload runs the same arithmetic. Returns the
+    /// store's new version.
+    pub fn apply_to(&self, store: &mut ParameterStore, worker: WorkerId, lr: f32) -> u64 {
+        match self {
+            PushPayload::Dense(grad) => store.apply_push(worker, grad, lr),
+            PushPayload::Sparse(grad) => store.apply_push_sparse(worker, grad, lr),
+        }
+    }
+}
+
 /// One applied push, as recorded in the journal.
 #[derive(Debug, Clone)]
 pub struct JournalEntry {
@@ -38,14 +51,10 @@ pub struct JournalEntry {
 }
 
 impl JournalEntry {
-    /// Applies this push to `store` through the path — dense or sparse —
-    /// it was journaled with, so every replica that replays the entry runs
-    /// the same arithmetic. Returns the store's new version.
+    /// Applies this push to `store` at its journaled rate (see
+    /// [`PushPayload::apply_to`]). Returns the store's new version.
     pub fn apply_to(&self, store: &mut ParameterStore) -> u64 {
-        match &self.payload {
-            PushPayload::Dense(grad) => store.apply_push(self.worker, grad, self.lr),
-            PushPayload::Sparse(grad) => store.apply_push_sparse(self.worker, grad, self.lr),
-        }
+        self.payload.apply_to(store, self.worker, self.lr)
     }
 }
 
@@ -89,11 +98,6 @@ impl PushJournal {
             entries: VecDeque::with_capacity(capacity),
             capacity,
         }
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Number of journaled entries not yet truncated.

@@ -1,8 +1,11 @@
-//! Primary/backup replication with promote-on-crash failover.
+//! Primary/backup replication with promote-on-crash failover, in one
+//! process: the simulator's model of a shard failover.
 //!
 //! A [`ReplicatedStore`] keeps two full copies of the sharded parameter
 //! state: the *primary* serves every pull and push, and a *warm backup*
-//! trails it by at most the [`PushJournal`] capacity. Per-[`ShardId`]
+//! trails it by at most the [`PushJournal`] capacity. (On the wire the
+//! backup is a second shard process fed by the write-ahead relay, and each
+//! shard process serves a plain [`ParameterStore`].) Per-[`ShardId`]
 //! bookkeeping ([`ShardReplica`]) tracks which servers are up; while any
 //! shard's server is down the store refuses traffic with a typed
 //! [`ReplicaError`] and the host retries until the backup is promoted.
@@ -187,11 +190,6 @@ impl ReplicatedStore {
         self.journal.len()
     }
 
-    /// The configured bound on [`journal_lag`](Self::journal_lag).
-    pub fn journal_capacity(&self) -> usize {
-        self.journal.capacity()
-    }
-
     fn check_server(&self, server: usize) -> Result<(), ReplicaError> {
         if server >= self.replicas.len() {
             return Err(ReplicaError::UnknownServer(server));
@@ -229,14 +227,9 @@ impl ReplicatedStore {
     }
 
     /// Journals a push, taking ownership of its payload, then applies it
-    /// to the primary from the journal's own copy — the one entry point
-    /// every push goes through. Returns the new global version.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReplicaError::ServerDown`] while a shard is failing over;
-    /// the caller retries after promotion.
-    pub fn try_apply_payload(
+    /// to the primary from the journal's own copy — the one path every
+    /// push goes through. Returns the new global version.
+    fn try_apply_payload(
         &mut self,
         worker: WorkerId,
         payload: PushPayload,
@@ -260,8 +253,9 @@ impl ReplicatedStore {
         Ok(entry.apply_to(&mut self.primary))
     }
 
-    /// [`try_apply_payload`](Self::try_apply_payload) for a borrowed dense
-    /// gradient: the journal's copy is the only one made.
+    /// Journals a copy of a dense gradient, then applies it to the primary
+    /// from the journal: the journal's copy is the only one made. Returns
+    /// the new global version.
     ///
     /// # Errors
     ///
@@ -276,8 +270,7 @@ impl ReplicatedStore {
         self.try_apply_payload(worker, PushPayload::Dense(grad.to_vec()), lr)
     }
 
-    /// [`try_apply_payload`](Self::try_apply_payload) for a borrowed sparse
-    /// gradient: the journal's copy is the only one made.
+    /// [`try_apply_push`](Self::try_apply_push) for a sparse gradient.
     ///
     /// # Errors
     ///
@@ -407,11 +400,14 @@ impl ReplicatedStore {
     pub fn staleness_of(&self, worker: WorkerId) -> u64 {
         self.primary.staleness_of(worker)
     }
+}
 
-    /// The serving replica, for checkpoint capture (a rejoining backup
-    /// process is provisioned from this checkpoint).
-    pub fn serving_store_mut(&mut self) -> &mut ParameterStore {
-        &mut self.primary
+/// The serving replica; the warm backup and the journal are dropped. Only
+/// `perf/`, which still builds its shard hosts from replicated stores,
+/// relies on this conversion.
+impl From<ReplicatedStore> for ParameterStore {
+    fn from(store: ReplicatedStore) -> Self {
+        store.primary
     }
 }
 
@@ -522,64 +518,6 @@ mod tests {
         assert_eq!(rep.sync_backup(), 0);
         assert_eq!(rep.backup_applied, 5, "the watermark stays put");
         assert_eq!(rep.backup.snapshot_for_checkpoint().encode(), backup);
-    }
-
-    /// Checkpoint bytes of the serving replica and of the warm backup,
-    /// plus the journal tail between them.
-    fn replica_bytes(rep: &mut ReplicatedStore) -> (Vec<u8>, Vec<u8>, Vec<(u64, PushPayload)>) {
-        let serving = rep.serving_store_mut().snapshot_for_checkpoint().encode();
-        let backup = rep.backup.snapshot_for_checkpoint().encode();
-        let tail = rep.journal.entries_after(rep.backup_applied);
-        let tail = tail.map(|e| (e.seq, e.payload.clone())).collect();
-        (serving, backup, tail)
-    }
-
-    #[test]
-    fn owned_and_borrowed_push_paths_leave_identical_replicas() {
-        let base = ParameterStore::new(vec![0.0; 4], 2).with_momentum(0.9);
-        let mut owned = ReplicatedStore::from_store(base.clone(), 4);
-        let mut borrowed = ReplicatedStore::from_store(base, 4);
-        let mut pushes = 0..;
-        let mut drive = |owned: &mut ReplicatedStore, borrowed: &mut ReplicatedStore, n: usize| {
-            for i in pushes.by_ref().take(n) {
-                let (worker, lr) = (w(i % 3), 0.1 + 0.01 * (i % 2) as f32);
-                let (a, b) = if i % 3 == 0 {
-                    let g = sparse(4, &[(i % 4, 0.5 + i as f32 * 0.1), ((i + 2) % 4, -0.25)]);
-                    (
-                        owned.try_apply_payload(worker, PushPayload::Sparse(g.clone()), lr),
-                        borrowed.try_apply_push_sparse(worker, &g, lr),
-                    )
-                } else {
-                    let g = vec![0.1 * (i as f32 + 1.0); 4];
-                    (
-                        owned.try_apply_payload(worker, PushPayload::Dense(g.clone()), lr),
-                        borrowed.try_apply_push(worker, &g, lr),
-                    )
-                };
-                assert_eq!(a, b);
-                assert_eq!(a, Ok(i as u64 + 1));
-            }
-        };
-
-        // Capacity 4: pushes 5 and 9 each find the journal full and drain.
-        drive(&mut owned, &mut borrowed, 10);
-        assert_eq!(owned.backup_applied, 8, "two journal-full drains");
-        assert_eq!(replica_bytes(&mut owned), replica_bytes(&mut borrowed));
-
-        for rep in [&mut owned, &mut borrowed] {
-            rep.crash_server(1).unwrap();
-            assert_eq!(rep.promote(1), Ok(2), "the undrained suffix replays");
-        }
-        assert_eq!(replica_bytes(&mut owned), replica_bytes(&mut borrowed));
-
-        // The promoted pair keeps journaling, and either store holds the
-        // same checkpoints and tail.
-        drive(&mut owned, &mut borrowed, 7);
-        let state = replica_bytes(&mut owned);
-        assert_eq!(replica_bytes(&mut borrowed), state);
-        let (serving, backup, tail) = state;
-        assert_ne!(serving, backup, "the tail is what separates them");
-        assert_eq!(tail.len(), 3);
     }
 
     #[test]

@@ -34,7 +34,7 @@ use specsync_net::{
     Endpoint, NetError, SchedulerConfig, SchedulerServer, ShardHost, ShardServer, TcpTransport,
     Transport, WireMessage,
 };
-use specsync_ps::{ParameterStore, ReplicatedStore};
+use specsync_ps::ParameterStore;
 use specsync_simnet::WorkerId;
 use specsync_telemetry::{Event, EventSink, LossCurve, NullSink};
 
@@ -125,12 +125,9 @@ pub fn try_run_with_sink(
         if let Some(clip) = workload.grad_clip {
             store = store.with_grad_clip(clip);
         }
-        let host = ShardHost::new(ReplicatedStore::from_store(
-            store,
-            ReplicatedStore::DEFAULT_JOURNAL_CAPACITY,
-        ))
-        .with_workers(m)
-        .with_lr_fn(workload.lr.clone().into_rate_fn());
+        let host = ShardHost::new(store)
+            .with_workers(m)
+            .with_lr_fn(workload.lr.clone().into_rate_fn());
         let server = ShardServer::bind(id, "127.0.0.1:0", host, net.clone())
             .map_err(wire_error)?
             .with_scheduler(&sched_addr)

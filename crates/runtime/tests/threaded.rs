@@ -288,8 +288,10 @@ fn checkpoints_are_persisted_atomically_and_restorable() {
     let restored =
         specsync_ps::ParameterStore::restore(decoded).expect("decoded checkpoint must restore");
     assert!(restored.version() > 0, "checkpoint captured no progress");
+    let mut tmp = path.clone().into_os_string();
+    tmp.push(".tmp");
     assert!(
-        !path.with_extension("tmp").exists(),
+        !std::path::Path::new(&tmp).exists(),
         "temp file should have been renamed into place"
     );
     let _ = std::fs::remove_file(&path);

@@ -21,9 +21,9 @@
 //! - [`cluster`] — the virtual-time cluster harness that trains real models
 //!   under simulated EC2 timing;
 //! - [`ml`] — datasets, models and the three Table-I workloads;
-//! - [`ps`] — the sharded asynchronous parameter server, with
-//!   primary/backup replication, push journaling, and a crash-consistent
-//!   checkpoint codec;
+//! - [`ps`] — the sharded asynchronous parameter server, with the
+//!   simulator's in-process primary/backup replication and push journal,
+//!   and a crash-consistent checkpoint codec;
 //! - [`net`] — the wire: a checksummed binary frame codec, the unified
 //!   [`Transport`] API over the consolidated [`WireMessage`] vocabulary,
 //!   and TCP servers that run the shards, scheduler and workers as
