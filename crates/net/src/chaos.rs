@@ -43,6 +43,8 @@ use std::time::Duration;
 // here is sanctioned (the deterministic part is the *decision* sequence).
 use std::time::Instant;
 
+use specsync_simnet::fnv1a;
+
 /// Where a chaos configuration applies, so a scenario can break one
 /// plane (say, every worker's scheduler link) while the other stays
 /// healthy.
@@ -236,17 +238,6 @@ impl FaultScript {
         splitmix64(self.seed ^ n.wrapping_mul(0x9e37_79b9_7f4a_7c15)) % 1000
             < u64::from(self.reset_permille)
     }
-}
-
-/// FNV-1a over bytes — the same label-hashing idiom `RngStreams` uses,
-/// hand-rolled so the net crate stays free of a rand dependency.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// SplitMix64 finalizer — cheap decorrelation for per-op draws.

@@ -7,13 +7,14 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  "SSNF"
-//! 4       4     format (u32 LE, currently 1)
+//! 4       4     format (u32 LE, currently 2)
 //! 8       4     payload length (u32 LE)
-//! 12      8     FNV-1a checksum of the payload (u64 LE)
+//! 12      8     checksum of the payload (u64 LE, specsync_ps::checksum)
 //! 20      n     payload: tag byte, then the variant's fields
 //! ```
 //!
-//! Integers are little-endian; floats are raw IEEE-754 bits (bit-exact
+//! The segmented [`checksum`] equals FNV-1a on payloads of at most 1 MiB,
+//! so format 2 changed only larger frames. Integers are little-endian; floats are raw IEEE-754 bits (bit-exact
 //! round-trip, no text formatting); slices and strings are length-prefixed.
 //! Decoding demands an exact fit — trailing bytes are as fatal as missing
 //! ones — so any single flipped byte in a frame is rejected (magic, format,
@@ -23,7 +24,7 @@ use std::fmt;
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
-use specsync_ps::PushPayload;
+use specsync_ps::{checksum, PushPayload};
 use specsync_simnet::WorkerId;
 use specsync_tensor::SparseGrad;
 
@@ -32,7 +33,7 @@ use crate::wire::{FailoverControl, WireMessage};
 /// Frame magic: `SSNF`, SpecSync Net Frame.
 pub const MAGIC: [u8; 4] = *b"SSNF";
 /// Current frame format version.
-pub const FORMAT: u32 = 1;
+pub const FORMAT: u32 = 2;
 /// Bytes before the payload: magic, format, length, checksum.
 pub const HEADER_LEN: usize = 20;
 /// Upper bound on a payload a peer may ask us to buffer (256 MiB — far
@@ -130,15 +131,8 @@ impl fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// FNV-1a over `bytes` — the same checksum the checkpoint codec uses.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+/// The per-segment primitive of the frame [`checksum`].
+pub use specsync_simnet::fnv1a;
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -315,11 +309,16 @@ fn encode_payload(msg: &WireMessage, out: &mut Vec<u8>) {
 /// [`FrameError::TooLarge`] when the payload exceeds [`PAYLOAD_LIMIT`]:
 /// every receiver would reject such a frame anyway, and a payload past
 /// `u32::MAX` would silently truncate the length field and corrupt the
-/// stream, so the sender refuses to put it on the wire at all.
+/// stream, so the sender refuses to put it on the wire at all. A bulk
+/// field alone past the limit is refused before anything is allocated.
 pub fn encode_frame(msg: &WireMessage) -> Result<Vec<u8>, FrameError> {
+    let bulk = bulk_len(msg);
+    if bulk > PAYLOAD_LIMIT {
+        return Err(FrameError::TooLarge { len: bulk as u64 });
+    }
     // One buffer, sized up front: header, the fixed fields (well under
     // 64 bytes for every dense-carrying variant), and the bulk field.
-    let mut out = Vec::with_capacity(HEADER_LEN + 64 + bulk_len(msg));
+    let mut out = Vec::with_capacity(HEADER_LEN + 64 + bulk);
     out.extend_from_slice(&MAGIC);
     put_u32(&mut out, FORMAT);
     // Length and checksum are only known once the payload is written.
@@ -331,15 +330,16 @@ pub fn encode_frame(msg: &WireMessage) -> Result<Vec<u8>, FrameError> {
             len: payload_len as u64,
         });
     }
-    let checksum = fnv1a(&out[HEADER_LEN..]);
+    let sum = checksum(&out[HEADER_LEN..]);
     out[8..12].copy_from_slice(&(payload_len as u32).to_le_bytes());
-    out[12..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
+    out[12..HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
     Ok(out)
 }
 
-/// Encoded size of the one variable-length field a message can carry. A
-/// capacity hint only: a wrong answer costs a reallocation, never a byte
-/// of the frame.
+/// Encoded size of the one variable-length field a message can carry:
+/// exact for dense, sparse and snapshot bytes, so a message whose bulk
+/// alone passes [`PAYLOAD_LIMIT`] is refused unbuilt. Otherwise a capacity
+/// hint: a wrong answer costs a reallocation, never a byte of the frame.
 fn bulk_len(msg: &WireMessage) -> usize {
     match msg {
         WireMessage::PullReply { params, .. } => params.len() * 4,
@@ -624,8 +624,8 @@ fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(usize, u64), FrameError> {
 
 /// Decodes a payload of exactly the advertised length once it hashes to
 /// the header checksum.
-fn decode_checked(payload: &[u8], checksum: u64) -> Result<WireMessage, FrameError> {
-    if fnv1a(payload) != checksum {
+fn decode_checked(payload: &[u8], sum: u64) -> Result<WireMessage, FrameError> {
+    if checksum(payload) != sum {
         return Err(FrameError::ChecksumMismatch);
     }
     decode_payload(payload)
@@ -856,7 +856,7 @@ mod tests {
         out.extend_from_slice(&MAGIC);
         put_u32(&mut out, FORMAT);
         put_u32(&mut out, payload.len() as u32);
-        put_u64(&mut out, fnv1a(&payload));
+        put_u64(&mut out, checksum(&payload));
         out.extend_from_slice(&payload);
         out
     }
@@ -934,10 +934,11 @@ mod tests {
     }
 
     /// Two frames as the build before the single-buffer encoder wrote
-    /// them, and the relay tag as an independent FNV-1a computed it:
-    /// FORMAT 1 cannot drift without these literals changing.
+    /// them, and the relay tag as an independent FNV-1a computed it. Format
+    /// 2 changed bytes 4..8 of each and nothing else, because a payload of
+    /// one segment still carries its FNV-1a; a format 1 frame is refused.
     #[test]
-    fn golden_frames_pin_format_1() {
+    fn golden_frames_pin_format_2() {
         let pull = WireMessage::Pull {
             worker: WorkerId::new(3),
         };
@@ -948,16 +949,16 @@ mod tests {
         let golden = [
             (
                 pull,
-                "53534e4601000000090000005c4bc2031f2d1489000300000000000000",
+                "53534e4602000000090000005c4bc2031f2d1489000300000000000000",
             ),
             (
                 reply,
-                "53534e46010000001d000000f511b99bcf1642e5012a00000000000000\
+                "53534e46020000001d000000f511b99bcf1642e5012a00000000000000\
                  03000000000000000000803f000000bf00005040",
             ),
             (
                 WireMessage::RelayTag { seq: 46, lr: 0.05 },
-                "53534e46010000000d000000223dbc54366da4a20b2e00000000000000cdcc4c3d",
+                "53534e46020000000d000000223dbc54366da4a20b2e00000000000000cdcc4c3d",
             ),
         ];
         for (msg, hex) in golden {
@@ -965,6 +966,40 @@ mod tests {
             let encoded: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
             assert_eq!(encoded, hex, "{msg:?}");
             assert_eq!(decode_frame(&bytes).unwrap(), msg);
+            let mut format_1 = bytes;
+            format_1[4..8].copy_from_slice(&1u32.to_le_bytes());
+            assert_eq!(
+                decode_frame(&format_1),
+                Err(FrameError::UnsupportedFormat { found: 1 })
+            );
+        }
+    }
+
+    /// A 3 MiB + 5 B pull reply spans four checksum segments: flipping the
+    /// first, middle or last byte of any of them is a checksum mismatch.
+    #[test]
+    fn a_flip_in_any_segment_is_a_checksum_mismatch() {
+        let segment = specsync_ps::SEGMENT;
+        // tag(1) + version(8) + length(8) + 4 bytes per float.
+        let floats = (3 * segment + 5 - 17) / 4;
+        let bytes = encode_frame(&WireMessage::PullReply {
+            version: 3,
+            params: Arc::from(awkward_floats(floats).as_slice()),
+        })
+        .unwrap();
+        let payload_len = bytes.len() - HEADER_LEN;
+        assert_eq!(payload_len, 3 * segment + 5);
+        for start in (0..payload_len).step_by(segment) {
+            let end = (start + segment).min(payload_len) - 1;
+            for at in [start, (start + end) / 2, end] {
+                let mut corrupt = bytes.clone();
+                corrupt[HEADER_LEN + at] ^= 0x01;
+                assert_eq!(
+                    decode_frame(&corrupt),
+                    Err(FrameError::ChecksumMismatch),
+                    "payload byte {at}"
+                );
+            }
         }
     }
 
@@ -980,7 +1015,7 @@ mod tests {
         // forge an index at/above total and fix the checksum so only the
         // semantic check can reject it.
         bytes[22..30].copy_from_slice(&2u64.to_le_bytes());
-        let sum = fnv1a(&bytes[HEADER_LEN..]);
+        let sum = checksum(&bytes[HEADER_LEN..]);
         bytes[12..20].copy_from_slice(&sum.to_le_bytes());
         assert_eq!(
             decode_frame(&bytes),
@@ -999,7 +1034,7 @@ mod tests {
             let mut out = MAGIC.to_vec();
             put_u32(&mut out, FORMAT);
             put_u32(&mut out, payload.len() as u32);
-            put_u64(&mut out, fnv1a(payload));
+            put_u64(&mut out, checksum(payload));
             out.extend_from_slice(payload);
             out
         };
@@ -1166,7 +1201,7 @@ mod tests {
         // kind(1) + dim(8) + nnz(8) = 46; overwrite it with dim.
         bytes[46..54].copy_from_slice(&4u64.to_le_bytes());
         // Fix the checksum so only the semantic check can reject it.
-        let sum = fnv1a(&bytes[HEADER_LEN..]);
+        let sum = checksum(&bytes[HEADER_LEN..]);
         bytes[12..20].copy_from_slice(&sum.to_le_bytes());
         assert_eq!(
             decode_frame(&bytes),
@@ -1190,7 +1225,7 @@ mod tests {
         // tiny frame and fix the checksum, so only the dim bound can
         // reject it before the decoder allocates.
         bytes[30..38].copy_from_slice(&(1u64 << 40).to_le_bytes());
-        let sum = fnv1a(&bytes[HEADER_LEN..]);
+        let sum = checksum(&bytes[HEADER_LEN..]);
         bytes[12..20].copy_from_slice(&sum.to_le_bytes());
         assert_eq!(
             decode_frame(&bytes),

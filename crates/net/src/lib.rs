@@ -10,8 +10,8 @@
 //!   any SpecSync role can send, in one enum, shared by the simulator's
 //!   accounting and the TCP path.
 //! * [`frame`] — the binary codec: `"SSNF"` magic, format version,
-//!   length prefix, FNV-1a checksum, then a tagged payload. Decoding is
-//!   exact-fit: any flipped, missing, or trailing byte rejects.
+//!   length prefix, segmented FNV-1a checksum, then a tagged payload.
+//!   Decoding is exact-fit: any flipped, missing, or trailing byte rejects.
 //! * [`transport`] — the [`Transport`] trait a worker drives its run
 //!   through, and [`TcpTransport`], its implementation over sockets: one
 //!   retry rule — jittered backoff, ask the scheduler for the primary,

@@ -13,8 +13,8 @@ use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use specsync_net::{
-    decode_frame, encode_frame, ConnSeq, ConnTarget, FrameConn, NetConfig, ShardHost, ShardServer,
-    WireMessage,
+    decode_frame, encode_frame, ConnSeq, ConnTarget, FrameConn, FrameError, NetConfig, ShardHost,
+    ShardServer, WireMessage, PAYLOAD_LIMIT,
 };
 use specsync_ps::{ParameterStore, PushPayload};
 use specsync_simnet::WorkerId;
@@ -102,6 +102,17 @@ fn dense_byte_path_stays_within_its_large_allocation_budget() {
     let (decoded, n) = large_allocs(|| decode_frame(&frame).unwrap());
     assert_eq!(n, 1, "decode_frame(Push): the gradient only");
     drop((msg, frame, decoded));
+
+    // One f32 past the largest dense field a frame can carry: refused
+    // before the encoder builds (or even reserves) a payload.
+    let oversized = WireMessage::PullReply {
+        version: 1,
+        params: Arc::from(vec![0.0f32; PAYLOAD_LIMIT / 4 + 1].as_slice()),
+    };
+    let (refused, n) = large_allocs(|| encode_frame(&oversized));
+    assert!(matches!(refused, Err(FrameError::TooLarge { .. })));
+    assert_eq!(n, 0, "encode_frame(oversized): nothing allocated");
+    drop(oversized);
 
     let store = ParameterStore::new(vec![0.25; DIM], 8).with_momentum(0.9);
     let mut host = ShardHost::new(store);

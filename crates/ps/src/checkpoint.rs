@@ -10,17 +10,20 @@
 //! Wire format (all integers little-endian):
 //!
 //! ```text
-//! magic "SSCP" | format u32 | checksum u64 (FNV-1a over payload) | payload
+//! magic "SSCP" | format u32 | checksum u64 (crate::checksum over payload) | payload
 //! ```
 //!
 //! The payload is a fixed field order — no self-describing keys — because
-//! both ends are this module; the format version gates layout changes.
+//! both ends are this module; the format version gates layout and
+//! checksum changes (format 2: the segmented [`checksum`]).
+
+use crate::checksum::checksum;
 
 /// Magic prefix identifying a SpecSync checkpoint blob.
 const MAGIC: [u8; 4] = *b"SSCP";
 
 /// Current codec format version.
-const FORMAT: u32 = 1;
+const FORMAT: u32 = 2;
 
 /// A malformed or corrupted checkpoint blob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,7 +114,7 @@ impl StoreCheckpoint {
         let mut out = Vec::with_capacity(16 + payload.len());
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&FORMAT.to_le_bytes());
-        out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+        out.extend_from_slice(&checksum(&payload).to_le_bytes());
         out.extend_from_slice(&payload);
         out
     }
@@ -144,7 +147,7 @@ impl StoreCheckpoint {
             bytes[8], bytes[9], bytes[10], bytes[11], bytes[12], bytes[13], bytes[14], bytes[15],
         ]);
         let payload = &bytes[16..];
-        let actual = fnv1a(payload);
+        let actual = checksum(payload);
         if actual != expected {
             return Err(CheckpointError::ChecksumMismatch { expected, actual });
         }
@@ -219,18 +222,6 @@ impl StoreCheckpoint {
         }
         Ok(())
     }
-}
-
-/// 64-bit FNV-1a over the payload. Hand-rolled: the workspace vendors no
-/// hashing crate and the checkpoint only needs corruption *detection*, not
-/// collision resistance.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
@@ -396,7 +387,7 @@ mod tests {
             StoreCheckpoint::decode(&bytes[..bytes.len() - 3]),
             Err(CheckpointError::ChecksumMismatch {
                 expected: u64::from_le_bytes(bytes[8..16].try_into().unwrap()),
-                actual: fnv1a(&bytes[16..bytes.len() - 3]),
+                actual: checksum(&bytes[16..bytes.len() - 3]),
             })
         );
         assert_eq!(
@@ -409,7 +400,39 @@ mod tests {
             StoreCheckpoint::decode(&wrong_format),
             Err(CheckpointError::UnsupportedFormat(_))
         ));
+        wrong_format[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(
+            StoreCheckpoint::decode(&wrong_format),
+            Err(CheckpointError::UnsupportedFormat(1))
+        );
         assert_eq!(StoreCheckpoint::decode(&[]), Err(CheckpointError::BadMagic));
+    }
+
+    /// A checkpoint over one checksum segment: flipping the first, middle
+    /// or last payload byte of any segment is a checksum mismatch.
+    #[test]
+    fn a_flip_in_any_segment_is_a_checksum_mismatch() {
+        use crate::SEGMENT;
+        let dim = 160_000;
+        let mut s = ParameterStore::new(vec![0.5; dim], 1).with_momentum(0.9);
+        s.apply_push(WorkerId::new(0), &vec![0.25; dim], 0.1);
+        let bytes = s.snapshot_for_checkpoint().encode();
+        let payload_len = bytes.len() - 16;
+        assert!(payload_len > SEGMENT);
+        for start in (0..payload_len).step_by(SEGMENT) {
+            let end = (start + SEGMENT).min(payload_len) - 1;
+            for at in [start, (start + end) / 2, end] {
+                let mut bad = bytes.clone();
+                bad[16 + at] ^= 0x01;
+                assert!(
+                    matches!(
+                        StoreCheckpoint::decode(&bad),
+                        Err(CheckpointError::ChecksumMismatch { .. })
+                    ),
+                    "payload byte {at}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -28,12 +28,14 @@
 #![warn(missing_debug_implementations)]
 
 mod checkpoint;
+mod checksum;
 mod journal;
 mod replica;
 mod sharding;
 mod store;
 
 pub use checkpoint::{CheckpointError, StoreCheckpoint};
+pub use checksum::{checksum, SEGMENT};
 pub use journal::{JournalEntry, JournalFull, PushJournal, PushPayload};
 pub use replica::{ReplicaError, ReplicaRole, ReplicatedStore, ShardReplica};
 pub use sharding::{ShardId, ShardLayout, ShardLayoutError};

@@ -82,10 +82,13 @@ pub struct ParameterStore {
     /// next push so it is rebuilt at most once per version.
     snapshot: Option<Arc<[f32]>>,
     /// Per-coordinate version up to which `params`/`velocity` are
-    /// materialized (momentum only). A sparse push leaves untouched
-    /// coordinates behind the global version; their pending
-    /// `v ← β·v; w ← w − lr·v` decay steps are replayed on demand.
+    /// materialized (momentum only), read as `max(last_sync[j], synced)`.
+    /// Only a sparse push writes it, leaving untouched coordinates behind
+    /// the global version; their pending `v ← β·v; w ← w − lr·v` decay
+    /// steps are replayed on demand.
     last_sync: Vec<u64>,
+    /// The version a dense push or a full flush settled every coordinate to.
+    synced: u64,
     /// The learning rate of all pending decay steps. Sparse pushes with a
     /// different lr (and dense pushes, and snapshot rebuilds) first flush
     /// every coordinate to the current version.
@@ -121,6 +124,7 @@ impl ParameterStore {
             grad_clip: None,
             snapshot: None,
             last_sync: Vec::new(),
+            synced: 0,
             lazy_lr: 0.0,
             lazy_behind: false,
         }
@@ -194,12 +198,11 @@ impl ParameterStore {
         }
         let beta = self.momentum;
         let lr = self.lazy_lr;
-        for (j, sync) in self.last_sync.iter_mut().enumerate() {
-            let delta = self.version - *sync;
+        for (j, &sync) in self.last_sync.iter().enumerate() {
+            let delta = self.version - sync.max(self.synced);
             if delta == 0 {
                 continue;
             }
-            *sync = self.version;
             let mut v = self.velocity[j];
             if v == 0.0 {
                 continue;
@@ -212,6 +215,7 @@ impl ParameterStore {
             self.velocity[j] = v;
             self.params[j] = p;
         }
+        self.synced = self.version;
         self.lazy_behind = false;
     }
 
@@ -249,7 +253,7 @@ impl ParameterStore {
                 *p -= lr * *v;
             }
             self.version += 1;
-            self.last_sync.fill(self.version);
+            self.synced = self.version;
         } else {
             for (p, g) in self.params.iter_mut().zip(grad) {
                 *p -= lr * g * scale;
@@ -294,7 +298,7 @@ impl ParameterStore {
                 let mut p = params[j];
                 // Replay this coordinate's skipped decay steps first
                 // (bit-identical to what eager dense pushes would have run).
-                let delta = version - last_sync[j];
+                let delta = version - last_sync[j].max(self.synced);
                 if delta != 0 && v != 0.0 {
                     for _ in 0..delta {
                         v *= beta;
@@ -385,9 +389,9 @@ impl ParameterStore {
         let layout = ShardLayout::try_new(params.len(), num_shards)
             .map_err(|_| CheckpointError::Malformed("shard count out of range"))?;
         // The capture settled all lazy momentum state, so every coordinate
-        // is synced at `version` and nothing is behind.
+        // is synced at `version` (`synced`) and nothing is behind.
         let last_sync = if momentum > 0.0 {
-            vec![version; params.len()]
+            vec![0; params.len()]
         } else {
             Vec::new()
         };
@@ -402,6 +406,7 @@ impl ParameterStore {
             grad_clip,
             snapshot: None,
             last_sync,
+            synced: version,
             lazy_lr: 0.0,
             lazy_behind: false,
         })
@@ -675,6 +680,21 @@ mod tests {
         sp.apply_push_sparse(w(0), &g2, 0.1);
         assert_eq!(dense.params(), sp.params());
         assert_eq!(dense.version(), sp.version());
+    }
+
+    #[test]
+    fn dense_pushes_leave_last_sync_untouched() {
+        let mut s = ParameterStore::new(vec![0.0; 5], 1).with_momentum(0.9);
+        for i in 0..3 {
+            s.apply_push(w(i), &[0.5; 5], 0.1);
+            s.pull(w(i));
+        }
+        let mut restored = ParameterStore::restore(s.snapshot_for_checkpoint()).unwrap();
+        restored.apply_push(w(0), &[0.5; 5], 0.1);
+        for store in [&s, &restored] {
+            assert!(store.last_sync.iter().all(|&v| v == 0));
+            assert_eq!(store.synced, store.version());
+        }
     }
 
     #[test]

@@ -60,6 +60,58 @@ proptest! {
         prop_assert_eq!(dense_store.version(), sparse_store.version());
     }
 
+    /// The lazy-momentum bookkeeping (per-coordinate versions that only
+    /// sparse pushes write, raised store-wide by dense pushes and flushes)
+    /// is invisible: a momentum store fed a random mix of dense and sparse
+    /// pushes, learning-rate changes, pulls and one checkpoint → restore
+    /// keeps its checkpoint bytes and params bit-identical to a reference
+    /// store fed every gradient dense.
+    #[test]
+    fn mixed_dense_and_sparse_history_matches_all_dense(
+        dim in 1usize..24,
+        momentum in 0.2f32..0.95,
+        ops in proptest::collection::vec(
+            (0u8..3, proptest::collection::vec((0usize..1024, -1.0f32..1.0), 0..6), 0usize..3),
+            1..24,
+        ),
+        restore_at in 0usize..24,
+    ) {
+        let build = || ParameterStore::new(vec![0.5; dim], 1).with_momentum(momentum);
+        let mut mixed = build();
+        let mut reference = build();
+        let mut grad = SparseGrad::new();
+        let lrs = [0.5f32, 0.1, 0.05];
+        for (k, (kind, entries, lr_idx)) in ops.iter().enumerate() {
+            if k == restore_at {
+                let bytes = mixed.snapshot_for_checkpoint().encode();
+                prop_assert_eq!(&bytes, &reference.snapshot_for_checkpoint().encode());
+                mixed = ParameterStore::restore(StoreCheckpoint::decode(&bytes).unwrap()).unwrap();
+            }
+            grad.reset(dim);
+            for &(i, v) in entries {
+                grad.add(i % dim, v);
+            }
+            grad.finish();
+            let lr = lrs[*lr_idx];
+            let worker = WorkerId::new(k % 3);
+            match kind {
+                0 => mixed.apply_push(worker, &grad.to_dense(), lr),
+                1 => mixed.apply_push_sparse(worker, &grad, lr),
+                _ => {
+                    let (m, r) = (mixed.pull(worker), reference.pull(worker));
+                    prop_assert_eq!(m.params(), r.params());
+                    continue;
+                }
+            };
+            reference.apply_push(worker, &grad.to_dense(), lr);
+        }
+        prop_assert_eq!(
+            mixed.snapshot_for_checkpoint().encode(),
+            reference.snapshot_for_checkpoint().encode()
+        );
+        prop_assert_eq!(mixed.params(), reference.params());
+    }
+
     /// Version equals the number of applied pushes; per-worker counters sum
     /// to it.
     #[test]

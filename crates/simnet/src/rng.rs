@@ -74,25 +74,31 @@ impl RngStreams {
 
     /// Derives the deterministic stream named `label`.
     pub fn stream(&self, label: &str) -> StdRng {
-        StdRng::seed_from_u64(self.master_seed ^ fxhash(label))
+        StdRng::seed_from_u64(self.master_seed ^ fnv1a(label.as_bytes()))
     }
 
     /// Derives the deterministic stream for an indexed component, e.g.
     /// worker `i`.
     pub fn indexed_stream(&self, label: &str, index: usize) -> StdRng {
         StdRng::seed_from_u64(
-            self.master_seed ^ fxhash(label) ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            self.master_seed
+                ^ fnv1a(label.as_bytes())
+                ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
         )
     }
 }
 
-/// FNV-1a over the label bytes: stable across platforms and Rust versions
-/// (unlike `DefaultHasher`), which determinism requires.
-fn fxhash(label: &str) -> u64 {
+/// The 64-bit FNV prime.
+pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// 64-bit FNV-1a: the workspace's one byte hash. It is stable across
+/// platforms and Rust versions (unlike `DefaultHasher`), which RNG stream
+/// labels, chaos scripts and the wire checksums all rely on.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in label.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
 }
@@ -379,8 +385,8 @@ mod tests {
     fn label_hash_is_stable() {
         // Pin the FNV-1a output so cross-version determinism regressions
         // are caught loudly.
-        assert_eq!(super::fxhash(""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(super::fxhash("a"), {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), {
             let mut h: u64 = 0xcbf2_9ce4_8422_2325;
             h ^= b'a' as u64;
             h.wrapping_mul(0x0000_0100_0000_01B3)

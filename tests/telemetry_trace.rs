@@ -10,6 +10,8 @@ use specsync::{
     ClusterSpec, Event, EventSink, InstanceType, JsonlSink, MetricsSink, RunReport, SchemeKind,
     Trainer, VirtualTime, Workload,
 };
+// FNV-1a pins whole traces: the byte hash the wire checksum is built on.
+use specsync_simnet::fnv1a;
 
 fn trainer(scheme: SchemeKind, seed: u64) -> Trainer {
     Trainer::new(Workload::tiny_test(), scheme)
@@ -30,17 +32,6 @@ fn run_traced(scheme: SchemeKind, seed: u64) -> (Vec<u8>, RunReport) {
         .finish()
         .expect("in-memory writes cannot fail");
     (bytes, report)
-}
-
-/// FNV-1a over a byte slice — the same hash the wire codec uses for
-/// frame checksums, reused here to pin whole traces.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// The golden traces, pinned to the exact bytes the seed (pre-wire)
