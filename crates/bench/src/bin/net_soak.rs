@@ -83,9 +83,9 @@ const DRAIN_GRACE: Duration = Duration::from_secs(15);
 
 /// Wire knobs: fast failure detection, a short I/O timeout so half-open
 /// silence is noticed quickly, a retry budget that outlasts a promotion
-/// (18 failed exchanges on a 20 ms backoff), a join
+/// (18 failed exchanges on a 20 ms backoff), and a join
 /// chunk size small enough that every snapshot transfer crosses several
-/// frames, and the restart budget the supervisor draws down.
+/// frames.
 fn net_config(chaos: NetChaos) -> NetConfig {
     NetConfig::builder()
         .heartbeat_interval(Duration::from_millis(25))
@@ -94,7 +94,6 @@ fn net_config(chaos: NetChaos) -> NetConfig {
         .connect_retries(18)
         .retry_backoff(Duration::from_millis(20))
         .join_chunk_bytes(4096)
-        .restart_budget(KILLS + 2)
         .chaos(chaos)
         .try_build()
         .expect("valid soak net configuration")
@@ -634,7 +633,9 @@ fn run_scenario(row: &Scenario, push_target: u64) -> Outcome {
         spec(&row.worker_chaos),
     );
     let mut supervisor = Supervisor::new(
-        RestartPolicy::from_net(&net_config(NetChaos::disabled()), SEED),
+        // One restart per kill, plus two spare.
+        RestartPolicy::from_net(&net_config(NetChaos::disabled()), KILLS + 2, SEED)
+            .expect("valid restart policy"),
         Arc::new(EventLines),
     );
 

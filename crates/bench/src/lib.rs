@@ -60,37 +60,37 @@ where
         return items.into_iter().map(f).collect();
     }
 
-    // Each slot is taken exactly once by whichever thread claims its index.
+    // Each slot is taken exactly once by whichever thread claims its index;
+    // each thread hands back its `(index, result)` pairs when joined.
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let cursor = AtomicUsize::new(0);
-    let (tx, rx) = crossbeam::channel::unbounded();
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let slots = &slots;
-            let cursor = &cursor;
-            let f = &f;
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let item = slots[i]
-                    .lock()
-                    .expect("slot lock")
-                    .take()
-                    .expect("slot claimed once");
-                let _ = tx.send((i, f(item)));
-            });
-        }
-    })
-    .expect("worker thread panicked");
-    drop(tx);
-
     let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    while let Ok((i, r)) = rx.recv() {
-        out[i] = Some(r);
-    }
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            return done;
+                        }
+                        let item = slots[i]
+                            .lock()
+                            .expect("slot lock")
+                            .take()
+                            .expect("slot claimed once");
+                        done.push((i, f(item)));
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            for (i, r) in worker.join().expect("worker thread panicked") {
+                out[i] = Some(r);
+            }
+        }
+    });
     out.into_iter()
         .map(|r| r.expect("every item produces a result"))
         .collect()

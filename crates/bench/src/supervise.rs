@@ -14,7 +14,7 @@ use std::process::{Child, ExitStatus};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use specsync_core::Backoff;
+use specsync_core::{Backoff, SpecSyncError};
 use specsync_net::NetConfig;
 use specsync_telemetry::{Event, EventSink};
 
@@ -25,23 +25,34 @@ pub struct RestartPolicy {
     /// schedule indexes by restart count, so repeated crashes back off
     /// exponentially (capped by [`Backoff::MAX_DELAY`]).
     pub backoff: Backoff,
-    /// Total restarts the supervisor will ever authorize.
+    /// Total restarts the supervisor will ever authorize (positive).
     pub budget: u32,
     /// Jitter seed: restart delays are deterministic per seed.
     pub seed: u64,
 }
 
 impl RestartPolicy {
-    /// Derives the policy from the wire config: the restart budget is
-    /// `NetConfig::restart_budget` (validated positive) and the backoff
-    /// base is the config's retry backoff, so process-level healing
-    /// paces itself like connection-level healing.
-    pub fn from_net(config: &NetConfig, seed: u64) -> Self {
-        RestartPolicy {
-            backoff: Backoff::new(config.retry_backoff, config.restart_budget),
-            budget: config.restart_budget,
-            seed,
+    /// A policy of `budget` restarts whose backoff base is the wire
+    /// config's retry backoff, so process-level healing paces itself like
+    /// connection-level healing.
+    ///
+    /// # Errors
+    ///
+    /// A `budget` of 0 is [`SpecSyncError::InvalidRetryPolicy`]: it
+    /// silently disables self-healing, which is always a misconfiguration
+    /// (run unsupervised instead).
+    pub fn from_net(config: &NetConfig, budget: u32, seed: u64) -> Result<Self, SpecSyncError> {
+        if budget == 0 {
+            return Err(SpecSyncError::InvalidRetryPolicy {
+                reason: "supervisor restart budget must be positive \
+                         (a budget of 0 disables self-healing; run unsupervised instead)",
+            });
         }
+        Ok(RestartPolicy {
+            backoff: Backoff::new(config.retry_backoff, budget),
+            budget,
+            seed,
+        })
     }
 }
 
@@ -69,11 +80,6 @@ impl Supervisor {
     /// Restarts authorized so far.
     pub fn restarts(&self) -> u32 {
         self.restarts
-    }
-
-    /// Restarts left in the budget.
-    pub fn budget_remaining(&self) -> u32 {
-        self.policy.budget.saturating_sub(self.restarts)
     }
 
     /// Blocks until `child` exits, polling at `tick`, or returns `None`
@@ -132,12 +138,10 @@ mod tests {
     fn budget_is_hard_and_restarts_are_recorded() {
         let sink = Arc::new(InMemorySink::new());
         let mut sup = Supervisor::new(policy(2), sink.clone());
-        assert_eq!(sup.budget_remaining(), 2);
         assert_eq!(sup.authorize_restart(3), Some(1));
         assert_eq!(sup.authorize_restart(3), Some(2));
         assert_eq!(sup.authorize_restart(3), None, "budget must be hard");
         assert_eq!(sup.restarts(), 2);
-        assert_eq!(sup.budget_remaining(), 0);
 
         let events = sink.events();
         let attempts: Vec<u32> = events
@@ -154,13 +158,18 @@ mod tests {
     fn policy_from_net_mirrors_the_wire_knobs() {
         let config = NetConfig::builder()
             .retry_backoff(Duration::from_millis(5))
-            .restart_budget(3)
             .try_build()
             .unwrap();
-        let p = RestartPolicy::from_net(&config, 11);
+        let p = RestartPolicy::from_net(&config, 3, 11).unwrap();
         assert_eq!(p.budget, 3);
         assert_eq!(p.backoff.base, Duration::from_millis(5));
         assert_eq!(p.backoff.max_retries, 3);
+        let err = RestartPolicy::from_net(&config, 0, 11).unwrap_err();
+        assert!(
+            matches!(err, SpecSyncError::InvalidRetryPolicy { .. }),
+            "got {err:?}"
+        );
+        assert!(RestartPolicy::from_net(&config, 1, 11).is_ok());
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!
 //! # Fault injection
 //!
-//! An optional [`FaultPlan`] (see [`Driver::with_faults`]) subjects every
+//! An optional [`FaultPlan`] (see [`Trainer::faults`]) subjects every
 //! message send to drop/duplicate/delay-spike verdicts, slows compute
 //! inside straggler windows, and schedules worker crash/recover events.
 //! The degradation machinery is:
@@ -61,14 +61,14 @@ use specsync_simnet::{
     SimDuration, TransferLedger, VirtualTime, WorkerId,
 };
 use specsync_sync::{BaseScheme, BspBarrier, SchemeKind, SspClock, TuningMode};
-use specsync_telemetry::{
-    Event as TraceEvent, EventSink, FaultKind, LossCurve, NullSink, WorkerPhase,
-};
+use specsync_telemetry::{Event as TraceEvent, EventSink, FaultKind, LossCurve, WorkerPhase};
 
 use crate::report::{ChaosStats, LossPoint, RunReport};
 use crate::spec::ClusterSpec;
+use crate::trainer::Trainer;
 
-/// Number of server shards the parameter store is split into.
+/// Server count of the simulated cluster: the indices a `ServerCrashEvent`
+/// may name.
 const NUM_SHARDS: usize = 8;
 /// How long to wait before re-sending a dropped pull/push.
 const RETRY_TIMEOUT: SimDuration = SimDuration::from_millis(50);
@@ -83,7 +83,7 @@ const ABORT_ACK_TIMEOUT: SimDuration = SimDuration::from_millis(200);
 /// [`RETRY_TIMEOUT`] and succeed after promotion.
 const PROMOTE_DELAY: SimDuration = SimDuration::from_millis(75);
 
-/// Driver tunables beyond workload/scheme/cluster.
+/// Simulation tunables beyond workload/scheme/cluster.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriverConfig {
     /// Hard horizon on virtual time; the run stops here if not converged.
@@ -208,92 +208,6 @@ struct WorkerCtx {
     resync_seen: u64,
 }
 
-/// Runs one training experiment to convergence (or the horizon) and
-/// produces a [`RunReport`].
-pub struct Driver {
-    workload: Workload,
-    scheme: SchemeKind,
-    cluster: ClusterSpec,
-    config: DriverConfig,
-    seed: u64,
-    sink: Arc<dyn EventSink<VirtualTime>>,
-    faults: Option<FaultPlan>,
-}
-
-impl std::fmt::Debug for Driver {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Driver")
-            .field("workload", &self.workload.paper.name)
-            .field("scheme", &self.scheme.label())
-            .field("workers", &self.cluster.num_workers())
-            .field("faults", &self.faults.is_some())
-            .finish()
-    }
-}
-
-impl Driver {
-    /// Creates a driver for (workload × scheme × cluster).
-    pub fn new(
-        workload: Workload,
-        scheme: SchemeKind,
-        cluster: ClusterSpec,
-        config: DriverConfig,
-        seed: u64,
-    ) -> Self {
-        Driver {
-            workload,
-            scheme,
-            cluster,
-            config,
-            seed,
-            sink: Arc::new(NullSink),
-            faults: None,
-        }
-    }
-
-    /// Routes every protocol event of the run (pulls, pushes, notifies,
-    /// abort decisions, re-syncs, tuning passes, evaluations, worker state
-    /// transitions) to `sink`, stamped with virtual time. Emission points
-    /// are deterministic, so with a deterministic sink two same-seed runs
-    /// produce identical event streams.
-    pub fn with_sink(mut self, sink: Arc<dyn EventSink<VirtualTime>>) -> Self {
-        self.sink = sink;
-        self
-    }
-
-    /// Injects a chaos schedule: every message send is subjected to the
-    /// plan's drop/duplicate/delay verdicts, compute slows inside its
-    /// straggler windows, and its crash/recover timeline is replayed.
-    ///
-    /// The plan carries its own RNG stream, so `(seed, plan)` pairs replay
-    /// byte-identically; without a plan the fault machinery is fully
-    /// dormant (zero extra randomness, zero extra events).
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
-    /// Runs the experiment.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an internal wiring bug (scheme state missing, pull lost);
-    /// [`try_run`](Self::try_run) surfaces those as [`SpecSyncError`]
-    /// instead.
-    pub fn run(self) -> RunReport {
-        match self.try_run() {
-            Ok(report) => report,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`run`](Self::run), but internal invariant violations become typed
-    /// errors instead of panics — for embedding hosts that must not abort.
-    pub fn try_run(self) -> Result<RunReport, SpecSyncError> {
-        Simulation::new(self).run()
-    }
-}
-
 /// Maps a replication-layer refusal into the workspace error type. Only
 /// reachable through a wiring bug: every store access is guarded by an
 /// availability check that parks the request instead.
@@ -305,9 +219,8 @@ fn replica_to_error(e: ReplicaError) -> SpecSyncError {
     SpecSyncError::ServerUnavailable { server }
 }
 
-/// The mutable simulation state (separate from `Driver` so `run` can
-/// consume the config cleanly).
-struct Simulation {
+/// The mutable simulation state of one [`Trainer::run`].
+pub(crate) struct Simulation {
     workload: Workload,
     scheme: SchemeKind,
     cluster: ClusterSpec,
@@ -347,8 +260,8 @@ struct Simulation {
 }
 
 impl Simulation {
-    fn new(driver: Driver) -> Self {
-        let Driver {
+    pub(crate) fn new(trainer: Trainer) -> Self {
+        let Trainer {
             workload,
             scheme,
             cluster,
@@ -356,7 +269,7 @@ impl Simulation {
             seed,
             sink,
             faults,
-        } = driver;
+        } = trainer;
         let m = cluster.num_workers();
         let streams = RngStreams::new(seed);
         let bundle = workload.build(m, seed);
@@ -1096,7 +1009,7 @@ impl Simulation {
         Ok(())
     }
 
-    fn run(mut self) -> Result<RunReport, SpecSyncError> {
+    pub(crate) fn run(mut self) -> Result<RunReport, SpecSyncError> {
         // Replay the chaos timeline into the queue up front so crashes,
         // recoveries and straggler markers interleave with protocol events
         // in virtual-time order.
@@ -1176,6 +1089,19 @@ mod tests {
     use crate::instance::InstanceType;
     use specsync_simnet::{CrashEvent, LinkFaultProfile, ServerCrashEvent, StragglerWindow};
 
+    fn trainer(
+        workload: Workload,
+        scheme: SchemeKind,
+        cluster: ClusterSpec,
+        config: DriverConfig,
+        seed: u64,
+    ) -> Trainer {
+        Trainer::new(workload, scheme)
+            .cluster(cluster)
+            .config(config)
+            .seed(seed)
+    }
+
     fn tiny_cluster(n: usize) -> ClusterSpec {
         ClusterSpec::homogeneous(n, InstanceType::M4Xlarge)
     }
@@ -1206,7 +1132,7 @@ mod tests {
 
     #[test]
     fn asp_run_converges_on_tiny_workload() {
-        let report = Driver::new(
+        let report = trainer(
             Workload::tiny_test(),
             SchemeKind::Asp,
             tiny_cluster(4),
@@ -1227,7 +1153,7 @@ mod tests {
     #[test]
     fn runs_are_deterministic() {
         let run = || {
-            Driver::new(
+            trainer(
                 Workload::tiny_test(),
                 SchemeKind::Asp,
                 tiny_cluster(3),
@@ -1246,7 +1172,7 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let a = Driver::new(
+        let a = trainer(
             Workload::tiny_test(),
             SchemeKind::Asp,
             tiny_cluster(3),
@@ -1254,7 +1180,7 @@ mod tests {
             1,
         )
         .run();
-        let b = Driver::new(
+        let b = trainer(
             Workload::tiny_test(),
             SchemeKind::Asp,
             tiny_cluster(3),
@@ -1267,7 +1193,7 @@ mod tests {
 
     #[test]
     fn bsp_keeps_workers_in_lockstep() {
-        let report = Driver::new(
+        let report = trainer(
             Workload::tiny_test(),
             SchemeKind::Bsp,
             tiny_cluster(4),
@@ -1286,7 +1212,7 @@ mod tests {
 
     #[test]
     fn ssp_bounds_the_iteration_spread() {
-        let report = Driver::new(
+        let report = trainer(
             Workload::tiny_test(),
             SchemeKind::Ssp { bound: 2 },
             tiny_cluster(4),
@@ -1306,7 +1232,7 @@ mod tests {
     #[test]
     fn specsync_fixed_aborts_and_converges() {
         let scheme = SchemeKind::specsync_fixed(SimDuration::from_secs_f64(0.05), 0.5);
-        let report = Driver::new(
+        let report = trainer(
             Workload::tiny_test(),
             scheme,
             tiny_cluster(4),
@@ -1325,7 +1251,7 @@ mod tests {
 
     #[test]
     fn specsync_adaptive_retunes() {
-        let report = Driver::new(
+        let report = trainer(
             Workload::tiny_test(),
             SchemeKind::specsync_adaptive(),
             tiny_cluster(4),
@@ -1339,7 +1265,7 @@ mod tests {
 
     #[test]
     fn naive_waiting_delays_increase_iteration_span() {
-        let base = Driver::new(
+        let base = trainer(
             Workload::tiny_test(),
             SchemeKind::Asp,
             tiny_cluster(3),
@@ -1347,7 +1273,7 @@ mod tests {
             9,
         )
         .run();
-        let delayed = Driver::new(
+        let delayed = trainer(
             Workload::tiny_test(),
             SchemeKind::NaiveWaiting {
                 delay: SimDuration::from_secs_f64(0.2),
@@ -1370,7 +1296,7 @@ mod tests {
     #[test]
     fn transfer_ledger_accounts_for_all_classes() {
         let scheme = SchemeKind::specsync_fixed(SimDuration::from_secs_f64(0.05), 0.5);
-        let report = Driver::new(
+        let report = trainer(
             Workload::tiny_test(),
             scheme,
             tiny_cluster(4),
@@ -1394,7 +1320,7 @@ mod tests {
             max_virtual_time: VirtualTime::from_secs(30),
             ..DriverConfig::default()
         };
-        let report = Driver::new(
+        let report = trainer(
             endless_workload(),
             SchemeKind::Asp,
             tiny_cluster(2),
@@ -1408,7 +1334,7 @@ mod tests {
 
     #[test]
     fn fault_free_runs_keep_chaos_counters_at_zero() {
-        let report = Driver::new(
+        let report = trainer(
             Workload::tiny_test(),
             SchemeKind::specsync_fixed(SimDuration::from_secs_f64(0.05), 0.5),
             tiny_cluster(4),
@@ -1428,14 +1354,14 @@ mod tests {
             at: VirtualTime::from_secs(20),
             recover_at: None,
         });
-        let report = Driver::new(
+        let report = trainer(
             endless_workload(),
             SchemeKind::Asp,
             tiny_cluster(4),
             horizon_config(60),
             21,
         )
-        .with_faults(plan)
+        .faults(plan)
         .run();
         assert_eq!(report.chaos.crashes, 1);
         assert_eq!(report.chaos.recoveries, 0);
@@ -1458,14 +1384,14 @@ mod tests {
             recover_at: Some(VirtualTime::from_secs(40)),
         };
         let plan = FaultPlan::new(&RngStreams::new(22)).with_crash(crash);
-        let report = Driver::new(
+        let report = trainer(
             endless_workload(),
             SchemeKind::Asp,
             tiny_cluster(3),
             horizon_config(80),
             22,
         )
-        .with_faults(plan)
+        .faults(plan)
         .run();
         assert_eq!(report.chaos.crashes, 1);
         assert_eq!(report.chaos.recoveries, 1);
@@ -1488,14 +1414,14 @@ mod tests {
             at: VirtualTime::from_secs(15),
             recover_at: None,
         });
-        let report = Driver::new(
+        let report = trainer(
             endless_workload(),
             SchemeKind::Bsp,
             tiny_cluster(4),
             horizon_config(60),
             23,
         )
-        .with_faults(plan)
+        .faults(plan)
         .run();
         // The survivors must keep making rounds long after the crash —
         // a deadlocked barrier would freeze everyone near the crash count.
@@ -1524,14 +1450,14 @@ mod tests {
             at: VirtualTime::from_secs(15),
             recover_at: None,
         });
-        let report = Driver::new(
+        let report = trainer(
             endless_workload(),
             SchemeKind::Ssp { bound: 2 },
             tiny_cluster(4),
             horizon_config(60),
             24,
         )
-        .with_faults(plan)
+        .faults(plan)
         .run();
         let dead = report.iterations_per_worker[0];
         for (i, &iters) in report.iterations_per_worker.iter().enumerate() {
@@ -1548,14 +1474,14 @@ mod tests {
     fn lost_notifies_are_reconciled_from_the_push_counter() {
         let plan = FaultPlan::new(&RngStreams::new(25))
             .with_profile(MessageClass::Notify, LinkFaultProfile::drop_only(0.3));
-        let report = Driver::new(
+        let report = trainer(
             endless_workload(),
             SchemeKind::specsync_fixed(SimDuration::from_secs_f64(0.05), 0.5),
             tiny_cluster(4),
             horizon_config(60),
             25,
         )
-        .with_faults(plan)
+        .faults(plan)
         .run();
         assert!(report.chaos.dropped_messages > 0);
         assert!(
@@ -1582,14 +1508,14 @@ mod tests {
         let plan = FaultPlan::new(&RngStreams::new(26))
             .with_profile(MessageClass::PullParams, LinkFaultProfile::drop_only(0.4))
             .with_profile(MessageClass::PushGrad, LinkFaultProfile::drop_only(0.4));
-        let report = Driver::new(
+        let report = trainer(
             endless_workload(),
             SchemeKind::Asp,
             tiny_cluster(3),
             horizon_config(60),
             26,
         )
-        .with_faults(plan)
+        .faults(plan)
         .run();
         assert!(report.chaos.retries > 0, "no retries under 40% drop");
         assert!(report.total_iterations > 0, "no pushes ever delivered");
@@ -1608,14 +1534,14 @@ mod tests {
         let plan = FaultPlan::new(&RngStreams::new(27))
             .with_profile(MessageClass::PushGrad, profile)
             .with_profile(MessageClass::Notify, profile);
-        let report = Driver::new(
+        let report = trainer(
             endless_workload(),
             SchemeKind::specsync_fixed(SimDuration::from_secs_f64(0.05), 0.5),
             tiny_cluster(3),
             horizon_config(60),
             27,
         )
-        .with_faults(plan)
+        .faults(plan)
         .run();
         assert!(report.chaos.duplicated_messages > 0);
         assert!(report.chaos.delay_spikes > 0);
@@ -1636,14 +1562,14 @@ mod tests {
             end: VirtualTime::from_secs(60),
             slowdown: 8.0,
         });
-        let report = Driver::new(
+        let report = trainer(
             endless_workload(),
             SchemeKind::Asp,
             tiny_cluster(3),
             horizon_config(60),
             28,
         )
-        .with_faults(plan)
+        .faults(plan)
         .run();
         let slow = report.iterations_per_worker[0];
         for (i, &iters) in report.iterations_per_worker.iter().enumerate() {
@@ -1663,14 +1589,14 @@ mod tests {
             at: VirtualTime::from_secs(20),
             recover_at: Some(VirtualTime::from_secs(40)),
         });
-        let report = Driver::new(
+        let report = trainer(
             endless_workload(),
             SchemeKind::specsync_fixed(SimDuration::from_secs_f64(0.05), 0.5),
             tiny_cluster(4),
             horizon_config(60),
             31,
         )
-        .with_faults(plan)
+        .faults(plan)
         .run();
         assert_eq!(report.chaos.server_crashes, 1);
         assert_eq!(report.chaos.failovers, 1);
@@ -1696,14 +1622,14 @@ mod tests {
             at: VirtualTime::from_secs(15),
             recover_at: None,
         });
-        let report = Driver::new(
+        let report = trainer(
             endless_workload(),
             SchemeKind::Bsp,
             tiny_cluster(4),
             horizon_config(50),
             32,
         )
-        .with_faults(plan)
+        .faults(plan)
         .run();
         assert_eq!(report.chaos.failovers, 1);
         assert_eq!(report.chaos.server_recoveries, 0);
@@ -1724,14 +1650,14 @@ mod tests {
                     at: VirtualTime::from_secs(12),
                     recover_at: Some(VirtualTime::from_secs(30)),
                 });
-            Driver::new(
+            trainer(
                 endless_workload(),
                 SchemeKind::specsync_fixed(SimDuration::from_secs_f64(0.05), 0.5),
                 tiny_cluster(3),
                 horizon_config(45),
                 33,
             )
-            .with_faults(plan)
+            .faults(plan)
             .run()
         };
         let a = run();
@@ -1768,14 +1694,14 @@ mod tests {
                     at: VirtualTime::from_secs(20),
                     recover_at: Some(VirtualTime::from_secs(35)),
                 });
-            Driver::new(
+            trainer(
                 endless_workload(),
                 SchemeKind::specsync_fixed(SimDuration::from_secs_f64(0.05), 0.5),
                 tiny_cluster(4),
                 horizon_config(50),
                 29,
             )
-            .with_faults(plan)
+            .faults(plan)
             .run()
         };
         let a = run();

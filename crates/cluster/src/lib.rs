@@ -3,7 +3,7 @@
 //! Reproduces the paper's EC2 testbeds as deterministic simulations:
 //! instance-type profiles ([`InstanceType`]), cluster compositions
 //! ([`ClusterSpec`] — including the paper's Cluster 1, Cluster 2 and the
-//! scalability sizes), and the event-driven [`Driver`] that trains a real
+//! scalability sizes), and the event-driven [`Trainer`] that trains a real
 //! model under a chosen synchronization scheme, producing a [`RunReport`]
 //! with loss curves, transfer accounting, abort counts and the full
 //! push/pull history.
@@ -38,7 +38,7 @@ mod report;
 mod spec;
 mod trainer;
 
-pub use driver::{Driver, DriverConfig};
+pub use driver::DriverConfig;
 pub use instance::InstanceType;
 pub use report::{ChaosStats, LossPoint, RunReport};
 pub use spec::ClusterSpec;

@@ -70,19 +70,9 @@ impl ClusterSpec {
         self.workers[i]
     }
 
-    /// All worker instance types in order.
-    pub fn instances(&self) -> &[InstanceType] {
-        &self.workers
-    }
-
     /// The interconnect model.
     pub fn network(&self) -> NetworkModel {
         self.network
-    }
-
-    /// Whether all workers share one instance type.
-    pub fn is_homogeneous(&self) -> bool {
-        self.workers.windows(2).all(|w| w[0] == w[1])
     }
 }
 
@@ -94,27 +84,16 @@ mod tests {
     fn cluster1_matches_paper() {
         let c = ClusterSpec::paper_cluster1();
         assert_eq!(c.num_workers(), 40);
-        assert!(c.is_homogeneous());
-        assert_eq!(c.instance(0), InstanceType::M4Xlarge);
+        assert!((0..40).all(|i| c.instance(i) == InstanceType::M4Xlarge));
     }
 
     #[test]
     fn cluster2_is_four_way_heterogeneous() {
         let c = ClusterSpec::paper_cluster2();
         assert_eq!(c.num_workers(), 40);
-        assert!(!c.is_homogeneous());
-        let m3x = c
-            .instances()
-            .iter()
-            .filter(|&&i| i == InstanceType::M3Xlarge)
-            .count();
-        assert_eq!(m3x, 10);
-        let m42 = c
-            .instances()
-            .iter()
-            .filter(|&&i| i == InstanceType::M42xlarge)
-            .count();
-        assert_eq!(m42, 10);
+        let count = |t| (0..40).filter(|&i| c.instance(i) == t).count();
+        assert_eq!(count(InstanceType::M3Xlarge), 10);
+        assert_eq!(count(InstanceType::M42xlarge), 10);
     }
 
     #[test]

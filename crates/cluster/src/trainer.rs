@@ -3,17 +3,17 @@
 
 use std::sync::Arc;
 
-use specsync_core::SpecSyncError;
 use specsync_ml::Workload;
 use specsync_simnet::{FaultPlan, VirtualTime};
 use specsync_sync::SchemeKind;
 use specsync_telemetry::{EventSink, NullSink};
 
-use crate::driver::{Driver, DriverConfig};
+use crate::driver::{DriverConfig, Simulation};
 use crate::report::RunReport;
 use crate::spec::ClusterSpec;
 
-/// Builder-style front end over [`Driver`].
+/// Runs one training experiment in virtual time, to convergence or the
+/// horizon, and produces a [`RunReport`].
 ///
 /// # Examples
 ///
@@ -30,13 +30,13 @@ use crate::spec::ClusterSpec;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Trainer {
-    workload: Workload,
-    scheme: SchemeKind,
-    cluster: ClusterSpec,
-    config: DriverConfig,
-    seed: u64,
-    sink: Arc<dyn EventSink<VirtualTime>>,
-    faults: Option<FaultPlan>,
+    pub(crate) workload: Workload,
+    pub(crate) scheme: SchemeKind,
+    pub(crate) cluster: ClusterSpec,
+    pub(crate) config: DriverConfig,
+    pub(crate) seed: u64,
+    pub(crate) sink: Arc<dyn EventSink<VirtualTime>>,
+    pub(crate) faults: Option<FaultPlan>,
 }
 
 impl Trainer {
@@ -54,8 +54,11 @@ impl Trainer {
         }
     }
 
-    /// Routes the run's protocol events to `sink` (see
-    /// [`Driver::with_sink`]).
+    /// Routes every protocol event of the run (pulls, pushes, notifies,
+    /// abort decisions, re-syncs, tuning passes, evaluations, worker state
+    /// transitions) to `sink`, stamped with virtual time. Emission points
+    /// are deterministic, so with a deterministic sink two same-seed runs
+    /// produce identical event streams.
     pub fn sink(mut self, sink: Arc<dyn EventSink<VirtualTime>>) -> Self {
         self.sink = sink;
         self
@@ -67,7 +70,13 @@ impl Trainer {
         self
     }
 
-    /// Injects a chaos schedule for the run (see [`Driver::with_faults`]).
+    /// Injects a chaos schedule: every message send is subjected to the
+    /// plan's drop/duplicate/delay verdicts, compute slows inside its
+    /// straggler windows, and its crash/recover timeline is replayed.
+    ///
+    /// The plan carries its own RNG stream, so `(seed, plan)` pairs replay
+    /// byte-identically; without a plan the fault machinery is fully
+    /// dormant (zero extra randomness, zero extra events).
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
         self
@@ -113,30 +122,12 @@ impl Trainer {
     ///
     /// # Panics
     ///
-    /// Panics on an internal wiring bug; [`try_run`](Self::try_run)
-    /// surfaces those as [`SpecSyncError`] instead.
+    /// Panics on an internal wiring bug (scheme state missing, pull lost).
     pub fn run(self) -> RunReport {
-        match self.try_run() {
+        match Simulation::new(self).run() {
             Ok(report) => report,
             Err(e) => panic!("{e}"),
         }
-    }
-
-    /// [`run`](Self::run) with internal invariant violations reported as
-    /// typed errors instead of panics.
-    pub fn try_run(self) -> Result<RunReport, SpecSyncError> {
-        let mut driver = Driver::new(
-            self.workload,
-            self.scheme,
-            self.cluster,
-            self.config,
-            self.seed,
-        )
-        .with_sink(self.sink);
-        if let Some(plan) = self.faults {
-            driver = driver.with_faults(plan);
-        }
-        driver.try_run()
     }
 }
 

@@ -77,17 +77,6 @@ impl EpochView {
     }
 }
 
-/// Eq. (5): gain estimate from a single pull — pushes by others within
-/// `delta` after `last_pull`.
-pub fn estimate_gain(
-    history: &PushHistory,
-    worker: WorkerId,
-    last_pull: VirtualTime,
-    delta: SimDuration,
-) -> u64 {
-    history.pushes_by_others_in(worker, last_pull, delta)
-}
-
 /// Averaged Eq. (5): mean pushes-by-others within `delta` over all the
 /// worker's recorded pulls. Returns `None` when the worker has no pulls.
 pub fn estimate_mean_gain(
@@ -211,9 +200,9 @@ mod tests {
     #[test]
     fn single_pull_gain_counts_only_others_after_pull() {
         let h = sample_history();
-        let gain = estimate_gain(&h, w(0), t(8.0), d(2.0));
-        assert_eq!(gain, 1);
-        assert_eq!(estimate_gain(&h, w(0), t(8.0), d(1.0)), 0);
+        let gain = estimate_mean_gain(&h, w(0), &[t(8.0)], d(2.0));
+        assert_eq!(gain, Some(1.0));
+        assert_eq!(estimate_mean_gain(&h, w(0), &[t(8.0)], d(1.0)), Some(0.0));
     }
 
     #[test]

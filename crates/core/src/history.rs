@@ -386,14 +386,6 @@ impl PushHistory {
         self.pushes.get(usize::try_from(i).ok()?).copied()
     }
 
-    /// The pushes of the most recently closed epoch, or `None` if no epoch
-    /// has been marked yet.
-    pub fn last_epoch_pushes(
-        &self,
-    ) -> Option<impl ExactSizeIterator<Item = PushRecord> + DoubleEndedIterator + '_> {
-        self.recent_epoch_pushes(1)
-    }
-
     /// The absolute sequence range `[start, end)` spanned by the last
     /// `epochs` closed epochs (fewer if not that many have been marked, or
     /// if older records were already evicted). `None` if no epoch has been
@@ -414,18 +406,6 @@ impl PushHistory {
             0
         };
         Some((start.max(self.push_base), end))
-    }
-
-    /// The pushes of the last `epochs` closed epochs (fewer if not that
-    /// many have been marked). `None` if no epoch has been closed.
-    pub fn recent_epoch_pushes(
-        &self,
-        epochs: usize,
-    ) -> Option<impl ExactSizeIterator<Item = PushRecord> + DoubleEndedIterator + '_> {
-        let (start_seq, end_seq) = self.recent_epoch_seq_range(epochs)?;
-        let lo = (start_seq - self.push_base) as usize;
-        let hi = (end_seq - self.push_base) as usize;
-        Some(self.pushes.range(lo..hi).copied())
     }
 
     /// The time span covered by the last `epochs` closed epochs, or `None`
@@ -524,16 +504,6 @@ impl PushHistory {
         self.pushes.len()
     }
 
-    /// Number of pulls currently retained in the ring.
-    pub fn retained_pulls(&self) -> usize {
-        self.pulls.len()
-    }
-
-    /// Total number of pulls ever recorded (evicted records included).
-    pub fn num_pulls(&self) -> usize {
-        self.pull_base as usize + self.pulls.len()
-    }
-
     /// Approximate resident size of the history's buffers in bytes (ring
     /// capacities plus lane capacities) — the "peak history bytes" figure
     /// the scalability sweep reports.
@@ -589,16 +559,16 @@ mod tests {
     #[test]
     fn epoch_segmentation_returns_last_closed_epoch() {
         let mut h = PushHistory::new();
-        assert!(h.last_epoch_pushes().is_none());
+        assert!(h.recent_epoch_seq_range(1).is_none());
         h.record_push(t(1.0), w(0));
         h.mark_epoch();
         h.record_push(t(2.0), w(0));
         h.record_push(t(3.0), w(1));
         h.mark_epoch();
         h.record_push(t(4.0), w(1));
-        let epoch: Vec<PushRecord> = h.last_epoch_pushes().unwrap().collect();
-        assert_eq!(epoch.len(), 2);
-        assert_eq!(epoch[0].time, t(2.0));
+        assert_eq!(h.recent_epoch_seq_range(1), Some((1, 3)));
+        assert_eq!(h.push_at(1).unwrap().time, t(2.0));
+        assert_eq!(h.recent_epoch_range(1), Some((t(2.0), t(3.0))));
     }
 
     #[test]

@@ -55,4 +55,4 @@ pub use history::{EvictionCounts, PullRecord, PushHistory, PushRecord};
 pub use hyper::Hyperparams;
 pub use pap::{pap_distribution, uniform_trace, BoxStats, PapDistribution};
 pub use scheduler::{Scheduler, SchedulerStats};
-pub use tuner::{AdaptiveTuner, CherrypickGrid, TuneOutcome};
+pub use tuner::{AdaptiveTuner, TuneOutcome};

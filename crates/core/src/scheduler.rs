@@ -130,8 +130,7 @@ impl Scheduler {
     ///
     /// # Panics
     ///
-    /// Panics if `m == 0`; [`try_new`](Self::try_new) reports that as a
-    /// typed error instead.
+    /// Panics if `m == 0`.
     pub fn new(m: usize, tuning: TuningMode) -> Self {
         assert!(m > 0, "need at least one worker");
         let hyper = match tuning {
@@ -185,15 +184,6 @@ impl Scheduler {
         self
     }
 
-    /// [`new`](Self::new), but a zero-worker cluster is a typed error
-    /// instead of a panic — the constructor embedding hosts should use.
-    pub fn try_new(m: usize, tuning: TuningMode) -> Result<Self, SpecSyncError> {
-        if m == 0 {
-            return Err(SpecSyncError::EmptyCluster);
-        }
-        Ok(Self::new(m, tuning))
-    }
-
     /// Number of workers (dead or alive).
     pub fn num_workers(&self) -> usize {
         self.m
@@ -203,15 +193,6 @@ impl Scheduler {
     /// the abort threshold and the Eq. 6/7 tuner use.
     pub fn active_workers(&self) -> usize {
         self.active
-    }
-
-    /// Whether `worker` is currently considered alive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `worker` is out of range.
-    pub fn is_alive(&self, worker: WorkerId) -> bool {
-        self.alive[worker.index()]
     }
 
     /// Marks `worker` dead: its speculation window and pending abort are
@@ -321,39 +302,26 @@ impl Scheduler {
     /// must invoke [`on_check`](Self::on_check) for this worker, or `None`
     /// when speculation is disabled.
     ///
+    /// Notifies from workers currently marked dead are counted and
+    /// ignored (`None`): a crashed worker's in-flight notify must not arm
+    /// a window for it.
+    ///
     /// # Panics
     ///
-    /// Panics if `worker` is out of range;
-    /// [`try_on_notify`](Self::try_on_notify) reports that as a typed
-    /// error instead.
+    /// Panics if `worker` is out of range.
     pub fn on_notify(&mut self, worker: WorkerId, now: VirtualTime) -> Option<VirtualTime> {
-        match self.try_on_notify(worker, now) {
-            Ok(deadline) => deadline,
-            Err(e) => panic!("{e}"),
+        if let Err(e) = self.check_worker(worker) {
+            panic!("{e}");
         }
-    }
-
-    /// [`on_notify`](Self::on_notify) with an out-of-range worker reported
-    /// as [`SpecSyncError::WorkerOutOfRange`].
-    ///
-    /// Notifies from workers currently marked dead are counted and
-    /// ignored (`Ok(None)`): a crashed worker's in-flight notify must not
-    /// arm a window for it.
-    pub fn try_on_notify(
-        &mut self,
-        worker: WorkerId,
-        now: VirtualTime,
-    ) -> Result<Option<VirtualTime>, SpecSyncError> {
-        self.check_worker(worker)?;
         if !self.alive[worker.index()] {
             self.stats.stale_notifies += 1;
-            return Ok(None);
+            return None;
         }
         self.notify_counts[worker.index()] += 1;
-        Ok(self.accept_notify(worker, now))
+        self.accept_notify(worker, now)
     }
 
-    /// [`try_on_notify`](Self::try_on_notify) for hosts whose notify
+    /// [`on_notify`](Self::on_notify) for hosts whose notify
     /// messages piggyback the store's applied-push counter for the sender
     /// (`applied_pushes`, inclusive of the push this notify reports).
     ///
@@ -711,12 +679,12 @@ mod tests {
     fn dead_worker_notifies_are_ignored() {
         let mut s = Scheduler::new(4, fixed(2.0, 0.25));
         s.try_mark_dead(w(1), t(0.0)).unwrap();
-        assert!(s.try_on_notify(w(1), t(1.0)).unwrap().is_none());
+        assert!(s.on_notify(w(1), t(1.0)).is_none());
         assert_eq!(s.stats().notifies, 0);
         assert_eq!(s.stats().stale_notifies, 1);
         // Rejoin: notifies count again.
         assert!(s.try_mark_alive(w(1), t(2.0)).unwrap());
-        assert!(s.try_on_notify(w(1), t(3.0)).unwrap().is_some());
+        assert!(s.on_notify(w(1), t(3.0)).is_some());
         assert_eq!(s.stats().notifies, 1);
     }
 

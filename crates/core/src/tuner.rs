@@ -1,5 +1,5 @@
-//! Hyperparameter tuning: the paper's Algorithm 1 (adaptive) and the
-//! grid-search baseline (cherrypick, Table II).
+//! Hyperparameter tuning: the paper's Algorithm 1 (adaptive). Table II's
+//! grid-search baseline (cherrypick) is priced inline by `run_all`.
 
 use serde::{Deserialize, Serialize};
 use specsync_simnet::{SimDuration, VirtualTime};
@@ -174,69 +174,6 @@ pub struct TuneOutcome {
     pub candidates_evaluated: usize,
 }
 
-/// The cherrypick baseline: an exhaustive grid over the two hyperparameters
-/// (paper §VI-E, Table II).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CherrypickGrid {
-    abort_times: Vec<SimDuration>,
-    abort_rates: Vec<f64>,
-}
-
-impl CherrypickGrid {
-    /// Builds the paper-style grid: `time_trials` windows evenly spaced up
-    /// to half the mean iteration time ("we use half of the batch time as
-    /// upper bound"), crossed with `rate_trials` rates evenly spaced in
-    /// `(0, 0.5]` ("we search 10 different values of ABORT_RATE").
-    ///
-    /// # Panics
-    ///
-    /// Panics if either trial count is zero or the iteration time is zero.
-    pub fn paper_style(
-        mean_iteration: SimDuration,
-        time_trials: usize,
-        rate_trials: usize,
-    ) -> Self {
-        assert!(
-            time_trials > 0 && rate_trials > 0,
-            "trial counts must be positive"
-        );
-        assert!(!mean_iteration.is_zero(), "iteration time must be positive");
-        let half = mean_iteration.as_micros() / 2;
-        let abort_times = (1..=time_trials)
-            .map(|k| SimDuration::from_micros(half * k as u64 / time_trials as u64))
-            .collect();
-        let abort_rates = (1..=rate_trials)
-            .map(|k| 0.5 * k as f64 / rate_trials as f64)
-            .collect();
-        CherrypickGrid {
-            abort_times,
-            abort_rates,
-        }
-    }
-
-    /// All grid points.
-    pub fn candidates(&self) -> Vec<Hyperparams> {
-        let mut out = Vec::with_capacity(self.abort_times.len() * self.abort_rates.len());
-        for &t in &self.abort_times {
-            for &r in &self.abort_rates {
-                out.push(Hyperparams::new(t, r));
-            }
-        }
-        out
-    }
-
-    /// Number of grid points (profiling runs the search would need).
-    pub fn num_trials(&self) -> usize {
-        self.abort_times.len() * self.abort_rates.len()
-    }
-
-    /// Total wall-clock cost of the exhaustive search if each profiling
-    /// trial takes `trial_time` — the quantity Table II reports in hours.
-    pub fn search_cost(&self, trial_time: SimDuration) -> SimDuration {
-        trial_time * self.num_trials() as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,27 +290,5 @@ mod tests {
             factors.windows(2).all(|w| w[0] < w[1]),
             "rate factor must grow with membership: {factors:?}"
         );
-    }
-
-    #[test]
-    fn grid_matches_paper_dimensions() {
-        let g = CherrypickGrid::paper_style(SimDuration::from_secs(14), 7, 10);
-        assert_eq!(g.num_trials(), 70);
-        let cands = g.candidates();
-        assert_eq!(cands.len(), 70);
-        // Max window is half the iteration time.
-        let max_t = cands.iter().map(|h| h.abort_time()).max().unwrap();
-        assert_eq!(max_t, SimDuration::from_secs(7));
-        // Rates span (0, 0.5].
-        let max_r = cands.iter().map(|h| h.abort_rate()).fold(0.0, f64::max);
-        assert!((max_r - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn search_cost_scales_with_trials() {
-        let g = CherrypickGrid::paper_style(SimDuration::from_secs(14), 7, 10);
-        // Table II, CIFAR-10 row: 70 trials × 6 h = 420 h.
-        let cost = g.search_cost(SimDuration::from_secs(6 * 3600));
-        assert_eq!(cost, SimDuration::from_secs(420 * 3600));
     }
 }

@@ -79,11 +79,6 @@ impl ConvergenceDetector {
         }
         self.converged
     }
-
-    /// Whether convergence has been reached.
-    pub fn is_converged(&self) -> bool {
-        self.converged
-    }
 }
 
 #[cfg(test)]
@@ -114,8 +109,10 @@ mod tests {
     fn convergence_latches() {
         let mut d = ConvergenceDetector::new(1.0, 1);
         assert!(d.observe(0.5));
-        assert!(d.observe(100.0));
-        assert!(d.is_converged());
+        assert!(
+            d.observe(100.0),
+            "a spike after convergence does not unlatch"
+        );
     }
 
     #[test]
@@ -128,10 +125,8 @@ mod tests {
     fn paper_default_uses_window_of_five() {
         let mut d = ConvergenceDetector::paper_default(0.1);
         for _ in 0..4 {
-            d.observe(0.05);
+            assert!(!d.observe(0.05));
         }
-        assert!(!d.is_converged());
-        d.observe(0.05);
-        assert!(d.is_converged());
+        assert!(d.observe(0.05));
     }
 }

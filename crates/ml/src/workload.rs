@@ -273,13 +273,6 @@ impl Workload {
         }
     }
 
-    /// Bytes on the wire for one parameter pull (modelled at the *paper's*
-    /// parameter count, 4 bytes/param, so transfer volumes in Fig. 12/13
-    /// land at paper scale).
-    pub fn wire_param_bytes(&self) -> u64 {
-        self.paper.num_parameters * 4
-    }
-
     /// Instantiates per-worker models (each over its own data partition) and
     /// an evaluation set, all deterministically from `seed`.
     ///
@@ -491,12 +484,6 @@ mod tests {
         let b = w.build(2, 42);
         assert_eq!(a.workers[0].params(), b.workers[0].params());
         assert_eq!(a.workers[1].num_samples(), b.workers[1].num_samples());
-    }
-
-    #[test]
-    fn wire_bytes_use_paper_scale() {
-        let w = Workload::cifar_like();
-        assert_eq!(w.wire_param_bytes(), 2_500_000 * 4);
     }
 
     #[test]

@@ -5,6 +5,7 @@ use std::time::Duration;
 use specsync_core::{Backoff, SpecSyncError};
 
 use crate::chaos::NetChaos;
+use crate::frame::{PAYLOAD_LIMIT, SNAPSHOT_CHUNK_OVERHEAD};
 
 /// Configuration of the TCP transport and its hosts.
 ///
@@ -29,21 +30,13 @@ pub struct NetConfig {
     /// Read and write timeout of every outbound connection, and how long
     /// a worker waits for the scheduler's `Primary` answer.
     pub io_timeout: Duration,
-    /// Granularity of the scheduler server's timer loop (abort deadlines,
-    /// liveness sweeps).
-    pub tick: Duration,
     /// Bytes per [`SnapshotChunk`] frame when a rejoining backup streams
     /// the checkpoint from the primary. Must be positive and at most
-    /// [`PAYLOAD_LIMIT`](crate::frame::PAYLOAD_LIMIT) so every chunk frame
-    /// encodes, whatever the store size.
+    /// [`PAYLOAD_LIMIT`] minus [`SNAPSHOT_CHUNK_OVERHEAD`] so every chunk
+    /// frame encodes, whatever the store size.
     ///
     /// [`SnapshotChunk`]: crate::wire::FailoverControl::SnapshotChunk
     pub join_chunk_bytes: usize,
-    /// How many times a supervisor may restart one crashed role before
-    /// declaring the topology unrecoverable. Must be positive — a budget
-    /// of 0 silently disables self-healing, which is always a
-    /// misconfiguration (run unsupervised instead).
-    pub restart_budget: u32,
     /// Fault-injection knobs ([`NetChaos::disabled`] by default — the
     /// wire behaves exactly as if the chaos layer did not exist).
     pub chaos: NetChaos,
@@ -57,9 +50,7 @@ impl Default for NetConfig {
             heartbeat_interval: Duration::from_millis(50),
             heartbeat_timeout: Duration::from_millis(500),
             io_timeout: Duration::from_secs(10),
-            tick: Duration::from_millis(5),
             join_chunk_bytes: 1 << 20,
-            restart_budget: 5,
             chaos: NetChaos::disabled(),
         }
     }
@@ -110,28 +101,17 @@ impl NetConfig {
                 "i/o timeout must be positive".to_string(),
             ));
         }
-        if self.tick.is_zero() {
-            return Err(SpecSyncError::InvalidConfig(
-                "scheduler tick must be positive".to_string(),
-            ));
-        }
         if self.join_chunk_bytes == 0 {
             return Err(SpecSyncError::InvalidConfig(
                 "rejoin snapshot chunk size must be positive".to_string(),
             ));
         }
-        if self.join_chunk_bytes > crate::frame::PAYLOAD_LIMIT {
+        if self.join_chunk_bytes > PAYLOAD_LIMIT - SNAPSHOT_CHUNK_OVERHEAD {
             return Err(SpecSyncError::InvalidConfig(format!(
-                "rejoin snapshot chunk size of {} bytes exceeds the {}-byte frame payload limit",
+                "rejoin snapshot chunk size of {} bytes leaves no room for the \
+                 {SNAPSHOT_CHUNK_OVERHEAD}-byte chunk header in a {PAYLOAD_LIMIT}-byte frame payload",
                 self.join_chunk_bytes,
-                crate::frame::PAYLOAD_LIMIT
             )));
-        }
-        if self.restart_budget == 0 {
-            return Err(SpecSyncError::InvalidRetryPolicy {
-                reason: "supervisor restart budget must be positive \
-                         (a budget of 0 disables self-healing; run unsupervised instead)",
-            });
         }
         if let Err(reason) = self.chaos.try_validate() {
             return Err(SpecSyncError::InvalidConfig(reason));
@@ -188,21 +168,9 @@ impl NetConfigBuilder {
         self
     }
 
-    /// Sets the scheduler timer granularity.
-    pub fn tick(mut self, tick: Duration) -> Self {
-        self.config.tick = tick;
-        self
-    }
-
     /// Sets the rejoin snapshot chunk size.
     pub fn join_chunk_bytes(mut self, bytes: usize) -> Self {
         self.config.join_chunk_bytes = bytes;
-        self
-    }
-
-    /// Sets the supervisor restart budget.
-    pub fn restart_budget(mut self, budget: u32) -> Self {
-        self.config.restart_budget = budget;
         self
     }
 
@@ -237,7 +205,6 @@ mod tests {
             .heartbeat_interval(Duration::from_millis(20))
             .heartbeat_timeout(Duration::from_millis(100))
             .io_timeout(Duration::from_secs(1))
-            .tick(Duration::from_millis(2))
             .try_build()
             .unwrap();
         assert_eq!(cfg.connect_retries, 3);
@@ -300,29 +267,20 @@ mod tests {
             matches!(err, SpecSyncError::InvalidConfig(_)),
             "got {err:?}"
         );
+        // The boundary is the payload limit less the chunk header: a chunk
+        // of exactly `PAYLOAD_LIMIT` data bytes would not encode.
         let err = NetConfig::builder()
-            .join_chunk_bytes(crate::frame::PAYLOAD_LIMIT + 1)
+            .join_chunk_bytes(PAYLOAD_LIMIT)
             .try_build()
             .unwrap_err();
         assert!(
             matches!(err, SpecSyncError::InvalidConfig(_)),
             "got {err:?}"
         );
-        // The payload limit itself is the boundary: a chunk that exactly
-        // fills a frame still encodes.
         assert!(NetConfig::builder()
-            .join_chunk_bytes(crate::frame::PAYLOAD_LIMIT)
+            .join_chunk_bytes(PAYLOAD_LIMIT - SNAPSHOT_CHUNK_OVERHEAD)
             .try_build()
             .is_ok());
-        let err = NetConfig::builder()
-            .restart_budget(0)
-            .try_build()
-            .unwrap_err();
-        assert!(
-            matches!(err, SpecSyncError::InvalidRetryPolicy { .. }),
-            "got {err:?}"
-        );
-        assert!(NetConfig::builder().restart_budget(1).try_build().is_ok());
     }
 
     #[test]

@@ -68,6 +68,10 @@ const TAG_RELAY_TAG: u8 = 11;
 /// frame it receives, so a relayed `Push` leaves behind its tag in one
 /// write.
 pub const RELAY_TAG_FRAME_LEN: usize = HEADER_LEN + 1 + 8 + 4;
+/// Payload bytes a [`FailoverControl::SnapshotChunk`] adds to its data:
+/// tag, sub-tag, `index`, `total` and the data's length prefix. A chunk
+/// encodes only if its data is at most `PAYLOAD_LIMIT` minus this.
+pub const SNAPSHOT_CHUNK_OVERHEAD: usize = 1 + 1 + 8 + 8 + 8;
 
 // Failover sub-tags 0 (`Crash`), 3 (`Recover`), 4 (`Ack`) and 10
 // (`CatchUp`) are retired: they decode as a bad sub-tag.
@@ -1001,6 +1005,17 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn snapshot_chunk_overhead_is_an_empty_chunks_payload() {
+        let empty = WireMessage::Failover(FailoverControl::SnapshotChunk {
+            index: 0,
+            total: 1,
+            data: Vec::new(),
+        });
+        let bytes = encode_frame(&empty).unwrap();
+        assert_eq!(bytes.len() - HEADER_LEN, SNAPSHOT_CHUNK_OVERHEAD);
     }
 
     #[test]

@@ -59,6 +59,7 @@ pub use error::NetError;
 pub use frame::{
     decode_frame, encode_frame, read_frame, read_frame_bytes, write_frame, FrameError,
     FrameReadError, ReadOutcome, MAX_SPARSE_DIM, MAX_WORKERS, PAYLOAD_LIMIT, RELAY_TAG_FRAME_LEN,
+    SNAPSHOT_CHUNK_OVERHEAD,
 };
 pub use host::ShardHost;
 pub use sched_host::{SchedOutput, SchedulerHost};

@@ -807,13 +807,13 @@ mod tests {
         // Nothing reached the core: no push or pull was recorded, so no
         // per-worker history lane was grown to the hostile id.
         assert_eq!(host.history().len(), 0);
-        assert_eq!(host.history().num_pulls(), 0);
+        assert_eq!(host.history().pulls().len(), 0);
         assert!(host.history().approx_bytes() < 4096);
 
         // The same connection can still speak for a real worker.
         host.frame(4, WireMessage::Pull { worker: w(1) }, ms(6), &mut out);
         assert_eq!(host.conn_of(w(1)), Some(4));
-        assert_eq!(host.history().num_pulls(), 1);
+        assert_eq!(host.history().pulls().len(), 1);
     }
 
     #[test]

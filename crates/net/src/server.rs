@@ -48,7 +48,7 @@
 //! [`SchedulerHost`], which holds all protocol state. Frames arrive over a
 //! channel from per-connection reader threads; each goes into the host
 //! stamped with the elapsed time, and the loop carries out what the host
-//! asks for (frames to write, events to record). Every `tick` the loop
+//! asks for (frames to write, events to record). Every [`TICK`] the loop
 //! also lets the host fire due speculation windows and sweep liveness.
 //! The host detects a dead primary shard two ways (its connection closing,
 //! or heartbeat silence past the timeout) and promotes the warm backup by
@@ -81,6 +81,10 @@ use crate::sched_host::{SchedOutput, SchedulerHost};
 use crate::transport::WallElapsed;
 use crate::transport::{ConnTarget, FrameConn};
 use crate::wire::{FailoverControl, WireMessage};
+
+/// Granularity of the servers' polling loops: the scheduler loop's wake-up
+/// (abort deadlines, liveness sweeps) and the accept loops' back-off.
+const TICK: Duration = Duration::from_millis(5);
 
 // ---------------------------------------------------------------- shard
 
@@ -511,7 +515,7 @@ impl ShardServer {
                     });
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(config.tick);
+                    std::thread::sleep(TICK);
                 }
                 Err(_) => break,
             }
@@ -837,7 +841,7 @@ pub struct SchedulerConfig {
     pub scheme: SchemeKind,
     /// Expected worker count `m`.
     pub workers: usize,
-    /// Wire-level knobs (tick, heartbeat interval/timeout, I/O timeouts).
+    /// Wire-level knobs (heartbeat interval/timeout, I/O timeouts).
     pub net: NetConfig,
     /// Stop once this many total pushes have been notified (`None`: run
     /// until `max_duration`).
@@ -965,7 +969,6 @@ impl SchedulerServer {
         {
             let events_tx = events_tx.clone();
             let stop = Arc::clone(&stop);
-            let tick = cfg.net.tick;
             listener.set_nonblocking(true)?;
             let listener = ChaosListener::new(listener, cfg.net.chaos.clone(), "sched-accept");
             std::thread::spawn(move || {
@@ -1000,7 +1003,7 @@ impl SchedulerServer {
                             });
                         }
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(tick);
+                            std::thread::sleep(TICK);
                         }
                         Err(_) => return,
                     }
@@ -1073,9 +1076,9 @@ fn central_loop(
             completed = true;
             break;
         }
-        // A fixed `tick` wake-up, not `next_deadline`: abort-delivery
+        // A fixed `TICK` wake-up, not `next_deadline`: abort-delivery
         // latency is part of what `train_specsync` measures.
-        event = match events_rx.recv_timeout(cfg.net.tick) {
+        event = match events_rx.recv_timeout(TICK) {
             Ok(event) => Some(event),
             Err(RecvTimeoutError::Timeout) => None,
             Err(RecvTimeoutError::Disconnected) => break,

@@ -354,6 +354,24 @@ mod tests {
     }
 
     #[test]
+    fn shard_count_out_of_range_is_malformed() {
+        let out_of_range = CheckpointError::Malformed("shard count out of range");
+        // `busy_store` has 8 parameters: 0 servers and 9 servers are out.
+        for num_shards in [0, 9] {
+            let mut ckpt = busy_store().snapshot_for_checkpoint();
+            ckpt.num_shards = num_shards;
+            assert_eq!(StoreCheckpoint::decode(&ckpt.encode()), Err(out_of_range));
+            assert_eq!(ParameterStore::restore(ckpt).err(), Some(out_of_range));
+        }
+        for num_shards in [1, 8] {
+            let mut ckpt = busy_store().snapshot_for_checkpoint();
+            ckpt.num_shards = num_shards;
+            let restored = ParameterStore::restore(ckpt).expect("in range");
+            assert_eq!(restored.num_shards(), num_shards);
+        }
+    }
+
+    #[test]
     fn corrupted_bytes_are_typed_errors_never_panics() {
         let bytes = busy_store().snapshot_for_checkpoint().encode();
         // Flip every byte position in turn: each corruption must surface as

@@ -156,11 +156,6 @@ impl PushJournal {
     pub fn entries_after(&self, after: u64) -> impl Iterator<Item = &JournalEntry> {
         self.entries.iter().filter(move |e| e.seq > after)
     }
-
-    /// Sequence number of the newest journaled entry, if any.
-    pub fn last_seq(&self) -> Option<u64> {
-        self.entries.back().map(|e| e.seq)
-    }
 }
 
 #[cfg(test)]
@@ -201,7 +196,6 @@ mod tests {
         j.try_append(entry(3)).unwrap();
         let seqs: Vec<u64> = j.entries_after(1).map(|e| e.seq).collect();
         assert_eq!(seqs, vec![2, 3]);
-        assert_eq!(j.last_seq(), Some(3));
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! Parameter-server substrate for the SpecSync reproduction.
 //!
 //! Implements the server side of the PS architecture the paper builds on
-//! (Fig. 1): a sharded, versioned [`ParameterStore`] with asynchronous
-//! push/pull semantics matching MXNet's `dist_async` kvstore. (The
-//! wire-size model used for transfer accounting lives with the rest of
-//! the wire vocabulary in `specsync-net`.)
+//! (Fig. 1): a versioned [`ParameterStore`] with asynchronous push/pull
+//! semantics matching MXNet's `dist_async` kvstore. The paper shards keys
+//! across servers; here one store holds the whole vector and serializes
+//! every push in arrival order. Its server count (`num_shards`) is kept
+//! only for the checkpoint format and the crash model of
+//! [`ReplicatedStore`]. (The wire-size model used for transfer accounting
+//! lives with the rest of the wire vocabulary in `specsync-net`.)
 //!
 //! The store is deliberately *policy-free*: ASP/BSP/SSP/SpecSync behaviour
 //! is decided by the scheme and scheduler layers (`specsync-sync`,
@@ -31,12 +34,10 @@ mod checkpoint;
 mod checksum;
 mod journal;
 mod replica;
-mod sharding;
 mod store;
 
 pub use checkpoint::{CheckpointError, StoreCheckpoint};
 pub use checksum::{checksum, SEGMENT};
 pub use journal::{JournalEntry, JournalFull, PushJournal, PushPayload};
-pub use replica::{ReplicaError, ReplicaRole, ReplicatedStore, ShardReplica};
-pub use sharding::{ShardId, ShardLayout, ShardLayoutError};
+pub use replica::{ReplicaError, ReplicatedStore};
 pub use store::{ParamSnapshot, ParameterStore};

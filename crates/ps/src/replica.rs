@@ -1,14 +1,15 @@
 //! Primary/backup replication with promote-on-crash failover, in one
 //! process: the simulator's model of a shard failover.
 //!
-//! A [`ReplicatedStore`] keeps two full copies of the sharded parameter
-//! state: the *primary* serves every pull and push, and a *warm backup*
-//! trails it by at most the [`PushJournal`] capacity. (On the wire the
-//! backup is a second shard process fed by the write-ahead relay, and each
-//! shard process serves a plain [`ParameterStore`].) Per-[`ShardId`]
-//! bookkeeping ([`ShardReplica`]) tracks which servers are up; while any
-//! shard's server is down the store refuses traffic with a typed
-//! [`ReplicaError`] and the host retries until the backup is promoted.
+//! A [`ReplicatedStore`] keeps two full copies of the parameter state:
+//! the *primary* serves every pull and push, and a *warm backup* trails it
+//! by at most the [`PushJournal`] capacity. (On the wire the backup is a
+//! second shard process fed by the write-ahead relay, and each shard
+//! process serves a plain [`ParameterStore`].) One down flag per server
+//! (the store's [`num_shards`](ParameterStore::num_shards)) tracks which
+//! servers are up; while any server is down the store refuses traffic with
+//! a typed [`ReplicaError`] and the host retries until the backup is
+//! promoted.
 //!
 //! The failover invariants (DESIGN.md §13):
 //!
@@ -29,14 +30,13 @@ use specsync_simnet::WorkerId;
 use specsync_tensor::SparseGrad;
 
 use crate::journal::{JournalEntry, PushJournal, PushPayload};
-use crate::sharding::{ShardId, ShardLayout};
 use crate::store::{ParamSnapshot, ParameterStore};
 
 /// A replication-layer failure: traffic refused or a misdirected
 /// failover-protocol call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplicaError {
-    /// The named server shard does not exist in the layout.
+    /// The named server shard does not exist.
     UnknownServer(usize),
     /// The named server shard is down; retry after promotion.
     ServerDown(usize),
@@ -65,38 +65,6 @@ impl std::fmt::Display for ReplicaError {
 
 impl std::error::Error for ReplicaError {}
 
-/// Which replica is serving a shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplicaRole {
-    /// The original primary is serving.
-    Primary,
-    /// The primary died and the promoted backup is serving.
-    PromotedBackup,
-    /// The server is down and traffic is refused (between crash and
-    /// promotion).
-    Down,
-}
-
-/// Per-shard replica bookkeeping: the serving role and failover count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardReplica {
-    shard: ShardId,
-    role: ReplicaRole,
-    failovers: u64,
-}
-
-impl ShardReplica {
-    /// The shard this replica pair serves.
-    pub fn shard(&self) -> ShardId {
-        self.shard
-    }
-
-    /// The current serving role.
-    pub fn role(&self) -> ReplicaRole {
-        self.role
-    }
-}
-
 /// A primary/backup replicated [`ParameterStore`] with a bounded
 /// write-ahead push journal and deterministic promote-on-crash failover.
 ///
@@ -124,9 +92,8 @@ pub struct ReplicatedStore {
     /// Watermark: every journaled push with `seq <=` this is durable on
     /// the backup. The exactly-once guarantee lives here.
     backup_applied: u64,
-    replicas: Vec<ShardReplica>,
-    /// Number of shards currently down (fast availability check).
-    down: usize,
+    /// One flag per server: `true` between its crash and its promotion.
+    down: Vec<bool>,
 }
 
 impl ReplicatedStore {
@@ -143,46 +110,25 @@ impl ReplicatedStore {
     /// Panics if `journal_capacity == 0`.
     pub fn from_store(store: ParameterStore, journal_capacity: usize) -> Self {
         let backup_applied = store.version();
-        let replicas = store
-            .layout()
-            .iter()
-            .map(|(shard, _)| ShardReplica {
-                shard,
-                role: ReplicaRole::Primary,
-                failovers: 0,
-            })
-            .collect();
+        let down = vec![false; store.num_shards()];
         ReplicatedStore {
             backup: store.clone(),
             primary: store,
             journal: PushJournal::new(journal_capacity),
             backup_applied,
-            replicas,
-            down: 0,
+            down,
         }
     }
 
     /// True if every shard's server is serving (traffic is accepted).
     pub fn is_available(&self) -> bool {
-        self.down == 0
+        !self.down.contains(&true)
     }
 
     /// The first down server shard, if any (the index hosts report in
     /// [`ReplicaError::ServerDown`]).
     fn first_down(&self) -> Option<usize> {
-        self.replicas
-            .iter()
-            .position(|r| r.role == ReplicaRole::Down)
-    }
-
-    /// Per-shard replica states, indexed by shard.
-    pub fn replicas(&self) -> &[ShardReplica] {
-        &self.replicas
-    }
-
-    /// Total failovers across all shards.
-    pub fn total_failovers(&self) -> u64 {
-        self.replicas.iter().map(|r| r.failovers).sum()
+        self.down.iter().position(|&d| d)
     }
 
     /// Outstanding journal entries (pushes the backup has not applied).
@@ -191,7 +137,7 @@ impl ReplicatedStore {
     }
 
     fn check_server(&self, server: usize) -> Result<(), ReplicaError> {
-        if server >= self.replicas.len() {
+        if server >= self.down.len() {
             return Err(ReplicaError::UnknownServer(server));
         }
         Ok(())
@@ -303,14 +249,13 @@ impl ReplicatedStore {
     /// Returns [`ReplicaError`] if the server is unknown or already down.
     pub fn crash_server(&mut self, server: usize) -> Result<(), ReplicaError> {
         self.check_server(server)?;
-        if self.replicas[server].role == ReplicaRole::Down {
+        if self.down[server] {
             return Err(ReplicaError::WrongState {
                 server,
                 expected: "up",
             });
         }
-        self.replicas[server].role = ReplicaRole::Down;
-        self.down += 1;
+        self.down[server] = true;
         Ok(())
     }
 
@@ -324,7 +269,7 @@ impl ReplicatedStore {
     /// Returns [`ReplicaError`] if the server is unknown or not down.
     pub fn promote(&mut self, server: usize) -> Result<u64, ReplicaError> {
         self.check_server(server)?;
-        if self.replicas[server].role != ReplicaRole::Down {
+        if !self.down[server] {
             return Err(ReplicaError::WrongState {
                 server,
                 expected: "down",
@@ -337,16 +282,13 @@ impl ReplicatedStore {
             "a caught-up backup matches the primary's version"
         );
         std::mem::swap(&mut self.primary, &mut self.backup);
-        self.replicas[server].role = ReplicaRole::PromotedBackup;
-        self.replicas[server].failovers += 1;
-        self.down -= 1;
+        self.down[server] = false;
         Ok(replayed)
     }
 
     /// Re-admits a recovered node as the shard's warm backup: the backup
     /// is re-seeded from the serving replica and the journal restarts
-    /// empty. The shard returns to the `Primary` role (a full
-    /// primary/backup pair again).
+    /// empty: a full primary/backup pair again.
     ///
     /// # Errors
     ///
@@ -354,7 +296,7 @@ impl ReplicatedStore {
     /// (promote first).
     pub fn recover_server(&mut self, server: usize) -> Result<(), ReplicaError> {
         self.check_server(server)?;
-        if self.replicas[server].role == ReplicaRole::Down {
+        if self.down[server] {
             return Err(ReplicaError::WrongState {
                 server,
                 expected: "promoted",
@@ -363,7 +305,6 @@ impl ReplicatedStore {
         self.backup = self.primary.clone();
         self.backup_applied = self.primary.version();
         self.journal.truncate_through(self.backup_applied);
-        self.replicas[server].role = ReplicaRole::Primary;
         Ok(())
     }
 
@@ -377,11 +318,6 @@ impl ReplicatedStore {
     /// Number of parameters.
     pub fn num_params(&self) -> usize {
         self.primary.num_params()
-    }
-
-    /// The shard layout.
-    pub fn layout(&self) -> &ShardLayout {
-        self.primary.layout()
     }
 
     /// Current global parameters of the serving replica (see
@@ -463,8 +399,7 @@ mod tests {
         assert_eq!(replayed, 17, "every push replays exactly once");
         assert_eq!(rep.version(), shadow.version());
         assert_eq!(rep.params(), shadow.params());
-        assert_eq!(rep.total_failovers(), 1);
-        assert_eq!(rep.replicas()[1].role(), ReplicaRole::PromotedBackup);
+        assert!(rep.is_available());
     }
 
     #[test]
@@ -529,13 +464,12 @@ mod tests {
         rep.crash_server(0).unwrap();
         rep.promote(0).unwrap();
         rep.recover_server(0).unwrap();
-        assert_eq!(rep.replicas()[0].role(), ReplicaRole::Primary);
+        assert_eq!(rep.journal_lag(), 0, "recovery re-seeds the backup");
         mixed_workload(&mut rep, &mut shadow, 6);
         rep.crash_server(1).unwrap();
         rep.promote(1).unwrap();
         assert_eq!(rep.version(), shadow.version());
         assert_eq!(rep.params(), shadow.params());
-        assert_eq!(rep.total_failovers(), 2);
     }
 
     #[test]
@@ -567,6 +501,28 @@ mod tests {
         assert!(!rep.is_available());
         rep.promote(0).unwrap();
         assert!(rep.is_available());
+    }
+
+    #[test]
+    fn two_down_servers_keep_the_store_unavailable_until_both_promote() {
+        let mut rep = ReplicatedStore::from_store(ParameterStore::new(vec![0.0; 4], 2), 8);
+        rep.try_apply_push(w(0), &[1.0; 4], 0.1).unwrap();
+        rep.crash_server(0).unwrap();
+        rep.crash_server(1).unwrap();
+        assert_eq!(
+            rep.try_apply_push(w(0), &[1.0; 4], 0.1),
+            Err(ReplicaError::ServerDown(0))
+        );
+        assert_eq!(
+            rep.promote(0),
+            Ok(1),
+            "the first promote replays the journal"
+        );
+        assert!(!rep.is_available(), "server 1 is still down");
+        assert_eq!(rep.try_pull(w(0)).unwrap_err(), ReplicaError::ServerDown(1));
+        assert_eq!(rep.promote(1), Ok(0), "nothing left to replay");
+        assert!(rep.is_available());
+        assert_eq!(rep.try_apply_push(w(0), &[1.0; 4], 0.1), Ok(2));
     }
 
     #[test]

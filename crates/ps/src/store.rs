@@ -1,4 +1,4 @@
-//! The sharded, versioned parameter store.
+//! The versioned parameter store.
 //!
 //! Semantics follow MXNet's `dist_async` kvstore, the substrate the paper
 //! builds on (§V): pushes are gradient contributions applied to the global
@@ -12,7 +12,6 @@ use specsync_simnet::WorkerId;
 use specsync_tensor::SparseGrad;
 
 use crate::checkpoint::{CheckpointError, StoreCheckpoint};
-use crate::sharding::ShardLayout;
 
 /// A consistent snapshot of the global parameters, as returned by a pull.
 ///
@@ -46,12 +45,6 @@ impl ParamSnapshot {
     pub fn into_shared(self) -> Arc<[f32]> {
         self.params
     }
-
-    /// Consumes the snapshot, returning an owned parameter vector (copies
-    /// unless this is the block's only reference).
-    pub fn into_params(self) -> Vec<f32> {
-        self.params.to_vec()
-    }
 }
 
 /// The server-side global parameter state.
@@ -71,7 +64,9 @@ impl ParamSnapshot {
 #[derive(Debug, Clone)]
 pub struct ParameterStore {
     params: Vec<f32>,
-    layout: ShardLayout,
+    /// Server count: carried by checkpoints and by the crash model of
+    /// [`ReplicatedStore`](crate::ReplicatedStore); no key range is read.
+    num_shards: usize,
     version: u64,
     pushes_per_worker: Vec<u64>,
     last_pull_version: Vec<u64>,
@@ -100,8 +95,8 @@ pub struct ParameterStore {
 }
 
 impl ParameterStore {
-    /// Creates a store holding `initial` parameters split into `num_shards`
-    /// server shards, applying plain SGD updates.
+    /// Creates a store holding `initial` parameters for a cluster of
+    /// `num_shards` servers, applying plain SGD updates.
     ///
     /// # Panics
     ///
@@ -110,12 +105,12 @@ impl ParameterStore {
         assert!(!initial.is_empty(), "parameter vector cannot be empty");
         assert!(num_shards > 0, "need at least one shard");
         // Tiny models can have fewer parameters than the cluster has server
-        // shards; clamp explicitly so every shard owns at least one
-        // parameter ([`ShardLayout::try_new`] rejects empty ranges).
-        let layout = ShardLayout::new(initial.len(), num_shards.min(initial.len()));
+        // shards; clamp so a checkpoint never names more servers than
+        // parameters (`StoreCheckpoint::validate` refuses that).
+        let num_shards = num_shards.min(initial.len());
         ParameterStore {
             params: initial,
-            layout,
+            num_shards,
             version: 0,
             pushes_per_worker: Vec::new(),
             last_pull_version: Vec::new(),
@@ -169,9 +164,9 @@ impl ParameterStore {
         self.params.len()
     }
 
-    /// The shard layout.
-    pub fn layout(&self) -> &ShardLayout {
-        &self.layout
+    /// Number of server shards (at most [`num_params`](Self::num_params)).
+    pub fn num_shards(&self) -> usize {
+        self.num_shards
     }
 
     /// Global version: total number of pushes applied so far.
@@ -354,7 +349,7 @@ impl ParameterStore {
         self.materialize();
         StoreCheckpoint {
             params: self.params.clone(),
-            num_shards: self.layout.num_shards(),
+            num_shards: self.num_shards,
             version: self.version,
             pushes_per_worker: self.pushes_per_worker.clone(),
             last_pull_version: self.last_pull_version.clone(),
@@ -386,8 +381,6 @@ impl ParameterStore {
             velocity,
             grad_clip,
         } = checkpoint;
-        let layout = ShardLayout::try_new(params.len(), num_shards)
-            .map_err(|_| CheckpointError::Malformed("shard count out of range"))?;
         // The capture settled all lazy momentum state, so every coordinate
         // is synced at `version` (`synced`) and nothing is behind.
         let last_sync = if momentum > 0.0 {
@@ -397,7 +390,7 @@ impl ParameterStore {
         };
         Ok(ParameterStore {
             params,
-            layout,
+            num_shards,
             version,
             pushes_per_worker,
             last_pull_version,
@@ -565,12 +558,6 @@ mod tests {
     #[should_panic(expected = "momentum must be in [0, 1)")]
     fn invalid_momentum_panics() {
         let _ = ParameterStore::new(vec![0.0], 1).with_momentum(1.0);
-    }
-
-    #[test]
-    fn snapshot_into_params_round_trips() {
-        let mut s = ParameterStore::new(vec![7.0], 1);
-        assert_eq!(s.pull(w(0)).into_params(), vec![7.0]);
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Property-based tests of the parameter-store semantics.
 
 use proptest::prelude::*;
-use specsync_ps::{
-    CheckpointError, ParameterStore, ShardLayout, ShardLayoutError, StoreCheckpoint,
-};
+use specsync_ps::{CheckpointError, ParameterStore, StoreCheckpoint};
 use specsync_simnet::WorkerId;
 use specsync_tensor::SparseGrad;
 
@@ -177,32 +175,16 @@ proptest! {
         prop_assert!(cross.abs() < 1e-3);
     }
 
-    /// Shard layouts tile the parameter space for any valid (params,
-    /// shards) request; oversharded requests are typed errors, never empty
-    /// ranges.
+    /// Any requested server count is clamped into `[1, num_params]` (so a
+    /// checkpoint never names more servers than parameters, which restore
+    /// refuses), and the count survives a checkpoint round trip.
     #[test]
-    fn shard_layout_tiles(n in 1usize..10_000, s in 1usize..64) {
-        match ShardLayout::try_new(n, s) {
-            Ok(layout) => {
-                prop_assert!(s <= n);
-                let mut covered = 0;
-                let mut prev_end = 0;
-                for (_, (lo, hi)) in layout.iter() {
-                    prop_assert_eq!(lo, prev_end);
-                    prop_assert!(hi > lo);
-                    covered += hi - lo;
-                    prev_end = hi;
-                }
-                prop_assert_eq!(covered, n);
-            }
-            Err(e) => {
-                prop_assert!(s > n);
-                prop_assert_eq!(
-                    e,
-                    ShardLayoutError::MoreShardsThanParams { num_params: n, num_shards: s }
-                );
-            }
-        }
+    fn shard_count_clamps_to_params(n in 1usize..10_000, s in 1usize..64) {
+        let mut store = ParameterStore::new(vec![0.0; n], s);
+        prop_assert_eq!(store.num_shards(), s.min(n));
+        let bytes = store.snapshot_for_checkpoint().encode();
+        let restored = ParameterStore::restore(StoreCheckpoint::decode(&bytes).unwrap()).unwrap();
+        prop_assert_eq!(restored.num_shards(), s.min(n));
     }
 
     /// Checkpoint codec round trip: snapshot → bytes → restore is the

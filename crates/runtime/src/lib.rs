@@ -55,6 +55,6 @@ mod worker;
 pub use clock::{ClockSource, WallClock};
 pub use config::{RuntimeChaos, RuntimeConfig};
 pub use report::{RuntimeReport, WallLossPoint};
-pub use runtime::{run, try_run, try_run_with_sink};
+pub use runtime::{run, try_run_with_sink};
 pub use specsync_sync::SchemeKind;
 pub use worker::{WorkerHarness, WorkerOutcome};

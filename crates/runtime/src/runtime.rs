@@ -48,22 +48,13 @@ use crate::worker::WorkerHarness;
 /// # Panics
 ///
 /// Panics if the configuration is invalid (see [`RuntimeConfig::try_validate`])
-/// or a thread panics; [`try_run`] reports those as typed errors instead.
+/// or a thread panics; [`try_run_with_sink`] reports those as typed errors
+/// instead.
 pub fn run(workload: &Workload, config: &RuntimeConfig) -> RuntimeReport {
-    match try_run(workload, config) {
+    match try_run_with_sink(workload, config, Arc::new(NullSink)) {
         Ok(report) => report,
         Err(e) => panic!("{e}"),
     }
-}
-
-/// [`run`] with invalid configurations and thread panics surfaced as
-/// [`SpecSyncError`] values instead of propagated panics. Discards
-/// telemetry.
-pub fn try_run(
-    workload: &Workload,
-    config: &RuntimeConfig,
-) -> Result<RuntimeReport, SpecSyncError> {
-    try_run_with_sink(workload, config, Arc::new(NullSink))
 }
 
 /// A loopback deployment that failed to come up or to run.
@@ -86,10 +77,11 @@ fn join<T>(
         .map_err(wire_error)
 }
 
-/// [`try_run`] with the run's protocol events routed to `sink`. The sink
-/// is shared by every server, transport and worker thread, so
-/// implementations must tolerate concurrent `record` calls (all bundled
-/// sinks do).
+/// [`run`] with the run's protocol events routed to `sink`, and invalid
+/// configurations and thread panics surfaced as [`SpecSyncError`] values
+/// instead of propagated panics. The sink is shared by every server,
+/// transport and worker thread, so implementations must tolerate
+/// concurrent `record` calls (all bundled sinks do).
 pub fn try_run_with_sink(
     workload: &Workload,
     config: &RuntimeConfig,

@@ -177,8 +177,7 @@ pub struct CrashEvent {
 
 /// A scheduled parameter-server crash, with an optional recovery instant.
 ///
-/// The server is named by its shard index: this crate sits below the PS
-/// layer, so the raw `usize` stands in for the PS crate's `ShardId`. The
+/// The server is named by its index, below the store's server count. The
 /// host decides what a server crash *means* (refuse deliveries, promote a
 /// backup, replay a journal); the plan only schedules it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -222,16 +222,6 @@ impl DurationSampler {
         Ok(SimDuration::from_secs_f64(secs))
     }
 
-    /// The distribution's mean, in seconds.
-    pub fn mean_secs(&self) -> f64 {
-        match *self {
-            DurationSampler::Constant { secs } => secs,
-            DurationSampler::Uniform { lo, hi } => (lo + hi) / 2.0,
-            DurationSampler::LogNormal { mean, .. } => mean,
-            DurationSampler::Exponential { mean } => mean,
-        }
-    }
-
     /// Scales the distribution's location by `factor` (e.g. a slower
     /// machine has `factor > 1`).
     ///
@@ -347,9 +337,15 @@ mod tests {
             cv: 0.3,
         }
         .scaled(1.5);
-        assert_eq!(d.mean_secs(), 15.0);
+        assert_eq!(
+            d,
+            DurationSampler::LogNormal {
+                mean: 15.0,
+                cv: 0.3
+            }
+        );
         let c = DurationSampler::Constant { secs: 2.0 }.scaled(0.5);
-        assert_eq!(c.mean_secs(), 1.0);
+        assert_eq!(c, DurationSampler::Constant { secs: 1.0 });
     }
 
     #[test]

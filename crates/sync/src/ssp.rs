@@ -129,13 +129,6 @@ impl SspClock {
         next <= self.min_clock() + self.bound + 1
     }
 
-    /// Active workers currently blocked by the bound.
-    pub fn blocked_workers(&self) -> Vec<WorkerId> {
-        WorkerId::all(self.clocks.len())
-            .filter(|&w| self.active[w.index()] && !self.can_start_next(w))
-            .collect()
-    }
-
     /// Workers that become unblocked when `worker` completes an iteration
     /// (call *after* [`complete_iteration`](Self::complete_iteration)):
     /// any worker whose next iteration is now within the bound.
@@ -188,8 +181,9 @@ mod tests {
         ssp.complete_iteration(w(1));
         ssp.complete_iteration(w(1));
         // w0 and w1 at 2, w2 at 0. Next for them is 3 > 0 + 2.
-        let blocked = ssp.blocked_workers();
-        assert_eq!(blocked, vec![w(0), w(1)]);
+        let blocked = vec![w(0), w(1)];
+        assert!(blocked.iter().all(|&b| !ssp.can_start_next(b)));
+        assert!(ssp.can_start_next(w(2)));
         ssp.complete_iteration(w(2));
         let unblocked = ssp.newly_unblocked(&blocked);
         assert_eq!(unblocked, vec![w(0), w(1)]);
@@ -212,12 +206,12 @@ mod tests {
         ssp.complete_iteration(w(0));
         ssp.complete_iteration(w(1));
         // w2 (still at 0) crashes; w0/w1 were blocked on it.
-        let blocked = ssp.blocked_workers();
-        assert_eq!(blocked, vec![w(0), w(1)]);
+        let blocked = vec![w(0), w(1)];
+        assert!(blocked.iter().all(|&b| !ssp.can_start_next(b)));
         ssp.deactivate(w(2));
         assert_eq!(ssp.min_clock(), 1);
-        assert_eq!(ssp.newly_unblocked(&blocked), vec![w(0), w(1)]);
-        assert!(ssp.blocked_workers().is_empty());
+        assert_eq!(ssp.newly_unblocked(&blocked), blocked);
+        assert!(blocked.iter().all(|&b| ssp.can_start_next(b)));
     }
 
     #[test]

@@ -75,20 +75,6 @@ impl Histogram {
             Some(self.sum as f64 / self.count as f64)
         }
     }
-
-    /// Occupied buckets as `(upper_bound_exclusive, count)` pairs, lowest
-    /// first. Bucket 0 reports as `(1, n)` — values equal to zero.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| {
-                let upper = if i >= 64 { u64::MAX } else { 1u64 << i };
-                (upper, n)
-            })
-            .collect()
-    }
 }
 
 /// Per-worker event counters.
@@ -200,11 +186,6 @@ impl MetricsSnapshot {
     /// Total re-syncs across workers.
     pub fn total_resyncs(&self) -> u64 {
         self.per_worker.iter().map(|w| w.resyncs).sum()
-    }
-
-    /// Total wasted compute microseconds across workers.
-    pub fn total_wasted_micros(&self) -> u64 {
-        self.per_worker.iter().map(|w| w.wasted_micros).sum()
     }
 
     /// Mean pull-time staleness, computed the same way the simulator
@@ -381,9 +362,12 @@ mod tests {
         assert_eq!(h.count(), 6);
         assert_eq!(h.sum(), 1034);
         assert_eq!(h.max(), 1024);
-        let buckets = h.nonzero_buckets();
-        // 0 → (1,1); 1 → (2,1); 2,3 → (4,2); 4 → (8,1); 1024 → (2048,1).
-        assert_eq!(buckets, vec![(1, 1), (2, 1), (4, 2), (8, 1), (2048, 1)]);
+        // 0 → bucket 0; 1 → 1; 2,3 → 2; 4 → 3; 1024 → 11.
+        let occupied: Vec<(usize, u64)> = (0..HISTOGRAM_BUCKETS)
+            .filter(|&i| h.buckets[i] > 0)
+            .map(|i| (i, h.buckets[i]))
+            .collect();
+        assert_eq!(occupied, vec![(0, 1), (1, 1), (2, 2), (3, 1), (11, 1)]);
         assert!((h.mean().unwrap() - 1034.0 / 6.0).abs() < 1e-12);
     }
 
@@ -450,7 +434,6 @@ mod tests {
         assert_eq!(snap.total_pulls(), 1);
         assert_eq!(snap.total_pushes(), 1);
         assert_eq!(snap.total_resyncs(), 1);
-        assert_eq!(snap.total_wasted_micros(), 40);
         assert_eq!(snap.epochs_tuned, 1);
         assert_eq!(snap.evals, 1);
         assert_eq!(snap.mean_staleness(), Some(3.0));

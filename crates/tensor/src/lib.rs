@@ -3,9 +3,9 @@
 //! The SpecSync reproduction trains real models (matrix factorization,
 //! softmax regression, an MLP) with real gradients; this crate provides the
 //! small, dependency-free numeric substrate those models need: dense
-//! [`Vector`]/[`Matrix`] types, a [`SparseVector`] for the rating-matrix
-//! workload, and numerically stable reductions ([`log_sum_exp`],
-//! [`softmax_in_place`]).
+//! [`Vector`]/[`Matrix`] types, a reusable [`SparseGrad`] accumulator for
+//! the rating-matrix workload, and numerically stable reductions
+//! ([`log_sum_exp`], [`softmax_in_place`]).
 //!
 //! # Examples
 //!
@@ -27,4 +27,4 @@ mod sparse;
 
 pub use dense::{axpy, dot, Matrix, Vector};
 pub use ops::{argmax, log_sum_exp, relu, relu_grad, softmax_in_place};
-pub use sparse::{SparseGrad, SparseVector};
+pub use sparse::SparseGrad;

@@ -1,117 +1,6 @@
-//! Sparse vectors, used for the matrix-factorization workload whose inputs
-//! (user ratings) are sparse — one of the workload characteristics the paper
-//! calls out in §VI-A.
-
-use serde::{Deserialize, Serialize};
-
-/// A sparse `f32` vector stored as sorted `(index, value)` pairs.
-///
-/// # Examples
-///
-/// ```
-/// use specsync_tensor::SparseVector;
-///
-/// let v = SparseVector::from_pairs(10, vec![(3, 1.0), (7, -2.0)]);
-/// assert_eq!(v.get(3), 1.0);
-/// assert_eq!(v.get(4), 0.0);
-/// assert_eq!(v.nnz(), 2);
-/// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct SparseVector {
-    dim: usize,
-    entries: Vec<(usize, f32)>,
-}
-
-impl SparseVector {
-    /// An all-zero sparse vector of dimension `dim`.
-    pub fn zeros(dim: usize) -> Self {
-        SparseVector {
-            dim,
-            entries: Vec::new(),
-        }
-    }
-
-    /// Builds a sparse vector from `(index, value)` pairs.
-    ///
-    /// Pairs are sorted by index; duplicate indices are summed; explicit
-    /// zeros are dropped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is `>= dim`.
-    pub fn from_pairs(dim: usize, mut pairs: Vec<(usize, f32)>) -> Self {
-        pairs.sort_by_key(|&(i, _)| i);
-        let mut entries: Vec<(usize, f32)> = Vec::with_capacity(pairs.len());
-        for (i, v) in pairs {
-            assert!(i < dim, "index {i} out of bounds for dimension {dim}");
-            match entries.last_mut() {
-                Some((li, lv)) if *li == i => *lv += v,
-                _ => entries.push((i, v)),
-            }
-        }
-        entries.retain(|&(_, v)| v != 0.0);
-        SparseVector { dim, entries }
-    }
-
-    /// Logical dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of stored non-zeros.
-    pub fn nnz(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// The value at `index` (zero if not stored).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= dim`.
-    pub fn get(&self, index: usize) -> f32 {
-        assert!(index < self.dim, "index out of bounds");
-        match self.entries.binary_search_by_key(&index, |&(i, _)| i) {
-            Ok(pos) => self.entries[pos].1,
-            Err(_) => 0.0,
-        }
-    }
-
-    /// Iterates over stored `(index, value)` pairs in index order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, f32)> + '_ {
-        self.entries.iter().copied()
-    }
-
-    /// Dot product with a dense slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dense.len() != dim`.
-    pub fn dot_dense(&self, dense: &[f32]) -> f32 {
-        assert_eq!(dense.len(), self.dim, "dot_dense: dimension mismatch");
-        self.entries.iter().map(|&(i, v)| v * dense[i]).sum()
-    }
-
-    /// `dense += alpha * self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dense.len() != dim`.
-    pub fn axpy_into(&self, dense: &mut [f32], alpha: f32) {
-        assert_eq!(dense.len(), self.dim, "axpy_into: dimension mismatch");
-        for &(i, v) in &self.entries {
-            dense[i] += alpha * v;
-        }
-    }
-
-    /// Densifies into a `Vec<f32>`.
-    pub fn to_dense(&self) -> Vec<f32> {
-        let mut out = vec![0.0; self.dim];
-        for &(i, v) in &self.entries {
-            out[i] = v;
-        }
-        out
-    }
-}
+//! Sparse gradients, used for the matrix-factorization workload whose
+//! inputs (user ratings) are sparse — one of the workload characteristics
+//! the paper calls out in §VI-A.
 
 /// A reusable sparse gradient accumulator (a classic sparse accumulator /
 /// "SPA"): O(dim) memory held across minibatches, O(nnz) work per batch.
@@ -119,7 +8,7 @@ impl SparseVector {
 /// Models scatter-add per-sample contributions with [`add`](Self::add);
 /// repeated indices accumulate without hashing or sorting. [`finish`]
 /// (Self::finish) canonicalizes to index order so downstream consumers see
-/// the same deterministic layout as [`SparseVector`].
+/// one deterministic layout.
 ///
 /// # Examples
 ///
@@ -201,7 +90,7 @@ impl SparseGrad {
 
     /// Canonicalizes entry order to ascending index. Call once after the
     /// last [`add`](Self::add); iteration order is deterministic either
-    /// way, but sorted order matches [`SparseVector`] semantics.
+    /// way, but consumers (the wire codec, the store) see index order.
     pub fn finish(&mut self) {
         self.touched.sort_unstable();
         let mut sum = 0.0f64;
@@ -235,11 +124,6 @@ impl SparseGrad {
         self.touched.iter().map(|&i| (i, self.values[i]))
     }
 
-    /// Copies into a canonical [`SparseVector`] (sorted, zeros dropped).
-    pub fn to_vector(&self) -> SparseVector {
-        SparseVector::from_pairs(self.dim, self.iter().collect())
-    }
-
     /// Densifies into a `Vec<f32>`.
     pub fn to_dense(&self) -> Vec<f32> {
         let mut out = vec![0.0; self.dim];
@@ -253,54 +137,6 @@ impl SparseGrad {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn from_pairs_sorts_and_merges() {
-        let v = SparseVector::from_pairs(5, vec![(3, 1.0), (1, 2.0), (3, 2.0)]);
-        assert_eq!(v.nnz(), 2);
-        assert_eq!(v.get(3), 3.0);
-        assert_eq!(v.get(1), 2.0);
-    }
-
-    #[test]
-    fn explicit_zeros_are_dropped() {
-        let v = SparseVector::from_pairs(4, vec![(0, 0.0), (1, 1.0), (2, -1.0), (2, 1.0)]);
-        assert_eq!(v.nnz(), 1);
-        assert_eq!(v.get(2), 0.0);
-    }
-
-    #[test]
-    fn dot_dense_matches_dense_dot() {
-        let v = SparseVector::from_pairs(4, vec![(0, 2.0), (3, -1.0)]);
-        assert_eq!(v.dot_dense(&[1.0, 10.0, 10.0, 4.0]), -2.0);
-    }
-
-    #[test]
-    fn axpy_into_accumulates() {
-        let v = SparseVector::from_pairs(3, vec![(1, 2.0)]);
-        let mut dense = vec![1.0, 1.0, 1.0];
-        v.axpy_into(&mut dense, 0.5);
-        assert_eq!(dense, vec![1.0, 2.0, 1.0]);
-    }
-
-    #[test]
-    fn to_dense_round_trips() {
-        let v = SparseVector::from_pairs(3, vec![(0, 1.0), (2, 2.0)]);
-        assert_eq!(v.to_dense(), vec![1.0, 0.0, 2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn oversized_index_panics() {
-        SparseVector::from_pairs(2, vec![(2, 1.0)]);
-    }
-
-    #[test]
-    fn iter_is_index_ordered() {
-        let v = SparseVector::from_pairs(10, vec![(7, 1.0), (2, 2.0), (5, 3.0)]);
-        let idx: Vec<usize> = v.iter().map(|(i, _)| i).collect();
-        assert_eq!(idx, vec![2, 5, 7]);
-    }
 
     #[test]
     fn grad_accumulates_duplicates() {
@@ -341,16 +177,14 @@ mod tests {
     }
 
     #[test]
-    fn grad_converts_to_vector_and_dense() {
+    fn grad_converts_to_dense() {
         let mut g = SparseGrad::new();
         g.reset(4);
         g.add(1, 2.0);
         g.add(3, -1.0);
         g.add(3, 1.0); // cancels to an explicit zero
         g.finish();
-        let v = g.to_vector();
-        assert_eq!(v.nnz(), 1); // SparseVector drops explicit zeros
-        assert_eq!(v.get(1), 2.0);
+        assert_eq!(g.nnz(), 2, "an explicit zero stays an entry");
         assert_eq!(g.to_dense(), vec![0.0, 2.0, 0.0, 0.0]);
     }
 

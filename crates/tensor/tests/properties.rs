@@ -1,7 +1,7 @@
 //! Property-based tests on algebraic laws of the tensor primitives.
 
 use proptest::prelude::*;
-use specsync_tensor::{dot, log_sum_exp, softmax_in_place, SparseVector, Vector};
+use specsync_tensor::{dot, log_sum_exp, softmax_in_place, Vector};
 
 fn finite_vec(n: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(-100.0f32..100.0, n..=n)
@@ -31,15 +31,6 @@ proptest! {
         for i in 0..16 {
             prop_assert!((y.as_slice()[i] - (a[i] + b[i])).abs() < 1e-4);
         }
-    }
-
-    /// Sparse dot against a dense vector equals densified dot.
-    #[test]
-    fn sparse_dot_matches_dense(pairs in proptest::collection::vec((0usize..32, -10.0f32..10.0), 0..16), dense in finite_vec(32)) {
-        let sv = SparseVector::from_pairs(32, pairs);
-        let lhs = sv.dot_dense(&dense);
-        let rhs = dot(&sv.to_dense(), &dense);
-        prop_assert!((lhs - rhs).abs() < 1e-3);
     }
 
     /// Softmax output is a probability distribution.

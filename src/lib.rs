@@ -66,11 +66,10 @@ pub use specsync_telemetry as telemetry;
 pub use specsync_tensor as tensor;
 
 pub use specsync_cluster::{
-    ChaosStats, ClusterSpec, Driver, DriverConfig, InstanceType, LossPoint, RunReport, Trainer,
+    ChaosStats, ClusterSpec, DriverConfig, InstanceType, LossPoint, RunReport, Trainer,
 };
 pub use specsync_core::{
-    AdaptiveTuner, CherrypickGrid, Hyperparams, PapDistribution, PushHistory, Scheduler,
-    SchedulerStats,
+    AdaptiveTuner, Hyperparams, PapDistribution, PushHistory, Scheduler, SchedulerStats,
 };
 pub use specsync_ml::{LrSchedule, Model, Workload, WorkloadKind};
 pub use specsync_net::{
@@ -78,8 +77,8 @@ pub use specsync_net::{
     ShardServer, TcpTransport, Transport, WireMessage,
 };
 pub use specsync_ps::{
-    CheckpointError, ParamSnapshot, ParameterStore, PushJournal, ReplicaError, ReplicaRole,
-    ReplicatedStore, StoreCheckpoint,
+    CheckpointError, ParamSnapshot, ParameterStore, PushJournal, ReplicaError, ReplicatedStore,
+    StoreCheckpoint,
 };
 pub use specsync_runtime::{RuntimeChaos, RuntimeConfig};
 pub use specsync_simnet::{
