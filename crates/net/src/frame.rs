@@ -979,30 +979,33 @@ mod tests {
         }
     }
 
-    /// A 3 MiB + 5 B pull reply spans four checksum segments: flipping the
-    /// first, middle or last byte of any of them is a checksum mismatch.
+    /// Pull replies of 3 MiB + 5 B (four segments, each hashed alone) and
+    /// 4 MiB + 5 B (a full block of lanes and a partial tail): flipping the
+    /// first, middle or last byte of any segment is a checksum mismatch.
     #[test]
     fn a_flip_in_any_segment_is_a_checksum_mismatch() {
         let segment = specsync_ps::SEGMENT;
-        // tag(1) + version(8) + length(8) + 4 bytes per float.
-        let floats = (3 * segment + 5 - 17) / 4;
-        let bytes = encode_frame(&WireMessage::PullReply {
-            version: 3,
-            params: Arc::from(awkward_floats(floats).as_slice()),
-        })
-        .unwrap();
-        let payload_len = bytes.len() - HEADER_LEN;
-        assert_eq!(payload_len, 3 * segment + 5);
-        for start in (0..payload_len).step_by(segment) {
-            let end = (start + segment).min(payload_len) - 1;
-            for at in [start, (start + end) / 2, end] {
-                let mut corrupt = bytes.clone();
-                corrupt[HEADER_LEN + at] ^= 0x01;
-                assert_eq!(
-                    decode_frame(&corrupt),
-                    Err(FrameError::ChecksumMismatch),
-                    "payload byte {at}"
-                );
+        for full in [3, 4] {
+            // tag(1) + version(8) + length(8) + 4 bytes per float.
+            let floats = (full * segment + 5 - 17) / 4;
+            let bytes = encode_frame(&WireMessage::PullReply {
+                version: 3,
+                params: Arc::from(awkward_floats(floats).as_slice()),
+            })
+            .unwrap();
+            let payload_len = bytes.len() - HEADER_LEN;
+            assert_eq!(payload_len, full * segment + 5);
+            for start in (0..payload_len).step_by(segment) {
+                let end = (start + segment).min(payload_len) - 1;
+                for at in [start, (start + end) / 2, end] {
+                    let mut corrupt = bytes.clone();
+                    corrupt[HEADER_LEN + at] ^= 0x01;
+                    assert_eq!(
+                        decode_frame(&corrupt),
+                        Err(FrameError::ChecksumMismatch),
+                        "{full} MiB + 5 B, payload byte {at}"
+                    );
+                }
             }
         }
     }

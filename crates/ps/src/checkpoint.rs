@@ -25,6 +25,9 @@ const MAGIC: [u8; 4] = *b"SSCP";
 /// Current codec format version.
 const FORMAT: u32 = 2;
 
+/// Bytes before the payload: magic, format, checksum.
+const HEADER_LEN: usize = 16;
+
 /// A malformed or corrupted checkpoint blob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointError {
@@ -95,27 +98,31 @@ impl StoreCheckpoint {
 
     /// Serializes the checkpoint into the versioned, checksummed format.
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(64 + self.params.len() * 4);
-        put_u64(&mut payload, self.num_shards as u64);
-        put_u64(&mut payload, self.version);
-        put_f32(&mut payload, self.momentum);
-        match self.grad_clip {
-            Some(clip) => {
-                payload.push(1);
-                put_f32(&mut payload, clip);
-            }
-            None => payload.push(0),
-        }
-        put_f32_slice(&mut payload, &self.params);
-        put_f32_slice(&mut payload, &self.velocity);
-        put_u64_slice(&mut payload, &self.pushes_per_worker);
-        put_u64_slice(&mut payload, &self.last_pull_version);
-
-        let mut out = Vec::with_capacity(16 + payload.len());
+        // One buffer, sized up front: header, the fixed fields and the
+        // four length-prefixed slices.
+        let bulk = 4 * (self.params.len() + self.velocity.len())
+            + 8 * (self.pushes_per_worker.len() + self.last_pull_version.len());
+        let mut out = Vec::with_capacity(HEADER_LEN + 64 + bulk);
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&FORMAT.to_le_bytes());
-        out.extend_from_slice(&checksum(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
+        // The checksum is only known once the payload is written.
+        out.resize(HEADER_LEN, 0);
+        put_u64(&mut out, self.num_shards as u64);
+        put_u64(&mut out, self.version);
+        put_f32(&mut out, self.momentum);
+        match self.grad_clip {
+            Some(clip) => {
+                out.push(1);
+                put_f32(&mut out, clip);
+            }
+            None => out.push(0),
+        }
+        put_f32_slice(&mut out, &self.params);
+        put_f32_slice(&mut out, &self.velocity);
+        put_u64_slice(&mut out, &self.pushes_per_worker);
+        put_u64_slice(&mut out, &self.last_pull_version);
+        let sum = checksum(&out[HEADER_LEN..]);
+        out[8..HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
         out
     }
 
@@ -127,7 +134,7 @@ impl StoreCheckpoint {
     /// Returns [`CheckpointError`] describing the first defect found; a
     /// corrupted blob never panics and never yields a checkpoint.
     pub fn decode(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        if bytes.len() < 16 {
+        if bytes.len() < HEADER_LEN {
             return Err(if bytes.len() >= 4 && bytes[..4] != MAGIC {
                 CheckpointError::BadMagic
             } else if bytes.len() >= 4 {
@@ -146,7 +153,7 @@ impl StoreCheckpoint {
         let expected = u64::from_le_bytes([
             bytes[8], bytes[9], bytes[10], bytes[11], bytes[12], bytes[13], bytes[14], bytes[15],
         ]);
-        let payload = &bytes[16..];
+        let payload = &bytes[HEADER_LEN..];
         let actual = checksum(payload);
         if actual != expected {
             return Err(CheckpointError::ChecksumMismatch { expected, actual });
@@ -426,30 +433,81 @@ mod tests {
         assert_eq!(StoreCheckpoint::decode(&[]), Err(CheckpointError::BadMagic));
     }
 
-    /// A checkpoint over one checksum segment: flipping the first, middle
-    /// or last payload byte of any segment is a checksum mismatch.
+    /// A store of `dim` parameters with momentum and one push applied.
+    fn wide_store(dim: usize) -> ParameterStore {
+        let mut s = ParameterStore::new(vec![0.5; dim], 1).with_momentum(0.9);
+        s.apply_push(WorkerId::new(0), &vec![0.25; dim], 0.1);
+        s
+    }
+
+    /// Checkpoints over one checksum segment: 1.28 MB (two segments) and
+    /// 4.8 MB (a full block of lanes and a partial tail). Flipping the
+    /// first, middle or last payload byte of any segment is a checksum
+    /// mismatch.
     #[test]
     fn a_flip_in_any_segment_is_a_checksum_mismatch() {
         use crate::SEGMENT;
-        let dim = 160_000;
-        let mut s = ParameterStore::new(vec![0.5; dim], 1).with_momentum(0.9);
-        s.apply_push(WorkerId::new(0), &vec![0.25; dim], 0.1);
-        let bytes = s.snapshot_for_checkpoint().encode();
-        let payload_len = bytes.len() - 16;
-        assert!(payload_len > SEGMENT);
-        for start in (0..payload_len).step_by(SEGMENT) {
-            let end = (start + SEGMENT).min(payload_len) - 1;
-            for at in [start, (start + end) / 2, end] {
-                let mut bad = bytes.clone();
-                bad[16 + at] ^= 0x01;
-                assert!(
-                    matches!(
-                        StoreCheckpoint::decode(&bad),
-                        Err(CheckpointError::ChecksumMismatch { .. })
-                    ),
-                    "payload byte {at}"
-                );
+        for dim in [160_000, 600_000] {
+            let bytes = wide_store(dim).snapshot_for_checkpoint().encode();
+            let payload_len = bytes.len() - HEADER_LEN;
+            assert!(payload_len > SEGMENT);
+            for start in (0..payload_len).step_by(SEGMENT) {
+                let end = (start + SEGMENT).min(payload_len) - 1;
+                for at in [start, (start + end) / 2, end] {
+                    let mut bad = bytes.clone();
+                    bad[HEADER_LEN + at] ^= 0x01;
+                    assert!(
+                        matches!(
+                            StoreCheckpoint::decode(&bad),
+                            Err(CheckpointError::ChecksumMismatch { .. })
+                        ),
+                        "{dim} params, payload byte {at}"
+                    );
+                }
             }
+        }
+    }
+
+    /// The encoder before the single-buffer one: the payload built in one
+    /// `Vec`, the blob assembled in a second. Kept as the reference
+    /// `encode` must stay byte-identical to.
+    fn reference_encode(ckpt: &StoreCheckpoint) -> Vec<u8> {
+        let mut payload = Vec::new();
+        put_u64(&mut payload, ckpt.num_shards as u64);
+        put_u64(&mut payload, ckpt.version);
+        put_f32(&mut payload, ckpt.momentum);
+        match ckpt.grad_clip {
+            Some(clip) => {
+                payload.push(1);
+                put_f32(&mut payload, clip);
+            }
+            None => payload.push(0),
+        }
+        put_f32_slice(&mut payload, &ckpt.params);
+        put_f32_slice(&mut payload, &ckpt.velocity);
+        put_u64_slice(&mut payload, &ckpt.pushes_per_worker);
+        put_u64_slice(&mut payload, &ckpt.last_pull_version);
+        let mut out = Vec::new();
+        out.extend_from_slice(&MAGIC);
+        out.extend_from_slice(&FORMAT.to_le_bytes());
+        out.extend_from_slice(&checksum(&payload).to_le_bytes());
+        out.extend_from_slice(&payload);
+        out
+    }
+
+    #[test]
+    fn encoder_is_byte_identical_to_the_two_buffer_reference() {
+        let plain = ParameterStore::new(vec![-0.0, f32::MIN_POSITIVE, 3.5], 2);
+        for mut store in [busy_store(), plain, wide_store(600_000)] {
+            let ckpt = store.snapshot_for_checkpoint();
+            let bytes = ckpt.encode();
+            assert_eq!(
+                bytes,
+                reference_encode(&ckpt),
+                "{} params",
+                ckpt.num_params()
+            );
+            assert_eq!(StoreCheckpoint::decode(&bytes), Ok(ckpt));
         }
     }
 

@@ -46,5 +46,5 @@ pub use fault::{
 pub use id::WorkerId;
 pub use network::{MessageClass, NetworkModel, TransferLedger, TransferRecord};
 pub use queue::{EventId, EventQueue};
-pub use rng::{fnv1a, DistributionError, DurationSampler, RngStreams, FNV_PRIME};
+pub use rng::{fnv1a, DistributionError, DurationSampler, RngStreams, FNV_OFFSET, FNV_PRIME};
 pub use time::{SimDuration, VirtualTime, MICROS_PER_SEC};

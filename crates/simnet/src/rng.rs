@@ -91,11 +91,14 @@ impl RngStreams {
 /// The 64-bit FNV prime.
 pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// The 64-bit FNV offset basis: the FNV-1a of no bytes.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// 64-bit FNV-1a: the workspace's one byte hash. It is stable across
 /// platforms and Rust versions (unlike `DefaultHasher`), which RNG stream
 /// labels, chaos scripts and the wire checksums all rely on.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = FNV_OFFSET;
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(FNV_PRIME);
