@@ -10,6 +10,8 @@
 //! `fixed:<window_secs>:<rate>`, `adaptive`.
 //! Workloads: `mf`, `cifar`, `imagenet`, `tiny`.
 
+#![expect(clippy::disallowed_methods, reason = "harness: reads its command line")]
+
 use specsync_bench::{fmt_bytes, fmt_time, print_curve, time_to_target};
 use specsync_cluster::{ClusterSpec, InstanceType, Trainer};
 use specsync_ml::Workload;

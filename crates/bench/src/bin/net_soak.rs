@@ -47,6 +47,12 @@
 //! * `net_soak --role shard --id 2 --sched ADDR --backup --join PRIMARY_ADDR`
 //! * `net_soak --role worker --id 0 --workers 4 --shard ADDR --sched ADDR [--chaos SPEC]`
 
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "harness: wall-clock timing, sleeps and the command line never run inside a simulation"
+)]
+
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::AtomicBool;

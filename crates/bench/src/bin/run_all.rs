@@ -7,6 +7,12 @@
 //! [`parallel_map`] and the buffers print in table order, so stdout is
 //! byte-identical to a serial run. Per-row wall-clock timings go to stderr.
 
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "harness: wall-clock timing, sleeps and the command line never run inside a simulation"
+)]
+
 use std::fmt::{self, Write as _};
 use std::io::{self, Write as _};
 use std::time::Instant;

@@ -13,6 +13,12 @@
 //!
 //! Either way it exits 1 if per-event cost is not flat (see [`flat`]).
 
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "harness: wall-clock timing, sleeps and the command line never run inside a simulation"
+)]
+
 use specsync_core::{AdaptiveTuner, Scheduler};
 use specsync_simnet::{VirtualTime, WorkerId};
 use specsync_sync::TuningMode;
@@ -65,7 +71,7 @@ type Ev = (u64, usize, u8);
 fn run_sweep(m: usize, epochs: u64, costs: &MetricsSink) -> SweepResult {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
-    // specsync-allow(virtual-time): harness-side wall timing of the sweep
+    // Harness-side wall timing of the sweep.
     use std::time::Instant;
 
     let mut sched = Scheduler::new(m, TuningMode::Adaptive).with_history_retention();

@@ -23,6 +23,8 @@
 //!    uncovered, Eq. 5) minus the deferral loss `Δ (m − 1) / T_i` (Eq. 6),
 //!    normalized per pull and summed over workers exactly as Eq. 7 does.
 
+#![expect(clippy::disallowed_methods, reason = "harness: reads its command line")]
+
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::ExitCode;
@@ -347,7 +349,8 @@ fn reconstruct(records: &[TraceRecord]) -> Summary {
                 sched_cost_max_ns = sched_cost_max_ns.max(*nanos);
                 continue;
             }
-            // specsync-allow(event-exhaustiveness): every remaining variant is worker-scoped and falls through to the per-worker dispatch below
+            // Every remaining variant is worker-scoped and falls through to
+            // the per-worker dispatch below.
             _ => {}
         }
         let Some(worker) = rec.event.worker() else {
@@ -447,7 +450,8 @@ fn reconstruct(records: &[TraceRecord]) -> Summary {
                     tl.fresh_gained += fresh;
                 }
             }
-            // specsync-allow(event-exhaustiveness): gain attribution only needs the pull/push/resync triple; everything else was tallied in the first pass
+            // Gain attribution only needs the pull/push/resync triple;
+            // everything else was tallied in the first pass.
             _ => {}
         }
     }

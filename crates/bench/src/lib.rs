@@ -5,6 +5,11 @@
 //! for the index); this library holds the common machinery: the parallel
 //! run harness, convergence-time extraction, and pretty-printing.
 
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "harness: wall-clock timing and env switches never run inside a simulation"
+)]
 #![warn(missing_docs)]
 
 pub mod supervise;

@@ -289,7 +289,10 @@ impl Simulation {
             SchemeKind::SpecSync { tuning, .. } => tuning,
             // Non-speculative schemes still use the scheduler as the
             // history recorder, with speculation disabled.
-            _ => TuningMode::Fixed {
+            SchemeKind::Asp
+            | SchemeKind::Bsp
+            | SchemeKind::Ssp { .. }
+            | SchemeKind::NaiveWaiting { .. } => TuningMode::Fixed {
                 abort_time: SimDuration::ZERO,
                 abort_rate: f64::MAX,
             },
@@ -339,7 +342,9 @@ impl Simulation {
                 base: BaseScheme::Ssp { bound },
                 ..
             } => (None, Some(SspClock::new(m, bound))),
-            _ => (None, None),
+            SchemeKind::Asp | SchemeKind::NaiveWaiting { .. } | SchemeKind::SpecSync { .. } => {
+                (None, None)
+            }
         };
 
         Simulation {

@@ -29,6 +29,8 @@
 //! assert_eq!(asp.num_workers, spec.num_workers);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -1,7 +1,7 @@
 //! The workspace-wide typed error, `SpecSyncError`.
 //!
 //! Library crates surface failure as values instead of panicking
-//! (`cargo xtask analyze` denies `.unwrap()`/`.expect()` in library code):
+//! (clippy denies `.unwrap()`/`.expect()` in library code):
 //! a scheduler embedded in a long-running service must not abort the
 //! process because one worker id was out of range. The enum is hand-rolled
 //! in the `thiserror` idiom — `Display` per variant, `std::error::Error`
@@ -115,7 +115,16 @@ impl Error for SpecSyncError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             SpecSyncError::Distribution(e) => Some(e),
-            _ => None,
+            SpecSyncError::WorkerOutOfRange { .. }
+            | SpecSyncError::EmptyCluster
+            | SpecSyncError::SchemeStateMissing { .. }
+            | SpecSyncError::MissingPullParams { .. }
+            | SpecSyncError::ThreadPanicked { .. }
+            | SpecSyncError::InvalidConfig(_)
+            | SpecSyncError::UnsupportedScheme { .. }
+            | SpecSyncError::InvalidHeartbeat { .. }
+            | SpecSyncError::InvalidRetryPolicy { .. }
+            | SpecSyncError::ServerUnavailable { .. } => None,
         }
     }
 }

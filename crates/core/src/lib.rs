@@ -35,6 +35,8 @@
 //! assert!(sched.on_check(w0, deadline)); // 2 ≥ ⌈3 × 0.5⌉ → re-sync
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -202,7 +202,6 @@ impl DenseDataset {
                 // Dataset generation is part of the seeded baseline; a
                 // `dim`-length sum widened to f64 would shift every pinned
                 // experiment result.
-                // specsync-allow(f32-accumulation): generation pinned to f32 by seeded baselines
                 norm += *x * *x;
             }
             let norm = norm.sqrt().max(1e-6);

@@ -89,7 +89,7 @@ impl Mlp {
         let mut act = Vec::with_capacity(h);
         for j in 0..h {
             let row = &w1[j * d..(j + 1) * d];
-            // specsync-allow(f32-accumulation): forward pass models f32 training precision
+            // f32 sum: the forward pass models f32 training precision.
             let z: f32 = row.iter().zip(x).map(|(a, b)| a * b).sum::<f32>() + b1[j];
             pre.push(z);
             act.push(relu(z));
@@ -97,7 +97,7 @@ impl Mlp {
         let mut logits = Vec::with_capacity(k);
         for c in 0..k {
             let row = &w2[c * h..(c + 1) * h];
-            // specsync-allow(f32-accumulation): forward pass models f32 training precision
+            // f32 sum: the forward pass models f32 training precision.
             logits.push(row.iter().zip(&act).map(|(a, b)| a * b).sum::<f32>() + b2[c]);
         }
         (pre, act, logits)

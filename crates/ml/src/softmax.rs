@@ -60,7 +60,7 @@ impl SoftmaxRegression {
         (0..k)
             .map(|c| {
                 let w = &self.params[c * d..(c + 1) * d];
-                // specsync-allow(f32-accumulation): forward pass models f32 training precision
+                // f32 sum: the forward pass models f32 training precision.
                 w.iter().zip(x).map(|(a, b)| a * b).sum::<f32>() + b[c]
             })
             .collect()

@@ -71,7 +71,12 @@ impl std::error::Error for NetError {
         match self {
             NetError::Io(e) => Some(e),
             NetError::Frame(e) => Some(e),
-            _ => None,
+            NetError::Unhandled { .. }
+            | NetError::UnexpectedReply { .. }
+            | NetError::ConnectFailed { .. }
+            | NetError::RetryExhausted { .. }
+            | NetError::Disconnected
+            | NetError::Config(_) => None,
         }
     }
 }

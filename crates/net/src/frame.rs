@@ -353,7 +353,14 @@ fn bulk_len(msg: &WireMessage) -> usize {
             PushPayload::Sparse(grad) => grad.nnz() * 12,
         },
         WireMessage::Failover(FailoverControl::SnapshotChunk { data, .. }) => data.len(),
-        _ => 0,
+        WireMessage::Pull { .. }
+        | WireMessage::PushAck { .. }
+        | WireMessage::Notify { .. }
+        | WireMessage::Abort { .. }
+        | WireMessage::Heartbeat { .. }
+        | WireMessage::Failover(_)
+        | WireMessage::Shutdown
+        | WireMessage::RelayTag { .. } => 0,
     }
 }
 

@@ -40,6 +40,13 @@
 //! processes or threads of its own. Chaos knobs, failover, and telemetry
 //! all act on that shared vocabulary.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the wire is wall-clock and socket-bound: its deadlines and sleeps are the product"
+)]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

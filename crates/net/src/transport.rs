@@ -12,7 +12,7 @@
 //! delivery.
 //!
 //! An implementation matches every [`WireMessage`] variant explicitly —
-//! the `cargo xtask analyze` exhaustiveness pass holds it to that — so a
+//! `clippy::wildcard_enum_match_arm` holds it to that — so a
 //! new protocol frame cannot be silently dropped.
 
 use std::io::Write as _;

@@ -7,9 +7,9 @@
 //! control plane (`Notify`/`Abort`/`Heartbeat`), the primary→backup relay
 //! (`RelayTag`, paired in memory into `RelayPush`) and the failover
 //! control frames ([`FailoverControl`]). Every transport impl and every
-//! host handler speaks exactly this vocabulary; the `cargo xtask analyze`
-//! event-exhaustiveness pass enforces that no transport silently drops a
-//! variant.
+//! host handler speaks exactly this vocabulary; clippy's
+//! `wildcard_enum_match_arm` (denied on this crate's lib) keeps a `_` arm
+//! from silently dropping a new variant.
 
 use std::sync::Arc;
 

@@ -2,9 +2,14 @@
 //!
 //! The threaded runtime is the one component of the workspace that is
 //! *supposed* to read wall-clock time — its speculation windows are real.
-//! Even so, the worker loop reads it through this trait: the workspace
-//! analyzer (`cargo xtask analyze`) denies ambient `Instant` reads, so the
-//! sanctioned sites are concentrated here and individually annotated.
+//! Even so, the worker loop reads it through this trait: the crate's
+//! `clippy.toml` disallows ambient `Instant` reads, so the sanctioned
+//! sites are concentrated in this module, under one `#[expect]`.
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the runtime's sanctioned wall-clock origin and read"
+)]
 
 use std::time::Duration;
 
@@ -18,7 +23,6 @@ pub trait ClockSource: Send + Sync {
 /// The production clock: monotonic wall time, epoch = construction time.
 #[derive(Debug, Clone, Copy)]
 pub struct WallClock {
-    // specsync-allow(virtual-time): the runtime's sanctioned wall-clock origin
     origin: std::time::Instant,
 }
 
@@ -26,7 +30,6 @@ impl WallClock {
     /// Creates a clock whose epoch is now.
     pub fn new() -> Self {
         WallClock {
-            // specsync-allow(virtual-time): the runtime's sanctioned wall-clock read
             origin: std::time::Instant::now(),
         }
     }

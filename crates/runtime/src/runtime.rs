@@ -61,7 +61,15 @@ pub fn run(workload: &Workload, config: &RuntimeConfig) -> RuntimeReport {
 fn wire_error(e: NetError) -> SpecSyncError {
     match e {
         NetError::Config(e) => e,
-        other => SpecSyncError::InvalidConfig(format!("loopback deployment: {other}")),
+        other @ (NetError::Io(_)
+        | NetError::Frame(_)
+        | NetError::Unhandled { .. }
+        | NetError::UnexpectedReply { .. }
+        | NetError::ConnectFailed { .. }
+        | NetError::RetryExhausted { .. }
+        | NetError::Disconnected) => {
+            SpecSyncError::InvalidConfig(format!("loopback deployment: {other}"))
+        }
     }
 }
 
@@ -229,7 +237,10 @@ pub fn try_run_with_sink(
                 converged_at = Some(time);
             }
         }
-        // specsync-allow(virtual-time): paces the evaluator's pulls; the budget is read on the runtime's clock
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "paces the evaluator's pulls; the budget is read on the runtime's clock"
+        )]
         thread::sleep(config.abort_poll);
     }
 

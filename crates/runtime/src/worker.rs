@@ -96,11 +96,15 @@ impl WorkerHarness {
             self.model.gradient(&batch, &mut grad);
             let mut compute_start = self.clock.now();
             loop {
-                if self.clock.now().saturating_sub(compute_start) >= self.compute_pad {
+                let spent = self.clock.now().saturating_sub(compute_start);
+                if spent >= self.compute_pad {
                     break;
                 }
-                // specsync-allow(virtual-time): real-threaded compute pacing; progress is still measured on the injected clock
-                thread::sleep(self.abort_poll.min(self.compute_pad));
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "real-threaded compute pacing; progress is still measured on the injected clock"
+                )]
+                thread::sleep(pad_wait(self.compute_pad, spent, self.abort_poll));
                 self.beat(transport, &mut last_beat);
                 if self.stop.load(Ordering::SeqCst) {
                     break 'training;
@@ -224,5 +228,32 @@ impl WorkerHarness {
             );
         }
         Some(params)
+    }
+}
+
+/// The next sleep of a compute pad with `spent` of it gone: one
+/// abort-poll slice, cut short so the last slice ends on the pad's
+/// deadline instead of up to one `abort_poll` past it.
+fn pad_wait(compute_pad: Duration, spent: Duration, abort_poll: Duration) -> Duration {
+    abort_poll.min(compute_pad.saturating_sub(spent))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn pad_waits_sum_to_the_pad() {
+        let ms = Duration::from_millis;
+        for (pad, poll) in [(5, 1), (5, 2), (10, 3), (5, 8)] {
+            let (pad, poll) = (ms(pad), ms(poll));
+            let mut spent = Duration::ZERO;
+            while spent < pad {
+                let wait = pad_wait(pad, spent, poll);
+                assert!(wait > Duration::ZERO && wait <= poll);
+                spent += wait;
+            }
+            assert_eq!(spent, pad, "pad {pad:?}, poll {poll:?}");
+        }
     }
 }

@@ -50,6 +50,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "checks that ids hash; nothing iterates the set"
+    )]
     fn ids_are_ordered_and_hashable() {
         use std::collections::HashSet;
         assert!(WorkerId::new(1) < WorkerId::new(2));

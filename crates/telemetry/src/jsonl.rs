@@ -541,8 +541,8 @@ struct JsonlState<W> {
 }
 
 /// Hands the buffered bytes to the writer. Every caller holds the state
-/// lock — this free function is the analyzer-visible blocking site that
-/// call sites must annotate (`blocking-under-lock`).
+/// lock, so this is the sink's one blocking site under a lock; each call
+/// site says why the stall is acceptable there.
 fn drain_locked<W: Write>(state: &mut JsonlState<W>) {
     if state.error.is_some() || state.pending.is_empty() {
         return;
@@ -646,17 +646,19 @@ impl<T: Timestamp, W: Write + Send> EventSink<T> for JsonlSink<W> {
         state.pending.push(b'\n');
         state.lines += 1;
         if state.pending.len() >= DRAIN_BYTES {
-            // specsync-allow(blocking-under-lock): amortized drain — one write_all per 64 KiB of trace is the sanctioned I/O-under-lock site
+            // Amortized drain: one write_all per 64 KiB of trace is the sanctioned
+            // I/O-under-lock site.
             drain_locked(&mut state);
         }
     }
 
     fn flush(&self) {
         let mut state = self.state.lock();
-        // specsync-allow(blocking-under-lock): an explicit flush is a sanctioned stall; drain the buffer first
+        // An explicit flush is a sanctioned stall under the lock; drain the
+        // buffer first.
         drain_locked(&mut state);
         if state.error.is_none() {
-            // specsync-allow(blocking-under-lock): syncing the inner writer is the point of this method
+            // Syncing the inner writer is the point of this method.
             if let Err(e) = state.writer.flush() {
                 state.error = Some(e.to_string());
             }

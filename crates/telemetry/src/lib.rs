@@ -29,7 +29,7 @@
 //! runtime timestamps come from the injected
 //! `ClockSource` and events interleave as the OS schedules threads — the
 //! taxonomy is the same, the ordering is not reproducible. Nothing in this
-//! crate reads an ambient clock (`cargo xtask analyze` enforces it).
+//! crate reads an ambient clock (`crates/clippy.toml` disallows it).
 //!
 //! # Examples
 //!
@@ -47,6 +47,8 @@
 //! assert_eq!(sink.len(), 1);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -29,7 +29,6 @@ pub struct NullSink;
 
 impl<T: Timestamp> EventSink<T> for NullSink {
     #[inline]
-    // specsync-allow(event-exhaustiveness): variant-agnostic by design — dropping every event is this sink's contract
     fn record(&self, _at: T, _event: &Event) {}
 }
 
@@ -82,7 +81,6 @@ impl<T: Timestamp> InMemorySink<T> {
 }
 
 impl<T: Timestamp> EventSink<T> for InMemorySink<T> {
-    // specsync-allow(event-exhaustiveness): variant-agnostic by design — clones the whole event, so new variants cannot be dropped here
     fn record(&self, at: T, event: &Event) {
         self.events.lock().push((at, event.clone()));
     }

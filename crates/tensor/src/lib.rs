@@ -18,6 +18,8 @@
 //! let _ = Vector::zeros(3);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -17,7 +17,7 @@ pub fn log_sum_exp(xs: &[f32]) -> f32 {
     if m == f32::NEG_INFINITY {
         return f32::NEG_INFINITY;
     }
-    // specsync-allow(f32-accumulation): short class-count sum, stabilized by the max shift
+    // f32 sum: short (class count), stabilized by the max shift.
     m + xs.iter().map(|&x| (x - m).exp()).sum::<f32>().ln()
 }
 

@@ -52,6 +52,8 @@
 //! println!("ASP runtime {} vs SpecSync {}", baseline.runtime(), specsync.runtime());
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 #![warn(missing_docs)]
 
 pub use specsync_cluster as cluster;
