@@ -86,8 +86,13 @@ impl WorkerHarness {
             let Some(params) = self.pull(transport) else {
                 break;
             };
-            // Discard any stale re-sync from a previous iteration.
-            while transport.poll_control().is_some() {}
+            // Discard any stale re-sync from a previous iteration; a
+            // queued `Shutdown` still ends the run.
+            while let Some(control) = transport.poll_control() {
+                if matches!(control, WireMessage::Shutdown) {
+                    break 'training;
+                }
+            }
 
             // Compute (abortable during the padded span).
             self.enter(WorkerPhase::Computing);
@@ -240,7 +245,73 @@ fn pad_wait(compute_pad: Duration, spent: Duration, abort_poll: Duration) -> Dur
 
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+
+    use specsync_ml::{MatrixFactorization, RatingsDataset};
+    use specsync_net::NetError;
+    use specsync_telemetry::NullSink;
+
     use super::*;
+    use crate::clock::WallClock;
+
+    /// A transport whose shard answers the first `Pull` and is gone after
+    /// it, with a scripted control queue.
+    struct Scripted {
+        control: VecDeque<WireMessage>,
+        params: Option<Arc<[f32]>>,
+    }
+
+    impl Transport for Scripted {
+        fn send(
+            &mut self,
+            to: Endpoint,
+            msg: WireMessage,
+        ) -> Result<Option<WireMessage>, NetError> {
+            match (to, msg) {
+                (Endpoint::Shard, WireMessage::Pull { .. }) => match self.params.take() {
+                    Some(params) => Ok(Some(WireMessage::PullReply { version: 0, params })),
+                    None => Err(NetError::Disconnected),
+                },
+                (Endpoint::Shard, WireMessage::Push { .. }) => Ok(Some(WireMessage::PushAck {
+                    version: 1,
+                    pushes_by_worker: 1,
+                })),
+                _ => Ok(None),
+            }
+        }
+
+        fn poll_control(&mut self) -> Option<WireMessage> {
+            self.control.pop_front()
+        }
+    }
+
+    #[test]
+    fn a_shutdown_queued_during_the_pull_ends_the_run() {
+        let data = Arc::new(RatingsDataset::generate(4, 3, 20, 2, 0.0, 1));
+        let model = MatrixFactorization::new(data, 2, 0.0);
+        let mut transport = Scripted {
+            control: VecDeque::from([WireMessage::Shutdown]),
+            params: Some(model.params().into()),
+        };
+        let clock = Arc::new(WallClock::new());
+        let harness = WorkerHarness {
+            worker: WorkerId::new(0),
+            sampler: BatchSampler::new(model.num_samples(), 4, 1),
+            model: Box::new(model),
+            compute_pad: Duration::ZERO,
+            abort_poll: Duration::from_millis(1),
+            heartbeat_interval: Duration::from_secs(60),
+            mute_after: None,
+            drop_notify_every: None,
+            run_start: clock.now(),
+            clock,
+            sink: Arc::new(NullSink),
+            stop: Arc::new(AtomicBool::new(false)),
+        };
+        // The drain after the pull must not swallow the `Shutdown`: the
+        // worker stops before it pushes.
+        assert_eq!(harness.run(&mut transport).pushes, 0);
+    }
 
     #[test]
     fn pad_waits_sum_to_the_pad() {
