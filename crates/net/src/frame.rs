@@ -7,14 +7,16 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  "SSNF"
-//! 4       4     format (u32 LE, currently 2)
+//! 4       4     format (u32 LE, currently 3)
 //! 8       4     payload length (u32 LE)
 //! 12      8     checksum of the payload (u64 LE, specsync_ps::checksum)
 //! 20      n     payload: tag byte, then the variant's fields
 //! ```
 //!
-//! The segmented [`checksum`] equals FNV-1a on payloads of at most 1 MiB,
-//! so format 2 changed only larger frames. Integers are little-endian; floats are raw IEEE-754 bits (bit-exact
+//! The [`checksum`] is FNV-1a on payloads of at most 1 MiB, so formats 2
+//! and 3 changed only larger frames: format 2 folded the FNV-1a of each
+//! 1 MiB segment, format 3 hashes each segment eight bytes at a time.
+//! Integers are little-endian; floats are raw IEEE-754 bits (bit-exact
 //! round-trip, no text formatting); slices and strings are length-prefixed.
 //! Decoding demands an exact fit — trailing bytes are as fatal as missing
 //! ones — so any single flipped byte in a frame is rejected (magic, format,
@@ -33,7 +35,7 @@ use crate::wire::{FailoverControl, WireMessage};
 /// Frame magic: `SSNF`, SpecSync Net Frame.
 pub const MAGIC: [u8; 4] = *b"SSNF";
 /// Current frame format version.
-pub const FORMAT: u32 = 2;
+pub const FORMAT: u32 = 3;
 /// Bytes before the payload: magic, format, length, checksum.
 pub const HEADER_LEN: usize = 20;
 /// Upper bound on a payload a peer may ask us to buffer (256 MiB — far
@@ -135,7 +137,8 @@ impl fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// The per-segment primitive of the frame [`checksum`].
+/// The frame [`checksum`] of a payload of at most 1 MiB; re-exported for
+/// the benchmark, which times it.
 pub use specsync_simnet::fnv1a;
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -945,11 +948,12 @@ mod tests {
     }
 
     /// Two frames as the build before the single-buffer encoder wrote
-    /// them, and the relay tag as an independent FNV-1a computed it. Format
-    /// 2 changed bytes 4..8 of each and nothing else, because a payload of
-    /// one segment still carries its FNV-1a; a format 1 frame is refused.
+    /// them, and the relay tag as an independent FNV-1a computed it.
+    /// Formats 2 and 3 each changed bytes 4..8 and nothing else, because a
+    /// payload of one segment still carries its FNV-1a; format 1 and 2
+    /// frames are refused.
     #[test]
-    fn golden_frames_pin_format_2() {
+    fn golden_frames_pin_format_3() {
         let pull = WireMessage::Pull {
             worker: WorkerId::new(3),
         };
@@ -960,16 +964,16 @@ mod tests {
         let golden = [
             (
                 pull,
-                "53534e4602000000090000005c4bc2031f2d1489000300000000000000",
+                "53534e4603000000090000005c4bc2031f2d1489000300000000000000",
             ),
             (
                 reply,
-                "53534e46020000001d000000f511b99bcf1642e5012a00000000000000\
+                "53534e46030000001d000000f511b99bcf1642e5012a00000000000000\
                  03000000000000000000803f000000bf00005040",
             ),
             (
                 WireMessage::RelayTag { seq: 46, lr: 0.05 },
-                "53534e46020000000d000000223dbc54366da4a20b2e00000000000000cdcc4c3d",
+                "53534e46030000000d000000223dbc54366da4a20b2e00000000000000cdcc4c3d",
             ),
         ];
         for (msg, hex) in golden {
@@ -977,18 +981,45 @@ mod tests {
             let encoded: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
             assert_eq!(encoded, hex, "{msg:?}");
             assert_eq!(decode_frame(&bytes).unwrap(), msg);
-            let mut format_1 = bytes;
-            format_1[4..8].copy_from_slice(&1u32.to_le_bytes());
-            assert_eq!(
-                decode_frame(&format_1),
-                Err(FrameError::UnsupportedFormat { found: 1 })
-            );
+            for found in [1u32, 2] {
+                let mut older = bytes.clone();
+                older[4..8].copy_from_slice(&found.to_le_bytes());
+                assert_eq!(
+                    decode_frame(&older),
+                    Err(FrameError::UnsupportedFormat { found })
+                );
+            }
         }
     }
 
-    /// Pull replies of 3 MiB + 5 B (four segments, each hashed alone) and
-    /// 4 MiB + 5 B (a full block of lanes and a partial tail): flipping the
-    /// first, middle or last byte of any segment is a checksum mismatch.
+    /// A pull reply over two segments as format 2 wrote it: the FNV-1a of
+    /// each segment, folded. Its checksum differs from format 3's, and
+    /// the format field refuses it first.
+    #[test]
+    fn a_format_2_frame_over_one_segment_is_refused() {
+        let segment = specsync_ps::SEGMENT;
+        let mut bytes = encode_frame(&WireMessage::PullReply {
+            version: 3,
+            params: Arc::from(awkward_floats(segment / 4 + 1).as_slice()),
+        })
+        .unwrap();
+        let format_2 = bytes[HEADER_LEN..]
+            .chunks(segment)
+            .map(fnv1a)
+            .reduce(|acc, h| (acc ^ h).wrapping_mul(specsync_simnet::FNV_PRIME))
+            .unwrap();
+        assert_ne!(format_2, checksum(&bytes[HEADER_LEN..]));
+        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+        bytes[12..20].copy_from_slice(&format_2.to_le_bytes());
+        assert_eq!(
+            decode_frame(&bytes),
+            Err(FrameError::UnsupportedFormat { found: 2 })
+        );
+    }
+
+    /// Pull replies of 3 MiB + 5 B and 4 MiB + 5 B (four and five
+    /// segments, the last of 5 bytes, all remainder): flipping the first,
+    /// middle or last byte of any segment is a checksum mismatch.
     #[test]
     fn a_flip_in_any_segment_is_a_checksum_mismatch() {
         let segment = specsync_ps::SEGMENT;

@@ -15,7 +15,8 @@
 //!
 //! The payload is a fixed field order — no self-describing keys — because
 //! both ends are this module; the format version gates layout and
-//! checksum changes (format 2: the segmented [`checksum`]).
+//! checksum changes (format 2: the segmented [`checksum`]; format 3: its
+//! segments of a payload over 1 MiB hashed eight bytes at a time).
 
 use crate::checksum::checksum;
 
@@ -23,7 +24,7 @@ use crate::checksum::checksum;
 const MAGIC: [u8; 4] = *b"SSCP";
 
 /// Current codec format version.
-const FORMAT: u32 = 2;
+const FORMAT: u32 = 3;
 
 /// Bytes before the payload: magic, format, checksum.
 const HEADER_LEN: usize = 16;
@@ -33,7 +34,8 @@ const HEADER_LEN: usize = 16;
 pub enum CheckpointError {
     /// The blob does not start with the checkpoint magic bytes.
     BadMagic,
-    /// The blob was written by an unknown (newer) codec version.
+    /// The blob was written by a codec version this build does not read:
+    /// a newer one, or an older one whose checksum has been retired.
     UnsupportedFormat(u32),
     /// The blob ends before the announced payload does.
     Truncated,
@@ -425,11 +427,13 @@ mod tests {
             StoreCheckpoint::decode(&wrong_format),
             Err(CheckpointError::UnsupportedFormat(_))
         ));
-        wrong_format[4..8].copy_from_slice(&1u32.to_le_bytes());
-        assert_eq!(
-            StoreCheckpoint::decode(&wrong_format),
-            Err(CheckpointError::UnsupportedFormat(1))
-        );
+        for older in [1u32, 2] {
+            wrong_format[4..8].copy_from_slice(&older.to_le_bytes());
+            assert_eq!(
+                StoreCheckpoint::decode(&wrong_format),
+                Err(CheckpointError::UnsupportedFormat(older))
+            );
+        }
         assert_eq!(StoreCheckpoint::decode(&[]), Err(CheckpointError::BadMagic));
     }
 
@@ -441,9 +445,8 @@ mod tests {
     }
 
     /// Checkpoints over one checksum segment: 1.28 MB (two segments) and
-    /// 4.8 MB (a full block of lanes and a partial tail). Flipping the
-    /// first, middle or last payload byte of any segment is a checksum
-    /// mismatch.
+    /// 4.8 MB (four full segments and a partial tail). Flipping the first,
+    /// middle or last payload byte of any segment is a checksum mismatch.
     #[test]
     fn a_flip_in_any_segment_is_a_checksum_mismatch() {
         use crate::SEGMENT;

@@ -1,4 +1,4 @@
-//! The payload checksum of the frame and checkpoint codecs (format 2).
+//! The payload checksum of the frame and checkpoint codecs (format 3).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::thread;
@@ -8,17 +8,15 @@ use specsync_simnet::{fnv1a, FNV_OFFSET, FNV_PRIME};
 /// Bytes per checksum segment. Part of the format, not a setting.
 pub const SEGMENT: usize = 1 << 20;
 
-/// Full segments one core hashes in one pass, their FNV-1a chains
-/// interleaved. FNV-1a is latency bound (each byte waits on the previous
-/// byte's multiply), so independent chains keep the multiplier busy; four
-/// measured fastest, eight no faster. Speed only: each segment still
-/// hashes to its own FNV-1a.
-const LANES: usize = 4;
+/// The odd multiplier and the left rotation of a [`segment_hash`] lane step.
+const K: u64 = 0x9E37_79B9_7F4A_7C15;
+const R: u32 = 29;
 
-/// The checksum of `bytes`: FNV-1a of each [`SEGMENT`], folded left as
-/// `acc = (acc ^ h_i) * FNV_PRIME` from `h_0`, so a payload of at most one
-/// segment hashes to exactly its FNV-1a. Larger payloads are hashed on up
-/// to `available_parallelism()` threads, the caller among them; the value
+/// The checksum of `bytes`. A payload of at most one [`SEGMENT`] hashes
+/// to exactly its FNV-1a. A longer one is cut into segments, each hashed
+/// by [`segment_hash`], and the hashes are folded left as
+/// `acc = (acc ^ h_i) * FNV_PRIME` from `h_0`, on up to
+/// `available_parallelism()` threads, the caller among them; the value
 /// depends on the bytes only.
 pub fn checksum(bytes: &[u8]) -> u64 {
     if bytes.len() <= SEGMENT {
@@ -28,39 +26,24 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     checksum_on(bytes, threads)
 }
 
-/// [`checksum`] of a payload longer than one segment, on `threads`.
-///
-/// The work units are the blocks of [`LANES`] full segments, then each
-/// segment left over, the partial tail last. Threads take the next unit
-/// from a shared counter, so every thread stays busy until the units run
-/// out.
+/// [`checksum`] of a payload longer than one segment, on `threads`. Each
+/// thread takes the next segment index from a shared counter, so every
+/// thread stays busy until the segments run out.
 fn checksum_on(bytes: &[u8], threads: usize) -> u64 {
-    let (full, tail) = bytes.as_chunks::<SEGMENT>();
-    let (blocks, _) = full.as_chunks::<LANES>();
-    let first_single = blocks.len() * LANES;
     let segments = bytes.len().div_ceil(SEGMENT);
-    let units = blocks.len() + segments - first_single;
     let hashes: Vec<AtomicU64> = (0..segments).map(|_| AtomicU64::new(0)).collect();
     let next = AtomicUsize::new(0);
     let work = || loop {
-        let unit = next.fetch_add(1, Ordering::Relaxed);
-        if let Some(block) = blocks.get(unit) {
-            let out = &hashes[unit * LANES..][..LANES];
-            for (slot, h) in out.iter().zip(hash_lanes(block)) {
-                slot.store(h, Ordering::Relaxed);
-            }
-        } else if unit < units {
-            let index = first_single + unit - blocks.len();
-            let segment = full.get(index).map_or(tail, |seg| seg.as_slice());
-            hashes[index].store(fnv1a(segment), Ordering::Relaxed);
-        } else {
+        let index = next.fetch_add(1, Ordering::Relaxed);
+        let Some(segment) = bytes.chunks(SEGMENT).nth(index) else {
             break;
-        }
+        };
+        hashes[index].store(segment_hash(segment), Ordering::Relaxed);
     };
     // Relaxed is enough: the counter publishes nothing, and the scope
     // joins every thread, ordering each hash store before the fold.
     thread::scope(|s| {
-        for _ in 1..threads.clamp(1, units) {
+        for _ in 1..threads.clamp(1, segments) {
             s.spawn(work);
         }
         work();
@@ -68,19 +51,36 @@ fn checksum_on(bytes: &[u8], threads: usize) -> u64 {
     hashes
         .into_iter()
         .map(AtomicU64::into_inner)
-        .reduce(|acc, h| (acc ^ h).wrapping_mul(FNV_PRIME))
+        .reduce(fnv_step)
         .unwrap_or(FNV_OFFSET)
 }
 
-/// The FNV-1a of each of [`LANES`] full segments, in one interleaved pass.
-fn hash_lanes(block: &[[u8; SEGMENT]; LANES]) -> [u64; LANES] {
-    let mut hashes = [FNV_OFFSET; LANES];
-    for i in 0..SEGMENT {
-        for (h, segment) in hashes.iter_mut().zip(block) {
-            *h = (*h ^ u64::from(segment[i])).wrapping_mul(FNV_PRIME);
+/// The hash of one segment of a multi-segment payload, 8 bytes at a time.
+///
+/// Four lanes, seeded `FNV_OFFSET ^ lane`, take the little-endian words of
+/// each 32-byte block in turn: `h = (h ^ w) * K`, rotated left by `R`.
+/// Each lane chain is independent, so a core keeps four multiplies in
+/// flight. Every step is a bijection of the lane for a fixed word and of
+/// the word for a fixed lane, and so is every FNV step of the closing
+/// fold of the segment length, the four lanes and the remaining bytes:
+/// a change confined to one aligned 8-byte word of a block, or to one
+/// remaining byte, always changes the hash.
+fn segment_hash(segment: &[u8]) -> u64 {
+    let (blocks, rest) = segment.as_chunks::<32>();
+    let mut lanes = [FNV_OFFSET, FNV_OFFSET ^ 1, FNV_OFFSET ^ 2, FNV_OFFSET ^ 3];
+    for block in blocks {
+        for (h, w) in lanes.iter_mut().zip(block.as_chunks::<8>().0) {
+            *h = (*h ^ u64::from_le_bytes(*w)).wrapping_mul(K).rotate_left(R);
         }
     }
-    hashes
+    let acc = fnv_step(FNV_OFFSET, segment.len() as u64);
+    let acc = lanes.into_iter().fold(acc, fnv_step);
+    rest.iter().fold(acc, |acc, &b| fnv_step(acc, u64::from(b)))
+}
+
+/// One FNV-1a step over a 64-bit value: `(acc ^ x) * FNV_PRIME`.
+fn fnv_step(acc: u64, x: u64) -> u64 {
+    (acc ^ x).wrapping_mul(FNV_PRIME)
 }
 
 #[cfg(test)]
@@ -91,7 +91,7 @@ mod tests {
         (0..len).map(|i| (i * 31 + i / 7) as u8).collect()
     }
 
-    /// The format rule written out: fold the per-segment FNV-1a values.
+    /// The format rule written out: fold the per-segment hashes.
     fn fold(hashes: &[u64]) -> u64 {
         hashes[1..]
             .iter()
@@ -104,6 +104,13 @@ mod tests {
             let bytes = pattern(len);
             assert_eq!(checksum(&bytes), fnv1a(&bytes), "{len} bytes");
         }
+        // One byte more is two segments, each hashed word-wise.
+        let bytes = pattern(SEGMENT + 1);
+        let (head, tail) = bytes.split_at(SEGMENT);
+        assert_eq!(
+            checksum(&bytes),
+            fold(&[segment_hash(head), segment_hash(tail)])
+        );
     }
 
     #[test]
@@ -116,27 +123,34 @@ mod tests {
         assert_eq!(checksum(&bytes), one);
     }
 
-    /// Every layout from one segment to two lane blocks and one more, the
-    /// last segment full, partial or a single byte, on 1, 2, 3 and 64
-    /// threads, against the rule written out.
+    /// Every layout from two to nine segments, the last one full, partial
+    /// or a single byte, on 1, 2, 3 and 64 threads, and every remainder
+    /// of 1 to 31 bytes past the last segment's four-lane blocks, against
+    /// the rule written out.
     #[test]
     fn every_lane_layout_matches_the_rule_written_out() {
-        let longest = pattern((2 * LANES + 1) * SEGMENT);
-        let full: Vec<u64> = longest.chunks(SEGMENT).map(fnv1a).collect();
-        for segments in 1..=2 * LANES + 1 {
-            for last in [SEGMENT, SEGMENT / 3, 1] {
-                let start = (segments - 1) * SEGMENT;
-                let bytes = &longest[..start + last];
-                let mut hashes = full[..segments - 1].to_vec();
-                hashes.push(fnv1a(&bytes[start..]));
-                for threads in [1, 2, 3, 64] {
-                    assert_eq!(
-                        checksum_on(bytes, threads),
-                        fold(&hashes),
-                        "{segments} segments, last {last}, {threads} threads"
-                    );
-                }
+        let longest = pattern(9 * SEGMENT);
+        let full: Vec<u64> = longest.chunks(SEGMENT).map(segment_hash).collect();
+        let layout = |segments: usize, last: usize, threads: &[usize]| {
+            let start = (segments - 1) * SEGMENT;
+            let bytes = &longest[..start + last];
+            let mut hashes = full[..segments - 1].to_vec();
+            hashes.push(segment_hash(&bytes[start..]));
+            for &threads in threads {
+                assert_eq!(
+                    checksum_on(bytes, threads),
+                    fold(&hashes),
+                    "{segments} segments, last {last}, {threads} threads"
+                );
             }
+        };
+        for segments in 2..=9 {
+            for last in [SEGMENT, SEGMENT / 3, 1] {
+                layout(segments, last, &[1, 2, 3, 64]);
+            }
+        }
+        for remainder in 1..32 {
+            layout(2, 64 + remainder, &[1, 2]);
         }
     }
 
@@ -146,19 +160,55 @@ mod tests {
     #[test]
     fn pinned_value_of_three_segments() {
         let bytes = pattern(2 * SEGMENT + 7);
-        let h: Vec<u64> = bytes.chunks(SEGMENT).map(fnv1a).collect();
+        let h: Vec<u64> = bytes.chunks(SEGMENT).map(segment_hash).collect();
         let folded = ((h[0] ^ h[1]).wrapping_mul(FNV_PRIME) ^ h[2]).wrapping_mul(FNV_PRIME);
         assert_eq!(checksum(&bytes), folded);
-        assert_eq!(checksum(&bytes), 0x9768_e727_5f34_b721);
+        assert_eq!(checksum(&bytes), 0xc14a_c470_8646_f9cf);
     }
 
-    /// Two full lane blocks, one full segment left over and a partial
-    /// tail, pinned to a literal computed by an independent implementation.
+    /// Sixteen full segments and a tail of 712 blocks and 17 bytes, the
+    /// shape of a 4.2 M-parameter frame, pinned to a literal computed by an
+    /// independent implementation.
     #[test]
-    fn pinned_value_of_two_lane_blocks_and_a_tail() {
-        let bytes = pattern((2 * LANES + 1) * SEGMENT + 11);
-        let hashes: Vec<u64> = bytes.chunks(SEGMENT).map(fnv1a).collect();
+    fn pinned_value_of_sixteen_segments_and_a_tail() {
+        let bytes = pattern(16 * SEGMENT + 22_801);
+        let hashes: Vec<u64> = bytes.chunks(SEGMENT).map(segment_hash).collect();
         assert_eq!(checksum(&bytes), fold(&hashes));
-        assert_eq!(checksum(&bytes), 0x80fa_0376_1fcc_19d2);
+        assert_eq!(checksum(&bytes), 0x0e66_ab9c_1cdc_c221);
+    }
+
+    /// Two segments and 37 bytes: flipping any one bit of the first or
+    /// last 64 bytes of each segment (so all of the last one, its 5-byte
+    /// remainder included) or of 2 000 seeded random bytes changes the
+    /// checksum.
+    #[test]
+    fn every_single_bit_flip_is_detected() {
+        let mut bytes = pattern(2 * SEGMENT + 37);
+        let len = bytes.len();
+        let clean = checksum(&bytes);
+        let mut at: Vec<usize> = (0..len)
+            .step_by(SEGMENT)
+            .flat_map(|start| {
+                let end = (start + SEGMENT).min(len);
+                (start..start + 64).chain(end - 64..end)
+            })
+            .filter(|&i| i < len)
+            .collect();
+        let mut x = 0x5EED_u64;
+        at.extend((0..2_000).map(|_| {
+            // xorshift64*, scaled to [0, len).
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            let r = x.wrapping_mul(0x2545_F491_4F6C_DD1D);
+            ((u128::from(r) * len as u128) >> 64) as usize
+        }));
+        for i in at {
+            for bit in 0..8 {
+                bytes[i] ^= 1 << bit;
+                assert_ne!(checksum(&bytes), clean, "byte {i}, bit {bit}");
+                bytes[i] ^= 1 << bit;
+            }
+        }
     }
 }
