@@ -3,25 +3,33 @@
 //!
 //! ```sh
 //! experiment --workload cifar --scheme adaptive --nodes 40 --seed 7 \
-//!            --horizon 6000 [--hetero] [--curve]
+//!            --horizon 6000 [--hetero] [--curve] [--trace OUT.jsonl]
 //! ```
 //!
 //! Schemes: `asp`, `bsp`, `ssp:<bound>`, `wait:<secs>`,
 //! `fixed:<window_secs>:<rate>`, `adaptive`.
 //! Workloads: `mf`, `cifar`, `imagenet`, `tiny`.
+//!
+//! `--trace` records the run's protocol events as JSON lines, for
+//! `trace summarize`; a write error on the trace exits 1.
 
 #![expect(clippy::disallowed_methods, reason = "harness: reads its command line")]
+
+use std::path::Path;
+use std::sync::Arc;
 
 use specsync_bench::{fmt_bytes, fmt_time, print_curve, time_to_target};
 use specsync_cluster::{ClusterSpec, InstanceType, Trainer};
 use specsync_ml::Workload;
 use specsync_simnet::{SimDuration, VirtualTime};
 use specsync_sync::SchemeKind;
+use specsync_telemetry::{EventSink, JsonlSink};
 
 fn usage() -> ! {
     eprintln!(
         "usage: experiment [--workload mf|cifar|imagenet|tiny] [--scheme asp|bsp|ssp:N|wait:S|fixed:W:R|adaptive]\n\
-         \x20                 [--nodes N] [--seed S] [--horizon SECS] [--hetero] [--curve]"
+         \x20                 [--nodes N] [--seed S] [--horizon SECS] [--hetero] [--curve]\n\
+         \x20                 [--trace OUT.jsonl]"
     );
     std::process::exit(2);
 }
@@ -64,6 +72,7 @@ fn main() {
     let mut horizon = 6000f64;
     let mut hetero = false;
     let mut show_curve = false;
+    let mut trace = None;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
@@ -77,6 +86,7 @@ fn main() {
             "--horizon" => horizon = value().parse().unwrap_or_else(|_| usage()),
             "--hetero" => hetero = true,
             "--curve" => show_curve = true,
+            "--trace" => trace = Some(value().to_string()),
             _ => usage(),
         }
     }
@@ -88,6 +98,10 @@ fn main() {
         ClusterSpec::homogeneous(nodes, InstanceType::M4Xlarge)
     };
 
+    let trace = trace.map(|path| match JsonlSink::create(Path::new(&path)) {
+        Ok(sink) => (path, Arc::new(sink)),
+        Err(e) => fail(&format!("cannot create {path}: {e}")),
+    });
     let target = workload.target_loss;
     println!(
         "workload {} | scheme {} | {} nodes{} | seed {seed} | horizon {horizon}s | target {target}",
@@ -96,12 +110,15 @@ fn main() {
         nodes,
         if hetero { " (heterogeneous)" } else { "" },
     );
-    let report = Trainer::new(workload, scheme)
+    let mut trainer = Trainer::new(workload, scheme)
         .cluster(cluster)
         .horizon(VirtualTime::from_secs_f64(horizon))
         .eval_stride(8)
-        .seed(seed)
-        .run();
+        .seed(seed);
+    if let Some((_, sink)) = &trace {
+        trainer = trainer.sink(Arc::clone(sink) as Arc<dyn EventSink<VirtualTime>>);
+    }
+    let report = trainer.run();
 
     if show_curve {
         let mut curve = String::new();
@@ -139,4 +156,19 @@ fn main() {
             );
         }
     }
+    if let Some((path, sink)) = trace {
+        // The run has ended and dropped its clones, so this handle is the
+        // last one and `finish` can surface any write error.
+        let sink = Arc::try_unwrap(sink).unwrap_or_else(|_| fail("trace sink still shared"));
+        let lines = sink.lines_written();
+        if let Err(e) = sink.finish() {
+            fail(&format!("write error on {path}: {e}"));
+        }
+        println!("trace             : {lines} events to {path}");
+    }
+}
+
+fn fail(message: &str) -> ! {
+    eprintln!("experiment: {message}");
+    std::process::exit(1);
 }

@@ -622,7 +622,7 @@ fn table2(out: &mut String) -> fmt::Result {
     let iterations = 50;
     let mut outcome = None;
     for _ in 0..iterations {
-        outcome = tuner.tune(&history, 40, VirtualTime::from_secs(10_000));
+        outcome = tuner.tune(&history, 40);
     }
     let per_pass = start.elapsed() / iterations;
     writeln!(

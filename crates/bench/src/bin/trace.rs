@@ -1,9 +1,9 @@
-//! Trace tooling: capture a protocol event trace from a simulator run and
-//! summarize it offline.
+//! Trace tooling: summarize a protocol event trace offline.
 //!
 //! ```sh
 //! # record a trace (adaptive SpecSync, 8 workers, tiny workload)
-//! cargo run -p specsync-bench --bin trace -- capture trace.jsonl
+//! cargo run -p specsync-bench --bin experiment -- --workload tiny --nodes 8 \
+//!     --horizon 400 --trace trace.jsonl
 //!
 //! # reconstruct per-worker timelines and the Eq. 7 check
 //! cargo run -p specsync-bench --bin trace -- summarize trace.jsonl
@@ -28,113 +28,21 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::ExitCode;
-use std::sync::Arc;
 
-use specsync_cluster::{ClusterSpec, InstanceType, Trainer};
-use specsync_ml::Workload;
-use specsync_simnet::{SimDuration, VirtualTime};
-use specsync_sync::SchemeKind;
-use specsync_telemetry::{read_trace, Event, EventSink, JsonlSink, TraceRecord, WorkerPhase};
+use specsync_telemetry::{read_trace, Event, TraceRecord, WorkerPhase};
 
 fn usage() -> ExitCode {
-    eprintln!("usage: trace capture [OUT.jsonl] [--scheme asp|fixed|adaptive] [--workers N]");
-    eprintln!("                     [--seed S] [--horizon SECS]");
-    eprintln!("       trace summarize <TRACE.jsonl>");
+    eprintln!("usage: trace summarize <TRACE.jsonl>");
+    eprintln!("(record one with `experiment --trace OUT.jsonl`)");
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("capture") => capture(&args[1..]),
-        Some("summarize") => match args.get(1) {
-            Some(path) => summarize(path),
-            None => usage(),
-        },
+    match args.as_slice() {
+        [cmd, path] if cmd == "summarize" => summarize(path),
         _ => usage(),
     }
-}
-
-// ---------------------------------------------------------------- capture
-
-fn capture(args: &[String]) -> ExitCode {
-    let mut out = "trace.jsonl".to_string();
-    let mut scheme = SchemeKind::specsync_adaptive();
-    let mut workers = 8usize;
-    let mut seed = 42u64;
-    let mut horizon = 400.0f64;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let value = |it: &mut std::slice::Iter<String>| -> Option<String> { it.next().cloned() };
-        match arg.as_str() {
-            "--scheme" => match value(&mut it).as_deref() {
-                Some("asp") => scheme = SchemeKind::Asp,
-                Some("adaptive") => scheme = SchemeKind::specsync_adaptive(),
-                Some("fixed") => {
-                    // A mid-grid Fig. 8 point: window = 30% of the tiny
-                    // workload's iteration, threshold rate 0.25.
-                    let iter = Workload::tiny_test().mean_iteration_secs;
-                    scheme =
-                        SchemeKind::specsync_fixed(SimDuration::from_secs_f64(iter * 0.3), 0.25);
-                }
-                _ => return usage(),
-            },
-            "--workers" => match value(&mut it).and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => workers = n,
-                _ => return usage(),
-            },
-            "--seed" => match value(&mut it).and_then(|v| v.parse().ok()) {
-                Some(s) => seed = s,
-                None => return usage(),
-            },
-            "--horizon" => match value(&mut it).and_then(|v| v.parse().ok()) {
-                Some(h) => horizon = h,
-                None => return usage(),
-            },
-            other if !other.starts_with('-') => out = other.to_string(),
-            _ => return usage(),
-        }
-    }
-
-    let sink = match JsonlSink::create(Path::new(&out)) {
-        Ok(s) => Arc::new(s),
-        Err(e) => {
-            eprintln!("trace: cannot create {out}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let report = Trainer::new(Workload::tiny_test(), scheme)
-        .cluster(ClusterSpec::homogeneous(workers, InstanceType::M4Xlarge))
-        .horizon(VirtualTime::from_secs_f64(horizon))
-        .eval_stride(8)
-        .seed(seed)
-        .sink(Arc::clone(&sink) as Arc<dyn EventSink<VirtualTime>>)
-        .run();
-    let lines = sink.lines_written();
-    // The driver and scheduler drop their clones when the run ends, so the
-    // capture handle is the last one standing.
-    match Arc::try_unwrap(sink) {
-        Ok(sink) => {
-            if let Err(e) = sink.finish() {
-                eprintln!("trace: write error on {out}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        Err(shared) => EventSink::<VirtualTime>::flush(&*shared),
-    }
-    println!(
-        "captured {lines} events to {out}  ({}, {} workers, seed {seed})",
-        report.scheme, report.num_workers
-    );
-    println!(
-        "run: {} iterations, {} aborts, mean staleness {:.2}, finished at {:.1}s",
-        report.total_iterations,
-        report.total_aborts,
-        report.mean_staleness,
-        report.finished_at.as_secs_f64()
-    );
-    ExitCode::SUCCESS
 }
 
 // -------------------------------------------------------------- summarize

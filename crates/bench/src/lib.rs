@@ -160,8 +160,9 @@ impl<K: Send> RunMatrix<K> {
 
     /// Executes every run across all available cores, returning reports in
     /// insertion order. Each run is an independent deterministic
-    /// simulation, so the reports are identical to [`run_serial`]
-    /// (Self::run_serial) — parallelism changes wall-clock only.
+    /// simulation, so the reports are identical to
+    /// [`run_serial`](Self::run_serial) — parallelism changes wall-clock
+    /// only.
     pub fn run(self) -> Vec<(K, RunReport)> {
         let (keys, trainers): (Vec<K>, Vec<Trainer>) = self.runs.into_iter().unzip();
         let reports = parallel_map(trainers, Trainer::run);

@@ -145,35 +145,8 @@ enum Event {
     StragglerStart(usize),
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WorkerState {
-    /// Waiting for a barrier/SSP gate or naïve-wait delay before pulling.
-    Idle,
-    /// Pull in flight.
-    Pulling,
-    /// Gradient computation in progress (abortable).
-    Computing,
-    /// Push in flight.
-    Pushing,
-    /// Crashed; ignores every event until a `WorkerRecover`.
-    Dead,
-}
-
-impl WorkerState {
-    /// The telemetry phase mirroring this driver state.
-    fn phase(self) -> WorkerPhase {
-        match self {
-            WorkerState::Idle => WorkerPhase::Idle,
-            WorkerState::Pulling => WorkerPhase::Pulling,
-            WorkerState::Computing => WorkerPhase::Computing,
-            WorkerState::Pushing => WorkerPhase::Pushing,
-            WorkerState::Dead => WorkerPhase::Dead,
-        }
-    }
-}
-
 struct WorkerCtx {
-    state: WorkerState,
+    state: WorkerPhase,
     attempt: u64,
     model: Box<dyn Model>,
     sampler: BatchSampler,
@@ -310,7 +283,7 @@ impl Simulation {
                 let n = model.num_params();
                 let sampler: BatchSampler = workload.sampler_for(model.as_ref(), i, seed ^ 0xBA7C);
                 WorkerCtx {
-                    state: WorkerState::Idle,
+                    state: WorkerPhase::Idle,
                     attempt: 0,
                     model,
                     sampler,
@@ -444,22 +417,17 @@ impl Simulation {
 
     /// Transitions `worker` to `state`, reporting the transition to the
     /// event sink.
-    fn set_worker_state(&mut self, worker: WorkerId, state: WorkerState, now: VirtualTime) {
+    fn set_worker_state(&mut self, worker: WorkerId, state: WorkerPhase, now: VirtualTime) {
         self.workers[worker.index()].state = state;
-        self.sink.record(
-            now,
-            &TraceEvent::WorkerState {
-                worker,
-                state: state.phase(),
-            },
-        );
+        self.sink
+            .record(now, &TraceEvent::WorkerState { worker, state });
     }
 
     /// Issues a pull for `worker` at `now`: snapshot immediately (server
     /// state at request time), deliver after the transfer delay. Dead
     /// workers are silently skipped (a crash can race a release decision).
     fn issue_pull(&mut self, worker: WorkerId, now: VirtualTime) -> Result<(), SpecSyncError> {
-        if self.workers[worker.index()].state == WorkerState::Dead {
+        if self.workers[worker.index()].state == WorkerPhase::Dead {
             return Ok(());
         }
         self.request_pull(worker, now)
@@ -473,7 +441,7 @@ impl Simulation {
         if !self.store.is_available() {
             self.chaos.blocked_on_failover += 1;
             let epoch = self.workers[worker.index()].epoch;
-            self.set_worker_state(worker, WorkerState::Pulling, now);
+            self.set_worker_state(worker, WorkerPhase::Pulling, now);
             self.queue
                 .schedule(now + RETRY_TIMEOUT, Event::PullBlocked(worker, epoch));
             return Ok(());
@@ -487,7 +455,7 @@ impl Simulation {
             .record(now, &TraceEvent::Pull { worker, staleness });
         self.scheduler.on_pull(worker, now);
         self.workers[worker.index()].pending_params = Some(snapshot.into_shared());
-        self.set_worker_state(worker, WorkerState::Pulling, now);
+        self.set_worker_state(worker, WorkerPhase::Pulling, now);
         self.send_pull(worker, 0, now)
     }
 
@@ -597,12 +565,12 @@ impl Simulation {
                 self.issue_pull(worker, now)?;
             }
             SchemeKind::NaiveWaiting { delay } => {
-                self.set_worker_state(worker, WorkerState::Idle, now);
+                self.set_worker_state(worker, WorkerPhase::Idle, now);
                 self.queue
                     .schedule(now + delay, Event::NaiveWaitDone(worker));
             }
             SchemeKind::Bsp => {
-                self.set_worker_state(worker, WorkerState::Idle, now);
+                self.set_worker_state(worker, WorkerPhase::Idle, now);
                 let barrier = self.bsp.as_mut().ok_or(SpecSyncError::SchemeStateMissing {
                     what: "BSP barrier",
                 })?;
@@ -632,7 +600,7 @@ impl Simulation {
                 if can_start {
                     self.issue_pull(worker, now)?;
                 } else {
-                    self.set_worker_state(worker, WorkerState::Idle, now);
+                    self.set_worker_state(worker, WorkerPhase::Idle, now);
                     self.ssp_blocked.push(worker);
                 }
             }
@@ -667,7 +635,7 @@ impl Simulation {
                 duration = duration.mul_f64(slowdown);
             }
         }
-        self.set_worker_state(worker, WorkerState::Computing, now);
+        self.set_worker_state(worker, WorkerPhase::Computing, now);
         self.queue
             .schedule(now + duration, Event::ComputeDone(worker, attempt));
         Ok(())
@@ -745,7 +713,7 @@ impl Simulation {
         let min_iters = self
             .workers
             .iter()
-            .filter(|w| w.state != WorkerState::Dead)
+            .filter(|w| w.state != WorkerPhase::Dead)
             .map(|w| w.iterations)
             .min()
             .unwrap_or(0);
@@ -761,7 +729,7 @@ impl Simulation {
 
     fn on_resync(&mut self, worker: WorkerId, now: VirtualTime) -> Result<(), SpecSyncError> {
         let ctx = &mut self.workers[worker.index()];
-        if ctx.state != WorkerState::Computing {
+        if ctx.state != WorkerPhase::Computing {
             // Too late: the iteration finished (or is pushing) — Algorithm 2
             // only aborts in-flight computation ("if that is not too late
             // yet", §IV-A). Dead workers land here too.
@@ -780,7 +748,7 @@ impl Simulation {
     /// shrink scheduler membership and release anyone gated on the dead
     /// worker so no scheme deadlocks.
     fn on_crash(&mut self, worker: WorkerId, now: VirtualTime) -> Result<(), SpecSyncError> {
-        if self.workers[worker.index()].state == WorkerState::Dead {
+        if self.workers[worker.index()].state == WorkerPhase::Dead {
             return Ok(());
         }
         {
@@ -790,7 +758,7 @@ impl Simulation {
         }
         self.chaos.crashes += 1;
         self.sink.record(now, &TraceEvent::WorkerCrashed { worker });
-        self.set_worker_state(worker, WorkerState::Dead, now);
+        self.set_worker_state(worker, WorkerPhase::Dead, now);
         self.scheduler.try_mark_dead(worker, now)?;
 
         if let Some(barrier) = self.bsp.as_mut() {
@@ -798,7 +766,7 @@ impl Simulation {
             // current round for everyone else.
             if let Some(released) = barrier.deactivate(worker) {
                 for w in released {
-                    if self.workers[w.index()].state == WorkerState::Idle {
+                    if self.workers[w.index()].state == WorkerPhase::Idle {
                         self.issue_pull(w, now)?;
                     }
                 }
@@ -821,7 +789,7 @@ impl Simulation {
     /// A scheduled recovery: rejoin in a fresh fencing epoch, grow
     /// scheduler membership back and start pulling again.
     fn on_recover(&mut self, worker: WorkerId, now: VirtualTime) -> Result<(), SpecSyncError> {
-        if self.workers[worker.index()].state != WorkerState::Dead {
+        if self.workers[worker.index()].state != WorkerPhase::Dead {
             return Ok(());
         }
         let epoch = {
@@ -840,7 +808,7 @@ impl Simulation {
         if let Some(ssp) = self.ssp.as_mut() {
             ssp.reactivate(worker);
         }
-        self.set_worker_state(worker, WorkerState::Idle, now);
+        self.set_worker_state(worker, WorkerPhase::Idle, now);
         self.issue_pull(worker, now)
     }
 
@@ -849,29 +817,29 @@ impl Simulation {
             Event::PullArrive(worker, epoch) => {
                 let ctx = &self.workers[worker.index()];
                 // Stale (pre-crash) or duplicate deliveries are ignored.
-                if ctx.state == WorkerState::Pulling && ctx.epoch == epoch {
+                if ctx.state == WorkerPhase::Pulling && ctx.epoch == epoch {
                     self.start_compute(worker, now)?;
                 }
             }
             Event::PullRetry(worker, epoch, attempt) => {
                 let ctx = &self.workers[worker.index()];
-                if ctx.state == WorkerState::Pulling && ctx.epoch == epoch {
+                if ctx.state == WorkerPhase::Pulling && ctx.epoch == epoch {
                     self.send_pull(worker, attempt, now)?;
                 }
             }
             Event::ComputeDone(worker, attempt) => {
                 let ctx = &self.workers[worker.index()];
-                if ctx.attempt != attempt || ctx.state != WorkerState::Computing {
+                if ctx.attempt != attempt || ctx.state != WorkerPhase::Computing {
                     return Ok(()); // aborted or crashed mid-compute
                 }
                 self.workers[worker.index()].push_seq += 1;
                 let seq = self.workers[worker.index()].push_seq;
-                self.set_worker_state(worker, WorkerState::Pushing, now);
+                self.set_worker_state(worker, WorkerPhase::Pushing, now);
                 self.send_push(worker, seq, 0, now)?;
             }
             Event::PushSend(worker, epoch, seq, attempt) => {
                 let ctx = &self.workers[worker.index()];
-                if ctx.state == WorkerState::Pushing && ctx.epoch == epoch && ctx.applied_seq < seq
+                if ctx.state == WorkerPhase::Pushing && ctx.epoch == epoch && ctx.applied_seq < seq
                 {
                     self.send_push(worker, seq, attempt, now)?;
                 }
@@ -889,7 +857,7 @@ impl Simulation {
                 }
                 self.record_transfer(now, MessageClass::PushGrad);
                 let ctx = &self.workers[worker.index()];
-                if ctx.state == WorkerState::Dead || ctx.epoch != epoch {
+                if ctx.state == WorkerPhase::Dead || ctx.epoch != epoch {
                     // Stale-push fencing: the sender crashed after sending.
                     let current = ctx.epoch;
                     self.chaos.fenced_pushes += 1;
@@ -951,7 +919,7 @@ impl Simulation {
                 }
             }
             Event::NaiveWaitDone(worker) => {
-                if self.workers[worker.index()].state == WorkerState::Idle {
+                if self.workers[worker.index()].state == WorkerPhase::Idle {
                     self.issue_pull(worker, now)?;
                 }
             }
@@ -959,7 +927,7 @@ impl Simulation {
             Event::WorkerRecover(worker) => self.on_recover(worker, now)?,
             Event::PullBlocked(worker, epoch) => {
                 let ctx = &self.workers[worker.index()];
-                if ctx.state == WorkerState::Pulling && ctx.epoch == epoch {
+                if ctx.state == WorkerPhase::Pulling && ctx.epoch == epoch {
                     self.request_pull(worker, now)?;
                 }
             }

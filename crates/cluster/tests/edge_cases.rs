@@ -39,8 +39,6 @@ fn extreme_network_latency_still_completes() {
     let slow_net = NetworkModel {
         latency: DurationSampler::Constant { secs: 0.1 },
         bandwidth_bytes_per_sec: 1e6,
-        spike_prob: 0.0,
-        spike: DurationSampler::Constant { secs: 0.0 },
     };
     let report = Trainer::new(Workload::tiny_test(), SchemeKind::specsync_adaptive())
         .cluster(ClusterSpec::homogeneous(3, InstanceType::M4Xlarge).with_network(slow_net))

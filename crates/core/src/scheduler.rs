@@ -501,7 +501,7 @@ impl Scheduler {
             // Tune against the *effective* cluster size: dead workers push
             // nothing, so Eq. 6/7 must use the live `m` or the rate
             // `Δ(m−1)/(Tm)` would be skewed by ghosts.
-            if let Some(outcome) = self.tuner.tune(&self.history, self.active.max(1), now) {
+            if let Some(outcome) = self.tuner.tune(&self.history, self.active.max(1)) {
                 self.hyper = outcome.hyperparams;
                 self.stats.retunes += 1;
                 tuned = Some(outcome);

@@ -2,7 +2,7 @@
 //! grid-search baseline (cherrypick) is priced inline by `run_all`.
 
 use serde::{Deserialize, Serialize};
-use specsync_simnet::{SimDuration, VirtualTime};
+use specsync_simnet::SimDuration;
 
 use crate::estimator::{estimate_realized_improvement, EpochView};
 use crate::history::PushHistory;
@@ -101,46 +101,15 @@ impl AdaptiveTuner {
     /// Runs Algorithm 1: returns the tuned hyperparameters, or `None` when
     /// the history is too thin to tune (fewer than two pushes in the last
     /// epoch) or no candidate yields a positive estimated improvement.
-    pub fn tune(&self, history: &PushHistory, m: usize, now: VirtualTime) -> Option<TuneOutcome> {
+    pub fn tune(&self, history: &PushHistory, m: usize) -> Option<TuneOutcome> {
         let candidates = self.candidate_windows(history);
         if candidates.is_empty() {
             return None;
         }
-        let _ = now;
         let view = EpochView::from_recent(history, m, self.window_epochs);
 
-        // Cap candidates at half the mean iteration span — the same search
-        // bound the paper uses for the cherrypick grid ("we use half of the
-        // batch time as upper bound"): later aborts waste more compute than
-        // the freshness model accounts for.
-        let spans_for_cap: Vec<f64> = view
-            .iteration_spans
-            .iter()
-            .flatten()
-            .map(|s| s.as_secs_f64())
-            .collect();
-        let cap = if spans_for_cap.is_empty() {
-            SimDuration::MAX
-        } else {
-            SimDuration::from_secs_f64(
-                spans_for_cap.iter().sum::<f64>() / spans_for_cap.len() as f64 / 2.0,
-            )
-        };
-
-        let mut best: Option<(SimDuration, f64)> = None;
-        for &delta in candidates.iter().filter(|&&d| d <= cap) {
-            let f = estimate_realized_improvement(history, &view, delta);
-            if best.is_none_or(|(_, bf)| f > bf) {
-                best = Some((delta, f));
-            }
-        }
-        let (delta, improvement) = best?;
-        if improvement <= 0.0 {
-            return None;
-        }
-
-        // Algorithm 1 line 7: ABORT_RATE = Δ (m − 1) / (T m), with T the
-        // mean iteration span across workers.
+        // T: the mean iteration span across workers. Without one there is
+        // no rate to set (Algorithm 1 line 7 divides by it).
         let spans: Vec<f64> = view
             .iteration_spans
             .iter()
@@ -154,6 +123,26 @@ impl AdaptiveTuner {
         if mean_span <= 0.0 {
             return None;
         }
+
+        // Cap candidates at half the mean iteration span — the same search
+        // bound the paper uses for the cherrypick grid ("we use half of the
+        // batch time as upper bound"): later aborts waste more compute than
+        // the freshness model accounts for.
+        let cap = SimDuration::from_secs_f64(mean_span / 2.0);
+
+        let mut best: Option<(SimDuration, f64)> = None;
+        for &delta in candidates.iter().filter(|&&d| d <= cap) {
+            let f = estimate_realized_improvement(history, &view, delta);
+            if best.is_none_or(|(_, bf)| f > bf) {
+                best = Some((delta, f));
+            }
+        }
+        let (delta, improvement) = best?;
+        if improvement <= 0.0 {
+            return None;
+        }
+
+        // Algorithm 1 line 7: ABORT_RATE = Δ (m − 1) / (T m).
         let rate = delta.as_secs_f64() * (m.saturating_sub(1)) as f64 / (mean_span * m as f64);
         Some(TuneOutcome {
             hyperparams: Hyperparams::new(delta, rate),
@@ -177,7 +166,7 @@ pub struct TuneOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specsync_simnet::WorkerId;
+    use specsync_simnet::{VirtualTime, WorkerId};
 
     fn t(secs: f64) -> VirtualTime {
         VirtualTime::from_secs_f64(secs)
@@ -232,7 +221,7 @@ mod tests {
     #[test]
     fn tune_returns_none_without_history() {
         let tuner = AdaptiveTuner::default();
-        assert!(tuner.tune(&PushHistory::new(), 4, t(0.0)).is_none());
+        assert!(tuner.tune(&PushHistory::new(), 4).is_none());
     }
 
     #[test]
@@ -242,7 +231,7 @@ mod tests {
         // k·(m−1)/m·... — gains exceed losses for small windows.
         let h = uniform_history(8, 8.0, 3);
         let tuner = AdaptiveTuner::default();
-        let outcome = tuner.tune(&h, 8, t(100.0)).expect("should find a window");
+        let outcome = tuner.tune(&h, 8).expect("should find a window");
         assert!(outcome.estimated_improvement > 0.0);
         let at = outcome.hyperparams.abort_time();
         assert!(
@@ -256,7 +245,7 @@ mod tests {
     fn abort_rate_follows_algorithm_line_7() {
         let h = uniform_history(4, 4.0, 3);
         let tuner = AdaptiveTuner::default();
-        let outcome = tuner.tune(&h, 4, t(100.0)).unwrap();
+        let outcome = tuner.tune(&h, 4).unwrap();
         let delta = outcome.hyperparams.abort_time().as_secs_f64();
         // T = 4s for every worker, m = 4.
         let expected = delta * 3.0 / (4.0 * 4.0);
@@ -276,7 +265,7 @@ mod tests {
         let tuner = AdaptiveTuner::default();
         let mut factors = Vec::new();
         for m in [2usize, 3, 4] {
-            let o = tuner.tune(&h, m, t(100.0)).expect("profitable window");
+            let o = tuner.tune(&h, m).expect("profitable window");
             let delta = o.hyperparams.abort_time().as_secs_f64();
             let expected = delta * (m as f64 - 1.0) / (4.0 * m as f64);
             assert!(

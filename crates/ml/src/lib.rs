@@ -3,11 +3,10 @@
 //! Provides everything the cluster harness needs to run *real* SGD under
 //! simulated timing: synthetic datasets mirroring the paper's workload
 //! structure ([`RatingsDataset`], [`DenseDataset`]), models behind the flat
-//! parameter [`Model`] trait ([`MatrixFactorization`], [`SoftmaxRegression`],
-//! [`Mlp`]), minibatch sampling ([`BatchSampler`]), learning-rate schedules
-//! ([`LrSchedule`]), the paper's convergence criterion
-//! ([`ConvergenceDetector`]), and the three Table-I workload definitions
-//! ([`Workload`]).
+//! parameter [`Model`] trait ([`MatrixFactorization`], [`Mlp`]), minibatch
+//! sampling ([`BatchSampler`]), learning-rate schedules ([`LrSchedule`]),
+//! the paper's convergence criterion ([`ConvergenceDetector`]), and the
+//! three Table-I workload definitions ([`Workload`]).
 //!
 //! # Examples
 //!
@@ -31,7 +30,6 @@ mod mf;
 mod mlp;
 mod model;
 mod schedule;
-mod softmax;
 mod workload;
 
 pub use batch::BatchSampler;
@@ -41,6 +39,5 @@ pub use mf::MatrixFactorization;
 pub use mlp::Mlp;
 pub use model::{check_gradient, Model};
 pub use schedule::LrSchedule;
-pub use softmax::SoftmaxRegression;
 pub use specsync_tensor::SparseGrad;
 pub use workload::{EvalSet, PaperProfile, Workload, WorkloadBundle, WorkloadKind};

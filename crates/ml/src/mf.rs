@@ -89,12 +89,6 @@ impl MatrixFactorization {
     fn user_table_len(&self) -> usize {
         self.data.num_users() * self.rank
     }
-
-    /// Prediction for a (user, item) pair under the current parameters.
-    pub fn predict(&self, user: usize, item: usize) -> f32 {
-        let (users, items) = self.params.split_at(self.user_table_len());
-        dot(row(users, user, self.rank), row(items, item, self.rank))
-    }
 }
 
 /// Row `index` of a factor table of `rank`-wide rows.
@@ -312,8 +306,8 @@ mod tests {
         assert!(sparse.nnz() < m.num_params());
     }
 
-    /// `predict` in flat-offset form, one bounds-checked index per
-    /// coordinate. With the three functions below it is the reference
+    /// A rating's prediction in flat-offset form, one bounds-checked index
+    /// per coordinate. With the three functions below it is the reference
     /// that the row-slice kernels must match bit for bit.
     fn reference_predict(m: &MatrixFactorization, user: usize, item: usize) -> f32 {
         let uo = user * m.rank;

@@ -51,8 +51,8 @@ pub trait Model: Send {
     ///
     /// Returns `true` if `out` was filled (after resetting it to
     /// `num_params` dimensions); the default implementation returns `false`
-    /// to signal that callers must fall back to the dense [`gradient`]
-    /// (Self::gradient). When supported, the accumulated entries must equal
+    /// to signal that callers must fall back to the dense
+    /// [`gradient`](Self::gradient). When supported, the accumulated entries must equal
     /// the dense gradient exactly (same arithmetic, same order), so the two
     /// paths are interchangeable.
     fn sparse_gradient(&self, indices: &[usize], out: &mut SparseGrad) -> bool {

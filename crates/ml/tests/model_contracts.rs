@@ -5,10 +5,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use specsync_ml::{
-    check_gradient, DenseDataset, MatrixFactorization, Mlp, Model, RatingsDataset,
-    SoftmaxRegression,
-};
+use specsync_ml::{check_gradient, DenseDataset, MatrixFactorization, Mlp, Model, RatingsDataset};
 
 fn models() -> Vec<(&'static str, Box<dyn Model>)> {
     let ratings = Arc::new(RatingsDataset::generate(25, 20, 400, 4, 0.1, 5));
@@ -17,10 +14,6 @@ fn models() -> Vec<(&'static str, Box<dyn Model>)> {
         (
             "mf",
             Box::new(MatrixFactorization::new(ratings, 4, 0.01)) as Box<dyn Model>,
-        ),
-        (
-            "softmax",
-            Box::new(SoftmaxRegression::new(Arc::clone(&dense))) as Box<dyn Model>,
         ),
         ("mlp", Box::new(Mlp::new(dense, 8)) as Box<dyn Model>),
     ]

@@ -48,7 +48,7 @@
 //! [`SchedulerHost`], which holds all protocol state. Frames arrive over a
 //! channel from per-connection reader threads; each goes into the host
 //! stamped with the elapsed time, and the loop carries out what the host
-//! asks for (frames to write, events to record). Every [`TICK`] the loop
+//! asks for (frames to write, events to record). Every `TICK` (5 ms) the loop
 //! also lets the host fire due speculation windows and sweep liveness.
 //! The host detects a dead primary shard two ways (its connection closing,
 //! or heartbeat silence past the timeout) and promotes the warm backup by

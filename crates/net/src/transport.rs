@@ -91,7 +91,7 @@ pub struct FrameConn {
 
 /// How a [`FrameConn`] connect attempt is labelled for the chaos layer
 /// and jittered for the backoff schedule. Plain connects (tests, simple
-/// tools) use [`ConnTarget::plain`].
+/// tools) build one with [`ConnTarget::new`].
 #[derive(Debug)]
 pub struct ConnTarget<'a> {
     /// Link label — selects the chaos scope and script stream.

@@ -14,7 +14,7 @@ const R: u32 = 29;
 
 /// The checksum of `bytes`. A payload of at most one [`SEGMENT`] hashes
 /// to exactly its FNV-1a. A longer one is cut into segments, each hashed
-/// by [`segment_hash`], and the hashes are folded left as
+/// by `segment_hash`, and the hashes are folded left as
 /// `acc = (acc ^ h_i) * FNV_PRIME` from `h_0`, on up to
 /// `available_parallelism()` threads, the caller among them; the value
 /// depends on the bytes only.

@@ -465,7 +465,10 @@ mod tests {
             drop_prob: 0.2,
             duplicate_prob: 0.2,
             spike_prob: 0.5,
-            spike: DurationSampler::Uniform { lo: 0.001, hi: 0.1 },
+            spike: DurationSampler::LogNormal {
+                mean: 0.05,
+                cv: 0.5,
+            },
         };
         let mut a = plan(42).with_profile(MessageClass::PushGrad, profile);
         let mut b = plan(42).with_profile(MessageClass::PushGrad, profile);

@@ -5,7 +5,7 @@
 //! [`MessageClass`], which is the substrate behind the paper's Fig. 12
 //! (accumulated transfer over time) and Fig. 13 (transfer breakdown).
 
-use rand::{Rng, RngExt};
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::rng::DurationSampler;
@@ -70,10 +70,6 @@ pub struct NetworkModel {
     pub latency: DurationSampler,
     /// Link bandwidth in bytes per second (per flow).
     pub bandwidth_bytes_per_sec: f64,
-    /// Probability a message hits a congestion jitter spike (default `0`).
-    pub spike_prob: f64,
-    /// Extra delay drawn on top of the base delay when a spike hits.
-    pub spike: DurationSampler,
 }
 
 impl NetworkModel {
@@ -86,8 +82,6 @@ impl NetworkModel {
                 cv: 0.3,
             },
             bandwidth_bytes_per_sec: 125_000_000.0,
-            spike_prob: 0.0,
-            spike: DurationSampler::Constant { secs: 0.0 },
         }
     }
 
@@ -97,38 +91,19 @@ impl NetworkModel {
         NetworkModel {
             latency: DurationSampler::Constant { secs: 0.0 },
             bandwidth_bytes_per_sec: f64::INFINITY,
-            spike_prob: 0.0,
-            spike: DurationSampler::Constant { secs: 0.0 },
         }
     }
 
-    /// Enables congestion jitter spikes: with probability `spike_prob` each
-    /// message pays an extra delay drawn from `spike`.
-    pub fn with_jitter_spikes(mut self, spike_prob: f64, spike: DurationSampler) -> Self {
-        self.spike_prob = spike_prob;
-        self.spike = spike;
-        self
-    }
-
-    /// Samples the delivery delay for a message of `bytes` bytes.
-    ///
-    /// The base delay is `latency + bytes / bandwidth`. When jitter spikes
-    /// are enabled (see [`NetworkModel::with_jitter_spikes`]) the spike
-    /// branch may add an extra sampled delay. With `spike_prob == 0.0` the
-    /// spike path consumes **zero** randomness, so enabling the feature on
-    /// one model never perturbs the RNG stream of a spike-free run — a
-    /// property the byte-identical golden traces rely on.
+    /// Samples the delivery delay for a message of `bytes` bytes:
+    /// `latency + bytes / bandwidth`. Congestion spikes are a link fault
+    /// (`LinkFaultProfile::spike_prob`), not part of the base model.
     pub fn delay<R: Rng>(&self, bytes: u64, rng: &mut R) -> SimDuration {
         let transmit_secs = if self.bandwidth_bytes_per_sec.is_finite() {
             bytes as f64 / self.bandwidth_bytes_per_sec
         } else {
             0.0
         };
-        let mut total = self.latency.sample(rng) + SimDuration::from_secs_f64(transmit_secs);
-        if self.spike_prob > 0.0 && rng.random_bool(self.spike_prob) {
-            total += self.spike.sample(rng);
-        }
-        total
+        self.latency.sample(rng) + SimDuration::from_secs_f64(transmit_secs)
     }
 }
 
@@ -213,14 +188,6 @@ impl TransferLedger {
             .map(|&c| (c, self.bytes_for(c)))
             .collect()
     }
-
-    /// Merges another ledger into this one (used to aggregate per-link
-    /// ledgers into a cluster-wide view).
-    pub fn merge(&mut self, other: &TransferLedger) {
-        for r in &other.records {
-            self.record(r.time, r.class, r.bytes);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -241,54 +208,11 @@ mod tests {
         let net = NetworkModel {
             latency: DurationSampler::Constant { secs: 0.001 },
             bandwidth_bytes_per_sec: 1_000_000.0,
-            spike_prob: 0.0,
-            spike: DurationSampler::Constant { secs: 0.0 },
         };
         let mut rng = StdRng::seed_from_u64(0);
         // 500 KB over 1 MB/s = 0.5 s, plus 1 ms latency.
         let d = net.delay(500_000, &mut rng);
         assert_eq!(d, SimDuration::from_secs_f64(0.501));
-    }
-
-    #[test]
-    fn certain_spike_adds_the_sampled_extra_delay() {
-        let net = NetworkModel::instant()
-            .with_jitter_spikes(1.0, DurationSampler::Constant { secs: 0.25 });
-        let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(net.delay(0, &mut rng), SimDuration::from_secs_f64(0.25));
-    }
-
-    #[test]
-    fn zero_spike_probability_consumes_no_randomness() {
-        // A spike-free model must draw the exact same latency sequence as a
-        // model that has the spike fields populated but disabled.
-        let plain = NetworkModel::ec2_like();
-        let armed_but_off = NetworkModel::ec2_like()
-            .with_jitter_spikes(0.0, DurationSampler::Constant { secs: 9.0 });
-        let mut ra = StdRng::seed_from_u64(11);
-        let mut rb = StdRng::seed_from_u64(11);
-        for _ in 0..128 {
-            assert_eq!(
-                plain.delay(1_000, &mut ra),
-                armed_but_off.delay(1_000, &mut rb)
-            );
-        }
-    }
-
-    #[test]
-    fn spikes_only_ever_increase_delay() {
-        let base = NetworkModel::ec2_like();
-        let spiky = NetworkModel::ec2_like()
-            .with_jitter_spikes(0.5, DurationSampler::Uniform { lo: 0.01, hi: 0.1 });
-        // Same seed: whenever the spike branch fires, the spiky delay must
-        // dominate what the base model would have produced from that state.
-        let mut rng = StdRng::seed_from_u64(3);
-        for _ in 0..256 {
-            let mut probe = rng.clone();
-            let plain = base.delay(4_096, &mut probe);
-            let spiked = spiky.delay(4_096, &mut rng);
-            assert!(spiked >= plain, "spike may only add delay");
-        }
     }
 
     #[test]
@@ -331,16 +255,5 @@ mod tests {
         let breakdown = ledger.breakdown();
         assert_eq!(breakdown.len(), MessageClass::ALL.len());
         assert!(breakdown.iter().all(|&(_, b)| b == 0));
-    }
-
-    #[test]
-    fn merge_combines_ledgers() {
-        let mut a = TransferLedger::new();
-        let mut b = TransferLedger::new();
-        a.record(VirtualTime::ZERO, MessageClass::Control, 1);
-        b.record(VirtualTime::ZERO, MessageClass::Control, 2);
-        a.merge(&b);
-        assert_eq!(a.bytes_for(MessageClass::Control), 3);
-        assert_eq!(a.records().len(), 2);
     }
 }

@@ -9,13 +9,13 @@ use std::fmt;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rand_distr::{Distribution, Exp, LogNormal, Uniform};
+use rand_distr::{Distribution, LogNormal};
 use serde::{Deserialize, Serialize};
 
 use crate::time::SimDuration;
 
 /// A duration distribution was constructed with invalid parameters
-/// (non-positive mean, `lo >= hi`, ...).
+/// (a negative constant, a non-positive mean, ...).
 ///
 /// Carried by [`DurationSampler::try_sample`] so callers can surface the
 /// bad configuration as a typed error instead of a panic deep inside a
@@ -118,13 +118,6 @@ pub enum DurationSampler {
         /// The duration, in seconds.
         secs: f64,
     },
-    /// Uniform over `[lo, hi)` seconds.
-    Uniform {
-        /// Lower bound, in seconds.
-        lo: f64,
-        /// Upper bound, in seconds.
-        hi: f64,
-    },
     /// Log-normal with the given mean and coefficient of variation.
     ///
     /// This is the canonical model for iteration times on shared
@@ -136,11 +129,6 @@ pub enum DurationSampler {
         /// Coefficient of variation (stddev / mean).
         cv: f64,
     },
-    /// Exponential with the given mean — used for memoryless arrivals.
-    Exponential {
-        /// Mean of the sampled duration, in seconds.
-        mean: f64,
-    },
 }
 
 impl DurationSampler {
@@ -148,8 +136,8 @@ impl DurationSampler {
     ///
     /// # Panics
     ///
-    /// Panics if the variant's parameters are invalid (non-positive mean,
-    /// `lo >= hi`, ...); use [`try_sample`](Self::try_sample) to get the
+    /// Panics if the variant's parameters are invalid (a negative
+    /// constant, a non-positive mean, ...); use [`try_sample`](Self::try_sample) to get the
     /// problem as a typed [`DistributionError`] instead. Parameters are
     /// validated lazily at sample time so the type stays a plain `Copy`
     /// value.
@@ -171,21 +159,6 @@ impl DurationSampler {
                     ));
                 }
                 secs
-            }
-            DurationSampler::Uniform { lo, hi } => {
-                let dist = if lo < hi && lo >= 0.0 {
-                    Uniform::new(lo, hi).ok()
-                } else {
-                    None
-                };
-                match dist {
-                    Some(d) => d.sample(rng),
-                    None => {
-                        return Err(DistributionError::new(
-                            "uniform bounds must satisfy 0 <= lo < hi",
-                        ))
-                    }
-                }
             }
             DurationSampler::LogNormal { mean, cv } => {
                 if !(mean > 0.0 && cv >= 0.0) {
@@ -210,17 +183,6 @@ impl DurationSampler {
                     }
                 }
             }
-            DurationSampler::Exponential { mean } => {
-                let dist = if mean > 0.0 {
-                    Exp::new(1.0 / mean).ok()
-                } else {
-                    None
-                };
-                match dist {
-                    Some(d) => d.sample(rng),
-                    None => return Err(DistributionError::new("exponential needs mean > 0")),
-                }
-            }
         };
         Ok(SimDuration::from_secs_f64(secs))
     }
@@ -240,16 +202,9 @@ impl DurationSampler {
             DurationSampler::Constant { secs } => DurationSampler::Constant {
                 secs: secs * factor,
             },
-            DurationSampler::Uniform { lo, hi } => DurationSampler::Uniform {
-                lo: lo * factor,
-                hi: hi * factor,
-            },
             DurationSampler::LogNormal { mean, cv } => DurationSampler::LogNormal {
                 mean: mean * factor,
                 cv,
-            },
-            DurationSampler::Exponential { mean } => DurationSampler::Exponential {
-                mean: mean * factor,
             },
         }
     }
@@ -293,16 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_sampler_respects_bounds() {
-        let d = DurationSampler::Uniform { lo: 1.0, hi: 2.0 };
-        let mut r = rng();
-        for _ in 0..1000 {
-            let s = d.sample(&mut r).as_secs_f64();
-            assert!((1.0..2.0).contains(&s), "sample {s} out of bounds");
-        }
-    }
-
-    #[test]
     fn lognormal_mean_is_calibrated() {
         let d = DurationSampler::LogNormal {
             mean: 14.0,
@@ -322,15 +267,6 @@ mod tests {
     fn lognormal_zero_cv_degenerates_to_constant() {
         let d = DurationSampler::LogNormal { mean: 3.0, cv: 0.0 };
         assert_eq!(d.sample(&mut rng()), SimDuration::from_secs_f64(3.0));
-    }
-
-    #[test]
-    fn exponential_mean_is_calibrated() {
-        let d = DurationSampler::Exponential { mean: 2.0 };
-        let mut r = rng();
-        let n = 20_000;
-        let sum: f64 = (0..n).map(|_| d.sample(&mut r).as_secs_f64()).sum();
-        assert!((sum / n as f64 - 2.0).abs() < 0.1);
     }
 
     #[test]
@@ -360,24 +296,25 @@ mod tests {
     #[test]
     fn try_sample_reports_invalid_parameters() {
         let mut r = rng();
-        let bad = DurationSampler::Uniform { lo: 2.0, hi: 1.0 };
-        let err = bad.try_sample(&mut r).unwrap_err();
-        assert!(err.to_string().contains("lo < hi"));
         let bad = DurationSampler::LogNormal {
             mean: -1.0,
             cv: 0.2,
         };
-        assert!(bad.try_sample(&mut r).is_err());
-        let bad = DurationSampler::Exponential { mean: 0.0 };
+        let err = bad.try_sample(&mut r).unwrap_err();
+        assert!(err.to_string().contains("mean > 0"));
+        let bad = DurationSampler::LogNormal {
+            mean: 1.0,
+            cv: -0.5,
+        };
         assert!(bad.try_sample(&mut r).is_err());
         let bad = DurationSampler::Constant { secs: -1.0 };
         assert!(bad.try_sample(&mut r).is_err());
     }
 
     #[test]
-    #[should_panic(expected = "uniform bounds")]
+    #[should_panic(expected = "constant duration must be non-negative")]
     fn sample_panics_on_invalid_parameters() {
-        let _ = DurationSampler::Uniform { lo: 2.0, hi: 1.0 }.sample(&mut rng());
+        let _ = DurationSampler::Constant { secs: -1.0 }.sample(&mut rng());
     }
 
     #[test]

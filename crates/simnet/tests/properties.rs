@@ -62,9 +62,7 @@ proptest! {
         let mut rng = streams.stream("sampler");
         for sampler in [
             DurationSampler::Constant { secs: mean },
-            DurationSampler::Uniform { lo: mean * 0.5, hi: mean * 1.5 },
             DurationSampler::LogNormal { mean, cv },
-            DurationSampler::Exponential { mean },
         ] {
             let d = sampler.sample(&mut rng);
             prop_assert!(d.as_secs_f64().is_finite());
@@ -88,7 +86,7 @@ proptest! {
                 drop_prob: 0.0,
                 duplicate_prob: 0.5,
                 spike_prob: 0.5,
-                spike: DurationSampler::Uniform { lo: 0.001, hi: 0.25 },
+                spike: DurationSampler::LogNormal { mean: 0.1, cv: 0.8 },
             },
         );
         let mut q = EventQueue::new();

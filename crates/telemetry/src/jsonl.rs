@@ -350,7 +350,7 @@ fn parse_class(pairs: &[(&str, &str)]) -> Result<MessageClass, String> {
     MessageClass::from_label(label).ok_or_else(|| format!("unknown message class `{label}`"))
 }
 
-/// Parses one [`encode_line`] output back into a [`TraceRecord`].
+/// Parses one line of a [`JsonlSink`] trace back into a [`TraceRecord`].
 pub fn parse_trace_line(line: &str) -> Result<TraceRecord, String> {
     let pairs = split_pairs(line)?;
     let micros = parse_u64(&pairs, "t")?;
@@ -524,42 +524,25 @@ pub fn read_trace(path: &Path) -> Result<Vec<TraceRecord>, TraceError> {
     Ok(out)
 }
 
-/// Buffered bytes held before one `write_all` hands them to the writer.
-/// Keeps syscalls out of the hot `record` path: the state lock protects a
-/// memcpy, not I/O, except at one annotated drain site per 64 KiB.
+/// Capacity of the sink's buffer: the writer sees one `write` per ~64 KiB
+/// of trace. Keeps syscalls out of the hot `record` path: the state lock
+/// protects a memcpy, not I/O, except when the buffer fills.
 const DRAIN_BYTES: usize = 64 * 1024;
 
-struct JsonlState<W> {
-    writer: W,
-    /// Encoded lines accepted but not yet handed to `writer`. Drained at
-    /// [`DRAIN_BYTES`], on `flush`, and on `finish`.
-    pending: Vec<u8>,
+struct JsonlState<W: Write> {
+    writer: BufWriter<W>,
     lines: u64,
     /// First write failure; once set, further records are dropped and the
     /// error surfaces on [`JsonlSink::finish`].
     error: Option<String>,
 }
 
-/// Hands the buffered bytes to the writer. Every caller holds the state
-/// lock, so this is the sink's one blocking site under a lock; each call
-/// site says why the stall is acceptable there.
-fn drain_locked<W: Write>(state: &mut JsonlState<W>) {
-    if state.error.is_some() || state.pending.is_empty() {
-        return;
-    }
-    let res = state.writer.write_all(&state.pending);
-    state.pending.clear();
-    if let Err(e) = res {
-        state.error = Some(e.to_string());
-    }
-}
-
 /// Streams events to a writer as JSON lines.
 ///
 /// Events are encoded outside the sink lock and buffered; the writer only
-/// sees I/O on the amortized drain, on [`flush`](EventSink::flush), and on
-/// [`finish`](Self::finish) — so concurrent recorders never stall on the
-/// kernel, only on a short memcpy.
+/// sees I/O when the buffer fills, on [`flush`](EventSink::flush), and on
+/// [`finish`](Self::finish) — so concurrent recorders rarely stall on the
+/// kernel, mostly on a short memcpy.
 ///
 /// Write failures do not panic (sinks are called from library code): the
 /// first error is remembered, subsequent events are dropped, and
@@ -579,24 +562,23 @@ fn drain_locked<W: Write>(state: &mut JsonlState<W>) {
 ///     "{\"t\":1000000,\"ev\":\"notify\",\"w\":0}\n"
 /// );
 /// ```
-pub struct JsonlSink<W> {
+pub struct JsonlSink<W: Write> {
     state: Mutex<JsonlState<W>>,
 }
 
-impl JsonlSink<BufWriter<File>> {
+impl JsonlSink<File> {
     /// Creates (truncating) a trace file at `path`.
     pub fn create(path: &Path) -> Result<Self, TraceError> {
-        Ok(JsonlSink::new(BufWriter::new(File::create(path)?)))
+        Ok(JsonlSink::new(File::create(path)?))
     }
 }
 
 impl<W: Write + Send> JsonlSink<W> {
-    /// Wraps a writer.
+    /// Wraps a writer in the sink's buffer.
     pub fn new(writer: W) -> Self {
         JsonlSink {
             state: Mutex::new(JsonlState {
-                writer,
-                pending: Vec::new(),
+                writer: BufWriter::with_capacity(DRAIN_BYTES, writer),
                 lines: 0,
                 error: None,
             }),
@@ -610,20 +592,23 @@ impl<W: Write + Send> JsonlSink<W> {
         self.state.lock().lines
     }
 
-    /// Drains, flushes, and returns the inner writer, or the first write
-    /// error. No lock is held here — the sink has been consumed.
+    /// Drains the buffer, flushes, and returns the inner writer, or the
+    /// first write error. No lock is held here — the sink has been consumed.
     pub fn finish(self) -> Result<W, TraceError> {
-        let mut state = self.state.into_inner();
-        drain_locked(&mut state);
+        let state = self.state.into_inner();
         if let Some(msg) = state.error {
             return Err(TraceError::Io(msg));
         }
-        state.writer.flush()?;
-        Ok(state.writer)
+        let mut writer = state
+            .writer
+            .into_inner()
+            .map_err(|e| TraceError::Io(e.error().to_string()))?;
+        writer.flush()?;
+        Ok(writer)
     }
 }
 
-impl<W> std::fmt::Debug for JsonlSink<W> {
+impl<W: Write> std::fmt::Debug for JsonlSink<W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let state = self.state.lock();
         f.debug_struct("JsonlSink")
@@ -636,29 +621,28 @@ impl<W> std::fmt::Debug for JsonlSink<W> {
 impl<T: Timestamp, W: Write + Send> EventSink<T> for JsonlSink<W> {
     fn record(&self, at: T, event: &Event) {
         // Encoding happens before the lock: the critical section is an
-        // append plus, once per DRAIN_BYTES, the sanctioned drain.
+        // append plus, once per DRAIN_BYTES, the buffer's drain — the one
+        // I/O-under-lock site.
         let line = encode_line(at.as_trace_micros(), event);
         let mut state = self.state.lock();
         if state.error.is_some() {
             return;
         }
-        state.pending.extend_from_slice(line.as_bytes());
-        state.pending.push(b'\n');
         state.lines += 1;
-        if state.pending.len() >= DRAIN_BYTES {
-            // Amortized drain: one write_all per 64 KiB of trace is the sanctioned
-            // I/O-under-lock site.
-            drain_locked(&mut state);
+        let writer = &mut state.writer;
+        let res = writer
+            .write_all(line.as_bytes())
+            .and_then(|()| writer.write_all(b"\n"));
+        if let Err(e) = res {
+            state.error = Some(e.to_string());
         }
     }
 
     fn flush(&self) {
         let mut state = self.state.lock();
-        // An explicit flush is a sanctioned stall under the lock; drain the
-        // buffer first.
-        drain_locked(&mut state);
+        // An explicit flush is a sanctioned stall under the lock; syncing
+        // the inner writer is the point of this method.
         if state.error.is_none() {
-            // Syncing the inner writer is the point of this method.
             if let Err(e) = state.writer.flush() {
                 state.error = Some(e.to_string());
             }
@@ -865,6 +849,55 @@ mod tests {
         for line in text.lines() {
             parse_trace_line(line).expect("sink output parses");
         }
+    }
+
+    #[test]
+    fn a_trace_longer_than_the_buffer_drains_in_order() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+
+        /// Keeps every byte and counts the `write` calls that delivered them.
+        struct Logged {
+            bytes: Vec<u8>,
+            writes: Arc<AtomicUsize>,
+        }
+        impl Write for Logged {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes.fetch_add(1, Ordering::Relaxed);
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+
+        let writes = Arc::new(AtomicUsize::new(0));
+        let sink = JsonlSink::new(Logged {
+            bytes: Vec::new(),
+            writes: Arc::clone(&writes),
+        });
+        let mut expected = String::new();
+        let mut micros = 0u64;
+        while expected.len() < 3 * DRAIN_BYTES {
+            let event = Event::Pull {
+                worker: WorkerId::new((micros % 7) as usize),
+                staleness: micros % 13,
+            };
+            EventSink::record(&sink, VirtualTime::from_micros(micros), &event);
+            expected.push_str(&encode_line(micros, &event));
+            expected.push('\n');
+            micros += 1;
+        }
+        let before_finish = writes.load(Ordering::Relaxed);
+        let bound = expected.len().div_ceil(DRAIN_BYTES) + 1;
+        assert!(
+            before_finish >= 2,
+            "{before_finish} writes: the buffer never drained"
+        );
+        assert!(before_finish <= bound, "{before_finish} writes > {bound}");
+        let written = sink.finish().unwrap();
+        assert_eq!(written.bytes, expected.as_bytes());
     }
 
     #[test]

@@ -6,9 +6,9 @@
 /// "SPA"): O(dim) memory held across minibatches, O(nnz) work per batch.
 ///
 /// Models scatter-add per-sample contributions with [`add`](Self::add);
-/// repeated indices accumulate without hashing or sorting. [`finish`]
-/// (Self::finish) canonicalizes to index order so downstream consumers see
-/// one deterministic layout.
+/// repeated indices accumulate without hashing or sorting.
+/// [`finish`](Self::finish) canonicalizes to index order so downstream
+/// consumers see one deterministic layout.
 ///
 /// # Examples
 ///
@@ -101,8 +101,8 @@ impl SparseGrad {
         self.sum_sq = sum;
     }
 
-    /// Sum of squared entries as cached by the last [`finish`]
-    /// (Self::finish) call (zero before it). Untouched coordinates
+    /// Sum of squared entries as cached by the last
+    /// [`finish`](Self::finish) call (zero before it). Untouched coordinates
     /// contribute exactly `0.0`, so this equals the f64 sum over the dense
     /// form.
     pub fn sum_squares(&self) -> f64 {

@@ -8,7 +8,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use specsync::tensor::{SparseGrad, Vector};
+use specsync::tensor::SparseGrad;
 
 /// The crates the virtual-time simulator runs: same seed, same bits.
 const DETERMINISTIC: [&str; 9] = [
@@ -224,17 +224,6 @@ fn no_panic_fixture_is_silent_for_harness_crates() {
         );
     }
     assert!(opted_out.iter().any(|file| file == "crates/net/src/lib.rs"));
-}
-
-/// `4096` then 4096 ones: past the first square (`2^24`) an `f32` running
-/// sum of squares stalls, each `+1` rounding away; an `f64` one is exact.
-/// Norms accumulate in `f64`; the goldens guard the sums kept `f32`.
-#[test]
-fn f32_accumulation_fixture_running_sum() {
-    let mut data = vec![1.0f32; 4097];
-    data[0] = 4096.0;
-    assert_eq!(data.iter().map(|x| x * x).sum::<f32>(), 16_777_216.0);
-    assert_eq!(Vector::from(data).norm2_squared(), 16_781_312.0);
 }
 
 /// The sparse accumulator keeps its own `f64` sum of squares.
