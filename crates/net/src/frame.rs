@@ -24,7 +24,6 @@
 
 use std::fmt;
 use std::io::{self, Read, Write};
-use std::sync::Arc;
 
 use specsync_ps::{checksum, PushPayload};
 use specsync_simnet::WorkerId;
@@ -153,15 +152,35 @@ fn put_f32(out: &mut Vec<u8>, v: f32) {
     out.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
-/// Grows `out` once, then fills fixed-width chunks: no per-element
-/// capacity check, so the loop runs at copy speed.
+/// Floats converted per stack block by [`put_f32_slice`]: 4 KiB, well
+/// inside L1.
+const STAGE: usize = 1024;
+
+/// Reserves once, then converts a stack block at a time and appends it:
+/// each byte of `out` is written once, with no zero-fill ahead of the copy
+/// and no per-element capacity check.
 fn put_f32_slice(out: &mut Vec<u8>, vs: &[f32]) {
     put_u64(out, vs.len() as u64);
-    let start = out.len();
-    out.resize(start + vs.len() * 4, 0);
-    for (dst, v) in out[start..].chunks_exact_mut(4).zip(vs) {
-        dst.copy_from_slice(&v.to_bits().to_le_bytes());
+    out.reserve(vs.len() * 4);
+    let mut block = [[0u8; 4]; STAGE];
+    for chunk in vs.chunks(STAGE) {
+        for (dst, v) in block.iter_mut().zip(chunk) {
+            *dst = v.to_le_bytes();
+        }
+        out.extend_from_slice(block[..chunk.len()].as_flattened());
     }
+}
+
+/// The floats of a dense field, from the little-endian bytes a frame
+/// carries them as (a multiple of four bytes, which the parser
+/// guarantees). Exact-size, so collecting it allocates once; the shard
+/// applies a dense push straight from it.
+pub(crate) fn le_floats(bytes: &[u8]) -> impl ExactSizeIterator<Item = f32> + Clone + '_ {
+    bytes
+        .as_chunks::<4>()
+        .0
+        .iter()
+        .map(|b| f32::from_le_bytes(*b))
 }
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
@@ -196,17 +215,19 @@ fn put_push_payload(out: &mut Vec<u8>, payload: &PushPayload) {
     }
 }
 
+fn put_pull_reply(out: &mut Vec<u8>, version: u64, params: &[f32]) {
+    out.push(TAG_PULL_REPLY);
+    put_u64(out, version);
+    put_f32_slice(out, params);
+}
+
 fn encode_payload(msg: &WireMessage, out: &mut Vec<u8>) {
     match msg {
         WireMessage::Pull { worker } => {
             out.push(TAG_PULL);
             put_worker(out, *worker);
         }
-        WireMessage::PullReply { version, params } => {
-            out.push(TAG_PULL_REPLY);
-            put_u64(out, *version);
-            put_f32_slice(out, params);
-        }
+        WireMessage::PullReply { version, params } => put_pull_reply(out, *version, params),
         WireMessage::Push { worker, payload } => {
             out.push(TAG_PUSH);
             put_worker(out, *worker);
@@ -319,18 +340,56 @@ fn encode_payload(msg: &WireMessage, out: &mut Vec<u8>) {
 /// stream, so the sender refuses to put it on the wire at all. A bulk
 /// field alone past the limit is refused before anything is allocated.
 pub fn encode_frame(msg: &WireMessage) -> Result<Vec<u8>, FrameError> {
-    let bulk = bulk_len(msg);
+    let mut out = Vec::new();
+    encode_frame_into(msg, &mut out)?;
+    Ok(out)
+}
+
+/// [`encode_frame`] into a buffer the caller keeps: `out` is cleared and
+/// holds exactly the frame afterwards, so a buffer reused across frames
+/// allocates only when a frame outgrows every earlier one. On an error
+/// its contents are unspecified.
+///
+/// # Errors
+///
+/// As [`encode_frame`].
+pub fn encode_frame_into(msg: &WireMessage, out: &mut Vec<u8>) -> Result<(), FrameError> {
+    seal(out, bulk_len(msg), |out| encode_payload(msg, out))
+}
+
+/// The `PullReply` frame of `version` encoded straight from the floats
+/// where they live, through the same payload writer as
+/// [`encode_frame_into`]: the shard's pull-reply cache is rebuilt from its
+/// store this way, with no owned snapshot in between.
+pub(crate) fn encode_pull_reply_into(
+    version: u64,
+    params: &[f32],
+    out: &mut Vec<u8>,
+) -> Result<(), FrameError> {
+    seal(out, params.len() * 4, |out| {
+        put_pull_reply(out, version, params);
+    })
+}
+
+/// Frames what `payload` writes: header first, then the payload, then
+/// the length and checksum the header could only take once the payload
+/// was written. `bulk` is [`bulk_len`]'s figure.
+fn seal(
+    out: &mut Vec<u8>,
+    bulk: usize,
+    payload: impl FnOnce(&mut Vec<u8>),
+) -> Result<(), FrameError> {
     if bulk > PAYLOAD_LIMIT {
         return Err(FrameError::TooLarge { len: bulk as u64 });
     }
-    // One buffer, sized up front: header, the fixed fields (well under
-    // 64 bytes for every dense-carrying variant), and the bulk field.
-    let mut out = Vec::with_capacity(HEADER_LEN + 64 + bulk);
+    out.clear();
+    // Sized up front: header, the fixed fields (well under 64 bytes for
+    // every dense-carrying variant), and the bulk field.
+    out.reserve(HEADER_LEN + 64 + bulk);
     out.extend_from_slice(&MAGIC);
-    put_u32(&mut out, FORMAT);
-    // Length and checksum are only known once the payload is written.
+    put_u32(out, FORMAT);
     out.resize(HEADER_LEN, 0);
-    encode_payload(msg, &mut out);
+    payload(out);
     let payload_len = out.len() - HEADER_LEN;
     if payload_len > PAYLOAD_LIMIT {
         return Err(FrameError::TooLarge {
@@ -340,7 +399,7 @@ pub fn encode_frame(msg: &WireMessage) -> Result<Vec<u8>, FrameError> {
     let sum = checksum(&out[HEADER_LEN..]);
     out[8..12].copy_from_slice(&(payload_len as u32).to_le_bytes());
     out[12..HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
-    Ok(out)
+    Ok(())
 }
 
 /// Encoded size of the one variable-length field a message can carry:
@@ -418,19 +477,15 @@ impl<'a> Reader<'a> {
         Ok(n as usize)
     }
 
-    /// One bounds check for the whole slice, then an exact-size iterator
-    /// the target collects in a single allocation — a `Vec<f32>` for a
-    /// push, the `Arc<[f32]>` itself for a pull reply.
-    fn f32_slice<C: FromIterator<f32>>(&mut self) -> Result<C, FrameError> {
+    /// A dense field: one bounds check for the whole slice, which stays
+    /// the bytes it arrived as. Only an owner converts them
+    /// ([`le_floats`]).
+    fn f32_bytes(&mut self) -> Result<&'a [u8], FrameError> {
         let n = self.len_prefix(4)?;
         let len = n
             .checked_mul(4)
             .ok_or(FrameError::Malformed("length prefix exceeds payload"))?;
-        Ok(self
-            .take(len)?
-            .chunks_exact(4)
-            .map(|b| f32::from_bits(u32::from_le_bytes([b[0], b[1], b[2], b[3]])))
-            .collect())
+        self.take(len)
     }
 
     fn string(&mut self) -> Result<String, FrameError> {
@@ -469,9 +524,97 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn read_push_payload(r: &mut Reader<'_>) -> Result<PushPayload, FrameError> {
+/// A decoded frame that still borrows the buffer it was decoded from:
+/// a dense field is left as its checksum-verified little-endian bytes.
+/// [`read_frame_into`] yields this form, and a shard applies a dense push
+/// straight from it; [`into_owned`](Self::into_owned) converts what an
+/// owner needs, which is all [`decode_frame`] adds. Both run the one
+/// parser, so every bound — exact fit, [`MAX_WORKERS`],
+/// [`MAX_SPARSE_DIM`], the length prefixes — holds for either.
+#[derive(Debug, Clone, PartialEq)]
+pub enum FrameRef<'a> {
+    /// [`WireMessage::PullReply`] with its parameters' bytes.
+    PullReply {
+        /// Store version of the snapshot.
+        version: u64,
+        /// The parameters, four little-endian bytes each.
+        params: &'a [u8],
+    },
+    /// [`WireMessage::Push`] with its gradient in place.
+    Push {
+        /// The pushing worker.
+        worker: WorkerId,
+        /// The gradient.
+        body: PushBody<'a>,
+    },
+    /// [`WireMessage::RelayPush`] with its gradient in place.
+    RelayPush {
+        /// Store version the push produces.
+        seq: u64,
+        /// The originating worker.
+        worker: WorkerId,
+        /// Learning rate the primary applies.
+        lr: f32,
+        /// The gradient.
+        body: PushBody<'a>,
+    },
+    /// Every variant without a dense field, decoded outright. Never one
+    /// of the three above.
+    Owned(WireMessage),
+}
+
+/// A push's gradient as the parser leaves it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum PushBody<'a> {
+    /// A dense gradient: four little-endian bytes per float. It is the
+    /// last field of its frame, so its bytes end the frame.
+    Dense(&'a [u8]),
+    /// A sparse gradient, decoded.
+    Sparse(SparseGrad),
+}
+
+impl FrameRef<'_> {
+    /// The owned message: dense bytes are converted into the floats a
+    /// [`WireMessage`] holds, one allocation each.
+    pub fn into_owned(self) -> WireMessage {
+        match self {
+            FrameRef::PullReply { version, params } => WireMessage::PullReply {
+                version,
+                params: le_floats(params).collect(),
+            },
+            FrameRef::Push { worker, body } => WireMessage::Push {
+                worker,
+                payload: body.into_owned(),
+            },
+            FrameRef::RelayPush {
+                seq,
+                worker,
+                lr,
+                body,
+            } => WireMessage::RelayPush {
+                seq,
+                worker,
+                lr,
+                payload: body.into_owned(),
+            },
+            FrameRef::Owned(msg) => msg,
+        }
+    }
+}
+
+impl PushBody<'_> {
+    /// The owned payload.
+    pub fn into_owned(self) -> PushPayload {
+        match self {
+            PushBody::Dense(bytes) => PushPayload::Dense(le_floats(bytes).collect()),
+            PushBody::Sparse(grad) => PushPayload::Sparse(grad),
+        }
+    }
+}
+
+fn read_push_body<'a>(r: &mut Reader<'a>) -> Result<PushBody<'a>, FrameError> {
     match r.u8()? {
-        PAYLOAD_DENSE => Ok(PushPayload::Dense(r.f32_slice()?)),
+        PAYLOAD_DENSE => Ok(PushBody::Dense(r.f32_bytes()?)),
         PAYLOAD_SPARSE => {
             let dim = r.u64()?;
             // `SparseGrad::reset` allocates per-dimension scratch,
@@ -492,40 +635,41 @@ fn read_push_payload(r: &mut Reader<'_>) -> Result<PushPayload, FrameError> {
                 grad.add(index as usize, value);
             }
             grad.finish();
-            Ok(PushPayload::Sparse(grad))
+            Ok(PushBody::Sparse(grad))
         }
         _ => Err(FrameError::Malformed("bad push payload kind")),
     }
 }
 
-fn decode_payload(payload: &[u8]) -> Result<WireMessage, FrameError> {
+fn decode_payload(payload: &[u8]) -> Result<FrameRef<'_>, FrameError> {
     let mut r = Reader::new(payload);
-    let msg = match r.u8()? {
+    let frame = match r.u8()? {
+        TAG_PULL_REPLY => FrameRef::PullReply {
+            version: r.u64()?,
+            params: r.f32_bytes()?,
+        },
+        TAG_PUSH => FrameRef::Push {
+            worker: r.worker()?,
+            body: read_push_body(&mut r)?,
+        },
+        TAG_RELAY_PUSH => FrameRef::RelayPush {
+            seq: r.u64()?,
+            worker: r.worker()?,
+            lr: r.f32()?,
+            body: read_push_body(&mut r)?,
+        },
+        tag => FrameRef::Owned(decode_owned(tag, &mut r)?),
+    };
+    r.finish()?;
+    Ok(frame)
+}
+
+/// The variants with no dense field, after their tag.
+fn decode_owned(tag: u8, r: &mut Reader<'_>) -> Result<WireMessage, FrameError> {
+    Ok(match tag {
         TAG_PULL => WireMessage::Pull {
             worker: r.worker()?,
         },
-        TAG_PULL_REPLY => {
-            let version = r.u64()?;
-            let params: Arc<[f32]> = r.f32_slice()?;
-            WireMessage::PullReply { version, params }
-        }
-        TAG_PUSH => {
-            let worker = r.worker()?;
-            let payload = read_push_payload(&mut r)?;
-            WireMessage::Push { worker, payload }
-        }
-        TAG_RELAY_PUSH => {
-            let seq = r.u64()?;
-            let worker = r.worker()?;
-            let lr = r.f32()?;
-            let payload = read_push_payload(&mut r)?;
-            WireMessage::RelayPush {
-                seq,
-                worker,
-                lr,
-                payload,
-            }
-        }
         TAG_RELAY_TAG => WireMessage::RelayTag {
             seq: r.u64()?,
             lr: r.f32()?,
@@ -588,16 +732,15 @@ fn decode_payload(payload: &[u8]) -> Result<WireMessage, FrameError> {
         }
         TAG_SHUTDOWN => WireMessage::Shutdown,
         _ => return Err(FrameError::Malformed("bad frame tag")),
-    };
-    r.finish()?;
-    Ok(msg)
+    })
 }
 
 /// Decodes one complete frame. The buffer must hold exactly one frame —
 /// missing bytes report [`FrameError::Truncated`], extra bytes
-/// [`FrameError::Malformed`].
+/// [`FrameError::Malformed`] once the frame they follow checks out. This
+/// is [`read_frame_into`]'s in-place decode, turned owned.
 pub fn decode_frame(buf: &[u8]) -> Result<WireMessage, FrameError> {
-    let Some((header, payload)) = buf.split_first_chunk::<HEADER_LEN>() else {
+    let Some((header, rest)) = buf.split_first_chunk::<HEADER_LEN>() else {
         // A short buffer that cannot even disprove the magic is truncated;
         // one that can is reported as whatever the header says first.
         if buf.len() >= 4 && buf[..4] != MAGIC {
@@ -606,13 +749,16 @@ pub fn decode_frame(buf: &[u8]) -> Result<WireMessage, FrameError> {
         return Err(FrameError::Truncated);
     };
     let (payload_len, checksum) = parse_header(header)?;
-    if payload.len() < payload_len {
-        return Err(FrameError::Truncated);
-    }
-    if payload.len() > payload_len {
+    let (payload, trailing) = rest
+        .split_at_checked(payload_len)
+        .ok_or(FrameError::Truncated)?;
+    // Checked in the order a stream reader meets the bytes, so a length
+    // field cut short fails its checksum here as it does there.
+    let frame = decode_checked(payload, checksum)?;
+    if !trailing.is_empty() {
         return Err(FrameError::Malformed("trailing bytes after frame"));
     }
-    decode_checked(payload, checksum)
+    Ok(frame.into_owned())
 }
 
 /// Validates a complete header — magic, then format, then the advertised
@@ -636,9 +782,9 @@ fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(usize, u64), FrameError> {
     Ok((payload_len, u64::from_le_bytes(checksum)))
 }
 
-/// Decodes a payload of exactly the advertised length once it hashes to
-/// the header checksum.
-fn decode_checked(payload: &[u8], sum: u64) -> Result<WireMessage, FrameError> {
+/// Decodes a payload of exactly the advertised length, in place, once it
+/// hashes to the header checksum.
+fn decode_checked(payload: &[u8], sum: u64) -> Result<FrameRef<'_>, FrameError> {
     if checksum(payload) != sum {
         return Err(FrameError::ChecksumMismatch);
     }
@@ -656,24 +802,33 @@ pub fn write_frame(w: &mut dyn Write, msg: &WireMessage) -> io::Result<usize> {
 
 /// Reads one frame from a stream, returning the message and the bytes
 /// consumed. An EOF before the first header byte reports
-/// [`ReadOutcome::Closed`]; any later truncation is an error.
+/// [`ReadOutcome::Closed`]; any later truncation is an error. A thin call
+/// of [`read_frame_into`] on a buffer of its own, for links that carry
+/// only small frames.
 pub fn read_frame(r: &mut dyn Read) -> Result<ReadOutcome, FrameReadError> {
-    Ok(match read_frame_bytes(r, 0)? {
-        Some((msg, bytes)) => ReadOutcome::Frame(msg, bytes.len()),
+    let mut buf = Vec::new();
+    Ok(match read_frame_into(r, 0, &mut buf)? {
+        Some((frame, end)) => ReadOutcome::Frame(frame.into_owned(), end),
         None => ReadOutcome::Closed,
     })
 }
 
-/// [`read_frame`], keeping what it read: the message comes with a buffer
-/// of `headroom` zero bytes followed by the frame exactly as it arrived,
-/// header and payload, already checked against the header's checksum. A
-/// receiver that forwards the frame writes that buffer instead of
-/// re-encoding the message, with whatever it sends first (the relay tag)
-/// in the headroom. `None` is the clean close.
-pub fn read_frame_bytes(
+/// Reads one frame from a stream into `buf`, in place: the header and
+/// payload land at `buf[headroom..end]`, checked against the header's
+/// checksum, and the frame comes back decoded in place with `end`. `None`
+/// is the clean close.
+///
+/// The buffer grows to the largest frame it has held and is never shrunk
+/// or cleared, so a connection that reads every frame into one buffer
+/// allocates only when a frame outgrows every earlier one. Bytes outside
+/// `headroom..end` are whatever earlier frames left there: nothing reads
+/// them, and a receiver that forwards the frame writes what it sends
+/// first (the relay tag) into the headroom.
+pub fn read_frame_into<'b>(
     r: &mut dyn Read,
     headroom: usize,
-) -> Result<Option<(WireMessage, Vec<u8>)>, FrameReadError> {
+    buf: &'b mut Vec<u8>,
+) -> Result<Option<(FrameRef<'b>, usize)>, FrameReadError> {
     let mut header = [0u8; HEADER_LEN];
     // Distinguish a clean close (no bytes at all) from a mid-frame cut.
     let mut got = 0usize;
@@ -692,16 +847,24 @@ pub fn read_frame_bytes(
     }
     let (payload_len, checksum) = parse_header(&header).map_err(FrameReadError::Frame)?;
     let payload_at = headroom + HEADER_LEN;
-    let mut buf = vec![0u8; payload_at + payload_len];
+    let end = payload_at + payload_len;
+    if buf.len() < end {
+        // Replaced, not resized: the allocator's zeroed pages are untouched
+        // until the payload arrives, so a header announcing more than ever
+        // comes costs address space, not a fill. What the old buffer held
+        // is nobody's business.
+        *buf = vec![0; end];
+    }
     buf[headroom..payload_at].copy_from_slice(&header);
-    if let Err(e) = r.read_exact(&mut buf[payload_at..]) {
+    if let Err(e) = r.read_exact(&mut buf[payload_at..end]) {
         if e.kind() == io::ErrorKind::UnexpectedEof {
             return Err(FrameReadError::Frame(FrameError::Truncated));
         }
         return Err(FrameReadError::Io(e));
     }
-    match decode_checked(&buf[payload_at..], checksum) {
-        Ok(msg) => Ok(Some((msg, buf))),
+    let buf: &'b [u8] = buf;
+    match decode_checked(&buf[payload_at..end], checksum) {
+        Ok(frame) => Ok(Some((frame, end))),
         Err(e) => Err(FrameReadError::Frame(e)),
     }
 }
@@ -737,6 +900,8 @@ impl std::error::Error for FrameReadError {}
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
 
     fn sample_frames() -> Vec<WireMessage> {
@@ -1192,22 +1357,39 @@ mod tests {
         ));
     }
 
+    /// One buffer across every frame, as a connection keeps it: each
+    /// frame lands behind the headroom exactly as written, whatever a
+    /// larger earlier frame left in the buffer, and a relay tag written
+    /// over the whole headroom makes the two one stream.
     #[test]
-    fn kept_bytes_are_the_frame_as_written_behind_zeroed_headroom() {
-        let tag = encode_frame(&WireMessage::RelayTag { seq: 7, lr: 0.5 }).unwrap();
+    fn kept_bytes_are_the_frame_as_written_behind_the_headroom() {
+        let relay_tag = WireMessage::RelayTag { seq: 7, lr: 0.5 };
+        let tag = encode_frame(&relay_tag).unwrap();
         assert_eq!(tag.len(), RELAY_TAG_FRAME_LEN);
+        let mut buf = Vec::new();
         for msg in sample_frames() {
             let written = encode_frame(&msg).unwrap();
             for headroom in [0, RELAY_TAG_FRAME_LEN] {
                 let mut cursor = io::Cursor::new(written.clone());
-                let (got, kept) = read_frame_bytes(&mut cursor, headroom).unwrap().unwrap();
-                assert_eq!(got, msg);
-                assert!(kept[..headroom].iter().all(|&b| b == 0));
-                assert_eq!(kept[headroom..], written[..], "{msg:?}");
+                let (got, end) = read_frame_into(&mut cursor, headroom, &mut buf)
+                    .unwrap()
+                    .unwrap();
+                assert_eq!(got.into_owned(), msg);
+                assert_eq!(buf[headroom..end], written[..], "{msg:?}");
+                if headroom == RELAY_TAG_FRAME_LEN {
+                    buf[..headroom].copy_from_slice(&tag);
+                    let mut forwarded = io::Cursor::new(buf[..end].to_vec());
+                    for want in [&relay_tag, &msg] {
+                        let ReadOutcome::Frame(got, _) = read_frame(&mut forwarded).unwrap() else {
+                            panic!("the forwarded stream closed early");
+                        };
+                        assert_eq!(&got, want);
+                    }
+                }
             }
         }
         let mut empty = io::Cursor::new(Vec::new());
-        assert!(read_frame_bytes(&mut empty, RELAY_TAG_FRAME_LEN)
+        assert!(read_frame_into(&mut empty, RELAY_TAG_FRAME_LEN, &mut buf)
             .unwrap()
             .is_none());
     }

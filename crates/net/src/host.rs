@@ -3,40 +3,66 @@
 //! receive.
 //!
 //! The TCP shard server — in its own process, or on a thread of the
-//! threaded runtime — routes frames through [`handle`](ShardHost::handle)
-//! and serves pulls from [`encoded_pull_reply`](ShardHost::encoded_pull_reply).
-//! A shard process holds exactly one copy of the model: its replica is
-//! another shard process, fed by the server's write-ahead relay, so the
-//! host applies each decoded push by reference and drops it. (The
-//! virtual-time simulator models a failover inside one process instead,
-//! on a store that keeps its own backup copy, and does not go through
-//! this host.)
+//! threaded runtime — applies pushes through
+//! [`apply_push`](ShardHost::apply_push) and serves pulls from
+//! [`encoded_pull_reply`](ShardHost::encoded_pull_reply); callers that
+//! hold decoded frames use [`handle`](ShardHost::handle), which delegates
+//! a push to the same function. Every push is applied straight from where
+//! its gradient already lives — the bytes of the frame it arrived in, or
+//! a decoded payload — and nothing of it is kept: a shard process holds
+//! exactly one copy of the model, and its replica is another shard
+//! process, fed by the server's write-ahead relay. (The virtual-time
+//! simulator models a failover inside one process instead, on a store
+//! that keeps its own backup copy, and does not go through this host.)
 //!
-//! No failover verb reaches `handle`: the TCP server obeys `Promote` on
+//! No failover verb reaches the host: the TCP server obeys `Promote` on
 //! its scheduler link and runs the rejoin handshake on the connection
 //! that asked for it, because both own a socket, not just the store. The
 //! one store swap, a rejoin's, is [`install_store`](ShardHost::install_store).
 //!
 //! Pull serving is read-mostly: the host serializes each store version's
-//! `PullReply` frame **once** and shares the encoder's own buffer
-//! (`Arc<Vec<u8>>`, no second copy) across every concurrent client until
-//! the next push bumps the version — the wire-side twin of
-//! [`ParameterStore`]'s `Arc<[f32]>` snapshot cache.
+//! `PullReply` frame **once**, straight from the store's parameters, and
+//! shares the encoder's own buffer (`Arc<Vec<u8>>`, no second copy)
+//! across every concurrent client until the next push bumps the version.
+//! The next version is encoded into the same buffer when no client still
+//! holds it.
 
 use std::fmt;
 use std::sync::Arc;
 
 use specsync_ps::{ParameterStore, PushPayload};
 use specsync_simnet::WorkerId;
+use specsync_tensor::SparseGrad;
 
 use crate::error::NetError;
-use crate::frame::encode_frame;
+use crate::frame::{encode_pull_reply_into, le_floats};
 use crate::wire::WireMessage;
 
 /// Learning rate the frame path uses when no schedule is installed.
 pub const DEFAULT_FRAME_LR: f32 = 0.05;
 
 type LrFn = Box<dyn Fn(u64) -> f32 + Send>;
+
+/// A push's gradient where it already lives, as
+/// [`ShardHost::apply_push`] takes it.
+#[derive(Debug, Clone, Copy)]
+pub enum Gradient<'a> {
+    /// Dense, as a frame carries it: four little-endian bytes per float.
+    Wire(&'a [u8]),
+    /// Dense, decoded.
+    Dense(&'a [f32]),
+    /// Sparse.
+    Sparse(&'a SparseGrad),
+}
+
+impl<'a> From<&'a PushPayload> for Gradient<'a> {
+    fn from(payload: &'a PushPayload) -> Self {
+        match payload {
+            PushPayload::Dense(grad) => Gradient::Dense(grad),
+            PushPayload::Sparse(grad) => Gradient::Sparse(grad),
+        }
+    }
+}
 
 /// The shard protocol handler. See the module docs.
 pub struct ShardHost {
@@ -112,15 +138,72 @@ impl ShardHost {
         self.epochs
     }
 
-    /// Applies a push by reference and acks it.
-    fn apply(&mut self, worker: WorkerId, payload: &PushPayload, lr: f32) -> WireMessage {
-        let version = payload.apply_to(&mut self.store, worker, lr);
+    /// Applies one push from `worker` and acks it: every push, from a
+    /// worker or relayed, from a frame's bytes or a decoded payload, comes
+    /// through here. A worker's push (`relay` is `None`) is applied at the
+    /// frame path's rate. A relayed one carries the `(seq, lr)` its primary
+    /// tagged it with: a `seq` the store already holds is an at-least-once
+    /// re-delivery, acked without touching the store — applying it twice
+    /// would double the gradient — and one that skips a version is
+    /// refused.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Unhandled`] for a gradient whose dimension is not the
+    /// model's — a well-formed frame can carry any — and for a relayed
+    /// push that skips a sequence number. The store is untouched.
+    pub fn apply_push(
+        &mut self,
+        worker: WorkerId,
+        grad: Gradient<'_>,
+        relay: Option<(u64, f32)>,
+    ) -> Result<WireMessage, NetError> {
+        if !self.fits(grad) {
+            return Err(NetError::Unhandled {
+                what: "push gradient of another dimension than the model",
+            });
+        }
+        let lr = match relay {
+            None => self.frame_lr(),
+            Some((seq, lr)) => {
+                let version = self.store.version();
+                if seq <= version {
+                    return Ok(WireMessage::PushAck {
+                        version,
+                        pushes_by_worker: self.store.pushes_by(worker),
+                    });
+                }
+                if seq != version + 1 {
+                    return Err(NetError::Unhandled {
+                        what: "relay push sequence gap",
+                    });
+                }
+                lr
+            }
+        };
+        let store = &mut self.store;
+        let version = match grad {
+            Gradient::Wire(bytes) => store.apply_push_from(worker, le_floats(bytes), lr),
+            Gradient::Dense(grad) => store.apply_push(worker, grad, lr),
+            Gradient::Sparse(grad) => store.apply_push_sparse(worker, grad, lr),
+        };
         let pushes_by_worker = self.store.pushes_by(worker);
         self.count_push(worker, pushes_by_worker);
-        WireMessage::PushAck {
+        Ok(WireMessage::PushAck {
             version,
             pushes_by_worker,
-        }
+        })
+    }
+
+    /// Whether `grad` has the model's dimension, which a well-formed frame
+    /// need not: [`apply_push`](Self::apply_push) refuses any other.
+    pub(crate) fn fits(&self, grad: Gradient<'_>) -> bool {
+        let dim = match grad {
+            Gradient::Wire(bytes) => bytes.len() / 4,
+            Gradient::Dense(grad) => grad.len(),
+            Gradient::Sparse(grad) => grad.dim(),
+        };
+        dim == self.store.num_params()
     }
 
     /// The rate the frame path applies to the next push.
@@ -185,8 +268,8 @@ impl ShardHost {
     }
 
     /// Handles one decoded frame, returning the reply frame (if the verb
-    /// has one). A push's payload is applied by reference and dropped with
-    /// the frame.
+    /// has one). A push's payload is applied by reference through
+    /// [`apply_push`](Self::apply_push) and dropped with the frame.
     ///
     /// # Errors
     ///
@@ -202,32 +285,16 @@ impl ShardHost {
                 }))
             }
             WireMessage::Push { worker, payload } => {
-                let lr = self.frame_lr();
-                Ok(Some(self.apply(worker, &payload, lr)))
+                self.apply_push(worker, (&payload).into(), None).map(Some)
             }
             WireMessage::RelayPush {
                 seq,
                 worker,
                 lr,
                 payload,
-            } => {
-                let version = self.store.version();
-                if seq <= version {
-                    // At-least-once re-delivery: this sequence is already
-                    // in the store, so ack without touching it — applying
-                    // twice would double the gradient.
-                    return Ok(Some(WireMessage::PushAck {
-                        version,
-                        pushes_by_worker: self.store.pushes_by(worker),
-                    }));
-                }
-                if seq != version + 1 {
-                    return Err(NetError::Unhandled {
-                        what: "relay push sequence gap",
-                    });
-                }
-                Ok(Some(self.apply(worker, &payload, lr)))
-            }
+            } => self
+                .apply_push(worker, (&payload).into(), Some((seq, lr)))
+                .map(Some),
             WireMessage::Shutdown => Ok(None),
             WireMessage::Failover(_) => Err(NetError::Unhandled {
                 what: "failover verb routed past the server connection layer",
@@ -251,10 +318,12 @@ impl ShardHost {
     }
 
     /// Serves a pull as pre-encoded frame bytes: the `PullReply` frame for
-    /// the current version is serialized once and the encoder's buffer is
-    /// shared (`Arc`) across every concurrent client until a push bumps
-    /// the version. Returns the bytes and the staleness observed before
-    /// the pull registered.
+    /// the current version is serialized once, straight from the store,
+    /// and the encoder's buffer is shared (`Arc`) across every concurrent
+    /// client until a push bumps the version. The next version is encoded
+    /// into the same buffer if no client still holds it, and into a fresh
+    /// one if one does. Returns the bytes and the staleness observed
+    /// before the pull registered.
     ///
     /// # Errors
     ///
@@ -266,17 +335,17 @@ impl ShardHost {
         worker: WorkerId,
     ) -> Result<(Arc<Vec<u8>>, u64), NetError> {
         let staleness = self.store.staleness_of(worker);
-        let snapshot = self.store.pull(worker);
-        let version = snapshot.version();
-        if let Some((cached_version, bytes)) = &self.encoded {
-            if *cached_version == version {
-                return Ok((Arc::clone(bytes), staleness));
+        let version = self.store.record_pull(worker);
+        let mut buf = match self.encoded.take() {
+            Some((cached, bytes)) if cached == version => {
+                self.encoded = Some((cached, Arc::clone(&bytes)));
+                return Ok((bytes, staleness));
             }
-        }
-        let bytes = Arc::new(encode_frame(&WireMessage::PullReply {
-            version,
-            params: snapshot.into_shared(),
-        })?);
+            Some((_, bytes)) => Arc::try_unwrap(bytes).unwrap_or_default(),
+            None => Vec::new(),
+        };
+        encode_pull_reply_into(version, self.store.params(), &mut buf)?;
+        let bytes = Arc::new(buf);
         self.encoded = Some((version, Arc::clone(&bytes)));
         Ok((bytes, staleness))
     }
@@ -583,6 +652,35 @@ mod tests {
         push(&mut open, 0, 1.0);
         push(&mut open, 1, 1.0);
         assert_eq!(open.epochs(), 2, "worker 2 has one push");
+    }
+
+    /// A well-formed push of the wrong dimension, from any source, is
+    /// refused with the store untouched: applied, it would trip the
+    /// store's length assertion and take the apply thread down with it.
+    #[test]
+    fn a_gradient_of_another_dimension_is_refused() {
+        let mut h = host();
+        let w = WorkerId::new(0);
+        let mut sparse = SparseGrad::new();
+        sparse.reset(9);
+        sparse.add(8, 1.0);
+        sparse.finish();
+        let bytes = [0u8; 7 * 4];
+        let floats = [1.0f32; 9];
+        for grad in [
+            Gradient::Wire(&bytes),
+            Gradient::Dense(&floats),
+            Gradient::Sparse(&sparse),
+        ] {
+            for relay in [None, Some((1, 0.1))] {
+                let err = h.apply_push(w, grad, relay).unwrap_err();
+                assert!(matches!(err, NetError::Unhandled { .. }), "{grad:?}");
+            }
+        }
+        assert_eq!(h.store().version(), 0);
+        assert_eq!(h.store_mut().params(), &[0.0; 8]);
+        let ack = h.apply_push(w, Gradient::Wire(&[0u8; 8 * 4]), None);
+        assert!(matches!(ack, Ok(WireMessage::PushAck { version: 1, .. })));
     }
 
     #[test]

@@ -10,8 +10,10 @@
 //!   any SpecSync role can send, in one enum, shared by the simulator's
 //!   accounting and the TCP path.
 //! * [`frame`] — the binary codec: `"SSNF"` magic, format version,
-//!   length prefix, segmented FNV-1a checksum, then a tagged payload.
-//!   Decoding is exact-fit: any flipped, missing, or trailing byte rejects.
+//!   length prefix, checksum, then a tagged payload. Decoding is
+//!   exact-fit: any flipped, missing, or trailing byte rejects. One parser
+//!   decodes a frame in place, its dense floats left as the bytes they
+//!   arrived in ([`FrameRef`]); the owned decode is that, converted.
 //! * [`transport`] — the [`Transport`] trait a worker drives its run
 //!   through, and [`TcpTransport`], its implementation over sockets: one
 //!   retry rule — jittered backoff, ask the scheduler for the primary,
@@ -64,11 +66,11 @@ pub use chaos::{ChaosListener, ChaosScope, ChaosStream, ConnSeq, FaultScript, Ne
 pub use config::{NetConfig, NetConfigBuilder};
 pub use error::NetError;
 pub use frame::{
-    decode_frame, encode_frame, read_frame, read_frame_bytes, write_frame, FrameError,
-    FrameReadError, ReadOutcome, MAX_SPARSE_DIM, MAX_WORKERS, PAYLOAD_LIMIT, RELAY_TAG_FRAME_LEN,
-    SNAPSHOT_CHUNK_OVERHEAD,
+    decode_frame, encode_frame, encode_frame_into, read_frame, read_frame_into, write_frame,
+    FrameError, FrameReadError, FrameRef, PushBody, ReadOutcome, MAX_SPARSE_DIM, MAX_WORKERS,
+    PAYLOAD_LIMIT, RELAY_TAG_FRAME_LEN, SNAPSHOT_CHUNK_OVERHEAD,
 };
-pub use host::ShardHost;
+pub use host::{Gradient, ShardHost};
 pub use sched_host::{SchedOutput, SchedulerHost};
 pub use server::{SchedulerConfig, SchedulerRunStats, SchedulerServer, ShardServer, ShardStats};
 pub use transport::{ConnTarget, Endpoint, FrameConn, TcpTransport, Transport, TransportStats};

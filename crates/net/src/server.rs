@@ -71,12 +71,15 @@ use specsync_ps::{ParameterStore, StoreCheckpoint};
 use specsync_simnet::WorkerId;
 use specsync_sync::SchemeKind;
 use specsync_telemetry::{Event, EventSink, NullSink};
+use specsync_tensor::SparseGrad;
 
 use crate::chaos::{ChaosListener, ChaosStream, ConnSeq};
 use crate::config::NetConfig;
 use crate::error::NetError;
-use crate::frame::{encode_frame, read_frame, write_frame, ReadOutcome, RELAY_TAG_FRAME_LEN};
-use crate::host::ShardHost;
+use crate::frame::{
+    encode_frame, read_frame, write_frame, FrameRef, PushBody, ReadOutcome, RELAY_TAG_FRAME_LEN,
+};
+use crate::host::{Gradient, ShardHost};
 use crate::sched_host::{SchedOutput, SchedulerHost};
 use crate::transport::WallElapsed;
 use crate::transport::{ConnTarget, FrameConn};
@@ -195,19 +198,77 @@ fn temp_path(path: &Path) -> PathBuf {
     PathBuf::from(name)
 }
 
-/// What the single apply thread consumes: push-class frames in arrival
-/// order, interleaved with join requests from re-provisioning backups.
+/// What the single apply thread consumes: pushes in arrival order,
+/// interleaved with join requests from re-provisioning backups.
 enum ApplyCmd {
-    /// A push to relay-then-apply, with the accepting connection thread's
-    /// reply channel. A worker's `Push` comes with the bytes it arrived as
-    /// (relay-tag headroom in front), which is what the relay forwards; a
-    /// `RelayPush` a backup absorbs has none and is never relayed on.
-    Frame(WireMessage, Option<Vec<u8>>, Sender<WireMessage>),
+    /// A push to relay-then-apply, in the buffer it was received into,
+    /// with the accepting connection thread's reply channel: the ack
+    /// comes back on it with the buffer.
+    Frame(Lent, Sender<(WireMessage, Vec<u8>)>),
     /// A joining backup's connection: stream it a snapshot of the serving
     /// store, then adopt it as the write-ahead relay target.
     Join(FrameConn),
     /// Wakes the apply thread of a halted server so it exits.
     Halt,
+}
+
+/// A received push, lent to the apply thread with the receive buffer its
+/// frame sits in: the apply thread applies it from those bytes and, for a
+/// worker's push, forwards them to the backup as received.
+struct Lent {
+    /// The connection's receive buffer: relay-tag headroom, then the
+    /// `Push` frame, which ends at `end`.
+    buf: Vec<u8>,
+    end: usize,
+    worker: WorkerId,
+    body: LentBody,
+    /// The relay tag `(seq, lr)` of a push a backup absorbs; `None` for a
+    /// worker's own push, the only kind relayed on.
+    tag: Option<(u64, f32)>,
+}
+
+/// A [`PushBody`] detached from the buffer it borrows, so the two can
+/// cross threads together.
+enum LentBody {
+    /// A dense gradient's byte count: its bytes end the frame.
+    Dense(usize),
+    Sparse(SparseGrad),
+}
+
+impl From<PushBody<'_>> for LentBody {
+    fn from(body: PushBody<'_>) -> Self {
+        match body {
+            PushBody::Dense(bytes) => LentBody::Dense(bytes.len()),
+            PushBody::Sparse(grad) => LentBody::Sparse(grad),
+        }
+    }
+}
+
+impl Lent {
+    /// Takes `conn`'s receive buffer, where the frame of `body` ends at
+    /// `end`.
+    fn new(
+        conn: &mut FrameConn,
+        end: usize,
+        worker: WorkerId,
+        body: LentBody,
+        tag: Option<(u64, f32)>,
+    ) -> Lent {
+        Lent {
+            buf: conn.lend_buffer(),
+            end,
+            worker,
+            body,
+            tag,
+        }
+    }
+
+    fn gradient(&self) -> Gradient<'_> {
+        match &self.body {
+            LentBody::Dense(len) => Gradient::Wire(&self.buf[self.end - len..self.end]),
+            LentBody::Sparse(grad) => Gradient::Sparse(grad),
+        }
+    }
 }
 
 impl std::fmt::Debug for ShardServer {
@@ -560,31 +621,34 @@ fn apply_loop(
             break;
         }
         match cmd {
-            ApplyCmd::Frame(frame, received, reply_tx) => {
-                if let (Some(conn), Some(mut received)) = (relay.as_mut(), received) {
+            ApplyCmd::Frame(mut push, reply_tx) => {
+                if let (Some(conn), None) = (relay.as_mut(), push.tag) {
                     // Tag the relayed push with the version it will
                     // produce so the backup can ack a redelivery without
-                    // re-applying it.
-                    let (seq, lr) = {
+                    // re-applying it. A push the host will refuse is not
+                    // relayed: the backup would refuse it too, and the
+                    // relay would drop with it.
+                    let tag = {
                         let locked = shared.host.lock();
-                        locked.relay_tag()
+                        locked.fits(push.gradient()).then(|| locked.relay_tag())
                     };
                     // Write-ahead: the backup holds the push before the
                     // primary applies it. A dead relay degrades to
                     // unreplicated serving rather than stalling the run.
-                    if forward_relay(conn, seq, lr, &mut received).is_ok() {
-                        counters.relayed.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        relay = None;
-                        counters.relay_drops.fetch_add(1, Ordering::Relaxed);
+                    if let Some((seq, lr)) = tag {
+                        if forward_relay(conn, seq, lr, &mut push.buf[..push.end]).is_ok() {
+                            counters.relayed.fetch_add(1, Ordering::Relaxed);
+                        } else {
+                            relay = None;
+                            counters.relay_drops.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
                 }
-                let worker = frame.worker();
                 let applied = {
                     let mut locked = shared.host.lock();
-                    locked.handle(frame)
+                    locked.apply_push(push.worker, push.gradient(), push.tag)
                 };
-                let Ok(Some(ack)) = applied else {
+                let Ok(ack) = applied else {
                     continue;
                 };
                 counters.pushes_applied.fetch_add(1, Ordering::Relaxed);
@@ -592,15 +656,18 @@ fn apply_loop(
                 // the ack can read both.
                 if !shared.serving.load(Ordering::SeqCst) {
                     counters.absorbed.fetch_add(1, Ordering::Relaxed);
-                } else if let (Some(worker), WireMessage::PushAck { version, .. }) = (worker, &ack)
-                {
+                } else if let (None, WireMessage::PushAck { version, .. }) = (push.tag, &ack) {
                     shared.record(&Event::Push {
-                        worker,
+                        worker: push.worker,
                         iteration: *version,
                     });
                     shared.checkpoint(*version);
                 }
-                let _ = reply_tx.send(ack);
+                // A decoded sparse gradient is freed before the ack lets
+                // the client send its next push, so two never coexist.
+                let Lent { buf, body, .. } = push;
+                drop(body);
+                let _ = reply_tx.send((ack, buf));
             }
             ApplyCmd::Join(mut conn) => {
                 let checkpoint = {
@@ -619,20 +686,37 @@ fn apply_loop(
 }
 
 /// One worker (or relay) connection to a shard: blocking frame loop, one
-/// thread. Returning drops the connection; the server survives.
+/// thread. Every frame is read into the connection's one receive buffer
+/// behind relay-tag headroom and decoded there. Returning drops the
+/// connection; the server survives.
 fn serve_shard_conn(mut conn: FrameConn, shared: &Shared, apply_tx: &Sender<ApplyCmd>) {
     loop {
-        let (frame, received) = match conn.recv_bytes(RELAY_TAG_FRAME_LEN) {
-            Ok(got) => got,
-            Err(_) => return,
+        let Ok((frame, end)) = conn.recv_in_place(RELAY_TAG_FRAME_LEN) else {
+            return;
         };
         // A halted server answers nothing more: the connection drops, and
         // a worker goes back to the scheduler for the primary.
         if shared.stop.load(Ordering::SeqCst) {
             return;
         }
-        match frame {
-            WireMessage::Pull { worker } => {
+        let push = match frame {
+            FrameRef::Push { worker, body } => {
+                let body = LentBody::from(body);
+                Lent::new(&mut conn, end, worker, body, None)
+            }
+            FrameRef::Owned(WireMessage::RelayTag { seq, lr }) => {
+                // A forwarded relay: the very next frame is the worker's
+                // own `Push`, checksum-verified like any other, read over
+                // the tag in the same buffer.
+                let Ok((FrameRef::Push { worker, body }, end)) =
+                    conn.recv_in_place(RELAY_TAG_FRAME_LEN)
+                else {
+                    return;
+                };
+                let body = LentBody::from(body);
+                Lent::new(&mut conn, end, worker, body, Some((seq, lr)))
+            }
+            FrameRef::Owned(WireMessage::Pull { worker }) => {
                 // A backup refuses worker pulls: dropping the connection
                 // sends the worker back to the scheduler's QueryPrimary.
                 if !shared.serving.load(Ordering::SeqCst) {
@@ -652,31 +736,9 @@ fn serve_shard_conn(mut conn: FrameConn, shared: &Shared, apply_tx: &Sender<Appl
                 }
                 shared.counters.pulls_served.fetch_add(1, Ordering::Relaxed);
                 shared.record(&Event::Pull { worker, staleness });
+                continue;
             }
-            frame @ WireMessage::Push { .. } => {
-                if !apply_and_ack(&mut conn, apply_tx, frame, Some(received)) {
-                    return;
-                }
-            }
-            WireMessage::RelayTag { seq, lr } => {
-                // A forwarded relay: the very next frame is the worker's
-                // own `Push`, checksum-verified like any other. The pair
-                // is the `RelayPush` the host already knows — sequence
-                // idempotence and the gap check included.
-                let Ok((WireMessage::Push { worker, payload }, _)) = conn.recv() else {
-                    return;
-                };
-                let relayed = WireMessage::RelayPush {
-                    seq,
-                    worker,
-                    lr,
-                    payload,
-                };
-                if !apply_and_ack(&mut conn, apply_tx, relayed, None) {
-                    return;
-                }
-            }
-            WireMessage::Failover(FailoverControl::JoinAsBackup { .. }) => {
+            FrameRef::Owned(WireMessage::Failover(FailoverControl::JoinAsBackup { .. })) => {
                 // Only a serving primary can provision a joiner. Hand the
                 // whole connection to the apply thread so the snapshot it
                 // streams is a clean cut of the push order.
@@ -685,49 +747,51 @@ fn serve_shard_conn(mut conn: FrameConn, shared: &Shared, apply_tx: &Sender<Appl
                 }
                 return;
             }
-            WireMessage::Shutdown => {
+            FrameRef::Owned(WireMessage::Shutdown) => {
                 shared.ended.store(true, Ordering::SeqCst);
                 return;
             }
             // Tolerated no-ops on a data connection.
-            WireMessage::Heartbeat { .. } => {}
+            FrameRef::Owned(WireMessage::Heartbeat { .. }) => continue,
             // Process-level failover is driven over the scheduler link;
             // a data connection carrying control frames is a protocol
             // error, as are reply/scheduler-plane frames and a relayed
             // push that did not arrive as a tag plus the worker's frame.
-            WireMessage::Failover(_)
-            | WireMessage::RelayPush { .. }
-            | WireMessage::PullReply { .. }
-            | WireMessage::PushAck { .. }
-            | WireMessage::Notify { .. }
-            | WireMessage::Abort { .. } => return,
+            FrameRef::RelayPush { .. }
+            | FrameRef::PullReply { .. }
+            | FrameRef::Owned(
+                WireMessage::Failover(_)
+                | WireMessage::Push { .. }
+                | WireMessage::RelayPush { .. }
+                | WireMessage::PullReply { .. }
+                | WireMessage::PushAck { .. }
+                | WireMessage::Notify { .. }
+                | WireMessage::Abort { .. },
+            ) => return,
+        };
+        if !apply_and_ack(&mut conn, apply_tx, push) {
+            return;
         }
     }
 }
 
-/// Queues one push-class frame for the apply thread and writes the ack it
-/// produces back down `conn`. `false` means the connection is done.
-fn apply_and_ack(
-    conn: &mut FrameConn,
-    apply_tx: &Sender<ApplyCmd>,
-    frame: WireMessage,
-    received: Option<Vec<u8>>,
-) -> bool {
+/// Lends one received push to the apply thread and writes the ack it
+/// produces back down `conn`, which gets its buffer back with it. `false`
+/// means the connection is done.
+fn apply_and_ack(conn: &mut FrameConn, apply_tx: &Sender<ApplyCmd>, push: Lent) -> bool {
     let (reply_tx, reply_rx) = bounded(1);
-    if apply_tx
-        .send(ApplyCmd::Frame(frame, received, reply_tx))
-        .is_err()
-    {
+    if apply_tx.send(ApplyCmd::Frame(push, reply_tx)).is_err() {
         return false;
     }
-    let Ok(ack) = reply_rx.recv() else {
+    let Ok((ack, buf)) = reply_rx.recv() else {
         return false;
     };
+    conn.restore_buffer(buf);
     conn.write(&ack).is_ok()
 }
 
-/// One write-ahead relay round trip. The tag frame is written into the
-/// headroom `received` carries in front of the worker's frame, so tag and
+/// One write-ahead relay round trip. The tag frame fills the whole
+/// headroom in front of the worker's frame in `received`, so tag and
 /// frame leave in a single write — chaos fault scripts are indexed by
 /// write op, and a relay must stay one op — and the backup's ack is
 /// awaited.
@@ -1279,6 +1343,40 @@ mod tests {
         let stats = handle.join().unwrap();
         assert_eq!(stats.pulls_served, 1);
         assert_eq!(stats.pushes_applied, 1);
+    }
+
+    /// A push whose gradient is not the model's dimension is refused on
+    /// the apply thread, which lives on, and is not relayed, so the
+    /// backup link lives on too: that connection drops, and the next
+    /// honest push is relayed and applied.
+    #[test]
+    fn a_push_of_the_wrong_dimension_drops_its_connection_not_the_shard() {
+        let backup = shard(1, 8).as_backup();
+        let backup_addr = backup.local_addr().to_string();
+        let backup_stop = backup.stop_handle();
+        let backup_handle = std::thread::spawn(move || backup.run().unwrap());
+        let primary = shard(0, 8).with_backup_relay(&backup_addr);
+        let addr = primary.local_addr().to_string();
+        let stop = primary.stop_handle();
+        let handle = std::thread::spawn(move || primary.run().unwrap());
+        let push = |dim| WireMessage::Push {
+            worker: WorkerId::new(0),
+            payload: PushPayload::Dense(vec![1.0; dim]),
+        };
+
+        let mut hostile = connect(&addr, &NetConfig::default());
+        assert!(hostile.exchange(&push(9)).is_err(), "the push was acked");
+        let mut conn = connect(&addr, &NetConfig::default());
+        let (reply, _, _) = conn.exchange(&push(8)).unwrap();
+        assert!(matches!(reply, WireMessage::PushAck { version: 1, .. }));
+        drop(conn);
+
+        stop.store(true, Ordering::SeqCst);
+        backup_stop.store(true, Ordering::SeqCst);
+        let stats = handle.join().unwrap();
+        assert_eq!((stats.pushes_applied, stats.version), (1, 1));
+        assert_eq!((stats.relayed, stats.relay_drops), (1, 0));
+        assert_eq!(backup_handle.join().unwrap().version, 1);
     }
 
     #[test]

@@ -26,7 +26,9 @@ use specsync_telemetry::{Event, EventSink};
 use crate::chaos::{chaos_connect, ChaosStream, ConnSeq};
 use crate::config::NetConfig;
 use crate::error::NetError;
-use crate::frame::{read_frame, read_frame_bytes, write_frame, ReadOutcome};
+use crate::frame::{
+    encode_frame_into, read_frame, read_frame_into, write_frame, FrameRef, ReadOutcome,
+};
 use crate::wire::{FailoverControl, WireMessage};
 
 /// Which peer a [`Transport::send`] addresses.
@@ -81,12 +83,21 @@ impl WallElapsed {
     }
 }
 
-/// One request/response socket with framed reads and writes.
+/// One request/response socket with framed reads and writes. Every frame
+/// it reads lands in one receive buffer and every frame it writes is
+/// encoded in one send buffer, each kept for the connection's life and
+/// grown to the largest frame it has held: past its first frames of a
+/// size, a connection allocates nothing per frame but what an owned
+/// decode hands out.
 #[derive(Debug)]
 pub struct FrameConn {
     stream: ChaosStream,
     /// Peer address, kept for error reporting and reconnect targeting.
     addr: String,
+    /// Receive buffer (see [`read_frame_into`]).
+    rx: Vec<u8>,
+    /// Send buffer (see [`encode_frame_into`]).
+    tx: Vec<u8>,
 }
 
 /// How a [`FrameConn`] connect attempt is labelled for the chaos layer
@@ -155,23 +166,22 @@ impl FrameConn {
         stream.set_nodelay(true).ok();
         stream.set_read_timeout(Some(config.io_timeout)).ok();
         stream.set_write_timeout(Some(config.io_timeout)).ok();
-        Ok(FrameConn {
-            stream,
-            addr: addr.to_string(),
-        })
+        Ok(FrameConn::from_chaos_stream(stream, addr.to_string()))
     }
 
     /// Wraps an accepted stream (server side), chaos-free.
     pub fn from_stream(stream: std::net::TcpStream, addr: String) -> Self {
-        FrameConn {
-            stream: ChaosStream::passthrough(stream),
-            addr,
-        }
+        FrameConn::from_chaos_stream(ChaosStream::passthrough(stream), addr)
     }
 
     /// Wraps an accepted, already chaos-scripted stream (server side).
     pub fn from_chaos_stream(stream: ChaosStream, addr: String) -> Self {
-        FrameConn { stream, addr }
+        FrameConn {
+            stream,
+            addr,
+            rx: Vec::new(),
+            tx: Vec::new(),
+        }
     }
 
     /// The peer address this connection targets.
@@ -193,38 +203,56 @@ impl FrameConn {
         self.stream.set_read_timeout(dur)
     }
 
-    /// Writes one frame, returning its encoded size.
+    /// Writes one frame, encoded in the connection's send buffer,
+    /// returning its encoded size. An unencodable message (payload over
+    /// the frame limit) is refused with nothing written.
     pub fn write(&mut self, msg: &WireMessage) -> Result<usize, NetError> {
-        Ok(write_frame(&mut self.stream, msg)?)
+        encode_frame_into(msg, &mut self.tx)?;
+        self.stream.write_all(&self.tx)?;
+        Ok(self.tx.len())
     }
 
     /// Writes pre-encoded frame bytes (the shard's per-version cached
-    /// `PullReply`), skipping re-serialization.
+    /// `PullReply`, a relayed push), skipping re-serialization.
     pub fn write_encoded(&mut self, bytes: &[u8]) -> Result<usize, NetError> {
         self.stream.write_all(bytes)?;
         Ok(bytes.len())
     }
 
-    /// Receives one frame, returning it with its wire size.
+    /// Receives one frame into the connection's receive buffer, returning
+    /// it owned with its wire size.
     ///
     /// # Errors
     ///
     /// [`NetError::Disconnected`] on clean EOF between frames.
     pub fn recv(&mut self) -> Result<(WireMessage, usize), NetError> {
-        match read_frame(&mut self.stream)? {
-            ReadOutcome::Frame(msg, bytes) => Ok((msg, bytes)),
-            ReadOutcome::Closed => Err(NetError::Disconnected),
-        }
+        let (frame, end) = self.recv_in_place(0)?;
+        Ok((frame.into_owned(), end))
     }
 
-    /// [`recv`](Self::recv), keeping the received bytes: `headroom` zero
-    /// bytes, then the frame as it arrived (see [`read_frame_bytes`]).
+    /// Receives one frame into the receive buffer behind `headroom` bytes
+    /// and returns it decoded in place, with the end of its bytes there
+    /// (see [`read_frame_into`]).
+    pub(crate) fn recv_in_place(
+        &mut self,
+        headroom: usize,
+    ) -> Result<(FrameRef<'_>, usize), NetError> {
+        read_frame_into(&mut self.stream, headroom, &mut self.rx)?.ok_or(NetError::Disconnected)
+    }
+
+    /// Takes the receive buffer, with the frame [`recv_in_place`] left in
+    /// it, so another thread can work from the bytes; the connection
+    /// receives nothing until [`restore_buffer`] hands it back.
     ///
-    /// # Errors
-    ///
-    /// [`NetError::Disconnected`] on clean EOF between frames.
-    pub fn recv_bytes(&mut self, headroom: usize) -> Result<(WireMessage, Vec<u8>), NetError> {
-        read_frame_bytes(&mut self.stream, headroom)?.ok_or(NetError::Disconnected)
+    /// [`recv_in_place`]: Self::recv_in_place
+    /// [`restore_buffer`]: Self::restore_buffer
+    pub(crate) fn lend_buffer(&mut self) -> Vec<u8> {
+        std::mem::take(&mut self.rx)
+    }
+
+    /// Returns a buffer [`lend_buffer`](Self::lend_buffer) took.
+    pub(crate) fn restore_buffer(&mut self, rx: Vec<u8>) {
+        self.rx = rx;
     }
 
     /// One request/response round trip.

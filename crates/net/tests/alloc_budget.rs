@@ -118,13 +118,24 @@ fn dense_byte_path_stays_within_its_large_allocation_budget() {
     let mut host = ShardHost::new(store);
 
     let ((reply, _), n) = large_allocs(|| host.encoded_pull_reply(worker).unwrap());
-    assert!(n <= 2, "pull miss: snapshot + frame, got {n}");
+    assert_eq!(n, 1, "first pull miss: the frame, encoded from the store");
     let ((again, _), n) = large_allocs(|| host.encoded_pull_reply(worker).unwrap());
     assert_eq!(n, 0, "pull hit: the cached frame");
     assert!(Arc::ptr_eq(&reply, &again));
     let (decoded, n) = large_allocs(|| decode_frame(&reply).unwrap());
     assert_eq!(n, 1, "decode_frame(PullReply): the shared block only");
     drop((reply, again, decoded));
+
+    // A later miss re-encodes into the buffer of the reply it replaces,
+    // unless a reader still holds that reply.
+    host.handle(push()).unwrap();
+    let ((held, _), n) = large_allocs(|| host.encoded_pull_reply(worker).unwrap());
+    assert_eq!(n, 0, "pull miss, old reply unheld: rebuilt in place");
+    host.handle(push()).unwrap();
+    let ((fresh, _), n) = large_allocs(|| host.encoded_pull_reply(worker).unwrap());
+    assert_eq!(n, 1, "pull miss, old reply held: a fresh buffer");
+    assert!(!Arc::ptr_eq(&held, &fresh));
+    drop((held, fresh));
 
     // A push is applied from the decoded payload by reference, and the
     // payload is freed with the frame: the shard keeps no copy, so once
@@ -140,11 +151,11 @@ fn dense_byte_path_stays_within_its_large_allocation_budget() {
         assert_eq!(live, settled, "live large bytes after push {i}");
     }
 
-    // A relayed push over real sockets: each server allocates the buffer
-    // it receives the frame into and the gradient it decodes out of it —
-    // the primary forwards the bytes it received, so no clone and no
-    // relay frame. The client's frame is encoded before the count starts;
-    // the first push warms both servers up.
+    // A relayed push over real sockets: each server reads the frame into
+    // its connection's receive buffer and applies it from those bytes, and
+    // the primary forwards them as received — no decoded gradient, no
+    // clone, no relay frame. The client's frame is encoded before the
+    // count starts; the first push warms both servers' buffers up.
     let serve = |id: u64, relay: Option<&str>| {
         let store = ParameterStore::new(vec![0.25; DIM], 8).with_momentum(0.9);
         let host = ShardHost::new(store);
@@ -176,13 +187,22 @@ fn dense_byte_path_stays_within_its_large_allocation_budget() {
     };
     relayed_push();
     let ((), n) = large_allocs(&mut relayed_push);
-    assert_eq!(
-        n, 4,
-        "relayed push: receive buffer + gradient on each of two servers"
-    );
+    assert_eq!(n, 0, "relayed push: every buffer already held");
+
+    // The same push through `FrameConn::exchange`: encoded into the
+    // connection's send buffer, which its first exchange grows.
+    let msg = push();
+    let mut exchange = || {
+        let (ack, _, _) = conn.exchange(&msg).unwrap();
+        assert!(matches!(ack, WireMessage::PushAck { .. }));
+    };
+    let ((), n) = large_allocs(&mut exchange);
+    assert_eq!(n, 1, "first exchange: the send buffer");
+    let ((), n) = large_allocs(&mut exchange);
+    assert_eq!(n, 0, "exchange: client and servers allocate nothing");
     drop(conn);
     primary_stop.store(true, Ordering::SeqCst);
     backup_stop.store(true, Ordering::SeqCst);
-    assert_eq!(primary.join().unwrap().relayed, 2);
-    assert_eq!(backup.join().unwrap().pushes_applied, 2);
+    assert_eq!(primary.join().unwrap().relayed, 4);
+    assert_eq!(backup.join().unwrap().pushes_applied, 4);
 }

@@ -231,13 +231,30 @@ impl ParameterStore {
     /// Panics if `grad.len()` differs from the parameter count or `lr` is
     /// not finite.
     pub fn apply_push(&mut self, worker: WorkerId, grad: &[f32], lr: f32) -> u64 {
+        self.apply_push_from(worker, grad.iter().copied(), lr)
+    }
+
+    /// [`apply_push`](Self::apply_push) from any exact-size source of the
+    /// gradient's floats — a wire frame's little-endian bytes, say, so a
+    /// push is applied from the bytes it arrived in. The one dense kernel:
+    /// the same floats in the same order leave the same bits whatever
+    /// they are read from. The source is read once, or twice with
+    /// clipping on (the norm first).
+    ///
+    /// # Panics
+    ///
+    /// As [`apply_push`](Self::apply_push).
+    pub fn apply_push_from<G>(&mut self, worker: WorkerId, grad: G, lr: f32) -> u64
+    where
+        G: ExactSizeIterator<Item = f32> + Clone,
+    {
         assert_eq!(grad.len(), self.params.len(), "gradient length mismatch");
         assert!(lr.is_finite(), "learning rate must be finite");
         self.ensure_worker(worker);
         self.snapshot = None;
         // Apply clipping as a scale factor so the (possibly large) gradient
         // buffer is never copied.
-        let scale = clip_scale(self.grad_clip, grad.iter().copied());
+        let scale = clip_scale(self.grad_clip, grad.clone());
         if self.momentum > 0.0 {
             // A dense push advances every coordinate, so pending lazy decay
             // must be settled first.
@@ -324,8 +341,7 @@ impl ParameterStore {
     /// Pulls between two pushes are zero-copy: the snapshot buffer is built
     /// once per version and shared by reference with every puller.
     pub fn pull(&mut self, worker: WorkerId) -> ParamSnapshot {
-        self.ensure_worker(worker);
-        self.last_pull_version[worker.index()] = self.version;
+        self.record_pull(worker);
         let params = match &self.snapshot {
             Some(shared) => Arc::clone(shared),
             None => {
@@ -339,6 +355,17 @@ impl ParameterStore {
             params,
             version: self.version,
         }
+    }
+
+    /// The bookkeeping half of [`pull`](Self::pull), without the
+    /// snapshot: records that `worker` now holds the current version and
+    /// returns it. A caller that serves the parameters some other way — a
+    /// shard encoding them straight from [`params`](Self::params) into a
+    /// reply frame — leaves the same staleness accounting as a pull.
+    pub fn record_pull(&mut self, worker: WorkerId) -> u64 {
+        self.ensure_worker(worker);
+        self.last_pull_version[worker.index()] = self.version;
+        self.version
     }
 
     /// Captures a crash-consistent [`StoreCheckpoint`]: parameters,

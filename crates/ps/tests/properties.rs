@@ -5,6 +5,24 @@ use specsync_ps::{CheckpointError, ParameterStore, StoreCheckpoint};
 use specsync_simnet::WorkerId;
 use specsync_tensor::SparseGrad;
 
+/// Ordinary values mixed with every float class a value-level copy could
+/// mangle: both zeros, subnormals, both infinities, quiet and signalling
+/// NaNs with payloads, and arbitrary bit patterns.
+fn awkward_f32() -> impl Strategy<Value = f32> {
+    prop_oneof![
+        -1.0f32..1.0,
+        any::<u32>().prop_map(f32::from_bits),
+        Just(0.0f32),
+        Just(-0.0f32),
+        Just(f32::from_bits(0x0000_0001)),
+        Just(f32::from_bits(0x807f_ffff)),
+        Just(f32::INFINITY),
+        Just(f32::NEG_INFINITY),
+        Just(f32::from_bits(0x7fc0_0001)),
+        Just(f32::from_bits(0xffa5_5aa5)),
+    ]
+}
+
 proptest! {
     /// A sparse push is indistinguishable from a dense push of the same
     /// gradient — across random momentum, clipping, learning-rate changes
@@ -108,6 +126,50 @@ proptest! {
             reference.snapshot_for_checkpoint().encode()
         );
         prop_assert_eq!(mixed.params(), reference.params());
+    }
+
+    /// The one dense kernel: a push applied from the little-endian bytes a
+    /// frame carries leaves the bits the same push applied from a float
+    /// slice leaves — plain and momentum SGD, with and without clipping,
+    /// on gradients full of ±0, subnormals, ±∞ and NaNs. Which NaN payload
+    /// an operation on two NaNs keeps is the hardware's choice, so a NaN
+    /// matches any NaN; every other result matches bit for bit.
+    #[test]
+    fn dense_kernel_is_bit_identical_from_either_source(
+        dim in 1usize..40,
+        momentum in prop_oneof![Just(0.0f32), Just(0.9f32)],
+        clip in prop_oneof![Just(None), Just(Some(1.0f32))],
+        pushes in proptest::collection::vec(
+            proptest::collection::vec(awkward_f32(), 40),
+            1..6,
+        ),
+    ) {
+        let build = || {
+            let mut s = ParameterStore::new(vec![0.5; dim], 1);
+            if momentum > 0.0 {
+                s = s.with_momentum(momentum);
+            }
+            if let Some(c) = clip {
+                s = s.with_grad_clip(c);
+            }
+            s
+        };
+        let mut from_slice = build();
+        let mut from_bytes = build();
+        for grad in &pushes {
+            let grad = &grad[..dim];
+            let bytes: Vec<u8> = grad.iter().flat_map(|g| g.to_le_bytes()).collect();
+            let wire = bytes.as_chunks::<4>().0.iter().map(|b| f32::from_le_bytes(*b));
+            let a = from_slice.apply_push(WorkerId::new(0), grad, 0.05);
+            let b = from_bytes.apply_push_from(WorkerId::new(0), wire, 0.05);
+            prop_assert_eq!(a, b);
+        }
+        for (a, b) in from_slice.params().iter().zip(from_bytes.params()) {
+            prop_assert!(
+                a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+                "{:#010x} != {:#010x}", a.to_bits(), b.to_bits()
+            );
+        }
     }
 
     /// Version equals the number of applied pushes; per-worker counters sum

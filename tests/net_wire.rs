@@ -1,7 +1,9 @@
 //! Property-based tests for the `specsync-net` frame codec: every
 //! [`WireMessage`] variant round-trips bit-exactly, every single-byte
-//! corruption of a frame is rejected, and a stream cut mid-frame is a
-//! truncation error rather than a bogus message or a silent close.
+//! corruption of a frame is rejected, a stream cut mid-frame is a
+//! truncation error rather than a bogus message or a silent close, and
+//! the in-place stream reader and the owned decoder agree on every frame
+//! and every corruption.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -9,7 +11,8 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use specsync::net::{
-    decode_frame, encode_frame, read_frame, FrameError, FrameReadError, ReadOutcome,
+    decode_frame, encode_frame, read_frame, read_frame_into, FrameError, FrameReadError,
+    ReadOutcome, RELAY_TAG_FRAME_LEN,
 };
 use specsync::net::{FailoverControl, WireMessage};
 use specsync::ps::PushPayload;
@@ -157,6 +160,55 @@ fn arb_message() -> impl Strategy<Value = WireMessage> {
     ]
 }
 
+/// A dense or a sparse worker push.
+fn arb_push() -> impl Strategy<Value = WireMessage> {
+    prop_oneof![
+        (arb_worker(), arb_params()).prop_map(|(worker, grad)| WireMessage::Push {
+            worker,
+            payload: PushPayload::Dense(grad),
+        }),
+        (arb_worker(), arb_sparse()).prop_map(|(worker, grad)| WireMessage::Push {
+            worker,
+            payload: PushPayload::Sparse(grad),
+        }),
+    ]
+}
+
+/// Reads `bytes` as a stream into `buf` behind `headroom`, in place, and
+/// turns the frame owned — what a connection's `recv` does.
+fn read_in_place(
+    bytes: &[u8],
+    headroom: usize,
+    buf: &mut Vec<u8>,
+) -> Result<WireMessage, FrameError> {
+    match read_frame_into(&mut io::Cursor::new(bytes), headroom, buf) {
+        Ok(Some((frame, end))) => {
+            assert_eq!(
+                end,
+                headroom + bytes.len(),
+                "the frame ends where it was written"
+            );
+            Ok(frame.into_owned())
+        }
+        Ok(None) => panic!("a non-empty stream read as a clean close"),
+        Err(FrameReadError::Frame(e)) => Err(e),
+        Err(FrameReadError::Io(e)) => panic!("an in-memory stream failed: {e}"),
+    }
+}
+
+/// `bytes` with one byte appended to the payload and the header's length
+/// and checksum sealed over it: the one way to extend a frame that a
+/// stream reader, which stops where the header says, can see.
+fn extended(bytes: &[u8]) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    out.push(0);
+    let payload = &out[20..];
+    let (len, sum) = (payload.len() as u32, specsync::ps::checksum(payload));
+    out[8..12].copy_from_slice(&len.to_le_bytes());
+    out[12..20].copy_from_slice(&sum.to_le_bytes());
+    out
+}
+
 proptest! {
     /// decode(encode(m)) re-encodes to the identical bytes — bit-exact
     /// round trip even for NaN payloads, where `PartialEq` on the message
@@ -261,5 +313,90 @@ proptest! {
             }
         }
         prop_assert!(matches!(read_frame(&mut cursor).unwrap(), ReadOutcome::Closed));
+    }
+
+    /// The in-place reader is the owned decoder's parse, turned owned
+    /// later: every variant reads back from a stream into a kept buffer,
+    /// behind either headroom, as exactly what `decode_frame` returns.
+    #[test]
+    fn the_in_place_reader_and_the_owned_decoder_agree(
+        msg in arb_message(),
+        headroom in prop_oneof![Just(0usize), Just(RELAY_TAG_FRAME_LEN)],
+    ) {
+        let bytes = encode_frame(&msg).expect("sample messages fit a frame");
+        let owned = decode_frame(&bytes).expect("own encoding must decode");
+        let mut buf = Vec::new();
+        let in_place = read_in_place(&bytes, headroom, &mut buf).expect("own encoding must read");
+        prop_assert_eq!(&buf[headroom..], &bytes[..]);
+        prop_assert_eq!(encode_frame(&in_place).expect("re-encodes"), bytes.clone());
+        prop_assert_eq!(encode_frame(&owned).expect("re-encodes"), bytes);
+    }
+
+    /// Every single-byte flip, truncation and extension of a dense or
+    /// sparse push is refused by the stream reader and by the owned
+    /// decoder with the same error.
+    #[test]
+    fn every_corruption_of_a_push_is_refused_alike(
+        push in arb_push(),
+        flip in (1u32..256).prop_map(|b| b as u8),
+    ) {
+        let bytes = encode_frame(&push).expect("sample messages fit a frame");
+        let mut buf = Vec::new();
+        let mut both = |corrupt: &[u8]| {
+            let owned = decode_frame(corrupt).expect_err("a corrupt frame decoded");
+            let in_place = read_in_place(corrupt, RELAY_TAG_FRAME_LEN, &mut buf)
+                .expect_err("a corrupt frame read");
+            (owned, in_place)
+        };
+        for i in 0..bytes.len() {
+            let mut corrupt = bytes.clone();
+            corrupt[i] ^= flip;
+            let (owned, in_place) = both(&corrupt);
+            prop_assert_eq!(owned, in_place, "byte {} flipped with {:#04x}", i, flip);
+        }
+        for cut in 1..bytes.len() {
+            let (owned, in_place) = both(&bytes[..cut]);
+            prop_assert_eq!(&owned, &FrameError::Truncated, "cut at {}", cut);
+            prop_assert_eq!(in_place, FrameError::Truncated, "cut at {}", cut);
+        }
+        let (owned, in_place) = both(&extended(&bytes));
+        prop_assert_eq!(&owned, &FrameError::Malformed("trailing bytes after payload"));
+        prop_assert_eq!(in_place, owned);
+    }
+}
+
+/// One kept buffer reads a 4 MiB dense push, then a short frame, then the
+/// 4 MiB push again: each decodes exact-fit and bit-identical, so nothing
+/// past a frame's end — the stale tail of the larger frame before it — is
+/// ever read.
+#[test]
+fn a_kept_buffer_never_reads_past_the_frame_it_holds() {
+    let big: Vec<f32> = (0..1u32 << 20)
+        .map(|i| f32::from_bits(i.wrapping_mul(0x9E37_79B9)))
+        .collect();
+    let frames = [
+        WireMessage::Push {
+            worker: WorkerId::new(1),
+            payload: PushPayload::Dense(big.clone()),
+        },
+        WireMessage::Push {
+            worker: WorkerId::new(2),
+            payload: PushPayload::Dense(vec![0.5, -0.0, f32::NAN]),
+        },
+        WireMessage::Push {
+            worker: WorkerId::new(1),
+            payload: PushPayload::Dense(big),
+        },
+    ];
+    let mut buf = Vec::new();
+    for (i, msg) in frames.iter().enumerate() {
+        let bytes = encode_frame(msg).expect("a 4 MiB push fits a frame");
+        let got = read_in_place(&bytes, RELAY_TAG_FRAME_LEN, &mut buf)
+            .unwrap_or_else(|e| panic!("frame {i}: {e}"));
+        // Bit-identical: NaN payloads included, which `==` cannot see.
+        assert!(
+            encode_frame(&got).expect("re-encodes") == bytes,
+            "frame {i}"
+        );
     }
 }
