@@ -114,7 +114,7 @@ fn fig3(out: &mut String) -> fmt::Result {
             .eval_stride(64)
             .run();
 
-        let dist = pap_distribution(&report.history, 40, SimDuration::from_secs(1), intervals);
+        let dist = pap_distribution(&report.history, SimDuration::from_secs(1), intervals);
         section(
             out,
             &format!(
@@ -865,7 +865,7 @@ fn chaos(out: &mut String) -> fmt::Result {
         writeln!(out, "\n{profile}:")?;
         writeln!(
             out,
-            "{:>18} {:>12} {:>12} {:>8} {:>7} {:>7} {:>7} {:>8} {:>8} {:>7} {:>7}",
+            "{:>18} {:>12} {:>12} {:>8} {:>7} {:>7} {:>7} {:>8} {:>7} {:>7}",
             "scheme",
             "t-target",
             "degrade",
@@ -874,7 +874,6 @@ fn chaos(out: &mut String) -> fmt::Result {
             "drops",
             "retries",
             "crashes",
-            "reissue",
             "fover",
             "replay"
         )?;
@@ -888,7 +887,7 @@ fn chaos(out: &mut String) -> fmt::Result {
             };
             writeln!(
                 out,
-                "{:>18} {:>12} {:>12} {:>8} {:>7} {:>7} {:>7} {:>8} {:>8} {:>7} {:>7}",
+                "{:>18} {:>12} {:>12} {:>8} {:>7} {:>7} {:>7} {:>8} {:>7} {:>7}",
                 label,
                 fmt_time(t),
                 degrade,
@@ -897,7 +896,6 @@ fn chaos(out: &mut String) -> fmt::Result {
                 report.chaos.dropped_messages,
                 report.chaos.retries,
                 report.chaos.crashes,
-                report.chaos.abort_reissues,
                 report.chaos.failovers,
                 report.chaos.journal_replayed,
             )?;

@@ -300,7 +300,6 @@ fn reconstruct(records: &[TraceRecord]) -> Summary {
                 | Event::Straggler { .. }
                 | Event::Membership { .. }
                 | Event::NotifyLoss { .. }
-                | Event::AbortReissued { .. }
                 | Event::PushFenced { .. }
                 | Event::RetryScheduled { .. } => tl.faults += 1,
                 Event::FrameSent { bytes, .. } => {

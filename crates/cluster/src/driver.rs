@@ -40,9 +40,12 @@
 //!   (shrinking the effective `m` the Eq. 6/7 tuner sees) and in the
 //!   BSP/SSP gates, releasing anyone waiting on the dead worker so no
 //!   scheme deadlocks; recovery reverses all of it in a fresh epoch.
-//! - **Abort acks**: a `re-sync` delivery acknowledges the abort; if the
-//!   ack does not arrive before `ABORT_ACK_TIMEOUT`, the
-//!   abort is re-issued at most once.
+//! - **Aborts are fire-and-forget**, as on the wire and in Algorithm 2:
+//!   nothing acknowledges a `re-sync`, and a dropped one is not re-sent.
+//!   The worker pushes the gradient it was computing, and the next
+//!   speculation window decides again. Duplicated re-syncs are fenced by
+//!   a per-worker issue counter, so a late copy cannot abort the next
+//!   iteration.
 //!
 //! A driver without a fault plan draws zero randomness from the fault
 //! stream and schedules no chaos events, so fault-free runs are
@@ -60,7 +63,7 @@ use specsync_simnet::{
     DurationSampler, EventQueue, FaultPlan, MessageClass, MessageFate, NetworkModel, RngStreams,
     SimDuration, TransferLedger, VirtualTime, WorkerId,
 };
-use specsync_sync::{BaseScheme, BspBarrier, SchemeKind, SspClock, TuningMode};
+use specsync_sync::{BaseScheme, BspBarrier, SchemeKind, SspClock};
 use specsync_telemetry::{Event as TraceEvent, EventSink, FaultKind, LossCurve, WorkerPhase};
 
 use crate::report::{ChaosStats, LossPoint, RunReport};
@@ -75,9 +78,6 @@ const RETRY_TIMEOUT: SimDuration = SimDuration::from_millis(50);
 /// Retry budget per message; the attempt after the last retry is delivered
 /// cleanly (a fault plan must degrade the run, not wedge it).
 const MAX_RESENDS: u32 = 10;
-/// How long the scheduler waits for a `re-sync` delivery ack before
-/// re-issuing the abort (at most once per armed window).
-const ABORT_ACK_TIMEOUT: SimDuration = SimDuration::from_millis(200);
 /// How long after a server-shard crash the warm backup is promoted to
 /// serving. Pulls and pushes arriving inside this window park on
 /// [`RETRY_TIMEOUT`] and succeed after promotion.
@@ -124,8 +124,6 @@ enum Event {
     CheckTimer(WorkerId),
     /// Re-sync delivered: (worker, issue id) — duplicates deduplicated.
     ResyncArrive(WorkerId, u64),
-    /// The abort issued at the carried instant was never acknowledged.
-    AbortAckTimeout(WorkerId, VirtualTime),
     NaiveWaitDone(WorkerId),
     WorkerCrash(WorkerId),
     WorkerRecover(WorkerId),
@@ -222,7 +220,6 @@ pub(crate) struct Simulation {
     chaos: ChaosStats,
 
     total_pushes: u64,
-    epochs_done: u64,
     loss_curve: LossCurve<VirtualTime>,
     converged_at: Option<VirtualTime>,
     iterations_at_convergence: Option<u64>,
@@ -258,22 +255,11 @@ impl Simulation {
         let store = ReplicatedStore::from_store(store, ReplicatedStore::DEFAULT_JOURNAL_CAPACITY);
         let sizes = MessageSizes::for_model(workload.paper.num_parameters);
 
-        let tuning = match scheme {
-            SchemeKind::SpecSync { tuning, .. } => tuning,
-            // Non-speculative schemes still use the scheduler as the
-            // history recorder, with speculation disabled.
-            SchemeKind::Asp
-            | SchemeKind::Bsp
-            | SchemeKind::Ssp { .. }
-            | SchemeKind::NaiveWaiting { .. } => TuningMode::Fixed {
-                abort_time: SimDuration::ZERO,
-                abort_rate: f64::MAX,
-            },
-        };
         // The scheduler emits its own decisions (notify, abort-issued,
-        // epoch-tuned) through the same sink as the driver's data-plane
-        // events, so a trace interleaves both sides of the protocol.
-        let scheduler = Scheduler::new(m, tuning).with_sink(Arc::clone(&sink));
+        // membership, epoch-tuned) through the same sink as the driver's
+        // data-plane events, so a trace interleaves both sides of the
+        // protocol.
+        let scheduler = Scheduler::for_scheme(scheme, m).with_sink(Arc::clone(&sink));
 
         let workers = bundle
             .workers
@@ -339,7 +325,6 @@ impl Simulation {
             faults,
             chaos: ChaosStats::default(),
             total_pushes: 0,
-            epochs_done: 0,
             loss_curve: LossCurve::new(),
             converged_at: None,
             iterations_at_convergence: None,
@@ -538,8 +523,9 @@ impl Simulation {
         Ok(())
     }
 
-    /// Sends a `re-sync` instruction to `worker`; re-syncs are never
-    /// retried on drop — the abort-ack timeout covers loss instead.
+    /// Sends a `re-sync` instruction to `worker`. Nothing acknowledges it
+    /// and a dropped one is not re-sent: the worker pushes the iteration
+    /// it was computing, and the next window decides again.
     fn send_resync(&mut self, worker: WorkerId, now: VirtualTime) -> Result<(), SpecSyncError> {
         self.workers[worker.index()].resync_issued += 1;
         let issue = self.workers[worker.index()].resync_issued;
@@ -665,7 +651,7 @@ impl Simulation {
     }
 
     fn on_push_arrive(&mut self, worker: WorkerId, now: VirtualTime) -> Result<(), SpecSyncError> {
-        let lr = self.lr.lr_at(self.epochs_done) as f32;
+        let lr = self.lr.lr_at(self.scheduler.epoch()) as f32;
         // Move the gradient out to satisfy the borrow checker, then back.
         if self.workers[worker.index()].grad_is_sparse {
             let grad = std::mem::take(&mut self.workers[worker.index()].sparse_grad);
@@ -717,11 +703,10 @@ impl Simulation {
             .map(|w| w.iterations)
             .min()
             .unwrap_or(0);
-        while min_iters > self.epochs_done {
-            self.epochs_done += 1;
+        while min_iters > self.scheduler.epoch() {
             self.scheduler.on_epoch_complete(now);
             self.hyper_trace
-                .push((self.epochs_done, self.scheduler.hyperparams()));
+                .push((self.scheduler.epoch(), self.scheduler.hyperparams()));
         }
 
         self.after_push(worker, now)
@@ -759,7 +744,7 @@ impl Simulation {
         self.chaos.crashes += 1;
         self.sink.record(now, &TraceEvent::WorkerCrashed { worker });
         self.set_worker_state(worker, WorkerPhase::Dead, now);
-        self.scheduler.try_mark_dead(worker, now)?;
+        self.scheduler.mark_dead(worker, now)?;
 
         if let Some(barrier) = self.bsp.as_mut() {
             // Removing the dead worker from the wait set can complete the
@@ -799,7 +784,7 @@ impl Simulation {
             ctx.epoch
         };
         self.chaos.recoveries += 1;
-        self.scheduler.try_mark_alive(worker, now)?;
+        self.scheduler.mark_alive(worker, now)?;
         self.sink
             .record(now, &TraceEvent::WorkerRecovered { worker, epoch });
         if let Some(barrier) = self.bsp.as_mut() {
@@ -885,22 +870,13 @@ impl Simulation {
                 }
                 self.workers[worker.index()].notify_seen = applied;
                 self.record_transfer(now, MessageClass::Notify);
-                if let Some(deadline) = self
-                    .scheduler
-                    .try_on_notify_reconciled(worker, applied, now)?
-                {
+                if let Some(deadline) = self.scheduler.on_notify_reconciled(worker, applied, now)? {
                     self.queue.schedule(deadline, Event::CheckTimer(worker));
                 }
             }
             Event::CheckTimer(worker) => {
                 if self.scheduler.try_on_check(worker, now)? {
                     self.send_resync(worker, now)?;
-                    // Only chaos runs arm the ack timeout: a lossless
-                    // network always delivers, so the timer would be noise.
-                    if self.faults.is_some() {
-                        self.queue
-                            .schedule(now + ABORT_ACK_TIMEOUT, Event::AbortAckTimeout(worker, now));
-                    }
                 }
             }
             Event::ResyncArrive(worker, issue) => {
@@ -909,14 +885,7 @@ impl Simulation {
                 }
                 self.workers[worker.index()].resync_seen = issue;
                 self.record_transfer(now, MessageClass::Resync);
-                self.scheduler.try_on_abort_ack(worker, now)?;
                 self.on_resync(worker, now)?;
-            }
-            Event::AbortAckTimeout(worker, issued_at) => {
-                if self.scheduler.try_on_ack_timeout(worker, issued_at, now)? {
-                    self.chaos.abort_reissues += 1;
-                    self.send_resync(worker, now)?;
-                }
             }
             Event::NaiveWaitDone(worker) => {
                 if self.workers[worker.index()].state == WorkerPhase::Idle {
@@ -1317,7 +1286,6 @@ mod tests {
         .run();
         assert_eq!(report.chaos, ChaosStats::default());
         assert_eq!(report.scheduler_stats.lost_notifies, 0);
-        assert_eq!(report.scheduler_stats.abort_reissues, 0);
     }
 
     #[test]

@@ -29,8 +29,6 @@ pub struct ChaosStats {
     pub crashes: u64,
     /// Worker recoveries replayed from the plan.
     pub recoveries: u64,
-    /// Aborts re-issued after an unacknowledged ack timeout.
-    pub abort_reissues: u64,
     /// Parameter-server shard crashes replayed from the plan.
     pub server_crashes: u64,
     /// Shard failovers completed (warm backup promoted to serving).

@@ -69,7 +69,7 @@ pub struct PapDistribution {
 
 /// Computes the PAP distribution from a push/pull history.
 ///
-/// For each pull in the history (by any of the `m` workers), counts pushes
+/// For each pull in the history (by any worker), counts pushes
 /// by *other* workers in each of `num_intervals` consecutive windows of
 /// `interval` after the pull. Pulls too close to the end of the trace to
 /// cover all intervals are skipped, so every interval has the same sample
@@ -80,13 +80,11 @@ pub struct PapDistribution {
 /// Panics if `num_intervals == 0` or `interval` is zero.
 pub fn pap_distribution(
     history: &PushHistory,
-    m: usize,
     interval: SimDuration,
     num_intervals: usize,
 ) -> PapDistribution {
     assert!(num_intervals > 0, "need at least one interval");
     assert!(!interval.is_zero(), "interval must be positive");
-    let _ = m; // worker count is implicit in the history; kept for clarity at call sites
 
     let horizon = interval * num_intervals as u64;
     let last_push = history.pushes().last().map(|p| p.time);
@@ -178,7 +176,7 @@ mod tests {
         // 10 workers, 10-second iterations, uniform phases: every 1-second
         // interval after a pull should see ≈1 push from others.
         let h = uniform_trace(10, 10.0, 6);
-        let d = pap_distribution(&h, 10, SimDuration::from_secs(1), 5);
+        let d = pap_distribution(&h, SimDuration::from_secs(1), 5);
         assert_eq!(d.stats.len(), 5);
         assert!(d.samples_per_interval > 10);
         for (k, s) in d.stats.iter().enumerate() {
@@ -198,7 +196,7 @@ mod tests {
     #[test]
     fn pulls_near_trace_end_are_skipped() {
         let h = uniform_trace(4, 4.0, 2);
-        let d = pap_distribution(&h, 4, SimDuration::from_secs(1), 4);
+        let d = pap_distribution(&h, SimDuration::from_secs(1), 4);
         // All remaining samples counted the same number of pulls.
         assert!(d.samples_per_interval < h.pulls().len());
     }

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use specsync_simnet::{SimDuration, VirtualTime, WorkerId};
-use specsync_sync::TuningMode;
+use specsync_sync::{SchemeKind, TuningMode};
 use specsync_telemetry::{Event, EventSink, NullSink};
 
 use crate::error::SpecSyncError;
@@ -49,21 +49,12 @@ pub struct SchedulerStats {
     pub retunes: u64,
     /// Lost notifies detected by push-count reconciliation and backfilled.
     pub lost_notifies: u64,
-    /// Aborts re-issued after an unacknowledged ack timeout.
-    pub abort_reissues: u64,
     /// Notifies ignored because the sender was marked dead.
     pub stale_notifies: u64,
     /// Dead/alive membership transitions observed.
     pub membership_changes: u64,
     /// History records (pushes + pulls) evicted past the retention horizon.
     pub history_evictions: u64,
-}
-
-/// An abort awaiting its `re-sync` acknowledgement.
-#[derive(Debug, Clone, Copy)]
-struct PendingAbort {
-    issued_at: VirtualTime,
-    reissued: bool,
 }
 
 /// The centralized scheduler of Algorithm 2.
@@ -106,8 +97,6 @@ pub struct Scheduler {
     /// Notifies accepted per worker, reconciled against the store's
     /// applied-push counter to detect lost notifies.
     notify_counts: Vec<u64>,
-    /// Aborts awaiting acknowledgement, per worker.
-    pending_abort: Vec<Option<PendingAbort>>,
     /// `hyper.threshold(active)` cached so the notify hot path does no
     /// recomputation; refreshed whenever `hyper` or `active` changes.
     threshold: u64,
@@ -152,10 +141,30 @@ impl Scheduler {
             alive: vec![true; m],
             active: m,
             notify_counts: vec![0; m],
-            pending_abort: vec![None; m],
             threshold: hyper.threshold(m.max(1)),
             sink: Arc::new(NullSink),
         }
+    }
+
+    /// A scheduler for an `m`-worker cluster running `scheme`. SpecSync
+    /// schemes bring their own tuning mode; every other scheme keeps the
+    /// scheduler as a pure history recorder, with speculation disabled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m == 0`.
+    pub fn for_scheme(scheme: SchemeKind, m: usize) -> Self {
+        let tuning = match scheme {
+            SchemeKind::SpecSync { tuning, .. } => tuning,
+            SchemeKind::Asp
+            | SchemeKind::Bsp
+            | SchemeKind::Ssp { .. }
+            | SchemeKind::NaiveWaiting { .. } => TuningMode::Fixed {
+                abort_time: SimDuration::ZERO,
+                abort_rate: f64::MAX,
+            },
+        };
+        Self::new(m, tuning)
     }
 
     /// Bounds the push/pull history to the adaptive tuner's lookback
@@ -176,9 +185,10 @@ impl Scheduler {
         self.threshold = self.hyper.threshold(self.active.max(1));
     }
 
-    /// Routes the scheduler's protocol events ([`Event::Notify`],
-    /// [`Event::AbortIssued`], [`Event::EpochTuned`]) to `sink` instead of
-    /// the default [`NullSink`].
+    /// Routes the scheduler's decision events ([`Event::Notify`],
+    /// [`Event::NotifyLoss`], [`Event::AbortIssued`], [`Event::Membership`],
+    /// [`Event::EpochTuned`], [`Event::HistoryEvicted`]) to `sink` instead
+    /// of the default [`NullSink`]. The scheduler is their only reporter.
     pub fn with_sink(mut self, sink: Arc<dyn EventSink<VirtualTime>>) -> Self {
         self.sink = sink;
         self
@@ -195,18 +205,14 @@ impl Scheduler {
         self.active
     }
 
-    /// Marks `worker` dead: its speculation window and pending abort are
-    /// discarded, its notifies are ignored until it rejoins, and the
-    /// effective `m` shrinks. Returns `true` if the worker was alive.
+    /// Marks `worker` dead: its speculation window is discarded, its
+    /// notifies are ignored until it rejoins, and the effective `m`
+    /// shrinks. Returns `true` if the worker was alive.
     ///
     /// # Errors
     ///
     /// Returns [`SpecSyncError::WorkerOutOfRange`] for an unknown worker.
-    pub fn try_mark_dead(
-        &mut self,
-        worker: WorkerId,
-        now: VirtualTime,
-    ) -> Result<bool, SpecSyncError> {
+    pub fn mark_dead(&mut self, worker: WorkerId, now: VirtualTime) -> Result<bool, SpecSyncError> {
         self.check_worker(worker)?;
         let i = worker.index();
         if !self.alive[i] {
@@ -216,7 +222,6 @@ impl Scheduler {
         self.active -= 1;
         self.refresh_threshold();
         self.spec[i] = SpecState::default();
-        self.pending_abort[i] = None;
         self.stats.membership_changes += 1;
         self.sink.record(
             now,
@@ -235,7 +240,7 @@ impl Scheduler {
     /// # Errors
     ///
     /// Returns [`SpecSyncError::WorkerOutOfRange`] for an unknown worker.
-    pub fn try_mark_alive(
+    pub fn mark_alive(
         &mut self,
         worker: WorkerId,
         now: VirtualTime,
@@ -276,7 +281,19 @@ impl Scheduler {
         self.hyper
     }
 
-    /// The current epoch index.
+    /// Whether `worker` is currently considered alive (`false` for an
+    /// unknown worker).
+    pub fn is_alive(&self, worker: WorkerId) -> bool {
+        self.alive.get(worker.index()).copied().unwrap_or(false)
+    }
+
+    /// Pushes accounted to `worker`: its accepted notifies plus the lost
+    /// ones reconciliation backfilled (`0` for an unknown worker).
+    pub fn pushes_by(&self, worker: WorkerId) -> u64 {
+        self.notify_counts.get(worker.index()).copied().unwrap_or(0)
+    }
+
+    /// The current epoch index: epoch boundaries marked so far.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -336,7 +353,7 @@ impl Scheduler {
     /// # Errors
     ///
     /// Returns [`SpecSyncError::WorkerOutOfRange`] for an unknown worker.
-    pub fn try_on_notify_reconciled(
+    pub fn on_notify_reconciled(
         &mut self,
         worker: WorkerId,
         applied_pushes: u64,
@@ -363,14 +380,12 @@ impl Scheduler {
         Ok(self.accept_notify(worker, now))
     }
 
-    /// The shared tail of the notify paths: record, emit, clear any
-    /// pending abort (the worker has moved on, so re-issuing is moot) and
-    /// arm the speculation window against the *active* worker count.
+    /// The shared tail of the notify paths: record, emit and arm the
+    /// speculation window against the *active* worker count.
     fn accept_notify(&mut self, worker: WorkerId, now: VirtualTime) -> Option<VirtualTime> {
         self.stats.notifies += 1;
         self.sink.record(now, &Event::Notify { worker });
         self.history.record_push(now, worker);
-        self.pending_abort[worker.index()] = None;
         if self.hyper.is_disabled() {
             return None;
         }
@@ -430,60 +445,9 @@ impl Scheduler {
         if fire {
             self.stats.resyncs += 1;
             self.spec[worker.index()].window_start = None;
-            self.pending_abort[worker.index()] = Some(PendingAbort {
-                issued_at: now,
-                reissued: false,
-            });
             self.sink.record(now, &Event::AbortIssued { worker });
         }
         fire
-    }
-
-    /// Records that the abort issued to `worker` was acknowledged (its
-    /// `re-sync` was delivered). Returns `true` if an abort was pending.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpecSyncError::WorkerOutOfRange`] for an unknown worker.
-    pub fn try_on_abort_ack(
-        &mut self,
-        worker: WorkerId,
-        _now: VirtualTime,
-    ) -> Result<bool, SpecSyncError> {
-        self.check_worker(worker)?;
-        Ok(self.pending_abort[worker.index()].take().is_some())
-    }
-
-    /// Evaluates an abort-ack timeout for the abort issued at `issued_at`.
-    /// Returns `true` when the caller should re-send the `re-sync` — the
-    /// abort is still unacknowledged, the worker is alive, and it has not
-    /// been re-issued before (at-most-once re-issue). Stale timeouts (the
-    /// pending abort is newer, acknowledged, or already re-issued) return
-    /// `false`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpecSyncError::WorkerOutOfRange`] for an unknown worker.
-    pub fn try_on_ack_timeout(
-        &mut self,
-        worker: WorkerId,
-        issued_at: VirtualTime,
-        now: VirtualTime,
-    ) -> Result<bool, SpecSyncError> {
-        self.check_worker(worker)?;
-        let i = worker.index();
-        if !self.alive[i] {
-            return Ok(false);
-        }
-        match &mut self.pending_abort[i] {
-            Some(pending) if pending.issued_at == issued_at && !pending.reissued => {
-                pending.reissued = true;
-                self.stats.abort_reissues += 1;
-                self.sink.record(now, &Event::AbortReissued { worker });
-                Ok(true)
-            }
-            _ => Ok(false),
-        }
     }
 
     /// Marks an epoch boundary; in adaptive mode, re-runs Algorithm 1 on
@@ -666,8 +630,8 @@ mod tests {
         // m = 4, rate 0.5 → threshold 2; after two deaths the effective
         // m = 2 → threshold 1, so a single push by another worker fires.
         let mut s = Scheduler::new(4, fixed(2.0, 0.5));
-        s.try_mark_dead(w(2), t(1.0)).unwrap();
-        s.try_mark_dead(w(3), t(1.0)).unwrap();
+        s.mark_dead(w(2), t(1.0)).unwrap();
+        s.mark_dead(w(3), t(1.0)).unwrap();
         assert_eq!(s.active_workers(), 2);
         let deadline = s.on_notify(w(0), t(10.0)).unwrap();
         s.on_notify(w(1), t(10.5));
@@ -678,12 +642,12 @@ mod tests {
     #[test]
     fn dead_worker_notifies_are_ignored() {
         let mut s = Scheduler::new(4, fixed(2.0, 0.25));
-        s.try_mark_dead(w(1), t(0.0)).unwrap();
+        s.mark_dead(w(1), t(0.0)).unwrap();
         assert!(s.on_notify(w(1), t(1.0)).is_none());
         assert_eq!(s.stats().notifies, 0);
         assert_eq!(s.stats().stale_notifies, 1);
         // Rejoin: notifies count again.
-        assert!(s.try_mark_alive(w(1), t(2.0)).unwrap());
+        assert!(s.mark_alive(w(1), t(2.0)).unwrap());
         assert!(s.on_notify(w(1), t(3.0)).is_some());
         assert_eq!(s.stats().notifies, 1);
     }
@@ -691,11 +655,11 @@ mod tests {
     #[test]
     fn membership_marks_are_idempotent() {
         let mut s = Scheduler::new(2, fixed(1.0, 0.5));
-        assert!(s.try_mark_dead(w(0), t(0.0)).unwrap());
-        assert!(!s.try_mark_dead(w(0), t(0.0)).unwrap());
+        assert!(s.mark_dead(w(0), t(0.0)).unwrap());
+        assert!(!s.mark_dead(w(0), t(0.0)).unwrap());
         assert_eq!(s.active_workers(), 1);
-        assert!(s.try_mark_alive(w(0), t(1.0)).unwrap());
-        assert!(!s.try_mark_alive(w(0), t(1.0)).unwrap());
+        assert!(s.mark_alive(w(0), t(1.0)).unwrap());
+        assert!(!s.mark_alive(w(0), t(1.0)).unwrap());
         assert_eq!(s.active_workers(), 2);
         assert_eq!(s.stats().membership_changes, 2);
     }
@@ -706,7 +670,7 @@ mod tests {
                                                         // Worker 1's store counter says 3 pushes applied, but this is the
                                                         // first notify the scheduler ever saw from it: 2 were lost.
         let deadline = s.on_notify(w(0), t(10.0)).unwrap();
-        s.try_on_notify_reconciled(w(1), 3, t(11.0)).unwrap();
+        s.on_notify_reconciled(w(1), 3, t(11.0)).unwrap();
         assert_eq!(s.stats().lost_notifies, 2);
         // The backfilled pushes land in the history at t=11, inside
         // worker 0's window, so the abort fires off reconciled evidence.
@@ -716,14 +680,14 @@ mod tests {
     #[test]
     fn a_hostile_cumulative_count_backfills_a_bounded_gap() {
         let mut s = Scheduler::new(2, fixed(2.0, 0.5));
-        s.try_on_notify_reconciled(w(0), 1, t(1.0)).unwrap();
+        s.on_notify_reconciled(w(0), 1, t(1.0)).unwrap();
         // One valid frame claiming u64::MAX pushes must not spin the loop.
-        s.try_on_notify_reconciled(w(0), u64::MAX, t(2.0)).unwrap();
+        s.on_notify_reconciled(w(0), u64::MAX, t(2.0)).unwrap();
         assert_eq!(s.stats().lost_notifies, Scheduler::MAX_NOTIFY_GAP);
         assert_eq!(s.history().len() as u64, 2 + Scheduler::MAX_NOTIFY_GAP);
         // Later honest notifies are still accepted, and report no loss.
-        s.try_on_notify_reconciled(w(0), 3, t(3.0)).unwrap();
-        s.try_on_notify_reconciled(w(1), 1, t(3.5)).unwrap();
+        s.on_notify_reconciled(w(0), 3, t(3.0)).unwrap();
+        s.on_notify_reconciled(w(1), 1, t(3.5)).unwrap();
         assert_eq!(s.stats().lost_notifies, Scheduler::MAX_NOTIFY_GAP);
         assert_eq!(s.stats().notifies, 4);
     }
@@ -731,62 +695,10 @@ mod tests {
     #[test]
     fn reconciliation_with_no_gap_is_silent() {
         let mut s = Scheduler::new(2, fixed(2.0, 0.5));
-        s.try_on_notify_reconciled(w(0), 1, t(1.0)).unwrap();
-        s.try_on_notify_reconciled(w(0), 2, t(2.0)).unwrap();
+        s.on_notify_reconciled(w(0), 1, t(1.0)).unwrap();
+        s.on_notify_reconciled(w(0), 2, t(2.0)).unwrap();
         assert_eq!(s.stats().lost_notifies, 0);
         assert_eq!(s.stats().notifies, 2);
-    }
-
-    #[test]
-    fn ack_timeout_reissues_at_most_once() {
-        let mut s = Scheduler::new(2, fixed(2.0, 0.5)); // threshold 1
-        let deadline = s.on_notify(w(0), t(0.0)).unwrap();
-        s.on_notify(w(1), t(1.0));
-        assert!(s.on_check(w(0), deadline));
-        let issued_at = deadline;
-        // First timeout: re-issue. Second: already re-issued once.
-        assert!(s.try_on_ack_timeout(w(0), issued_at, t(4.0)).unwrap());
-        assert!(!s.try_on_ack_timeout(w(0), issued_at, t(6.0)).unwrap());
-        assert_eq!(s.stats().abort_reissues, 1);
-    }
-
-    #[test]
-    fn ack_clears_the_pending_abort() {
-        let mut s = Scheduler::new(2, fixed(2.0, 0.5));
-        let deadline = s.on_notify(w(0), t(0.0)).unwrap();
-        s.on_notify(w(1), t(1.0));
-        assert!(s.on_check(w(0), deadline));
-        assert!(s.try_on_abort_ack(w(0), t(3.0)).unwrap());
-        assert!(!s.try_on_ack_timeout(w(0), deadline, t(4.0)).unwrap());
-    }
-
-    #[test]
-    fn a_new_notify_supersedes_the_pending_abort() {
-        // If the worker pushed anyway (the abort raced its completion),
-        // re-issuing the abort would be wrong — the notify acks implicitly.
-        let mut s = Scheduler::new(2, fixed(2.0, 0.5));
-        let deadline = s.on_notify(w(0), t(0.0)).unwrap();
-        s.on_notify(w(1), t(1.0));
-        assert!(s.on_check(w(0), deadline));
-        s.on_notify(w(0), t(2.5));
-        assert!(!s.try_on_ack_timeout(w(0), deadline, t(4.0)).unwrap());
-    }
-
-    #[test]
-    fn stale_ack_timeout_for_an_older_abort_is_ignored() {
-        let mut s = Scheduler::new(2, fixed(1.0, 0.5)); // threshold 1
-        let d1 = s.on_notify(w(0), t(0.0)).unwrap();
-        s.on_notify(w(1), t(0.5));
-        assert!(s.on_check(w(0), d1));
-        // The worker re-syncs, notifies, and a second abort fires later.
-        s.on_notify(w(0), t(2.0));
-        let d2 = t(3.0);
-        s.on_notify(w(1), t(2.5));
-        assert!(s.on_check(w(0), d2));
-        // A timeout carrying the *first* abort's issue time must not touch
-        // the second abort's pending slot.
-        assert!(!s.try_on_ack_timeout(w(0), d1, t(5.0)).unwrap());
-        assert!(s.try_on_ack_timeout(w(0), d2, t(5.0)).unwrap());
     }
 
     #[test]

@@ -171,7 +171,7 @@ fn abort_rate_is_recomputed_when_membership_changes_mid_epoch() {
     );
 
     // Worker 3 dies mid-epoch: the effective m shrinks to 3.
-    assert_eq!(sched.try_mark_dead(WorkerId::new(3), now), Ok(true));
+    assert_eq!(sched.mark_dead(WorkerId::new(3), now), Ok(true));
     assert_eq!(sched.active_workers(), 3);
 
     // Epoch 2: only the three survivors push.
@@ -188,7 +188,7 @@ fn abort_rate_is_recomputed_when_membership_changes_mid_epoch() {
     );
 
     // The rejoin must widen m again.
-    assert_eq!(sched.try_mark_alive(WorkerId::new(3), now), Ok(true));
+    assert_eq!(sched.mark_alive(WorkerId::new(3), now), Ok(true));
     assert_eq!(sched.active_workers(), 4);
 }
 

@@ -27,10 +27,10 @@
 //!   that lets one serialization serve every concurrent puller of a
 //!   version.
 //! * [`sched_host`] — [`SchedulerHost`], the transport-agnostic scheduler
-//!   brain: the core scheduler plus timers, liveness, reconciliation,
-//!   epoch accounting and promotion arming, as a sans-IO state machine
-//!   (inputs in, [`SchedOutput`]s out) that this crate's TCP server
-//!   drives.
+//!   brain: the core scheduler, which owns the protocol's state and
+//!   decisions, plus window timers, heartbeat liveness, epoch closes and
+//!   promotion arming, as a sans-IO state machine (inputs in,
+//!   [`SchedOutput`]s out) that this crate's TCP server drives.
 //! * [`server`] — the process-level hosts: [`ShardServer`] and
 //!   [`SchedulerServer`], including warm-backup promotion over TCP when
 //!   a primary shard dies.

@@ -1,12 +1,16 @@
-//! The scheduler-side protocol handler: one [`SchedulerHost`] owns the
+//! The scheduler-side protocol handler: one [`SchedulerHost`] drives the
 //! core [`Scheduler`] (Algorithm 2, re-tuned per epoch by Algorithm 1)
-//! and every piece of wall-clock protocol state around it — armed
-//! speculation windows, heartbeat liveness and re-admission, cumulative
-//! notify reconciliation, epoch accounting, and the shard plane's
-//! registrations, advertised primary and promotion latch.
+//! from wire frames and wall-clock time.
+//!
+//! The core owns the scheduler protocol: liveness, reconciled per-worker
+//! push counts, the epoch counter, the history and every decision, and it
+//! is the only reporter of those decisions. The host keeps what the core
+//! has no notion of — the timers for armed speculation windows, each
+//! worker's last heartbeat, rejoin count and connection — and the shard
+//! plane: registrations, the advertised primary and the promotion latch.
 //!
 //! It is sans-IO, the sibling of [`ShardHost`](crate::ShardHost): it owns
-//! no socket, thread, channel, clock or sink. Its driver, the TCP
+//! no socket, thread, channel or clock. Its driver, the TCP
 //! [`SchedulerServer`](crate::SchedulerServer), feeds it
 //! [`frame`](SchedulerHost::frame), [`closed`](SchedulerHost::closed) and
 //! [`poll`](SchedulerHost::poll), each stamped with the time elapsed on
@@ -15,12 +19,13 @@
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 use specsync_core::{PushHistory, Scheduler};
 use specsync_simnet::{SimDuration, VirtualTime, WorkerId};
-use specsync_sync::{SchemeKind, TuningMode};
-use specsync_telemetry::Event;
+use specsync_sync::SchemeKind;
+use specsync_telemetry::{Event, EventSink, InMemorySink};
 
 use crate::wire::{FailoverControl, WireMessage};
 
@@ -44,16 +49,13 @@ enum Peer {
     Shard(u64),
 }
 
-/// What the host keeps per worker.
+/// What the host keeps per worker, beside what the core keeps.
 #[derive(Debug, Clone, Default)]
 struct WorkerSlot {
-    /// Highest cumulative push count a notify has reported.
-    pushes: u64,
     /// `None` until the worker's first frame: a worker that has never
     /// spoken is still starting up (process spawns are slow), and the
     /// silence timeout only applies after first contact.
     last_beat: Option<VirtualTime>,
-    dead: bool,
     /// How many times the worker has come back from being marked dead.
     rejoins: u64,
     /// The connection the worker currently speaks on.
@@ -72,21 +74,19 @@ struct Shard {
 #[derive(Debug)]
 pub struct SchedulerHost {
     core: Scheduler,
+    /// The core's sink. The host has no clock, so it buffers what the core
+    /// records and forwards it as `Record` outputs after each core call.
+    decisions: Arc<InMemorySink<VirtualTime>>,
     heartbeat_timeout: SimDuration,
     workers: Vec<WorkerSlot>,
     /// Armed speculation windows: `(deadline, worker)`.
     timers: Vec<(VirtualTime, WorkerId)>,
-    epochs: u64,
-    /// `(pushes, pulls)` evictions already reported as `HistoryEvicted`.
-    seen_evicted: (u64, u64),
-    notifies: u64,
-    workers_marked_dead: u64,
     peers: BTreeMap<usize, Peer>,
     shards: BTreeMap<u64, Shard>,
     last_shard_beat: BTreeMap<u64, VirtualTime>,
     primary: Option<u64>,
     /// Promotions completed — the epoch advertised in `Primary` answers.
-    epoch: u64,
+    promotions: u64,
     /// The shard a `Promote` is in flight to, until its `Promoted` reply
     /// lands (or its connection dies — either clears the latch).
     promotion_pending: Option<u64>,
@@ -109,47 +109,32 @@ impl SchedulerHost {
     ///
     /// Panics if `workers == 0`.
     pub fn new(scheme: SchemeKind, workers: usize, heartbeat_timeout: Duration) -> Self {
-        let tuning = match scheme {
-            SchemeKind::SpecSync { tuning, .. } => tuning,
-            // Every other scheme keeps the scheduler as a pure history
-            // recorder: speculation disabled.
-            SchemeKind::Asp
-            | SchemeKind::Bsp
-            | SchemeKind::Ssp { .. }
-            | SchemeKind::NaiveWaiting { .. } => TuningMode::Fixed {
-                abort_time: SimDuration::ZERO,
-                abort_rate: f64::MAX,
-            },
-        };
-        let core = Scheduler::new(workers, tuning).with_history_retention();
+        let core = Scheduler::for_scheme(scheme, workers).with_history_retention();
         Self::around(core, heartbeat_timeout)
     }
 
-    // The core keeps its NullSink: its sink is typed on VirtualTime, the
-    // driver's traces run on wall Duration, so the host re-emits the
-    // scheduler's decisions as `Record` outputs.
     fn around(core: Scheduler, heartbeat_timeout: Duration) -> Self {
+        let decisions = Arc::new(InMemorySink::new());
+        let sink: Arc<dyn EventSink<VirtualTime>> = decisions.clone();
         SchedulerHost {
             workers: vec![WorkerSlot::default(); core.num_workers()],
-            core,
+            core: core.with_sink(sink),
+            decisions,
             heartbeat_timeout: at(heartbeat_timeout).since(VirtualTime::ZERO),
             timers: Vec::new(),
-            epochs: 0,
-            seen_evicted: (0, 0),
-            notifies: 0,
-            workers_marked_dead: 0,
             peers: BTreeMap::new(),
             shards: BTreeMap::new(),
             last_shard_beat: BTreeMap::new(),
             primary: None,
-            epoch: 0,
+            promotions: 0,
             promotion_pending: None,
         }
     }
 
-    /// Total pushes notified across workers.
+    /// Total pushes notified across workers, lost notifies included.
     pub fn total_pushes(&self) -> u64 {
-        self.workers.iter().map(|slot| slot.pushes).sum()
+        let stats = self.core.stats();
+        stats.notifies + stats.lost_notifies
     }
 
     /// Aborts (re-sync instructions) issued to workers.
@@ -159,7 +144,8 @@ impl SchedulerHost {
 
     /// Workers declared dead, by silence or by their connection closing.
     pub fn workers_marked_dead(&self) -> u64 {
-        self.workers_marked_dead
+        // Every membership change is a death or a rejoin.
+        self.core.stats().membership_changes - self.rejoins()
     }
 
     /// Dead workers re-admitted by a later frame.
@@ -169,7 +155,7 @@ impl SchedulerHost {
 
     /// Warm-backup promotions completed.
     pub fn promotions(&self) -> u64 {
-        self.epoch
+        self.promotions
     }
 
     /// The core scheduler's push/pull history (read-only).
@@ -278,11 +264,12 @@ impl SchedulerHost {
             if self.timers[i].0 <= now {
                 let (deadline, worker) = self.timers.swap_remove(i);
                 // Algorithm 2, `CheckResync`, at the instant the window
-                // was armed for.
-                // The abort goes out on the worker's current connection;
-                // with none, there is no one to tell.
-                if matches!(self.core.try_on_check(worker, deadline), Ok(true)) {
-                    out.push(SchedOutput::Record(Event::AbortIssued { worker }));
+                // was armed for. The core records `AbortIssued` before the
+                // abort goes out on the worker's current connection; with
+                // none, there is no one to tell. Nothing acknowledges it.
+                let fire = matches!(self.core.try_on_check(worker, deadline), Ok(true));
+                self.forward(out);
+                if fire {
                     if let Some(conn) = self.conn_of(worker) {
                         out.push(SchedOutput::ToConn(conn, WireMessage::Abort { worker }));
                     }
@@ -311,6 +298,12 @@ impl SchedulerHost {
         }
     }
 
+    /// Appends what the core recorded during the last call, in order.
+    fn forward(&self, out: &mut Vec<SchedOutput>) {
+        let recorded = self.decisions.take().into_iter();
+        out.extend(recorded.map(|(_, event)| SchedOutput::Record(event)));
+    }
+
     /// The one range check on a wire-supplied worker id — everything past
     /// it sees only ids the cluster has — and what every frame a worker
     /// sends has in common: it binds an unidentified connection to the
@@ -331,30 +324,31 @@ impl SchedulerHost {
             slot.conn = Some(conn);
         }
         slot.last_beat = Some(now);
-        if slot.dead && matches!(self.core.try_mark_alive(worker, now), Ok(true)) {
-            slot.dead = false;
+        if matches!(self.core.mark_alive(worker, now), Ok(true)) {
             slot.rejoins += 1;
+            let epoch = slot.rejoins;
+            self.forward(out);
             out.push(SchedOutput::Record(Event::WorkerRecovered {
                 worker,
-                epoch: slot.rejoins,
+                epoch,
             }));
         }
         true
     }
 
+    /// Declares `worker` dead. As in the simulator's traces, the host's
+    /// `WorkerCrashed` precedes the core's `Membership`, and on a rejoin
+    /// (`heard`) the core's `Membership` precedes `WorkerRecovered`.
     fn mark_dead(&mut self, worker: WorkerId, now: VirtualTime, out: &mut Vec<SchedOutput>) {
-        let Some(slot) = self.workers.get_mut(worker.index()) else {
-            return;
-        };
-        if !slot.dead && matches!(self.core.try_mark_dead(worker, now), Ok(true)) {
-            slot.dead = true;
-            self.workers_marked_dead += 1;
+        if matches!(self.core.mark_dead(worker, now), Ok(true)) {
             out.push(SchedOutput::Record(Event::WorkerCrashed { worker }));
+            self.forward(out);
         }
     }
 
     /// Algorithm 2, `HandleNotification`, plus the bookkeeping around it:
-    /// reconcile the cumulative push count, arm the window, close epochs.
+    /// the core reconciles the cumulative push count and arms the window;
+    /// the host sets the window's timer and closes epochs.
     fn notify(
         &mut self,
         worker: WorkerId,
@@ -362,51 +356,24 @@ impl SchedulerHost {
         now: VirtualTime,
         out: &mut Vec<SchedOutput>,
     ) {
-        let Some(slot) = self.workers.get_mut(worker.index()) else {
-            return;
-        };
-        out.push(SchedOutput::Record(Event::Notify { worker }));
-        // The wire's count is trusted only as far as the core backfills
-        // it, so `slot.pushes` and the core's count stay in step and the
-        // epoch loop below is bounded per frame.
-        let pushes = pushes.min(slot.pushes + 1 + Scheduler::MAX_NOTIFY_GAP);
-        let missing = pushes.saturating_sub(slot.pushes + 1);
-        if missing > 0 {
-            out.push(SchedOutput::Record(Event::NotifyLoss { worker, missing }));
-        }
-        slot.pushes = slot.pushes.max(pushes);
-        if let Ok(Some(deadline)) = self.core.try_on_notify_reconciled(worker, pushes, now) {
+        if let Ok(Some(deadline)) = self.core.on_notify_reconciled(worker, pushes, now) {
             self.timers.push((deadline, worker));
         }
+        self.forward(out);
         // An epoch completes when every live worker has one more push: a
         // dead one must not freeze tuning (and history eviction) for the
         // survivors. A rejoiner can drag the minimum back down; the `>`
-        // guard keeps the epoch counter monotone through that.
-        let live = self.workers.iter().filter(|slot| !slot.dead);
-        let min = live.map(|slot| slot.pushes).min();
-        while min.is_some_and(|min| min > self.epochs) {
-            self.epochs += 1;
-            let tuned = self.core.on_epoch_complete(now);
-            let hyper = self.core.hyperparams();
-            out.push(SchedOutput::Record(Event::EpochTuned {
-                epoch: self.epochs,
-                abort_time: hyper.abort_time(),
-                abort_rate: hyper.abort_rate(),
-                estimated_gain: tuned.as_ref().map(|o| o.estimated_improvement),
-            }));
-            let history = self.core.history();
-            let evicted = (history.evicted_pushes(), history.evicted_pulls());
-            if evicted != self.seen_evicted {
-                out.push(SchedOutput::Record(Event::HistoryEvicted {
-                    pushes: evicted.0 - self.seen_evicted.0,
-                    pulls: evicted.1 - self.seen_evicted.1,
-                    retained: history.retained_pushes() as u64,
-                }));
-                self.seen_evicted = evicted;
-            }
+        // guard keeps the epoch counter monotone through that. The core
+        // backfills at most `MAX_NOTIFY_GAP` pushes per frame, so this
+        // loop is bounded per frame too.
+        let core = &self.core;
+        let live = WorkerId::all(self.workers.len()).filter(|&w| core.is_alive(w));
+        let min = live.map(|w| core.pushes_by(w)).min();
+        while min.is_some_and(|min| min > self.core.epoch()) {
+            self.core.on_epoch_complete(now);
+            self.forward(out);
         }
-        self.notifies += 1;
-        if self.notifies.is_multiple_of(16) {
+        if self.core.stats().notifies.is_multiple_of(16) {
             out.push(SchedOutput::SampleCost);
         }
     }
@@ -434,7 +401,7 @@ impl SchedulerHost {
                     // promotion can target it.
                     out.push(SchedOutput::Record(Event::BackupJoined {
                         shard: server,
-                        epoch: self.epoch,
+                        epoch: self.promotions,
                     }));
                 } else {
                     self.primary = Some(server);
@@ -449,7 +416,7 @@ impl SchedulerHost {
                     shard.backup = false;
                 }
                 self.primary = Some(server);
-                self.epoch += 1;
+                self.promotions += 1;
                 self.promotion_pending = None;
                 out.push(SchedOutput::Record(Event::ShardFailover {
                     shard: server,
@@ -465,7 +432,7 @@ impl SchedulerHost {
                         conn,
                         WireMessage::Failover(FailoverControl::Primary {
                             addr: shard.addr.clone(),
-                            epoch: self.epoch,
+                            epoch: self.promotions,
                         }),
                     ));
                 }
@@ -510,6 +477,7 @@ impl SchedulerHost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use specsync_sync::TuningMode;
     use SchedOutput::{Record, ToConn};
 
     const TIMEOUT: Duration = Duration::from_secs(2);
@@ -568,6 +536,16 @@ mod tests {
         Record(Event::BackupJoined { shard, epoch })
     }
 
+    /// The core's record of `worker` going dead or coming back, leaving
+    /// `active` workers alive.
+    fn membership(worker: usize, alive: bool, active: u64) -> SchedOutput {
+        Record(Event::Membership {
+            worker: w(worker),
+            alive,
+            active,
+        })
+    }
+
     const QUERY: WireMessage = WireMessage::Failover(FailoverControl::QueryPrimary);
 
     #[derive(Debug)]
@@ -578,17 +556,22 @@ mod tests {
     }
     use Input::{Closed, Frame, Poll};
 
+    /// Hands `input` to `host` at `at_ms`.
+    fn feed(host: &mut SchedulerHost, input: Input, at_ms: u64, out: &mut Vec<SchedOutput>) {
+        match input {
+            Frame(conn, frame) => host.frame(conn, frame, ms(at_ms), out),
+            Closed(conn) => host.closed(conn, ms(at_ms), out),
+            Poll => host.poll(ms(at_ms), out),
+        }
+    }
+
     /// Feeds `rows` of `(input, at_ms, expected outputs)` through `host`,
     /// comparing each input's outputs exactly.
     fn script(host: &mut SchedulerHost, rows: Vec<(Input, u64, Vec<SchedOutput>)>) {
         let mut out = Vec::new();
         for (row, (input, at, want)) in rows.into_iter().enumerate() {
             let label = format!("row {row}: {input:?} at {at} ms");
-            match input {
-                Frame(conn, frame) => host.frame(conn, frame, ms(at), &mut out),
-                Closed(conn) => host.closed(conn, ms(at), &mut out),
-                Poll => host.poll(ms(at), &mut out),
-            }
+            feed(host, input, at, &mut out);
             assert_eq!(out, want, "{label}");
             out.clear();
         }
@@ -744,12 +727,18 @@ mod tests {
     fn each_silence_then_beat_cycle_is_the_workers_next_recovery_epoch() {
         let mut host = host(SchemeKind::Asp, 2);
         let beat = WireMessage::Heartbeat { worker: w(1) };
-        let crashed = Record(Event::WorkerCrashed { worker: w(1) });
+        let crashed = vec![
+            Record(Event::WorkerCrashed { worker: w(1) }),
+            membership(1, false, 1),
+        ];
         let recovered = |epoch| {
-            Record(Event::WorkerRecovered {
-                worker: w(1),
-                epoch,
-            })
+            vec![
+                membership(1, true, 2),
+                Record(Event::WorkerRecovered {
+                    worker: w(1),
+                    epoch,
+                }),
+            ]
         };
         // Worker 1 speaks, falls silent past the timeout, speaks again —
         // twice. Worker 0 never speaks and is never declared dead.
@@ -758,11 +747,11 @@ mod tests {
             vec![
                 (Frame(0, beat.clone()), 0, vec![]),
                 (Poll, 2_000, vec![]),
-                (Poll, 2_001, vec![crashed.clone()]),
+                (Poll, 2_001, crashed.clone()),
                 (Poll, 2_500, vec![]),
-                (Frame(0, beat.clone()), 2_600, vec![recovered(1)]),
-                (Poll, 4_601, vec![crashed]),
-                (Frame(0, beat), 4_700, vec![recovered(2)]),
+                (Frame(0, beat.clone()), 2_600, recovered(1)),
+                (Poll, 4_601, crashed),
+                (Frame(0, beat), 4_700, recovered(2)),
             ],
         );
         assert_eq!(host.workers_marked_dead(), 2);
@@ -780,7 +769,7 @@ mod tests {
                 (Poll, 10_000, vec![]),
                 (Frame(0, WireMessage::Pull { worker: w(0) }), 10_001, vec![]),
                 (Poll, 12_001, vec![]),
-                (Poll, 12_002, vec![crashed]),
+                (Poll, 12_002, vec![crashed, membership(0, false, 1)]),
             ],
         );
     }
@@ -835,12 +824,14 @@ mod tests {
                 (Frame(0, notify(0, 1)), 0, vec![seen(0)]),
                 // One valid frame claiming u64::MAX pushes is clamped, not
                 // looped over.
-                (Frame(0, notify(0, u64::MAX)), 1, vec![seen(0), lost]),
+                (Frame(0, notify(0, u64::MAX)), 1, vec![lost, seen(0)]),
                 // An honest cumulative count is still accepted afterwards.
                 (Frame(0, notify(0, 3)), 2, vec![seen(0)]),
             ],
         );
-        assert_eq!(host.total_pushes(), 2 + GAP);
+        // The host's count is the core's: one push per notify plus the
+        // clamped gap.
+        assert_eq!(host.total_pushes(), 3 + GAP);
         assert_eq!(host.history().len() as u64, 3 + GAP);
         // One such frame per worker closes a bounded run of epochs.
         let mut out = Vec::new();
@@ -878,7 +869,10 @@ mod tests {
                 (
                     Poll,
                     2_001,
-                    vec![Record(Event::WorkerCrashed { worker: w(1) })],
+                    vec![
+                        Record(Event::WorkerCrashed { worker: w(1) }),
+                        membership(1, false, 1),
+                    ],
                 ),
                 // Worker 1 is dead: worker 0 alone closes epochs.
                 (notify(0, 2), 2_002, vec![seen(0), tuned(1), tuned(2)]),
@@ -903,11 +897,15 @@ mod tests {
         script(
             &mut host,
             vec![
-                (notify(1, 1), 3_000, vec![recovered, seen(1)]),
+                (
+                    notify(1, 1),
+                    3_000,
+                    vec![membership(1, true, 2), recovered, seen(1)],
+                ),
                 (notify(0, 200), 3_001, vec![seen(0)]),
             ],
         );
-        assert_eq!(host.epochs, 199);
+        assert_eq!(host.core.epoch(), 199);
     }
 
     #[test]
@@ -961,8 +959,94 @@ mod tests {
         // The live connection closing is still a crash.
         let mut out = Vec::new();
         host.closed(1, ms(200), &mut out);
-        assert_eq!(out, vec![Record(Event::WorkerCrashed { worker: w(0) })]);
+        assert_eq!(
+            out,
+            vec![
+                Record(Event::WorkerCrashed { worker: w(0) }),
+                membership(0, false, 1),
+            ]
+        );
         assert_eq!(host.conn_of(w(0)), None);
+    }
+
+    /// The kinds the core decides and records; the host records none.
+    fn core_decided(event: &Event) -> bool {
+        matches!(
+            event,
+            Event::Notify { .. }
+                | Event::NotifyLoss { .. }
+                | Event::AbortIssued { .. }
+                | Event::Membership { .. }
+                | Event::EpochTuned { .. }
+                | Event::HistoryEvicted { .. }
+        )
+    }
+
+    #[test]
+    fn the_core_is_the_only_reporter_of_its_decisions() {
+        // One script through the host: pulls, a notify with a gap, aborts,
+        // a silence death and a rejoin.
+        let mut host = host(eager(), 2);
+        let mut out = Vec::new();
+        let notify = |worker, pushes| WireMessage::Notify {
+            worker: w(worker),
+            pushes,
+        };
+        let steps = [
+            (Frame(0, WireMessage::Pull { worker: w(0) }), 0),
+            (Frame(1, WireMessage::Pull { worker: w(1) }), 1),
+            (Frame(0, notify(0, 1)), 10),
+            (Frame(1, notify(1, 3)), 20),
+            (Poll, 150),
+            (Frame(0, WireMessage::Heartbeat { worker: w(0) }), 1_000),
+            (Poll, 2_100),
+            (Frame(0, notify(0, 2)), 2_200),
+            (Frame(1, WireMessage::Pull { worker: w(1) }), 2_210),
+            (Frame(1, notify(1, 4)), 2_250),
+            (Poll, 2_400),
+        ];
+        for (input, at) in steps {
+            feed(&mut host, input, at, &mut out);
+        }
+        let got: Vec<Event> = out
+            .into_iter()
+            .filter_map(|o| match o {
+                Record(event) => Some(event).filter(core_decided),
+                ToConn(..) | SchedOutput::SampleCost => None,
+            })
+            .collect();
+
+        // The same decisions as direct calls on a bare core.
+        let sink = Arc::new(InMemorySink::new());
+        let mut core = Scheduler::for_scheme(eager(), 2)
+            .with_history_retention()
+            .with_sink(sink.clone());
+        let t = |millis: u64| at(ms(millis));
+        core.on_pull(w(0), t(0));
+        core.on_pull(w(1), t(1));
+        core.on_notify_reconciled(w(0), 1, t(10)).unwrap();
+        core.on_notify_reconciled(w(1), 3, t(20)).unwrap();
+        core.on_epoch_complete(t(20));
+        assert!(core.on_check(w(0), t(110)));
+        // Nobody else pushed inside worker 1's window.
+        assert!(!core.on_check(w(1), t(120)));
+        assert!(core.mark_dead(w(1), t(2_100)).unwrap());
+        core.on_notify_reconciled(w(0), 2, t(2_200)).unwrap();
+        core.on_epoch_complete(t(2_200));
+        assert!(core.mark_alive(w(1), t(2_210)).unwrap());
+        core.on_pull(w(1), t(2_210));
+        core.on_notify_reconciled(w(1), 4, t(2_250)).unwrap();
+        assert!(core.on_check(w(0), t(2_300)));
+        assert!(!core.on_check(w(1), t(2_350)));
+        let want: Vec<Event> = sink.take().into_iter().map(|(_, e)| e).collect();
+
+        let count = |kind: fn(&Event) -> bool| want.iter().filter(|e| kind(e)).count();
+        assert_eq!(count(|e| matches!(e, Event::Membership { .. })), 2);
+        assert_eq!(count(|e| matches!(e, Event::NotifyLoss { .. })), 1);
+        assert_eq!(count(|e| matches!(e, Event::AbortIssued { .. })), 2);
+        assert_eq!(count(|e| matches!(e, Event::EpochTuned { .. })), 2);
+        assert_eq!(got, want, "the host's decision records are the core's");
+        assert_eq!(host.total_pushes(), core.stats().notifies + 2);
     }
 
     #[test]

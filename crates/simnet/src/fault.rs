@@ -18,7 +18,7 @@
 //!   recover later; in-flight work is discarded by the host.
 //!
 //! The plan itself only *decides*; the driver/runtime interpret the
-//! decisions (retry, fence, re-issue, release barriers).
+//! decisions (retry, fence, release barriers).
 
 use std::collections::BTreeMap;
 

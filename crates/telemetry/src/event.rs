@@ -216,12 +216,6 @@ pub enum Event {
         /// How many notifies were reconciled away.
         missing: u64,
     },
-    /// An abort went unacknowledged past the ack timeout and was re-issued
-    /// (at most once per armed window).
-    AbortReissued {
-        /// The worker being re-instructed to re-sync.
-        worker: WorkerId,
-    },
     /// A stale push (pre-crash epoch or dead worker) was fenced off
     /// instead of being applied to the store.
     PushFenced {
@@ -385,7 +379,6 @@ impl Event {
             | Event::Straggler { worker, .. }
             | Event::Membership { worker, .. }
             | Event::NotifyLoss { worker, .. }
-            | Event::AbortReissued { worker }
             | Event::PushFenced { worker, .. }
             | Event::RetryScheduled { worker, .. }
             | Event::FrameSent { worker, .. }
@@ -423,7 +416,6 @@ impl Event {
             Event::Straggler { .. } => "straggler",
             Event::Membership { .. } => "membership",
             Event::NotifyLoss { .. } => "notify_loss",
-            Event::AbortReissued { .. } => "abort_reissue",
             Event::PushFenced { .. } => "push_fenced",
             Event::RetryScheduled { .. } => "retry",
             Event::ShardFailover { .. } => "shard_failover",

@@ -147,7 +147,7 @@ pub fn encode_line(micros: u64, event: &Event) -> String {
                 let _ = write!(s, ",\"extra_us\":{}", extra.as_micros());
             }
         }
-        Event::WorkerCrashed { worker } | Event::AbortReissued { worker } => {
+        Event::WorkerCrashed { worker } => {
             let _ = write!(s, ",\"w\":{}", worker.index());
         }
         Event::WorkerRecovered { worker, epoch } | Event::PushFenced { worker, epoch } => {
@@ -427,9 +427,6 @@ pub fn parse_trace_line(line: &str) -> Result<TraceRecord, String> {
         "notify_loss" => Event::NotifyLoss {
             worker: parse_worker(&pairs)?,
             missing: parse_u64(&pairs, "missing")?,
-        },
-        "abort_reissue" => Event::AbortReissued {
-            worker: parse_worker(&pairs)?,
         },
         "push_fenced" => Event::PushFenced {
             worker: parse_worker(&pairs)?,
@@ -738,7 +735,6 @@ mod tests {
             worker: w,
             missing: 3,
         });
-        round_trip(Event::AbortReissued { worker: w });
         round_trip(Event::PushFenced {
             worker: w,
             epoch: 1,

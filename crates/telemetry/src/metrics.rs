@@ -129,7 +129,7 @@ pub struct MetricsSnapshot {
     /// Worker recoveries observed.
     pub recoveries: u64,
     /// Graceful-degradation decisions observed (membership changes,
-    /// notify-loss reconciliations, abort re-issues, fenced pushes,
+    /// notify-loss reconciliations, fenced pushes,
     /// retries, shard failovers).
     pub degradations: u64,
     /// History records (pushes + pulls) evicted past the scheduler's
@@ -301,7 +301,6 @@ impl<T: Timestamp> EventSink<T> for MetricsSink {
             Event::WorkerRecovered { .. } => state.snapshot.recoveries += 1,
             Event::Membership { .. }
             | Event::NotifyLoss { .. }
-            | Event::AbortReissued { .. }
             | Event::PushFenced { .. }
             | Event::RetryScheduled { .. }
             | Event::ShardFailover { .. } => state.snapshot.degradations += 1,

@@ -35,7 +35,7 @@ fn main() {
     );
 
     // Fig. 3-style distribution, at this workload's 0.2s iteration scale.
-    let dist = pap_distribution(history, 10, SimDuration::from_millis(50), 4);
+    let dist = pap_distribution(history, SimDuration::from_millis(50), 4);
     println!("PAP distribution per 50 ms interval after a pull:");
     for (k, s) in dist.stats.iter().enumerate() {
         println!(

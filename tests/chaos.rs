@@ -5,17 +5,18 @@
 //! server-failure scenarios extend this to parameter-server shard
 //! crashes: the warm backup must be promoted, journaled pushes replayed
 //! exactly once, the scheduler restarted from its checkpoint, and the
-//! whole failover must replay byte-identically under the same seed.
+//! whole failover must replay byte-identically under the same seed. A
+//! re-sync lost on the network stays lost: aborts are fire-and-forget.
 
 use std::sync::Arc;
 
-use specsync::telemetry::parse_trace_line;
+use specsync::telemetry::{parse_trace_line, FaultKind, WorkerPhase};
 use specsync::{
     ClusterSpec, CrashEvent, Event, EventSink, FaultPlan, InstanceType, JsonlSink,
     LinkFaultProfile, RunReport, SchemeKind, ServerCrashEvent, StragglerWindow, Trainer,
     VirtualTime, WorkerId, Workload,
 };
-use specsync_simnet::{DurationSampler, MessageClass, RngStreams};
+use specsync_simnet::{DurationSampler, MessageClass, RngStreams, SimDuration};
 
 /// The acceptance fault plan: 10% notify loss, light data loss with
 /// duplicates and delay spikes, one straggler window, two crash/recover
@@ -51,20 +52,28 @@ fn chaos_plan(seed: u64) -> FaultPlan {
         })
 }
 
-fn run_chaos_traced(scheme: SchemeKind, seed: u64) -> (Vec<u8>, RunReport) {
+/// Trains the tiny workload on five workers for at most 90 virtual
+/// seconds under `plan` (`None`: fault-free), tracing every event as JSONL.
+fn run_traced(scheme: SchemeKind, seed: u64, plan: Option<FaultPlan>) -> (Vec<u8>, RunReport) {
     let sink = Arc::new(JsonlSink::new(Vec::new()));
-    let report = Trainer::new(Workload::tiny_test(), scheme)
+    let mut trainer = Trainer::new(Workload::tiny_test(), scheme)
         .cluster(ClusterSpec::homogeneous(5, InstanceType::M4Xlarge))
         .horizon(VirtualTime::from_secs(90))
         .seed(seed)
-        .faults(chaos_plan(seed))
-        .sink(Arc::clone(&sink) as Arc<dyn EventSink<VirtualTime>>)
-        .run();
+        .sink(Arc::clone(&sink) as Arc<dyn EventSink<VirtualTime>>);
+    if let Some(plan) = plan {
+        trainer = trainer.faults(plan);
+    }
+    let report = trainer.run();
     let bytes = Arc::try_unwrap(sink)
         .expect("driver dropped its sink handles")
         .finish()
         .expect("in-memory writes cannot fail");
     (bytes, report)
+}
+
+fn run_chaos_traced(scheme: SchemeKind, seed: u64) -> (Vec<u8>, RunReport) {
+    run_traced(scheme, seed, Some(chaos_plan(seed)))
 }
 
 fn all_schemes() -> [(&'static str, SchemeKind); 4] {
@@ -155,19 +164,7 @@ fn server_crash_plan(seed: u64) -> FaultPlan {
 }
 
 fn run_server_crash_traced(scheme: SchemeKind, seed: u64) -> (Vec<u8>, RunReport) {
-    let sink = Arc::new(JsonlSink::new(Vec::new()));
-    let report = Trainer::new(Workload::tiny_test(), scheme)
-        .cluster(ClusterSpec::homogeneous(5, InstanceType::M4Xlarge))
-        .horizon(VirtualTime::from_secs(90))
-        .seed(seed)
-        .faults(server_crash_plan(seed))
-        .sink(Arc::clone(&sink) as Arc<dyn EventSink<VirtualTime>>)
-        .run();
-    let bytes = Arc::try_unwrap(sink)
-        .expect("driver dropped its sink handles")
-        .finish()
-        .expect("in-memory writes cannot fail");
-    (bytes, report)
+    run_traced(scheme, seed, Some(server_crash_plan(seed)))
 }
 
 #[test]
@@ -234,17 +231,75 @@ fn server_failover_traces_record_the_recovery_lifecycle() {
 
 #[test]
 fn fault_plans_change_the_trace_but_not_its_validity() {
-    let (clean, _) = {
-        let sink = Arc::new(JsonlSink::new(Vec::new()));
-        let report = Trainer::new(Workload::tiny_test(), SchemeKind::specsync_adaptive())
-            .cluster(ClusterSpec::homogeneous(5, InstanceType::M4Xlarge))
-            .horizon(VirtualTime::from_secs(90))
-            .seed(71)
-            .sink(Arc::clone(&sink) as Arc<dyn EventSink<VirtualTime>>)
-            .run();
-        let bytes = Arc::try_unwrap(sink).unwrap().finish().unwrap();
-        (bytes, report)
-    };
+    let (clean, _) = run_traced(SchemeKind::specsync_adaptive(), 71, None);
     let (chaotic, _) = run_chaos_traced(SchemeKind::specsync_adaptive(), 71);
     assert_ne!(clean, chaotic, "fault injection must perturb the trace");
+}
+
+/// Drops half the re-syncs and duplicates nothing.
+fn lost_resync_plan(seed: u64) -> FaultPlan {
+    FaultPlan::new(&RngStreams::new(seed))
+        .with_profile(MessageClass::Resync, LinkFaultProfile::drop_only(0.5))
+}
+
+#[test]
+fn a_lost_resync_is_lost() {
+    // A 100 ms window that one other push trips: aborts are frequent.
+    let scheme = SchemeKind::specsync_fixed(SimDuration::from_millis(100), 0.2);
+    let (bytes, report) = run_traced(scheme, 71, Some(lost_resync_plan(71)));
+    assert!(
+        report.converged_at.is_some(),
+        "the run must complete: {} iterations",
+        report.total_iterations
+    );
+
+    let text = String::from_utf8(bytes).expect("traces are UTF-8");
+    let (mut issued, mut dropped, mut pushed_anyway) = (0u64, 0u64, 0u64);
+    let mut phase = vec![WorkerPhase::Idle; report.num_workers];
+    // Workers whose re-sync was dropped while they were computing.
+    let mut owed = vec![false; report.num_workers];
+    for line in text.lines() {
+        match parse_trace_line(line).expect("every line parses").event {
+            Event::AbortIssued { .. } => issued += 1,
+            Event::Fault {
+                worker,
+                class: MessageClass::Resync,
+                kind: FaultKind::Drop,
+            } => {
+                dropped += 1;
+                owed[worker.index()] = phase[worker.index()] == WorkerPhase::Computing;
+            }
+            Event::WorkerState { worker, state } => {
+                if std::mem::take(&mut owed[worker.index()]) {
+                    // Nothing re-sends the abort: the worker finishes and
+                    // pushes the iteration it was computing.
+                    assert_eq!(state, WorkerPhase::Pushing, "{worker:?} was aborted anyway");
+                    pushed_anyway += 1;
+                }
+                phase[worker.index()] = state;
+            }
+            _ => {}
+        }
+    }
+    assert!(
+        dropped > 0 && pushed_anyway > 0,
+        "no re-sync was lost mid-compute"
+    );
+
+    // Each abort is sent once: every send was dropped or delivered, and
+    // at most one per worker is still in flight when the run ends.
+    let delivered = report
+        .transfer
+        .records()
+        .iter()
+        .filter(|record| record.class == MessageClass::Resync)
+        .count() as u64;
+    assert!(delivered + dropped <= issued, "an abort was sent twice");
+    assert!(issued - (delivered + dropped) <= report.num_workers as u64);
+
+    let (again, _) = run_traced(scheme, 71, Some(lost_resync_plan(71)));
+    assert!(
+        text.as_bytes() == again,
+        "two same-seed traces must be byte-identical"
+    );
 }
