@@ -19,6 +19,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use specsync_cluster::{RunReport, Trainer};
+use specsync_ml::ConvergenceDetector;
 use specsync_simnet::VirtualTime;
 
 /// Applies `f` to every item across all available cores, returning results
@@ -185,36 +186,25 @@ impl<K: Send> RunMatrix<K> {
 
 /// The virtual time at which `report`'s loss curve first satisfies the
 /// paper's convergence rule for `target` (at or below it for 5 consecutive
-/// evaluations), regardless of the target the run itself used.
+/// evaluations, as `ConvergenceDetector::paper_default` decides; it panics
+/// on a non-finite `target`), regardless of the target the run itself used.
 pub fn time_to_target(report: &RunReport, target: f64) -> Option<VirtualTime> {
-    let mut streak = 0;
-    for p in &report.loss_curve {
-        if p.loss <= target {
-            streak += 1;
-            if streak >= 5 {
-                return Some(p.time);
-            }
-        } else {
-            streak = 0;
-        }
-    }
-    None
+    let mut detector = ConvergenceDetector::paper_default(target);
+    let curve = report.loss_curve.samples();
+    curve
+        .iter()
+        .find(|p| detector.observe(p.loss))
+        .map(|p| p.time)
 }
 
 /// The iteration count at which the convergence rule is first met.
 pub fn iterations_to_target(report: &RunReport, target: f64) -> Option<u64> {
-    let mut streak = 0;
-    for p in &report.loss_curve {
-        if p.loss <= target {
-            streak += 1;
-            if streak >= 5 {
-                return Some(p.iterations);
-            }
-        } else {
-            streak = 0;
-        }
-    }
-    None
+    let mut detector = ConvergenceDetector::paper_default(target);
+    let curve = report.loss_curve.samples();
+    curve
+        .iter()
+        .find(|p| detector.observe(p.loss))
+        .map(|p| p.iterations)
 }
 
 /// Formats a virtual-time option as whole seconds or `--`.

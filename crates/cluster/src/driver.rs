@@ -8,12 +8,14 @@
 //! network model, so a 40-node hour-long EC2 run replays in milliseconds,
 //! deterministically from a seed.
 //!
-//! Worker lifecycle (paper Algorithm 2, worker side):
+//! Worker lifecycle (paper Algorithm 2, worker side). Each worker's
+//! [`WorkerMachine`] owns its rules, as on the wire; the driver feeds it
+//! the queue's events and records the events it returns:
 //!
 //! ```text
-//! pull issued ──(pull bytes)──▶ PullArrive: compute gradient, start timer
+//! pull issued ──(pull bytes)──▶ PullArrive: start_compute, gradient, timer
 //!    ▲                              │
-//!    │ re-sync while computing      ▼
+//!    │ abort while computing        ▼
 //!    └───────── ResyncArrive    ComputeDone ──(push bytes)──▶ PushArrive:
 //!                                   apply to store, notify scheduler,
 //!                                   next pull (gated by BSP/SSP/naïve wait)
@@ -55,7 +57,7 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 
-use specsync_core::{Scheduler, SpecSyncError};
+use specsync_core::{Scheduler, SpecSyncError, WorkerMachine};
 use specsync_ml::{BatchSampler, LrSchedule, Model, SparseGrad, Workload};
 use specsync_net::MessageSizes;
 use specsync_ps::{ParameterStore, ReplicaError, ReplicatedStore};
@@ -92,8 +94,6 @@ pub struct DriverConfig {
     pub max_iterations: u64,
     /// Evaluate the global loss every `eval_stride`-th push (1 = every push).
     pub eval_stride: u64,
-    /// Stop as soon as the convergence criterion is met.
-    pub stop_on_convergence: bool,
 }
 
 impl Default for DriverConfig {
@@ -102,7 +102,6 @@ impl Default for DriverConfig {
             max_virtual_time: VirtualTime::from_secs(200_000),
             max_iterations: 2_000_000,
             eval_stride: 1,
-            stop_on_convergence: true,
         }
     }
 }
@@ -144,8 +143,7 @@ enum Event {
 }
 
 struct WorkerCtx {
-    state: WorkerPhase,
-    attempt: u64,
+    machine: WorkerMachine,
     model: Box<dyn Model>,
     sampler: BatchSampler,
     /// Dense gradient buffer (fallback for models without a sparse path).
@@ -158,9 +156,6 @@ struct WorkerCtx {
     /// snapshot cache (and with every other worker that pulled the same
     /// version) instead of owning a copy.
     pending_params: Option<Arc<[f32]>>,
-    iterations: u64,
-    aborts: u64,
-    compute_started: VirtualTime,
     compute_sampler: DurationSampler,
     rng: StdRng,
     /// Crash epoch: bumped on every recovery. Messages sent before the
@@ -223,7 +218,6 @@ pub(crate) struct Simulation {
     loss_curve: LossCurve<VirtualTime>,
     converged_at: Option<VirtualTime>,
     iterations_at_convergence: Option<u64>,
-    wasted_compute: SimDuration,
     staleness_sum: f64,
     staleness_count: u64,
     hyper_trace: Vec<(u64, specsync_core::Hyperparams)>,
@@ -269,17 +263,13 @@ impl Simulation {
                 let n = model.num_params();
                 let sampler: BatchSampler = workload.sampler_for(model.as_ref(), i, seed ^ 0xBA7C);
                 WorkerCtx {
-                    state: WorkerPhase::Idle,
-                    attempt: 0,
+                    machine: WorkerMachine::new(WorkerId::new(i)),
                     model,
                     sampler,
                     grad: vec![0.0; n],
                     sparse_grad: SparseGrad::new(),
                     grad_is_sparse: false,
                     pending_params: None,
-                    iterations: 0,
-                    aborts: 0,
-                    compute_started: VirtualTime::ZERO,
                     compute_sampler: cluster
                         .instance(i)
                         .iteration_sampler(workload.mean_iteration_secs, workload.iteration_cv),
@@ -328,7 +318,6 @@ impl Simulation {
             loss_curve: LossCurve::new(),
             converged_at: None,
             iterations_at_convergence: None,
-            wasted_compute: SimDuration::ZERO,
             staleness_sum: 0.0,
             staleness_count: 0,
             hyper_trace: Vec::new(),
@@ -400,33 +389,19 @@ impl Simulation {
         Ok(fate)
     }
 
-    /// Transitions `worker` to `state`, reporting the transition to the
-    /// event sink.
-    fn set_worker_state(&mut self, worker: WorkerId, state: WorkerPhase, now: VirtualTime) {
-        self.workers[worker.index()].state = state;
-        self.sink
-            .record(now, &TraceEvent::WorkerState { worker, state });
-    }
-
-    /// Issues a pull for `worker` at `now`: snapshot immediately (server
-    /// state at request time), deliver after the transfer delay. Dead
-    /// workers are silently skipped (a crash can race a release decision).
+    /// Issues a pull for `worker` at `now` (none if it is dead: a crash can
+    /// race a release decision): snapshot immediately, deliver after the
+    /// transfer delay. While a server shard is down awaiting promotion the
+    /// request parks on the retry timer instead — not message loss, so no
+    /// retry budget is spent; promotion bounds the wait.
     fn issue_pull(&mut self, worker: WorkerId, now: VirtualTime) -> Result<(), SpecSyncError> {
-        if self.workers[worker.index()].state == WorkerPhase::Dead {
+        let Some(pulling) = self.workers[worker.index()].machine.pull() else {
             return Ok(());
-        }
-        self.request_pull(worker, now)
-    }
-
-    /// Serves the pull request against the replicated store. While a
-    /// server shard is down awaiting promotion the request parks on the
-    /// retry timer instead — server unavailability is not message loss,
-    /// so no retry budget is spent; promotion bounds the wait.
-    fn request_pull(&mut self, worker: WorkerId, now: VirtualTime) -> Result<(), SpecSyncError> {
+        };
         if !self.store.is_available() {
             self.chaos.blocked_on_failover += 1;
             let epoch = self.workers[worker.index()].epoch;
-            self.set_worker_state(worker, WorkerPhase::Pulling, now);
+            self.sink.record(now, &pulling);
             self.queue
                 .schedule(now + RETRY_TIMEOUT, Event::PullBlocked(worker, epoch));
             return Ok(());
@@ -440,7 +415,7 @@ impl Simulation {
             .record(now, &TraceEvent::Pull { worker, staleness });
         self.scheduler.on_pull(worker, now);
         self.workers[worker.index()].pending_params = Some(snapshot.into_shared());
-        self.set_worker_state(worker, WorkerPhase::Pulling, now);
+        self.sink.record(now, &pulling);
         self.send_pull(worker, 0, now)
     }
 
@@ -551,12 +526,12 @@ impl Simulation {
                 self.issue_pull(worker, now)?;
             }
             SchemeKind::NaiveWaiting { delay } => {
-                self.set_worker_state(worker, WorkerPhase::Idle, now);
+                self.idle(worker, now);
                 self.queue
                     .schedule(now + delay, Event::NaiveWaitDone(worker));
             }
             SchemeKind::Bsp => {
-                self.set_worker_state(worker, WorkerPhase::Idle, now);
+                self.idle(worker, now);
                 let barrier = self.bsp.as_mut().ok_or(SpecSyncError::SchemeStateMissing {
                     what: "BSP barrier",
                 })?;
@@ -586,7 +561,7 @@ impl Simulation {
                 if can_start {
                     self.issue_pull(worker, now)?;
                 } else {
-                    self.set_worker_state(worker, WorkerPhase::Idle, now);
+                    self.idle(worker, now);
                     self.ssp_blocked.push(worker);
                 }
             }
@@ -594,8 +569,19 @@ impl Simulation {
         Ok(())
     }
 
+    /// Parks `worker` on a scheme gate.
+    fn idle(&mut self, worker: WorkerId, now: VirtualTime) {
+        if let Some(idle) = self.workers[worker.index()].machine.idle() {
+            self.sink.record(now, &idle);
+        }
+    }
+
+    /// The pull delivered: compute the gradient and schedule its end.
     fn start_compute(&mut self, worker: WorkerId, now: VirtualTime) -> Result<(), SpecSyncError> {
         let ctx = &mut self.workers[worker.index()];
+        let Some((attempt, computing)) = ctx.machine.start_compute(now) else {
+            return Ok(());
+        };
         let params = ctx
             .pending_params
             .take()
@@ -609,19 +595,16 @@ impl Simulation {
         if !ctx.grad_is_sparse {
             ctx.model.gradient(&batch, &mut ctx.grad);
         }
-        ctx.compute_started = now;
-        ctx.attempt += 1;
         // Always sample first, then stretch: straggler windows must not
         // shift the compute RNG stream relative to a fault-free run.
         let mut duration = ctx.compute_sampler.sample(&mut ctx.rng);
-        let attempt = ctx.attempt;
         if let Some(plan) = &self.faults {
             let slowdown = plan.slowdown_at(worker, now);
             if slowdown != 1.0 {
                 duration = duration.mul_f64(slowdown);
             }
         }
-        self.set_worker_state(worker, WorkerPhase::Computing, now);
+        self.sink.record(now, &computing);
         self.queue
             .schedule(now + duration, Event::ComputeDone(worker, attempt));
         Ok(())
@@ -665,7 +648,7 @@ impl Simulation {
             res.map_err(replica_to_error)?;
         }
         let applied = self.store.pushes_by(worker);
-        self.workers[worker.index()].iterations += 1;
+        self.workers[worker.index()].machine.pushed();
         self.total_pushes += 1;
         self.sink.record(
             now,
@@ -699,8 +682,8 @@ impl Simulation {
         let min_iters = self
             .workers
             .iter()
-            .filter(|w| w.state != WorkerPhase::Dead)
-            .map(|w| w.iterations)
+            .filter(|w| w.machine.phase() != WorkerPhase::Dead)
+            .map(|w| w.machine.pushes())
             .min()
             .unwrap_or(0);
         while min_iters > self.scheduler.epoch() {
@@ -712,38 +695,19 @@ impl Simulation {
         self.after_push(worker, now)
     }
 
-    fn on_resync(&mut self, worker: WorkerId, now: VirtualTime) -> Result<(), SpecSyncError> {
-        let ctx = &mut self.workers[worker.index()];
-        if ctx.state != WorkerPhase::Computing {
-            // Too late: the iteration finished (or is pushing) — Algorithm 2
-            // only aborts in-flight computation ("if that is not too late
-            // yet", §IV-A). Dead workers land here too.
-            return Ok(());
-        }
-        ctx.aborts += 1;
-        ctx.attempt += 1; // invalidates the pending ComputeDone
-        let wasted = now.saturating_since(ctx.compute_started);
-        self.wasted_compute += wasted;
-        self.sink
-            .record(now, &TraceEvent::Resync { worker, wasted });
-        self.issue_pull(worker, now)
-    }
-
     /// A scheduled crash: discard in-flight compute, fence the epoch,
     /// shrink scheduler membership and release anyone gated on the dead
     /// worker so no scheme deadlocks.
     fn on_crash(&mut self, worker: WorkerId, now: VirtualTime) -> Result<(), SpecSyncError> {
-        if self.workers[worker.index()].state == WorkerPhase::Dead {
+        let ctx = &mut self.workers[worker.index()];
+        let Some(crashed) = ctx.machine.crash() else {
             return Ok(());
-        }
-        {
-            let ctx = &mut self.workers[worker.index()];
-            ctx.attempt += 1; // invalidates any pending ComputeDone
-            ctx.pending_params = None; // an in-flight pull is useless now
-        }
+        };
+        ctx.pending_params = None; // an in-flight pull is useless now
         self.chaos.crashes += 1;
-        self.sink.record(now, &TraceEvent::WorkerCrashed { worker });
-        self.set_worker_state(worker, WorkerPhase::Dead, now);
+        for event in &crashed {
+            self.sink.record(now, event);
+        }
         self.scheduler.mark_dead(worker, now)?;
 
         if let Some(barrier) = self.bsp.as_mut() {
@@ -751,7 +715,7 @@ impl Simulation {
             // current round for everyone else.
             if let Some(released) = barrier.deactivate(worker) {
                 for w in released {
-                    if self.workers[w.index()].state == WorkerPhase::Idle {
+                    if self.workers[w.index()].machine.phase() == WorkerPhase::Idle {
                         self.issue_pull(w, now)?;
                     }
                 }
@@ -774,15 +738,13 @@ impl Simulation {
     /// A scheduled recovery: rejoin in a fresh fencing epoch, grow
     /// scheduler membership back and start pulling again.
     fn on_recover(&mut self, worker: WorkerId, now: VirtualTime) -> Result<(), SpecSyncError> {
-        if self.workers[worker.index()].state != WorkerPhase::Dead {
+        let ctx = &mut self.workers[worker.index()];
+        let Some(idle) = ctx.machine.recover() else {
             return Ok(());
-        }
-        let epoch = {
-            let ctx = &mut self.workers[worker.index()];
-            ctx.epoch += 1;
-            ctx.pending_params = None;
-            ctx.epoch
         };
+        ctx.epoch += 1;
+        ctx.pending_params = None;
+        let epoch = ctx.epoch;
         self.chaos.recoveries += 1;
         self.scheduler.mark_alive(worker, now)?;
         self.sink
@@ -793,39 +755,38 @@ impl Simulation {
         if let Some(ssp) = self.ssp.as_mut() {
             ssp.reactivate(worker);
         }
-        self.set_worker_state(worker, WorkerPhase::Idle, now);
+        self.sink.record(now, &idle);
         self.issue_pull(worker, now)
     }
 
     fn handle(&mut self, event: Event, now: VirtualTime) -> Result<(), SpecSyncError> {
         match event {
             Event::PullArrive(worker, epoch) => {
-                let ctx = &self.workers[worker.index()];
-                // Stale (pre-crash) or duplicate deliveries are ignored.
-                if ctx.state == WorkerPhase::Pulling && ctx.epoch == epoch {
+                // Pre-crash deliveries are fenced here, duplicates by the machine.
+                if self.workers[worker.index()].epoch == epoch {
                     self.start_compute(worker, now)?;
                 }
             }
             Event::PullRetry(worker, epoch, attempt) => {
                 let ctx = &self.workers[worker.index()];
-                if ctx.state == WorkerPhase::Pulling && ctx.epoch == epoch {
+                if ctx.machine.phase() == WorkerPhase::Pulling && ctx.epoch == epoch {
                     self.send_pull(worker, attempt, now)?;
                 }
             }
             Event::ComputeDone(worker, attempt) => {
-                let ctx = &self.workers[worker.index()];
-                if ctx.attempt != attempt || ctx.state != WorkerPhase::Computing {
+                let ctx = &mut self.workers[worker.index()];
+                let Some(pushing) = ctx.machine.compute_done(attempt) else {
                     return Ok(()); // aborted or crashed mid-compute
-                }
-                self.workers[worker.index()].push_seq += 1;
-                let seq = self.workers[worker.index()].push_seq;
-                self.set_worker_state(worker, WorkerPhase::Pushing, now);
+                };
+                ctx.push_seq += 1;
+                let seq = ctx.push_seq;
+                self.sink.record(now, &pushing);
                 self.send_push(worker, seq, 0, now)?;
             }
             Event::PushSend(worker, epoch, seq, attempt) => {
                 let ctx = &self.workers[worker.index()];
-                if ctx.state == WorkerPhase::Pushing && ctx.epoch == epoch && ctx.applied_seq < seq
-                {
+                let pushing = ctx.machine.phase() == WorkerPhase::Pushing;
+                if pushing && ctx.epoch == epoch && ctx.applied_seq < seq {
                     self.send_push(worker, seq, attempt, now)?;
                 }
             }
@@ -842,7 +803,7 @@ impl Simulation {
                 }
                 self.record_transfer(now, MessageClass::PushGrad);
                 let ctx = &self.workers[worker.index()];
-                if ctx.state == WorkerPhase::Dead || ctx.epoch != epoch {
+                if ctx.machine.phase() == WorkerPhase::Dead || ctx.epoch != epoch {
                     // Stale-push fencing: the sender crashed after sending.
                     let current = ctx.epoch;
                     self.chaos.fenced_pushes += 1;
@@ -885,10 +846,14 @@ impl Simulation {
                 }
                 self.workers[worker.index()].resync_seen = issue;
                 self.record_transfer(now, MessageClass::Resync);
-                self.on_resync(worker, now)?;
+                // The machine drops an abort that is too late (§IV-A).
+                if let Some(resync) = self.workers[worker.index()].machine.abort(now) {
+                    self.sink.record(now, &resync);
+                    self.issue_pull(worker, now)?;
+                }
             }
             Event::NaiveWaitDone(worker) => {
-                if self.workers[worker.index()].state == WorkerPhase::Idle {
+                if self.workers[worker.index()].machine.phase() == WorkerPhase::Idle {
                     self.issue_pull(worker, now)?;
                 }
             }
@@ -896,8 +861,8 @@ impl Simulation {
             Event::WorkerRecover(worker) => self.on_recover(worker, now)?,
             Event::PullBlocked(worker, epoch) => {
                 let ctx = &self.workers[worker.index()];
-                if ctx.state == WorkerPhase::Pulling && ctx.epoch == epoch {
-                    self.request_pull(worker, now)?;
+                if ctx.machine.phase() == WorkerPhase::Pulling && ctx.epoch == epoch {
+                    self.issue_pull(worker, now)?;
                 }
             }
             Event::ServerCrash(server) => {
@@ -990,7 +955,7 @@ impl Simulation {
                 break;
             }
             self.handle(event, now)?;
-            if self.config.stop_on_convergence && self.converged_at.is_some() {
+            if self.converged_at.is_some() {
                 break;
             }
         }
@@ -1002,6 +967,7 @@ impl Simulation {
         } else {
             self.staleness_sum / self.staleness_count as f64
         };
+        let wasted = self.workers.iter().map(|w| w.machine.wasted());
         Ok(RunReport {
             scheme: self.scheme.label(),
             workload: self.workload.paper.name.to_string(),
@@ -1010,10 +976,10 @@ impl Simulation {
             converged_at: self.converged_at,
             iterations_at_convergence: self.iterations_at_convergence,
             total_iterations: self.total_pushes,
-            total_aborts: self.workers.iter().map(|w| w.aborts).sum(),
-            wasted_compute: self.wasted_compute,
+            total_aborts: self.workers.iter().map(|w| w.machine.aborts()).sum(),
+            wasted_compute: wasted.fold(SimDuration::ZERO, |sum, w| sum + w),
             loss_curve: self.loss_curve,
-            iterations_per_worker: self.workers.iter().map(|w| w.iterations).collect(),
+            iterations_per_worker: self.workers.iter().map(|w| w.machine.pushes()).collect(),
             transfer: self.ledger,
             scheduler_stats: self.scheduler.stats(),
             hyperparams_trace: self.hyper_trace,

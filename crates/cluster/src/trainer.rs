@@ -94,13 +94,6 @@ impl Trainer {
         self
     }
 
-    /// Keeps training after convergence until the horizon (for fixed-budget
-    /// experiments such as Fig. 11's right plot).
-    pub fn run_to_horizon(mut self) -> Self {
-        self.config.stop_on_convergence = false;
-        self
-    }
-
     /// Evaluates loss only every `stride`-th push (cheaper long runs).
     ///
     /// # Panics
@@ -147,19 +140,5 @@ mod tests {
         assert_eq!(report.num_workers, 2);
         assert_eq!(report.seed, 9);
         assert!(report.finished_at <= VirtualTime::from_secs(51));
-    }
-
-    #[test]
-    fn run_to_horizon_does_not_stop_early() {
-        let report = Trainer::new(Workload::tiny_test(), SchemeKind::Asp)
-            .cluster(ClusterSpec::homogeneous(3, InstanceType::M4Xlarge))
-            .horizon(VirtualTime::from_secs(120))
-            .run_to_horizon()
-            .seed(4)
-            .run();
-        // Even after convergence the run continues to the horizon.
-        if let Some(c) = report.converged_at {
-            assert!(report.finished_at > c);
-        }
     }
 }

@@ -12,8 +12,8 @@
 //! objective (Eq. 5–7, in [`estimator`]).
 //!
 //! This crate is the paper's contribution in isolation — pure, host-agnostic
-//! state machines. The cluster harness that drives them under simulated
-//! timing lives in `specsync-cluster`.
+//! state machines ([`Scheduler`], [`WorkerMachine`]). The cluster harness
+//! that drives them under simulated timing lives in `specsync-cluster`.
 //!
 //! # Examples
 //!
@@ -49,6 +49,7 @@ mod hyper;
 mod pap;
 mod scheduler;
 mod tuner;
+mod worker;
 
 pub use backoff::Backoff;
 pub use error::SpecSyncError;
@@ -58,3 +59,4 @@ pub use hyper::Hyperparams;
 pub use pap::{pap_distribution, uniform_trace, BoxStats, PapDistribution};
 pub use scheduler::{Scheduler, SchedulerStats};
 pub use tuner::{AdaptiveTuner, TuneOutcome};
+pub use worker::WorkerMachine;

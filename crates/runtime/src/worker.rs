@@ -7,11 +7,12 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
+use specsync_core::WorkerMachine;
 use specsync_ml::{BatchSampler, Model};
 use specsync_net::{Endpoint, Transport, WireMessage};
 use specsync_ps::PushPayload;
-use specsync_simnet::{SimDuration, WorkerId};
-use specsync_telemetry::{Event, EventSink, WorkerPhase};
+use specsync_simnet::{VirtualTime, WorkerId};
+use specsync_telemetry::{Event, EventSink, Timestamp};
 
 use crate::clock::ClockSource;
 
@@ -71,23 +72,23 @@ pub struct WorkerOutcome {
 
 impl WorkerHarness {
     /// Runs the training loop until the stop flag, a `Shutdown` control
-    /// frame, or a dead transport ends it.
+    /// frame, or a dead transport ends it. A [`WorkerMachine`] keeps the
+    /// rules; this loop does the I/O, the pacing and the gradient.
     pub fn run(mut self, transport: &mut dyn Transport) -> WorkerOutcome {
-        let mut outcome = WorkerOutcome::default();
+        let mut machine = WorkerMachine::new(self.worker);
+        let mut dropped_notifies = 0;
         let mut grad = vec![0.0f32; self.model.num_params()];
-        let mut notify_seq = 0u64;
         let mut last_beat = self.clock.now();
         let worker = self.worker;
 
         'training: while !self.stop.load(Ordering::SeqCst) {
             self.beat(transport, &mut last_beat);
-            // Pull.
-            self.enter(WorkerPhase::Pulling);
-            let Some(params) = self.pull(transport) else {
+            let Some(params) = self.pull(&mut machine, transport) else {
                 break;
             };
-            // Discard any stale re-sync from a previous iteration; a
-            // queued `Shutdown` still ends the run.
+            // Discard every re-sync queued before the pull (it aborted an
+            // earlier iteration or none); a queued `Shutdown` still ends
+            // the run.
             while let Some(control) = transport.poll_control() {
                 if matches!(control, WireMessage::Shutdown) {
                     break 'training;
@@ -95,11 +96,14 @@ impl WorkerHarness {
             }
 
             // Compute (abortable during the padded span).
-            self.enter(WorkerPhase::Computing);
+            let Some((attempt, computing)) = machine.start_compute(self.at()) else {
+                break;
+            };
+            self.record(&computing);
             self.model.set_params(&params);
             let batch = self.sampler.next_batch();
             self.model.gradient(&batch, &mut grad);
-            let mut compute_start = self.clock.now();
+            let compute_start = self.clock.now();
             loop {
                 let spent = self.clock.now().saturating_sub(compute_start);
                 if spent >= self.compute_pad {
@@ -116,22 +120,11 @@ impl WorkerHarness {
                 }
                 match transport.poll_control() {
                     Some(WireMessage::Abort { .. }) => {
-                        // Abort: re-pull fresh parameters and restart.
-                        outcome.aborts += 1;
-                        let wasted = self.clock.now().saturating_sub(compute_start);
-                        let wasted = SimDuration::from_micros(
-                            wasted.as_micros().min(u64::MAX as u128) as u64,
-                        );
-                        self.record(&Event::Resync { worker, wasted });
-                        self.enter(WorkerPhase::Pulling);
-                        let Some(fresh) = self.pull(transport) else {
-                            break 'training;
-                        };
-                        self.enter(WorkerPhase::Computing);
-                        self.model.set_params(&fresh);
-                        let batch = self.sampler.next_batch();
-                        self.model.gradient(&batch, &mut grad);
-                        compute_start = self.clock.now();
+                        // Abort: re-pull fresh parameters and start over.
+                        if let Some(resync) = machine.abort(self.at()) {
+                            self.record(&resync);
+                            continue 'training;
+                        }
                     }
                     Some(WireMessage::Shutdown) => break 'training,
                     // No other control frame reaches a worker.
@@ -141,7 +134,10 @@ impl WorkerHarness {
 
             // Push + notify (the notify carries the push counter for
             // loss reconciliation; the chaos knob may eat it).
-            self.enter(WorkerPhase::Pushing);
+            let Some(pushing) = machine.compute_done(attempt) else {
+                break;
+            };
+            self.record(&pushing);
             let push = WireMessage::Push {
                 worker,
                 payload: PushPayload::Dense(grad.clone()),
@@ -151,36 +147,37 @@ impl WorkerHarness {
             if transport.send(Endpoint::Shard, push).is_err() {
                 break;
             }
-            outcome.pushes += 1;
-            notify_seq += 1;
+            let pushes = machine.pushed();
             let dropped = self
                 .drop_notify_every
-                .is_some_and(|n| notify_seq.is_multiple_of(n));
+                .is_some_and(|n| pushes.is_multiple_of(n));
             if dropped {
-                outcome.dropped_notifies += 1;
+                dropped_notifies += 1;
             } else if !self.muted() {
-                let _ = transport.send(
-                    Endpoint::Scheduler,
-                    WireMessage::Notify {
-                        worker,
-                        pushes: outcome.pushes,
-                    },
-                );
+                let notify = WireMessage::Notify { worker, pushes };
+                let _ = transport.send(Endpoint::Scheduler, notify);
             }
         }
-        outcome
+        WorkerOutcome {
+            pushes: machine.pushes(),
+            aborts: machine.aborts(),
+            dropped_notifies,
+        }
+    }
+
+    /// The run's elapsed time.
+    fn elapsed(&self) -> Duration {
+        self.clock.now().saturating_sub(self.run_start)
+    }
+
+    /// The elapsed time as the machine's clock reads it.
+    fn at(&self) -> VirtualTime {
+        VirtualTime::from_micros(self.elapsed().as_trace_micros())
     }
 
     /// Records `event`, stamped with the run's elapsed time.
     fn record(&self, event: &Event) {
-        let at = self.clock.now().saturating_sub(self.run_start);
-        self.sink.record(at, event);
-    }
-
-    /// Records this worker entering `phase`.
-    fn enter(&self, phase: WorkerPhase) {
-        let (worker, state) = (self.worker, phase);
-        self.record(&Event::WorkerState { worker, state });
+        self.sink.record(self.elapsed(), event);
     }
 
     /// The chaos partition: past the configured elapsed time this
@@ -188,8 +185,7 @@ impl WorkerHarness {
     /// notices, notifies), so the scheduler's liveness detector fires and
     /// the detection sticks.
     fn muted(&self) -> bool {
-        self.mute_after
-            .is_some_and(|after| self.clock.now().saturating_sub(self.run_start) >= after)
+        self.mute_after.is_some_and(|after| self.elapsed() >= after)
     }
 
     /// Heartbeat, paced by the interval.
@@ -200,37 +196,27 @@ impl WorkerHarness {
         }
         *last = now;
         if !self.muted() {
-            let _ = transport.send(
-                Endpoint::Scheduler,
-                WireMessage::Heartbeat {
-                    worker: self.worker,
-                },
-            );
+            let worker = self.worker;
+            let _ = transport.send(Endpoint::Scheduler, WireMessage::Heartbeat { worker });
         }
     }
 
     /// Pulls fresh parameters from the shard and (unless muted) tells the
     /// scheduler about the pull. `None` means the shard link is dead and
     /// the worker should exit.
-    fn pull(&self, transport: &mut dyn Transport) -> Option<Arc<[f32]>> {
-        let reply = transport
-            .send(
-                Endpoint::Shard,
-                WireMessage::Pull {
-                    worker: self.worker,
-                },
-            )
-            .ok()?;
-        let Some(WireMessage::PullReply { params, .. }) = reply else {
+    fn pull(
+        &self,
+        machine: &mut WorkerMachine,
+        transport: &mut dyn Transport,
+    ) -> Option<Arc<[f32]>> {
+        self.record(&machine.pull()?);
+        let worker = self.worker;
+        let reply = transport.send(Endpoint::Shard, WireMessage::Pull { worker });
+        let Ok(Some(WireMessage::PullReply { params, .. })) = reply else {
             return None;
         };
         if !self.muted() {
-            let _ = transport.send(
-                Endpoint::Scheduler,
-                WireMessage::Pull {
-                    worker: self.worker,
-                },
-            );
+            let _ = transport.send(Endpoint::Scheduler, WireMessage::Pull { worker });
         }
         Some(params)
     }
@@ -254,11 +240,13 @@ mod tests {
     use super::*;
     use crate::clock::WallClock;
 
-    /// A transport whose shard answers the first `Pull` and is gone after
-    /// it, with a scripted control queue.
+    /// A transport whose shard answers every pull and whose first push
+    /// sets the stop flag (the harness reads only whether a push failed);
+    /// each `poll_control` pops one scripted answer.
     struct Scripted {
-        control: VecDeque<WireMessage>,
-        params: Option<Arc<[f32]>>,
+        control: VecDeque<Option<WireMessage>>,
+        params: Arc<[f32]>,
+        stop: Arc<AtomicBool>,
     }
 
     impl Transport for Scripted {
@@ -267,38 +255,35 @@ mod tests {
             to: Endpoint,
             msg: WireMessage,
         ) -> Result<Option<WireMessage>, NetError> {
-            match (to, msg) {
-                (Endpoint::Shard, WireMessage::Pull { .. }) => match self.params.take() {
-                    Some(params) => Ok(Some(WireMessage::PullReply { version: 0, params })),
-                    None => Err(NetError::Disconnected),
-                },
-                (Endpoint::Shard, WireMessage::Push { .. }) => Ok(Some(WireMessage::PushAck {
-                    version: 1,
-                    pushes_by_worker: 1,
-                })),
-                _ => Ok(None),
+            if matches!(msg, WireMessage::Push { .. }) {
+                self.stop.store(true, Ordering::SeqCst);
             }
+            let params = Arc::clone(&self.params);
+            let pull = to == Endpoint::Shard && matches!(msg, WireMessage::Pull { .. });
+            Ok(pull.then_some(WireMessage::PullReply { version: 0, params }))
         }
 
         fn poll_control(&mut self) -> Option<WireMessage> {
-            self.control.pop_front()
+            self.control.pop_front().flatten()
         }
     }
 
-    #[test]
-    fn a_shutdown_queued_during_the_pull_ends_the_run() {
+    /// Runs one worker against `script`, polling it every millisecond.
+    fn run_scripted(script: Vec<Option<WireMessage>>, compute_pad: Duration) -> WorkerOutcome {
         let data = Arc::new(RatingsDataset::generate(4, 3, 20, 2, 0.0, 1));
         let model = MatrixFactorization::new(data, 2, 0.0);
+        let stop = Arc::new(AtomicBool::new(false));
         let mut transport = Scripted {
-            control: VecDeque::from([WireMessage::Shutdown]),
-            params: Some(model.params().into()),
+            control: script.into(),
+            params: model.params().into(),
+            stop: Arc::clone(&stop),
         };
         let clock = Arc::new(WallClock::new());
         let harness = WorkerHarness {
             worker: WorkerId::new(0),
             sampler: BatchSampler::new(model.num_samples(), 4, 1),
             model: Box::new(model),
-            compute_pad: Duration::ZERO,
+            compute_pad,
             abort_poll: Duration::from_millis(1),
             heartbeat_interval: Duration::from_secs(60),
             mute_after: None,
@@ -306,11 +291,28 @@ mod tests {
             run_start: clock.now(),
             clock,
             sink: Arc::new(NullSink),
-            stop: Arc::new(AtomicBool::new(false)),
+            stop,
         };
+        harness.run(&mut transport)
+    }
+
+    #[test]
+    fn a_shutdown_queued_during_the_pull_ends_the_run() {
         // The drain after the pull must not swallow the `Shutdown`: the
         // worker stops before it pushes.
-        assert_eq!(harness.run(&mut transport).pushes, 0);
+        let outcome = run_scripted(vec![Some(WireMessage::Shutdown)], Duration::ZERO);
+        assert_eq!(outcome.pushes, 0);
+    }
+
+    #[test]
+    fn an_abort_queued_during_the_re_pull_is_stale() {
+        // The first abort lands mid-compute and is honoured; the second
+        // was queued before the re-pull, so the drain discards it and the
+        // fresh iteration pushes.
+        let worker = WorkerId::new(0);
+        let abort = || Some(WireMessage::Abort { worker });
+        let outcome = run_scripted(vec![None, abort(), abort()], Duration::from_millis(20));
+        assert_eq!((outcome.aborts, outcome.pushes), (1, 1));
     }
 
     #[test]

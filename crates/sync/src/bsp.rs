@@ -57,15 +57,6 @@ impl BspBarrier {
         self.active.iter().filter(|&&a| a).count()
     }
 
-    /// Whether `worker` participates in the current round.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `worker` is out of range.
-    pub fn is_active(&self, worker: WorkerId) -> bool {
-        self.active[worker.index()]
-    }
-
     /// Marks `worker` as arrived. Returns `Some(active workers)` when the
     /// barrier trips (and resets for the next round), `None` otherwise.
     ///

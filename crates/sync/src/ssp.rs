@@ -70,15 +70,6 @@ impl SspClock {
             .unwrap_or(0)
     }
 
-    /// Whether `worker` currently participates in the bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `worker` is out of range.
-    pub fn is_active(&self, worker: WorkerId) -> bool {
-        self.active[worker.index()]
-    }
-
     /// Removes a (crashed) worker from the bound: its clock no longer
     /// counts toward `min_clock`, so survivors blocked on it become
     /// eligible again (check with

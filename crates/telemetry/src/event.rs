@@ -31,9 +31,9 @@ impl Timestamp for Duration {
     }
 }
 
-/// The coarse lifecycle phase of a worker, and the simulator driver's
-/// per-worker state: pull in flight → computing → push in flight → gated
-/// idle.
+/// The coarse lifecycle phase of a worker, as `specsync_core::WorkerMachine`
+/// tracks it for both hosts: pull in flight → computing → push in flight →
+/// gated idle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkerPhase {
     /// Waiting on a scheme gate (BSP barrier, SSP clock, naïve-wait delay).
