@@ -180,7 +180,6 @@ struct Summary {
     /// Server-side fault-tolerance events (worker-less, counted globally).
     failovers: u64,
     journal_replayed: u64,
-    checkpoints: u64,
     /// Scheduler data-plane events (worker-less, counted globally).
     eviction_passes: u64,
     evicted_records: u64,
@@ -198,7 +197,6 @@ fn reconstruct(records: &[TraceRecord]) -> Summary {
     let mut end_micros = 0u64;
     let mut failovers = 0u64;
     let mut journal_replayed = 0u64;
-    let mut checkpoints = 0u64;
     let mut eviction_passes = 0u64;
     let mut evicted_records = 0u64;
     let mut last_retained = None;
@@ -235,10 +233,6 @@ fn reconstruct(records: &[TraceRecord]) -> Summary {
             Event::ShardFailover { replayed, .. } => {
                 failovers += 1;
                 journal_replayed += replayed;
-                continue;
-            }
-            Event::CheckpointWritten { .. } => {
-                checkpoints += 1;
                 continue;
             }
             Event::HistoryEvicted {
@@ -315,7 +309,6 @@ fn reconstruct(records: &[TraceRecord]) -> Summary {
                 Event::EpochTuned { .. }
                 | Event::Eval { .. }
                 | Event::ShardFailover { .. }
-                | Event::CheckpointWritten { .. }
                 | Event::HistoryEvicted { .. }
                 | Event::SchedCost { .. }
                 | Event::BackupJoined { .. }
@@ -374,7 +367,6 @@ fn reconstruct(records: &[TraceRecord]) -> Summary {
         end_micros,
         failovers,
         journal_replayed,
-        checkpoints,
         eviction_passes,
         evicted_records,
         last_retained,
@@ -411,11 +403,10 @@ fn summarize(path: &str) -> ExitCode {
         }
     );
 
-    if summary.failovers + summary.checkpoints > 0 {
+    if summary.failovers > 0 {
         println!(
-            "server fault tolerance: {} shard failover(s) ({} journaled push(es) replayed), \
-             {} checkpoint(s) written",
-            summary.failovers, summary.journal_replayed, summary.checkpoints
+            "server fault tolerance: {} shard failover(s) ({} journaled push(es) replayed)",
+            summary.failovers, summary.journal_replayed
         );
     }
 

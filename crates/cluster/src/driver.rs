@@ -239,10 +239,7 @@ impl Simulation {
         let bundle = workload.build(m, seed);
 
         let initial = bundle.workers[0].params().to_vec();
-        let mut store = ParameterStore::new(initial, NUM_SHARDS).with_momentum(workload.momentum);
-        if let Some(clip) = workload.grad_clip {
-            store = store.with_grad_clip(clip);
-        }
+        let store = ParameterStore::new(initial, NUM_SHARDS).with_momentum(workload.momentum);
         // Primary/backup replication with a bounded write-ahead journal;
         // a fault-free run never crashes a shard, so the wrapper is pure
         // bookkeeping (zero extra RNG, zero extra events).

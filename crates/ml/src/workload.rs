@@ -74,8 +74,6 @@ pub struct Workload {
     pub target_loss: f64,
     /// Server-side SGD momentum (MXNet `sgd` optimizer `momentum` param).
     pub momentum: f32,
-    /// Server-side gradient clipping norm (MXNet `clip_gradient`), if any.
-    pub grad_clip: Option<f32>,
     /// Seed offset folded into dataset generation.
     pub data_seed: u64,
     scaled: ScaledConfig,
@@ -128,7 +126,6 @@ impl Workload {
             iteration_cv: 0.18,
             target_loss: 0.05,
             momentum: 0.9,
-            grad_clip: None,
             data_seed: 101,
             scaled: ScaledConfig::Mf {
                 users: 800,
@@ -165,7 +162,6 @@ impl Workload {
             iteration_cv: 0.18,
             target_loss: 1.40,
             momentum: 0.9,
-            grad_clip: None,
             data_seed: 202,
             scaled: ScaledConfig::Dense {
                 samples: 16_384,
@@ -201,7 +197,6 @@ impl Workload {
             iteration_cv: 0.18,
             target_loss: 2.15,
             momentum: 0.0,
-            grad_clip: None,
             data_seed: 303,
             scaled: ScaledConfig::Dense {
                 samples: 32_768,
@@ -241,7 +236,6 @@ impl Workload {
             iteration_cv: 0.15,
             target_loss: 0.08,
             momentum: 0.9,
-            grad_clip: None,
             data_seed: 7,
             scaled: ScaledConfig::Mf {
                 users: 60,

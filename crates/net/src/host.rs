@@ -259,10 +259,16 @@ impl ShardHost {
 
     /// Replaces the served store with one restored from a rejoin
     /// snapshot; the encoded-reply cache is dropped so no bytes of the old
-    /// store can be served. The epoch estimate never rewinds, and advances
-    /// again once the store's per-worker push counts pass the ones already
-    /// seen — a restored store carries them on.
+    /// store can be served. The store's per-worker push counts are folded
+    /// into the epoch estimate as if its pushes had been applied here, so
+    /// a joiner starts at its primary's epoch and rate; the estimate never
+    /// rewinds.
     pub fn install_store(&mut self, store: ParameterStore) {
+        for (idx, &count) in store.push_counts().iter().enumerate() {
+            if count > 0 {
+                self.count_push(WorkerId::new(idx), count);
+            }
+        }
         self.store = store;
         self.encoded = None;
     }
@@ -621,6 +627,26 @@ mod tests {
         push(&mut h, 0, 1.0);
         push(&mut h, 1, 1.0);
         assert_eq!(h.epochs(), 4, "never rewound, but not advancing either");
+    }
+
+    /// A freshly joined backup takes its primary's epoch from the
+    /// snapshot it installs: promoted before every worker pushes again, it
+    /// must apply the primary's rate, not `lr_fn(0)`.
+    #[test]
+    fn a_joiner_starts_at_the_primarys_epoch() {
+        let lr_fn = |epochs| 1.0 / (1 + epochs) as f32;
+        let mut primary = host().with_lr_fn(lr_fn);
+        for worker in [0, 1, 0, 1] {
+            push(&mut primary, worker, 1.0);
+        }
+        assert_eq!(primary.relay_tag(), (5, 1.0 / 3.0));
+        let open = ShardHost::new(ParameterStore::new(vec![0.0; 8], 2)).with_lr_fn(lr_fn);
+        for mut joiner in [host().with_lr_fn(lr_fn), open] {
+            let snapshot = primary.store_mut().snapshot_for_checkpoint();
+            joiner.install_store(ParameterStore::restore(snapshot).unwrap());
+            assert_eq!(joiner.epochs(), 2);
+            assert_eq!(joiner.relay_tag(), primary.relay_tag());
+        }
     }
 
     /// A push from an index outside the registered workers is applied

@@ -59,7 +59,6 @@
 use std::collections::BTreeMap;
 use std::io;
 use std::net::TcpListener;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -99,7 +98,6 @@ pub(crate) struct ShardCounters {
     pushes_applied: AtomicU64,
     relayed: AtomicU64,
     relay_drops: AtomicU64,
-    checkpoints_written: AtomicU64,
     /// Pushes absorbed via the write-ahead relay while still a backup —
     /// reported as `replayed` in the `Promoted` frame.
     absorbed: AtomicU64,
@@ -117,8 +115,6 @@ pub struct ShardStats {
     /// Relay links lost to a failed write or ack. After a drop the shard
     /// serves unreplicated until a backup joins.
     pub relay_drops: u64,
-    /// Checkpoints persisted (see [`ShardServer::with_checkpoint`]).
-    pub checkpoints_written: u64,
     /// Whether this process ended the run as the serving primary.
     pub serving: bool,
     /// Final store version.
@@ -152,50 +148,12 @@ struct Shared {
     counters: ShardCounters,
     sink: Arc<dyn EventSink<Duration>>,
     clock: WallElapsed,
-    checkpoint: Option<(PathBuf, u64)>,
 }
 
 impl Shared {
     fn record(&self, event: &Event) {
         self.sink.record(self.clock.elapsed(), event);
     }
-
-    /// Persists the serving store if `version` is due: encoded, written
-    /// to `<path>.tmp` and renamed into place, so a crash mid-write never
-    /// leaves a torn checkpoint. Called on the apply thread, so no push
-    /// lands between the apply that made `version` and the snapshot.
-    fn checkpoint(&self, version: u64) {
-        let due = self.checkpoint.as_ref();
-        let Some((path, _)) = due.filter(|(_, every)| version.is_multiple_of(*every)) else {
-            return;
-        };
-        let snapshot = {
-            let mut locked = self.host.lock();
-            locked.store_mut().snapshot_for_checkpoint()
-        };
-        let blob = snapshot.encode();
-        let tmp = temp_path(path);
-        if std::fs::write(&tmp, &blob)
-            .and_then(|()| std::fs::rename(&tmp, path))
-            .is_ok()
-        {
-            self.counters
-                .checkpoints_written
-                .fetch_add(1, Ordering::Relaxed);
-            let bytes = blob.len() as u64;
-            self.record(&Event::CheckpointWritten { version, bytes });
-        }
-    }
-}
-
-/// Where a checkpoint is written before it is renamed to `path`: `.tmp`
-/// appended to the whole file name, so the temp file is never `path`
-/// itself and two checkpoints that differ only in extension never share
-/// one.
-fn temp_path(path: &Path) -> PathBuf {
-    let mut name = path.as_os_str().to_owned();
-    name.push(".tmp");
-    PathBuf::from(name)
 }
 
 /// What the single apply thread consumes: pushes in arrival order,
@@ -314,7 +272,6 @@ impl ShardServer {
                 counters: ShardCounters::default(),
                 sink: Arc::new(NullSink),
                 clock: WallElapsed::start(),
-                checkpoint: None,
             },
         })
     }
@@ -356,20 +313,10 @@ impl ShardServer {
     }
 
     /// Records `Pull` and `Push` events to `sink` — only while serving,
-    /// so a backup's absorbed relays are not counted twice — and
-    /// `CheckpointWritten`, stamped with the time elapsed since the
-    /// server was bound.
+    /// so a backup's absorbed relays are not counted twice — stamped with
+    /// the time elapsed since the server was bound.
     pub fn with_sink(mut self, sink: Arc<dyn EventSink<Duration>>) -> Self {
         self.shared.sink = sink;
-        self
-    }
-
-    /// Persists a crash-consistent [`StoreCheckpoint`] of the serving
-    /// store to `path` whenever a push takes the version to a multiple of
-    /// `every`: written to `<path>.tmp`, then atomically renamed into
-    /// place. Only a serving shard that has not been halted writes.
-    pub fn with_checkpoint(mut self, path: impl Into<PathBuf>, every: u64) -> Self {
-        self.shared.checkpoint = Some((path.into(), every));
         self
     }
 
@@ -599,7 +546,6 @@ impl ShardServer {
             pushes_applied: counters.pushes_applied.load(Ordering::Relaxed),
             relayed: counters.relayed.load(Ordering::Relaxed),
             relay_drops: counters.relay_drops.load(Ordering::Relaxed),
-            checkpoints_written: counters.checkpoints_written.load(Ordering::Relaxed),
             serving: shared.serving.load(Ordering::SeqCst),
             version,
         })
@@ -652,8 +598,8 @@ fn apply_loop(
                     continue;
                 };
                 counters.pushes_applied.fetch_add(1, Ordering::Relaxed);
-                // Traced and checkpointed before the ack, so whoever holds
-                // the ack can read both.
+                // Traced before the ack, so whoever holds the ack can read
+                // the event.
                 if !shared.serving.load(Ordering::SeqCst) {
                     counters.absorbed.fetch_add(1, Ordering::Relaxed);
                 } else if let (None, WireMessage::PushAck { version, .. }) = (push.tag, &ack) {
@@ -661,7 +607,6 @@ fn apply_loop(
                         worker: push.worker,
                         iteration: *version,
                     });
-                    shared.checkpoint(*version);
                 }
                 // A decoded sparse gradient is freed before the ack lets
                 // the client send its next push, so two never coexist.
@@ -1174,14 +1119,6 @@ mod tests {
 
     fn shard(id: u64, dim: usize) -> ShardServer {
         ShardServer::bind(id, "127.0.0.1:0", host(dim), NetConfig::default()).unwrap()
-    }
-
-    #[test]
-    fn a_checkpoint_is_written_beside_its_path_never_onto_it() {
-        let tmp = |path: &str| temp_path(Path::new(path));
-        assert_eq!(tmp("dir/x.tmp"), PathBuf::from("dir/x.tmp.tmp"));
-        assert_ne!(tmp("state.bin"), tmp("state.ckpt"));
-        assert_eq!(tmp("state"), PathBuf::from("state.tmp"));
     }
 
     fn connect(addr: &str, cfg: &NetConfig) -> FrameConn {

@@ -1,11 +1,13 @@
-//! Crash-consistent checkpointing of the parameter store.
+//! The snapshot codec of the parameter store.
 //!
 //! A [`StoreCheckpoint`] is a settled copy of everything a
 //! [`ParameterStore`](crate::ParameterStore) needs to resume exactly where
 //! it left off: parameters, optimizer state (momentum velocity), version
-//! counters and per-worker bookkeeping. The binary codec is versioned and
-//! checksummed so a torn or bit-rotted file is a typed
-//! [`CheckpointError`], never a panic and never silently wrong state.
+//! counters and per-worker bookkeeping. It is what a primary shard sends a
+//! joining backup, chunked over the wire, before the live relay starts.
+//! The binary codec is versioned and checksummed so a torn or bit-rotted
+//! blob is a typed [`CheckpointError`], never a panic and never silently
+//! wrong state.
 //!
 //! Wire format (all integers little-endian):
 //!
@@ -16,7 +18,8 @@
 //! The payload is a fixed field order — no self-describing keys — because
 //! both ends are this module; the format version gates layout and
 //! checksum changes (format 2: the segmented [`checksum`]; format 3: its
-//! segments of a payload over 1 MiB hashed eight bytes at a time).
+//! segments of a payload over 1 MiB hashed eight bytes at a time; format
+//! 4: no gradient-clip field after the momentum).
 
 use crate::checksum::checksum;
 
@@ -24,7 +27,7 @@ use crate::checksum::checksum;
 const MAGIC: [u8; 4] = *b"SSCP";
 
 /// Current codec format version.
-const FORMAT: u32 = 3;
+const FORMAT: u32 = 4;
 
 /// Bytes before the payload: magic, format, checksum.
 const HEADER_LEN: usize = 16;
@@ -84,7 +87,6 @@ pub struct StoreCheckpoint {
     pub(crate) last_pull_version: Vec<u64>,
     pub(crate) momentum: f32,
     pub(crate) velocity: Vec<f32>,
-    pub(crate) grad_clip: Option<f32>,
 }
 
 impl StoreCheckpoint {
@@ -112,13 +114,6 @@ impl StoreCheckpoint {
         put_u64(&mut out, self.num_shards as u64);
         put_u64(&mut out, self.version);
         put_f32(&mut out, self.momentum);
-        match self.grad_clip {
-            Some(clip) => {
-                out.push(1);
-                put_f32(&mut out, clip);
-            }
-            None => out.push(0),
-        }
         put_f32_slice(&mut out, &self.params);
         put_f32_slice(&mut out, &self.velocity);
         put_u64_slice(&mut out, &self.pushes_per_worker);
@@ -165,11 +160,6 @@ impl StoreCheckpoint {
         let num_shards = r.u64()? as usize;
         let version = r.u64()?;
         let momentum = r.f32()?;
-        let grad_clip = match r.u8()? {
-            0 => None,
-            1 => Some(r.f32()?),
-            _ => return Err(CheckpointError::Malformed("bad grad-clip tag")),
-        };
         let params = r.f32_slice()?;
         let velocity = r.f32_slice()?;
         let pushes_per_worker = r.u64_slice()?;
@@ -186,7 +176,6 @@ impl StoreCheckpoint {
             last_pull_version,
             momentum,
             velocity,
-            grad_clip,
         };
         ckpt.validate()?;
         Ok(ckpt)
@@ -204,11 +193,6 @@ impl StoreCheckpoint {
         }
         if !(self.momentum.is_finite() && (0.0..1.0).contains(&self.momentum)) {
             return Err(CheckpointError::Malformed("momentum outside [0, 1)"));
-        }
-        if let Some(clip) = self.grad_clip {
-            if !(clip.is_finite() && clip > 0.0) {
-                return Err(CheckpointError::Malformed("non-positive clip norm"));
-            }
         }
         let want_velocity = if self.momentum > 0.0 {
             self.params.len()
@@ -272,10 +256,6 @@ impl Reader<'_> {
         Ok(head)
     }
 
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.take(1)?[0])
-    }
-
     fn u64(&mut self) -> Result<u64, CheckpointError> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes([
@@ -326,9 +306,7 @@ mod tests {
     use specsync_simnet::WorkerId;
 
     fn busy_store() -> ParameterStore {
-        let mut s = ParameterStore::new(vec![0.5; 8], 4)
-            .with_momentum(0.9)
-            .with_grad_clip(2.0);
+        let mut s = ParameterStore::new(vec![0.5; 8], 4).with_momentum(0.9);
         for i in 0..5 {
             s.apply_push(WorkerId::new(i % 3), &[0.1 * (i as f32 + 1.0); 8], 0.05);
             s.pull(WorkerId::new(i % 2));
@@ -427,7 +405,7 @@ mod tests {
             StoreCheckpoint::decode(&wrong_format),
             Err(CheckpointError::UnsupportedFormat(_))
         ));
-        for older in [1u32, 2] {
+        for older in [1u32, 2, 3] {
             wrong_format[4..8].copy_from_slice(&older.to_le_bytes());
             assert_eq!(
                 StoreCheckpoint::decode(&wrong_format),
@@ -479,13 +457,6 @@ mod tests {
         put_u64(&mut payload, ckpt.num_shards as u64);
         put_u64(&mut payload, ckpt.version);
         put_f32(&mut payload, ckpt.momentum);
-        match ckpt.grad_clip {
-            Some(clip) => {
-                payload.push(1);
-                put_f32(&mut payload, clip);
-            }
-            None => payload.push(0),
-        }
         put_f32_slice(&mut payload, &ckpt.params);
         put_f32_slice(&mut payload, &ckpt.velocity);
         put_u64_slice(&mut payload, &ckpt.pushes_per_worker);

@@ -72,7 +72,6 @@ pub struct ParameterStore {
     last_pull_version: Vec<u64>,
     momentum: f32,
     velocity: Vec<f32>,
-    grad_clip: Option<f32>,
     /// Cached immutable snapshot served to pulls; dropped lazily on the
     /// next push so it is rebuilt at most once per version.
     snapshot: Option<Arc<[f32]>>,
@@ -116,29 +115,12 @@ impl ParameterStore {
             last_pull_version: Vec::new(),
             momentum: 0.0,
             velocity: Vec::new(),
-            grad_clip: None,
             snapshot: None,
             last_sync: Vec::new(),
             synced: 0,
             lazy_lr: 0.0,
             lazy_behind: false,
         }
-    }
-
-    /// Enables server-side gradient clipping: a pushed gradient whose L2
-    /// norm exceeds `max_norm` is rescaled to that norm before applying
-    /// (MXNet's `clip_gradient` optimizer option).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_norm` is not positive and finite.
-    pub fn with_grad_clip(mut self, max_norm: f32) -> Self {
-        assert!(
-            max_norm.is_finite() && max_norm > 0.0,
-            "clip norm must be positive and finite"
-        );
-        self.grad_clip = Some(max_norm);
-        self
     }
 
     /// Enables server-side Polyak momentum: each push applies
@@ -238,37 +220,33 @@ impl ParameterStore {
     /// gradient's floats — a wire frame's little-endian bytes, say, so a
     /// push is applied from the bytes it arrived in. The one dense kernel:
     /// the same floats in the same order leave the same bits whatever
-    /// they are read from. The source is read once, or twice with
-    /// clipping on (the norm first).
+    /// they are read from, and the source is read once.
     ///
     /// # Panics
     ///
     /// As [`apply_push`](Self::apply_push).
     pub fn apply_push_from<G>(&mut self, worker: WorkerId, grad: G, lr: f32) -> u64
     where
-        G: ExactSizeIterator<Item = f32> + Clone,
+        G: ExactSizeIterator<Item = f32>,
     {
         assert_eq!(grad.len(), self.params.len(), "gradient length mismatch");
         assert!(lr.is_finite(), "learning rate must be finite");
         self.ensure_worker(worker);
         self.snapshot = None;
-        // Apply clipping as a scale factor so the (possibly large) gradient
-        // buffer is never copied.
-        let scale = clip_scale(self.grad_clip, grad.clone());
         if self.momentum > 0.0 {
             // A dense push advances every coordinate, so pending lazy decay
             // must be settled first.
             self.materialize();
             let beta = self.momentum;
             for ((p, v), g) in self.params.iter_mut().zip(&mut self.velocity).zip(grad) {
-                *v = beta * *v + g * scale;
+                *v = beta * *v + g;
                 *p -= lr * *v;
             }
             self.version += 1;
             self.synced = self.version;
         } else {
             for (p, g) in self.params.iter_mut().zip(grad) {
-                *p -= lr * g * scale;
+                *p -= lr * g;
             }
             self.version += 1;
         }
@@ -277,9 +255,8 @@ impl ParameterStore {
     }
 
     /// Applies a sparse gradient push from `worker` in O(nnz): only the
-    /// gradient's touched coordinates are visited. Clipping uses the same
-    /// L2 norm as the dense path (untouched coordinates contribute zero),
-    /// and momentum decay for untouched coordinates is deferred via
+    /// gradient's touched coordinates are visited. Momentum decay for
+    /// untouched coordinates is deferred via
     /// [`materialize`](Self::params) bookkeeping, so the result matches an
     /// equivalent dense push bit-for-bit. Returns the new global version.
     ///
@@ -292,7 +269,6 @@ impl ParameterStore {
         assert!(lr.is_finite(), "learning rate must be finite");
         self.ensure_worker(worker);
         self.snapshot = None;
-        let scale = clip_scale_from_sum(self.grad_clip, grad.sum_squares());
         if self.momentum > 0.0 {
             if lr != self.lazy_lr {
                 // Pending decay steps were deferred under the old lr;
@@ -317,7 +293,7 @@ impl ParameterStore {
                         p -= lr * v;
                     }
                 }
-                v = beta * v + g * scale;
+                v = beta * v + g;
                 velocity[j] = v;
                 params[j] = p - lr * v;
                 last_sync[j] = version + 1;
@@ -326,7 +302,7 @@ impl ParameterStore {
             self.lazy_behind = true;
         } else {
             for (j, g) in grad.iter() {
-                self.params[j] -= lr * g * scale;
+                self.params[j] -= lr * g;
             }
         }
         self.version += 1;
@@ -382,7 +358,6 @@ impl ParameterStore {
             last_pull_version: self.last_pull_version.clone(),
             momentum: self.momentum,
             velocity: self.velocity.clone(),
-            grad_clip: self.grad_clip,
         }
     }
 
@@ -406,7 +381,6 @@ impl ParameterStore {
             last_pull_version,
             momentum,
             velocity,
-            grad_clip,
         } = checkpoint;
         // The capture settled all lazy momentum state, so every coordinate
         // is synced at `version` (`synced`) and nothing is behind.
@@ -423,7 +397,6 @@ impl ParameterStore {
             last_pull_version,
             momentum,
             velocity,
-            grad_clip,
             snapshot: None,
             last_sync,
             synced: version,
@@ -434,10 +407,13 @@ impl ParameterStore {
 
     /// How many pushes `worker` has applied.
     pub fn pushes_by(&self, worker: WorkerId) -> u64 {
-        self.pushes_per_worker
-            .get(worker.index())
-            .copied()
-            .unwrap_or(0)
+        self.push_counts().get(worker.index()).copied().unwrap_or(0)
+    }
+
+    /// [`pushes_by`](Self::pushes_by) for every worker index the store
+    /// has seen; an index past the end has applied none.
+    pub fn push_counts(&self) -> &[u64] {
+        &self.pushes_per_worker
     }
 
     /// The staleness of `worker`'s replica: pushes applied globally since
@@ -449,34 +425,6 @@ impl ParameterStore {
             .copied()
             .unwrap_or(0);
         self.version - pulled
-    }
-}
-
-/// Gradient-clipping scale factor shared by the dense and sparse push
-/// paths. The L2 norm accumulates in `f64`: an `f32` running sum of squares
-/// loses low-order contributions (and can overflow) at ImageNet-like
-/// parameter counts. Zero entries contribute exactly zero, so summing only
-/// a sparse gradient's stored entries yields the identical norm.
-fn clip_scale(clip: Option<f32>, grad: impl Iterator<Item = f32>) -> f32 {
-    match clip {
-        Some(_) => clip_scale_from_sum(clip, grad.map(|g| g as f64).map(|g| g * g).sum::<f64>()),
-        None => 1.0,
-    }
-}
-
-/// [`clip_scale`] from a precomputed sum of squared entries (sparse pushes
-/// cache it at gradient-build time, making the push clip check O(1)).
-fn clip_scale_from_sum(clip: Option<f32>, sum_sq: f64) -> f32 {
-    match clip {
-        Some(max_norm) => {
-            let norm = sum_sq.sqrt() as f32;
-            if norm > max_norm {
-                max_norm / norm
-            } else {
-                1.0
-            }
-        }
-        None => 1.0,
     }
 }
 
@@ -541,24 +489,6 @@ mod tests {
     fn mismatched_gradient_panics() {
         let mut s = ParameterStore::new(vec![0.0, 0.0], 1);
         s.apply_push(w(0), &[1.0], 1.0);
-    }
-
-    #[test]
-    fn grad_clip_rescales_large_pushes() {
-        let mut s = ParameterStore::new(vec![0.0, 0.0], 1).with_grad_clip(1.0);
-        // Norm 5 gradient clipped to norm 1: (3,4)/5 = (0.6, 0.8).
-        s.apply_push(w(0), &[3.0, 4.0], 1.0);
-        assert!((s.params()[0] + 0.6).abs() < 1e-6);
-        assert!((s.params()[1] + 0.8).abs() < 1e-6);
-        // Small gradients pass through unchanged.
-        s.apply_push(w(0), &[0.1, 0.0], 1.0);
-        assert!((s.params()[0] + 0.7).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "clip norm must be positive")]
-    fn zero_clip_panics() {
-        let _ = ParameterStore::new(vec![0.0], 1).with_grad_clip(0.0);
     }
 
     #[test]
@@ -635,10 +565,8 @@ mod tests {
     }
 
     #[test]
-    fn sparse_push_matches_dense_push_with_momentum_and_clip() {
-        let mut dense = ParameterStore::new(vec![0.0; 6], 2)
-            .with_momentum(0.9)
-            .with_grad_clip(0.1);
+    fn sparse_push_matches_dense_push_with_momentum() {
+        let mut dense = ParameterStore::new(vec![0.0; 6], 2).with_momentum(0.9);
         let mut sp = dense.clone();
         let pushes: Vec<SparseGrad> = vec![
             sparse(6, &[(0, 1.0), (3, 2.0)]),

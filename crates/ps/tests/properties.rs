@@ -25,7 +25,7 @@ fn awkward_f32() -> impl Strategy<Value = f32> {
 
 proptest! {
     /// A sparse push is indistinguishable from a dense push of the same
-    /// gradient — across random momentum, clipping, learning-rate changes
+    /// gradient — across random momentum, learning-rate changes
     /// (which flush pending lazy decay), empty gradients, and interleaved
     /// pulls. The lazy-momentum replay is designed to be bit-exact, so the
     /// comparison is exact equality, stronger than the 1e-6 the design
@@ -34,22 +34,12 @@ proptest! {
     fn sparse_push_is_equivalent_to_dense_push(
         dim in 1usize..24,
         momentum in prop_oneof![Just(0.0f32), 0.2f32..0.95],
-        clip in prop_oneof![Just(None), (0.1f32..5.0).prop_map(Some)],
         pushes in proptest::collection::vec(
             (proptest::collection::vec((0usize..1024, -1.0f32..1.0), 0..6), 0usize..3),
             1..12,
         ),
     ) {
-        let build = |init: Vec<f32>| {
-            let mut s = ParameterStore::new(init, 2);
-            if momentum > 0.0 {
-                s = s.with_momentum(momentum);
-            }
-            if let Some(c) = clip {
-                s = s.with_grad_clip(c);
-            }
-            s
-        };
+        let build = |init: Vec<f32>| ParameterStore::new(init, 2).with_momentum(momentum);
         let mut dense_store = build(vec![0.5; dim]);
         let mut sparse_store = build(vec![0.5; dim]);
         let mut grad = SparseGrad::new();
@@ -130,30 +120,19 @@ proptest! {
 
     /// The one dense kernel: a push applied from the little-endian bytes a
     /// frame carries leaves the bits the same push applied from a float
-    /// slice leaves — plain and momentum SGD, with and without clipping,
-    /// on gradients full of ±0, subnormals, ±∞ and NaNs. Which NaN payload
+    /// slice leaves — plain and momentum SGD, on gradients full of ±0, subnormals, ±∞ and NaNs. Which NaN payload
     /// an operation on two NaNs keeps is the hardware's choice, so a NaN
     /// matches any NaN; every other result matches bit for bit.
     #[test]
     fn dense_kernel_is_bit_identical_from_either_source(
         dim in 1usize..40,
         momentum in prop_oneof![Just(0.0f32), Just(0.9f32)],
-        clip in prop_oneof![Just(None), Just(Some(1.0f32))],
         pushes in proptest::collection::vec(
             proptest::collection::vec(awkward_f32(), 40),
             1..6,
         ),
     ) {
-        let build = || {
-            let mut s = ParameterStore::new(vec![0.5; dim], 1);
-            if momentum > 0.0 {
-                s = s.with_momentum(momentum);
-            }
-            if let Some(c) = clip {
-                s = s.with_grad_clip(c);
-            }
-            s
-        };
+        let build = || ParameterStore::new(vec![0.5; dim], 1).with_momentum(momentum);
         let mut from_slice = build();
         let mut from_bytes = build();
         for grad in &pushes {
@@ -220,23 +199,6 @@ proptest! {
         prop_assert_eq!(store.staleness_of(WorkerId::new(0)), k);
     }
 
-    /// Clipping never increases the applied step and preserves direction.
-    #[test]
-    fn clipping_shrinks_but_preserves_direction(gx in -10.0f32..10.0, gy in -10.0f32..10.0) {
-        prop_assume!(gx.abs() > 1e-3 || gy.abs() > 1e-3);
-        let mut clipped = ParameterStore::new(vec![0.0, 0.0], 1).with_grad_clip(0.5);
-        let mut plain = ParameterStore::new(vec![0.0, 0.0], 1);
-        clipped.apply_push(WorkerId::new(0), &[gx, gy], 1.0);
-        plain.apply_push(WorkerId::new(0), &[gx, gy], 1.0);
-        let cn = (clipped.params()[0].powi(2) + clipped.params()[1].powi(2)).sqrt();
-        let pn = (plain.params()[0].powi(2) + plain.params()[1].powi(2)).sqrt();
-        prop_assert!(cn <= pn + 1e-6);
-        prop_assert!(cn <= 0.5 + 1e-4, "clipped step norm {cn} exceeds clip");
-        // Same direction: cross product ~ 0 and dot >= 0.
-        let cross = clipped.params()[0] * plain.params()[1] - clipped.params()[1] * plain.params()[0];
-        prop_assert!(cross.abs() < 1e-3);
-    }
-
     /// Any requested server count is clamped into `[1, num_params]` (so a
     /// checkpoint never names more servers than parameters, which restore
     /// refuses), and the count survives a checkpoint round trip.
@@ -257,7 +219,6 @@ proptest! {
         dim in 1usize..16,
         shards in 1usize..4,
         momentum in prop_oneof![Just(0.0f32), 0.2f32..0.95],
-        clip in prop_oneof![Just(None), (0.1f32..5.0).prop_map(Some)],
         pushes in proptest::collection::vec((0usize..4, -1.0f32..1.0), 0..20),
         next in -1.0f32..1.0,
     ) {
@@ -265,9 +226,6 @@ proptest! {
         let mut store = ParameterStore::new(vec![0.25; dim], shards);
         if momentum > 0.0 {
             store = store.with_momentum(momentum);
-        }
-        if let Some(c) = clip {
-            store = store.with_grad_clip(c);
         }
         for &(w, g) in &pushes {
             store.apply_push(WorkerId::new(w), &vec![g; dim], 0.1);

@@ -1,6 +1,5 @@
 //! Runtime configuration.
 
-use std::path::PathBuf;
 use std::time::Duration;
 
 use specsync_core::SpecSyncError;
@@ -84,15 +83,6 @@ pub struct RuntimeConfig {
     pub heartbeat_timeout: Duration,
     /// Fault-injection knobs; default injects nothing.
     pub chaos: RuntimeChaos,
-    /// Where the serving shard persists a crash-consistent store
-    /// checkpoint every `eval_stride` versions (see
-    /// [`ShardServer::with_checkpoint`](specsync_net::ShardServer::with_checkpoint)):
-    /// the versioned, checksummed
-    /// [`StoreCheckpoint`](specsync_ps::StoreCheckpoint) codec, written to
-    /// `<path>.tmp` and atomically renamed into place. After a promotion
-    /// the new primary writes to the same path. `None` (the default)
-    /// persists nothing.
-    pub checkpoint_path: Option<PathBuf>,
 }
 
 impl Default for RuntimeConfig {
@@ -109,7 +99,6 @@ impl Default for RuntimeConfig {
             heartbeat_interval: Duration::from_millis(20),
             heartbeat_timeout: Duration::from_millis(200),
             chaos: RuntimeChaos::default(),
-            checkpoint_path: None,
         }
     }
 }

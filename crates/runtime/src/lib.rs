@@ -36,8 +36,9 @@
 //! assert!(report.total_iterations > 0);
 //! ```
 //!
-//! The scheme is the same [`SchemeKind`] the simulator takes, so one
-//! configuration type drives both hosts; schemes this runtime does not
+//! The scheme is the same [`SchemeKind`] the simulator takes; the rest of
+//! [`RuntimeConfig`] is this runtime's own (the simulator is configured
+//! through `specsync_cluster`'s `DriverConfig`). Schemes this runtime does not
 //! implement (BSP, SSP, naïve waiting) are rejected by
 //! [`RuntimeConfig::try_validate`] with a typed
 //! [`UnsupportedScheme`](specsync_core::SpecSyncError::UnsupportedScheme)

@@ -30,10 +30,6 @@ pub struct RuntimeReport {
     pub promotions: u64,
     /// Notifies dropped by the chaos knobs (zero without chaos).
     pub dropped_notifies: u64,
-    /// Crash-consistent checkpoints atomically persisted to
-    /// [`checkpoint_path`](crate::RuntimeConfig::checkpoint_path) (zero
-    /// when no path is configured).
-    pub checkpoints_written: u64,
     /// Loss curve over wall time.
     pub loss_curve: LossCurve<Duration>,
     /// Wall time when the run finished.
@@ -68,7 +64,6 @@ mod tests {
             rejoins: 0,
             promotions: 0,
             dropped_notifies: 0,
-            checkpoints_written: 0,
             loss_curve: vec![
                 WallLossPoint {
                     time: Duration::from_millis(1),

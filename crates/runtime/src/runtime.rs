@@ -121,21 +121,14 @@ pub fn try_run_with_sink(
     .with_sink(Arc::clone(&sink));
     let sched_addr = scheduler.local_addr().to_string();
     let shard = |id: u64| -> Result<ShardServer, SpecSyncError> {
-        let mut store = ParameterStore::new(initial.clone(), 8).with_momentum(workload.momentum);
-        if let Some(clip) = workload.grad_clip {
-            store = store.with_grad_clip(clip);
-        }
+        let store = ParameterStore::new(initial.clone(), 8).with_momentum(workload.momentum);
         let host = ShardHost::new(store)
             .with_workers(m)
             .with_lr_fn(workload.lr.clone().into_rate_fn());
-        let server = ShardServer::bind(id, "127.0.0.1:0", host, net.clone())
+        Ok(ShardServer::bind(id, "127.0.0.1:0", host, net.clone())
             .map_err(wire_error)?
             .with_scheduler(&sched_addr)
-            .with_sink(Arc::clone(&sink));
-        Ok(match &config.checkpoint_path {
-            Some(path) => server.with_checkpoint(path.clone(), config.eval_stride),
-            None => server,
-        })
+            .with_sink(Arc::clone(&sink)))
     };
     let backup = shard(1)?.as_backup();
     let primary = shard(0)?.with_backup_relay(backup.local_addr());
@@ -278,7 +271,6 @@ pub fn try_run_with_sink(
         rejoins: scheduler.rejoins,
         promotions: scheduler.promotions,
         dropped_notifies: outcomes.iter().map(|o| o.dropped_notifies).sum(),
-        checkpoints_written: primary.checkpoints_written + backup.checkpoints_written,
         loss_curve: LossCurve::from(curve),
         elapsed: clock.now().saturating_sub(start),
     })

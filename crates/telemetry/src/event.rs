@@ -236,22 +236,16 @@ pub enum Event {
         attempt: u32,
     },
     /// A parameter-server shard's primary died and its warm backup was
-    /// promoted after replaying the outstanding push journal.
+    /// promoted.
     ShardFailover {
         /// Index of the failed-over server shard.
         shard: u64,
         /// Store version at promotion time.
         version: u64,
-        /// Journaled pushes replayed into the backup during promotion.
+        /// In the simulator, the journaled pushes replayed into the backup
+        /// during promotion; on the wire, the relayed pushes the backup
+        /// absorbed before it took over (the `Promoted` frame's count).
         replayed: u64,
-    },
-    /// A crash-consistent checkpoint was captured (and, in the threaded
-    /// runtime, atomically persisted).
-    CheckpointWritten {
-        /// The store version the checkpoint captured.
-        version: u64,
-        /// Size of the encoded checkpoint blob.
-        bytes: u64,
     },
     /// The scheduler's retention-bounded history evicted records past the
     /// horizon at an epoch boundary (only emitted when a retention bound is
@@ -390,7 +384,6 @@ impl Event {
             Event::EpochTuned { .. }
             | Event::Eval { .. }
             | Event::ShardFailover { .. }
-            | Event::CheckpointWritten { .. }
             | Event::HistoryEvicted { .. }
             | Event::SchedCost { .. }
             | Event::BackupJoined { .. }
@@ -419,7 +412,6 @@ impl Event {
             Event::PushFenced { .. } => "push_fenced",
             Event::RetryScheduled { .. } => "retry",
             Event::ShardFailover { .. } => "shard_failover",
-            Event::CheckpointWritten { .. } => "checkpoint",
             Event::HistoryEvicted { .. } => "history_evicted",
             Event::SchedCost { .. } => "sched_cost",
             Event::FrameSent { .. } => "frame_sent",

@@ -198,9 +198,6 @@ pub fn encode_line(micros: u64, event: &Event) -> String {
                 ",\"shard\":{shard},\"version\":{version},\"replayed\":{replayed}"
             );
         }
-        Event::CheckpointWritten { version, bytes } => {
-            let _ = write!(s, ",\"version\":{version},\"bytes\":{bytes}");
-        }
         Event::HistoryEvicted {
             pushes,
             pulls,
@@ -442,10 +439,6 @@ pub fn parse_trace_line(line: &str) -> Result<TraceRecord, String> {
             shard: parse_u64(&pairs, "shard")?,
             version: parse_u64(&pairs, "version")?,
             replayed: parse_u64(&pairs, "replayed")?,
-        },
-        "checkpoint" => Event::CheckpointWritten {
-            version: parse_u64(&pairs, "version")?,
-            bytes: parse_u64(&pairs, "bytes")?,
         },
         "history_evicted" => Event::HistoryEvicted {
             pushes: parse_u64(&pairs, "pushes")?,
@@ -748,10 +741,6 @@ mod tests {
             shard: 2,
             version: 512,
             replayed: 17,
-        });
-        round_trip(Event::CheckpointWritten {
-            version: 512,
-            bytes: 4096,
         });
         round_trip(Event::HistoryEvicted {
             pushes: 640,

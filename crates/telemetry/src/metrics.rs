@@ -304,11 +304,9 @@ impl<T: Timestamp> EventSink<T> for MetricsSink {
             | Event::PushFenced { .. }
             | Event::RetryScheduled { .. }
             | Event::ShardFailover { .. } => state.snapshot.degradations += 1,
-            // Checkpoints and completed rejoins are routine (redundancy
-            // restored), not degradations.
-            Event::CheckpointWritten { .. }
-            | Event::BackupJoined { .. }
-            | Event::CatchUpComplete { .. } => {}
+            // Completed rejoins are routine (redundancy restored), not
+            // degradations.
+            Event::BackupJoined { .. } | Event::CatchUpComplete { .. } => {}
             // A supervisor restart is the self-healing response to a
             // crash; count it with the degradation decisions.
             Event::ProcessRestarted { .. } => state.snapshot.degradations += 1,

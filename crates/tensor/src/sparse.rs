@@ -32,9 +32,6 @@ pub struct SparseGrad {
     marked: Vec<bool>,
     /// Indices with a stored entry; sorted after `finish`.
     touched: Vec<usize>,
-    /// Sum of squared entries, cached by `finish` (f64, accumulated in
-    /// index order so it equals a dense-order accumulation bit-for-bit).
-    sum_sq: f64,
 }
 
 impl SparseGrad {
@@ -52,7 +49,6 @@ impl SparseGrad {
             self.marked[i] = false;
         }
         self.touched.clear();
-        self.sum_sq = 0.0;
         self.dim = dim;
         if self.values.len() < dim {
             self.values.resize(dim, 0.0);
@@ -93,20 +89,6 @@ impl SparseGrad {
     /// way, but consumers (the wire codec, the store) see index order.
     pub fn finish(&mut self) {
         self.touched.sort_unstable();
-        let mut sum = 0.0f64;
-        for &i in &self.touched {
-            let g = f64::from(self.values[i]);
-            sum += g * g;
-        }
-        self.sum_sq = sum;
-    }
-
-    /// Sum of squared entries as cached by the last
-    /// [`finish`](Self::finish) call (zero before it). Untouched coordinates
-    /// contribute exactly `0.0`, so this equals the f64 sum over the dense
-    /// form.
-    pub fn sum_squares(&self) -> f64 {
-        self.sum_sq
     }
 
     /// The accumulated value at `index` (zero if untouched).

@@ -23,7 +23,7 @@
 //! - [`ml`] — datasets, models and the three Table-I workloads;
 //! - [`ps`] — the sharded asynchronous parameter server, with the
 //!   simulator's in-process primary/backup replication and push journal,
-//!   and a crash-consistent checkpoint codec;
+//!   and the store snapshot codec a joining backup is seeded from;
 //! - [`net`] — the wire: a checksummed binary frame codec, the unified
 //!   [`Transport`] API over the consolidated [`WireMessage`] vocabulary,
 //!   and TCP servers that run the shards, scheduler and workers as

@@ -8,8 +8,6 @@
 use std::fs;
 use std::path::PathBuf;
 
-use specsync::tensor::SparseGrad;
-
 /// The crates the virtual-time simulator runs: same seed, same bits.
 const DETERMINISTIC: [&str; 9] = [
     "simnet",
@@ -224,17 +222,6 @@ fn no_panic_fixture_is_silent_for_harness_crates() {
         );
     }
     assert!(opted_out.iter().any(|file| file == "crates/net/src/lib.rs"));
-}
-
-/// The sparse accumulator keeps its own `f64` sum of squares.
-#[test]
-fn f32_accumulation_fixture_scope_reset_between_functions() {
-    let mut sparse = SparseGrad::new();
-    sparse.reset(4097);
-    (1..4097).for_each(|index| sparse.add(index, 1.0));
-    sparse.add(0, 4096.0);
-    sparse.finish();
-    assert_eq!(sparse.sum_squares(), 16_781_312.0);
 }
 
 /// Each exception names single clippy lints with a reason; only the wire
