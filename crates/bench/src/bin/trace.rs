@@ -179,7 +179,10 @@ struct Summary {
     end_micros: u64,
     /// Server-side fault-tolerance events (worker-less, counted globally).
     failovers: u64,
-    journal_replayed: u64,
+    /// Pushes the promoted backups took over from their primaries: the
+    /// simulator's journal replay, or the relayed pushes a wire backup
+    /// absorbed before its promotion.
+    carried_over: u64,
     /// Scheduler data-plane events (worker-less, counted globally).
     eviction_passes: u64,
     evicted_records: u64,
@@ -196,7 +199,7 @@ fn reconstruct(records: &[TraceRecord]) -> Summary {
     let mut final_loss = None;
     let mut end_micros = 0u64;
     let mut failovers = 0u64;
-    let mut journal_replayed = 0u64;
+    let mut carried_over = 0u64;
     let mut eviction_passes = 0u64;
     let mut evicted_records = 0u64;
     let mut last_retained = None;
@@ -232,7 +235,7 @@ fn reconstruct(records: &[TraceRecord]) -> Summary {
             }
             Event::ShardFailover { replayed, .. } => {
                 failovers += 1;
-                journal_replayed += replayed;
+                carried_over += replayed;
                 continue;
             }
             Event::HistoryEvicted {
@@ -366,7 +369,7 @@ fn reconstruct(records: &[TraceRecord]) -> Summary {
         final_loss,
         end_micros,
         failovers,
-        journal_replayed,
+        carried_over,
         eviction_passes,
         evicted_records,
         last_retained,
@@ -405,8 +408,8 @@ fn summarize(path: &str) -> ExitCode {
 
     if summary.failovers > 0 {
         println!(
-            "server fault tolerance: {} shard failover(s) ({} journaled push(es) replayed)",
-            summary.failovers, summary.journal_replayed
+            "server fault tolerance: {} shard failover(s) ({} push(es) carried over to the backup)",
+            summary.failovers, summary.carried_over
         );
     }
 

@@ -4,8 +4,10 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+use std::time::Duration;
 
-use specsync_telemetry::read_trace;
+use specsync_simnet::WorkerId;
+use specsync_telemetry::{read_trace, Event, EventSink, JsonlSink};
 
 #[test]
 fn experiment_trace_round_trips_through_summarize() {
@@ -50,5 +52,42 @@ fn experiment_trace_round_trips_through_summarize() {
             cells.len() == 7 && !cells.contains(&"--")
         }),
         "{table}"
+    );
+}
+
+/// A wire trace's failover is the scheduler's `ShardFailover` on the
+/// backup's `Promoted` frame, whose count is the relayed pushes the
+/// backup absorbed, not a journal replay: the summary's label holds for
+/// both hosts.
+#[test]
+fn a_wire_failover_is_summarized_under_a_label_for_both_hosts() {
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("trace_cli_wire_failover.jsonl");
+    let sink = JsonlSink::create(&path).expect("create trace");
+    let push = Event::Push {
+        worker: WorkerId::new(0),
+        iteration: 1,
+    };
+    let failover = Event::ShardFailover {
+        shard: 0,
+        version: 2,
+        replayed: 2,
+    };
+    sink.record(Duration::from_millis(1), &push);
+    sink.record(Duration::from_millis(2), &failover);
+    sink.finish().expect("write trace");
+
+    let output = Command::new(env!("CARGO_BIN_EXE_trace"))
+        .arg("summarize")
+        .arg(&path)
+        .output()
+        .expect("launch trace");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "trace summarize failed: {stderr}");
+    let summary = String::from_utf8(output.stdout).expect("utf-8 stdout");
+    assert!(
+        summary.contains(
+            "server fault tolerance: 1 shard failover(s) (2 push(es) carried over to the backup)"
+        ),
+        "{summary}"
     );
 }

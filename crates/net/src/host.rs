@@ -682,7 +682,8 @@ mod tests {
 
     /// A well-formed push of the wrong dimension, from any source, is
     /// refused with the store untouched: applied, it would trip the
-    /// store's length assertion and take the apply thread down with it.
+    /// store's length assertion and take the connection thread that
+    /// applies it down with it.
     #[test]
     fn a_gradient_of_another_dimension_is_refused() {
         let mut h = host();

@@ -7,11 +7,12 @@
 //!
 //! A blocking accept loop hands each connection to its own thread.
 //! Pulls are served from the host's per-version encoded-frame cache
-//! (serialize once, share the bytes across every concurrent client);
-//! pushes funnel through a **single apply thread**, which write-ahead
-//! relays each push to the warm-backup process *before* applying it
-//! locally — one thread doing both means relay order equals apply
-//! order, so the backup replays the primary's exact sequence. A relay is
+//! (serialize once, share the bytes across every concurrent client) and
+//! take only the host lock. A push is relayed and applied, from the
+//! buffer it was received into, by its connection thread while it holds
+//! the **relay lock**, which owns the write-ahead link to the warm-backup
+//! process: the backup holds each push before the primary applies it, and
+//! the lock's order is the push order both replicas apply. A relay is
 //! cut-through: a 33-byte [`WireMessage::RelayTag`] carrying the store
 //! version the push produces and the rate it is applied with, then the
 //! worker's own `Push` frame as the primary received it — nothing is
@@ -22,23 +23,23 @@
 //! re-applying). A relay whose write or ack fails is dropped for the rest
 //! of the run and counted in [`ShardStats::relay_drops`].
 //!
-//! The apply thread also owns **backup (re)provisioning**, in two
-//! phases: a fresh process connects and sends `JoinAsBackup`; the apply
-//! thread streams it a `StoreCheckpoint` of the serving store in bounded
-//! `SnapshotChunk` frames, and the joiner answers `BackupReady` with the
-//! version it installed. Because live pushes queue behind the join command
-//! on the same channel, the snapshot is a clean cut of the push order —
-//! every later push reaches the new backup as a live relay down the very
-//! same connection, so there is no tail to replay.
+//! **Backup (re)provisioning** runs under the same lock, in two phases: a
+//! fresh process connects and sends `JoinAsBackup`; the primary streams
+//! it a `StoreCheckpoint` of the serving store in bounded `SnapshotChunk`
+//! frames, and the joiner answers `BackupReady` with the version it
+//! installed. Live pushes queue behind the join on the lock, so the
+//! snapshot is a clean cut of the push order — every later push reaches
+//! the new backup as a live relay down the very same connection, so there
+//! is no tail to replay.
 //!
 //! A shard ends two ways. The scheduler's `Shutdown` ends the run
 //! gracefully: the server stops accepting and reports its counters, but
 //! answers its connected clients until they hang up, so a worker
 //! mid-exchange still gets its reply. The [stop handle] halts it, the
 //! in-process twin of killing the process: every connection drops at its
-//! next frame unanswered, the apply thread finishes the push it is on and
-//! refuses the rest, and the scheduler link closes, which is what tells
-//! the scheduler to promote the backup.
+//! next frame unanswered, the push holding the relay lock finishes and
+//! later ones are refused, and the scheduler link closes, which is what
+//! tells the scheduler to promote the backup.
 //!
 //! [stop handle]: ShardServer::stop_handle
 //!
@@ -60,10 +61,10 @@ use std::collections::BTreeMap;
 use std::io;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 use parking_lot::Mutex;
 use specsync_core::SpecSyncError;
 use specsync_ps::{ParameterStore, StoreCheckpoint};
@@ -137,6 +138,10 @@ pub struct ShardServer {
 /// What every thread of a running [`ShardServer`] shares.
 struct Shared {
     host: Arc<Mutex<ShardHost>>,
+    /// The relay lock: the write-ahead link to the warm backup (`None`
+    /// while serving unreplicated). Taking it is the shard's push order
+    /// (see the module docs); it is taken before the host lock.
+    relay: Mutex<Option<FrameConn>>,
     /// Whether this process currently serves workers (primaries start
     /// `true`, warm backups `false` until promoted).
     serving: AtomicBool,
@@ -156,75 +161,20 @@ impl Shared {
     }
 }
 
-/// What the single apply thread consumes: pushes in arrival order,
-/// interleaved with join requests from re-provisioning backups.
-enum ApplyCmd {
-    /// A push to relay-then-apply, in the buffer it was received into,
-    /// with the accepting connection thread's reply channel: the ack
-    /// comes back on it with the buffer.
-    Frame(Lent, Sender<(WireMessage, Vec<u8>)>),
-    /// A joining backup's connection: stream it a snapshot of the serving
-    /// store, then adopt it as the write-ahead relay target.
-    Join(FrameConn),
-    /// Wakes the apply thread of a halted server so it exits.
-    Halt,
-}
-
-/// A received push, lent to the apply thread with the receive buffer its
-/// frame sits in: the apply thread applies it from those bytes and, for a
-/// worker's push, forwards them to the backup as received.
-struct Lent {
-    /// The connection's receive buffer: relay-tag headroom, then the
-    /// `Push` frame, which ends at `end`.
-    buf: Vec<u8>,
-    end: usize,
-    worker: WorkerId,
-    body: LentBody,
-    /// The relay tag `(seq, lr)` of a push a backup absorbs; `None` for a
-    /// worker's own push, the only kind relayed on.
-    tag: Option<(u64, f32)>,
-}
-
-/// A [`PushBody`] detached from the buffer it borrows, so the two can
-/// cross threads together.
-enum LentBody {
-    /// A dense gradient's byte count: its bytes end the frame.
+/// A received push's gradient, detached from the receive buffer so the
+/// relay can write its tag into the buffer's headroom: a dense gradient
+/// is its byte count (its bytes end the frame), a sparse one is decoded.
+enum Body {
     Dense(usize),
     Sparse(SparseGrad),
 }
 
-impl From<PushBody<'_>> for LentBody {
-    fn from(body: PushBody<'_>) -> Self {
-        match body {
-            PushBody::Dense(bytes) => LentBody::Dense(bytes.len()),
-            PushBody::Sparse(grad) => LentBody::Sparse(grad),
-        }
-    }
-}
-
-impl Lent {
-    /// Takes `conn`'s receive buffer, where the frame of `body` ends at
-    /// `end`.
-    fn new(
-        conn: &mut FrameConn,
-        end: usize,
-        worker: WorkerId,
-        body: LentBody,
-        tag: Option<(u64, f32)>,
-    ) -> Lent {
-        Lent {
-            buf: conn.lend_buffer(),
-            end,
-            worker,
-            body,
-            tag,
-        }
-    }
-
-    fn gradient(&self) -> Gradient<'_> {
-        match &self.body {
-            LentBody::Dense(len) => Gradient::Wire(&self.buf[self.end - len..self.end]),
-            LentBody::Sparse(grad) => Gradient::Sparse(grad),
+impl Body {
+    /// The gradient, read from `received`, which ends with its frame.
+    fn gradient<'a>(&'a self, received: &'a [u8]) -> Gradient<'a> {
+        match self {
+            Body::Dense(len) => Gradient::Wire(&received[received.len() - len..]),
+            Body::Sparse(grad) => Gradient::Sparse(grad),
         }
     }
 }
@@ -266,6 +216,7 @@ impl ShardServer {
             join_addr: None,
             shared: Shared {
                 host: Arc::new(Mutex::new(host)),
+                relay: Mutex::new(None),
                 serving: AtomicBool::new(true),
                 stop: Arc::new(AtomicBool::new(false)),
                 ended: AtomicBool::new(false),
@@ -354,27 +305,16 @@ impl ShardServer {
         // per label, so reconnects draw fresh fault streams.
         let seq = ConnSeq::new();
 
-        // Write-ahead relay to the warm backup, handed to the apply
-        // thread (relay-then-apply in one thread keeps the orders equal).
-        let relay = match &backup_addr {
-            Some(addr) => Some(FrameConn::connect_with_retries(
+        // Write-ahead relay to the warm backup.
+        if let Some(addr) = &backup_addr {
+            *shared.relay.lock() = Some(FrameConn::connect_with_retries(
                 addr,
                 &config,
                 &ConnTarget::new("relay", &seq, shard_id),
                 |_| {},
-            )?),
-            None => None,
-        };
-
-        // Single apply thread: every push (from any connection) funnels
-        // through here in channel order, as do join requests — so a
-        // snapshot handed to a joiner is a clean cut of the push order.
-        let (apply_tx, apply_rx) = unbounded::<ApplyCmd>();
-        let applier = {
-            let shared = Arc::clone(&shared);
-            let chunk_bytes = config.join_chunk_bytes;
-            std::thread::spawn(move || apply_loop(&shared, &apply_rx, relay, chunk_bytes))
-        };
+            )?);
+        }
+        let chunk_bytes = config.join_chunk_bytes;
 
         // A rejoining backup provisions itself from the live primary
         // before talking to the scheduler, so it is only ever armed for
@@ -399,8 +339,7 @@ impl ShardServer {
             // workers push, and an idle stretch is not a dead peer.
             conn.set_read_timeout(None).ok();
             let shared = Arc::clone(&shared);
-            let apply_tx = apply_tx.clone();
-            std::thread::spawn(move || serve_shard_conn(conn, &shared, &apply_tx));
+            std::thread::spawn(move || serve_shard_conn(conn, &shared, chunk_bytes));
         }
 
         // Scheduler link: register, heartbeat, obey control frames. A
@@ -439,7 +378,7 @@ impl ShardServer {
             }
             // Outbound frames (heartbeats + control replies) leave through
             // one writer thread, so no lock ever spans a socket write.
-            let (out_tx, out_rx) = unbounded::<WireMessage>();
+            let (out_tx, out_rx) = mpsc::channel::<WireMessage>();
             {
                 let shared = Arc::clone(&shared);
                 let interval = config.heartbeat_interval;
@@ -452,8 +391,8 @@ impl ShardServer {
                     }
                     let frame = match out_rx.recv_timeout(interval) {
                         Ok(frame) => frame,
-                        Err(RecvTimeoutError::Timeout) => beat.clone(),
-                        Err(RecvTimeoutError::Disconnected) => break,
+                        Err(mpsc::RecvTimeoutError::Timeout) => beat.clone(),
+                        Err(mpsc::RecvTimeoutError::Disconnected) => break,
                     };
                     if write_frame(&mut writer, &frame).is_err() {
                         break;
@@ -515,11 +454,10 @@ impl ShardServer {
                     stream.set_nodelay(true).ok();
                     stream.set_nonblocking(false).ok();
                     let shared = Arc::clone(&shared);
-                    let apply_tx = apply_tx.clone();
                     let peer = peer.to_string();
                     std::thread::spawn(move || {
                         let conn = FrameConn::from_chaos_stream(stream, peer);
-                        serve_shard_conn(conn, &shared, &apply_tx);
+                        serve_shard_conn(conn, &shared, chunk_bytes);
                     });
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -529,10 +467,10 @@ impl ShardServer {
             }
         }
         if shared.stop.load(Ordering::SeqCst) {
-            // Halted: wait out the push the apply thread is on, so the
-            // counters below include exactly the acked pushes.
-            let _ = apply_tx.send(ApplyCmd::Halt);
-            let _ = applier.join();
+            // Halted: wait out the push that holds the relay lock, so the
+            // counters below include exactly the acked pushes. Every later
+            // push finds the flag set once it takes the lock.
+            drop(shared.relay.lock());
         }
         shared.ended.store(true, Ordering::SeqCst);
         if let Some(link) = sched_link {
@@ -552,89 +490,11 @@ impl ShardServer {
     }
 }
 
-/// The single apply thread: relay-then-apply every push in channel order,
-/// and provision joining backups between them. Once the server is halted
-/// it takes nothing more: the next command's connection drops unanswered.
-fn apply_loop(
-    shared: &Shared,
-    apply_rx: &Receiver<ApplyCmd>,
-    mut relay: Option<FrameConn>,
-    chunk_bytes: usize,
-) {
-    let counters = &shared.counters;
-    while let Ok(cmd) = apply_rx.recv() {
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        match cmd {
-            ApplyCmd::Frame(mut push, reply_tx) => {
-                if let (Some(conn), None) = (relay.as_mut(), push.tag) {
-                    // Tag the relayed push with the version it will
-                    // produce so the backup can ack a redelivery without
-                    // re-applying it. A push the host will refuse is not
-                    // relayed: the backup would refuse it too, and the
-                    // relay would drop with it.
-                    let tag = {
-                        let locked = shared.host.lock();
-                        locked.fits(push.gradient()).then(|| locked.relay_tag())
-                    };
-                    // Write-ahead: the backup holds the push before the
-                    // primary applies it. A dead relay degrades to
-                    // unreplicated serving rather than stalling the run.
-                    if let Some((seq, lr)) = tag {
-                        if forward_relay(conn, seq, lr, &mut push.buf[..push.end]).is_ok() {
-                            counters.relayed.fetch_add(1, Ordering::Relaxed);
-                        } else {
-                            relay = None;
-                            counters.relay_drops.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-                let applied = {
-                    let mut locked = shared.host.lock();
-                    locked.apply_push(push.worker, push.gradient(), push.tag)
-                };
-                let Ok(ack) = applied else {
-                    continue;
-                };
-                counters.pushes_applied.fetch_add(1, Ordering::Relaxed);
-                // Traced before the ack, so whoever holds the ack can read
-                // the event.
-                if !shared.serving.load(Ordering::SeqCst) {
-                    counters.absorbed.fetch_add(1, Ordering::Relaxed);
-                } else if let (None, WireMessage::PushAck { version, .. }) = (push.tag, &ack) {
-                    shared.record(&Event::Push {
-                        worker: push.worker,
-                        iteration: *version,
-                    });
-                }
-                // A decoded sparse gradient is freed before the ack lets
-                // the client send its next push, so two never coexist.
-                let Lent { buf, body, .. } = push;
-                drop(body);
-                let _ = reply_tx.send((ack, buf));
-            }
-            ApplyCmd::Join(mut conn) => {
-                let checkpoint = {
-                    let mut locked = shared.host.lock();
-                    locked.store_mut().snapshot_for_checkpoint()
-                };
-                if stream_rejoin(&mut conn, &checkpoint, chunk_bytes).is_ok() {
-                    // The joiner confirmed parity: it replaces whatever
-                    // relay target this process had.
-                    relay = Some(conn);
-                }
-            }
-            ApplyCmd::Halt => break,
-        }
-    }
-}
-
 /// One worker (or relay) connection to a shard: blocking frame loop, one
 /// thread. Every frame is read into the connection's one receive buffer
 /// behind relay-tag headroom and decoded there. Returning drops the
 /// connection; the server survives.
-fn serve_shard_conn(mut conn: FrameConn, shared: &Shared, apply_tx: &Sender<ApplyCmd>) {
+fn serve_shard_conn(mut conn: FrameConn, shared: &Shared, chunk_bytes: usize) {
     loop {
         let Ok((frame, end)) = conn.recv_in_place(RELAY_TAG_FRAME_LEN) else {
             return;
@@ -644,11 +504,8 @@ fn serve_shard_conn(mut conn: FrameConn, shared: &Shared, apply_tx: &Sender<Appl
         if shared.stop.load(Ordering::SeqCst) {
             return;
         }
-        let push = match frame {
-            FrameRef::Push { worker, body } => {
-                let body = LentBody::from(body);
-                Lent::new(&mut conn, end, worker, body, None)
-            }
+        let (worker, body, tag, end) = match frame {
+            FrameRef::Push { worker, body } => (worker, body, None, end),
             FrameRef::Owned(WireMessage::RelayTag { seq, lr }) => {
                 // A forwarded relay: the very next frame is the worker's
                 // own `Push`, checksum-verified like any other, read over
@@ -658,8 +515,7 @@ fn serve_shard_conn(mut conn: FrameConn, shared: &Shared, apply_tx: &Sender<Appl
                 else {
                     return;
                 };
-                let body = LentBody::from(body);
-                Lent::new(&mut conn, end, worker, body, Some((seq, lr)))
+                (worker, body, Some((seq, lr)), end)
             }
             FrameRef::Owned(WireMessage::Pull { worker }) => {
                 // A backup refuses worker pulls: dropping the connection
@@ -684,11 +540,15 @@ fn serve_shard_conn(mut conn: FrameConn, shared: &Shared, apply_tx: &Sender<Appl
                 continue;
             }
             FrameRef::Owned(WireMessage::Failover(FailoverControl::JoinAsBackup { .. })) => {
-                // Only a serving primary can provision a joiner. Hand the
-                // whole connection to the apply thread so the snapshot it
-                // streams is a clean cut of the push order.
-                if shared.serving.load(Ordering::SeqCst) {
-                    let _ = apply_tx.send(ApplyCmd::Join(conn));
+                // Only a serving primary provisions a joiner. Once the
+                // joiner confirms parity, its connection replaces whatever
+                // relay link this process had.
+                let mut relay = shared.relay.lock();
+                if shared.serving.load(Ordering::SeqCst) && !shared.stop.load(Ordering::SeqCst) {
+                    let checkpoint = shared.host.lock().store_mut().snapshot_for_checkpoint();
+                    if stream_rejoin(&mut conn, &checkpoint, chunk_bytes).is_ok() {
+                        *relay = Some(conn);
+                    }
                 }
                 return;
             }
@@ -714,25 +574,75 @@ fn serve_shard_conn(mut conn: FrameConn, shared: &Shared, apply_tx: &Sender<Appl
                 | WireMessage::Abort { .. },
             ) => return,
         };
-        if !apply_and_ack(&mut conn, apply_tx, push) {
+        let body = match body {
+            PushBody::Dense(bytes) => Body::Dense(bytes.len()),
+            PushBody::Sparse(grad) => Body::Sparse(grad),
+        };
+        let received = &mut conn.received()[..end];
+        let Some(ack) = relay_and_apply(received, shared, worker, body, tag) else {
+            return;
+        };
+        if conn.write(&ack).is_err() {
             return;
         }
     }
 }
 
-/// Lends one received push to the apply thread and writes the ack it
-/// produces back down `conn`, which gets its buffer back with it. `false`
-/// means the connection is done.
-fn apply_and_ack(conn: &mut FrameConn, apply_tx: &Sender<ApplyCmd>, push: Lent) -> bool {
-    let (reply_tx, reply_rx) = bounded(1);
-    if apply_tx.send(ApplyCmd::Frame(push, reply_tx)).is_err() {
-        return false;
+/// Relays, then applies, one push under the relay lock. `received` is the
+/// receive buffer up to the end of the push's frame, behind relay-tag
+/// headroom; `tag` is the relay tag of a push a backup absorbs, `None`
+/// for a worker's own push, the only kind relayed on. Returns the ack;
+/// `None` means the server is halted or the host refused the push, and
+/// the connection is done. A decoded sparse gradient is freed here,
+/// before the ack lets the client send its next push, so two never
+/// coexist.
+fn relay_and_apply(
+    received: &mut [u8],
+    shared: &Shared,
+    worker: WorkerId,
+    body: Body,
+    tag: Option<(u64, f32)>,
+) -> Option<WireMessage> {
+    let mut relay = shared.relay.lock();
+    if shared.stop.load(Ordering::SeqCst) {
+        return None;
     }
-    let Ok((ack, buf)) = reply_rx.recv() else {
-        return false;
-    };
-    conn.restore_buffer(buf);
-    conn.write(&ack).is_ok()
+    let counters = &shared.counters;
+    if let (Some(link), None) = (relay.as_mut(), tag) {
+        // Tag the relayed push with the version it will produce so the
+        // backup can ack a redelivery without re-applying it. A push the
+        // host will refuse is not relayed: the backup would refuse it too,
+        // and the relay would drop with it.
+        let relay_tag = {
+            let locked = shared.host.lock();
+            let fits = locked.fits(body.gradient(received));
+            fits.then(|| locked.relay_tag())
+        };
+        // Write-ahead: the backup holds the push before the primary
+        // applies it. A dead relay degrades to unreplicated serving
+        // rather than stalling the run.
+        if let Some((seq, lr)) = relay_tag {
+            if forward_relay(link, seq, lr, received).is_ok() {
+                counters.relayed.fetch_add(1, Ordering::Relaxed);
+            } else {
+                *relay = None;
+                counters.relay_drops.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+    let gradient = body.gradient(received);
+    let ack = shared.host.lock().apply_push(worker, gradient, tag).ok()?;
+    counters.pushes_applied.fetch_add(1, Ordering::Relaxed);
+    // Traced before the ack, so whoever holds the ack can read the event.
+    if !shared.serving.load(Ordering::SeqCst) {
+        counters.absorbed.fetch_add(1, Ordering::Relaxed);
+    } else if let (None, WireMessage::PushAck { version, .. }) = (tag, &ack) {
+        shared.record(&Event::Push {
+            worker,
+            iteration: *version,
+        });
+    }
+    Some(ack)
 }
 
 /// One write-ahead relay round trip. The tag frame fills the whole
@@ -1282,10 +1192,10 @@ mod tests {
         assert_eq!(stats.pushes_applied, 1);
     }
 
-    /// A push whose gradient is not the model's dimension is refused on
-    /// the apply thread, which lives on, and is not relayed, so the
-    /// backup link lives on too: that connection drops, and the next
-    /// honest push is relayed and applied.
+    /// A push whose gradient is not the model's dimension is refused
+    /// under the relay lock, which the next push takes as usual, and is
+    /// not relayed, so the backup link lives on too: that connection
+    /// drops, and the next honest push is relayed and applied.
     #[test]
     fn a_push_of_the_wrong_dimension_drops_its_connection_not_the_shard() {
         let backup = shard(1, 8).as_backup();
@@ -1314,6 +1224,54 @@ mod tests {
         assert_eq!((stats.pushes_applied, stats.version), (1, 1));
         assert_eq!((stats.relayed, stats.relay_drops), (1, 0));
         assert_eq!(backup_handle.join().unwrap().version, 1);
+    }
+
+    /// The stop handle's promise with more than one connection: halted
+    /// under concurrent pushers, a relayed primary reports exactly the
+    /// pushes its clients saw acked, and its backup holds each of them.
+    #[test]
+    fn halting_a_relayed_primary_under_concurrent_pushers_counts_exactly_the_acked_pushes() {
+        let backup = shard(1, 8).as_backup();
+        let backup_addr = backup.local_addr().to_string();
+        let backup_stop = backup.stop_handle();
+        let backup_handle = std::thread::spawn(move || backup.run().unwrap());
+        let primary = shard(0, 8).with_backup_relay(&backup_addr);
+        let addr = primary.local_addr().to_string();
+        let stop = primary.stop_handle();
+        let handle = std::thread::spawn(move || primary.run().unwrap());
+
+        // Each client pushes until its connection drops, counting acks.
+        let acks = Arc::new(AtomicU64::new(0));
+        let clients: Vec<_> = (0..4)
+            .map(|w| {
+                let (mut conn, acks) = (connect(&addr, &NetConfig::default()), Arc::clone(&acks));
+                let push = WireMessage::Push {
+                    worker: WorkerId::new(w),
+                    payload: PushPayload::Dense(vec![1.0; 8]),
+                };
+                std::thread::spawn(move || {
+                    while let Ok((WireMessage::PushAck { .. }, _, _)) = conn.exchange(&push) {
+                        acks.fetch_add(1, Ordering::SeqCst);
+                    }
+                })
+            })
+            .collect();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while acks.load(Ordering::SeqCst) < 40 {
+            assert!(std::time::Instant::now() < deadline, "too few acks");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        stop.store(true, Ordering::SeqCst);
+        let stats = handle.join().unwrap();
+        clients.into_iter().for_each(|c| c.join().unwrap());
+        backup_stop.store(true, Ordering::SeqCst);
+        let backup = backup_handle.join().unwrap();
+        let acked = acks.load(Ordering::SeqCst);
+        assert_eq!((stats.pushes_applied, stats.version), (acked, acked));
+        assert_eq!(
+            (stats.relayed, stats.relay_drops, backup.version),
+            (acked, 0, acked)
+        );
     }
 
     #[test]
@@ -1540,7 +1498,7 @@ mod tests {
         let joiner_handle = std::thread::spawn(move || joiner.run().unwrap());
 
         // Wait for the snapshot of the 5 pushes above to land. The
-        // primary streamed it from its apply thread, so every push sent
+        // primary streamed it under its relay lock, so every push sent
         // after this queues behind the join and reaches the joiner as a
         // live relay.
         let deadline = std::time::Instant::now() + Duration::from_secs(10);

@@ -240,19 +240,13 @@ impl FrameConn {
         read_frame_into(&mut self.stream, headroom, &mut self.rx)?.ok_or(NetError::Disconnected)
     }
 
-    /// Takes the receive buffer, with the frame [`recv_in_place`] left in
-    /// it, so another thread can work from the bytes; the connection
-    /// receives nothing until [`restore_buffer`] hands it back.
+    /// The receive buffer, holding the frame [`recv_in_place`] read last
+    /// behind its headroom: a shard applies a push from here, and
+    /// forwards it with a relay tag written into the headroom.
     ///
     /// [`recv_in_place`]: Self::recv_in_place
-    /// [`restore_buffer`]: Self::restore_buffer
-    pub(crate) fn lend_buffer(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.rx)
-    }
-
-    /// Returns a buffer [`lend_buffer`](Self::lend_buffer) took.
-    pub(crate) fn restore_buffer(&mut self, rx: Vec<u8>) {
-        self.rx = rx;
+    pub(crate) fn received(&mut self) -> &mut [u8] {
+        &mut self.rx
     }
 
     /// One request/response round trip.

@@ -163,8 +163,8 @@ fn concurrent_mixed_pushes_leave_the_backup_bit_identical_to_the_primary() {
     let backup = PromotableBackup::start();
     let primary = spawn(bind(0).with_backup_relay(&backup.shard.addr));
 
-    // Each client records the version its ack named: the order the single
-    // apply thread chose, which the local replay must follow.
+    // Each client records the version its ack named: the order the
+    // primary's relay lock chose, which the local replay must follow.
     let clients: Vec<JoinHandle<Vec<(u64, WireMessage)>>> = (0..WORKERS)
         .map(|worker| {
             let addr = primary.addr.clone();
