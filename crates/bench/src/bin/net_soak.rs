@@ -88,10 +88,9 @@ const STEP_BUDGET: Duration = Duration::from_secs(20);
 const DRAIN_GRACE: Duration = Duration::from_secs(15);
 
 /// Wire knobs: fast failure detection, a short I/O timeout so half-open
-/// silence is noticed quickly, a retry budget that outlasts a promotion
-/// (18 failed exchanges on a 20 ms backoff), and a join
-/// chunk size small enough that every snapshot transfer crosses several
-/// frames.
+/// silence is noticed quickly (a silent joiner included), and a retry
+/// budget that outlasts a promotion (18 failed exchanges on a 20 ms
+/// backoff).
 fn net_config(chaos: NetChaos) -> NetConfig {
     NetConfig::builder()
         .heartbeat_interval(Duration::from_millis(25))
@@ -99,7 +98,6 @@ fn net_config(chaos: NetChaos) -> NetConfig {
         .io_timeout(Duration::from_secs(1))
         .connect_retries(18)
         .retry_backoff(Duration::from_millis(20))
-        .join_chunk_bytes(4096)
         .chaos(chaos)
         .try_build()
         .expect("valid soak net configuration")

@@ -5,7 +5,6 @@ use std::time::Duration;
 use specsync_core::{Backoff, SpecSyncError};
 
 use crate::chaos::NetChaos;
-use crate::frame::{PAYLOAD_LIMIT, SNAPSHOT_CHUNK_OVERHEAD};
 
 /// Configuration of the TCP transport and its hosts.
 ///
@@ -30,13 +29,6 @@ pub struct NetConfig {
     /// Read and write timeout of every outbound connection, and how long
     /// a worker waits for the scheduler's `Primary` answer.
     pub io_timeout: Duration,
-    /// Bytes per [`SnapshotChunk`] frame when a rejoining backup streams
-    /// the checkpoint from the primary. Must be positive and at most
-    /// [`PAYLOAD_LIMIT`] minus [`SNAPSHOT_CHUNK_OVERHEAD`] so every chunk
-    /// frame encodes, whatever the store size.
-    ///
-    /// [`SnapshotChunk`]: crate::wire::FailoverControl::SnapshotChunk
-    pub join_chunk_bytes: usize,
     /// Fault-injection knobs ([`NetChaos::disabled`] by default — the
     /// wire behaves exactly as if the chaos layer did not exist).
     pub chaos: NetChaos,
@@ -50,7 +42,6 @@ impl Default for NetConfig {
             heartbeat_interval: Duration::from_millis(50),
             heartbeat_timeout: Duration::from_millis(500),
             io_timeout: Duration::from_secs(10),
-            join_chunk_bytes: 1 << 20,
             chaos: NetChaos::disabled(),
         }
     }
@@ -100,18 +91,6 @@ impl NetConfig {
             return Err(SpecSyncError::InvalidConfig(
                 "i/o timeout must be positive".to_string(),
             ));
-        }
-        if self.join_chunk_bytes == 0 {
-            return Err(SpecSyncError::InvalidConfig(
-                "rejoin snapshot chunk size must be positive".to_string(),
-            ));
-        }
-        if self.join_chunk_bytes > PAYLOAD_LIMIT - SNAPSHOT_CHUNK_OVERHEAD {
-            return Err(SpecSyncError::InvalidConfig(format!(
-                "rejoin snapshot chunk size of {} bytes leaves no room for the \
-                 {SNAPSHOT_CHUNK_OVERHEAD}-byte chunk header in a {PAYLOAD_LIMIT}-byte frame payload",
-                self.join_chunk_bytes,
-            )));
         }
         if let Err(reason) = self.chaos.try_validate() {
             return Err(SpecSyncError::InvalidConfig(reason));
@@ -165,12 +144,6 @@ impl NetConfigBuilder {
     /// Sets the request/response read timeout.
     pub fn io_timeout(mut self, timeout: Duration) -> Self {
         self.config.io_timeout = timeout;
-        self
-    }
-
-    /// Sets the rejoin snapshot chunk size.
-    pub fn join_chunk_bytes(mut self, bytes: usize) -> Self {
-        self.config.join_chunk_bytes = bytes;
         self
     }
 
@@ -255,32 +228,6 @@ mod tests {
             matches!(err, SpecSyncError::InvalidRetryPolicy { .. }),
             "got {err:?}"
         );
-    }
-
-    #[test]
-    fn degenerate_rejoin_knobs_rejected() {
-        let err = NetConfig::builder()
-            .join_chunk_bytes(0)
-            .try_build()
-            .unwrap_err();
-        assert!(
-            matches!(err, SpecSyncError::InvalidConfig(_)),
-            "got {err:?}"
-        );
-        // The boundary is the payload limit less the chunk header: a chunk
-        // of exactly `PAYLOAD_LIMIT` data bytes would not encode.
-        let err = NetConfig::builder()
-            .join_chunk_bytes(PAYLOAD_LIMIT)
-            .try_build()
-            .unwrap_err();
-        assert!(
-            matches!(err, SpecSyncError::InvalidConfig(_)),
-            "got {err:?}"
-        );
-        assert!(NetConfig::builder()
-            .join_chunk_bytes(PAYLOAD_LIMIT - SNAPSHOT_CHUNK_OVERHEAD)
-            .try_build()
-            .is_ok());
     }
 
     #[test]

@@ -1,8 +1,7 @@
-//! The binary frame codec: how a [`WireMessage`] crosses a socket.
-//!
-//! The format follows the [`StoreCheckpoint`](specsync_ps::StoreCheckpoint)
-//! codec conventions — versioned, checksummed, bounds-checked, with every
-//! field in a fixed order:
+//! The binary frame codec: how a [`WireMessage`] crosses a socket. It is
+//! the one binary format of the repo — the rejoin snapshot of a store
+//! travels as a frame too ([`FailoverControl::Snapshot`]) — versioned,
+//! checksummed, bounds-checked, with every field in a fixed order:
 //!
 //! ```text
 //! offset  size  field
@@ -21,11 +20,15 @@
 //! Decoding demands an exact fit — trailing bytes are as fatal as missing
 //! ones — so any single flipped byte in a frame is rejected (magic, format,
 //! length and checksum cover the header; the checksum covers the payload).
+//! A frame vouches for its bytes, not for what they mean: a snapshot
+//! decodes as it was sent, and
+//! [`ParameterStore::restore`](specsync_ps::ParameterStore::restore)
+//! checks it against the store's invariants.
 
 use std::fmt;
 use std::io::{self, Read, Write};
 
-use specsync_ps::{checksum, PushPayload};
+use specsync_ps::{checksum, PushPayload, StoreCheckpoint};
 use specsync_simnet::WorkerId;
 use specsync_tensor::SparseGrad;
 
@@ -69,21 +72,18 @@ const TAG_RELAY_TAG: u8 = 11;
 /// frame it receives, so a relayed `Push` leaves behind its tag in one
 /// write.
 pub const RELAY_TAG_FRAME_LEN: usize = HEADER_LEN + 1 + 8 + 4;
-/// Payload bytes a [`FailoverControl::SnapshotChunk`] adds to its data:
-/// tag, sub-tag, `index`, `total` and the data's length prefix. A chunk
-/// encodes only if its data is at most `PAYLOAD_LIMIT` minus this.
-pub const SNAPSHOT_CHUNK_OVERHEAD: usize = 1 + 1 + 8 + 8 + 8;
 
-// Failover sub-tags 0 (`Crash`), 3 (`Recover`), 4 (`Ack`) and 10
-// (`CatchUp`) are retired: they decode as a bad sub-tag.
+// Failover sub-tags 0 (`Crash`), 3 (`Recover`), 4 (`Ack`), 9
+// (`SnapshotChunk`) and 10 (`CatchUp`) are retired: they decode as a bad
+// sub-tag.
 const FC_PROMOTE: u8 = 1;
 const FC_PROMOTED: u8 = 2;
 const FC_REGISTER: u8 = 5;
 const FC_QUERY_PRIMARY: u8 = 6;
 const FC_PRIMARY: u8 = 7;
 const FC_JOIN_AS_BACKUP: u8 = 8;
-const FC_SNAPSHOT_CHUNK: u8 = 9;
 const FC_BACKUP_READY: u8 = 11;
+const FC_SNAPSHOT: u8 = 12;
 
 const PAYLOAD_DENSE: u8 = 0;
 const PAYLOAD_SPARSE: u8 = 1;
@@ -188,9 +188,11 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    put_u64(out, bytes.len() as u64);
-    out.extend_from_slice(bytes);
+fn put_u64_slice(out: &mut Vec<u8>, vs: &[u64]) {
+    put_u64(out, vs.len() as u64);
+    for &v in vs {
+        put_u64(out, v);
+    }
 }
 
 fn put_worker(out: &mut Vec<u8>, w: WorkerId) {
@@ -311,11 +313,15 @@ fn encode_payload(msg: &WireMessage, out: &mut Vec<u8>) {
                     put_u64(out, *server);
                     put_str(out, addr);
                 }
-                FailoverControl::SnapshotChunk { index, total, data } => {
-                    out.push(FC_SNAPSHOT_CHUNK);
-                    put_u64(out, *index);
-                    put_u64(out, *total);
-                    put_bytes(out, data);
+                FailoverControl::Snapshot(snapshot) => {
+                    out.push(FC_SNAPSHOT);
+                    put_u64(out, snapshot.num_shards as u64);
+                    put_u64(out, snapshot.version);
+                    put_f32(out, snapshot.momentum);
+                    put_f32_slice(out, &snapshot.params);
+                    put_f32_slice(out, &snapshot.velocity);
+                    put_u64_slice(out, &snapshot.pushes_per_worker);
+                    put_u64_slice(out, &snapshot.last_pull_version);
                 }
                 FailoverControl::BackupReady { server, version } => {
                     out.push(FC_BACKUP_READY);
@@ -402,8 +408,8 @@ fn seal(
     Ok(())
 }
 
-/// Encoded size of the one variable-length field a message can carry:
-/// exact for dense, sparse and snapshot bytes, so a message whose bulk
+/// Encoded size of the variable-length fields a message can carry:
+/// exact for dense, sparse and snapshot fields, so a message whose bulk
 /// alone passes [`PAYLOAD_LIMIT`] is refused unbuilt. Otherwise a capacity
 /// hint: a wrong answer costs a reallocation, never a byte of the frame.
 fn bulk_len(msg: &WireMessage) -> usize {
@@ -414,7 +420,10 @@ fn bulk_len(msg: &WireMessage) -> usize {
             PushPayload::Dense(grad) => grad.len() * 4,
             PushPayload::Sparse(grad) => grad.nnz() * 12,
         },
-        WireMessage::Failover(FailoverControl::SnapshotChunk { data, .. }) => data.len(),
+        WireMessage::Failover(FailoverControl::Snapshot(snapshot)) => {
+            4 * (snapshot.params.len() + snapshot.velocity.len())
+                + 8 * (snapshot.pushes_per_worker.len() + snapshot.last_pull_version.len())
+        }
         WireMessage::Pull { .. }
         | WireMessage::PushAck { .. }
         | WireMessage::Notify { .. }
@@ -494,9 +503,9 @@ impl<'a> Reader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| FrameError::Malformed("non-UTF-8 string"))
     }
 
-    fn bytes(&mut self) -> Result<Vec<u8>, FrameError> {
-        let n = self.len_prefix(1)?;
-        Ok(self.take(n)?.to_vec())
+    fn u64_vec(&mut self) -> Result<Vec<u64>, FrameError> {
+        let n = self.len_prefix(8)?;
+        (0..n).map(|_| self.u64()).collect()
     }
 
     fn bool(&mut self) -> Result<bool, FrameError> {
@@ -710,22 +719,22 @@ fn decode_owned(tag: u8, r: &mut Reader<'_>) -> Result<WireMessage, FrameError> 
                     server: r.u64()?,
                     addr: r.string()?,
                 },
-                FC_SNAPSHOT_CHUNK => {
-                    let index = r.u64()?;
-                    let total = r.u64()?;
-                    if index >= total {
-                        return Err(FrameError::Malformed("snapshot chunk index beyond total"));
-                    }
-                    FailoverControl::SnapshotChunk {
-                        index,
-                        total,
-                        data: r.bytes()?,
-                    }
-                }
                 FC_BACKUP_READY => FailoverControl::BackupReady {
                     server: r.u64()?,
                     version: r.u64()?,
                 },
+                // Carried as sent: `ParameterStore::restore` is what
+                // checks a snapshot against the store's invariants.
+                FC_SNAPSHOT => FailoverControl::Snapshot(StoreCheckpoint {
+                    num_shards: usize::try_from(r.u64()?)
+                        .map_err(|_| FrameError::Malformed("shard count out of range"))?,
+                    version: r.u64()?,
+                    momentum: r.f32()?,
+                    params: le_floats(r.f32_bytes()?).collect(),
+                    velocity: le_floats(r.f32_bytes()?).collect(),
+                    pushes_per_worker: r.u64_vec()?,
+                    last_pull_version: r.u64_vec()?,
+                }),
                 _ => return Err(FrameError::Malformed("bad failover sub-tag")),
             };
             WireMessage::Failover(control)
@@ -955,11 +964,16 @@ mod tests {
                 server: 2,
                 addr: "127.0.0.1:4244".to_string(),
             }),
-            WireMessage::Failover(FailoverControl::SnapshotChunk {
-                index: 1,
-                total: 3,
-                data: vec![0xde, 0xad, 0xbe, 0xef, 0x00],
-            }),
+            // A momentum store's snapshot, signed zeros included.
+            WireMessage::Failover(FailoverControl::Snapshot(StoreCheckpoint {
+                params: vec![0.5, -0.0, 3.25],
+                num_shards: 2,
+                version: 3,
+                pushes_per_worker: vec![2, 1],
+                last_pull_version: vec![3, 1],
+                momentum: 0.9,
+                velocity: vec![-0.0, 0.125, -1.5],
+            })),
             WireMessage::Failover(FailoverControl::BackupReady {
                 server: 2,
                 version: 104,
@@ -1213,40 +1227,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn snapshot_chunk_overhead_is_an_empty_chunks_payload() {
-        let empty = WireMessage::Failover(FailoverControl::SnapshotChunk {
-            index: 0,
-            total: 1,
-            data: Vec::new(),
-        });
-        let bytes = encode_frame(&empty).unwrap();
-        assert_eq!(bytes.len() - HEADER_LEN, SNAPSHOT_CHUNK_OVERHEAD);
-    }
-
-    #[test]
-    fn hostile_snapshot_chunk_index_is_malformed() {
-        let msg = WireMessage::Failover(FailoverControl::SnapshotChunk {
-            index: 0,
-            total: 2,
-            data: vec![7; 4],
-        });
-        let mut bytes = encode_frame(&msg).unwrap();
-        // The index field sits after header(20) + tag(1) + sub-tag(1) = 22;
-        // forge an index at/above total and fix the checksum so only the
-        // semantic check can reject it.
-        bytes[22..30].copy_from_slice(&2u64.to_le_bytes());
-        let sum = checksum(&bytes[HEADER_LEN..]);
-        bytes[12..20].copy_from_slice(&sum.to_le_bytes());
-        assert_eq!(
-            decode_frame(&bytes),
-            Err(FrameError::Malformed("snapshot chunk index beyond total"))
-        );
-    }
-
     /// Hand-built, checksum-valid frames in the layouts the retired verbs
     /// were sent in: `Check { worker: 3 }` (tag 5), `Crash`/`Recover`/`Ack
-    /// { server: 1 }` (failover sub-tags 0, 3, 4), `CatchUp { entries: 2,
+    /// { server: 1 }` (failover sub-tags 0, 3, 4), `SnapshotChunk { index:
+    /// 0, total: 1, data: [7] }` (sub-tag 9), `CatchUp { entries: 2,
     /// through: 9 }` (sub-tag 10), and `BackupReady` with the `replayed`
     /// field it no longer has. None of them may decode.
     #[test]
@@ -1271,6 +1255,10 @@ mod tests {
             (with_u64s(&[TAG_FAILOVER, 0], &[1]), "bad failover sub-tag"),
             (with_u64s(&[TAG_FAILOVER, 3], &[1]), "bad failover sub-tag"),
             (with_u64s(&[TAG_FAILOVER, 4], &[1]), "bad failover sub-tag"),
+            (
+                [with_u64s(&[TAG_FAILOVER, 9], &[0, 1, 1]), vec![7]].concat(),
+                "bad failover sub-tag",
+            ),
             (
                 with_u64s(&[TAG_FAILOVER, 10], &[2, 9]),
                 "bad failover sub-tag",
@@ -1315,23 +1303,22 @@ mod tests {
 
     #[test]
     fn truncation_and_extension_are_rejected() {
-        let bytes = encode_frame(&WireMessage::Notify {
-            worker: WorkerId::new(1),
-            pushes: 5,
-        })
-        .unwrap();
-        for cut in 0..bytes.len() {
-            assert!(
-                decode_frame(&bytes[..cut]).is_err(),
-                "prefix of {cut} bytes"
+        for msg in sample_frames() {
+            let bytes = encode_frame(&msg).unwrap();
+            for cut in 0..bytes.len() {
+                assert!(
+                    decode_frame(&bytes[..cut]).is_err(),
+                    "prefix of {cut} bytes of {msg:?}"
+                );
+            }
+            let mut extended = bytes.clone();
+            extended.push(0);
+            assert_eq!(
+                decode_frame(&extended),
+                Err(FrameError::Malformed("trailing bytes after frame")),
+                "{msg:?}"
             );
         }
-        let mut extended = bytes.clone();
-        extended.push(0);
-        assert_eq!(
-            decode_frame(&extended),
-            Err(FrameError::Malformed("trailing bytes after frame"))
-        );
     }
 
     #[test]
@@ -1505,5 +1492,24 @@ mod tests {
         let err = write_frame(&mut sink, &msg).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         assert!(sink.is_empty(), "nothing may reach the wire");
+        // A snapshot's bulk is its parameters and velocity together: each
+        // half fits a frame, the two do not. Zeroed, never written: the
+        // pages stay untouched.
+        let half = || vec![0.0f32; PAYLOAD_LIMIT / 8 + 1];
+        let snapshot = WireMessage::Failover(FailoverControl::Snapshot(StoreCheckpoint {
+            params: half(),
+            num_shards: 1,
+            version: 0,
+            pushes_per_worker: Vec::new(),
+            last_pull_version: Vec::new(),
+            momentum: 0.5,
+            velocity: half(),
+        }));
+        assert_eq!(
+            encode_frame(&snapshot),
+            Err(FrameError::TooLarge {
+                len: PAYLOAD_LIMIT as u64 + 8
+            })
+        );
     }
 }

@@ -68,7 +68,7 @@ pub use error::NetError;
 pub use frame::{
     decode_frame, encode_frame, encode_frame_into, read_frame, read_frame_into, write_frame,
     FrameError, FrameReadError, FrameRef, PushBody, ReadOutcome, MAX_SPARSE_DIM, MAX_WORKERS,
-    PAYLOAD_LIMIT, RELAY_TAG_FRAME_LEN, SNAPSHOT_CHUNK_OVERHEAD,
+    PAYLOAD_LIMIT, RELAY_TAG_FRAME_LEN,
 };
 pub use host::{Gradient, ShardHost};
 pub use sched_host::{SchedOutput, SchedulerHost};

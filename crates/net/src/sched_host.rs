@@ -450,7 +450,7 @@ impl SchedulerHost {
             FailoverControl::Promote { .. }
             | FailoverControl::Primary { .. }
             | FailoverControl::JoinAsBackup { .. }
-            | FailoverControl::SnapshotChunk { .. } => {}
+            | FailoverControl::Snapshot(_) => {}
         }
     }
 

@@ -24,13 +24,15 @@
 //! of the run and counted in [`ShardStats::relay_drops`].
 //!
 //! **Backup (re)provisioning** runs under the same lock, in two phases: a
-//! fresh process connects and sends `JoinAsBackup`; the primary streams
-//! it a `StoreCheckpoint` of the serving store in bounded `SnapshotChunk`
-//! frames, and the joiner answers `BackupReady` with the version it
-//! installed. Live pushes queue behind the join on the lock, so the
-//! snapshot is a clean cut of the push order — every later push reaches
-//! the new backup as a live relay down the very same connection, so there
-//! is no tail to replay.
+//! fresh process connects and sends `JoinAsBackup`; the primary writes it
+//! one `Snapshot` frame of the serving store, and the joiner answers
+//! `BackupReady` with the version it installed. Live pushes queue behind
+//! the join on the lock, so the snapshot is a clean cut of the push order
+//! — every later push reaches the new backup as a live relay down the
+//! very same connection, so there is no tail to replay. That connection
+//! reads and writes under `NetConfig::io_timeout` from the handshake on,
+//! like the relay link a primary dials itself: a joiner that stops
+//! answering costs the pushes behind it one timeout, not the run.
 //!
 //! A shard ends two ways. The scheduler's `Shutdown` ends the run
 //! gracefully: the server stops accepting and reports its counters, but
@@ -314,7 +316,7 @@ impl ShardServer {
                 |_| {},
             )?);
         }
-        let chunk_bytes = config.join_chunk_bytes;
+        let io_timeout = config.io_timeout;
 
         // A rejoining backup provisions itself from the live primary
         // before talking to the scheduler, so it is only ever armed for
@@ -336,10 +338,13 @@ impl ShardServer {
             // The same connection now carries the primary's write-ahead
             // relay: serve it like any accepted data connection. Clear
             // the outbound io timeout first — relays arrive only when
-            // workers push, and an idle stretch is not a dead peer.
+            // workers push, and an idle stretch is not a dead peer — and
+            // rewrap the socket, so the receive buffer the snapshot grew
+            // is freed rather than kept for the relay's push-sized frames.
             conn.set_read_timeout(None).ok();
+            let conn = FrameConn::from_chaos_stream(conn.into_stream(), addr.clone());
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || serve_shard_conn(conn, &shared, chunk_bytes));
+            std::thread::spawn(move || serve_shard_conn(conn, &shared, io_timeout));
         }
 
         // Scheduler link: register, heartbeat, obey control frames. A
@@ -426,7 +431,7 @@ impl ShardServer {
                             | FailoverControl::QueryPrimary
                             | FailoverControl::Primary { .. }
                             | FailoverControl::JoinAsBackup { .. }
-                            | FailoverControl::SnapshotChunk { .. }
+                            | FailoverControl::Snapshot(_)
                             | FailoverControl::BackupReady { .. } => {}
                         },
                         Ok(ReadOutcome::Frame(WireMessage::Shutdown, _))
@@ -457,7 +462,7 @@ impl ShardServer {
                     let peer = peer.to_string();
                     std::thread::spawn(move || {
                         let conn = FrameConn::from_chaos_stream(stream, peer);
-                        serve_shard_conn(conn, &shared, chunk_bytes);
+                        serve_shard_conn(conn, &shared, io_timeout);
                     });
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -493,8 +498,10 @@ impl ShardServer {
 /// One worker (or relay) connection to a shard: blocking frame loop, one
 /// thread. Every frame is read into the connection's one receive buffer
 /// behind relay-tag headroom and decoded there. Returning drops the
-/// connection; the server survives.
-fn serve_shard_conn(mut conn: FrameConn, shared: &Shared, chunk_bytes: usize) {
+/// connection; the server survives. An accepted connection blocks without
+/// a timeout until it sends `JoinAsBackup`; from then on it reads and
+/// writes under `io_timeout`.
+fn serve_shard_conn(mut conn: FrameConn, shared: &Shared, io_timeout: Duration) {
     loop {
         let Ok((frame, end)) = conn.recv_in_place(RELAY_TAG_FRAME_LEN) else {
             return;
@@ -542,11 +549,16 @@ fn serve_shard_conn(mut conn: FrameConn, shared: &Shared, chunk_bytes: usize) {
             FrameRef::Owned(WireMessage::Failover(FailoverControl::JoinAsBackup { .. })) => {
                 // Only a serving primary provisions a joiner. Once the
                 // joiner confirms parity, its connection replaces whatever
-                // relay link this process had.
+                // relay link this process had, timeouts and all.
+                if conn.set_read_timeout(Some(io_timeout)).is_err()
+                    || conn.set_write_timeout(Some(io_timeout)).is_err()
+                {
+                    return;
+                }
                 let mut relay = shared.relay.lock();
                 if shared.serving.load(Ordering::SeqCst) && !shared.stop.load(Ordering::SeqCst) {
-                    let checkpoint = shared.host.lock().store_mut().snapshot_for_checkpoint();
-                    if stream_rejoin(&mut conn, &checkpoint, chunk_bytes).is_ok() {
+                    let snapshot = shared.host.lock().store_mut().snapshot_for_checkpoint();
+                    if provision_joiner(&mut conn, snapshot).is_ok() {
                         *relay = Some(conn);
                     }
                 }
@@ -663,33 +675,24 @@ fn forward_relay(
     Ok(())
 }
 
-/// Primary side of the rejoin: stream the serving store's checkpoint in
-/// bounded chunks and wait for the joiner to confirm it installed exactly
-/// that version. `Ok` means the connection sits at the primary's version
-/// and is safe to adopt as the write-ahead relay.
-fn stream_rejoin(
-    conn: &mut FrameConn,
-    checkpoint: &StoreCheckpoint,
-    chunk_bytes: usize,
-) -> Result<(), NetError> {
-    let bytes = checkpoint.encode();
-    // An encoded checkpoint is never empty (magic + header), so there is
-    // always at least one chunk and every index stays below `total`.
-    let total = bytes.chunks(chunk_bytes).count() as u64;
-    for (index, data) in bytes.chunks(chunk_bytes).enumerate() {
-        conn.write(&WireMessage::Failover(FailoverControl::SnapshotChunk {
-            index: index as u64,
-            total,
-            data: data.to_vec(),
-        }))?;
-    }
+/// Primary side of the rejoin: write the serving store's snapshot as one
+/// frame and wait for the joiner to confirm it installed exactly that
+/// version. `Ok` means the connection sits at the primary's version and
+/// is safe to adopt as the write-ahead relay. The frame is encoded
+/// outside the connection's send buffer, which would otherwise keep a
+/// snapshot-sized allocation for as long as the relay lives.
+fn provision_joiner(conn: &mut FrameConn, snapshot: StoreCheckpoint) -> Result<(), NetError> {
+    let version = snapshot.version();
+    let frame = encode_frame(&WireMessage::Failover(FailoverControl::Snapshot(snapshot)))?;
+    conn.write_encoded(&frame)?;
+    drop(frame);
     let (reply, _) = conn.recv()?;
-    let WireMessage::Failover(FailoverControl::BackupReady { version, .. }) = reply else {
+    let WireMessage::Failover(FailoverControl::BackupReady { version: got, .. }) = reply else {
         return Err(NetError::UnexpectedReply {
             want: "BackupReady",
         });
     };
-    if version != checkpoint.version() {
+    if got != version {
         return Err(NetError::Unhandled {
             what: "joining backup confirmed the wrong version",
         });
@@ -698,8 +701,10 @@ fn stream_rejoin(
 }
 
 /// Joiner side of the rejoin, driven before the shard registers with the
-/// scheduler: announce intent, install the streamed checkpoint, and
-/// confirm the version it holds. Returns that version.
+/// scheduler: announce intent, install the primary's snapshot once
+/// [`ParameterStore::restore`] has checked it, and confirm the version it
+/// holds. Returns that version. Any other reply, or a snapshot that
+/// breaks a store invariant, fails the join with nothing installed.
 fn join_cluster(
     conn: &mut FrameConn,
     shard_id: u64,
@@ -710,37 +715,12 @@ fn join_cluster(
         server: shard_id,
         addr: local_addr.to_string(),
     }))?;
-    let mut bytes = Vec::new();
-    let mut total = None;
-    let mut next = 0u64;
-    while total != Some(next) {
-        let (frame, _) = conn.recv()?;
-        let WireMessage::Failover(FailoverControl::SnapshotChunk {
-            index,
-            total: of,
-            data,
-        }) = frame
-        else {
-            return Err(NetError::UnexpectedReply {
-                want: "SnapshotChunk",
-            });
-        };
-        // The decoder refuses `index >= total` (so `total == 0` too); a
-        // count that moved mid-stream could keep this loop reading for as
-        // long as the primary cares to send.
-        if index != next || *total.get_or_insert(of) != of {
-            return Err(NetError::Unhandled {
-                what: "snapshot chunk out of sequence",
-            });
-        }
-        bytes.extend_from_slice(&data);
-        next += 1;
-    }
-    let checkpoint = StoreCheckpoint::decode(&bytes).map_err(|_| NetError::Unhandled {
-        what: "streamed checkpoint failed to decode",
-    })?;
-    let store = ParameterStore::restore(checkpoint).map_err(|_| NetError::Unhandled {
-        what: "streamed checkpoint failed to restore",
+    let (reply, _) = conn.recv()?;
+    let WireMessage::Failover(FailoverControl::Snapshot(snapshot)) = reply else {
+        return Err(NetError::UnexpectedReply { want: "Snapshot" });
+    };
+    let store = ParameterStore::restore(snapshot).map_err(|_| NetError::Unhandled {
+        what: "the primary's snapshot breaks a store invariant",
     })?;
     let version = store.version();
     host.lock().install_store(store);
@@ -1466,13 +1446,7 @@ mod tests {
 
     #[test]
     fn fresh_shard_rejoins_over_the_wire_and_relays_live_pushes() {
-        // A tiny chunk size forces the snapshot across several
-        // SnapshotChunk frames.
-        let pcfg = NetConfig::builder()
-            .join_chunk_bytes(16)
-            .try_build()
-            .unwrap();
-        let primary = ShardServer::bind(0, "127.0.0.1:0", host(16), pcfg).unwrap();
+        let primary = shard(0, 16);
         let primary_addr = primary.local_addr().to_string();
         let primary_stop = primary.stop_handle();
         let primary_handle = std::thread::spawn(move || primary.run().unwrap());
@@ -1536,31 +1510,39 @@ mod tests {
         assert!(!bstats.serving);
     }
 
-    /// A primary that sends a chunk the joiner cannot place: the joiner's
-    /// `run` fails at once instead of reading until its I/O timeout.
+    /// A primary whose reply the joiner cannot install — a snapshot that
+    /// breaks a store invariant, or no snapshot at all: the joiner's `run`
+    /// fails at once instead of reading until its I/O timeout, and its
+    /// store is never touched (no half-installed backup).
     #[test]
-    fn a_joiner_refuses_a_snapshot_stream_out_of_sequence_at_once() {
-        let chunk = |index, total| {
-            WireMessage::Failover(FailoverControl::SnapshotChunk {
-                index,
-                total,
-                data: vec![0; 4],
-            })
+    fn a_joiner_refuses_a_snapshot_that_breaks_a_store_invariant_at_once() {
+        let snapshot = |edit: fn(&mut StoreCheckpoint)| {
+            let mut store = ParameterStore::new(vec![0.5; 4], 2).with_momentum(0.5);
+            store.apply_push(WorkerId::new(0), &[1.0; 4], 0.1);
+            store.apply_push(WorkerId::new(1), &[1.0; 4], 0.1);
+            let mut snapshot = store.snapshot_for_checkpoint();
+            edit(&mut snapshot);
+            WireMessage::Failover(FailoverControl::Snapshot(snapshot))
         };
         let rows = [
-            vec![chunk(0, 0)],
-            vec![chunk(3, 2)],
-            vec![chunk(1, 2)],
-            vec![chunk(0, 2), chunk(1, 5)],
+            snapshot(|s| s.velocity.truncate(3)),
+            snapshot(|s| s.version += 1),
+            snapshot(|s| s.num_shards = 0),
+            snapshot(|s| s.last_pull_version.push(0)),
+            WireMessage::Failover(FailoverControl::BackupReady {
+                server: 0,
+                version: 0,
+            }),
         ];
         let cfg = NetConfig::default();
-        for chunks in rows {
+        for reply in rows {
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             let fake = listener.local_addr().unwrap().to_string();
             let joiner = ShardServer::bind(2, "127.0.0.1:0", host(4), cfg.clone())
                 .unwrap()
                 .as_backup()
                 .join_via(&fake);
+            let joiner_host = Arc::clone(&joiner.shared.host);
             let begun = std::time::Instant::now();
             let joiner = std::thread::spawn(move || joiner.run());
             let (stream, peer) = listener.accept().unwrap();
@@ -1570,17 +1552,69 @@ mod tests {
                 join,
                 WireMessage::Failover(FailoverControl::JoinAsBackup { server: 2, .. })
             ));
-            for chunk in &chunks {
-                conn.write(chunk).unwrap();
-            }
+            conn.write(&reply).unwrap();
             let result = joiner.join().unwrap();
-            assert!(result.is_err(), "{chunks:?} must be refused");
+            assert!(result.is_err(), "{reply:?} must be refused");
             assert!(
                 begun.elapsed() < cfg.io_timeout / 2,
-                "{chunks:?} was refused only after {:?}",
+                "{reply:?} was refused only after {:?}",
                 begun.elapsed()
             );
+            assert_eq!(joiner_host.lock().store().version(), 0, "{reply:?}");
         }
+    }
+
+    /// A joiner that reads the snapshot and never answers holds the relay
+    /// lock for one `io_timeout` of the primary, not for good: a push that
+    /// queued behind it is acked, unrelayed, and a halt still returns.
+    #[test]
+    fn a_silent_joiner_does_not_stall_the_primary() {
+        let pcfg = NetConfig::builder()
+            .io_timeout(Duration::from_millis(300))
+            .try_build()
+            .unwrap();
+        let primary = ShardServer::bind(0, "127.0.0.1:0", host(4), pcfg).unwrap();
+        let addr = primary.local_addr().to_string();
+        let stop = primary.stop_handle();
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || done_tx.send(primary.run().unwrap()));
+
+        let mut joiner = connect(&addr, &NetConfig::default());
+        joiner
+            .write(&WireMessage::Failover(FailoverControl::JoinAsBackup {
+                server: 2,
+                addr: "127.0.0.1:9".into(),
+            }))
+            .unwrap();
+        let (snapshot, _) = joiner.recv().unwrap();
+        assert!(matches!(
+            snapshot,
+            WireMessage::Failover(FailoverControl::Snapshot(_))
+        ));
+
+        // The worker keeps the default 10 s timeout: the primary's own
+        // must be what frees it.
+        let mut worker = connect(&addr, &NetConfig::default());
+        let begun = std::time::Instant::now();
+        let (ack, _, _) = worker
+            .exchange(&WireMessage::Push {
+                worker: WorkerId::new(0),
+                payload: PushPayload::Dense(vec![1.0; 4]),
+            })
+            .unwrap();
+        assert!(matches!(ack, WireMessage::PushAck { version: 1, .. }));
+        assert!(
+            begun.elapsed() < Duration::from_secs(2),
+            "the push was acked only after {:?}",
+            begun.elapsed()
+        );
+
+        stop.store(true, Ordering::SeqCst);
+        let stats = done_rx
+            .recv_timeout(Duration::from_secs(2))
+            .expect("a halted primary returns");
+        assert_eq!((stats.pushes_applied, stats.relayed), (1, 0));
+        drop(joiner);
     }
 
     #[test]

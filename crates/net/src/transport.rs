@@ -203,6 +203,14 @@ impl FrameConn {
         self.stream.set_read_timeout(dur)
     }
 
+    /// Adjusts the write timeout (`None` blocks forever), the twin of
+    /// [`set_read_timeout`](Self::set_read_timeout). An outbound
+    /// connection starts with `io_timeout`; a shard gives an accepted one
+    /// the same once it becomes a rejoin (and then the relay link).
+    pub fn set_write_timeout(&self, dur: Option<Duration>) -> std::io::Result<()> {
+        self.stream.set_write_timeout(dur)
+    }
+
     /// Writes one frame, encoded in the connection's send buffer,
     /// returning its encoded size. An unencodable message (payload over
     /// the frame limit) is refused with nothing written.

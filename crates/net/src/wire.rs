@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use specsync_ps::PushPayload;
+use specsync_ps::{PushPayload, StoreCheckpoint};
 use specsync_simnet::{MessageClass, WorkerId};
 
 /// One SpecSync protocol message, as a [`Transport`] carries it.
@@ -173,7 +173,7 @@ impl WireMessage {
 /// [`WireMessage::Failover`]: the scheduler promotes a warm-backup
 /// *process* and tells reconnecting workers where the primary now lives,
 /// and a fresh shard process provisions itself from the serving primary.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FailoverControl {
     /// Scheduler → warm backup: take over as primary of `server`'s pair.
     Promote {
@@ -213,10 +213,10 @@ pub enum FailoverControl {
         epoch: u64,
     },
     /// Fresh shard process → primary: provision me as the warm backup.
-    /// Opens the two-phase rejoin: the primary answers with a chunked
-    /// [`SnapshotChunk`](Self::SnapshotChunk) stream of its serving store,
-    /// the joiner confirms with [`BackupReady`](Self::BackupReady), and the
-    /// primary keeps the connection as its live write-ahead relay.
+    /// Opens the two-phase rejoin: the primary answers with one
+    /// [`Snapshot`](Self::Snapshot) of its serving store, the joiner
+    /// confirms with [`BackupReady`](Self::BackupReady), and the primary
+    /// keeps the connection as its live write-ahead relay.
     JoinAsBackup {
         /// The joining shard's id.
         server: u64,
@@ -224,22 +224,15 @@ pub enum FailoverControl {
         /// scheduler once parity is reached).
         addr: String,
     },
-    /// Primary → joiner: one bounded chunk of the
-    /// [`StoreCheckpoint`](specsync_ps::StoreCheckpoint) byte stream.
-    /// Chunk size is capped by `NetConfig::join_chunk_bytes`, which is
-    /// at most `PAYLOAD_LIMIT - SNAPSHOT_CHUNK_OVERHEAD`, so every chunk
-    /// frame encodes however large the store grows.
-    SnapshotChunk {
-        /// 0-based chunk index.
-        index: u64,
-        /// Total chunks in this snapshot.
-        total: u64,
-        /// The raw checkpoint bytes of this chunk.
-        data: Vec<u8>,
-    },
+    /// Primary → joiner: the serving store, settled at its current
+    /// version, in one frame. The frame's checksum is the only one it
+    /// passes through; the joiner's
+    /// [`ParameterStore::restore`](specsync_ps::ParameterStore::restore)
+    /// checks every store invariant before anything is installed.
+    Snapshot(StoreCheckpoint),
     /// Joiner → primary (and then → scheduler): the snapshot is installed
     /// and I hold `version`. The primary adopts the connection as its
-    /// relay only if `version` is the checkpoint's own.
+    /// relay only if `version` is the snapshot's own.
     BackupReady {
         /// The joined shard's id.
         server: u64,
@@ -363,11 +356,9 @@ mod tests {
                 MessageClass::Control,
             ),
             (
-                WireMessage::Failover(FailoverControl::SnapshotChunk {
-                    index: 0,
-                    total: 1,
-                    data: vec![1, 2, 3],
-                }),
+                WireMessage::Failover(FailoverControl::Snapshot(
+                    specsync_ps::ParameterStore::new(vec![0.0; 2], 1).snapshot_for_checkpoint(),
+                )),
                 MessageClass::Control,
             ),
             (

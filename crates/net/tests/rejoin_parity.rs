@@ -1,15 +1,15 @@
-//! Property: the wire-level rejoin — a checkpoint of the primary's
-//! *serving* store streamed in bounded chunks, the joiner's `BackupReady`
-//! at the checkpoint's version, then live write-ahead relays as a
-//! `RelayTag` plus the worker's own frame bytes — leaves the joining
-//! backup bit-identical to the primary, for any push workload racing the
-//! join and any chunk size. Capturing the serving store must not move the primary
-//! either: an untouched twin stays bit-identical to both. Every frame
-//! crosses the codec, not just the store API.
+//! Property: the wire-level rejoin — one `Snapshot` frame of the
+//! primary's *serving* store, the joiner's `BackupReady` at the
+//! snapshot's version, then live write-ahead relays as a `RelayTag` plus
+//! the worker's own frame bytes — leaves the joining backup bit-identical
+//! to the primary, for any push workload racing the join. Capturing the
+//! serving store must not move the primary either: an untouched twin
+//! stays bit-identical to both. Every frame crosses the codec, not just
+//! the store API.
 
 use proptest::prelude::*;
 use specsync_net::{decode_frame, encode_frame, FailoverControl, ShardHost, WireMessage};
-use specsync_ps::{ParameterStore, PushPayload, StoreCheckpoint};
+use specsync_ps::{ParameterStore, PushPayload};
 use specsync_simnet::WorkerId;
 use specsync_tensor::SparseGrad;
 
@@ -73,7 +73,6 @@ proptest! {
         dim in 2usize..10,
         pre in proptest::collection::vec(arb_op(), 0..24),
         post in proptest::collection::vec(arb_op(), 0..12),
-        chunk_bytes in 1usize..96,
         redeliver in any::<bool>(),
     ) {
         let (mut primary, mut twin) = (fresh_host(dim), fresh_host(dim));
@@ -82,29 +81,14 @@ proptest! {
             twin.handle(op_frame(op, dim, i)).expect("twin accepts pushes");
         }
 
-        // --- Phase 1: the serving store's checkpoint, in chunks.
-        let checkpoint = primary.store_mut().snapshot_for_checkpoint();
-        let encoded = checkpoint.encode();
-        let total = encoded.chunks(chunk_bytes).count() as u64;
-        let mut streamed = Vec::new();
-        for (next, data) in encoded.chunks(chunk_bytes).enumerate() {
-            let frame = over_the_wire(&WireMessage::Failover(FailoverControl::SnapshotChunk {
-                index: next as u64,
-                total,
-                data: data.to_vec(),
-            }));
-            let WireMessage::Failover(FailoverControl::SnapshotChunk { index, total: of, data }) =
-                frame
-            else {
-                panic!("chunk frame changed shape over the wire");
-            };
-            prop_assert_eq!((index, of), (next as u64, total), "the joiner's sequence rule");
-            streamed.extend_from_slice(&data);
-        }
-        let restored = ParameterStore::restore(
-            StoreCheckpoint::decode(&streamed).expect("streamed checkpoint decodes"),
-        )
-        .expect("streamed checkpoint restores");
+        // --- Phase 1: the serving store's snapshot, in one frame.
+        let snapshot = primary.store_mut().snapshot_for_checkpoint();
+        let snapshot_version = snapshot.version();
+        let frame = over_the_wire(&WireMessage::Failover(FailoverControl::Snapshot(snapshot)));
+        let WireMessage::Failover(FailoverControl::Snapshot(snapshot)) = frame else {
+            panic!("the snapshot frame changed shape over the wire");
+        };
+        let restored = ParameterStore::restore(snapshot).expect("the snapshot restores");
         let mut joiner = fresh_host(dim);
         joiner.install_store(restored);
 
@@ -116,7 +100,7 @@ proptest! {
         let WireMessage::Failover(FailoverControl::BackupReady { version, .. }) = ready else {
             panic!("BackupReady changed shape over the wire");
         };
-        prop_assert_eq!(version, checkpoint.version(), "parity before live relays start");
+        prop_assert_eq!(version, snapshot_version, "parity before live relays start");
         prop_assert_eq!(version, primary.store().version());
 
         // --- Live pushes that raced the join queued behind it: each is a

@@ -1,4 +1,4 @@
-//! The payload checksum of the frame and checkpoint codecs (format 3).
+//! The payload checksum of the frame codec (format 3).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::thread;

@@ -5,8 +5,8 @@
 //! semantics matching MXNet's `dist_async` kvstore. The paper shards keys
 //! across servers; here one store holds the whole vector and serializes
 //! every push in arrival order. Its server count (`num_shards`) is kept
-//! only for the checkpoint format and the crash model of
-//! [`ReplicatedStore`]. (The wire-size model used for transfer accounting
+//! only for the rejoin snapshot ([`StoreCheckpoint`]) and the crash model
+//! of [`ReplicatedStore`]. (The wire-size model used for transfer accounting
 //! lives with the rest of the wire vocabulary in `specsync-net`.)
 //!
 //! The store is deliberately *policy-free*: ASP/BSP/SSP/SpecSync behaviour

@@ -350,6 +350,7 @@ impl From<ReplicatedStore> for ParameterStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::tests::snapshot_bits;
 
     fn w(i: usize) -> WorkerId {
         WorkerId::new(i)
@@ -448,11 +449,11 @@ mod tests {
         assert_eq!(rep.backup_applied, 0);
         mixed_workload(&mut rep, &mut shadow, 5);
         assert_eq!(rep.sync_backup(), 5);
-        let backup = rep.backup.snapshot_for_checkpoint().encode();
+        let backup = snapshot_bits(&rep.backup.snapshot_for_checkpoint());
         assert_eq!(rep.journal_lag(), 0);
         assert_eq!(rep.sync_backup(), 0);
         assert_eq!(rep.backup_applied, 5, "the watermark stays put");
-        assert_eq!(rep.backup.snapshot_for_checkpoint().encode(), backup);
+        assert_eq!(snapshot_bits(&rep.backup.snapshot_for_checkpoint()), backup);
     }
 
     #[test]

@@ -64,8 +64,8 @@ impl ParamSnapshot {
 #[derive(Debug, Clone)]
 pub struct ParameterStore {
     params: Vec<f32>,
-    /// Server count: carried by checkpoints and by the crash model of
-    /// [`ReplicatedStore`](crate::ReplicatedStore); no key range is read.
+    /// Server count: carried by the rejoin snapshot and by the crash model
+    /// of [`ReplicatedStore`](crate::ReplicatedStore); no key range is read.
     num_shards: usize,
     version: u64,
     pushes_per_worker: Vec<u64>,
@@ -369,8 +369,8 @@ impl ParameterStore {
     /// # Errors
     ///
     /// Returns [`CheckpointError::Malformed`] if the checkpoint violates a
-    /// store invariant (possible only for hand-built or corrupted blobs;
-    /// captures of live stores always restore).
+    /// store invariant. Captures of live stores always restore; this is
+    /// the one check on a snapshot that arrives from another process.
     pub fn restore(checkpoint: StoreCheckpoint) -> Result<Self, CheckpointError> {
         checkpoint.validate()?;
         let StoreCheckpoint {

@@ -15,7 +15,7 @@ use specsync::net::{
     ReadOutcome, RELAY_TAG_FRAME_LEN,
 };
 use specsync::net::{FailoverControl, WireMessage};
-use specsync::ps::PushPayload;
+use specsync::ps::{PushPayload, StoreCheckpoint};
 use specsync::simnet::WorkerId;
 use specsync::tensor::SparseGrad;
 
@@ -95,17 +95,33 @@ fn arb_failover() -> impl Strategy<Value = FailoverControl> {
             .prop_map(|(addr, epoch)| FailoverControl::Primary { addr, epoch }),
         (any::<u64>(), arb_addr())
             .prop_map(|(server, addr)| FailoverControl::JoinAsBackup { server, addr }),
-        // The decoder refuses a chunk index at or past the total.
+        // Any snapshot, NaNs and impossible stores included: the codec
+        // carries it as sent, and `ParameterStore::restore` validates it.
         (
-            1..u64::MAX,
-            any::<u64>(),
-            proptest::collection::vec(any::<u8>(), 0..64)
+            (any::<u64>(), any::<u64>(), arb_f32()),
+            (arb_params(), arb_params()),
+            (
+                proptest::collection::vec(any::<u64>(), 0..8),
+                proptest::collection::vec(any::<u64>(), 0..8)
+            ),
         )
-            .prop_map(|(total, index, data)| FailoverControl::SnapshotChunk {
-                index: index % total,
-                total,
-                data,
-            }),
+            .prop_map(
+                |(
+                    (num_shards, version, momentum),
+                    (params, velocity),
+                    (pushes_per_worker, last_pull_version),
+                )| {
+                    FailoverControl::Snapshot(StoreCheckpoint {
+                        params,
+                        num_shards: num_shards as usize,
+                        version,
+                        pushes_per_worker,
+                        last_pull_version,
+                        momentum,
+                        velocity,
+                    })
+                }
+            ),
         (any::<u64>(), any::<u64>())
             .prop_map(|(server, version)| FailoverControl::BackupReady { server, version }),
     ]
