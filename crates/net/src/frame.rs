@@ -27,8 +27,9 @@
 
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::mem;
 
-use specsync_ps::{checksum, PushPayload, StoreCheckpoint};
+use specsync_ps::{checksum, checksum_filled, PushPayload, StoreCheckpoint, SEGMENT};
 use specsync_simnet::WorkerId;
 use specsync_tensor::SparseGrad;
 
@@ -140,10 +141,6 @@ impl std::error::Error for FrameError {}
 /// the benchmark, which times it.
 pub use specsync_simnet::fnv1a;
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
@@ -168,6 +165,25 @@ fn put_f32_slice(out: &mut Vec<u8>, vs: &[f32]) {
             *dst = v.to_le_bytes();
         }
         out.extend_from_slice(block[..chunk.len()].as_flattened());
+    }
+}
+
+/// Writes bytes `at .. at + dst.len()` of the little-endian encoding of
+/// `vs` into `dst`: one segment's share of a dense field. A segment edge
+/// can cut a float, so the first and last float may be written in part.
+fn put_f32_bytes(vs: &[f32], at: usize, dst: &mut [u8]) {
+    let (first, skip) = (at / 4, at % 4);
+    let (lead, rest) = dst.split_at_mut(((4 - skip) % 4).min(dst.len()));
+    if !lead.is_empty() {
+        lead.copy_from_slice(&vs[first].to_le_bytes()[skip..skip + lead.len()]);
+    }
+    let next = first + usize::from(skip != 0);
+    let (whole, tail) = rest.as_chunks_mut::<4>();
+    for (dst, v) in whole.iter_mut().zip(&vs[next..]) {
+        *dst = v.to_le_bytes();
+    }
+    if !tail.is_empty() {
+        tail.copy_from_slice(&vs[next + whole.len()].to_le_bytes()[..tail.len()]);
     }
 }
 
@@ -217,19 +233,17 @@ fn put_push_payload(out: &mut Vec<u8>, payload: &PushPayload) {
     }
 }
 
-fn put_pull_reply(out: &mut Vec<u8>, version: u64, params: &[f32]) {
-    out.push(TAG_PULL_REPLY);
-    put_u64(out, version);
-    put_f32_slice(out, params);
-}
-
 fn encode_payload(msg: &WireMessage, out: &mut Vec<u8>) {
     match msg {
         WireMessage::Pull { worker } => {
             out.push(TAG_PULL);
             put_worker(out, *worker);
         }
-        WireMessage::PullReply { version, params } => put_pull_reply(out, *version, params),
+        WireMessage::PullReply { version, params } => {
+            out.push(TAG_PULL_REPLY);
+            put_u64(out, *version);
+            put_f32_slice(out, params);
+        }
         WireMessage::Push { worker, payload } => {
             out.push(TAG_PUSH);
             put_worker(out, *worker);
@@ -351,30 +365,33 @@ pub fn encode_frame(msg: &WireMessage) -> Result<Vec<u8>, FrameError> {
     Ok(out)
 }
 
-/// [`encode_frame`] into a buffer the caller keeps: `out` is cleared and
-/// holds exactly the frame afterwards, so a buffer reused across frames
-/// allocates only when a frame outgrows every earlier one. On an error
-/// its contents are unspecified.
+/// [`encode_frame`] into a buffer the caller keeps: `out` holds exactly
+/// the frame afterwards, so a buffer reused across frames allocates only
+/// when a frame outgrows every earlier one. A frame that ends in a dense
+/// float slice is written over the buffer's old bytes and hashed a
+/// segment at a time as it is written. On an error its contents are
+/// unspecified.
 ///
 /// # Errors
 ///
 /// As [`encode_frame`].
 pub fn encode_frame_into(msg: &WireMessage, out: &mut Vec<u8>) -> Result<(), FrameError> {
-    seal(out, bulk_len(msg), |out| encode_payload(msg, out))
+    match DenseHead::of(msg) {
+        Some((head, floats)) => seal_dense(out, head, floats),
+        None => seal(out, bulk_len(msg), |out| encode_payload(msg, out)),
+    }
 }
 
 /// The `PullReply` frame of `version` encoded straight from the floats
-/// where they live, through the same payload writer as
-/// [`encode_frame_into`]: the shard's pull-reply cache is rebuilt from its
-/// store this way, with no owned snapshot in between.
+/// where they live, as [`encode_frame_into`] encodes one: the shard's
+/// pull-reply cache is rebuilt from its store this way, with no owned
+/// snapshot in between.
 pub(crate) fn encode_pull_reply_into(
     version: u64,
     params: &[f32],
     out: &mut Vec<u8>,
 ) -> Result<(), FrameError> {
-    seal(out, params.len() * 4, |out| {
-        put_pull_reply(out, version, params);
-    })
+    seal_dense(out, DenseHead::PullReply { version }, params)
 }
 
 /// Frames what `payload` writes: header first, then the payload, then
@@ -390,10 +407,8 @@ fn seal(
     }
     out.clear();
     // Sized up front: header, the fixed fields (well under 64 bytes for
-    // every dense-carrying variant), and the bulk field.
+    // every variant with a bulk field), and the bulk field.
     out.reserve(HEADER_LEN + 64 + bulk);
-    out.extend_from_slice(&MAGIC);
-    put_u32(out, FORMAT);
     out.resize(HEADER_LEN, 0);
     payload(out);
     let payload_len = out.len() - HEADER_LEN;
@@ -403,9 +418,137 @@ fn seal(
         });
     }
     let sum = checksum(&out[HEADER_LEN..]);
+    put_header(out, payload_len, sum);
+    Ok(())
+}
+
+/// The fields in front of the dense float slice that ends a `PullReply`,
+/// or a `Push` or `RelayPush` of a dense gradient.
+#[derive(Debug, Clone, Copy)]
+enum DenseHead {
+    PullReply { version: u64 },
+    Push { worker: WorkerId },
+    RelayPush { seq: u64, worker: WorkerId, lr: f32 },
+}
+
+impl DenseHead {
+    /// `msg`'s head and float slice, or `None` for a message that does not
+    /// end in a dense float slice.
+    fn of(msg: &WireMessage) -> Option<(DenseHead, &[f32])> {
+        match msg {
+            WireMessage::PullReply { version, params } => {
+                Some((DenseHead::PullReply { version: *version }, params))
+            }
+            WireMessage::Push {
+                worker,
+                payload: PushPayload::Dense(grad),
+            } => Some((DenseHead::Push { worker: *worker }, grad)),
+            WireMessage::RelayPush {
+                seq,
+                worker,
+                lr,
+                payload: PushPayload::Dense(grad),
+            } => Some((
+                DenseHead::RelayPush {
+                    seq: *seq,
+                    worker: *worker,
+                    lr: *lr,
+                },
+                grad,
+            )),
+            WireMessage::Push { .. }
+            | WireMessage::RelayPush { .. }
+            | WireMessage::Pull { .. }
+            | WireMessage::PushAck { .. }
+            | WireMessage::Notify { .. }
+            | WireMessage::Abort { .. }
+            | WireMessage::Heartbeat { .. }
+            | WireMessage::Failover(_)
+            | WireMessage::Shutdown
+            | WireMessage::RelayTag { .. } => None,
+        }
+    }
+
+    /// Hands `put` the bytes of each field in frame order, as
+    /// [`encode_payload`] writes them, up to the float slice's length
+    /// prefix.
+    fn put(self, mut put: impl FnMut(&[u8])) {
+        match self {
+            DenseHead::PullReply { version } => {
+                put(&[TAG_PULL_REPLY]);
+                put(&version.to_le_bytes());
+            }
+            DenseHead::Push { worker } => {
+                put(&[TAG_PUSH]);
+                put(&(worker.index() as u64).to_le_bytes());
+                put(&[PAYLOAD_DENSE]);
+            }
+            DenseHead::RelayPush { seq, worker, lr } => {
+                put(&[TAG_RELAY_PUSH]);
+                put(&seq.to_le_bytes());
+                put(&(worker.index() as u64).to_le_bytes());
+                put(&lr.to_bits().to_le_bytes());
+                put(&[PAYLOAD_DENSE]);
+            }
+        }
+    }
+}
+
+/// [`seal`] for a frame that ends in `floats`. A payload of more than one
+/// segment is written in one pass: the header's fixed part, `head` and
+/// the slice's length prefix over the front of `out`, then each segment
+/// has its floats written and is hashed while it is in cache
+/// ([`checksum_filled`]). A buffer at least as long as the frame is cut
+/// to it and overwritten in place; a shorter one is zero-filled only
+/// where it grows. A payload of one segment is appended, then hashed, on
+/// the caller, as every other frame is.
+fn seal_dense(out: &mut Vec<u8>, head: DenseHead, floats: &[f32]) -> Result<(), FrameError> {
+    let mut from = 8;
+    head.put(|field| from += field.len());
+    let bulk = floats.len() * 4;
+    let payload_len = from + bulk;
+    if payload_len <= SEGMENT {
+        return seal(out, bulk, |out| {
+            head.put(|field| out.extend_from_slice(field));
+            put_f32_slice(out, floats);
+        });
+    }
+    if bulk > PAYLOAD_LIMIT {
+        return Err(FrameError::TooLarge { len: bulk as u64 });
+    }
+    if payload_len > PAYLOAD_LIMIT {
+        return Err(FrameError::TooLarge {
+            len: payload_len as u64,
+        });
+    }
+    let frame_len = HEADER_LEN + payload_len;
+    if out.capacity() < frame_len {
+        // Nothing in `out` survives: a fresh zeroed buffer, not a copy.
+        *out = vec![0; frame_len];
+    } else {
+        out.resize(frame_len, 0);
+    }
+    let mut front = &mut out[HEADER_LEN..HEADER_LEN + from];
+    let mut put = |field: &[u8]| {
+        let (dst, rest) = mem::take(&mut front).split_at_mut(field.len());
+        dst.copy_from_slice(field);
+        front = rest;
+    };
+    head.put(&mut put);
+    put(&(floats.len() as u64).to_le_bytes());
+    let sum = checksum_filled(&mut out[HEADER_LEN..], from, |at, dst| {
+        put_f32_bytes(floats, at, dst);
+    });
+    put_header(out, payload_len, sum);
+    Ok(())
+}
+
+/// Writes the header over the first [`HEADER_LEN`] bytes of `out`.
+fn put_header(out: &mut [u8], payload_len: usize, sum: u64) {
+    out[..4].copy_from_slice(&MAGIC);
+    out[4..8].copy_from_slice(&FORMAT.to_le_bytes());
     out[8..12].copy_from_slice(&(payload_len as u32).to_le_bytes());
     out[12..HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
-    Ok(())
 }
 
 /// Encoded size of the variable-length fields a message can carry:
@@ -1002,6 +1145,10 @@ mod tests {
         ]
     }
 
+    fn put_u32(out: &mut Vec<u8>, v: u32) {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+
     fn reference_f32_slice(out: &mut Vec<u8>, vs: &[f32]) {
         put_u64(out, vs.len() as u64);
         for &v in vs {
@@ -1126,6 +1273,61 @@ mod tests {
         }
     }
 
+    /// The fused encoder is the format written out. For every frame that
+    /// ends in a dense float slice, with that slice ending on both sides
+    /// of payload bytes `SEGMENT - 1`, `SEGMENT`, `SEGMENT + 1` and
+    /// `2 * SEGMENT + 3`, or three segments and a tail in, it writes the
+    /// bytes the two-pass encoder writes (`put_f32_slice`, then
+    /// `checksum`) into a fresh buffer, one that held a longer frame (cut
+    /// to length), one that held a shorter frame (grown) and one that held
+    /// a sparse frame after a dense one (grown within its capacity).
+    #[test]
+    fn the_fused_encoder_writes_what_the_two_pass_encoder_writes() {
+        let two_pass = |msg: &WireMessage| {
+            let mut out = Vec::new();
+            seal(&mut out, bulk_len(msg), |out| encode_payload(msg, out)).unwrap();
+            out
+        };
+        let mut grad = SparseGrad::new();
+        grad.reset(10);
+        grad.add(3, 1.5);
+        grad.finish();
+        let sparse = WireMessage::Push {
+            worker: WorkerId::new(1),
+            payload: PushPayload::Sparse(grad),
+        };
+        let tail = 3 * SEGMENT / 4 + 1000;
+        let values = awkward_floats(tail + 1001);
+        for variant in 0..3 {
+            let carrier = |vs: &[f32]| dense_carriers(vs)[variant].clone();
+            // The payload bytes in front of the floats.
+            let from = encode_frame(&carrier(&[])).unwrap().len() - HEADER_LEN;
+            let mut dims: Vec<usize> = [SEGMENT - 1, SEGMENT, SEGMENT + 1, 2 * SEGMENT + 3]
+                .into_iter()
+                .flat_map(|end| [(end - from) / 4, (end - from).div_ceil(4)])
+                .collect();
+            dims.push(tail);
+            for n in dims {
+                let msg = carrier(&values[..n]);
+                let want = two_pass(&msg);
+                // Other floats at every offset, so a stale byte shows.
+                let longer = encode_frame(&carrier(&values[1..n + 1001])).unwrap();
+                let shorter = encode_frame(&carrier(&values[1..n / 2])).unwrap();
+                let mut held_sparse = longer.clone();
+                encode_frame_into(&sparse, &mut held_sparse).unwrap();
+                for (state, mut out) in [
+                    ("fresh", Vec::new()),
+                    ("longer", longer),
+                    ("shorter", shorter),
+                    ("sparse", held_sparse),
+                ] {
+                    encode_frame_into(&msg, &mut out).unwrap();
+                    assert!(out == want, "variant {variant}, {n} floats, {state} buffer");
+                }
+            }
+        }
+    }
+
     /// Two frames as the build before the single-buffer encoder wrote
     /// them, and the relay tag as an independent FNV-1a computed it.
     /// Formats 2 and 3 each changed bytes 4..8 and nothing else, because a
@@ -1176,7 +1378,7 @@ mod tests {
     /// the format field refuses it first.
     #[test]
     fn a_format_2_frame_over_one_segment_is_refused() {
-        let segment = specsync_ps::SEGMENT;
+        let segment = SEGMENT;
         let mut bytes = encode_frame(&WireMessage::PullReply {
             version: 3,
             params: Arc::from(awkward_floats(segment / 4 + 1).as_slice()),
@@ -1201,7 +1403,7 @@ mod tests {
     /// middle or last byte of any segment is a checksum mismatch.
     #[test]
     fn a_flip_in_any_segment_is_a_checksum_mismatch() {
-        let segment = specsync_ps::SEGMENT;
+        let segment = SEGMENT;
         for full in [3, 4] {
             // tag(1) + version(8) + length(8) + 4 bytes per float.
             let floats = (full * segment + 5 - 17) / 4;

@@ -35,7 +35,7 @@ use specsync_simnet::WorkerId;
 use specsync_tensor::SparseGrad;
 
 use crate::error::NetError;
-use crate::frame::{encode_pull_reply_into, le_floats};
+use crate::frame::encode_pull_reply_into;
 use crate::wire::WireMessage;
 
 /// Learning rate the frame path uses when no schedule is installed.
@@ -150,8 +150,10 @@ impl ShardHost {
     /// # Errors
     ///
     /// [`NetError::Unhandled`] for a gradient whose dimension is not the
-    /// model's — a well-formed frame can carry any — and for a relayed
-    /// push that skips a sequence number. The store is untouched.
+    /// model's — a well-formed frame can carry any — for a relayed push
+    /// that skips a sequence number, and for a rate that is not finite,
+    /// whether a relay tag carries it or the schedule yields it. The store
+    /// is untouched.
     pub fn apply_push(
         &mut self,
         worker: WorkerId,
@@ -181,9 +183,14 @@ impl ShardHost {
                 lr
             }
         };
+        if !lr.is_finite() {
+            return Err(NetError::Unhandled {
+                what: "push at a learning rate that is not finite",
+            });
+        }
         let store = &mut self.store;
         let version = match grad {
-            Gradient::Wire(bytes) => store.apply_push_from(worker, le_floats(bytes), lr),
+            Gradient::Wire(bytes) => store.apply_push_le(worker, bytes, lr),
             Gradient::Dense(grad) => store.apply_push(worker, grad, lr),
             Gradient::Sparse(grad) => store.apply_push_sparse(worker, grad, lr),
         };
@@ -198,12 +205,12 @@ impl ShardHost {
     /// Whether `grad` has the model's dimension, which a well-formed frame
     /// need not: [`apply_push`](Self::apply_push) refuses any other.
     pub(crate) fn fits(&self, grad: Gradient<'_>) -> bool {
-        let dim = match grad {
-            Gradient::Wire(bytes) => bytes.len() / 4,
-            Gradient::Dense(grad) => grad.len(),
-            Gradient::Sparse(grad) => grad.dim(),
-        };
-        dim == self.store.num_params()
+        let dim = self.store.num_params();
+        match grad {
+            Gradient::Wire(bytes) => bytes.len() == 4 * dim,
+            Gradient::Dense(grad) => grad.len() == dim,
+            Gradient::Sparse(grad) => grad.dim() == dim,
+        }
     }
 
     /// The rate the frame path applies to the next push.
@@ -693,9 +700,11 @@ mod tests {
         sparse.add(8, 1.0);
         sparse.finish();
         let bytes = [0u8; 7 * 4];
+        let ragged = [0u8; 8 * 4 + 1];
         let floats = [1.0f32; 9];
         for grad in [
             Gradient::Wire(&bytes),
+            Gradient::Wire(&ragged),
             Gradient::Dense(&floats),
             Gradient::Sparse(&sparse),
         ] {
@@ -708,6 +717,42 @@ mod tests {
         assert_eq!(h.store_mut().params(), &[0.0; 8]);
         let ack = h.apply_push(w, Gradient::Wire(&[0u8; 8 * 4]), None);
         assert!(matches!(ack, Ok(WireMessage::PushAck { version: 1, .. })));
+    }
+
+    /// A checksum-valid relay tag may carry any rate, and a schedule may
+    /// yield any: one that is not finite is refused with the store
+    /// untouched, from every gradient source. Applied, it would trip the
+    /// store's rate assertion on the connection thread.
+    #[test]
+    fn a_rate_that_is_not_finite_is_refused() {
+        let w = WorkerId::new(0);
+        let mut sparse = SparseGrad::new();
+        sparse.reset(8);
+        sparse.add(3, 1.0);
+        sparse.finish();
+        let bytes = [0u8; 8 * 4];
+        let floats = [1.0f32; 8];
+        let grads = [
+            Gradient::Wire(&bytes),
+            Gradient::Dense(&floats),
+            Gradient::Sparse(&sparse),
+        ];
+        for lr in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut tagged = host();
+            let mut scheduled = host().with_lr_fn(move |_| lr);
+            for grad in grads {
+                let err = tagged.apply_push(w, grad, Some((1, lr))).unwrap_err();
+                assert!(matches!(err, NetError::Unhandled { .. }), "{lr} {grad:?}");
+                let err = scheduled.apply_push(w, grad, None).unwrap_err();
+                assert!(matches!(err, NetError::Unhandled { .. }), "{lr} {grad:?}");
+            }
+            for h in [&mut tagged, &mut scheduled] {
+                assert_eq!(h.store().version(), 0, "{lr}");
+                assert_eq!(h.store_mut().params(), &[0.0; 8], "{lr}");
+            }
+            let ack = tagged.apply_push(w, Gradient::Dense(&floats), Some((1, 0.1)));
+            assert!(matches!(ack, Ok(WireMessage::PushAck { version: 1, .. })));
+        }
     }
 
     #[test]

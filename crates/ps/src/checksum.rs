@@ -1,6 +1,7 @@
 //! The payload checksum of the frame codec (format 3).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::thread;
 
 use specsync_simnet::{fnv1a, FNV_OFFSET, FNV_PRIME};
@@ -22,37 +23,104 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     if bytes.len() <= SEGMENT {
         return fnv1a(bytes);
     }
-    let threads = thread::available_parallelism().map_or(1, usize::from);
-    checksum_on(bytes, threads)
+    checksum_on(bytes, threads())
 }
 
-/// [`checksum`] of a payload longer than one segment, on `threads`. Each
-/// thread takes the next segment index from a shared counter, so every
-/// thread stays busy until the segments run out.
+/// [`checksum`] of a payload longer than one segment, on `threads`.
 fn checksum_on(bytes: &[u8], threads: usize) -> u64 {
-    let segments = bytes.len().div_ceil(SEGMENT);
-    let hashes: Vec<AtomicU64> = (0..segments).map(|_| AtomicU64::new(0)).collect();
-    let next = AtomicUsize::new(0);
-    let work = || loop {
-        let index = next.fetch_add(1, Ordering::Relaxed);
-        let Some(segment) = bytes.chunks(SEGMENT).nth(index) else {
-            break;
-        };
-        hashes[index].store(segment_hash(segment), Ordering::Relaxed);
-    };
-    // Relaxed is enough: the counter publishes nothing, and the scope
-    // joins every thread, ordering each hash store before the fold.
-    thread::scope(|s| {
-        for _ in 1..threads.clamp(1, segments) {
-            s.spawn(work);
+    fold_segments(bytes.chunks(SEGMENT), threads, |_, segment| {
+        segment_hash(segment)
+    })
+}
+
+/// The [`checksum`] of `payload` once `fill` has written its bytes from
+/// `from` on: `fill(at, dst)` writes the payload's bytes
+/// `from + at .. from + at + dst.len()` into `dst`. A payload longer than
+/// one segment is filled and hashed a segment at a time, each segment
+/// hashed by the thread that filled it while the segment is in cache, on
+/// [`checksum`]'s threads; a shorter one is filled, then hashed, on the
+/// caller.
+///
+/// # Panics
+///
+/// Panics if `from` is past the end of `payload`.
+pub fn checksum_filled(
+    payload: &mut [u8],
+    from: usize,
+    fill: impl Fn(usize, &mut [u8]) + Sync,
+) -> u64 {
+    assert!(from <= payload.len(), "fill starts past the payload");
+    if payload.len() <= SEGMENT {
+        fill(0, &mut payload[from..]);
+        return fnv1a(payload);
+    }
+    fold_segments(payload.chunks_mut(SEGMENT), threads(), |index, segment| {
+        let start = index * SEGMENT;
+        if let Some(dst) = segment.get_mut(from.saturating_sub(start)..) {
+            fill(start.saturating_sub(from), dst);
         }
-        work();
+        segment_hash(segment)
+    })
+}
+
+/// The hashes `hash(index, segment)` gives `segments`, computed on
+/// `threads` and folded left from the first.
+fn fold_segments<S>(
+    segments: impl ExactSizeIterator<Item = S> + Send,
+    threads: usize,
+    hash: impl Fn(usize, S) -> u64 + Sync,
+) -> u64
+where
+    S: Send,
+{
+    let hashes: Vec<AtomicU64> = (0..segments.len()).map(|_| AtomicU64::new(0)).collect();
+    fan_out(segments.enumerate(), threads, |(index, segment)| {
+        hashes[index].store(hash(index, segment), Ordering::Relaxed);
     });
+    // Relaxed is enough: `fan_out` joins every thread before it returns,
+    // ordering each hash store before the fold.
     hashes
         .into_iter()
         .map(AtomicU64::into_inner)
         .reduce(fnv_step)
         .unwrap_or(FNV_OFFSET)
+}
+
+/// `available_parallelism()`, read once per process: std reads cgroup
+/// files to answer it.
+pub(crate) fn threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| thread::available_parallelism().map_or(1, usize::from))
+}
+
+/// Runs `work` on every item on up to `threads` threads, the caller
+/// among them. Each thread takes the next item as it finishes one, so
+/// every thread stays busy until the items run out. With one item, or one
+/// thread, everything runs on the caller and nothing is spawned.
+pub(crate) fn fan_out<I>(items: I, threads: usize, work: impl Fn(I::Item) + Sync)
+where
+    I: ExactSizeIterator + Send,
+    I::Item: Send,
+{
+    let spawned = threads.min(items.len()).saturating_sub(1);
+    if spawned == 0 {
+        items.for_each(work);
+        return;
+    }
+    let items = Mutex::new(items);
+    let run = || loop {
+        let next = items.lock().unwrap_or_else(PoisonError::into_inner).next();
+        let Some(item) = next else {
+            break;
+        };
+        work(item);
+    };
+    thread::scope(|s| {
+        for _ in 0..spawned {
+            s.spawn(run);
+        }
+        run();
+    });
 }
 
 /// The hash of one segment of a multi-segment payload, 8 bytes at a time.
@@ -121,6 +189,31 @@ mod tests {
             assert_eq!(checksum_on(&bytes, threads), one, "{threads} threads");
         }
         assert_eq!(checksum(&bytes), one);
+    }
+
+    /// Filled a segment at a time, a payload holds the bytes one pass
+    /// writes and hashes to their checksum, wherever `from` falls: the
+    /// first segment, the second, a segment edge, the very end.
+    #[test]
+    fn a_filled_payload_hashes_as_written() {
+        for (len, from) in [
+            (0, 0),
+            (10, 3),
+            (SEGMENT, 17),
+            (SEGMENT + 1, 17),
+            (2 * SEGMENT + 5, SEGMENT + 3),
+            (2 * SEGMENT + 5, 2 * SEGMENT),
+            (3 * SEGMENT, 3 * SEGMENT),
+        ] {
+            let written = pattern(len);
+            let mut payload = vec![0xAA; len];
+            payload[..from].copy_from_slice(&written[..from]);
+            let sum = checksum_filled(&mut payload, from, |at, dst| {
+                dst.copy_from_slice(&written[from + at..from + at + dst.len()]);
+            });
+            assert!(payload == written, "{len} bytes from {from}");
+            assert_eq!(sum, checksum(&written), "{len} bytes from {from}");
+        }
     }
 
     /// Every layout from two to nine segments, the last one full, partial

@@ -39,7 +39,7 @@ mod replica;
 mod store;
 
 pub use checkpoint::{CheckpointError, StoreCheckpoint};
-pub use checksum::{checksum, SEGMENT};
+pub use checksum::{checksum, checksum_filled, SEGMENT};
 pub use journal::{JournalEntry, JournalFull, PushJournal, PushPayload};
 pub use replica::{ReplicaError, ReplicatedStore};
 pub use store::{ParamSnapshot, ParameterStore};

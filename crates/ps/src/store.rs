@@ -12,6 +12,48 @@ use specsync_simnet::WorkerId;
 use specsync_tensor::SparseGrad;
 
 use crate::checkpoint::{CheckpointError, StoreCheckpoint};
+use crate::checksum::{fan_out, threads, SEGMENT};
+
+/// Parameters per piece of the dense kernel: one checksum [`SEGMENT`] of
+/// floats.
+const PIECE: usize = SEGMENT / 4;
+
+/// A dense gradient the kernel can read from any float on: a float slice,
+/// or the little-endian bytes a frame carries one as.
+trait DenseSource: Copy + Sync {
+    /// Number of floats.
+    fn len(self) -> usize;
+    /// The floats from index `start` to the end.
+    fn floats_from(self, start: usize) -> impl Iterator<Item = f32>;
+}
+
+impl DenseSource for &[f32] {
+    fn len(self) -> usize {
+        <[f32]>::len(self)
+    }
+
+    fn floats_from(self, start: usize) -> impl Iterator<Item = f32> {
+        self[start..].iter().copied()
+    }
+}
+
+/// Four little-endian bytes per float.
+#[derive(Clone, Copy)]
+struct LeFloats<'a>(&'a [u8]);
+
+impl DenseSource for LeFloats<'_> {
+    fn len(self) -> usize {
+        self.0.len() / 4
+    }
+
+    fn floats_from(self, start: usize) -> impl Iterator<Item = f32> {
+        self.0[start * 4..]
+            .as_chunks::<4>()
+            .0
+            .iter()
+            .map(|b| f32::from_le_bytes(*b))
+    }
+}
 
 /// A consistent snapshot of the global parameters, as returned by a pull.
 ///
@@ -213,22 +255,27 @@ impl ParameterStore {
     /// Panics if `grad.len()` differs from the parameter count or `lr` is
     /// not finite.
     pub fn apply_push(&mut self, worker: WorkerId, grad: &[f32], lr: f32) -> u64 {
-        self.apply_push_from(worker, grad.iter().copied(), lr)
+        self.apply_dense(worker, grad, lr)
     }
 
-    /// [`apply_push`](Self::apply_push) from any exact-size source of the
-    /// gradient's floats — a wire frame's little-endian bytes, say, so a
-    /// push is applied from the bytes it arrived in. The one dense kernel:
-    /// the same floats in the same order leave the same bits whatever
-    /// they are read from, and the source is read once.
+    /// [`apply_push`](Self::apply_push) from the little-endian bytes a
+    /// wire frame carries the gradient's floats as, so a push is applied
+    /// from the bytes it arrived in.
     ///
     /// # Panics
     ///
-    /// As [`apply_push`](Self::apply_push).
-    pub fn apply_push_from<G>(&mut self, worker: WorkerId, grad: G, lr: f32) -> u64
-    where
-        G: ExactSizeIterator<Item = f32>,
-    {
+    /// Panics if `grad` is not four bytes per parameter or `lr` is not
+    /// finite.
+    pub fn apply_push_le(&mut self, worker: WorkerId, grad: &[u8], lr: f32) -> u64 {
+        assert_eq!(grad.len() % 4, 0, "gradient length mismatch");
+        self.apply_dense(worker, LeFloats(grad), lr)
+    }
+
+    /// The one dense kernel, whatever the gradient is read from: the same
+    /// floats leave the same bits. A store of more than one [`PIECE`] is
+    /// updated a piece at a time on [`fan_out`]'s threads; the update is
+    /// elementwise, so the pieces' order changes no bit.
+    fn apply_dense(&mut self, worker: WorkerId, grad: impl DenseSource, lr: f32) -> u64 {
         assert_eq!(grad.len(), self.params.len(), "gradient length mismatch");
         assert!(lr.is_finite(), "learning rate must be finite");
         self.ensure_worker(worker);
@@ -238,16 +285,24 @@ impl ParameterStore {
             // must be settled first.
             self.materialize();
             let beta = self.momentum;
-            for ((p, v), g) in self.params.iter_mut().zip(&mut self.velocity).zip(grad) {
-                *v = beta * *v + g;
-                *p -= lr * *v;
-            }
+            let velocity = self.velocity.chunks_mut(PIECE);
+            let pieces = self.params.chunks_mut(PIECE).zip(velocity).enumerate();
+            fan_out(pieces, threads(), |(i, (params, velocity))| {
+                let grad = grad.floats_from(i * PIECE);
+                for ((p, v), g) in params.iter_mut().zip(velocity).zip(grad) {
+                    *v = beta * *v + g;
+                    *p -= lr * *v;
+                }
+            });
             self.version += 1;
             self.synced = self.version;
         } else {
-            for (p, g) in self.params.iter_mut().zip(grad) {
-                *p -= lr * g;
-            }
+            let pieces = self.params.chunks_mut(PIECE).enumerate();
+            fan_out(pieces, threads(), |(i, params)| {
+                for (p, g) in params.iter_mut().zip(grad.floats_from(i * PIECE)) {
+                    *p -= lr * g;
+                }
+            });
             self.version += 1;
         }
         self.pushes_per_worker[worker.index()] += 1;

@@ -1,7 +1,7 @@
 //! Property-based tests of the parameter-store semantics.
 
 use proptest::prelude::*;
-use specsync_ps::{ParameterStore, StoreCheckpoint};
+use specsync_ps::{ParameterStore, StoreCheckpoint, SEGMENT};
 use specsync_simnet::WorkerId;
 use specsync_tensor::SparseGrad;
 
@@ -38,6 +38,48 @@ fn awkward_f32() -> impl Strategy<Value = f32> {
         Just(f32::from_bits(0x7fc0_0001)),
         Just(f32::from_bits(0xffa5_5aa5)),
     ]
+}
+
+/// A store of more than one segment of floats: two full pieces of the
+/// dense kernel and a tail of three.
+const MULTI_SEGMENT_DIM: usize = 2 * SEGMENT / 4 + 3;
+
+/// A model dimension: mostly small, one case in eight a store the dense
+/// kernel updates a segment at a time.
+fn dims(small: std::ops::Range<usize>) -> impl Strategy<Value = usize> {
+    (0u8..8, small).prop_map(|(k, dim)| if k == 0 { MULTI_SEGMENT_DIM } else { dim })
+}
+
+/// The dense update written out, one coordinate after another:
+/// `v ← β·v + g; w ← w − lr·v`, or `w ← w − lr·g` without momentum.
+fn serial_dense(params: &mut [f32], velocity: &mut [f32], grad: &[f32], momentum: f32, lr: f32) {
+    assert_eq!(params.len(), grad.len());
+    if momentum > 0.0 {
+        for j in 0..params.len() {
+            velocity[j] = momentum * velocity[j] + grad[j];
+            params[j] -= lr * velocity[j];
+        }
+    } else {
+        for j in 0..params.len() {
+            params[j] -= lr * grad[j];
+        }
+    }
+}
+
+/// `a` and `b` bit for bit, except that a NaN matches any NaN: which
+/// payload an operation on two NaNs keeps is the hardware's choice.
+fn same_bits(a: &[f32], b: &[f32]) -> Result<(), TestCaseError> {
+    prop_assert_eq!(a.len(), b.len());
+    for (j, (a, b)) in a.iter().zip(b).enumerate() {
+        prop_assert!(
+            a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+            "[{}] {:#010x} != {:#010x}",
+            j,
+            a.to_bits(),
+            b.to_bits()
+        );
+    }
+    Ok(())
 }
 
 proptest! {
@@ -88,10 +130,12 @@ proptest! {
     /// is invisible: a momentum store fed a random mix of dense and sparse
     /// pushes, learning-rate changes, pulls and one checkpoint → restore
     /// keeps its snapshot and params bit-identical to a reference
-    /// store fed every gradient dense.
+    /// store fed every gradient dense, and to the serial loop. On a
+    /// multi-segment store the sparse pushes touch every piece, so a dense
+    /// push settles lazy decay across all of them before it fans out.
     #[test]
     fn mixed_dense_and_sparse_history_matches_all_dense(
-        dim in 1usize..24,
+        dim in dims(1..24),
         momentum in 0.2f32..0.95,
         ops in proptest::collection::vec(
             (0u8..3, proptest::collection::vec((0usize..1024, -1.0f32..1.0), 0..6), 0usize..3),
@@ -102,6 +146,7 @@ proptest! {
         let build = || ParameterStore::new(vec![0.5; dim], 1).with_momentum(momentum);
         let mut mixed = build();
         let mut reference = build();
+        let (mut params, mut velocity) = (vec![0.5; dim], vec![0.0; dim]);
         let mut grad = SparseGrad::new();
         let lrs = [0.5f32, 0.1, 0.05];
         for (k, (kind, entries, lr_idx)) in ops.iter().enumerate() {
@@ -115,7 +160,7 @@ proptest! {
             }
             grad.reset(dim);
             for &(i, v) in entries {
-                grad.add(i % dim, v);
+                grad.add(i * dim / 1024, v);
             }
             grad.finish();
             let lr = lrs[*lr_idx];
@@ -130,22 +175,27 @@ proptest! {
                 }
             };
             reference.apply_push(worker, &grad.to_dense(), lr);
+            serial_dense(&mut params, &mut velocity, &grad.to_dense(), momentum, lr);
         }
+        let ckpt = mixed.snapshot_for_checkpoint();
         prop_assert_eq!(
-            snapshot_bits(&mixed.snapshot_for_checkpoint()),
+            snapshot_bits(&ckpt),
             snapshot_bits(&reference.snapshot_for_checkpoint())
         );
+        same_bits(&ckpt.params, &params)?;
+        same_bits(&ckpt.velocity, &velocity)?;
         prop_assert_eq!(mixed.params(), reference.params());
     }
 
     /// The one dense kernel: a push applied from the little-endian bytes a
     /// frame carries leaves the bits the same push applied from a float
-    /// slice leaves — plain and momentum SGD, on gradients full of ±0, subnormals, ±∞ and NaNs. Which NaN payload
-    /// an operation on two NaNs keeps is the hardware's choice, so a NaN
-    /// matches any NaN; every other result matches bit for bit.
+    /// slice leaves, and the bits the serial loop leaves — plain and
+    /// momentum SGD, on a store of one piece or of several updated in
+    /// parallel, on gradients full of ±0, subnormals, ±∞ and NaNs. A NaN
+    /// matches any NaN ([`same_bits`]).
     #[test]
     fn dense_kernel_is_bit_identical_from_either_source(
-        dim in 1usize..40,
+        dim in dims(1..40),
         momentum in prop_oneof![Just(0.0f32), Just(0.9f32)],
         pushes in proptest::collection::vec(
             proptest::collection::vec(awkward_f32(), 40),
@@ -155,20 +205,18 @@ proptest! {
         let build = || ParameterStore::new(vec![0.5; dim], 1).with_momentum(momentum);
         let mut from_slice = build();
         let mut from_bytes = build();
-        for grad in &pushes {
-            let grad = &grad[..dim];
+        let (mut params, mut velocity) = (vec![0.5; dim], vec![0.0; dim]);
+        for (k, grad) in pushes.iter().enumerate() {
+            // Past 40 floats the values repeat, shifted per push.
+            let grad: Vec<f32> = (0..dim).map(|j| grad[(j + k) % 40]).collect();
             let bytes: Vec<u8> = grad.iter().flat_map(|g| g.to_le_bytes()).collect();
-            let wire = bytes.as_chunks::<4>().0.iter().map(|b| f32::from_le_bytes(*b));
-            let a = from_slice.apply_push(WorkerId::new(0), grad, 0.05);
-            let b = from_bytes.apply_push_from(WorkerId::new(0), wire, 0.05);
+            let a = from_slice.apply_push(WorkerId::new(0), &grad, 0.05);
+            let b = from_bytes.apply_push_le(WorkerId::new(0), &bytes, 0.05);
             prop_assert_eq!(a, b);
+            serial_dense(&mut params, &mut velocity, &grad, momentum, 0.05);
         }
-        for (a, b) in from_slice.params().iter().zip(from_bytes.params()) {
-            prop_assert!(
-                a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
-                "{:#010x} != {:#010x}", a.to_bits(), b.to_bits()
-            );
-        }
+        same_bits(from_slice.params(), from_bytes.params())?;
+        same_bits(from_slice.params(), &params)?;
     }
 
     /// Version equals the number of applied pushes; per-worker counters sum
