@@ -29,7 +29,7 @@ use std::fmt;
 use std::io::{self, Read, Write};
 use std::mem;
 
-use specsync_ps::{checksum, checksum_filled, PushPayload, StoreCheckpoint, SEGMENT};
+use specsync_ps::{checksum, checksum_filled, le_floats, PushPayload, StoreCheckpoint};
 use specsync_simnet::WorkerId;
 use specsync_tensor::SparseGrad;
 
@@ -187,18 +187,6 @@ fn put_f32_bytes(vs: &[f32], at: usize, dst: &mut [u8]) {
     }
 }
 
-/// The floats of a dense field, from the little-endian bytes a frame
-/// carries them as (a multiple of four bytes, which the parser
-/// guarantees). Exact-size, so collecting it allocates once; the shard
-/// applies a dense push straight from it.
-pub(crate) fn le_floats(bytes: &[u8]) -> impl ExactSizeIterator<Item = f32> + Clone + '_ {
-    bytes
-        .as_chunks::<4>()
-        .0
-        .iter()
-        .map(|b| f32::from_le_bytes(*b))
-}
-
 fn put_str(out: &mut Vec<u8>, s: &str) {
     put_u64(out, s.len() as u64);
     out.extend_from_slice(s.as_bytes());
@@ -233,6 +221,10 @@ fn put_push_payload(out: &mut Vec<u8>, payload: &PushPayload) {
     }
 }
 
+/// Appends `msg`'s payload to `out`. [`encode_frame_into`] writes a
+/// frame that ends in a dense float slice through [`seal_dense`] instead;
+/// those arms are the two-pass form (append, then hash) the tests hold
+/// the fused writer to.
 fn encode_payload(msg: &WireMessage, out: &mut Vec<u8>) {
     match msg {
         WireMessage::Pull { worker } => {
@@ -494,25 +486,18 @@ impl DenseHead {
     }
 }
 
-/// [`seal`] for a frame that ends in `floats`. A payload of more than one
-/// segment is written in one pass: the header's fixed part, `head` and
-/// the slice's length prefix over the front of `out`, then each segment
-/// has its floats written and is hashed while it is in cache
-/// ([`checksum_filled`]). A buffer at least as long as the frame is cut
+/// [`seal`] for a frame that ends in `floats`, written in one pass: the
+/// header's fixed part, `head` and the slice's length prefix over the
+/// front of `out`, then each segment has its floats written and is hashed
+/// while it is in cache ([`checksum_filled`], which keeps a payload of one
+/// segment on the caller). A buffer at least as long as the frame is cut
 /// to it and overwritten in place; a shorter one is zero-filled only
-/// where it grows. A payload of one segment is appended, then hashed, on
-/// the caller, as every other frame is.
+/// where it grows.
 fn seal_dense(out: &mut Vec<u8>, head: DenseHead, floats: &[f32]) -> Result<(), FrameError> {
     let mut from = 8;
     head.put(|field| from += field.len());
     let bulk = floats.len() * 4;
     let payload_len = from + bulk;
-    if payload_len <= SEGMENT {
-        return seal(out, bulk, |out| {
-            head.put(|field| out.extend_from_slice(field));
-            put_f32_slice(out, floats);
-        });
-    }
     if bulk > PAYLOAD_LIMIT {
         return Err(FrameError::TooLarge { len: bulk as u64 });
     }
@@ -1053,6 +1038,8 @@ impl std::error::Error for FrameReadError {}
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;
+
+    use specsync_ps::SEGMENT;
 
     use super::*;
 

@@ -202,9 +202,19 @@ impl ShardHost {
         })
     }
 
+    /// The [`relay_tag`](Self::relay_tag) of a worker's push of `grad`, or
+    /// `None` if [`apply_push`](Self::apply_push) will refuse that push: a
+    /// gradient of another dimension, or a schedule rate that is not
+    /// finite. A refused push is not relayed, since the backup would
+    /// refuse it too.
+    pub(crate) fn relay_tag_of(&self, grad: Gradient<'_>) -> Option<(u64, f32)> {
+        let (seq, lr) = self.relay_tag();
+        (self.fits(grad) && lr.is_finite()).then_some((seq, lr))
+    }
+
     /// Whether `grad` has the model's dimension, which a well-formed frame
     /// need not: [`apply_push`](Self::apply_push) refuses any other.
-    pub(crate) fn fits(&self, grad: Gradient<'_>) -> bool {
+    fn fits(&self, grad: Gradient<'_>) -> bool {
         let dim = self.store.num_params();
         match grad {
             Gradient::Wire(bytes) => bytes.len() == 4 * dim,

@@ -625,11 +625,7 @@ fn relay_and_apply(
         // backup can ack a redelivery without re-applying it. A push the
         // host will refuse is not relayed: the backup would refuse it too,
         // and the relay would drop with it.
-        let relay_tag = {
-            let locked = shared.host.lock();
-            let fits = locked.fits(body.gradient(received));
-            fits.then(|| locked.relay_tag())
-        };
+        let relay_tag = shared.host.lock().relay_tag_of(body.gradient(received));
         // Write-ahead: the backup holds the push before the primary
         // applies it. A dead relay degrades to unreplicated serving
         // rather than stalling the run.
@@ -1172,17 +1168,29 @@ mod tests {
         assert_eq!(stats.pushes_applied, 1);
     }
 
-    /// A push whose gradient is not the model's dimension is refused
-    /// under the relay lock, which the next push takes as usual, and is
-    /// not relayed, so the backup link lives on too: that connection
-    /// drops, and the next honest push is relayed and applied.
+    /// A push whose gradient is not the model's dimension, or that comes
+    /// while the schedule's rate is not finite, is refused under the relay
+    /// lock, which the next push takes as usual, and is not relayed, so
+    /// the backup link lives on too: that connection drops, and the next
+    /// honest push is relayed and applied.
     #[test]
     fn a_push_of_the_wrong_dimension_drops_its_connection_not_the_shard() {
         let backup = shard(1, 8).as_backup();
         let backup_addr = backup.local_addr().to_string();
         let backup_stop = backup.stop_handle();
         let backup_handle = std::thread::spawn(move || backup.run().unwrap());
-        let primary = shard(0, 8).with_backup_relay(&backup_addr);
+        let nan = Arc::new(AtomicBool::new(false));
+        let rate = Arc::clone(&nan);
+        let host = host(8).with_lr_fn(move |_| {
+            if rate.load(Ordering::SeqCst) {
+                f32::NAN
+            } else {
+                1.0
+            }
+        });
+        let primary = ShardServer::bind(0, "127.0.0.1:0", host, NetConfig::default())
+            .unwrap()
+            .with_backup_relay(&backup_addr);
         let addr = primary.local_addr().to_string();
         let stop = primary.stop_handle();
         let handle = std::thread::spawn(move || primary.run().unwrap());
@@ -1193,6 +1201,10 @@ mod tests {
 
         let mut hostile = connect(&addr, &NetConfig::default());
         assert!(hostile.exchange(&push(9)).is_err(), "the push was acked");
+        nan.store(true, Ordering::SeqCst);
+        let mut at_nan = connect(&addr, &NetConfig::default());
+        assert!(at_nan.exchange(&push(8)).is_err(), "the NaN push was acked");
+        nan.store(false, Ordering::SeqCst);
         let mut conn = connect(&addr, &NetConfig::default());
         let (reply, _, _) = conn.exchange(&push(8)).unwrap();
         assert!(matches!(reply, WireMessage::PushAck { version: 1, .. }));

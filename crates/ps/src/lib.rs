@@ -42,4 +42,4 @@ pub use checkpoint::{CheckpointError, StoreCheckpoint};
 pub use checksum::{checksum, checksum_filled, SEGMENT};
 pub use journal::{JournalEntry, JournalFull, PushJournal, PushPayload};
 pub use replica::{ReplicaError, ReplicatedStore};
-pub use store::{ParamSnapshot, ParameterStore};
+pub use store::{le_floats, ParamSnapshot, ParameterStore};

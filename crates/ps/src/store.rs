@@ -37,7 +37,18 @@ impl DenseSource for &[f32] {
     }
 }
 
-/// Four little-endian bytes per float.
+/// The floats of `bytes`, four little-endian bytes each: the form a frame
+/// carries floats in. Bytes past the last whole float are ignored.
+/// Exact-size, so collecting it allocates once.
+pub fn le_floats(bytes: &[u8]) -> impl ExactSizeIterator<Item = f32> + Clone + '_ {
+    bytes
+        .as_chunks::<4>()
+        .0
+        .iter()
+        .map(|b| f32::from_le_bytes(*b))
+}
+
+/// [`le_floats`] as a dense gradient.
 #[derive(Clone, Copy)]
 struct LeFloats<'a>(&'a [u8]);
 
@@ -47,11 +58,7 @@ impl DenseSource for LeFloats<'_> {
     }
 
     fn floats_from(self, start: usize) -> impl Iterator<Item = f32> {
-        self.0[start * 4..]
-            .as_chunks::<4>()
-            .0
-            .iter()
-            .map(|b| f32::from_le_bytes(*b))
+        le_floats(&self.0[start * 4..])
     }
 }
 
