@@ -429,17 +429,23 @@ impl ChaosListener {
 
     /// Accepts one connection, wrapped in its script. A scripted
     /// "refusal" on the accept side closes the connection immediately
-    /// after accepting — the client sees an instant disconnect.
-    pub fn accept(&self) -> io::Result<(ChaosStream, SocketAddr)> {
+    /// after accepting — the client sees an instant disconnect. Returns
+    /// `None` once `ended` reads true after an accept, so the connection
+    /// that wakes a server's acceptor at the end of its run ends the
+    /// wait even on a plane scripted to refuse every connection.
+    pub fn accept(&self, ended: &AtomicBool) -> io::Result<Option<(ChaosStream, SocketAddr)>> {
         loop {
             let (stream, peer) = self.inner.accept()?;
+            if ended.load(Ordering::SeqCst) {
+                return Ok(None);
+            }
             let idx = self.accepted.fetch_add(1, Ordering::AcqRel);
             let script = FaultScript::derive(&self.chaos, self.label, idx);
             if script.as_ref().is_some_and(|s| s.refuse_connect) {
                 let _ = stream.shutdown(Shutdown::Both);
                 continue;
             }
-            return Ok((ChaosStream::new(stream, script), peer));
+            return Ok(Some((ChaosStream::new(stream, script), peer)));
         }
     }
 

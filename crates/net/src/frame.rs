@@ -374,6 +374,12 @@ pub fn encode_frame_into(msg: &WireMessage, out: &mut Vec<u8>) -> Result<(), Fra
     }
 }
 
+/// Whether `msg`'s frame ends in a dense float slice: a `PullReply`, or a
+/// `Push` or `RelayPush` of a dense gradient.
+pub(crate) fn ends_dense(msg: &WireMessage) -> bool {
+    DenseHead::of(msg).is_some()
+}
+
 /// The `PullReply` frame of `version` encoded straight from the floats
 /// where they live, as [`encode_frame_into`] encodes one: the shard's
 /// pull-reply cache is rebuilt from its store this way, with no owned

@@ -3,9 +3,15 @@
 //! together they let the roles of the paper's Fig. 7 run as separate OS
 //! processes on one host.
 //!
+//! Each server's accept thread blocks in `accept` and hands a connection
+//! to its handler the moment it arrives. The thread that runs the server
+//! checks every `TICK` whether the run has ended; then it wakes the
+//! acceptor with one connection to the listener's own address and joins
+//! it, so the listener is closed when `run` returns.
+//!
 //! # Shard server
 //!
-//! A blocking accept loop hands each connection to its own thread.
+//! Each accepted connection is served on its own thread.
 //! Pulls are served from the host's per-version encoded-frame cache
 //! (serialize once, share the bytes across every concurrent client) and
 //! take only the host lock. A push is relayed and applied, from the
@@ -61,9 +67,10 @@
 
 use std::collections::BTreeMap;
 use std::io;
-use std::net::TcpListener;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
@@ -87,9 +94,68 @@ use crate::transport::WallElapsed;
 use crate::transport::{ConnTarget, FrameConn};
 use crate::wire::{FailoverControl, WireMessage};
 
-/// Granularity of the servers' polling loops: the scheduler loop's wake-up
-/// (abort deadlines, liveness sweeps) and the accept loops' back-off.
+/// The scheduler loop's wake-up (abort deadlines, liveness sweeps), and
+/// how often a shard's run checks whether the run has ended. No accept
+/// waits on it.
 const TICK: Duration = Duration::from_millis(5);
+
+// --------------------------------------------------------------- accept
+
+/// A listener's accept thread: it blocks in `accept` and hands each
+/// connection to its handler the moment it arrives, until
+/// [`close`](Self::close) wakes it.
+struct Acceptor {
+    /// The listener's own address, which the wake dials.
+    addr: SocketAddr,
+    /// Set before the wake; the accept that follows ends the thread.
+    ended: Arc<AtomicBool>,
+    thread: JoinHandle<()>,
+}
+
+impl Acceptor {
+    /// Starts accepting on `listener`. Accepted streams run the chaos
+    /// script of `config` for the accept plane `label`.
+    fn spawn(
+        listener: TcpListener,
+        config: &NetConfig,
+        label: &'static str,
+        mut handle: impl FnMut(ChaosStream, SocketAddr) + Send + 'static,
+    ) -> io::Result<Acceptor> {
+        let addr = listener.local_addr()?;
+        let listener = ChaosListener::new(listener, config.chaos.clone(), label);
+        let ended = Arc::new(AtomicBool::new(false));
+        let thread = {
+            let ended = Arc::clone(&ended);
+            std::thread::spawn(move || {
+                // An accept error ends the thread, and with it a shard's run.
+                while let Ok(Some((stream, peer))) = listener.accept(&ended) {
+                    stream.set_nodelay(true).ok();
+                    handle(stream, peer);
+                }
+            })
+        };
+        Ok(Acceptor {
+            addr,
+            ended,
+            thread,
+        })
+    }
+
+    /// Whether the accept thread has ended (on an accept error, before
+    /// [`close`](Self::close)).
+    fn is_finished(&self) -> bool {
+        self.thread.is_finished()
+    }
+
+    /// Wakes the accept thread with one connection to the listener's own
+    /// address and joins it: the listener is closed when this returns.
+    fn close(self) {
+        self.ended.store(true, Ordering::SeqCst);
+        // Refused if the thread has already ended and dropped the listener.
+        let _ = TcpStream::connect(self.addr);
+        let _ = self.thread.join();
+    }
+}
 
 // ---------------------------------------------------------------- shard
 
@@ -149,7 +215,7 @@ struct Shared {
     serving: AtomicBool,
     /// The stop handle's flag: set, the server halts.
     stop: Arc<AtomicBool>,
-    /// Set when the run is over, however it ended: the accept loop and the
+    /// Set when the run is over, however it ended: accepting and the
     /// scheduler heartbeat stop, and connections are still answered.
     ended: AtomicBool,
     counters: ShardCounters,
@@ -448,29 +514,23 @@ impl ShardServer {
             }
         }
 
-        // Accept loop: non-blocking accept so the end of the run is
-        // noticed. Accepted streams run this process's chaos script
-        // (pass-through when chaos is disabled).
-        listener.set_nonblocking(true)?;
-        let listener = ChaosListener::new(listener, config.chaos.clone(), "shard-accept");
-        while !shared.stop.load(Ordering::SeqCst) && !shared.ended.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((stream, peer)) => {
-                    stream.set_nodelay(true).ok();
-                    stream.set_nonblocking(false).ok();
-                    let shared = Arc::clone(&shared);
-                    let peer = peer.to_string();
-                    std::thread::spawn(move || {
-                        let conn = FrameConn::from_chaos_stream(stream, peer);
-                        serve_shard_conn(conn, &shared, io_timeout);
-                    });
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(TICK);
-                }
-                Err(_) => break,
-            }
+        // Accepted streams run this process's chaos script (pass-through
+        // when chaos is disabled); this thread only watches for the end.
+        let acceptor = {
+            let shared = Arc::clone(&shared);
+            Acceptor::spawn(listener, &config, "shard-accept", move |stream, peer| {
+                let shared = Arc::clone(&shared);
+                let conn = FrameConn::from_chaos_stream(stream, peer.to_string());
+                std::thread::spawn(move || serve_shard_conn(conn, &shared, io_timeout));
+            })?
+        };
+        while !shared.stop.load(Ordering::SeqCst)
+            && !shared.ended.load(Ordering::SeqCst)
+            && !acceptor.is_finished()
+        {
+            std::thread::sleep(TICK);
         }
+        acceptor.close();
         if shared.stop.load(Ordering::SeqCst) {
             // Halted: wait out the push that holds the relay lock, so the
             // counters below include exactly the acked pushes. Every later
@@ -859,55 +919,37 @@ impl SchedulerServer {
         let clock = WallElapsed::start();
         let (events_tx, events_rx) = unbounded::<ConnEvent>();
 
-        // Accept thread: one reader thread per connection, all frames
-        // funneled into the central loop's channel.
-        {
+        // One reader thread per connection, all frames funneled into the
+        // central loop's channel.
+        let mut next_id = 0usize;
+        let acceptor = Acceptor::spawn(listener, &cfg.net, "sched-accept", move |stream, _| {
+            let id = next_id;
+            next_id += 1;
+            let Ok(writer) = stream.try_clone() else {
+                return;
+            };
+            if events_tx.send(ConnEvent::Opened { id, writer }).is_err() {
+                return;
+            }
             let events_tx = events_tx.clone();
-            let stop = Arc::clone(&stop);
-            listener.set_nonblocking(true)?;
-            let listener = ChaosListener::new(listener, cfg.net.chaos.clone(), "sched-accept");
-            std::thread::spawn(move || {
-                let mut next_id = 0usize;
-                while !stop.load(Ordering::SeqCst) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            stream.set_nodelay(true).ok();
-                            stream.set_nonblocking(false).ok();
-                            let id = next_id;
-                            next_id += 1;
-                            let Ok(writer) = stream.try_clone() else {
-                                continue;
-                            };
-                            if events_tx.send(ConnEvent::Opened { id, writer }).is_err() {
-                                return;
-                            }
-                            let events_tx = events_tx.clone();
-                            let mut reader = stream;
-                            std::thread::spawn(move || loop {
-                                match read_frame(&mut reader) {
-                                    Ok(ReadOutcome::Frame(frame, _)) => {
-                                        if events_tx.send(ConnEvent::Frame { id, frame }).is_err() {
-                                            return;
-                                        }
-                                    }
-                                    Ok(ReadOutcome::Closed) | Err(_) => {
-                                        let _ = events_tx.send(ConnEvent::Closed { id });
-                                        return;
-                                    }
-                                }
-                            });
+            let mut reader = stream;
+            std::thread::spawn(move || loop {
+                match read_frame(&mut reader) {
+                    Ok(ReadOutcome::Frame(frame, _)) => {
+                        if events_tx.send(ConnEvent::Frame { id, frame }).is_err() {
+                            return;
                         }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(TICK);
-                        }
-                        Err(_) => return,
+                    }
+                    Ok(ReadOutcome::Closed) | Err(_) => {
+                        let _ = events_tx.send(ConnEvent::Closed { id });
+                        return;
                     }
                 }
             });
-        }
+        })?;
 
         let stats = central_loop(&cfg, &clock, &sink, &events_rx, &stop);
-        stop.store(true, Ordering::SeqCst);
+        acceptor.close();
         Ok(stats)
     }
 }
@@ -1730,5 +1772,168 @@ mod tests {
         // beside the wire vocabulary.
         let sizes = MessageSizes::for_model(1_000);
         assert_eq!(sizes.pull_bytes, 4_000);
+    }
+
+    /// `n` fresh connections to `addr`, one after another, each closed
+    /// once `request` is answered: how long each took from its connect to
+    /// its reply, sorted.
+    fn first_replies(addr: &str, request: &WireMessage, n: u32) -> Vec<Duration> {
+        let mut took: Vec<Duration> = (0..n)
+            .map(|_| {
+                let begun = std::time::Instant::now();
+                let mut conn = connect(addr, &NetConfig::default());
+                conn.exchange(request).unwrap();
+                begun.elapsed()
+            })
+            .collect();
+        took.sort();
+        took
+    }
+
+    /// Both servers hand a connection to its handler the moment it
+    /// arrives: 20 fresh connections are answered in well under the 20
+    /// `TICK`s an accept loop that polled every `TICK` spent on them.
+    #[test]
+    fn fresh_connections_are_answered_without_waiting_for_a_tick() {
+        const CONNS: u32 = 20;
+        let shard = shard(0, 8);
+        let shard_addr = shard.local_addr().to_string();
+        let stop = shard.stop_handle();
+        let shard = std::thread::spawn(move || shard.run().unwrap());
+        let sched = SchedulerServer::bind(
+            "127.0.0.1:0",
+            SchedulerConfig {
+                workers: 1,
+                net: closes_only(),
+                ..SchedulerConfig::default()
+            },
+        )
+        .unwrap();
+        let sched_addr = sched.local_addr().to_string();
+        let sched_stop = sched.stop_handle();
+        let sched = std::thread::spawn(move || sched.run().unwrap());
+        let mut primary = connect(&sched_addr, &NetConfig::default());
+        primary
+            .write(&WireMessage::Failover(FailoverControl::Register {
+                server: 0,
+                backup: false,
+                addr: shard_addr.clone(),
+            }))
+            .unwrap();
+        await_primary(&sched_addr, &shard_addr, 0);
+
+        let pull = WireMessage::Pull {
+            worker: WorkerId::new(0),
+        };
+        let query = WireMessage::Failover(FailoverControl::QueryPrimary);
+        for (server, addr, request) in [
+            ("shard", &shard_addr, &pull),
+            ("scheduler", &sched_addr, &query),
+        ] {
+            let took = first_replies(addr, request, CONNS);
+            let total: Duration = took.iter().sum();
+            println!(
+                "{server}: first reply on a fresh connection, median {:?}, {CONNS} in {total:?}",
+                took[took.len() / 2]
+            );
+            assert!(
+                total < TICK * CONNS / 2,
+                "{CONNS} fresh connections to the {server} took {total:?}"
+            );
+        }
+
+        stop.store(true, Ordering::SeqCst);
+        assert_eq!(shard.join().unwrap().pulls_served, u64::from(CONNS));
+        sched_stop.store(true, Ordering::SeqCst);
+        sched.join().unwrap();
+    }
+
+    /// Waits at most a second for `run` to report through `done`, then
+    /// checks that `addr` refuses connections: the acceptor has been
+    /// joined and the listener dropped.
+    fn returns_with_its_port_closed<T>(done: &mpsc::Receiver<T>, addr: &str) -> T {
+        let stats = done
+            .recv_timeout(Duration::from_secs(1))
+            .expect("run returns within a second of its end");
+        assert!(
+            TcpStream::connect(addr).is_err(),
+            "{addr} still accepts after run returned"
+        );
+        stats
+    }
+
+    #[test]
+    fn an_idle_shard_and_a_finished_scheduler_return_with_their_ports_closed() {
+        // A shard no client ever connected to, halted.
+        let idle = shard(0, 4);
+        let addr = idle.local_addr().to_string();
+        let stop = idle.stop_handle();
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || done_tx.send(idle.run().unwrap()));
+        std::thread::sleep(TICK * 4);
+        stop.store(true, Ordering::SeqCst);
+        let stats = returns_with_its_port_closed(&done_rx, &addr);
+        assert_eq!((stats.pulls_served, stats.pushes_applied), (0, 0));
+
+        // A scheduler that reaches its push target.
+        let sched = SchedulerServer::bind(
+            "127.0.0.1:0",
+            SchedulerConfig {
+                workers: 1,
+                stop_after_pushes: Some(1),
+                ..SchedulerConfig::default()
+            },
+        )
+        .unwrap();
+        let addr = sched.local_addr().to_string();
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || done_tx.send(sched.run().unwrap()));
+        let mut worker = connect(&addr, &NetConfig::default());
+        worker
+            .write(&WireMessage::Notify {
+                worker: WorkerId::new(0),
+                pushes: 1,
+            })
+            .unwrap();
+        assert!(returns_with_its_port_closed(&done_rx, &addr).completed);
+        let (shutdown, _) = worker.recv().unwrap();
+        assert_eq!(shutdown, WireMessage::Shutdown);
+    }
+
+    /// The wake that ends the acceptor must not be refused and swallowed
+    /// by the chaos layer: on an accept plane scripted to refuse every
+    /// connection after the first, the stop handle still ends the run.
+    #[test]
+    fn a_stop_ends_a_run_whose_accept_plane_refuses_every_connection() {
+        let chaos = crate::chaos::NetChaos {
+            seed: 7,
+            connect_refusals: u32::MAX,
+            ..crate::chaos::NetChaos::disabled()
+        };
+        let cfg = NetConfig::builder().chaos(chaos).try_build().unwrap();
+        let server = ShardServer::bind(0, "127.0.0.1:0", host(4), cfg).unwrap();
+        let addr = server.local_addr().to_string();
+        let stop = server.stop_handle();
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || done_tx.send(server.run().unwrap()));
+
+        // The first connection of the plane is served; the next is refused.
+        let pull = WireMessage::Pull {
+            worker: WorkerId::new(0),
+        };
+        let mut first = connect(&addr, &NetConfig::default());
+        assert!(matches!(
+            first.exchange(&pull).unwrap().0,
+            WireMessage::PullReply { .. }
+        ));
+        let mut refused = connect(&addr, &NetConfig::default());
+        assert!(
+            refused.exchange(&pull).is_err(),
+            "the second connection was served"
+        );
+
+        stop.store(true, Ordering::SeqCst);
+        let stats = returns_with_its_port_closed(&done_rx, &addr);
+        assert_eq!(stats.pulls_served, 1);
     }
 }

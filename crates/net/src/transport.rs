@@ -27,7 +27,7 @@ use crate::chaos::{chaos_connect, ChaosStream, ConnSeq};
 use crate::config::NetConfig;
 use crate::error::NetError;
 use crate::frame::{
-    encode_frame_into, read_frame, read_frame_into, write_frame, FrameRef, ReadOutcome,
+    encode_frame_into, ends_dense, read_frame, read_frame_into, write_frame, FrameRef, ReadOutcome,
 };
 use crate::wire::{FailoverControl, WireMessage};
 
@@ -85,9 +85,9 @@ impl WallElapsed {
 
 /// One request/response socket with framed reads and writes. Every frame
 /// it reads lands in one receive buffer and every frame it writes is
-/// encoded in one send buffer, each kept for the connection's life and
-/// grown to the largest frame it has held: past its first frames of a
-/// size, a connection allocates nothing per frame but what an owned
+/// encoded in one of two send buffers, each kept for the connection's
+/// life and grown to the largest frame it has held: past its first frames
+/// of a size, a connection allocates nothing per frame but what an owned
 /// decode hands out.
 #[derive(Debug)]
 pub struct FrameConn {
@@ -96,8 +96,12 @@ pub struct FrameConn {
     addr: String,
     /// Receive buffer (see [`read_frame_into`]).
     rx: Vec<u8>,
-    /// Send buffer (see [`encode_frame_into`]).
+    /// Send buffer of the frames that end in dense floats (see
+    /// [`encode_frame_into`]). No other frame cuts it, so a dense frame
+    /// no longer than the last is written over it with nothing zero-filled.
     tx: Vec<u8>,
+    /// Send buffer of every other frame.
+    tx_small: Vec<u8>,
 }
 
 /// How a [`FrameConn`] connect attempt is labelled for the chaos layer
@@ -181,6 +185,7 @@ impl FrameConn {
             addr,
             rx: Vec::new(),
             tx: Vec::new(),
+            tx_small: Vec::new(),
         }
     }
 
@@ -215,9 +220,14 @@ impl FrameConn {
     /// returning its encoded size. An unencodable message (payload over
     /// the frame limit) is refused with nothing written.
     pub fn write(&mut self, msg: &WireMessage) -> Result<usize, NetError> {
-        encode_frame_into(msg, &mut self.tx)?;
-        self.stream.write_all(&self.tx)?;
-        Ok(self.tx.len())
+        let tx = if ends_dense(msg) {
+            &mut self.tx
+        } else {
+            &mut self.tx_small
+        };
+        encode_frame_into(msg, tx)?;
+        self.stream.write_all(tx)?;
+        Ok(tx.len())
     }
 
     /// Writes pre-encoded frame bytes (the shard's per-version cached
@@ -793,6 +803,8 @@ impl Transport for TcpTransport {
 mod tests {
     use super::*;
     use crate::frame::encode_frame;
+    use specsync_ps::PushPayload;
+    use std::io::Read as _;
 
     #[test]
     fn frame_conn_round_trips_over_loopback() {
@@ -851,6 +863,44 @@ mod tests {
         let (got, _) = conn.recv().unwrap();
         assert_eq!(got, expect);
         server.join().unwrap();
+    }
+
+    /// A `Pull` between two dense pushes must not cut the dense frames'
+    /// buffer, or the next push zero-fills its whole payload before
+    /// writing it; and every frame still leaves byte for byte as
+    /// `encode_frame` builds it.
+    #[test]
+    fn a_small_frame_between_dense_frames_leaves_the_dense_buffer_whole() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let worker = WorkerId::new(1);
+        let push = |x: f32| WireMessage::Push {
+            worker,
+            payload: PushPayload::Dense((0..1000).map(|i| x + i as f32).collect()),
+        };
+        let frames = [push(0.5), WireMessage::Pull { worker }, push(-2.0)];
+        let expect: Vec<u8> = frames
+            .iter()
+            .flat_map(|m| encode_frame(m).unwrap())
+            .collect();
+        let len = expect.len();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut got = vec![0; len];
+            stream.read_exact(&mut got).unwrap();
+            got
+        });
+
+        let cfg = NetConfig::default();
+        let seq = ConnSeq::new();
+        let mut conn =
+            FrameConn::connect_with_retries(&addr, &cfg, &ConnTarget::new("test", &seq, 0), |_| {})
+                .unwrap();
+        let dense_len = conn.write(&frames[0]).unwrap();
+        conn.write(&frames[1]).unwrap();
+        assert_eq!(conn.tx.len(), dense_len, "the Pull cut the dense buffer");
+        assert_eq!(conn.write(&frames[2]).unwrap(), dense_len);
+        assert_eq!(peer.join().unwrap(), expect);
     }
 
     #[test]
